@@ -38,9 +38,8 @@ def backend_measure_steps() -> int:
 
     A full simulated day (24 one-hour test-config steps) normally; the
     FOAM_BENCH_FAST smoke job shrinks the window the same way it bounds
-    pytest-benchmark rounds.  The backend itself still honors the usual
-    ``FOAM_DTYPE``/``FOAM_BACKEND``/``FOAM_WORKSPACE`` knobs for any bench
-    that does not set them explicitly.
+    pytest-benchmark rounds.  ``FOAM_DTYPE`` still applies to any bench
+    that does not set its dtype explicitly.
     """
     return 6 if os.environ.get("FOAM_BENCH_FAST") else 24
 

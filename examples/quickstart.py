@@ -7,7 +7,7 @@ the diagnostics a climate modeler looks at first: global-mean surface
 pressure (mass conservation), SST statistics, precipitation, and the water
 inventory of the closed hydrological cycle.
 
-Run:  python examples/quickstart.py [--dtype float32] [--backend numpy]
+Run:  python examples/quickstart.py [--dtype float32]
 """
 
 import argparse
@@ -23,17 +23,12 @@ def main() -> None:
     parser.add_argument("--dtype", default=None,
                         choices=("float64", "float32"),
                         help="array precision (default: FOAM_DTYPE or float64)")
-    parser.add_argument("--backend", default=None,
-                        help="array backend (default: FOAM_BACKEND or numpy)")
     args = parser.parse_args()
 
     print("=== FOAM quickstart ===")
     cfg = test_config()
     cfg.dtype = args.dtype
-    cfg.backend = args.backend
-    cfg.array_backend()   # fail fast if the requested backend is unavailable
-    print(f"precision:  {cfg.dtype_policy.name} on the "
-          f"{cfg.array_backend().name} backend")
+    print(f"precision:  {cfg.dtype_policy.name}")
     print(f"atmosphere: R{cfg.atm_mmax} spectral, {cfg.atm_nlon}x{cfg.atm_nlat}"
           f"x{cfg.atm_nlev}, dt = {cfg.atm_dt:.0f} s")
     print(f"ocean:      {cfg.ocn_nx}x{cfg.ocn_ny}x{cfg.ocn_nlev} Mercator, "

@@ -31,7 +31,7 @@ from repro.atmosphere.semilag import advect_semilagrangian
 from repro.atmosphere.spectral import SpectralTransform
 from repro.atmosphere.vertical import VerticalGrid
 from repro.backend import get_workspace
-from repro.backend.kernels import fused_enabled, robert_filter
+from repro.backend.kernels import robert_filter
 from repro.perf.profiler import profile_section, profiled
 from repro.util.constants import CP, KAPPA, OMEGA, P0, RD
 
@@ -178,32 +178,14 @@ class SpectralDynamicalCore:
         states with a member axis after the level axis ((L, E, nm, nk));
         grid diagnostics then carry the member axis in the same slot.
         """
-        L = self.vg.nlev
         fdt = self.tr.policy.float_dtype
-        bshape = state.vort.shape[1:-2]          # () serial, (nens,) batched
-        if fused_enabled():
-            # Whole-(level[, member]) stacks through the fused plan: one
-            # transform call per field instead of a per-level Python loop
-            # (ellipsis einsum batching is bitwise identical per slice).
-            # The returned grids are views of per-call-fresh inverse-FFT
-            # outputs, so they escape into GridDiagnostics safely.
-            u, v = self.tr.uv_from_vortdiv(state.vort, state.div)
-            tg, zg, dg = self.tr.synthesize_many(
-                state.temp, state.vort, state.div)
-            tg = tg + self.vg.t_ref
-        else:
-            # Diagnostics escape into GridDiagnostics, so they are freshly
-            # allocated (never workspace buffers) — only their dtype is policy.
-            u = np.empty((L,) + bshape + (self.tr.nlat, self.tr.nlon), dtype=fdt)
-            v = np.empty_like(u)
-            tg = np.empty_like(u)
-            zg = np.empty_like(u)
-            dg = np.empty_like(u)
-            for l in range(L):
-                u[l], v[l] = self.tr.uv_from_vortdiv(state.vort[l], state.div[l])
-                tg[l] = self.tr.synthesize(state.temp[l]) + self.vg.t_ref
-                zg[l] = self.tr.synthesize(state.vort[l])
-                dg[l] = self.tr.synthesize(state.div[l])
+        # Whole-(level[, member]) stacks: one transform call per field
+        # (ellipsis einsum batching is bitwise identical per slice).  The
+        # returned grids are views of per-call-fresh inverse-FFT outputs,
+        # so they escape into GridDiagnostics safely.
+        u, v = self.tr.uv_from_vortdiv(state.vort, state.div)
+        tg, zg, dg = self.tr.synthesize_many(state.temp, state.vort, state.div)
+        tg = tg + self.vg.t_ref
         lnps = self.tr.synthesize(state.lnps)
         ps = P0 * np.exp(lnps)
         pressure = self.vg.sigma.reshape((-1,) + (1,) * ps.ndim) * ps[None]
@@ -224,7 +206,6 @@ class SpectralDynamicalCore:
         Returns also the grid diagnostics so the caller can reuse them.
         """
         tr, vg = self.tr, self.vg
-        L = vg.nlev
         d = self.diagnose(state)
         tprime = d.temp - vg.t_ref
 
@@ -253,33 +234,14 @@ class SpectralDynamicalCore:
         wop_lin = vg.omega_over_p(d.div, ws.zeros_like("dyn.wop_zero", vgradp))
         heating = KAPPA * d.temp * d.omega_over_p - KAPPA * vg.t_ref * wop_lin
 
-        if fused_enabled():
-            # Whole-(level[, member]) stacks: one fused transform call per
-            # term, bitwise identical per slice to the per-level loop.
-            n_vort, dt_all = tr.vortdiv_from_uv(fu, fv)
-            energy = 0.5 * (d.u ** 2 + d.v ** 2)
-            n_div = dt_all - tr.laplacian(tr.analyze(energy))
-            tx, ty = tr.gradient(state.temp)
-            adv_t = -(d.u * tx + d.v * ty)
-            n_temp = tr.analyze(adv_t - dt_dsig + heating)
-            return n_vort, n_div, n_temp, n_pi, d
-
-        # Tendency accumulators are consumed inside this step only, so they
-        # live in the workspace arena (unique names: never aliased).
-        n_vort = ws.empty_like("dyn.n_vort", state.vort)
-        n_div = ws.empty_like("dyn.n_div", state.div)
-        n_temp = ws.empty_like("dyn.n_temp", state.temp)
-
-        for l in range(L):
-            zt, dt_ = tr.vortdiv_from_uv(fu[l], fv[l])
-            n_vort[l] = zt
-            energy = 0.5 * (d.u[l] ** 2 + d.v[l] ** 2)
-            n_div[l] = dt_ - tr.laplacian(tr.analyze(energy))
-
-            tx, ty = tr.gradient(state.temp[l])
-            adv_t = -(d.u[l] * tx + d.v[l] * ty)
-            n_temp[l] = tr.analyze(adv_t - dt_dsig[l] + heating[l])
-
+        # Whole-(level[, member]) stacks: one transform call per term,
+        # bitwise identical per slice to a per-level loop.
+        n_vort, dt_all = tr.vortdiv_from_uv(fu, fv)
+        energy = 0.5 * (d.u ** 2 + d.v ** 2)
+        n_div = dt_all - tr.laplacian(tr.analyze(energy))
+        tx, ty = tr.gradient(state.temp)
+        adv_t = -(d.u * tx + d.v * ty)
+        n_temp = tr.analyze(adv_t - dt_dsig + heating)
         return n_vort, n_div, n_temp, n_pi, d
 
     # ------------------------------------------------------------------
@@ -332,30 +294,21 @@ class SpectralDynamicalCore:
         with profile_section("semilag"):
             new_q = advect_semilagrangian(self.tr, diag.u, diag.v, prev.q, 2.0 * dt)
 
-        # Robert-Asselin filter on the center state.
+        # Robert-Asselin filter on the center state (workspace-resident
+        # chains: only the filtered sums allocate).
         filt = self.robert
-        if fused_enabled():
-            # Workspace-resident chains: only the filtered sums allocate.
-            filtered = AtmosphereState(
-                vort=robert_filter(prev.vort, curr.vort, new_vort, filt,
-                                   name="dyn.rob.vort"),
-                div=robert_filter(prev.div, curr.div, new_div, filt,
-                                  name="dyn.rob.div"),
-                temp=robert_filter(prev.temp, curr.temp, new_temp, filt,
-                                   name="dyn.rob.temp"),
-                lnps=robert_filter(prev.lnps, curr.lnps, new_lnps, filt,
-                                   name="dyn.rob.lnps"),
-                q=robert_filter(prev.q, curr.q, new_q, filt,
-                                name="dyn.rob.q"),
-                time=curr.time)
-        else:
-            filtered = AtmosphereState(
-                vort=curr.vort + filt * (prev.vort - 2 * curr.vort + new_vort),
-                div=curr.div + filt * (prev.div - 2 * curr.div + new_div),
-                temp=curr.temp + filt * (prev.temp - 2 * curr.temp + new_temp),
-                lnps=curr.lnps + filt * (prev.lnps - 2 * curr.lnps + new_lnps),
-                q=curr.q + filt * (prev.q - 2 * curr.q + new_q),
-                time=curr.time)
+        filtered = AtmosphereState(
+            vort=robert_filter(prev.vort, curr.vort, new_vort, filt,
+                               name="dyn.rob.vort"),
+            div=robert_filter(prev.div, curr.div, new_div, filt,
+                              name="dyn.rob.div"),
+            temp=robert_filter(prev.temp, curr.temp, new_temp, filt,
+                               name="dyn.rob.temp"),
+            lnps=robert_filter(prev.lnps, curr.lnps, new_lnps, filt,
+                               name="dyn.rob.lnps"),
+            q=robert_filter(prev.q, curr.q, new_q, filt,
+                            name="dyn.rob.q"),
+            time=curr.time)
         new = AtmosphereState(new_vort, new_div, new_temp, new_lnps, new_q,
                               time=curr.time + dt)
         return filtered, new
@@ -389,11 +342,9 @@ class SpectralDynamicalCore:
             denom = (1.0 + 2.0 * self.dt * damp)[None]
             self._hyper_denom = denom.astype(self.tr.policy.float_dtype, copy=False)
             self._hyper_dt = self.dt
-        if fused_enabled():
-            # Every caller passes a freshly built new-time field, so the
-            # division can land in place (same op, no temporary).
-            return np.divide(spec3, self._hyper_denom, out=spec3)
-        return spec3 / self._hyper_denom
+        # Every caller passes a freshly built new-time field, so the
+        # division can land in place (same op, no temporary).
+        return np.divide(spec3, self._hyper_denom, out=spec3)
 
     def _implicit_update(self, prev: AtmosphereState, n_div, n_temp, n_pi):
         """Semi-implicit solve for divergence, then back-substitute T and lnps."""

@@ -1,15 +1,9 @@
-"""Swappable array backend + precision policy + preallocated workspaces.
+"""Precision policy + preallocated workspaces + kernel oracles.
 
 Every hot kernel in the model (spectral transforms, ocean stepping, the
-coupler's regrid passes, the parallel transpose) runs on top of this seam
-instead of calling ``numpy`` allocation primitives ad hoc:
+coupler's regrid passes, the parallel transpose) is plain NumPy on top of
+two shared pieces instead of ad hoc dtype literals and allocations:
 
-* :class:`ArrayBackend` — the array substrate.  The default is NumPy;
-  alternates register under a name and are selected with the
-  ``FOAM_BACKEND`` environment variable (or explicitly via config).
-  Backends that need an unavailable dependency (torch, cupy) stay
-  registered but raise :class:`BackendUnavailableError` with an
-  actionable message when selected.
 * :class:`DTypePolicy` — the precision policy (``float32``/``float64``
   plus the matching complex type), selected with ``FOAM_DTYPE`` and
   threaded through the grid/spectral constructors instead of hard-coded
@@ -20,6 +14,9 @@ instead of calling ``numpy`` allocation primitives ad hoc:
   (near) zero.  Hit/miss counts feed the profiler (``ws.hits`` /
   ``ws.misses`` per section), which is how the win is measured.
 
+:mod:`repro.backend.kernels` holds the ``*_ref`` oracles the spectral
+transforms are pinned against, and :func:`robert_filter`.
+
 The contract that keeps the default configuration *bitwise identical* to
 ad-hoc allocation: a workspace buffer holds exactly what the requesting
 call site writes into it, the arithmetic performed on it is the same
@@ -27,19 +24,6 @@ sequence of NumPy ufunc applications as before, and only values that do
 not escape the requesting step live in the arena.
 """
 
-from repro.backend.core import (
-    ArrayBackend,
-    BackendUnavailableError,
-    NumpyBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-)
-from repro.backend.kernels import (
-    SpectralKernelPlan,
-    fused_enabled,
-    robert_filter,
-)
 from repro.backend.dtypes import (
     FLOAT32,
     FLOAT64,
@@ -49,21 +33,19 @@ from repro.backend.dtypes import (
     policy_from_name,
     set_default_dtype,
 )
+from repro.backend.kernels import robert_filter
 from repro.backend.workspace import (
     Workspace,
     arenas_disjoint,
     get_workspace,
     reset_workspaces,
-    workspace_enabled,
     workspace_totals,
 )
 
 __all__ = [
-    "ArrayBackend", "BackendUnavailableError", "NumpyBackend",
-    "available_backends", "get_backend", "register_backend",
     "DTypePolicy", "FLOAT32", "FLOAT64", "default_policy", "dtype_policy",
     "policy_from_name", "set_default_dtype",
-    "Workspace", "arenas_disjoint", "get_workspace", "reset_workspaces", "workspace_enabled",
+    "Workspace", "arenas_disjoint", "get_workspace", "reset_workspaces",
     "workspace_totals",
-    "SpectralKernelPlan", "fused_enabled", "robert_filter",
+    "robert_filter",
 ]

@@ -1,282 +1,36 @@
-"""Fused spectral kernel plans: the hot contractions as few large calls.
+"""Spectral-kernel oracles and the workspace-resident Robert filter.
 
-PR 6's batched-ensemble profile shows the paired Legendre einsums and the
-elementwise chains around them dominating the batched coupled step.  Each
-:class:`~repro.atmosphere.spectral.SpectralTransform` method used to issue
-2–4 separate ``np.einsum`` calls per level per field plus a fresh
-allocation per intermediate; a :class:`SpectralKernelPlan` collapses every
-transform into a handful of large backend-dispatchable calls over the
-whole (level, member) batch:
+The spectral transforms the model runs live in
+:class:`~repro.atmosphere.spectral.SpectralTransform`: each is a handful
+of large NumPy calls over the whole (level, member) batch, with
+workspace-resident intermediates, pre-zeroed inverse-FFT pads, stacked
+multi-field synthesis and the all-``True`` rhomboidal mask multiplies
+skipped.  Every one of those transformations is bitwise-neutral: the same
+IEEE operations in the same order, just batched and buffered.
 
-* workspace-resident intermediates (``out=`` chains, zero steady-state
-  allocations) with *pre-zeroed* inverse-FFT pad buffers
-  (:meth:`Workspace.zeros_once`) — the truncation tail is zeroed once at
-  allocation and only the live columns are rewritten per call;
-* multi-field stacking: the two wind components (and the three synthesis
-  fields ``diagnose`` needs) share one pad buffer and one ``irfft`` call;
-* truncation-mask skipping: a rhomboidal truncation retains every (m, k)
-  slot, so its all-``True`` mask multiplies are dropped (``x * True`` is
-  bitwise ``x``) and the escaping copy becomes a straight ``memcpy``;
-* the forward FFT normalization divides only the retained ``nm`` columns
-  (slice-then-divide ≡ divide-then-slice, bitwise).
-
-Every transformation is bitwise-neutral on the NumPy float64 path: the
-same IEEE operations in the same order, just batched and buffered.  The
-``*_ref`` functions below keep the seed-era *unfused* formulation — naive
+The ``*_ref`` functions below keep the seed-era formulation — naive
 per-field calls with fresh allocations and separate einsums — as the
-oracle the regression tests pin against and the baseline
-``benchmarks/bench_kernels.py`` measures the fused plan against (the same
-role :func:`~repro.atmosphere.spectral._associated_legendre_ref` plays
-for the batched Legendre recurrence).
-
-Backend dispatch: the plan issues its contractions, FFTs and big
-elementwise chains through :class:`~repro.backend.core.ArrayBackend`
-compute ops.  The NumPy backend aliases them to the exact calls the
-transform previously inlined; the torch backend executes them on
-zero-copy ``torch.from_numpy`` wrappers of the same host buffers, which
-is what lets ``FOAM_BACKEND=torch`` drive a complete coupled day through
-``FoamModel.run_days``/``FoamEnsemble`` with conversion only at the
-history/diagnostics edges (tolerance-close, never bitwise).
-
-``FOAM_FUSED=0`` switches the transforms (and the dynamics-level batching
-that rides on them) back to the pre-fusion code path — the before/after
-baseline for the fused-vs-unfused day wall in ``BENCH_kernels.json``.
+oracle the regression tests pin the transforms against and the baseline
+``benchmarks/bench_kernels.py`` measures them against (the same role
+:func:`~repro.atmosphere.spectral._associated_legendre_ref` plays for the
+batched Legendre recurrence).
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from repro.backend.workspace import get_workspace
 
 __all__ = [
-    "fused_enabled", "SpectralKernelPlan", "robert_filter",
+    "robert_filter",
     "fourier_ref", "inverse_fourier_ref", "analyze_ref", "synthesize_ref",
     "uv_from_vortdiv_ref", "vortdiv_from_uv_ref", "gradient_ref",
 ]
 
 
-def fused_enabled() -> bool:
-    """Whether the fused kernel plans are on (``FOAM_FUSED=0`` disables)."""
-    return os.environ.get("FOAM_FUSED", "1").lower() not in ("0", "off", "false")
-
-
-class SpectralKernelPlan:
-    """Fused, backend-dispatchable transform kernels for one transform.
-
-    Bound to a :class:`~repro.atmosphere.spectral.SpectralTransform`'s
-    cached tables and its resolved :class:`ArrayBackend`.  All methods
-    accept arbitrary leading batch axes — the dynamical core passes whole
-    ``(nlev, [nens], ...)`` stacks so one call covers what used to be a
-    per-level (per-member) Python loop — and are bitwise identical per
-    slice to the unfused path on the NumPy backend.
-    """
-
-    def __init__(self, tr):
-        self.tr = tr
-        self.bk = tr.backend
-        self.nlat, self.nlon = tr.nlat, tr.nlon
-        self.nm, self.nk = tr.spec_shape
-        self.radius = tr.radius
-        # A rhomboidal truncation retains every slot: its mask multiplies
-        # are identity ops and are skipped (escaping results still copy).
-        self._allones = bool(tr._mask.all())
-        self._mask = tr._mask
-        self._im = tr._im
-        self._invlap = tr._invlap
-        self._rcos = tr._rcos
-        self._cos = tr.coslat[:, None]
-        # Same expression vortdiv_from_uv evaluated per call, hoisted.
-        self._oc2 = (1.0 / (tr.coslat ** 2))[:, None]
-        # Backend-side table handles (the NumPy backend returns the very
-        # same arrays; torch wraps them zero-copy, copying only the
-        # read-only shared plan tables).
-        self._pbar = self.bk.asarray(tr.pbar)
-        self._hbar = self.bk.asarray(tr.hbar)
-        self._wp = self.bk.asarray(tr._wp)
-        self._wh = self.bk.asarray(tr._wh)
-        self._pbar_dt = tr.pbar.dtype
-        self._wp_dt = tr._wp.dtype
-
-    # ------------------------------------------------------------------
-    def _irfft_stacked(self, name: str, fms) -> np.ndarray:
-        """One inverse FFT over ``len(fms)`` stacked Fourier fields.
-
-        The pad buffer is zeroed once at allocation; each call rewrites
-        only the live ``nm`` columns (folding the ``* nlon``
-        denormalization into the copy), so the truncation tail stays zero
-        without a per-call refill.  The name carries ``nm`` because two
-        transforms with the same grid but different truncations must not
-        share a pad (their zero tails start at different columns).
-        """
-        n = len(fms)
-        fm0 = fms[0]
-        ws = get_workspace()
-        full = ws.zeros_once(f"{name}.m{self.nm}",
-                             (n,) + fm0.shape[:-1] + (self.nlon // 2 + 1,),
-                             fm0.dtype)
-        for i, fm in enumerate(fms):
-            self.bk.multiply(fm, self.nlon, out=full[i][..., : self.nm])
-        return self.bk.irfft(full, n=self.nlon, axis=-1)
-
-    # ------------------------------------------------------------------
-    def analyze(self, grid: np.ndarray) -> np.ndarray:
-        """Fused grid -> spectral: rfft + one quadrature einsum."""
-        bk = self.bk
-        f = bk.rfft(grid, axis=-1)
-        fm = f[..., : self.nm]
-        # Normalize only the retained columns of the fresh FFT output.
-        bk.divide(fm, self.nlon, out=fm)
-        ws = get_workspace()
-        spec = bk.einsum("...jm,jmk->...mk", fm, self._wp,
-                         out=ws.empty("spectral.fused.an.spec",
-                                      grid.shape[:-2] + (self.nm, self.nk),
-                                      np.result_type(fm.dtype, self._wp_dt)))
-        if self._allones:
-            return spec.copy()
-        return spec * self._mask
-
-    def synthesize(self, spec: np.ndarray) -> np.ndarray:
-        """Fused spectral -> grid: one einsum + pre-zeroed-pad irfft."""
-        bk = self.bk
-        ws = get_workspace()
-        masked = spec
-        if not self._allones:
-            masked = np.multiply(spec, self._mask,
-                                 out=ws.empty("spectral.fused.syn.masked",
-                                              spec.shape, spec.dtype))
-        fm = bk.einsum("...mk,jmk->...jm", masked, self._pbar,
-                       out=ws.empty("spectral.fused.syn.fm",
-                                    spec.shape[:-2] + (self.nlat, self.nm),
-                                    np.result_type(spec.dtype, self._pbar_dt)))
-        return self._irfft_stacked("spectral.fused.syn.pad", (fm,))[0]
-
-    def synthesize_many(self, *specs: np.ndarray) -> tuple:
-        """Several same-shape spectral fields through ONE einsum + irfft."""
-        n = len(specs)
-        s0 = specs[0]
-        bk = self.bk
-        ws = get_workspace()
-        sp = ws.empty(f"spectral.fused.syn{n}.stack", (n,) + s0.shape, s0.dtype)
-        for i, s in enumerate(specs):
-            np.copyto(sp[i], s)
-        if not self._allones:
-            np.multiply(sp, self._mask, out=sp)
-        fm = bk.einsum("...mk,jmk->...jm", sp, self._pbar,
-                       out=ws.empty(f"spectral.fused.syn{n}.fm",
-                                    (n,) + s0.shape[:-2] + (self.nlat, self.nm),
-                                    np.result_type(s0.dtype, self._pbar_dt)))
-        g = self._irfft_stacked(f"spectral.fused.syn{n}.pad", (fm,))[0]
-        return tuple(g[i] for i in range(n))
-
-    def uv_from_vortdiv(self, vort_spec: np.ndarray, div_spec: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        """Fused winds: 4 stacked-table einsums, one shared-pad irfft."""
-        bk = self.bk
-        ws = get_workspace()
-        shape = vort_spec.shape
-        sdt = np.result_type(vort_spec.dtype, self._invlap.dtype)
-        psi = bk.multiply(vort_spec, self._invlap,
-                          out=ws.empty("spectral.fused.uv.psi", shape, sdt))
-        chi = bk.multiply(div_spec, self._invlap,
-                          out=ws.empty("spectral.fused.uv.chi", shape, sdt))
-        t1 = bk.multiply(self._im, chi,
-                         out=ws.empty("spectral.fused.uv.t1", shape, sdt))
-        t2 = psi
-        if not self._allones:
-            np.multiply(t1, self._mask, out=t1)
-            t2 = np.multiply(psi, self._mask,
-                             out=ws.empty("spectral.fused.uv.t2", shape, sdt))
-        fm_shape = shape[:-2] + (self.nlat, self.nm)
-        fdt = np.result_type(sdt, self._pbar_dt)
-        e1 = bk.einsum("...mk,jmk->...jm", t1, self._pbar,
-                       out=ws.empty("spectral.fused.uv.e1", fm_shape, fdt))
-        e2 = bk.einsum("...mk,jmk->...jm", t2, self._hbar,
-                       out=ws.empty("spectral.fused.uv.e2", fm_shape, fdt))
-        u_fm = bk.subtract(e1, e2, out=e1)
-        bk.divide(u_fm, self.radius, out=u_fm)
-        bk.multiply(self._im, psi, out=t1)
-        t2 = chi
-        if not self._allones:
-            np.multiply(t1, self._mask, out=t1)
-            t2 = np.multiply(chi, self._mask,
-                             out=ws.empty("spectral.fused.uv.t2b", shape, sdt))
-        e3 = bk.einsum("...mk,jmk->...jm", t1, self._pbar,
-                       out=ws.empty("spectral.fused.uv.e3", fm_shape, fdt))
-        e4 = bk.einsum("...mk,jmk->...jm", t2, self._hbar,
-                       out=ws.empty("spectral.fused.uv.e4", fm_shape, fdt))
-        v_fm = bk.add(e3, e4, out=e3)
-        bk.divide(v_fm, self.radius, out=v_fm)
-        g = self._irfft_stacked("spectral.fused.uv.pad", (u_fm, v_fm))
-        bk.divide(g, self._cos, out=g)
-        return g[0], g[1]
-
-    def vortdiv_from_uv(self, u: np.ndarray, v: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        """Fused (zeta, D): two FFTs + 4 einsums, all workspace-resident."""
-        bk = self.bk
-        ws = get_workspace()
-        uc = bk.multiply(u, self._cos,
-                         out=ws.empty("spectral.fused.vd.uc", u.shape, u.dtype))
-        vc = bk.multiply(v, self._cos,
-                         out=ws.empty("spectral.fused.vd.vc", v.shape, v.dtype))
-        fu = bk.rfft(uc, axis=-1)
-        fv = bk.rfft(vc, axis=-1)
-        u_fm = fu[..., : self.nm]
-        v_fm = fv[..., : self.nm]
-        bk.divide(u_fm, self.nlon, out=u_fm)
-        bk.divide(v_fm, self.nlon, out=v_fm)
-        bk.multiply(u_fm, self._oc2, out=u_fm)
-        bk.multiply(v_fm, self._oc2, out=v_fm)
-        sdt = np.result_type(u_fm.dtype, self._wp_dt)
-        sp_shape = u.shape[:-2] + (self.nm, self.nk)
-        e1 = bk.einsum("...jm,jmk->...mk", v_fm, self._wp,
-                       out=ws.empty("spectral.fused.vd.e1", sp_shape, sdt))
-        e2 = bk.einsum("...jm,jmk->...mk", u_fm, self._wh,
-                       out=ws.empty("spectral.fused.vd.e2", sp_shape, sdt))
-        bk.multiply(self._im, e1, out=e1)
-        vort = bk.add(e1, e2, out=e1)
-        bk.divide(vort, self.radius, out=vort)
-        e3 = bk.einsum("...jm,jmk->...mk", u_fm, self._wp,
-                       out=ws.empty("spectral.fused.vd.e3", sp_shape, sdt))
-        e4 = bk.einsum("...jm,jmk->...mk", v_fm, self._wh,
-                       out=ws.empty("spectral.fused.vd.e4", sp_shape, sdt))
-        bk.multiply(self._im, e3, out=e3)
-        div = bk.subtract(e3, e4, out=e3)
-        bk.divide(div, self.radius, out=div)
-        if self._allones:
-            return vort.copy(), div.copy()
-        return vort * self._mask, div * self._mask
-
-    def gradient(self, spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fused sphere gradient: 2 einsums, one shared-pad irfft."""
-        bk = self.bk
-        ws = get_workspace()
-        t1 = bk.multiply(spec, self._im,
-                         out=ws.empty("spectral.fused.grad.t1", spec.shape,
-                                      np.result_type(spec.dtype,
-                                                     self._im.dtype)))
-        t2 = spec
-        if not self._allones:
-            np.multiply(t1, self._mask, out=t1)
-            t2 = np.multiply(spec, self._mask,
-                             out=ws.empty("spectral.fused.grad.t2",
-                                          spec.shape, spec.dtype))
-        fm_shape = spec.shape[:-2] + (self.nlat, self.nm)
-        fdt = np.result_type(t1.dtype, self._pbar_dt)
-        fx_fm = bk.einsum("...mk,jmk->...jm", t1, self._pbar,
-                          out=ws.empty("spectral.fused.grad.fx", fm_shape, fdt))
-        fy_fm = bk.einsum("...mk,jmk->...jm", t2, self._hbar,
-                          out=ws.empty("spectral.fused.grad.fy", fm_shape, fdt))
-        g = self._irfft_stacked("spectral.fused.grad.pad", (fx_fm, fy_fm))
-        bk.divide(g, self._rcos, out=g)
-        return g[0], g[1]
-
-
 # ---------------------------------------------------------------------------
-# Fused elementwise chains (dynamics)
+# Workspace-resident elementwise chains (dynamics)
 # ---------------------------------------------------------------------------
 def robert_filter(prev: np.ndarray, curr: np.ndarray, new: np.ndarray,
                   filt, *, name: str) -> np.ndarray:

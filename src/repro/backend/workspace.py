@@ -20,28 +20,19 @@ Counters: ``hits``/``misses`` accumulate per workspace and are also fed
 to the profiler (``profile_count("ws.hits"/"ws.misses")``) so they land
 on whichever profiler section is active — that is how the per-section
 allocation win in ``BENCH_backend.json`` is measured.
-
-``FOAM_WORKSPACE=0`` disables reuse (every request allocates and counts
-as a miss), giving the before/after baseline without code changes.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import weakref
 
 import numpy as np
 
 __all__ = [
-    "Workspace", "arenas_disjoint", "get_workspace", "workspace_enabled",
+    "Workspace", "arenas_disjoint", "get_workspace",
     "workspace_totals", "reset_workspaces",
 ]
-
-
-def workspace_enabled() -> bool:
-    """Whether buffer reuse is on (``FOAM_WORKSPACE=0`` turns it off)."""
-    return os.environ.get("FOAM_WORKSPACE", "1").lower() not in ("0", "off", "false")
 
 
 _profile_count = None
@@ -83,7 +74,7 @@ class Workspace:
         shape = (shape,) if np.isscalar(shape) else tuple(shape)
         key = (name, shape, np.dtype(dtype))
         buf = self._buffers.get(key)
-        if buf is None or not workspace_enabled():
+        if buf is None:
             self.misses += 1
             _count("ws.misses")
             buf = np.empty(shape, dtype=dtype)
@@ -105,14 +96,12 @@ class Workspace:
         For pad buffers whose zero region is never overwritten (e.g. the
         inverse-FFT tail beyond the truncation), this skips the per-call
         refill: the caller rewrites its live columns every request and the
-        zero tail persists.  With ``FOAM_WORKSPACE=0`` every request is a
-        miss, so the buffer is freshly zeroed each call and the contract
-        degrades gracefully to :meth:`zeros`.
+        zero tail persists.
         """
         shape = (shape,) if np.isscalar(shape) else tuple(shape)
         key = (name, shape, np.dtype(dtype))
         buf = self._buffers.get(key)
-        if buf is None or not workspace_enabled():
+        if buf is None:
             self.misses += 1
             _count("ws.misses")
             buf = np.zeros(shape, dtype=dtype)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.backend import DTypePolicy, get_backend, policy_from_name
+from repro.backend import DTypePolicy, policy_from_name
 from repro.ocean.barotropic import BarotropicParams
 from repro.ocean.mixing import PPMixingParams
 from repro.ocean.model import OceanParams
@@ -53,10 +53,8 @@ class FoamConfig:
 
     # Numerics / reproducibility.
     seed: int = 0
-    # Array-backend knobs: None defers to FOAM_DTYPE / FOAM_BACKEND (and
-    # their float64 / numpy defaults).
+    # Working precision: None defers to FOAM_DTYPE (default float64).
     dtype: str | None = None
-    backend: str | None = None
 
     # --- scenario (world-builder) knobs --------------------------------
     # The defaults reproduce the paper's Earth exactly; each knob feeds one
@@ -80,10 +78,6 @@ class FoamConfig:
     def dtype_policy(self) -> DTypePolicy:
         """The resolved precision policy threaded into every component grid."""
         return policy_from_name(self.dtype)
-
-    def array_backend(self):
-        """The resolved array backend (raises if an optional one is absent)."""
-        return get_backend(self.backend)
 
     def __post_init__(self):
         if self.ocean_coupling_interval % self.atm_dt != 0:

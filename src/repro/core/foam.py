@@ -31,7 +31,6 @@ from repro.atmosphere.physics import PhysicsSuite
 from repro.atmosphere.physics.radiation import RadiationParams
 from repro.atmosphere.spectral import SpectralTransform, Truncation
 from repro.atmosphere.vertical import VerticalGrid
-from repro.backend.kernels import fused_enabled
 from repro.core.config import FoamConfig, test_config
 from repro.coupler.coupler import CouplerState, FluxCoupler
 from repro.coupler.seaice import SeaIceState
@@ -83,8 +82,7 @@ class FoamModel:
         self.policy = policy
         self.transform = SpectralTransform(cfg.atm_nlat, cfg.atm_nlon,
                                            Truncation(cfg.atm_mmax),
-                                           dtype=policy,
-                                           backend=cfg.array_backend())
+                                           dtype=policy)
         self.vgrid = VerticalGrid.ccm_like(cfg.atm_nlev, dtype=policy)
         self.dycore = SpectralDynamicalCore(self.transform, self.vgrid,
                                             dt=cfg.atm_dt,
@@ -278,19 +276,12 @@ class FoamModel:
         dt = self.config.atm_dt
         tr = self.transform
         new_curr = curr.copy()
-        if fused_enabled():
-            # One batched transform per tendency instead of a per-level
-            # loop (bitwise identical per slice on the numpy path).
-            new_curr.temp += dt * tr.analyze(dtdt)
-            dv, dd = tr.vortdiv_from_uv(dudt, dvdt)
-            new_curr.vort += dt * dv
-            new_curr.div += dt * dd
-        else:
-            for l in range(self.vgrid.nlev):
-                new_curr.temp[l] += dt * tr.analyze(dtdt[l])
-                dv, dd = tr.vortdiv_from_uv(dudt[l], dvdt[l])
-                new_curr.vort[l] += dt * dv
-                new_curr.div[l] += dt * dd
+        # One batched transform per tendency (bitwise identical per slice
+        # to a per-level loop).
+        new_curr.temp += dt * tr.analyze(dtdt)
+        dv, dd = tr.vortdiv_from_uv(dudt, dvdt)
+        new_curr.vort += dt * dv
+        new_curr.div += dt * dd
         new_curr.q = np.maximum(curr.q + dt * dqdt, 0.0)
         return new_curr
 

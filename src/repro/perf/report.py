@@ -41,11 +41,10 @@ def kernel_cache_stats() -> dict:
     profiles) carry the cache counters alongside the section table.
     """
     from repro.atmosphere.spectral import legendre_plan_stats
-    from repro.backend import fused_enabled, workspace_totals
+    from repro.backend import workspace_totals
 
     return {"legendre_plan": legendre_plan_stats(),
-            "workspace": workspace_totals(),
-            "fused": fused_enabled()}
+            "workspace": workspace_totals()}
 
 
 def format_kernel_caches(profile: RunProfile) -> str:
@@ -58,8 +57,7 @@ def format_kernel_caches(profile: RunProfile) -> str:
     req = ws.get("hits", 0) + ws.get("misses", 0)
     hit_rate = ws.get("hits", 0) / req if req else 0.0
     return "\n".join([
-        "kernel caches "
-        f"(fused kernels {'on' if stats.get('fused') else 'off'}):",
+        "kernel caches:",
         f"  legendre plans   {plan.get('builds', 0)} built, "
         f"{plan.get('hits', 0)} cache hits",
         f"  workspace        {ws.get('hits', 0)} hits / "
@@ -71,17 +69,16 @@ def format_kernel_caches(profile: RunProfile) -> str:
 
 def profile_coupled_run(days: float = 1.0, config: str = "test",
                         seed: int | None = None,
-                        dtype: str | None = None,
-                        backend: str | None = None) -> RunProfile:
+                        dtype: str | None = None) -> RunProfile:
     """Run the coupled model for ``days`` with profiling on; return the profile.
 
     ``config`` selects ``repro.core.config``'s ``test``/``small``/``paper``
-    resolution.  ``dtype``/``backend`` pick the array precision/backend
-    (default: the ``FOAM_DTYPE``/``FOAM_BACKEND`` environment policy); the
-    resolved dtype is recorded in the profile metadata so
-    :func:`calibrate_from_profile` can size communication volumes.  Model
-    construction and spin-up state building are *outside* the profiling
-    window; only ``coupled_step`` work is measured.
+    resolution.  ``dtype`` picks the array precision (default: the
+    ``FOAM_DTYPE`` environment policy); the resolved dtype is recorded in
+    the profile metadata so :func:`calibrate_from_profile` can size
+    communication volumes.  Model construction and spin-up state building
+    are *outside* the profiling window; only ``coupled_step`` work is
+    measured.
     """
     # Deferred import: keeps repro.perf importable from the instrumented
     # component modules (repro.core pulls in all of them).
@@ -98,9 +95,6 @@ def profile_coupled_run(days: float = 1.0, config: str = "test",
         cfg.seed = seed
     if dtype is not None:
         cfg.dtype = dtype
-    if backend is not None:
-        cfg.backend = backend
-    cfg.array_backend()          # fail fast if the backend is unavailable
     model = FoamModel(cfg)
     state = model.initial_state()
     nsteps = max(1, int(round(days * 86400.0 / cfg.atm_dt)))
@@ -119,14 +113,12 @@ def profile_coupled_run(days: float = 1.0, config: str = "test",
               "atm_grid": [cfg.atm_nlat, cfg.atm_nlon, cfg.atm_nlev],
               "ocn_grid": [cfg.ocn_ny, cfg.ocn_nx, cfg.ocn_nlev],
               "dtype": cfg.dtype_policy.name,
-              "backend": cfg.array_backend().name,
               "kernel_caches": kernel_cache_stats()})
 
 
 def profile_ensemble_run(days: float = 1.0, config: str = "test",
                          nens: int = 4, seed: int | None = None,
-                         dtype: str | None = None,
-                         backend: str | None = None) -> RunProfile:
+                         dtype: str | None = None) -> RunProfile:
     """Profile a *batched* ensemble run: ``nens`` members per coupled step.
 
     Same profiling window as :func:`profile_coupled_run` (construction and
@@ -149,9 +141,6 @@ def profile_ensemble_run(days: float = 1.0, config: str = "test",
         cfg.seed = seed
     if dtype is not None:
         cfg.dtype = dtype
-    if backend is not None:
-        cfg.backend = backend
-    cfg.array_backend()          # fail fast if the backend is unavailable
     ens = FoamEnsemble(EnsembleConfig(nens=nens, base=cfg))
     state = ens.initial_state()
     nsteps = max(1, int(round(days * 86400.0 / cfg.atm_dt)))
@@ -171,7 +160,6 @@ def profile_ensemble_run(days: float = 1.0, config: str = "test",
               "atm_grid": [cfg.atm_nlat, cfg.atm_nlon, cfg.atm_nlev],
               "ocn_grid": [cfg.ocn_ny, cfg.ocn_nx, cfg.ocn_nlev],
               "dtype": cfg.dtype_policy.name,
-              "backend": cfg.array_backend().name,
               "kernel_caches": kernel_cache_stats()})
 
 
@@ -271,8 +259,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--dtype", default=None,
                         choices=("float64", "float32"),
                         help="array precision (default: FOAM_DTYPE or float64)")
-    parser.add_argument("--backend", default=None,
-                        help="array backend (default: FOAM_BACKEND or numpy)")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="also write the RunProfile as JSON to PATH")
     parser.add_argument("--load", metavar="PATH", default=None,
@@ -308,8 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     elif args.ensemble is not None:
         profile = profile_ensemble_run(days=args.days, config=args.config,
                                        nens=args.ensemble, seed=args.seed,
-                                       dtype=args.dtype,
-                                       backend=args.backend)
+                                       dtype=args.dtype)
     elif args.atm_ranks is not None:
         result = profile_concurrent_run(days=args.days, config=args.config,
                                         n_atm=args.atm_ranks,
@@ -319,8 +304,7 @@ def main(argv: list[str] | None = None) -> int:
 
     else:
         profile = profile_coupled_run(days=args.days, config=args.config,
-                                      seed=args.seed, dtype=args.dtype,
-                                      backend=args.backend)
+                                      seed=args.seed, dtype=args.dtype)
 
     print(profile.format_table(min_fraction=args.min_fraction))
     print()

@@ -1,12 +1,10 @@
-"""Fused kernel plans: bitwise regression against the unfused oracles.
+"""Spectral kernels: bitwise regression against the unfused oracles.
 
-The fused spectral kernels (``repro.backend.kernels``) must be bitwise
-identical on the numpy float64 path to the seed-era unfused formulation —
-the same pinning discipline ``legendre_plan`` uses against its per-m
+The batched spectral transforms must be bitwise identical in float64 to
+the seed-era unfused formulation (``repro.backend.kernels.*_ref``) — the
+same pinning discipline ``legendre_plan`` uses against its per-m
 reference loop.  Covers serial (2-D) and batched (nlev, nens=3) inputs on
-both truncation kinds, the FOAM_FUSED=0 fallback, the fused elementwise
-chains, and backend-parametrized transform round-trips that skip cleanly
-when torch is not installed.
+both truncation kinds and the workspace-resident elementwise chains.
 """
 
 from __future__ import annotations
@@ -15,13 +13,7 @@ import numpy as np
 import pytest
 
 from repro.atmosphere.spectral import SpectralTransform, Truncation
-from repro.backend import (
-    BackendUnavailableError,
-    fused_enabled,
-    get_backend,
-    get_workspace,
-    robert_filter,
-)
+from repro.backend import get_workspace, robert_filter
 from repro.backend import kernels as K
 
 NLAT, NLON, MMAX = 24, 48, 10
@@ -37,10 +29,7 @@ def _bitwise(a, b) -> bool:
 
 @pytest.fixture(params=["rhomboidal", "triangular"])
 def tr(request):
-    # The bitwise contract is a numpy-float64 contract: pin the backend so
-    # these tests don't float with a FOAM_BACKEND=torch CI environment.
-    return SpectralTransform(NLAT, NLON, Truncation(MMAX, request.param),
-                             backend="numpy")
+    return SpectralTransform(NLAT, NLON, Truncation(MMAX, request.param))
 
 
 @pytest.fixture()
@@ -124,34 +113,6 @@ class TestFusedBitwise:
 
 
 # ---------------------------------------------------------------------------
-# FOAM_FUSED=0 fallback == fused path, bitwise
-# ---------------------------------------------------------------------------
-class TestFusedToggle:
-    def test_env_toggle(self, monkeypatch):
-        assert fused_enabled()
-        monkeypatch.setenv("FOAM_FUSED", "0")
-        assert not fused_enabled()
-        monkeypatch.setenv("FOAM_FUSED", "off")
-        assert not fused_enabled()
-        monkeypatch.setenv("FOAM_FUSED", "1")
-        assert fused_enabled()
-
-    def test_unfused_path_bitwise_equal(self, tr, fields, monkeypatch):
-        spec, grid, u, v = fields
-        fused = (tr.analyze(grid), tr.synthesize(spec),
-                 *tr.uv_from_vortdiv(spec, spec * 0.3),
-                 *tr.vortdiv_from_uv(u, v), *tr.gradient(spec),
-                 *tr.synthesize_many(spec, spec * 2.0))
-        monkeypatch.setenv("FOAM_FUSED", "0")
-        unfused = (tr.analyze(grid), tr.synthesize(spec),
-                   *tr.uv_from_vortdiv(spec, spec * 0.3),
-                   *tr.vortdiv_from_uv(u, v), *tr.gradient(spec),
-                   *tr.synthesize_many(spec, spec * 2.0))
-        for f, n in zip(fused, unfused):
-            assert _bitwise(f, n)
-
-
-# ---------------------------------------------------------------------------
 # fused elementwise chains
 # ---------------------------------------------------------------------------
 class TestElementwiseChains:
@@ -221,9 +182,7 @@ def test_ensemble_member_metrics_match_serial():
         ensemble_member_metrics, state_metrics,
     )
 
-    cfg = test_config()
-    cfg.backend = "numpy"      # metric-consistency check pins the numpy path
-    ens = FoamEnsemble(EnsembleConfig(nens=3, base=cfg,
+    ens = FoamEnsemble(EnsembleConfig(nens=3, base=test_config(),
                                       ic_perturbation=1e-7))
     state = ens.initial_state()
     for _ in range(4):
@@ -237,87 +196,3 @@ def test_ensemble_member_metrics_match_serial():
             assert got[key] == pytest.approx(want[key], rel=1e-10), (
                 f"member {e} metric {key}")
 
-
-# ---------------------------------------------------------------------------
-# backend-parametrized round trips (torch skips cleanly when absent)
-# ---------------------------------------------------------------------------
-def _backend_or_skip(name: str):
-    try:
-        return get_backend(name)
-    except BackendUnavailableError:
-        pytest.skip(f"{name} not installed")
-
-
-@pytest.mark.parametrize("backend", ["numpy", "torch"])
-class TestBackendRoundTrip:
-    def test_transform_roundtrip(self, backend):
-        bk = _backend_or_skip(backend)
-        tr = SpectralTransform(NLAT, NLON, Truncation(MMAX), backend=bk)
-        rng = np.random.default_rng(11)
-        spec = (rng.normal(size=(L,) + tr.spec_shape)
-                + 1j * rng.normal(size=(L,) + tr.spec_shape))
-        spec[:, 0, :] = spec[:, 0, :].real   # m=0 of a real field is real
-        spec = spec * tr._mask
-        grid = tr.synthesize(spec)
-        assert isinstance(grid, np.ndarray)
-        back = tr.analyze(grid)
-        assert np.allclose(back, spec, atol=1e-10)
-
-    def test_winds_roundtrip(self, backend):
-        bk = _backend_or_skip(backend)
-        tr = SpectralTransform(NLAT, NLON, Truncation(MMAX), backend=bk)
-        rng = np.random.default_rng(12)
-        vs = (rng.normal(size=(L,) + tr.spec_shape)
-              + 1j * rng.normal(size=(L,) + tr.spec_shape))
-        vs[:, 0, :] = vs[:, 0, :].real       # m=0 of a real field is real
-        vs = vs * tr._mask
-        # Zero the (0,0) mode: uv_from_vortdiv cannot represent it.
-        vs[:, 0, 0] = 0.0
-        ds = vs * 0.5
-        u, v = tr.uv_from_vortdiv(vs, ds)
-        vz, dz = tr.vortdiv_from_uv(u, v)
-        assert np.allclose(vz, vs, atol=1e-8)
-        assert np.allclose(dz, ds, atol=1e-8)
-
-    def test_matches_numpy_backend(self, backend):
-        if backend == "numpy":
-            pytest.skip("self-comparison")
-        bk = _backend_or_skip(backend)
-        tr_np = SpectralTransform(NLAT, NLON, Truncation(MMAX),
-                                  backend="numpy")
-        tr_bk = SpectralTransform(NLAT, NLON, Truncation(MMAX), backend=bk)
-        rng = np.random.default_rng(13)
-        grid = rng.normal(size=(L, tr_np.nlat, tr_np.nlon))
-        assert np.allclose(tr_bk.analyze(grid), tr_np.analyze(grid),
-                           rtol=1e-12, atol=1e-14)
-        spec = tr_np.analyze(grid)
-        assert np.allclose(tr_bk.synthesize(spec), tr_np.synthesize(spec),
-                           rtol=1e-12, atol=1e-12)
-
-
-def test_torch_coupled_day_matches_numpy():
-    """A full coupled day under FOAM_BACKEND=torch agrees with numpy.
-
-    Tolerance-gated (torch contractions accumulate in different orders, so
-    bitwise equality is not expected); skipped when torch is missing.
-    """
-    try:
-        get_backend("torch")
-    except BackendUnavailableError:
-        pytest.skip("torch not installed")
-    from repro.core.config import test_config
-    from repro.core.foam import FoamModel
-
-    results = {}
-    for backend in ("numpy", "torch"):
-        cfg = test_config()
-        cfg.backend = backend
-        model = FoamModel(cfg)
-        state = model.initial_state(seed=3)
-        state = model.run_days(state, 1)
-        results[backend] = state
-    a, b = results["numpy"], results["torch"]
-    assert np.allclose(b.atm_curr.temp, a.atm_curr.temp, rtol=1e-9, atol=1e-9)
-    assert np.allclose(b.atm_curr.vort, a.atm_curr.vort, rtol=1e-9, atol=1e-12)
-    assert np.allclose(b.ocean.temp, a.ocean.temp, rtol=1e-9, atol=1e-9)
-    assert np.allclose(b.atm_curr.q, a.atm_curr.q, rtol=1e-7, atol=1e-12)

@@ -23,6 +23,8 @@ def test_profile_coupled_run_covers_all_components(quarter_day_profile):
     assert profile.calls("atmosphere/dynamics") == 6
     assert profile.total_calls("radiation") >= 1
     assert profile.meta["config"] == "test"
+    assert set(profile.meta["kernel_caches"]) == {"legendre_plan", "workspace"}
+    assert "backend" not in profile.meta
 
 
 def test_profile_coupled_run_rejects_unknown_config():
@@ -52,6 +54,7 @@ def test_cli_prints_section_table(capsys, tmp_path):
         assert section in text
     assert "calls" in text and "incl s" in text and "%" in text
     assert "calibrated event-simulator costs" in text
+    assert "kernel caches:" in text
 
     saved = json.loads(out.read_text())
     assert saved["sections"]   # non-empty profile was written

@@ -110,6 +110,16 @@ class TestContentHash:
         with pytest.raises((ValueError, TypeError)):
             FoamConfig.from_dict(payload)
 
+    def test_hashes_no_execution_only_keys(self):
+        # The hash (and so the run key and checkpoint stamp) covers
+        # result-determining knobs only: how the arithmetic is executed is
+        # not configuration, and a stale dict that still says so is refused.
+        payload = _test_config().to_dict()
+        assert "backend" not in payload
+        payload["backend"] = "numpy"
+        with pytest.raises(ValueError, match="unknown FoamConfig fields"):
+            FoamConfig.from_dict(payload)
+
 
 class TestRunKey:
     def test_mode_invariant(self):

@@ -1,5 +1,8 @@
 """Tests for the shared utilities: thermodynamics, validation, constants."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,3 +123,17 @@ def test_paper_constants_verbatim():
     assert c.SEAICE_FRESHWATER_DEPTH == 2.0        # "a flux of 2 m of water"
     assert c.SEAICE_STRESS_DIVISOR == 15.0         # "divided by 15"
     assert c.T_FREEZE_SEA == pytest.approx(273.15 - 1.92)  # "-1.92 C" clamp
+
+
+# ------------------------------------------------------------- switches
+def test_foam_env_switch_census():
+    """``src/`` reads exactly these ``FOAM_*`` variables.
+
+    Each switch doubles the configurations tests and benchmarks must
+    cover; adding one means editing this set, i.e. arguing for it in review.
+    """
+    src = Path(__file__).resolve().parents[1] / "src"
+    found = {name for path in src.rglob("*.py")
+             for name in re.findall(r"FOAM_[A-Z_]+", path.read_text())}
+    assert found == {"FOAM_DTYPE", "FOAM_COMM", "FOAM_COMM_SHM_MIN",
+                     "FOAM_BENCH_FAST"}
