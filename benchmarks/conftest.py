@@ -9,8 +9,6 @@ Benchmarks print their reproduction rows (paper value vs measured value);
 use ``-s`` to see them inline.
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -24,24 +22,6 @@ except ImportError:
 def pytest_configure(config):
     # Deterministic fallback for any legacy np.random use inside benches.
     np.random.seed(42)
-    # FOAM_BENCH_FAST=1 (set by the CI smoke job) bounds every benchmark:
-    # one warm-up-free round instead of pytest-benchmark's auto-calibration,
-    # so no single bench can exceed its function's own runtime.
-    if HAVE_PYTEST_BENCHMARK and os.environ.get("FOAM_BENCH_FAST"):
-        config.option.benchmark_min_rounds = 1
-        config.option.benchmark_max_time = 1.0
-        config.option.benchmark_warmup = "off"
-
-
-def backend_measure_steps() -> int:
-    """Measured coupled steps for bench_backend's timing window.
-
-    A full simulated day (24 one-hour test-config steps) normally; the
-    FOAM_BENCH_FAST smoke job shrinks the window the same way it bounds
-    pytest-benchmark rounds.  ``FOAM_DTYPE`` still applies to any bench
-    that does not set its dtype explicitly.
-    """
-    return 6 if os.environ.get("FOAM_BENCH_FAST") else 24
 
 
 if not HAVE_PYTEST_BENCHMARK:

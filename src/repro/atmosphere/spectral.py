@@ -133,8 +133,8 @@ def associated_legendre(mu: np.ndarray, mmax: int, nkmax: int) -> np.ndarray:
 def _associated_legendre_ref(mu: np.ndarray, mmax: int, nkmax: int) -> np.ndarray:
     """Reference per-m loop implementation of :func:`associated_legendre`.
 
-    Kept as the bitwise oracle for the batched kernel (and as the baseline
-    the Legendre entry in ``BENCH_backend.json`` measures against).
+    Kept as the bitwise oracle for the batched kernel
+    (``tests/test_spectral.py``).
     """
     mu = np.asarray(mu, dtype=float)
     nlat = mu.size

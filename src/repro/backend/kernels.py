@@ -10,10 +10,10 @@ IEEE operations in the same order, just batched and buffered.
 
 The ``*_ref`` functions below keep the seed-era formulation — naive
 per-field calls with fresh allocations and separate einsums — as the
-oracle the regression tests pin the transforms against and the baseline
-``benchmarks/bench_kernels.py`` measures them against (the same role
+oracle the regression tests pin the transforms against (the same role
 :func:`~repro.atmosphere.spectral._associated_legendre_ref` plays for the
-batched Legendre recurrence).
+batched Legendre recurrence).  What the batched transforms cost in a run
+is ``atmosphere.spectral_s`` in ``benchmarks/e2e``.
 """
 
 from __future__ import annotations

@@ -18,8 +18,8 @@ Usage rules that make reuse safe:
 
 Counters: ``hits``/``misses`` accumulate per workspace and are also fed
 to the profiler (``profile_count("ws.hits"/"ws.misses")``) so they land
-on whichever profiler section is active — that is how the per-section
-allocation win in ``BENCH_backend.json`` is measured.
+on whichever profiler section is active.  The whole-run hit rate is
+``backend.ws_hit_rate`` in ``benchmarks/e2e``.
 """
 
 from __future__ import annotations

@@ -197,3 +197,17 @@ def test_config() -> FoamConfig:
     """Minimal configuration for the test suite (seconds per simulated day)."""
     return FoamConfig(atm_mmax=8, atm_nlat=24, atm_nlon=32, atm_nlev=5,
                       atm_dt=3600.0, ocn_nx=24, ocn_ny=24, ocn_nlev=5)
+
+
+#: The named resolutions (``--config`` / ``--size`` on the CLIs).
+NAMED_CONFIGS = {"test": test_config, "small": small_config,
+                 "paper": paper_config}
+
+
+def named_config(name: str) -> FoamConfig:
+    """A fresh :class:`FoamConfig` at one of the :data:`NAMED_CONFIGS`."""
+    try:
+        return NAMED_CONFIGS[name]()
+    except KeyError:
+        raise ValueError(f"unknown config {name!r}; pick from "
+                         f"{sorted(NAMED_CONFIGS)}") from None

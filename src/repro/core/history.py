@@ -32,8 +32,8 @@ from repro.coupler.land import LandState
 from repro.coupler.seaice import SeaIceState
 from repro.ocean.model import OceanState
 
-#: Current on-disk checkpoint format.  Version 1 files (pre-stamp, with
-#: ``river_volume=None`` silently zero-filled) still load.
+#: The one on-disk checkpoint format this build reads and writes; a file
+#: stamped with any other version (or none) is rejected, not guessed at.
 CHECKPOINT_FORMAT_VERSION = 2
 
 
@@ -207,7 +207,12 @@ def save_restart(path: str | Path, state: FoamState, *,
     return path
 
 
-def _state_from_npz(d) -> FoamState:
+def _state_from_npz(d, path) -> FoamState:
+    found = (int(d["format_version"]) if "format_version" in d.files
+             else "missing")
+    if found != CHECKPOINT_FORMAT_VERSION:
+        raise ValueError(f"{path}: checkpoint format_version is {found}, "
+                         f"this build reads only {CHECKPOINT_FORMAT_VERSION}")
     atm_prev = AtmosphereState(d["ap_vort"], d["ap_div"], d["ap_temp"],
                                d["ap_lnps"], d["ap_q"], float(d["ap_time"]))
     atm_curr = AtmosphereState(d["ac_vort"], d["ac_div"], d["ac_temp"],
@@ -215,10 +220,7 @@ def _state_from_npz(d) -> FoamState:
     ocean = OceanState(d["o_u"], d["o_v"], d["o_temp"], d["o_salt"],
                        d["o_eta"], d["o_ubar"], d["o_vbar"],
                        float(d["o_time"]))
-    if "c_river_present" in d.files:
-        river = d["c_river"] if bool(d["c_river_present"]) else None
-    else:
-        river = d["c_river"]           # v1 files: None was zero-filled
+    river = d["c_river"] if bool(d["c_river_present"]) else None
     coupler = CouplerState(
         land=LandState(d["c_soil_temp"]),
         hydrology=HydrologyState(d["c_soil_moisture"], d["c_snow"]),
@@ -232,21 +234,21 @@ def _state_from_npz(d) -> FoamState:
 def load_restart(path: str | Path) -> FoamState:
     """Inverse of :func:`save_restart` (state only; stamps ignored)."""
     with np.load(path) as d:
-        return _state_from_npz(d)
+        return _state_from_npz(d, path)
 
 
 def load_checkpoint(path: str | Path) -> tuple[FoamState, dict]:
     """Load a checkpoint and its stamp metadata.
 
     Returns ``(state, meta)`` where ``meta`` always has ``format_version``
-    (1 for pre-stamp files) and, when stamped, ``config_hash``, ``config``
-    (the producing config as a dict) and whatever :func:`save_restart` was
-    given as ``meta``.
+    and, when stamped, ``config_hash``, ``config`` (the producing config as
+    a dict) and whatever :func:`save_restart` was given as ``meta``.  A
+    file whose ``format_version`` is missing or is not
+    ``CHECKPOINT_FORMAT_VERSION`` raises ``ValueError``.
     """
     with np.load(path) as d:
-        state = _state_from_npz(d)
-        meta: dict = {"format_version": (int(d["format_version"])
-                                         if "format_version" in d.files else 1)}
+        state = _state_from_npz(d, path)
+        meta: dict = {"format_version": CHECKPOINT_FORMAT_VERSION}
         if "config_hash" in d.files:
             meta["config_hash"] = str(d["config_hash"])
         if "config_json" in d.files:

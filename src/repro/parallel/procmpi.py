@@ -24,13 +24,13 @@ Design
   uplink traffic is FIFO, a ``send`` is always routed before the same
   child's ``finished``/``blocked`` — the orderings the thread substrate
   gets for free from its shared lock.
-* **Shared memory for bulk payloads.**  ndarrays of at least
-  ``FOAM_COMM_SHM_MIN`` bytes (default 64 KiB) travel as named POSIX
-  shared-memory blocks; the queues carry only small pickled envelopes
-  referencing them.  The receiver copies out of the block and unlinks it,
-  preserving MPI copy-on-send semantics end to end.  One resource tracker
-  is started *before* forking so create/attach/unlink bookkeeping balances
-  across processes.
+* **Shared memory for bulk payloads.**  ndarrays of at least 64 KiB
+  (``_SHM_MIN_BYTES``) travel as named POSIX shared-memory blocks; the
+  queues carry only small pickled envelopes referencing them.  The
+  receiver copies out of the block and unlinks it, preserving MPI
+  copy-on-send semantics end to end.  One resource tracker is started
+  *before* forking so create/attach/unlink bookkeeping balances across
+  processes.
 * **Deadlock detection by marshalled wait-for graph.**  A blocked child
   reports (op, peer, tag, ctx) along with how many messages it has seen;
   the world is declared deadlocked when every live rank's report is
@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import math
 import multiprocessing as mp
-import os
 import pickle
 import queue as queuelib
 import time
@@ -84,10 +83,10 @@ _ROUTER_SLICE = 0.02           # router poll cadence (uplink idle check)
 _HARD_DEATH_GRACE = 0.25       # seconds between a child dying and the router
                                # declaring it dead without a result
 
-
-def _shm_min_bytes() -> int:
-    """Arrays at least this large travel via shared memory, not the queue."""
-    return int(os.environ.get("FOAM_COMM_SHM_MIN", 1 << 16))
+# Arrays at least this large travel via shared memory, not the queue:
+# 64 KiB keeps scalars and small collectives inline in one pickled envelope
+# (no block to create and unlink) and bulk fields out of the router's queues.
+_SHM_MIN_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,7 @@ def _encode_payload(obj: Any) -> Any:
     bytes.
     """
     if isinstance(obj, np.ndarray):
-        if obj.nbytes >= _shm_min_bytes():
+        if obj.nbytes >= _SHM_MIN_BYTES:
             from multiprocessing import shared_memory
             arr = np.ascontiguousarray(obj)
             shm = shared_memory.SharedMemory(create=True, size=arr.nbytes)

@@ -343,7 +343,7 @@ def predict_concurrent_speedup(serial: MeasuredCosts,
     the concurrent one with the sync schedule, an offloaded coupler, and the
     measured per-step dynamics window as the overlap budget) and the ratio of
     the simulated walls is the predicted speedup —  compared against the
-    functional walls by ``benchmarks/bench_coupled_concurrent.py``.
+    functional walls by ``tests/test_coupled_concurrent.py``.
 
     Returns a JSON-friendly dict: ``serial_wall_seconds`` /
     ``concurrent_wall_seconds`` / ``speedup`` plus the concurrent run's

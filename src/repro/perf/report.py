@@ -67,6 +67,45 @@ def format_kernel_caches(profile: RunProfile) -> str:
     ])
 
 
+def _profile_steps(model, state, days: float, label: str,
+                   meta: dict) -> RunProfile:
+    """Profile ``days`` of ``model.coupled_step`` from ``state``.
+
+    The profiling window is the stepping loop alone: model construction
+    and initial-state building happen in the caller, before it opens.
+    """
+    from repro.runs.harness import drive_steps
+
+    cfg = model.config
+    nsteps = max(1, int(round(days * 86400.0 / cfg.atm_dt)))
+    prof = enable_profiling()
+    prof.reset()
+    try:
+        drive_steps(model, state, nsteps)
+    finally:
+        prof.disable()
+    return take_profile(
+        label=f"{label}, {nsteps} steps ({days:g} days)",
+        meta={**meta, "days": days, "nsteps": nsteps, "atm_dt": cfg.atm_dt,
+              "atm_grid": [cfg.atm_nlat, cfg.atm_nlon, cfg.atm_nlev],
+              "ocn_grid": [cfg.ocn_ny, cfg.ocn_nx, cfg.ocn_nlev],
+              "dtype": cfg.dtype_policy.name,
+              "kernel_caches": kernel_cache_stats()})
+
+
+def _named_config(config: str, seed: int | None, dtype: str | None):
+    # Deferred import: keeps repro.perf importable from the instrumented
+    # component modules (repro.core pulls in all of them).
+    from repro.core.config import named_config
+
+    cfg = named_config(config)
+    if seed is not None:
+        cfg.seed = seed
+    if dtype is not None:
+        cfg.dtype = dtype
+    return cfg
+
+
 def profile_coupled_run(days: float = 1.0, config: str = "test",
                         seed: int | None = None,
                         dtype: str | None = None) -> RunProfile:
@@ -80,40 +119,12 @@ def profile_coupled_run(days: float = 1.0, config: str = "test",
     are *outside* the profiling window; only ``coupled_step`` work is
     measured.
     """
-    # Deferred import: keeps repro.perf importable from the instrumented
-    # component modules (repro.core pulls in all of them).
-    from repro.core.config import paper_config, small_config, test_config
     from repro.core.foam import FoamModel
 
-    factories = {"test": test_config, "small": small_config,
-                 "paper": paper_config}
-    if config not in factories:
-        raise ValueError(f"unknown config {config!r}; pick from "
-                         f"{sorted(factories)}")
-    cfg = factories[config]()
-    if seed is not None:
-        cfg.seed = seed
-    if dtype is not None:
-        cfg.dtype = dtype
-    model = FoamModel(cfg)
-    state = model.initial_state()
-    nsteps = max(1, int(round(days * 86400.0 / cfg.atm_dt)))
-
-    prof = enable_profiling()
-    prof.reset()
-    try:
-        for _ in range(nsteps):
-            state = model.coupled_step(state)
-    finally:
-        prof.disable()
-    return take_profile(
-        label=f"coupled {config} run, {nsteps} steps ({days:g} days)",
-        meta={"config": config, "days": days, "nsteps": nsteps,
-              "atm_dt": cfg.atm_dt,
-              "atm_grid": [cfg.atm_nlat, cfg.atm_nlon, cfg.atm_nlev],
-              "ocn_grid": [cfg.ocn_ny, cfg.ocn_nx, cfg.ocn_nlev],
-              "dtype": cfg.dtype_policy.name,
-              "kernel_caches": kernel_cache_stats()})
+    model = FoamModel(_named_config(config, seed, dtype))
+    return _profile_steps(model, model.initial_state(), days,
+                          label=f"coupled {config} run",
+                          meta={"config": config})
 
 
 def profile_ensemble_run(days: float = 1.0, config: str = "test",
@@ -126,41 +137,15 @@ def profile_ensemble_run(days: float = 1.0, config: str = "test",
     members at once through the leading member axis, so per-section times
     are the batch's — divide by ``nens`` for per-member cost.
     """
-    from repro.core.config import paper_config, small_config, test_config
     from repro.core.ensemble import EnsembleConfig, FoamEnsemble
 
-    factories = {"test": test_config, "small": small_config,
-                 "paper": paper_config}
-    if config not in factories:
-        raise ValueError(f"unknown config {config!r}; pick from "
-                         f"{sorted(factories)}")
+    cfg = _named_config(config, seed, dtype)
     if nens < 1:
         raise ValueError(f"nens must be >= 1, got {nens}")
-    cfg = factories[config]()
-    if seed is not None:
-        cfg.seed = seed
-    if dtype is not None:
-        cfg.dtype = dtype
     ens = FoamEnsemble(EnsembleConfig(nens=nens, base=cfg))
-    state = ens.initial_state()
-    nsteps = max(1, int(round(days * 86400.0 / cfg.atm_dt)))
-
-    prof = enable_profiling()
-    prof.reset()
-    try:
-        for _ in range(nsteps):
-            state = ens.step(state)
-    finally:
-        prof.disable()
-    return take_profile(
-        label=f"batched ensemble {config} run, nens={nens}, "
-              f"{nsteps} steps ({days:g} days)",
-        meta={"config": config, "days": days, "nsteps": nsteps,
-              "nens": nens, "atm_dt": cfg.atm_dt,
-              "atm_grid": [cfg.atm_nlat, cfg.atm_nlon, cfg.atm_nlev],
-              "ocn_grid": [cfg.ocn_ny, cfg.ocn_nx, cfg.ocn_nlev],
-              "dtype": cfg.dtype_policy.name,
-              "kernel_caches": kernel_cache_stats()})
+    return _profile_steps(ens.model, ens.initial_state(), days,
+                          label=f"batched ensemble {config} run, nens={nens}",
+                          meta={"config": config, "nens": nens})
 
 
 def profile_concurrent_run(days: float = 1.0, config: str = "test",
@@ -174,15 +159,10 @@ def profile_concurrent_run(days: float = 1.0, config: str = "test",
     (default) or ``"process"`` for real forked rank processes that use
     every core the layout asks for.
     """
-    from repro.core.config import paper_config, small_config, test_config
+    from repro.core.config import named_config
     from repro.parallel.coupled import PoolLayout, run_concurrent_coupled
 
-    factories = {"test": test_config, "small": small_config,
-                 "paper": paper_config}
-    if config not in factories:
-        raise ValueError(f"unknown config {config!r}; pick from "
-                         f"{sorted(factories)}")
-    return run_concurrent_coupled(config=factories[config](), days=days,
+    return run_concurrent_coupled(config=named_config(config), days=days,
                                   layout=PoolLayout(n_atm=n_atm, n_ocn=n_ocn),
                                   profile=True, substrate=substrate)
 

@@ -23,10 +23,10 @@ from repro.scenarios.registry import (
     register,
     scenario_names,
 )
-from repro.scenarios.spec import BASE_CONFIGS, Scenario
+from repro.scenarios.spec import Scenario
 
 __all__ = [
-    "Scenario", "BASE_CONFIGS",
+    "Scenario",
     "register", "get_scenario", "scenario_names", "all_scenarios",
     "scenario_climatology", "state_metrics", "compare_climatology",
     "ClimatologyObserver", "GOLDEN_DAYS", "TOLERANCES",

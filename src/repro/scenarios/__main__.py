@@ -31,6 +31,7 @@ import argparse
 import json
 import sys
 
+from repro.core.config import NAMED_CONFIGS, named_config
 from repro.runs import CheckpointSpec, HistorySpec, RunHarness, RunPlan
 from repro.scenarios.climatology import (
     GOLDEN_DAYS,
@@ -97,9 +98,8 @@ def _plan_from_args(scenario, args) -> RunPlan:
         mode = "ensemble"
     else:
         mode = "serial"
-    from repro.scenarios.spec import BASE_CONFIGS
     return RunPlan(
-        config=BASE_CONFIGS[args.size](), scenario=scenario.name,
+        config=named_config(args.size), scenario=scenario.name,
         days=args.days, mode=mode,
         nens=args.ensemble or 1,
         ic_perturbation=args.perturb if args.ensemble else 0.0,
@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     dp = sub.add_parser("describe", help="show one scenario's knobs/config")
     dp.add_argument("name")
     dp.add_argument("--size", default="test",
-                    choices=("test", "small", "paper"))
+                    choices=tuple(NAMED_CONFIGS))
     dp.add_argument("--json", action="store_true")
     dp.set_defaults(func=cmd_describe)
 
@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("name")
     rp.add_argument("--days", type=float, default=1.0)
     rp.add_argument("--size", default="test",
-                    choices=("test", "small", "paper"))
+                    choices=tuple(NAMED_CONFIGS))
     rp.add_argument("--ensemble", type=int, default=0, metavar="N",
                     help="run N perturbed members as one batch")
     rp.add_argument("--perturb", type=float, default=1e-8,

@@ -18,16 +18,9 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-from repro.core.config import FoamConfig, small_config, test_config
+from repro.core.config import FoamConfig, named_config, test_config
 from repro.core.foam import FoamModel, FoamState
 from repro.util.constants import SOLAR_CONSTANT
-
-#: Named base resolutions for scenario runs (``--size`` on the CLI).
-BASE_CONFIGS = {
-    "test": test_config,
-    "small": small_config,
-    "paper": FoamConfig,
-}
 
 
 @dataclass(frozen=True)
@@ -59,19 +52,15 @@ class Scenario:
     def config(self, base: FoamConfig | str | None = None) -> FoamConfig:
         """The scenario's :class:`FoamConfig` on a chosen base resolution.
 
-        ``base`` may be a config instance, a named size from
-        :data:`BASE_CONFIGS` ("test", "small", "paper"), or None (test
-        size — the resolution the regression climatologies are pinned at).
+        ``base`` may be a config instance, a name
+        :func:`~repro.core.config.named_config` knows ("test", "small",
+        "paper"), or None (test size — the resolution the regression
+        climatologies are pinned at).
         """
         if base is None:
             base = test_config()
         elif isinstance(base, str):
-            try:
-                base = BASE_CONFIGS[base]()
-            except KeyError:
-                raise ValueError(
-                    f"unknown base config {base!r}; "
-                    f"choose from {sorted(BASE_CONFIGS)}") from None
+            base = named_config(base)
         knobs = dict(
             solar_constant=self.solar_constant,
             co2_ppmv=self.co2_ppmv,

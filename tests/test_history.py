@@ -201,20 +201,25 @@ class TestCheckpointFormat:
         _, meta = load_checkpoint(path)
         assert meta == {"format_version": CHECKPOINT_FORMAT_VERSION}
 
-    def test_legacy_v1_file_still_loads(self, tmp_path, state):
-        # Reconstruct the pre-versioning layout: no format_version, no
-        # presence flag, river always materialized as an array.
+    def test_legacy_v1_file_is_rejected(self, tmp_path, state):
+        # The pre-versioning layout (no format_version, no presence flag)
+        # and a future version are refused by both loaders, naming the
+        # file and the version found -- never guessed at or zero-filled.
         path = save_restart(tmp_path / "v2.npz", state)
         with np.load(path) as d:
-            payload = {k: d[k] for k in d.files
-                       if k not in ("format_version", "c_river_present")}
-        if "c_river" not in payload:
-            payload["c_river"] = np.zeros_like(
-                state.coupler.hydrology.soil_moisture)
+            payload = {k: d[k] for k in d.files}
         legacy = tmp_path / "v1.npz"
-        np.savez_compressed(legacy, **payload)
+        np.savez_compressed(legacy, **{
+            k: v for k, v in payload.items()
+            if k not in ("format_version", "c_river_present")})
+        future = tmp_path / "v3.npz"
+        np.savez_compressed(future, **{
+            **payload, "format_version": CHECKPOINT_FORMAT_VERSION + 1})
 
-        loaded, meta = load_checkpoint(legacy)
-        assert meta["format_version"] == 1
-        assert loaded.coupler.river_volume is not None
-        assert np.array_equal(loaded.atm_curr.vort, state.atm_curr.vort)
+        for load in (load_checkpoint, load_restart):
+            with pytest.raises(ValueError, match=r"v1\.npz.*missing"):
+                load(legacy)
+            with pytest.raises(
+                    ValueError,
+                    match=rf"v3\.npz.*{CHECKPOINT_FORMAT_VERSION + 1}"):
+                load(future)

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import (
+    NAMED_CONFIGS,
     OCEAN_INIT_KINDS,
     OCEAN_MODES,
     TOPOGRAPHY_KINDS,
@@ -25,7 +26,6 @@ from repro.core.config import (
 from repro.core.config import test_config as _test_config
 from repro.core.foam import FoamModel
 from repro.scenarios import (
-    BASE_CONFIGS,
     GOLDEN_DAYS,
     Scenario,
     compare_climatology,
@@ -87,7 +87,7 @@ def test_scenario_config_bases():
     paper = s.config("paper")
     assert paper.atm_nlon == FoamConfig().atm_nlon
     assert paper.topography == "aquaplanet"
-    with pytest.raises(ValueError, match="unknown base config"):
+    with pytest.raises(ValueError, match="unknown config"):
         s.config("enormous")
     # config_overrides pass through arbitrary FoamConfig fields
     tweaked = dataclasses.replace(s, config_overrides={"atm_dt": 1200.0})
@@ -197,7 +197,7 @@ def test_scenario_bitwise_equals_plain_model(name, cfg_delta):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", scenario_names())
 def test_config_roundtrip_per_scenario(name):
-    for base in BASE_CONFIGS:
+    for base in NAMED_CONFIGS:
         cfg = get_scenario(name).config(base)
         assert FoamConfig.from_dict(cfg.to_dict()) == cfg
 

@@ -127,13 +127,21 @@ def test_paper_constants_verbatim():
 
 # ------------------------------------------------------------- switches
 def test_foam_env_switch_census():
-    """``src/`` reads exactly these ``FOAM_*`` variables.
+    """``src/`` reads exactly these environment variables.
 
     Each switch doubles the configurations tests and benchmarks must
-    cover; adding one means editing this set, i.e. arguing for it in review.
+    cover; adding one means editing this set, i.e. arguing for it in review
+    (and adding its row to README "Environment switches").  Every
+    ``os.environ`` / ``os.getenv`` use must name its key as a literal so
+    none escapes the count.
     """
     src = Path(__file__).resolve().parents[1] / "src"
-    found = {name for path in src.rglob("*.py")
-             for name in re.findall(r"FOAM_[A-Z_]+", path.read_text())}
-    assert found == {"FOAM_DTYPE", "FOAM_COMM", "FOAM_COMM_SHM_MIN",
-                     "FOAM_BENCH_FAST"}
+    text = "\n".join(path.read_text() for path in src.rglob("*.py"))
+    uses = re.findall(r"\bos\.(?:environ|getenv)\b", text)
+    keys = re.findall(
+        r"""\bos\.(?:environ\.get\(|environ\[|getenv\()\s*["'](\w+)["']""", text)
+    assert len(keys) == len(uses), "environment read without a literal key"
+    assert set(keys) == {
+        "FOAM_DTYPE", "FOAM_COMM", "REPRO_SIMMPI_TIMEOUT",
+        "PYTEST_CURRENT_TEST",   # read-only probe: "am I under pytest?"
+    }
