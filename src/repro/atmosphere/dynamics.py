@@ -30,10 +30,11 @@ import numpy as np
 from repro.atmosphere.semilag import advect_semilagrangian
 from repro.atmosphere.spectral import SpectralTransform
 from repro.atmosphere.vertical import VerticalGrid
-from repro.backend import get_workspace
+from repro.backend import get_workspace, weak_scalar
 from repro.backend.kernels import robert_filter
 from repro.perf.profiler import profile_section, profiled
 from repro.util.constants import CP, KAPPA, OMEGA, P0, RD
+from repro.util.tree import tree_map
 
 
 @dataclass
@@ -48,8 +49,7 @@ class AtmosphereState:
     time: float = 0.0   # seconds since initialization
 
     def copy(self) -> "AtmosphereState":
-        return AtmosphereState(self.vort.copy(), self.div.copy(), self.temp.copy(),
-                               self.lnps.copy(), self.q.copy(), self.time)
+        return tree_map(np.ndarray.copy, self)
 
 
 @dataclass
@@ -82,11 +82,8 @@ class SpectralDynamicalCore:
         self.vg = vgrid
         self.dt = float(dt)
         # Scalar, or a per-member array broadcastable against every state
-        # field (e.g. (nens, 1, 1) from the ensemble driver).  0-d arrays
-        # collapse to python floats: a 0-d float64 array would silently
-        # upcast float32/complex64 state through the Robert filter.
-        self.robert = (robert if isinstance(robert, np.ndarray) and robert.ndim
-                       else float(robert))
+        # field (e.g. (nens, 1, 1) from the ensemble driver).
+        self.robert = weak_scalar(robert)
         self.semi_implicit = bool(semi_implicit)
         # CCM2 R15 recommended del^4 coefficient scales with resolution
         # (Williamson et al. 1995); default tuned so the smallest retained
@@ -322,16 +319,14 @@ class SpectralDynamicalCore:
         """Contract the level axis of ``field`` ((L, ...)) with ``dsig`` ((L,)).
 
         A single tensordot over a member-batched operand is a gemv whose
-        accumulation order differs from the serial per-member call, so for
-        batched fields each member is contracted separately — bitwise
-        identical to serial member-at-a-time integration.
+        accumulation order differs from the serial per-member call, so
+        each member is contracted separately (one iteration when serial) —
+        bitwise identical to serial member-at-a-time integration.
         """
-        if field.ndim == 3:
-            return np.tensordot(dsig, field, axes=(0, 0))
-        out = np.empty(field.shape[1:], dtype=field.dtype)
-        for e in range(field.shape[1]):
-            out[e] = np.tensordot(dsig, field[:, e], axes=(0, 0))
-        return out
+        members = field.reshape(field.shape[:1] + (-1,) + field.shape[-2:])
+        return np.stack([np.tensordot(dsig, members[:, e], axes=(0, 0))
+                         for e in range(members.shape[1])]
+                        ).reshape(field.shape[1:])
 
     def _hyperdiffuse(self, spec3: np.ndarray) -> np.ndarray:
         # The implicit damping denominator depends only on (truncation, dt);

@@ -32,6 +32,7 @@ from repro.backend.dtypes import (
     dtype_policy,
     policy_from_name,
     set_default_dtype,
+    weak_scalar,
 )
 from repro.backend.kernels import robert_filter
 from repro.backend.workspace import (
@@ -44,7 +45,7 @@ from repro.backend.workspace import (
 
 __all__ = [
     "DTypePolicy", "FLOAT32", "FLOAT64", "default_policy", "dtype_policy",
-    "policy_from_name", "set_default_dtype",
+    "policy_from_name", "set_default_dtype", "weak_scalar",
     "Workspace", "arenas_disjoint", "get_workspace", "reset_workspaces",
     "workspace_totals",
     "robert_filter",

@@ -28,7 +28,7 @@ import numpy as np
 
 __all__ = [
     "DTypePolicy", "FLOAT32", "FLOAT64", "policy_from_name",
-    "default_policy", "set_default_dtype", "dtype_policy",
+    "default_policy", "set_default_dtype", "dtype_policy", "weak_scalar",
 ]
 
 
@@ -55,6 +55,18 @@ class DTypePolicy:
     def ascomplex(self, arr: np.ndarray) -> np.ndarray:
         """Cast to the policy complex dtype; identity (no copy) if already there."""
         return np.asarray(arr).astype(self.complex_dtype, copy=False)
+
+
+def weak_scalar(value):
+    """``value`` as a python float unless it is an array with >= 1 axis.
+
+    A python float never decides a result dtype; a 0-d float64 array (or a
+    NumPy scalar) would silently upcast every float32/complex64 field it
+    meets.  Per-member knob arrays (``(nens, 1, 1)``) pass through.
+    """
+    if isinstance(value, np.ndarray) and value.ndim:
+        return value
+    return float(value)
 
 
 FLOAT64 = DTypePolicy("float64", np.dtype(np.float64), np.dtype(np.complex128))

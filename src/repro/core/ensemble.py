@@ -16,7 +16,7 @@ third from last — everywhere:
 
 That keeps every level contraction (``tensordot`` over axis 0) and every
 horizontal kernel (last two axes) shape-generic, and makes the member slice
-``[:, e]`` / ``[e]`` a view.
+``[..., e, :, :]`` a view of any leaf.
 
 Correctness contract (regression-tested in ``tests/test_ensemble.py``): a
 zero-perturbation batch of N members is **bitwise float64-identical** per
@@ -35,13 +35,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.atmosphere.dynamics import AtmosphereState
+from repro.backend import weak_scalar
 from repro.core.config import FoamConfig, test_config
 from repro.core.foam import CoupledDiagnostics, FoamModel, FoamState
-from repro.coupler.coupler import CouplerState
-from repro.coupler.hydrology import HydrologyState
-from repro.coupler.land import LandState
-from repro.coupler.seaice import SeaIceState
-from repro.ocean.model import OceanState
+from repro.util.tree import tree_map
 
 __all__ = ["EnsembleConfig", "FoamEnsemble", "promote_member_values",
            "stack_members", "member_state"]
@@ -51,15 +48,15 @@ def promote_member_values(value, nens: int, dtype) -> float | np.ndarray:
     """Promote a scalar config knob to a broadcastable per-member array.
 
     Scalars (python numbers and 0-d arrays) collapse to python floats so the
-    shared-knob path stays operation-identical to the serial model — and so
-    a 0-d float64 array can never upcast float32 fields.  Length-``nens``
-    sequences become ``(nens, 1, 1)`` arrays of the policy float dtype,
-    shaped to broadcast against both grid ``(..., E, nlat, nlon)`` and
-    spectral ``(..., E, nm, nk)`` member layouts.
+    shared-knob path stays operation-identical to the serial model
+    (:func:`repro.backend.weak_scalar`).  Length-``nens`` sequences become
+    ``(nens, 1, 1)`` arrays of the policy float dtype, shaped to broadcast
+    against both grid ``(..., E, nlat, nlon)`` and spectral
+    ``(..., E, nm, nk)`` member layouts.
     """
-    arr = np.asarray(value, dtype=dtype)
-    if arr.ndim == 0:
-        return float(arr)
+    arr = weak_scalar(np.asarray(value, dtype=dtype))
+    if not isinstance(arr, np.ndarray):
+        return arr
     if arr.shape != (nens,):
         raise ValueError(f"per-member value must be a scalar or a length-"
                          f"{nens} sequence, got shape {arr.shape}")
@@ -67,91 +64,24 @@ def promote_member_values(value, nens: int, dtype) -> float | np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# state stacking / unstacking
+# state stacking / unstacking: the member axis is third from last on
+# every leaf, so neither direction needs to know the state's fields
 # ----------------------------------------------------------------------
-def _stack_atm(states: Sequence[AtmosphereState]) -> AtmosphereState:
-    return AtmosphereState(
-        vort=np.stack([st.vort for st in states], axis=1),
-        div=np.stack([st.div for st in states], axis=1),
-        temp=np.stack([st.temp for st in states], axis=1),
-        lnps=np.stack([st.lnps for st in states], axis=0),
-        q=np.stack([st.q for st in states], axis=1),
-        time=states[0].time)
-
-
-def _stack_ocn(states: Sequence[OceanState]) -> OceanState:
-    return OceanState(
-        u=np.stack([st.u for st in states], axis=1),
-        v=np.stack([st.v for st in states], axis=1),
-        temp=np.stack([st.temp for st in states], axis=1),
-        salt=np.stack([st.salt for st in states], axis=1),
-        eta=np.stack([st.eta for st in states], axis=0),
-        ubar=np.stack([st.ubar for st in states], axis=0),
-        vbar=np.stack([st.vbar for st in states], axis=0),
-        time=states[0].time)
-
-
-def _stack_cpl(states: Sequence[CouplerState]) -> CouplerState:
-    river = None
-    if states[0].river_volume is not None:
-        river = np.stack([st.river_volume for st in states], axis=0)
-    return CouplerState(
-        land=LandState(soil_temp=np.stack(
-            [st.land.soil_temp for st in states], axis=1)),
-        hydrology=HydrologyState(
-            soil_moisture=np.stack(
-                [st.hydrology.soil_moisture for st in states], axis=0),
-            snow_depth=np.stack(
-                [st.hydrology.snow_depth for st in states], axis=0)),
-        ice=SeaIceState(
-            thickness=np.stack([st.ice.thickness for st in states], axis=0),
-            surface_temp=np.stack(
-                [st.ice.surface_temp for st in states], axis=0)),
-        river_volume=river,
-        time=states[0].time)
-
-
 def stack_members(members: Sequence[FoamState]) -> FoamState:
     """Stack per-member serial states into one batched :class:`FoamState`.
 
-    Level-major arrays gain the member axis at position 1 (after level);
-    everything else leads with it.  All members must share ``time``.
+    Every array gains the member axis third from last (after the level
+    axis of level-major arrays, leading everywhere else); ``time`` and
+    absent (``None``) leaves are taken from the first member.
     """
     if not members:
         raise ValueError("need at least one member state")
-    return FoamState(
-        atm_prev=_stack_atm([mm.atm_prev for mm in members]),
-        atm_curr=_stack_atm([mm.atm_curr for mm in members]),
-        ocean=_stack_ocn([mm.ocean for mm in members]),
-        coupler=_stack_cpl([mm.coupler for mm in members]),
-        time=members[0].time)
+    return tree_map(lambda *arrays: np.stack(arrays, axis=-3), *members)
 
 
 def member_state(state: FoamState, e: int) -> FoamState:
     """Extract member ``e`` of a batched state as an independent serial state."""
-    def atm(a: AtmosphereState) -> AtmosphereState:
-        return AtmosphereState(vort=a.vort[:, e].copy(), div=a.div[:, e].copy(),
-                               temp=a.temp[:, e].copy(), lnps=a.lnps[e].copy(),
-                               q=a.q[:, e].copy(), time=a.time)
-
-    o = state.ocean
-    ocn = OceanState(u=o.u[:, e].copy(), v=o.v[:, e].copy(),
-                     temp=o.temp[:, e].copy(), salt=o.salt[:, e].copy(),
-                     eta=o.eta[e].copy(), ubar=o.ubar[e].copy(),
-                     vbar=o.vbar[e].copy(), time=o.time)
-    c = state.coupler
-    cpl = CouplerState(
-        land=LandState(soil_temp=c.land.soil_temp[:, e].copy()),
-        hydrology=HydrologyState(
-            soil_moisture=c.hydrology.soil_moisture[e].copy(),
-            snow_depth=c.hydrology.snow_depth[e].copy()),
-        ice=SeaIceState(thickness=c.ice.thickness[e].copy(),
-                        surface_temp=c.ice.surface_temp[e].copy()),
-        river_volume=(None if c.river_volume is None
-                      else c.river_volume[e].copy()),
-        time=c.time)
-    return FoamState(atm_prev=atm(state.atm_prev), atm_curr=atm(state.atm_curr),
-                     ocean=ocn, coupler=cpl, time=state.time)
+    return tree_map(lambda a: a[..., e, :, :].copy(), state)
 
 
 # ----------------------------------------------------------------------
@@ -193,8 +123,6 @@ class FoamEnsemble:
             raise ValueError(f"nens must be >= 1, got {cfg.nens}")
         base = cfg.base if cfg.base is not None else test_config()
         self.model = FoamModel(base)
-        self.model._ens_shape = (self.nens,)
-        self.model._reset_ocean_accumulator()
         fdt = self.model.policy.float_dtype
 
         robert = (base.robert_filter if cfg.robert_filter is None

@@ -22,6 +22,7 @@ grid and transported semi-Lagrangially as in PCCM2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,8 @@ from repro.ocean.grid import OceanGrid, topography_by_name
 from repro.ocean.model import OceanForcing, OceanModel, OceanState
 from repro.ocean.slab import SlabOceanModel
 from repro.perf.profiler import profile_section
-from repro.util.constants import STEFAN_BOLTZMANN
+from repro.util.constants import GRAVITY, RHO_WATER, STEFAN_BOLTZMANN
+from repro.util.tree import tree_map
 
 
 @dataclass
@@ -111,10 +113,7 @@ class FoamModel:
                                    self.ocean_grid.lats, cfg.ocn_nx,
                                    land_mask, rng_seed=cfg.seed + 7,
                                    dtype=policy)
-        # Running ocean-forcing accumulator between ocean calls.  The
-        # ensemble driver sets ``_ens_shape = (nens,)`` so the accumulator
-        # (and nothing else constructed here) carries a member axis.
-        self._ens_shape: tuple = ()
+        # Running ocean-forcing accumulator between ocean calls.
         self._reset_ocean_accumulator()
         # Most recent coupler bookkeeping (precip/evap/runoff totals);
         # refreshed every coupled_step so monitoring code (the scenario
@@ -123,9 +122,9 @@ class FoamModel:
 
     # ------------------------------------------------------------------
     def _reset_ocean_accumulator(self) -> None:
-        ny, nx = self.ocean_grid.ny, self.ocean_grid.nx
-        self._acc = OceanForcing.zeros(ny, nx, dtype=self.policy.float_dtype,
-                                       lead=self._ens_shape)
+        # Shaped by the first step of the window (accumulate_forcing), so
+        # serial and member-batched runs need no shape told in advance.
+        self._acc: OceanForcing | None = None
         self._acc_steps = 0
 
     def initial_state(self, seed: int | None = None,
@@ -192,83 +191,32 @@ class FoamModel:
                         time: float, rows: tuple[int, int] | None = None):
         """Column physics; ``rows=(lo, hi)`` restricts to a latitude band.
 
-        Physics is column-local, so a band run is bitwise identical to the
-        corresponding rows of a full-grid run (the atmosphere pool relies
-        on this to split physics without splitting the spectral state).
+        Physics is column-local, so the selected rows of every member run
+        as one wide grid of ``members * rows`` latitudes (the latitude
+        array tiled member-major): bitwise identical per member and per
+        row to member-at-a-time, full-grid calls — the same columns see the
+        same elementwise arithmetic, just stacked.  The atmosphere pool
+        relies on this to split physics without splitting the spectral
+        state.
         """
-        cfg = self.config
         tr = self.transform
-        if diag.temp.ndim == 4:
-            return self._physics_kernel_batched(diag, q, surface,
-                                                external_fluxes, time=time)
-        if rows is None:
-            return self.physics.compute(
-                temp=diag.temp, q=q, u=diag.u, v=diag.v,
-                pressure=diag.pressure, ps=diag.ps,
-                geopotential=diag.geopotential, dsigma=self.vgrid.dsigma,
-                surface=surface, dt=cfg.atm_dt, time=time,
-                lats=tr.lats, lons=tr.lons, external_fluxes=external_fluxes)
-        lo, hi = rows
-        sl = slice(lo, hi)
-        from repro.atmosphere.physics import SurfaceState
-        sub = SurfaceState(t_sfc=surface.t_sfc[sl], albedo=surface.albedo[sl],
-                           wetness=surface.wetness[sl], z0=surface.z0[sl],
-                           ocean_mask=surface.ocean_mask[sl])
-        ext = external_fluxes
-        if ext is not None:
-            ext = {k: v[sl] for k, v in ext.items()}
-        return self.physics.compute(
-            temp=diag.temp[:, sl], q=q[:, sl], u=diag.u[:, sl],
-            v=diag.v[:, sl], pressure=diag.pressure[:, sl], ps=diag.ps[sl],
-            geopotential=diag.geopotential[:, sl], dsigma=self.vgrid.dsigma,
-            surface=sub, dt=cfg.atm_dt, time=time,
-            lats=tr.lats[sl], lons=tr.lons, external_fluxes=ext)
-
-    def _physics_kernel_batched(self, diag, q, surface, external_fluxes, *,
-                                time: float):
-        """Ensemble physics: fold members into the latitude axis.
-
-        Physics is column-local, so running the batch as one wide grid of
-        ``nens * nlat`` rows (with the latitude array tiled member-major) is
-        bitwise identical per member to member-at-a-time calls — the same
-        columns see the same elementwise arithmetic, just stacked.
-        """
-        from repro.atmosphere.physics import PhysicsTendencies, SurfaceState
-
-        cfg = self.config
-        tr = self.transform
-        L, E, nlat, nlon = diag.temp.shape
+        sl = slice(None) if rows is None else slice(*rows)
+        lead = diag.ps.shape[:-2]                # () serial, (nens,) batched
+        nlon = diag.ps.shape[-1]
 
         def fold(a):
-            return a.reshape(a.shape[:-3] + (E * nlat, nlon))
+            a = a[..., sl, :]
+            return a.reshape(a.shape[:a.ndim - 2 - len(lead)] + (-1, nlon))
 
-        sub = SurfaceState(t_sfc=fold(surface.t_sfc),
-                           albedo=fold(surface.albedo),
-                           wetness=fold(surface.wetness), z0=fold(surface.z0),
-                           ocean_mask=fold(surface.ocean_mask))
-        ext = external_fluxes
-        if ext is not None:
-            ext = {k: fold(v) for k, v in ext.items()}
         phys = self.physics.compute(
             temp=fold(diag.temp), q=fold(q), u=fold(diag.u), v=fold(diag.v),
             pressure=fold(diag.pressure), ps=fold(diag.ps),
             geopotential=fold(diag.geopotential), dsigma=self.vgrid.dsigma,
-            surface=sub, dt=cfg.atm_dt, time=time,
-            lats=np.tile(tr.lats, E), lons=tr.lons, external_fluxes=ext)
-
-        def unfold(a):
-            if a is None:
-                return None
-            return a.reshape(a.shape[:-2] + (E, nlat, nlon))
-
-        return PhysicsTendencies(
-            dtdt=unfold(phys.dtdt), dqdt=unfold(phys.dqdt),
-            dudt=unfold(phys.dudt), dvdt=unfold(phys.dvdt),
-            precip_conv=unfold(phys.precip_conv),
-            precip_strat=unfold(phys.precip_strat),
-            fluxes={k: unfold(v) for k, v in phys.fluxes.items()},
-            heating_sw=unfold(phys.heating_sw),
-            heating_lw=unfold(phys.heating_lw))
+            surface=tree_map(fold, surface), dt=self.config.atm_dt, time=time,
+            lats=np.tile(tr.lats[sl], math.prod(lead)), lons=tr.lons,
+            external_fluxes=tree_map(fold, external_fluxes))
+        return tree_map(
+            lambda a: a.reshape(a.shape[:-2] + lead + (-1, nlon)), phys)
 
     def _apply_tendencies_kernel(self, curr: AtmosphereState, dtdt, dudt,
                                  dvdt, dqdt) -> AtmosphereState:
@@ -346,10 +294,13 @@ class FoamModel:
                 discharge_ocn = self.coupler.discharge_to_ocean_grid(discharge_atm)
                 fresh = precip_ocn - turb["ocn_evap"] + discharge_ocn
 
-                self._acc.taux += turb["ocn_taux"]
-                self._acc.tauy += turb["ocn_tauy"]
-                self._acc.heat_flux += heat_ocn
-                self._acc.freshwater += fresh
+                step = OceanForcing(turb["ocn_taux"], turb["ocn_tauy"],
+                                    heat_ocn, fresh)
+                if self._acc is None:
+                    fdt = self.policy.float_dtype
+                    self._acc = tree_map(lambda a: np.zeros(a.shape, fdt), step)
+                self._acc = tree_map(lambda acc, a: np.add(acc, a, out=acc),
+                                     self._acc, step)
                 self._acc_steps += 1
         return new_cpl, cpl_diags
 
@@ -362,9 +313,7 @@ class FoamModel:
         """Window-mean forcing + sea-ice step; resets the accumulator."""
         cfg = self.config
         n = self._acc_steps
-        forcing = OceanForcing(self._acc.taux / n, self._acc.tauy / n,
-                               self._acc.heat_flux / n,
-                               self._acc.freshwater / n)
+        forcing = tree_map(lambda a: a / n, self._acc)
         # Sea ice first: it converts persistent heat loss at the clamp
         # into ice and shields the stress.
         ov = self.coupler.overlap
@@ -467,19 +416,24 @@ class FoamModel:
     # ------------------------------------------------------------------
     def global_water_inventory(self, state: FoamState) -> dict:
         """All water reservoirs (kg): atmosphere, soil, snow, rivers, ice."""
-        tr = self.transform
         diag = self.dycore.diagnose(state.atm_curr)
-        from repro.util.constants import GRAVITY
-
         col_q = np.tensordot(self.vgrid.dsigma, state.atm_curr.q, axes=(0, 0)) \
             * diag.ps / GRAVITY
         area_atm = self.coupler.atm_cell_areas
-        from repro.util.constants import RHO_WATER
+
+        def kg(field):
+            # One figure per member: a float when serial, (nens,) batched.
+            total = np.sum(field, axis=(-2, -1))
+            return float(total) if total.ndim == 0 else total
+
+        # River storage (m^3) is prognostic state: read it from ``state``,
+        # not from the routing kernel's scratch.
+        river = state.coupler.river_volume
         return {
-            "atmosphere": float(np.sum(col_q * area_atm)),
-            "soil": float(np.sum(state.coupler.hydrology.soil_moisture
-                                 * RHO_WATER * area_atm)),
-            "snow": float(np.sum(state.coupler.hydrology.snow_depth
-                                 * RHO_WATER * area_atm)),
-            "rivers": self.coupler.river.total_storage() * 1000.0,
+            "atmosphere": kg(col_q * area_atm),
+            "soil": kg(state.coupler.hydrology.soil_moisture
+                       * RHO_WATER * area_atm),
+            "snow": kg(state.coupler.hydrology.snow_depth
+                       * RHO_WATER * area_atm),
+            "rivers": 0.0 if river is None else kg(river) * RHO_WATER,
         }

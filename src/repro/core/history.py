@@ -24,17 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.atmosphere.dynamics import AtmosphereState
 from repro.core.foam import FoamState
-from repro.coupler.coupler import CouplerState
-from repro.coupler.hydrology import HydrologyState
-from repro.coupler.land import LandState
-from repro.coupler.seaice import SeaIceState
-from repro.ocean.model import OceanState
+from repro.util.tree import tree_leaves, tree_skeleton, tree_unflatten
 
 #: The one on-disk checkpoint format this build reads and writes; a file
 #: stamped with any other version (or none) is rejected, not guessed at.
-CHECKPOINT_FORMAT_VERSION = 2
+#: Version 3 names every state leaf by its path (``state.ocean.temp``).
+CHECKPOINT_FORMAT_VERSION = 3
 
 
 class HistoryWriter:
@@ -165,39 +161,33 @@ def load_history(paths) -> dict[str, np.ndarray]:
 
 
 # ----------------------------------------------------------------- restarts
+def _leaf_key(path: tuple) -> str:
+    return ".".join(("state",) + tuple(map(str, path)))
+
+
 def save_restart(path: str | Path, state: FoamState, *,
                  config=None, meta: dict | None = None) -> Path:
     """Serialize a full coupled state (bit-exact round trip).
+
+    Every leaf of ``state`` is written under its path
+    (``state.atm_curr.vort``, ``state.coupler.hydrology.snow_depth``,
+    ``state.time``), so a field added to any state dataclass is
+    checkpointed without touching this module.  Batched (ensemble) states
+    serialize unchanged — every array simply carries its member axis.
+    ``None`` leaves (an absent ``river_volume``) are listed in
+    ``none_leaves`` and round-trip as ``None``; they are never zero-filled.
 
     ``config`` (a :class:`~repro.core.config.FoamConfig`) stamps the file
     with the producing configuration's content hash and JSON so a resume
     can validate compatibility; ``meta`` attaches arbitrary
     JSON-serializable run metadata (mode, nens, scenario, run key).
-    Batched (ensemble) states serialize unchanged — every array simply
-    carries its member axis.  A ``river_volume`` of None round-trips as
-    None (format v2); it is never zero-filled.
     """
     path = Path(path)
-    a_p, a_c = state.atm_prev, state.atm_curr
-    o = state.ocean
-    c = state.coupler
-    payload = dict(
-        format_version=CHECKPOINT_FORMAT_VERSION,
-        time=state.time,
-        ap_vort=a_p.vort, ap_div=a_p.div, ap_temp=a_p.temp,
-        ap_lnps=a_p.lnps, ap_q=a_p.q, ap_time=a_p.time,
-        ac_vort=a_c.vort, ac_div=a_c.div, ac_temp=a_c.temp,
-        ac_lnps=a_c.lnps, ac_q=a_c.q, ac_time=a_c.time,
-        o_u=o.u, o_v=o.v, o_temp=o.temp, o_salt=o.salt,
-        o_eta=o.eta, o_ubar=o.ubar, o_vbar=o.vbar, o_time=o.time,
-        c_soil_temp=c.land.soil_temp,
-        c_soil_moisture=c.hydrology.soil_moisture,
-        c_snow=c.hydrology.snow_depth,
-        c_ice_h=c.ice.thickness, c_ice_ts=c.ice.surface_temp,
-        c_river_present=c.river_volume is not None,
-        c_time=c.time)
-    if c.river_volume is not None:
-        payload["c_river"] = c.river_volume
+    leaves = {_leaf_key(p): leaf for p, leaf in tree_leaves(state)}
+    absent = sorted(k for k, leaf in leaves.items() if leaf is None)
+    payload = {k: leaf for k, leaf in leaves.items() if leaf is not None}
+    payload.update(format_version=CHECKPOINT_FORMAT_VERSION,
+                   none_leaves=json.dumps(absent))
     if config is not None:
         payload["config_hash"] = config.content_hash()
         payload["config_json"] = json.dumps(config.to_dict(), sort_keys=True)
@@ -213,22 +203,19 @@ def _state_from_npz(d, path) -> FoamState:
     if found != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"{path}: checkpoint format_version is {found}, "
                          f"this build reads only {CHECKPOINT_FORMAT_VERSION}")
-    atm_prev = AtmosphereState(d["ap_vort"], d["ap_div"], d["ap_temp"],
-                               d["ap_lnps"], d["ap_q"], float(d["ap_time"]))
-    atm_curr = AtmosphereState(d["ac_vort"], d["ac_div"], d["ac_temp"],
-                               d["ac_lnps"], d["ac_q"], float(d["ac_time"]))
-    ocean = OceanState(d["o_u"], d["o_v"], d["o_temp"], d["o_salt"],
-                       d["o_eta"], d["o_ubar"], d["o_vbar"],
-                       float(d["o_time"]))
-    river = d["c_river"] if bool(d["c_river_present"]) else None
-    coupler = CouplerState(
-        land=LandState(d["c_soil_temp"]),
-        hydrology=HydrologyState(d["c_soil_moisture"], d["c_snow"]),
-        ice=SeaIceState(d["c_ice_h"], d["c_ice_ts"]),
-        river_volume=river,
-        time=float(d["c_time"]))
-    return FoamState(atm_prev=atm_prev, atm_curr=atm_curr, ocean=ocean,
-                     coupler=coupler, time=float(d["time"]))
+    absent = set(json.loads(str(d["none_leaves"])))
+
+    def load(leaf_path: tuple):
+        key = _leaf_key(leaf_path)
+        if key in absent:
+            return None
+        if key not in d.files:
+            raise ValueError(f"{path}: checkpoint lacks state leaf {key!r}")
+        value = d[key]
+        return value.item() if value.ndim == 0 else value   # times are floats
+
+    blank = tree_skeleton(FoamState)
+    return tree_unflatten(blank, ((p, load(p)) for p, _ in tree_leaves(blank)))
 
 
 def load_restart(path: str | Path) -> FoamState:

@@ -24,6 +24,7 @@ Responsibilities implemented here:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,9 +162,7 @@ class FluxCoupler:
                          ov.from_atm(self.land_model.roughness))
         z0 = ov.to_atm(z0_ov)
 
-        ocean_mask = ~self.atm_land_mask
-        if t_sfc.ndim > 2:
-            ocean_mask = np.broadcast_to(ocean_mask, t_sfc.shape)
+        ocean_mask = np.broadcast_to(~self.atm_land_mask, t_sfc.shape)
         return SurfaceState(t_sfc=t_sfc, albedo=albedo, wetness=wetness,
                             z0=z0, ocean_mask=ocean_mask)
 
@@ -273,23 +272,20 @@ class FluxCoupler:
             ground_temp=ground, t_low1=t_low1, t_low2=t_low2,
             melt_energy=np.where(land, np.maximum(net_land_flux, 0.0), 0.0),
             dt=dt, land_mask=land)
-        # River storage is prognostic state: restore it so restarts are exact.
-        if runoff.ndim == 2:
-            if state.river_volume is not None:
-                self.river.volume = state.river_volume.copy()
-            discharge = self.river.step(runoff, dt)
-            new_volume = self.river.volume.copy()
-        else:
-            # River routing is a stateful scatter-add; run each ensemble
-            # member through the serial kernel and stack the results.
-            vol = state.river_volume
-            discharge = np.empty_like(runoff)
-            new_volume = np.empty_like(runoff)
-            for e in range(runoff.shape[0]):
-                self.river.volume = (vol[e].copy() if vol is not None
-                                     else np.zeros_like(runoff[e]))
-                discharge[e] = self.river.step(runoff[e], dt)
-                new_volume[e] = self.river.volume
+        # River storage is prognostic state: it comes from ``state`` (empty
+        # when None), never from what the last call left in the kernel.
+        # Routing is a stateful scatter-add, so each member runs through
+        # the 2-D kernel (one iteration when serial).
+        members = runoff.reshape((-1,) + runoff.shape[-2:])
+        volumes = (np.zeros(members.shape) if state.river_volume is None
+                   else state.river_volume.reshape(members.shape))
+        discharge, new_volume = [], []
+        for member_runoff, volume in zip(members, volumes):
+            self.river.volume = volume.copy()
+            discharge.append(self.river.step(member_runoff, dt))
+            new_volume.append(self.river.volume)
+        discharge = np.stack(discharge).reshape(runoff.shape)
+        new_volume = np.stack(new_volume).reshape(runoff.shape)
         new_land = self.land_model.step(
             state.land, np.where(land, net_land_flux, 0.0), dt)
 
@@ -299,10 +295,9 @@ class FluxCoupler:
             evap_total=float(np.sum(evap * a)),
             runoff_total=float(np.sum(runoff * a)),
             river_discharge_total=float(np.sum(discharge * a)))
-        return (CouplerState(land=new_land, hydrology=new_hydro,
-                             ice=state.ice,
-                             river_volume=new_volume,
-                             time=state.time + dt),
+        return (dataclasses.replace(state, land=new_land, hydrology=new_hydro,
+                                    river_volume=new_volume,
+                                    time=state.time + dt),
                 discharge, diags)
 
     # ------------------------------------------------------------------
@@ -314,9 +309,7 @@ class FluxCoupler:
             state.ice, sst=np.nan_to_num(sst_celsius, nan=0.0) + 273.15,
             ocean_heat_loss=ocean_heat_loss, air_temp=t_air_on_ocn,
             ocean_mask=~self.ocn_land_mask, dt=dt)
-        return CouplerState(land=state.land, hydrology=state.hydrology,
-                            ice=new_ice, river_volume=state.river_volume,
-                            time=state.time), fw
+        return dataclasses.replace(state, ice=new_ice), fw
 
     # ------------------------------------------------------------------
     def discharge_to_ocean_grid(self, discharge_atm: np.ndarray) -> np.ndarray:
@@ -327,17 +320,13 @@ class FluxCoupler:
         mapped = ov.to_ocn(ov_field)
         # Rescale to conserve the global freshwater integral exactly
         # (coastline mismatch between grids can clip some discharge cells).
-        if discharge_atm.ndim == 2:
-            total_in = float(np.sum(discharge_atm * self.atm_cell_areas))
-            total_out = ov.integrate_ocn(mapped)
+        # The conservation ratio is a per-member scalar.
+        shape = mapped.shape
+        mapped = mapped.reshape((-1,) + shape[-2:])
+        members = discharge_atm.reshape((-1,) + discharge_atm.shape[-2:])
+        for e, member in enumerate(members):
+            total_in = float(np.sum(member * self.atm_cell_areas))
+            total_out = ov.integrate_ocn(mapped[e])
             if total_out > 0 and total_in > 0:
-                mapped = mapped * (total_in / total_out)
-        else:
-            # The conservation ratio is a per-member scalar; rescale each
-            # member exactly as the serial path does.
-            for e in range(discharge_atm.shape[0]):
-                total_in = float(np.sum(discharge_atm[e] * self.atm_cell_areas))
-                total_out = ov.integrate_ocn(mapped[e])
-                if total_out > 0 and total_in > 0:
-                    mapped[e] = mapped[e] * (total_in / total_out)
-        return mapped
+                mapped[e] = mapped[e] * (total_in / total_out)
+        return mapped.reshape(shape)

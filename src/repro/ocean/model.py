@@ -44,7 +44,7 @@ from repro.ocean.operators import (
     ddy,
     flux_divergence,
 )
-from repro.backend import get_workspace
+from repro.backend import get_workspace, weak_scalar
 from repro.perf.profiler import profile_section
 from repro.util.constants import (
     CP_SEAWATER,
@@ -52,6 +52,7 @@ from repro.util.constants import (
     RHO_SEAWATER,
     T_FREEZE_SEA,
 )
+from repro.util.tree import tree_map
 
 
 @dataclass
@@ -68,17 +69,9 @@ class OceanParams:
     # (nens, 1, 1)) broadcastable against the surface-temperature field.
     sst_clamp: float | np.ndarray = T_FREEZE_SEA - 273.15
     reference_salinity: float = 34.7
-    # Optional Euler-backward corrector for the slow stage.  Off by default:
-    # fast modes (inertial, internal waves) live inside the subcycled
-    # internal loop where they are integrated forward-backward; wrapping a
-    # multi-radian propagator in Matsuno amplifies instead of damping.
-    matsuno: bool = False
 
     def __post_init__(self):
-        # Same guard as eos.density_anomaly's scalar depth: a 0-d float64
-        # array here would upcast every float32 surface-temperature clamp.
-        if isinstance(self.sst_clamp, np.ndarray) and self.sst_clamp.ndim == 0:
-            self.sst_clamp = float(self.sst_clamp)
+        self.sst_clamp = weak_scalar(self.sst_clamp)
 
 
 @dataclass
@@ -95,9 +88,7 @@ class OceanState:
     time: float = 0.0
 
     def copy(self) -> "OceanState":
-        return OceanState(*(getattr(self, k).copy() for k in
-                            ("u", "v", "temp", "salt", "eta", "ubar", "vbar")),
-                          time=self.time)
+        return tree_map(np.ndarray.copy, self)
 
 
 @dataclass
@@ -110,10 +101,9 @@ class OceanForcing:
     freshwater: np.ndarray  # kg m^-2 s^-1, positive = into the ocean (P - E + R)
 
     @classmethod
-    def zeros(cls, ny: int, nx: int, dtype=np.float64,
-              lead: tuple = ()) -> "OceanForcing":
-        """Zero forcing; ``lead`` prepends batch (ensemble) axes."""
-        z = np.zeros(tuple(lead) + (ny, nx), dtype=dtype)
+    def zeros(cls, ny: int, nx: int, dtype=np.float64) -> "OceanForcing":
+        """Zero forcing on one ``(ny, nx)`` ocean grid."""
+        z = np.zeros((ny, nx), dtype=dtype)
         return cls(z.copy(), z.copy(), z.copy(), z.copy())
 
 
@@ -202,16 +192,15 @@ class OceanModel:
     def _m3(self, field3d: np.ndarray) -> np.ndarray:
         """The 3-D mask, viewed to broadcast against ``field3d``.
 
-        Serial fields are (L, ny, nx); ensemble-batched fields carry a
-        member axis after the level axis, (L, E, ny, nx), so the mask gains
-        a broadcasting singleton there.  Pure views — no copies, and the
-        serial path sees the exact same array as before.
+        Fields are (L, ..., ny, nx) — any member axes sit after the level
+        axis — so the mask gains one singleton per such axis (none when
+        serial).  Always a view.
         """
-        return self.mask3d if field3d.ndim == 3 else self.mask3d[:, None]
+        return self.mask3d[(slice(None),) + (None,) * (field3d.ndim - 3)]
 
     def _dz3(self, field3d: np.ndarray) -> np.ndarray:
         """Active layer thickness, viewed like :meth:`_m3`."""
-        return self.dz3d if field3d.ndim == 3 else self.dz3d[:, None]
+        return self.dz3d[(slice(None),) + (None,) * (field3d.ndim - 3)]
 
     def depth_mean(self, field3d: np.ndarray) -> np.ndarray:
         """Thickness-weighted column mean over active levels."""
@@ -317,29 +306,14 @@ class OceanModel:
     def step(self, state: OceanState, forcing: OceanForcing) -> OceanState:
         """Advance one long (coupling) step using the three-rate scheme.
 
-        The *baroclinic* fields (u, v, T, S) are wrapped in a Matsuno
-        (Euler-backward) predictor-corrector: a provisional pass, then the
-        final update using increments evaluated at the provisional state.
-        Matsuno damps the marginally neutral internal-gravity-wave coupling
-        between the advective (long) and fast (internal) stages — the role
-        the Robert filter plays in leapfrog ocean codes.
-
-        The *barotropic* subsystem is deliberately OUTSIDE the corrector: it
-        advances many external-wave radians per long step via its own stable
-        forward-backward subcycle, and composing a multi-radian propagator
-        with Matsuno is violently unstable.  It steps exactly once, driven by
-        the depth-mean forcing diagnosed in the corrector pass.
+        One forward pass of the *baroclinic* fields (u, v, T, S) — slow
+        terms once, fast internal terms subcycled forward-backward
+        (:meth:`_advance`; no predictor-corrector wraps it) — then the
+        *barotropic* subsystem steps exactly once through its own stable
+        forward-backward subcycle, driven by the depth-mean forcing that
+        pass diagnosed.
         """
-        if self.params.matsuno:
-            star, _ = self._advance(state, forcing)
-            incr, gxy = self._advance(star, forcing)
-            out = state.copy()
-            for name in ("u", "v", "temp", "salt"):
-                setattr(out, name, getattr(state, name)
-                        + (getattr(incr, name) - getattr(star, name)))
-            self.op_count += self._ops_per_step()  # second evaluation
-        else:
-            out, gxy = self._advance(state, forcing)
+        out, gxy = self._advance(state, forcing)
         with profile_section("barotropic"):
             out.eta, out.ubar, out.vbar, _ = self.baro.step(
                 state.eta, state.ubar, state.vbar, gxy[0], gxy[1],
@@ -354,9 +328,9 @@ class OceanModel:
 
     def _advance(self, state: OceanState, forcing: OceanForcing
                  ) -> tuple[OceanState, tuple[np.ndarray, np.ndarray]]:
-        """One raw (uncorrected) baroclinic pass of the three-rate update.
+        """The baroclinic pass of the three-rate update.
 
-        Returns the provisional state and the time-mean depth-averaged
+        Returns the advanced state and the time-mean depth-averaged
         accelerations (gx, gy) that force the barotropic subsystem.
         """
         p = self.params

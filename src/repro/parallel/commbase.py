@@ -33,6 +33,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.util.tree import tree_leaves, tree_map
+
 ANY_SOURCE = -1
 ANY_TAG = -1
 _CTX_SHIFT = 36                # communicator-context bits above the tag space:
@@ -270,25 +272,13 @@ def _match(src: int, tag: int, want_src: int, want_tag: int,
 
 def _copy_payload(obj: Any) -> Any:
     """Copy send buffers so the sender may safely reuse them (MPI semantics)."""
-    if isinstance(obj, np.ndarray):
-        return obj.copy()
-    if isinstance(obj, tuple):
-        return tuple(_copy_payload(o) for o in obj)
-    if isinstance(obj, list):
-        return [_copy_payload(o) for o in obj]
-    if isinstance(obj, dict):
-        return {k: _copy_payload(v) for k, v in obj.items()}
-    return obj
+    return tree_map(np.ndarray.copy, obj)
 
 
 def _payload_nbytes(obj: Any) -> int:
-    if isinstance(obj, np.ndarray):
-        return obj.nbytes
-    if isinstance(obj, (tuple, list)):
-        return sum(_payload_nbytes(o) for o in obj)
-    if isinstance(obj, dict):
-        return sum(_payload_nbytes(v) for v in obj.values())
-    return 64  # rough envelope for small scalars/objects
+    """Array bytes, plus a rough 64-byte envelope per scalar/object leaf."""
+    return sum(leaf.nbytes if isinstance(leaf, np.ndarray) else 64
+               for _, leaf in tree_leaves(obj))
 
 
 def _combine(a: Any, b: Any, op: str) -> Any:

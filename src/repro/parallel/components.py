@@ -29,6 +29,7 @@ from repro.ocean.operators import laplacian
 from repro.parallel.decomp import BlockDecomp1D, BlockDecomp2D, block_bounds
 from repro.parallel.simmpi import CommStats, SimComm, run_ranks
 from repro.parallel.transpose import transpose_backward, transpose_forward
+from repro.util.tree import tree_map
 
 
 # ----------------------------------------------------------------- physics
@@ -46,10 +47,7 @@ def parallel_physics(nranks: int, *, temp, q, u, v, pressure, ps,
 
     def worker(comm: SimComm):
         lo, hi = decomp.bounds(comm.rank)
-        sub_surface = SurfaceState(
-            t_sfc=surface.t_sfc[lo:hi], albedo=surface.albedo[lo:hi],
-            wetness=surface.wetness[lo:hi], z0=surface.z0[lo:hi],
-            ocean_mask=surface.ocean_mask[lo:hi])
+        sub_surface = tree_map(lambda a: a[lo:hi], surface)
         suite = PhysicsSuite()
         sent_before = comm.messages_sent
         out = suite.compute(

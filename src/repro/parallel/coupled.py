@@ -221,9 +221,7 @@ def _cpl_worker(comm, pool, layout, model, state, nsteps, waits):
         if model.coupling_due():
             cpl_state, forcing = model.ocean_forcing(cpl_state, sst,
                                                      t_air_bot=st["t_air"])
-            comm.send({"taux": forcing.taux, "tauy": forcing.tauy,
-                       "heat": forcing.heat_flux, "fresh": forcing.freshwater},
-                      ocn_leader, TAG_FORCING)
+            comm.send(forcing, ocn_leader, TAG_FORCING)
             pending_sst = True
     if pending_sst:  # drain the final overlapped call
         sst = _timed_recv(comm, ocn_leader, TAG_SST, waits, "sst")
@@ -233,8 +231,6 @@ def _cpl_worker(comm, pool, layout, model, state, nsteps, waits):
 
 def _ocn_worker(comm, pool, layout, model, state, nsteps, waits):
     """Ocean-pool rank: the leader integrates; extra ranks idle (ROADMAP)."""
-    from repro.ocean.model import OceanForcing
-
     cfg = model.config
     cpl = layout.cpl_rank
     ocean_state = state.ocean
@@ -243,8 +239,7 @@ def _ocn_worker(comm, pool, layout, model, state, nsteps, waits):
         comm.send(model.ocean.sst(ocean_state), cpl, TAG_SST)
         n_calls = nsteps // cfg.atm_steps_per_coupling
         for _ in range(n_calls):
-            f = _timed_recv(comm, cpl, TAG_FORCING, waits, "forcing")
-            forcing = OceanForcing(f["taux"], f["tauy"], f["heat"], f["fresh"])
+            forcing = _timed_recv(comm, cpl, TAG_FORCING, waits, "forcing")
             t0 = time.perf_counter()
             ocean_state = model.ocean_advance(ocean_state, forcing)
             busy += time.perf_counter() - t0

@@ -64,23 +64,20 @@ from typing import Any
 
 import numpy as np
 
+from repro.util.tree import tree_map
+
 # A message in flight is the tuple (src, dest, tag, payload, visible_at).
 _Held = tuple[int, int, int, Any, float]
 
 
+def corrupt_array(arr: np.ndarray) -> np.ndarray:
+    """``-x - 1`` (``~x`` for booleans): deterministic, always detectable."""
+    return ~arr if arr.dtype == bool else -arr - 1
+
+
 def corrupt_payload(obj: Any) -> Any:
     """Deterministically corrupt every ndarray in a payload (``-x - 1``)."""
-    if isinstance(obj, np.ndarray):
-        if obj.dtype == bool:
-            return ~obj
-        return -obj - 1
-    if isinstance(obj, tuple):
-        return tuple(corrupt_payload(o) for o in obj)
-    if isinstance(obj, list):
-        return [corrupt_payload(o) for o in obj]
-    if isinstance(obj, dict):
-        return {k: corrupt_payload(v) for k, v in obj.items()}
-    return obj
+    return tree_map(corrupt_array, obj)
 
 
 @dataclass

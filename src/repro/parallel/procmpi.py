@@ -51,12 +51,13 @@ bitwise-identical at float64.
 
 from __future__ import annotations
 
-import math
 import multiprocessing as mp
 import pickle
 import queue as queuelib
 import time
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from multiprocessing import shared_memory
 from typing import Any, Callable
 
 import numpy as np
@@ -77,7 +78,8 @@ from repro.parallel.commbase import (
     _match,
     _payload_nbytes,
 )
-from repro.parallel.faults import FaultPlan
+from repro.parallel.faults import FaultPlan, corrupt_array
+from repro.util.tree import tree_map
 
 _ROUTER_SLICE = 0.02           # router poll cadence (uplink idle check)
 _HARD_DEATH_GRACE = 0.25       # seconds between a child dying and the router
@@ -98,6 +100,61 @@ class _ShmRef:
     dtype: str
 
 
+def _is_ref(x: Any) -> bool:
+    return isinstance(x, _ShmRef)      # atomic: never walked as a dataclass
+
+
+def _park(arr: np.ndarray) -> "np.ndarray | _ShmRef":
+    """Copy one array for sending: bulk ones into a new shm block."""
+    if arr.nbytes < _SHM_MIN_BYTES:
+        return arr.copy()
+    arr = np.ascontiguousarray(arr)
+    shm = shared_memory.SharedMemory(create=True, size=arr.nbytes)
+    np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)[...] = arr
+    ref = _ShmRef(shm.name, arr.shape, arr.dtype.str)
+    shm.close()
+    return ref
+
+
+@contextmanager
+def _parked(ref: _ShmRef, unlink: bool = False):
+    """The array parked behind ``ref``, as a view valid inside the block."""
+    shm = shared_memory.SharedMemory(name=ref.name)
+    try:
+        yield np.ndarray(ref.shape, dtype=np.dtype(ref.dtype), buffer=shm.buf)
+    finally:
+        shm.close()
+        if unlink:
+            with suppress(FileNotFoundError):      # racing cleanup
+                shm.unlink()
+
+
+def _fetch(ref: _ShmRef) -> np.ndarray:
+    """Copy a parked array out of its block and free the block."""
+    with _parked(ref, unlink=True) as arr:
+        return arr.copy()
+
+
+def _unlink(ref: _ShmRef) -> None:
+    with suppress(FileNotFoundError), _parked(ref, unlink=True):   # or freed
+        pass
+
+
+def _clone(ref: _ShmRef) -> _ShmRef:
+    with _parked(ref) as arr:
+        return _park(arr)
+
+
+def _corrupt(leaf: "np.ndarray | _ShmRef") -> "np.ndarray | _ShmRef":
+    """Inline arrays corrupt exactly like the thread substrate
+    (:func:`repro.parallel.faults.corrupt_array`); parked ones in place."""
+    if not _is_ref(leaf):
+        return corrupt_array(leaf)
+    with _parked(leaf) as arr:
+        arr[...] = corrupt_array(arr)
+    return leaf
+
+
 def _encode_payload(obj: Any) -> Any:
     """Copy a payload for sending, parking bulk ndarrays in shared memory.
 
@@ -106,123 +163,28 @@ def _encode_payload(obj: Any) -> Any:
     large ones become :class:`_ShmRef` so the router never touches bulk
     bytes.
     """
-    if isinstance(obj, np.ndarray):
-        if obj.nbytes >= _SHM_MIN_BYTES:
-            from multiprocessing import shared_memory
-            arr = np.ascontiguousarray(obj)
-            shm = shared_memory.SharedMemory(create=True, size=arr.nbytes)
-            view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-            view[...] = arr
-            ref = _ShmRef(shm.name, arr.shape, arr.dtype.str)
-            shm.close()
-            return ref
-        return obj.copy()
-    if isinstance(obj, tuple):
-        return tuple(_encode_payload(o) for o in obj)
-    if isinstance(obj, list):
-        return [_encode_payload(o) for o in obj]
-    if isinstance(obj, dict):
-        return {k: _encode_payload(v) for k, v in obj.items()}
-    return obj
+    return tree_map(_park, obj)
 
 
 def _decode_payload(obj: Any) -> Any:
     """Materialize a received payload, consuming (unlinking) shm blocks."""
-    if isinstance(obj, _ShmRef):
-        from multiprocessing import shared_memory
-        shm = shared_memory.SharedMemory(name=obj.name)
-        try:
-            src = np.ndarray(obj.shape, dtype=np.dtype(obj.dtype),
-                             buffer=shm.buf)
-            out = src.copy()
-        finally:
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        return out
-    if isinstance(obj, tuple):
-        return tuple(_decode_payload(o) for o in obj)
-    if isinstance(obj, list):
-        return [_decode_payload(o) for o in obj]
-    if isinstance(obj, dict):
-        return {k: _decode_payload(v) for k, v in obj.items()}
-    return obj
+    return tree_map(_fetch, obj, is_leaf=_is_ref)
 
 
 def _unlink_refs(obj: Any) -> None:
     """Free shm blocks of a payload that will never be delivered."""
-    if isinstance(obj, _ShmRef):
-        from multiprocessing import shared_memory
-        try:
-            shm = shared_memory.SharedMemory(name=obj.name)
-        except FileNotFoundError:  # pragma: no cover - already freed
-            return
-        shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - racing cleanup
-            pass
-    elif isinstance(obj, (tuple, list)):
-        for o in obj:
-            _unlink_refs(o)
-    elif isinstance(obj, dict):
-        for v in obj.values():
-            _unlink_refs(v)
+    tree_map(_unlink, obj, is_leaf=_is_ref)
 
 
 def _clone_refs(obj: Any) -> Any:
     """Deep-duplicate shm blocks (for ``duplicate`` fault deliveries)."""
-    if isinstance(obj, _ShmRef):
-        from multiprocessing import shared_memory
-        nbytes = math.prod(obj.shape) * np.dtype(obj.dtype).itemsize
-        src = shared_memory.SharedMemory(name=obj.name)
-        try:
-            dup = shared_memory.SharedMemory(create=True, size=nbytes)
-            dup.buf[:nbytes] = src.buf[:nbytes]
-            name = dup.name
-            dup.close()
-            return _ShmRef(name, obj.shape, obj.dtype)
-        finally:
-            src.close()
-    if isinstance(obj, tuple):
-        return tuple(_clone_refs(o) for o in obj)
-    if isinstance(obj, list):
-        return [_clone_refs(o) for o in obj]
-    if isinstance(obj, dict):
-        return {k: _clone_refs(v) for k, v in obj.items()}
-    return obj
+    return tree_map(_clone, obj, is_leaf=_is_ref)
 
 
 def _corrupt_encoded(obj: Any) -> Any:
-    """``FaultPlan.corrupt`` transform for encoded payloads.
-
-    Inline values corrupt exactly like the thread substrate
-    (:func:`repro.parallel.faults.corrupt_payload`); shm-parked arrays are
-    corrupted in place inside their block.
-    """
-    from repro.parallel.faults import corrupt_payload
-    if isinstance(obj, _ShmRef):
-        from multiprocessing import shared_memory
-        shm = shared_memory.SharedMemory(name=obj.name)
-        try:
-            arr = np.ndarray(obj.shape, dtype=np.dtype(obj.dtype),
-                             buffer=shm.buf)
-            if arr.dtype == bool:
-                arr[...] = ~arr
-            else:
-                arr[...] = -arr - 1
-        finally:
-            shm.close()
-        return obj
-    if isinstance(obj, tuple):
-        return tuple(_corrupt_encoded(o) for o in obj)
-    if isinstance(obj, list):
-        return [_corrupt_encoded(o) for o in obj]
-    if isinstance(obj, dict):
-        return {k: _corrupt_encoded(v) for k, v in obj.items()}
-    return corrupt_payload(obj)
+    """``FaultPlan.corrupt`` transform for encoded payloads."""
+    return tree_map(_corrupt, obj,
+                    is_leaf=lambda x: isinstance(x, (np.ndarray, _ShmRef)))
 
 
 def _picklable_exc(exc: BaseException) -> BaseException:

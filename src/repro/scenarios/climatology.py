@@ -49,67 +49,53 @@ def _ocean_areas(model: FoamModel) -> np.ndarray:
     return np.where(model.ocean.mask2d, model.ocean.grid.cell_areas(), 0.0)
 
 
-def state_metrics(model: FoamModel, state: FoamState) -> dict:
-    """Instantaneous scalar diagnostics of one (serial) coupled state."""
+def _metric_arrays(model: FoamModel, state: FoamState) -> dict:
+    """Each metric reduced over levels and the horizontal; what is left is
+    the member axis (0-d for a serial state, ``(nens,)`` for a batched one).
+
+    One diagnose/synthesis pass over the whole (level[, member]) stack, so
+    a batched state costs one batched diagnose — not nens serial ones plus
+    a deep copy of every field.
+    """
+    from repro.util.constants import RHO_SEAWATER
+
     w = _area_weights(model)
     sst = model.ocean.sst(state.ocean)
     surface = model.coupler.surface_state_for_atm(state.coupler, sst)
     oa = _ocean_areas(model)
     oa_total = oa.sum()
     diag = model.dycore.diagnose(state.atm_curr)
+    hax = (-2, -1)
     # Mass-weighted global-mean air temperature: the fast-responding
     # greenhouse metric (CO2 cuts OLR immediately; the heat shows up in
     # the column long before the ocean skin moves).
-    dp = model.dycore.vg.dsigma[:, None, None] * diag.ps[None, :, :]
-    wdp = dp * w[None, :, :]
+    dsig = model.dycore.vg.dsigma.reshape((-1,) + (1,) * diag.ps.ndim)
+    wdp = dsig * diag.ps[None] * w
+    u, v = model.ocean.total_velocity(state.ocean)
+    vol = model.ocean._dz3(u) * model.ocean.grid.cell_areas()
     return {
-        "ts_global_k": float(np.sum(surface.t_sfc * w)),
-        "t_atm_k": float(np.sum(diag.temp * wdp) / np.sum(wdp)),
-        "sst_ocean_c": float(np.sum(np.nan_to_num(sst) * oa) / oa_total),
-        "ice_fraction": float(
-            np.sum(np.where(state.coupler.ice.mask, oa, 0.0)) / oa_total),
-        "ocean_ke_j": model.ocean.total_kinetic_energy(state.ocean),
-        "mean_ps_pa": float(np.sum(diag.ps * w)),
+        "ts_global_k": np.sum(surface.t_sfc * w, axis=hax),
+        "t_atm_k": (np.sum(diag.temp * wdp, axis=(0,) + hax)
+                    / np.sum(wdp, axis=(0,) + hax)),
+        "sst_ocean_c": np.sum(np.nan_to_num(sst) * oa, axis=hax) / oa_total,
+        "ice_fraction": np.sum(np.where(state.coupler.ice.mask, oa, 0.0),
+                               axis=hax) / oa_total,
+        "ocean_ke_j": 0.5 * RHO_SEAWATER * np.sum((u**2 + v**2) * vol,
+                                                  axis=(0,) + hax),
+        "mean_ps_pa": np.sum(diag.ps * w, axis=hax),
     }
 
 
+def state_metrics(model: FoamModel, state: FoamState) -> dict:
+    """Instantaneous scalar diagnostics of one (serial) coupled state."""
+    return {k: float(v) for k, v in _metric_arrays(model, state).items()}
+
+
 def ensemble_member_metrics(model: FoamModel, state: FoamState) -> list[dict]:
-    """Per-member scalar diagnostics of a batched ensemble state.
-
-    The batched-state equivalent of calling :func:`state_metrics` on each
-    ``member_state`` extraction: ONE batched diagnose/synthesis pass over
-    the whole (level, member) stack, per-member reductions at the end.
-    Extracting members first costs nens full serial spectral diagnoses
-    plus a deep copy of every field; this costs one batched diagnose.
-    """
-    from repro.util.constants import RHO_SEAWATER
-
-    w = _area_weights(model)
-    sst = model.ocean.sst(state.ocean)                   # (E, ny, nx)
-    surface = model.coupler.surface_state_for_atm(state.coupler, sst)
-    oa = _ocean_areas(model)
-    oa_total = oa.sum()
-    diag = model.dycore.diagnose(state.atm_curr)         # member axis after level
-    dsig = model.dycore.vg.dsigma.reshape((-1,) + (1,) * diag.ps.ndim)
-    wdp = dsig * diag.ps[None] * w                       # (L, E, nlat, nlon)
-    hax = (-2, -1)
-    ts = np.sum(surface.t_sfc * w, axis=hax)
-    t_atm = (np.sum(diag.temp * wdp, axis=(0,) + hax)
-             / np.sum(wdp, axis=(0,) + hax))
-    sst_mean = np.sum(np.nan_to_num(sst) * oa, axis=hax) / oa_total
-    ice = np.sum(np.where(state.coupler.ice.mask, oa, 0.0), axis=hax) / oa_total
-    u, v = model.ocean.total_velocity(state.ocean)       # (L, E, ny, nx)
-    vol = model.ocean.dz3d[:, None] * model.ocean.grid.cell_areas()[None, None]
-    ke = 0.5 * RHO_SEAWATER * np.sum((u**2 + v**2) * vol, axis=(0,) + hax)
-    ps = np.sum(diag.ps * w, axis=hax)
-    return [{
-        "ts_global_k": float(ts[e]),
-        "t_atm_k": float(t_atm[e]),
-        "sst_ocean_c": float(sst_mean[e]),
-        "ice_fraction": float(ice[e]),
-        "ocean_ke_j": float(ke[e]),
-        "mean_ps_pa": float(ps[e]),
-    } for e in range(ts.shape[0])]
+    """:func:`state_metrics` of every member of a batched ensemble state."""
+    arrays = _metric_arrays(model, state)
+    return [{k: float(v[e]) for k, v in arrays.items()}
+            for e in range(len(arrays["mean_ps_pa"]))]
 
 
 def _ocean_heat_content(model: FoamModel, state: FoamState) -> float:

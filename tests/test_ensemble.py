@@ -13,6 +13,8 @@ from repro.core import (EnsembleConfig, FoamEnsemble, FoamModel, member_state,
                         stack_members)
 from repro.core import test_config as _test_config
 from repro.core.ensemble import promote_member_values
+from repro.util.tree import tree_leaves
+from tests.helpers import assert_trees_identical, leaf_name
 
 NENS = 3
 STEPS = 3
@@ -24,36 +26,6 @@ def _serial_run(cfg, steps, seed=None):
     for _ in range(steps):
         state = model.coupled_step(state)
     return model, state
-
-
-def _state_pairs(a, b):
-    yield "vort", a.atm_curr.vort, b.atm_curr.vort
-    yield "div", a.atm_curr.div, b.atm_curr.div
-    yield "temp", a.atm_curr.temp, b.atm_curr.temp
-    yield "lnps", a.atm_curr.lnps, b.atm_curr.lnps
-    yield "q", a.atm_curr.q, b.atm_curr.q
-    yield "prev_vort", a.atm_prev.vort, b.atm_prev.vort
-    yield "ocn_u", a.ocean.u, b.ocean.u
-    yield "ocn_v", a.ocean.v, b.ocean.v
-    yield "otemp", a.ocean.temp, b.ocean.temp
-    yield "osalt", a.ocean.salt, b.ocean.salt
-    yield "eta", a.ocean.eta, b.ocean.eta
-    yield "ubar", a.ocean.ubar, b.ocean.ubar
-    yield "vbar", a.ocean.vbar, b.ocean.vbar
-    yield "soil_temp", a.coupler.land.soil_temp, b.coupler.land.soil_temp
-    yield ("soil_moisture", a.coupler.hydrology.soil_moisture,
-           b.coupler.hydrology.soil_moisture)
-    yield "snow", a.coupler.hydrology.snow_depth, b.coupler.hydrology.snow_depth
-    yield "ice", a.coupler.ice.thickness, b.coupler.ice.thickness
-    yield "river", a.coupler.river_volume, b.coupler.river_volume
-
-
-def _assert_member_bitwise(extracted, serial, member):
-    for item in _state_pairs(extracted, serial):
-        name, got, want = item
-        assert np.array_equal(got, want), (
-            f"member {member}: {name} differs, "
-            f"max|diff|={np.max(np.abs(np.asarray(got) - np.asarray(want)))}")
 
 
 class TestPromotion:
@@ -90,7 +62,8 @@ class TestBitwiseEquivalence:
         scfg.dtype = "float64"
         _, sstate = _serial_run(scfg, STEPS)
         for e in range(NENS):
-            _assert_member_bitwise(ens.member_state(bstate, e), sstate, e)
+            assert_trees_identical(ens.member_state(bstate, e), sstate,
+                                   f"member {e}")
 
     def test_per_member_knobs_match_serial(self):
         """Per-member Robert filters / SST clamps reproduce each member's
@@ -107,7 +80,8 @@ class TestBitwiseEquivalence:
 
         for e in range(NENS):
             _, sstate = _serial_run(ens.member_config(e), 2)
-            _assert_member_bitwise(ens.member_state(bstate, e), sstate, e)
+            assert_trees_identical(ens.member_state(bstate, e), sstate,
+                                   f"member {e}")
 
     def test_stack_unstack_roundtrip(self):
         cfg = _test_config()
@@ -116,7 +90,7 @@ class TestBitwiseEquivalence:
         batched = stack_members(states)
         for e, want in enumerate(states):
             got = member_state(batched, e)
-            _assert_member_bitwise(got, want, e)
+            assert_trees_identical(got, want, f"member {e}")
 
 
 class TestPerturbedEnsemble:
@@ -132,8 +106,8 @@ class TestPerturbedEnsemble:
         assert not np.array_equal(m0.atm_curr.vort, m1.atm_curr.vort)
         assert np.max(np.abs(m0.atm_curr.vort - m1.atm_curr.vort)) > 0
         # ... while every field stays finite.
-        for name, a, _ in _state_pairs(m0, m1):
-            assert np.all(np.isfinite(a)), f"{name} not finite"
+        for path, leaf in tree_leaves(m0):
+            assert np.all(np.isfinite(leaf)), f"{leaf_name(path)} not finite"
 
     def test_zero_perturbation_members_identical(self):
         ens = FoamEnsemble(EnsembleConfig(nens=2, base=_test_config()))
@@ -142,9 +116,7 @@ class TestPerturbedEnsemble:
             state = ens.step(state)
         m0 = ens.member_state(state, 0)
         m1 = ens.member_state(state, 1)
-        for item in _state_pairs(m0, m1):
-            name, a, b = item
-            assert np.array_equal(a, b), f"members differ in {name}"
+        assert_trees_identical(m0, m1, "members differ")
 
 
 class TestWorkspaceReuse:

@@ -141,6 +141,33 @@ def test_step_land_and_rivers_closes_books(setup):
                   >= state.land.soil_temp[0][landm])
 
 
+def test_river_volume_none_means_empty_rivers(setup):
+    """``river_volume=None`` routes from empty storage, serial and batched
+    alike -- never from what another trajectory left in the kernel."""
+    import dataclasses
+
+    coupler, g, land = setup
+    nlat, nlon = 16, 24
+    warm = np.full((nlat, nlon), 288.0)
+    inputs = dict(precip=np.where(coupler.atm_land_mask, 3e-4, 1e-4),
+                  evap=np.full((nlat, nlon), 2e-5), t_low1=warm, t_low2=warm,
+                  net_land_flux=np.full((nlat, nlon), 30.0), dt=1800.0)
+    # Saturated soil, so the very first step produces runoff.
+    state = coupler.initial_state()
+    state.hydrology.soil_moisture[...] = 0.15
+    bare = dataclasses.replace(state, river_volume=None)
+    first, discharge1, _ = coupler.step_land_and_rivers(bare, **inputs)
+    assert first.river_volume.sum() > 0          # the kernel now holds water
+    again, discharge2, _ = coupler.step_land_and_rivers(bare, **inputs)
+    np.testing.assert_array_equal(discharge2, discharge1)
+    np.testing.assert_array_equal(again.river_volume, first.river_volume)
+    zeros, discharge0, _ = coupler.step_land_and_rivers(
+        dataclasses.replace(state, river_volume=np.zeros((nlat, nlon))),
+        **inputs)
+    np.testing.assert_array_equal(discharge0, discharge1)
+    np.testing.assert_array_equal(zeros.river_volume, first.river_volume)
+
+
 def test_sea_ice_step_freshwater_bookkeeping(setup):
     coupler, g, land = setup
     state = coupler.initial_state()

@@ -99,6 +99,32 @@ def test_water_inventory_reservoirs(model, spun_up):
     assert all(v >= 0 for v in inv.values())
 
 
+def test_water_inventory_reads_rivers_from_the_state(model, spun_up):
+    """River storage is the *state's*, not whatever the routing kernel
+    (a member of the model object) was last left holding."""
+    import dataclasses
+
+    volume = np.zeros_like(spun_up.coupler.river_volume)
+    volume[3, 5], volume[7, 2] = 1500.0, 670.0          # m^3
+    state = dataclasses.replace(spun_up, coupler=dataclasses.replace(
+        spun_up.coupler, river_volume=volume))
+    rivers = model.global_water_inventory(state)["rivers"]
+    assert isinstance(rivers, float)
+    assert rivers == pytest.approx(2.17e6)               # kg
+    none = dataclasses.replace(spun_up, coupler=dataclasses.replace(
+        spun_up.coupler, river_volume=None))
+    assert model.global_water_inventory(none)["rivers"] == 0.0
+    # A batched state reports one figure per member.
+    from repro.core import stack_members
+    batched = stack_members([state, spun_up, state])
+    inventory = model.global_water_inventory(batched)
+    assert all(v.shape == (3,) for v in inventory.values())
+    assert inventory["soil"][1] == model.global_water_inventory(spun_up)["soil"]
+    per_member = inventory["rivers"]
+    assert per_member[0] == per_member[2] == rivers
+    assert per_member[1] == model.global_water_inventory(spun_up)["rivers"]
+
+
 def test_restart_roundtrip(tmp_path, model, spun_up):
     """Restart files reproduce the state bit-exactly."""
     p = save_restart(tmp_path / "restart.npz", spun_up)

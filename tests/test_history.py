@@ -1,10 +1,10 @@
 """Streaming history writer and versioned checkpoint format.
 
 Covers the rolling-flush buffer bound, out-of-order multi-file loading,
-field-set/shape/dtype consistency enforcement, the v2 checkpoint stamps
-(config hash, run metadata, ``river_volume=None`` presence flag), legacy
-v1 file compatibility, and a hypothesis round-trip property over dtypes,
-shapes, and the batched member axis.
+field-set/shape/dtype consistency enforcement, the checkpoint stamps
+(config hash, run metadata, ``river_volume=None`` staying ``None``),
+rejection of every other format version, and a hypothesis round-trip
+property over dtypes, shapes, and the batched member axis.
 """
 
 import dataclasses
@@ -174,8 +174,7 @@ def test_history_roundtrip_property(dtype, ny, nx, nens, nsnap,
 # ----------------------------------------------------------------------
 class TestCheckpointFormat:
     def test_river_volume_none_roundtrips_as_none(self, tmp_path, state):
-        # v1 silently zero-filled a None river_volume; v2 stores a
-        # presence flag instead.
+        # A None leaf is listed in ``none_leaves``, never zero-filled.
         bare = dataclasses.replace(state,
                                    coupler=dataclasses.replace(
                                        state.coupler, river_volume=None))
@@ -202,24 +201,37 @@ class TestCheckpointFormat:
         assert meta == {"format_version": CHECKPOINT_FORMAT_VERSION}
 
     def test_legacy_v1_file_is_rejected(self, tmp_path, state):
-        # The pre-versioning layout (no format_version, no presence flag)
-        # and a future version are refused by both loaders, naming the
-        # file and the version found -- never guessed at or zero-filled.
-        path = save_restart(tmp_path / "v2.npz", state)
+        # A file without a format_version, the previous format (2) and a
+        # future version are refused by both loaders, naming the file and
+        # the version found -- never guessed at or zero-filled.
+        path = save_restart(tmp_path / "current.npz", state)
         with np.load(path) as d:
             payload = {k: d[k] for k in d.files}
         legacy = tmp_path / "v1.npz"
         np.savez_compressed(legacy, **{
-            k: v for k, v in payload.items()
-            if k not in ("format_version", "c_river_present")})
-        future = tmp_path / "v3.npz"
+            k: v for k, v in payload.items() if k != "format_version"})
+        previous = tmp_path / "v2.npz"
+        np.savez_compressed(previous, **{**payload, "format_version": 2})
+        future = tmp_path / "next.npz"
         np.savez_compressed(future, **{
             **payload, "format_version": CHECKPOINT_FORMAT_VERSION + 1})
 
+        only = rf"reads only {CHECKPOINT_FORMAT_VERSION}"
         for load in (load_checkpoint, load_restart):
             with pytest.raises(ValueError, match=r"v1\.npz.*missing"):
                 load(legacy)
+            with pytest.raises(ValueError, match=rf"v2\.npz.* is 2, .*{only}"):
+                load(previous)
             with pytest.raises(
                     ValueError,
-                    match=rf"v3\.npz.*{CHECKPOINT_FORMAT_VERSION + 1}"):
+                    match=rf"next\.npz.*{CHECKPOINT_FORMAT_VERSION + 1}"):
                 load(future)
+
+    def test_missing_state_leaf_is_an_error(self, tmp_path, state):
+        # A truncated file must not load a leaf as None.
+        path = save_restart(tmp_path / "full.npz", state)
+        with np.load(path) as d:
+            payload = {k: d[k] for k in d.files if k != "state.ocean.salt"}
+        np.savez_compressed(tmp_path / "cut.npz", **payload)
+        with pytest.raises(ValueError, match=r"cut\.npz.*state\.ocean\.salt"):
+            load_restart(tmp_path / "cut.npz")

@@ -14,7 +14,11 @@ import pytest
 
 from repro.core.config import FoamConfig
 from repro.core.config import test_config as _test_config
-from repro.core.history import load_checkpoint, load_history
+from repro.core.history import (
+    CHECKPOINT_FORMAT_VERSION,
+    load_checkpoint,
+    load_history,
+)
 from repro.runs import (
     RUN_MODES,
     CheckpointSpec,
@@ -22,40 +26,10 @@ from repro.runs import (
     RunHarness,
     RunPlan,
 )
+from tests.helpers import assert_trees_identical
 
 DAYS = 1.0          # total run length; checkpoint taken halfway
 CKPT_DAYS = 0.5     # the safe boundary at test size (lcm of cadences)
-
-
-def _state_pairs(a, b):
-    """All 18 prognostic/coupler fields of two coupled states."""
-    yield "vort", a.atm_curr.vort, b.atm_curr.vort
-    yield "div", a.atm_curr.div, b.atm_curr.div
-    yield "temp", a.atm_curr.temp, b.atm_curr.temp
-    yield "lnps", a.atm_curr.lnps, b.atm_curr.lnps
-    yield "q", a.atm_curr.q, b.atm_curr.q
-    yield "prev_vort", a.atm_prev.vort, b.atm_prev.vort
-    yield "ocn_u", a.ocean.u, b.ocean.u
-    yield "ocn_v", a.ocean.v, b.ocean.v
-    yield "otemp", a.ocean.temp, b.ocean.temp
-    yield "osalt", a.ocean.salt, b.ocean.salt
-    yield "eta", a.ocean.eta, b.ocean.eta
-    yield "ubar", a.ocean.ubar, b.ocean.ubar
-    yield "vbar", a.ocean.vbar, b.ocean.vbar
-    yield "soil_temp", a.coupler.land.soil_temp, b.coupler.land.soil_temp
-    yield ("soil_moisture", a.coupler.hydrology.soil_moisture,
-           b.coupler.hydrology.soil_moisture)
-    yield "snow", a.coupler.hydrology.snow_depth, b.coupler.hydrology.snow_depth
-    yield "ice", a.coupler.ice.thickness, b.coupler.ice.thickness
-    yield "river", a.coupler.river_volume, b.coupler.river_volume
-
-
-def _assert_bitwise(got, want, context=""):
-    for name, x, y in _state_pairs(got, want):
-        assert np.array_equal(np.asarray(x), np.asarray(y)), (
-            f"{context}: {name} differs, max|diff|="
-            f"{np.max(np.abs(np.asarray(x) - np.asarray(y)))}")
-    assert got.time == want.time
 
 
 def _halfway_checkpoint(result):
@@ -201,7 +175,7 @@ class TestPlanValidation:
 class TestSerialResume:
     def test_checkpointing_does_not_perturb_the_run(
             self, serial_baseline, serial_checkpointed):
-        _assert_bitwise(serial_checkpointed.state, serial_baseline.state,
+        assert_trees_identical(serial_checkpointed.state, serial_baseline.state,
                         "checkpointed vs plain")
 
     def test_resume_is_bitwise(self, serial_baseline, serial_checkpointed):
@@ -210,14 +184,14 @@ class TestSerialResume:
         assert resumed.start_step > 0
         assert resumed.steps + resumed.start_step \
             == serial_baseline.steps
-        _assert_bitwise(resumed.state, serial_baseline.state,
+        assert_trees_identical(resumed.state, serial_baseline.state,
                         "serial resume")
 
     def test_checkpoint_is_stamped(self, serial_checkpointed):
         ckpt = _halfway_checkpoint(serial_checkpointed)
         state, meta = load_checkpoint(ckpt)
         cfg = serial_checkpointed.plan.resolved_config()
-        assert meta["format_version"] == 2
+        assert meta["format_version"] == CHECKPOINT_FORMAT_VERSION
         assert meta["config_hash"] == cfg.content_hash()
         assert FoamConfig.from_dict(meta["config"]) == cfg
         assert meta["run_key"] == serial_checkpointed.run_key
@@ -239,18 +213,18 @@ class TestEnsembleResume:
     def test_resume_is_bitwise_for_every_member(self, tmp_path):
         straight = RunHarness(self._plan()).run()
         ckpted = RunHarness(self._plan(tmp_path)).run()
-        _assert_bitwise(ckpted.state, straight.state,
+        assert_trees_identical(ckpted.state, straight.state,
                         "ensemble checkpointed vs plain")
         ckpt = _halfway_checkpoint(ckpted)
         harness = RunHarness(self._plan())
         resumed = harness.run(resume_from=ckpt)
         # batched arrays carry the member axis, so bitwise equality of the
         # stacked state is bitwise equality of every member at once
-        _assert_bitwise(resumed.state, straight.state, "ensemble resume")
+        assert_trees_identical(resumed.state, straight.state, "ensemble resume")
         for e in range(self.NENS):
             got = harness.ensemble.member_state(resumed.state, e)
             want = harness.ensemble.member_state(straight.state, e)
-            _assert_bitwise(got, want, f"member {e}")
+            assert_trees_identical(got, want, f"member {e}")
 
 
 @pytest.mark.parallel
@@ -266,16 +240,16 @@ class TestConcurrentResume:
 
     def test_concurrent_matches_serial(self, serial_baseline):
         result = RunHarness(self._plan()).run()
-        _assert_bitwise(result.state, serial_baseline.state,
+        assert_trees_identical(result.state, serial_baseline.state,
                         "concurrent vs serial")
 
     def test_concurrent_resume_is_bitwise(self, serial_baseline, tmp_path):
         ckpted = RunHarness(self._plan(tmp_path)).run()
-        _assert_bitwise(ckpted.state, serial_baseline.state,
+        assert_trees_identical(ckpted.state, serial_baseline.state,
                         "segmented concurrent vs serial")
         ckpt = _halfway_checkpoint(ckpted)
         resumed = RunHarness(self._plan()).run(resume_from=ckpt)
-        _assert_bitwise(resumed.state, serial_baseline.state,
+        assert_trees_identical(resumed.state, serial_baseline.state,
                         "concurrent resume")
 
     def test_serial_checkpoint_resumes_on_concurrent_substrate(
@@ -284,7 +258,7 @@ class TestConcurrentResume:
         # finishes bitwise-identically on the rank pools.
         ckpt = _halfway_checkpoint(serial_checkpointed)
         resumed = RunHarness(self._plan()).run(resume_from=ckpt)
-        _assert_bitwise(resumed.state, serial_baseline.state,
+        assert_trees_identical(resumed.state, serial_baseline.state,
                         "serial ckpt -> concurrent resume")
 
 

@@ -35,6 +35,7 @@ from repro.scenarios import (
     scenario_names,
 )
 from repro.scenarios.__main__ import main as cli_main
+from tests.helpers import assert_trees_identical
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "scenario_climatology.json"
 
@@ -160,22 +161,6 @@ def test_compare_climatology_flags_problems():
 # ----------------------------------------------------------------------
 # no silent drift: the scenario layer reproduces plain FoamModel bitwise
 # ----------------------------------------------------------------------
-def _assert_states_identical(a, b, path=""):
-    if isinstance(a, np.ndarray):
-        assert a.dtype == b.dtype, path
-        assert np.array_equal(a, b, equal_nan=True), path
-    elif dataclasses.is_dataclass(a):
-        for f in dataclasses.fields(a):
-            _assert_states_identical(getattr(a, f.name), getattr(b, f.name),
-                                     f"{path}.{f.name}")
-    elif isinstance(a, dict):
-        assert a.keys() == b.keys(), path
-        for k in a:
-            _assert_states_identical(a[k], b[k], f"{path}[{k}]")
-    else:
-        assert a == b, path
-
-
 @pytest.mark.parametrize("name,cfg_delta", [
     ("control", {}),
     ("aquaplanet", {"topography": "aquaplanet"}),
@@ -189,7 +174,7 @@ def test_scenario_bitwise_equals_plain_model(name, cfg_delta):
     for _ in range(3):
         state_s = model_s.coupled_step(state_s)
         state_p = model_p.coupled_step(state_p)
-    _assert_states_identical(state_s, state_p)
+    assert_trees_identical(state_s, state_p, name)
 
 
 # ----------------------------------------------------------------------

@@ -33,6 +33,7 @@ from repro.parallel.components import (
     parallel_spectral_analysis,
 )
 from repro.perf.costmodel import transpose_bytes_from_stats
+from tests.helpers import assert_trees_identical
 
 pytestmark = pytest.mark.parallel
 
@@ -89,16 +90,6 @@ def test_transpose_traffic_identical_across_substrates(nranks):
 
 
 # ------------------------------------------------------- coupled trajectory
-def _assert_states_equal(a, b):
-    for f in ("vort", "div", "temp", "q", "lnps"):
-        np.testing.assert_array_equal(getattr(a.atm_curr, f),
-                                      getattr(b.atm_curr, f),
-                                      err_msg=f"atm_curr.{f}")
-    np.testing.assert_array_equal(a.ocean.temp, b.ocean.temp,
-                                  err_msg="ocean.temp")
-    assert a.time == b.time
-
-
 def test_concurrent_coupled_bitwise_serial_thread_process():
     """2-step coupled trajectory: serial == thread pools == process pools."""
     from repro.core.config import test_config
@@ -117,8 +108,8 @@ def test_concurrent_coupled_bitwise_serial_thread_process():
                                      substrate="process")
     assert thread.substrate == "thread"
     assert process.substrate == "process"
-    _assert_states_equal(thread.state, serial)
-    _assert_states_equal(process.state, serial)
+    assert_trees_identical(thread.state, serial, "thread pools")
+    assert_trees_identical(process.state, serial, "process pools")
     # Coupler-held SST (NaN over land by construction).
     np.testing.assert_array_equal(
         np.nan_to_num(thread.sst), np.nan_to_num(process.sst))

@@ -145,3 +145,61 @@ def test_foam_env_switch_census():
         "FOAM_DTYPE", "FOAM_COMM", "REPRO_SIMMPI_TIMEOUT",
         "PYTEST_CURRENT_TEST",   # read-only probe: "am I under pytest?"
     }
+
+
+# ------------------------------------------------------------- tree walkers
+def _container_dispatching_recursions(source: str) -> list[str]:
+    """Names of self-recursive functions that dispatch on container type."""
+    import ast
+
+    def names_in(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        calls = [n for n in ast.walk(fn) if isinstance(n, ast.Call)]
+        recursive = any(
+            getattr(c.func, "id", getattr(c.func, "attr", None)) == fn.name
+            for c in calls)
+        dispatches = any(
+            getattr(c.func, "id", None) == "isinstance" and len(c.args) == 2
+            and names_in(c.args[1]) & {"tuple", "list", "dict"}
+            for c in calls)
+        if recursive and dispatches:
+            found.append(fn.name)
+    return found
+
+
+def test_tree_walker_census(tmp_path):
+    """``repro/util/tree.py`` is the only recursive container walker.
+
+    A second hand-written ``isinstance(obj, (tuple, list, dict))``
+    recursion is a second place that must learn every new state field or
+    payload shape; it belongs in a leaf function handed to ``tree_map``.
+    """
+    assert _container_dispatching_recursions(
+        "def walk(o):\n"
+        "    if isinstance(o, (list, dict)):\n"
+        "        return [walk(x) for x in o]\n"
+        "    return o\n") == ["walk"]          # the scan sees what it must
+    src = Path(__file__).resolve().parents[1] / "src"
+    offenders = {
+        str(path.relative_to(src)): names
+        for path in sorted(src.rglob("*.py"))
+        if path.relative_to(src).as_posix() != "repro/util/tree.py"
+        and (names := _container_dispatching_recursions(path.read_text()))}
+    assert offenders == {}
+
+    # ... and the checkpoint that walker writes drops no state array.
+    from repro.core import FoamModel, save_restart, test_config
+    from repro.util.tree import tree_leaves
+
+    state = FoamModel(test_config()).initial_state()
+    with np.load(save_restart(tmp_path / "ckpt.npz", state)) as saved:
+        for path, leaf in tree_leaves(state):
+            if isinstance(leaf, np.ndarray):
+                key = ".".join(("state", *path))
+                assert key in saved.files, f"{key} missing from checkpoint"
+                assert np.array_equal(saved[key], leaf)
