@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ocean.grid import OceanGrid
-from repro.ocean.operators import ddx, ddy, flux_divergence
+from repro.ocean.operators import Stencil
 from repro.util.constants import GRAVITY
 
 
@@ -66,6 +66,7 @@ class BarotropicSolver:
         self.depth = np.where(mask, np.maximum(depth, 10.0),
                               0.0).astype(grid.policy.float_dtype, copy=False)
         self.mask = mask
+        self.stencil = Stencil.of(mask)
         self.params = params
         c = np.sqrt(GRAVITY * max(self.depth.max(), 1.0)) * params.slow_factor
         dmin = min(grid.dx.min(), grid.dy.min())
@@ -92,20 +93,21 @@ class BarotropicSolver:
         dt_slow = dt / gamma            # the slowed momentum time increment
         drag = self.params.bottom_drag
         m = self.mask
+        st = self.stencil
         f = self.grid.f
         # The rotation factors are constant across the subcycle; hoist them.
         cosf = np.cos(f * dt_slow)
         sinf = np.sin(f * dt_slow)
         for _ in range(n):
             # Forward step of the surface (flux form: globally conservative).
-            div = flux_divergence(self.depth * ubar, self.depth * vbar,
-                                  self.grid.dx, self.grid.dy, m)
+            div = st.flux_divergence(self.depth * ubar, self.depth * vbar,
+                                     self.grid.dx, self.grid.dy)
             eta = np.where(m, eta - dt * div, 0.0)
             # Backward step of velocity with the *new* eta (forward-backward).
             # Every momentum term advances with dt/gamma: steady balances are
             # untouched, the adjustment dynamics run gamma times slower.
-            detax = ddx(eta, self.grid.dx, m)
-            detay = ddy(eta, self.grid.dy, m)
+            detax = st.ddx(eta, self.grid.dx)
+            detay = st.ddy(eta, self.grid.dy)
             # Exact Coriolis rotation keeps the (slowed) inertial mode neutral.
             u_rot = ubar * cosf + vbar * sinf
             v_rot = -ubar * sinf + vbar * cosf

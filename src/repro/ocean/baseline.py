@@ -64,6 +64,4 @@ class ConventionalOceanModel(OceanModel):
 
     def _ops_per_step(self) -> int:
         """Ops for one *small* step: all 3-D terms plus the 2-D update."""
-        n3 = int(self.mask3d.sum())
-        n2 = int(self.mask2d.sum())
-        return 250 * n3 + 60 * n3 + 30 * n2
+        return 250 * self._n3 + 60 * self._n3 + 30 * self._n2

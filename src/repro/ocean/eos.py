@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.util.constants import RHO_SEAWATER
+from repro.util.constants import GRAVITY, RHO_SEAWATER
 
 # Fit coefficients about the reference state (T0, S0).
 T0 = 10.0      # deg C
@@ -61,8 +61,6 @@ def buoyancy_frequency_sq(temp_c: np.ndarray, salt: np.ndarray,
     ``temp_c``/``salt`` are (nlev, ...); ``z_full`` (nlev,) layer-center
     depths.  Positive N^2 = stable stratification.
     """
-    from repro.util.constants import GRAVITY
-
     rho = density_anomaly(temp_c, salt, 0.0)  # potential density (no z term)
     dz = (z_full[1:] - z_full[:-1]).reshape((-1,) + (1,) * (rho.ndim - 1))
     drho = rho[1:] - rho[:-1]                 # positive when denser below

@@ -41,50 +41,92 @@ def masked_zonal_smooth(row: np.ndarray, row_mask: np.ndarray,
     never leak into the ocean and the masked row sum is preserved per pass
     up to the no-flux closure.  ``row`` has shape (..., nx).
     """
-    out = row.copy()
-    east_open = row_mask & np.roll(row_mask, -1)
-    west_open = row_mask & np.roll(row_mask, 1)
+    return _smooth(row, row_mask, _smoothing_weights(row_mask), passes)
+
+
+def _smoothing_weights(row_mask: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(w_c, w_e, w_w) of one row's mask, (nx,) or (L, nx).
+
+    The rolls carry no ``axis``: on an (L, nx) mask they run over the
+    flattened array, so cell ``[l, nx-1]`` takes its eastern openness from
+    ``[l+1, 0]``.  That seam is wrong (ROADMAP "Physical validation") but the
+    bitwise golden pins it; fixing it is a golden regeneration of its own.
+    """
+    w_e = np.where(row_mask & np.roll(row_mask, -1), 0.25, 0.0)
+    w_w = np.where(row_mask & np.roll(row_mask, 1), 0.25, 0.0)
+    return 1.0 - w_e - w_w, w_e, w_w
+
+
+def _smooth(out: np.ndarray, mask: np.ndarray, weights, passes: int) -> np.ndarray:
+    """``passes`` 1-2-1 passes over the last axis of ``out`` where ``mask``."""
+    w_c, w_e, w_w = weights
     for _ in range(passes):
         east = np.roll(out, -1, axis=-1)
         west = np.roll(out, 1, axis=-1)
-        w_e = np.where(east_open, 0.25, 0.0)
-        w_w = np.where(west_open, 0.25, 0.0)
-        w_c = 1.0 - w_e - w_w
-        out = np.where(row_mask, w_c * out + w_e * east + w_w * west, out)
+        out = np.where(mask, w_c * out + w_e * east + w_w * west, out)
     return out
+
+
+class PolarFilter:
+    """The polar filter of one (lats, mask, lat_crit): static work done once.
+
+    Rows poleward of ``lat_crit_deg`` that are fully open get the exact
+    Fourier filter; rows containing closed cells (coastline, or sea floor
+    intersecting a deep level — a periodic FFT would smear those placeholder
+    values into the sea) get the mask-aware 1-2-1 smoother with a pass count
+    matched to the meridian convergence, all rows of one pass count smoothed
+    as a single (..., rows, nx) block.  All-land rows are left alone.
+
+    ``mask`` is (ny, nx) for 2-D fields or the (L, ny, nx) 3-D mask for level
+    fields; fields may carry member axes after the level axis.
+    """
+
+    def __init__(self, lats: np.ndarray, mask: np.ndarray,
+                 lat_crit_deg: float = 60.0):
+        nx = mask.shape[-1]
+        coslat_crit = np.cos(np.deg2rad(lat_crit_deg))
+        coslat = np.cos(lats)
+        fft_rows, by_passes = [], {}
+        for j in np.flatnonzero(coslat < coslat_crit):
+            row_mask = mask[..., j, :]
+            if row_mask.all():
+                fft_rows.append(j)
+            elif row_mask.any():
+                # Pass count grows as the meridians converge.
+                ratio = coslat_crit / max(float(coslat[j]), 1e-3)
+                by_passes.setdefault(int(np.clip(np.ceil(ratio), 1, 8)),
+                                     []).append(j)
+        self.fft_rows = np.array(fft_rows, dtype=int)
+        self.fft_factors = np.array([
+            polar_filter_factors(nx, float(coslat[j]), float(coslat_crit))
+            for j in fft_rows]).reshape(len(fft_rows), nx // 2 + 1)
+        # (passes, rows, block mask, block weights), blocks (..., rows, nx).
+        self.smooth_groups = []
+        for passes, rows in sorted(by_passes.items()):
+            per_row = [_smoothing_weights(mask[..., j, :]) for j in rows]
+            self.smooth_groups.append(
+                (passes, np.array(rows), mask[..., rows, :],
+                 [np.stack(w, axis=-2) for w in zip(*per_row)]))
+
+    def __call__(self, field: np.ndarray) -> np.ndarray:
+        """``field`` (..., ny, nx) filtered; the zonal mean of open rows is
+        preserved exactly (wavenumber zero unfiltered)."""
+        out = field.copy()
+        if len(self.fft_rows):
+            spec = np.fft.rfft(out[..., self.fft_rows, :], axis=-1)
+            spec *= self.fft_factors
+            out[..., self.fft_rows, :] = np.fft.irfft(
+                spec, n=field.shape[-1], axis=-1)
+        for passes, rows, mask, weights in self.smooth_groups:
+            # Member axes of the field sit after the mask's level axis.
+            lift = ((slice(None),) * (mask.ndim - 2)
+                    + (None,) * (field.ndim - mask.ndim))
+            out[..., rows, :] = _smooth(out[..., rows, :], mask[lift],
+                                        [w[lift] for w in weights], passes)
+        return out
 
 
 def apply_polar_filter(field: np.ndarray, lats: np.ndarray, mask: np.ndarray,
                        lat_crit_deg: float = 60.0) -> np.ndarray:
-    """Filter rows poleward of ``lat_crit_deg``.
-
-    Fully open rows get the exact Fourier filter; rows containing closed
-    cells (coastline, or sea floor intersecting a deep level — a periodic
-    FFT would smear those placeholder values into the sea) get the
-    mask-aware 1-2-1 smoother with a pass count matched to the meridian
-    convergence.
-
-    ``field`` is (..., ny, nx); ``mask`` is (ny, nx) for 2-D fields or the
-    full (..., ny, nx) 3-D mask for level fields.  The zonal mean of open
-    rows is preserved exactly (wavenumber zero unfiltered).
-    """
-    out = field.copy()
-    nx = field.shape[-1]
-    coslat_crit = np.cos(np.deg2rad(lat_crit_deg))
-    coslat = np.cos(lats)
-    for j in range(len(lats)):
-        if coslat[j] >= coslat_crit:
-            continue
-        row_mask = mask[..., j, :]        # (nx,) or (L, nx)
-        slab = out[..., j, :]
-        if row_mask.all():
-            factors = polar_filter_factors(nx, float(coslat[j]), float(coslat_crit))
-            spec = np.fft.rfft(slab, axis=-1)
-            spec *= factors
-            out[..., j, :] = np.fft.irfft(spec, n=nx, axis=-1)
-        else:
-            # Pass count grows as the meridians converge.
-            ratio = coslat_crit / max(float(coslat[j]), 1e-3)
-            passes = int(np.clip(np.ceil(ratio), 1, 8))
-            out[..., j, :] = masked_zonal_smooth(slab, row_mask, passes)
-    return out
+    """One-off :class:`PolarFilter` application (anything that steps owns one)."""
+    return PolarFilter(lats, mask, lat_crit_deg)(field)

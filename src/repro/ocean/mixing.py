@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.atmosphere.physics.boundary_layer import solve_tridiagonal
 from repro.backend import get_workspace
+from repro.ocean.eos import density_anomaly
 
 
 @dataclass(frozen=True)
@@ -85,8 +87,6 @@ def mix_column_implicit(field: np.ndarray, kappa_half: np.ndarray,
     interfaces touching an inactive cell carry no flux (the sea floor).
     Uses the shared tridiagonal solver.
     """
-    from repro.atmosphere.physics.boundary_layer import solve_tridiagonal
-
     if mask is not None:
         kappa_half = np.where(mask[:-1] & mask[1:], kappa_half, 0.0)
     L = field.shape[0]
@@ -117,8 +117,6 @@ def convective_adjustment(temp: np.ndarray, salt: np.ndarray,
     marks active cells; a pair is only adjusted when both levels are active
     (inactive cells hold placeholder values that must never mix in).
     """
-    from repro.ocean.eos import density_anomaly
-
     t = temp.copy()
     s = salt.copy()
     L = t.shape[0]
@@ -139,5 +137,6 @@ def convective_adjustment(temp: np.ndarray, salt: np.ndarray,
             t[k + 1] = np.where(unstable, t_mix, t[k + 1])
             s[k] = np.where(unstable, s_mix, s[k])
             s[k + 1] = np.where(unstable, s_mix, s[k + 1])
-            rho = density_anomaly(t, s, 0.0)
+            # Only these two levels changed (the EOS is elementwise).
+            rho[k:k + 2] = density_anomaly(t[k:k + 2], s[k:k + 2], 0.0)
     return t, s

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.ocean.barotropic import BarotropicParams, BarotropicSolver
 from repro.ocean.eos import buoyancy_frequency_sq, density_anomaly
-from repro.ocean.filters import apply_polar_filter
+from repro.ocean.filters import PolarFilter
 from repro.ocean.grid import OceanGrid, world_topography
 from repro.ocean.mixing import (
     PPMixingParams,
@@ -37,13 +37,7 @@ from repro.ocean.mixing import (
     pp_viscosity,
     richardson_number,
 )
-from repro.ocean.operators import (
-    advect_centered,
-    biharmonic,
-    ddx,
-    ddy,
-    flux_divergence,
-)
+from repro.ocean.operators import Stencil
 from repro.backend import get_workspace, weak_scalar
 from repro.perf.profiler import profile_section
 from repro.util.constants import (
@@ -132,6 +126,14 @@ class OceanModel:
                                    1e-9).astype(fdt, copy=False)
         self.baro = BarotropicSolver(grid, self.depth, self.mask2d,
                                      self.params.barotropic)
+        # The masks never change: their stencils (one per level, views of
+        # the 3-D one) and polar-filter plans are built here, once.
+        stencil = Stencil.of(self.mask3d)
+        self.stencils = [stencil[k] for k in range(grid.nlev)]
+        self.filter3d = PolarFilter(grid.lats, self.mask3d,
+                                    self.params.polar_filter_lat)
+        self.filter2d = PolarFilter(grid.lats, self.mask2d,
+                                    self.params.polar_filter_lat)
         # del^4 coefficient per latitude row, scaled to the local grid size so
         # the 2-grid (checkerboard) mode damps at the same rate everywhere
         # while staying inside the explicit stability bound
@@ -153,6 +155,10 @@ class OceanModel:
         self._cosf: np.ndarray | None = None
         self._sinf: np.ndarray | None = None
         self.op_count = 0   # crude operation counter for the cost model
+        self._n3 = int(self.mask3d.sum())
+        self._n2 = int(self.mask2d.sum())
+        self._nsub = self.baro.n_substeps(
+            self.params.dt_long / self.params.n_internal)
 
     # ------------------------------------------------------------------
     def initial_state(self, kind: str = "rest_stratified") -> OceanState:
@@ -227,9 +233,9 @@ class OceanModel:
         ws = get_workspace()
         pgx = ws.empty_like("ocean.pgx", p)
         pgy = ws.empty_like("ocean.pgy", p)
-        for k in range(g.nlev):
-            pgx[k] = ddx(p[k], g.dx, self.mask3d[k], centered_only=True)
-            pgy[k] = ddy(p[k], g.dy, self.mask3d[k], centered_only=True)
+        for k, st in enumerate(self.stencils):
+            pgx[k] = st.ddx(p[k], g.dx, centered_only=True)
+            pgy[k] = st.ddy(p[k], g.dy, centered_only=True)
         np.negative(pgx, out=pgx)
         pgx /= RHO_SEAWATER
         np.negative(pgy, out=pgy)
@@ -245,8 +251,8 @@ class OceanModel:
         g = self.grid
         ws = get_workspace()
         div = ws.empty_like("ocean.div", u)
-        for k in range(g.nlev):
-            div[k] = flux_divergence(u[k], v[k], g.dx, g.dy, self.mask3d[k])
+        for k, st in enumerate(self.stencils):
+            div[k] = st.flux_divergence(u[k], v[k], g.dx, g.dy)
         # integrate from the bottom: w_top(k) = w_top(k+1) - dz_k div_k
         # (w_top is a workspace buffer: each internal substep consumes it
         # fully before the next call refills it).
@@ -256,23 +262,6 @@ class OceanModel:
             acc -= g.dz[k] * div[k]
             w_top[k] = acc
         return w_top
-
-    # ------------------------------------------------------------------
-    # tracer advection (flux form: conserves content exactly)
-    # ------------------------------------------------------------------
-    def advect_tracer_horizontal(self, tracer: np.ndarray, u: np.ndarray,
-                                 v: np.ndarray) -> np.ndarray:
-        """Tendency -(u dC/dx + v dC/dy), advective form (the slow part).
-
-        Advective form pairs with the advective-form vertical term in the
-        internal loop so that a spatially constant tracer is *exactly*
-        invariant — the split-rate analogue of discrete flux consistency.
-        (A flux-form split would leave an uncancelled C div(u) term on one
-        of the two rates, which grows with the Celsius offset of T and is
-        violently unstable in shallow polar channels.)
-        """
-        g = self.grid
-        return advect_centered(tracer, u, v, g.dx, g.dy, self._m3(tracer))
 
     def advect_tracer_vertical(self, tracer: np.ndarray, w_top: np.ndarray
                                ) -> np.ndarray:
@@ -318,11 +307,9 @@ class OceanModel:
             out.eta, out.ubar, out.vbar, _ = self.baro.step(
                 state.eta, state.ubar, state.vbar, gxy[0], gxy[1],
                 self.params.dt_long)
-        g = self.grid
-        for name in ("eta", "ubar", "vbar"):
-            setattr(out, name, apply_polar_filter(
-                getattr(out, name), g.lats, self.mask2d,
-                self.params.polar_filter_lat))
+        with profile_section("polar_filter"):
+            for name in ("eta", "ubar", "vbar"):
+                setattr(out, name, self.filter2d(getattr(out, name)))
         out.time = state.time + self.params.dt_long
         return out
 
@@ -342,22 +329,27 @@ class OceanModel:
         # ---- slow terms, once per long step -----------------------------
         with profile_section("advection"):
             u_tot, v_tot = self.total_velocity(s)
-
-            s.temp = s.temp + dt_long * self.advect_tracer_horizontal(s.temp, u_tot, v_tot)
-            s.salt = s.salt + dt_long * self.advect_tracer_horizontal(s.salt, u_tot, v_tot)
             m3 = self._m3(s.u)
-            s.u = s.u + dt_long * advect_centered(s.u, u_tot, v_tot, g.dx, g.dy,
-                                                  m3)
-            s.v = s.v + dt_long * advect_centered(s.v, u_tot, v_tot, g.dx, g.dy,
-                                                  m3)
-
-            # del^4 dissipation (A-grid mode control) on all prognostic fields,
-            # plus harmonic eddy viscosity on momentum.
-            from repro.ocean.operators import laplacian
-            for f3 in (s.u, s.v, s.temp, s.salt):
-                f3 -= dt_long * self.a4 * biharmonic(f3, g.dx, g.dy, m3)
-            for f3 in (s.u, s.v):
-                f3 += dt_long * self.a2 * laplacian(f3, g.dx, g.dy, m3)
+            # One level at a time: a level's temporaries stay in cache, a
+            # whole column's do not (DESIGN.md "Ocean step cost structure").
+            for k, st in enumerate(self.stencils):
+                # Horizontal advection -(u dC/dx + v dC/dy) in *advective*
+                # form, pairing with the advective-form vertical term of
+                # the internal loop so that a spatially constant tracer is
+                # exactly invariant — the split-rate analogue of discrete
+                # flux consistency.  (A flux-form split would leave an
+                # uncancelled C div(u) term on one of the two rates, which
+                # grows with the Celsius offset of T and is violently
+                # unstable in shallow polar channels.)
+                for f3 in (s.temp, s.salt, s.u, s.v):
+                    f3[k] += dt_long * st.advect_centered(
+                        f3[k], u_tot[k], v_tot[k], g.dx, g.dy)
+                # del^4 dissipation (A-grid mode control) on all prognostic
+                # fields, plus harmonic eddy viscosity on momentum.
+                for f3 in (s.u, s.v, s.temp, s.salt):
+                    f3[k] -= dt_long * self.a4 * st.biharmonic(f3[k], g.dx, g.dy)
+                for f3 in (s.u, s.v):
+                    f3[k] += dt_long * self.a2 * st.laplacian(f3[k], g.dx, g.dy)
 
         # Vertical mixing (PP81 steepened) + surface fluxes, implicit.
         with profile_section("mixing"):
@@ -424,10 +416,10 @@ class OceanModel:
             self.mask2d, forcing.tauy / (RHO_SEAWATER * self.coldepth), 0.0)
 
         # ---- polar filter (baroclinic fields, 3-D mask-aware) ---------------
-        for name in ("temp", "salt", "u", "v"):
-            setattr(s, name, apply_polar_filter(
-                getattr(s, name), g.lats, m3, p.polar_filter_lat))
-            setattr(s, name, np.where(m3, getattr(s, name), 0.0))
+        with profile_section("polar_filter"):
+            for name in ("temp", "salt", "u", "v"):
+                setattr(s, name,
+                        np.where(m3, self.filter3d(getattr(s, name)), 0.0))
 
         s.time = state.time + dt_long
         self.op_count += self._ops_per_step()
@@ -436,12 +428,10 @@ class OceanModel:
     # ------------------------------------------------------------------
     def _ops_per_step(self) -> int:
         """Rough floating-point op count of one long step (for the cost model)."""
-        n3 = int(self.mask3d.sum())
-        n2 = int(self.mask2d.sum())
-        nsub = self.baro.n_substeps(self.params.dt_long / self.params.n_internal)
-        return (250 * n3                    # advection + dissipation + mixing
-                + self.params.n_internal * 60 * n3     # fast internal terms
-                + self.params.n_internal * nsub * 30 * n2)  # barotropic subcycle
+        n_int = self.params.n_internal
+        return (250 * self._n3              # advection + dissipation + mixing
+                + n_int * 60 * self._n3     # fast internal terms
+                + n_int * self._nsub * 30 * self._n2)   # barotropic subcycle
 
     # ------------------------------------------------------------------
     # diagnostics

@@ -66,4 +66,4 @@ class SlabOceanModel(OceanModel):
 
     def _ops_per_step(self) -> int:
         """Slab cost: a few 2-D passes over the surface layer."""
-        return 10 * int(self.mask2d.sum())
+        return 10 * self._n2

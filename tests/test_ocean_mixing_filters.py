@@ -13,8 +13,16 @@ from repro.ocean import (
     pp_viscosity,
     richardson_number,
 )
-from repro.ocean.filters import masked_zonal_smooth
-from repro.ocean.operators import biharmonic, ddx, flux_divergence, laplacian
+from repro.ocean.eos import density_anomaly
+from repro.ocean.filters import PolarFilter, masked_zonal_smooth
+from repro.ocean.operators import (
+    Stencil,
+    biharmonic,
+    ddx,
+    ddy,
+    flux_divergence,
+    laplacian,
+)
 
 
 # ------------------------------------------------------------- PP mixing
@@ -82,8 +90,6 @@ def test_surface_flux_enters_top_layer():
 
 # ------------------------------------------------------------- convective adj
 def test_convective_adjustment_stabilizes_column():
-    from repro.ocean.eos import density_anomaly
-
     z = np.array([10.0, 50.0, 200.0])
     dz = np.array([20.0, 60.0, 300.0])
     temp = np.array([2.0, 10.0, 12.0])[:, None]   # cold over warm: unstable
@@ -218,3 +224,223 @@ def test_ddx_centered_only_drops_coastal_gradient(opgrid):
     assert d_centered[5, 9] == 0.0
     # Interior unchanged between the two.
     np.testing.assert_allclose(d_centered[:, 3], d_onesided[:, 3])
+
+
+# ---------------------------------------------------------------------------
+# Bitwise oracles.  The bodies below are the straightforward formulations —
+# recompute everything, shift the mask on every call, filter row by row —
+# that the ocean step used before it learnt to do static work once
+# (Stencil, PolarFilter, the incremental EOS in convective_adjustment).
+# They live here, not in src/, and the fast code must match them bit for
+# bit, member axes and single precision included.
+# ---------------------------------------------------------------------------
+L, NENS = 4, 3
+
+
+def _walled(arr, fill):
+    """(north, south) neighbours of ``arr`` with ``fill`` beyond the walls
+    (``None``: replicate the wall row)."""
+    north, south = np.roll(arr, -1, axis=-2), np.roll(arr, 1, axis=-2)
+    north[..., -1, :] = arr[..., -1, :] if fill is None else fill
+    south[..., 0, :] = arr[..., 0, :] if fill is None else fill
+    return north, south
+
+
+def _ref_diff(field, d_row, mask, centered_only, axis):
+    if axis == -1:
+        ahead, behind = np.roll(field, -1, axis=-1), np.roll(field, 1, axis=-1)
+        m_ahead, m_behind = np.roll(mask, -1, axis=-1), np.roll(mask, 1, axis=-1)
+    else:
+        ahead, behind = _walled(field, None)
+        m_ahead, m_behind = _walled(mask, False)
+    one_sided = 0.0 if centered_only else np.where(
+        m_ahead, ahead - field, np.where(m_behind, field - behind, 0.0))
+    d = np.where(m_ahead & m_behind, (ahead - behind) * 0.5, one_sided)
+    return np.where(mask, d / d_row[..., :, None], 0.0)
+
+
+def _ref_laplacian(field, dx_row, dy_row, mask):
+    out = np.zeros_like(field)
+    east, west = np.roll(field, -1, axis=-1), np.roll(field, 1, axis=-1)
+    m_east, m_west = np.roll(mask, -1, axis=-1), np.roll(mask, 1, axis=-1)
+    out += (np.where(m_east, east - field, 0.0)
+            + np.where(m_west, west - field, 0.0)) / (dx_row[..., :, None] ** 2)
+    north, south = _walled(field, 0.0)
+    m_north, m_south = _walled(mask, False)
+    out += (np.where(m_north, north - field, 0.0)
+            + np.where(m_south, south - field, 0.0)) / (dy_row[..., :, None] ** 2)
+    return np.where(mask, out, 0.0)
+
+
+def _ref_flux_divergence(h_u, h_v, dx_row, dy_row, mask):
+    area = (dx_row * dy_row)[..., :, None]
+    he = 0.5 * (h_u + np.roll(h_u, -1, axis=-1))
+    fe = np.where(mask & np.roll(mask, -1, axis=-1), he, 0.0) * dy_row[..., :, None]
+    div_x = (fe - np.roll(fe, 1, axis=-1)) / area
+    dx_edge = 0.5 * (dx_row[:-1] + dx_row[1:])
+    hn = 0.5 * (h_v[..., :-1, :] + h_v[..., 1:, :])
+    fn = np.where(mask[..., :-1, :] & mask[..., 1:, :], hn, 0.0) * dx_edge[..., :, None]
+    fy = np.empty_like(h_v)
+    fy[..., 0, :] = fn[..., 0, :]
+    fy[..., 1:-1, :] = fn[..., 1:, :] - fn[..., :-1, :]
+    fy[..., -1, :] = -fn[..., -1, :]
+    return np.where(mask, div_x + fy / area, 0.0)
+
+
+def _ref_polar_filter(field, lats, mask, lat_crit_deg):
+    out = field.copy()
+    nx = field.shape[-1]
+    coslat_crit = np.cos(np.deg2rad(lat_crit_deg))
+    coslat = np.cos(lats)
+    for j in range(len(lats)):
+        if coslat[j] >= coslat_crit:
+            continue
+        row_mask = mask[..., j, :]
+        slab = out[..., j, :]
+        if row_mask.all():
+            spec = np.fft.rfft(slab, axis=-1)
+            spec *= polar_filter_factors(nx, float(coslat[j]), float(coslat_crit))
+            out[..., j, :] = np.fft.irfft(spec, n=nx, axis=-1)
+            continue
+        passes = int(np.clip(np.ceil(coslat_crit / max(float(coslat[j]), 1e-3)), 1, 8))
+        # Bug for bug: no axis on the mask rolls (see the xfail test below).
+        w_e = np.where(row_mask & np.roll(row_mask, -1), 0.25, 0.0)
+        w_w = np.where(row_mask & np.roll(row_mask, 1), 0.25, 0.0)
+        for _ in range(passes):
+            east, west = np.roll(slab, -1, axis=-1), np.roll(slab, 1, axis=-1)
+            slab = np.where(row_mask, (1.0 - w_e - w_w) * slab + w_e * east + w_w * west, slab)
+        out[..., j, :] = slab
+    return out
+
+
+def _ref_convective_adjustment(temp, salt, dz, passes, mask):
+    t, s = temp.copy(), salt.copy()
+    dzf = dz.reshape((-1,) + (1,) * (t.ndim - 1))
+    for _ in range(passes):
+        for k in range(t.shape[0] - 1):
+            rho = density_anomaly(t, s, 0.0)          # everything, every pair
+            unstable = (rho[k] > rho[k + 1] + 1e-12) & mask[k] & mask[k + 1]
+            w0 = dzf[k] / (dzf[k] + dzf[k + 1])
+            t_mix = w0 * t[k] + (1.0 - w0) * t[k + 1]
+            s_mix = w0 * s[k] + (1.0 - w0) * s[k + 1]
+            for f, mix in ((t, t_mix), (s, s_mix)):
+                f[k] = np.where(unstable, mix, f[k])
+                f[k + 1] = np.where(unstable, mix, f[k + 1])
+    return t, s
+
+
+@pytest.fixture(params=[(), (NENS,)], ids=["serial", "members"])
+def masked(request):
+    """(grid, (L, ny, nx) mask, its view against the fields, field maker)."""
+    lead = request.param
+    g = OceanGrid(nx=16, ny=24, nlev=L)
+    rng = np.random.default_rng(7)
+    mask = rng.random((L, g.ny, g.nx)) > 0.3
+    mask[:, :2] = False                  # all-land polar rows
+    mask[:, -3:] = True                  # fully open polar rows (FFT)
+    mask[1:, -2] = rng.random((L - 1, g.nx)) > 0.3   # open at the top only
+    view = mask[(slice(None),) + (None,) * len(lead)]
+
+    def fields(n):
+        return [rng.normal(size=(L,) + lead + (g.ny, g.nx)).astype(
+            g.policy.float_dtype) for _ in range(n)]
+    return g, mask, view, fields
+
+
+def _assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("centered_only", [False, True])
+def test_ddx_ddy_match_shift_per_call_oracle(masked, centered_only):
+    g, mask, view, fields = masked
+    (f,) = fields(1)
+    stencil = Stencil.of(mask)
+    for op, method, d_row, axis in ((ddx, Stencil.ddx, g.dx, -1),
+                                    (ddy, Stencil.ddy, g.dy, -2)):
+        want = _ref_diff(f, d_row, view, centered_only, axis)
+        assert want.dtype == g.policy.float_dtype
+        _assert_bitwise(op(f, d_row, view, centered_only), want)
+        for k in range(L):                # the model's use: one level a time
+            _assert_bitwise(method(stencil[k], f[k], d_row, centered_only), want[k])
+
+
+def test_laplacian_flux_divergence_match_shift_per_call_oracle(masked):
+    g, mask, view, fields = masked
+    f, hv = fields(2)
+    stencil = Stencil.of(mask)
+    lap = _ref_laplacian(f, g.dx, g.dy, view)
+    div = _ref_flux_divergence(f, hv, g.dx, g.dy, view)
+    assert lap.dtype == div.dtype == g.policy.float_dtype
+    _assert_bitwise(laplacian(f, g.dx, g.dy, view), lap)
+    _assert_bitwise(biharmonic(f, g.dx, g.dy, view),
+                    _ref_laplacian(lap, g.dx, g.dy, view))
+    _assert_bitwise(flux_divergence(f, hv, g.dx, g.dy, view), div)
+    for k in range(L):
+        _assert_bitwise(stencil[k].laplacian(f[k], g.dx, g.dy), lap[k])
+        _assert_bitwise(stencil[k].flux_divergence(f[k], hv[k], g.dx, g.dy), div[k])
+
+
+def test_stencils_of_two_masks_in_one_buffer_differ():
+    """A mask's identity is its contents: rank threads and tests build mask
+    after mask in recycled memory, so nothing may key on id()/address."""
+    g = OceanGrid(nx=16, ny=24, nlev=2)
+    rng = np.random.default_rng(3)
+    f = rng.normal(size=(g.ny, g.nx)).astype(g.policy.float_dtype)
+    mask_a, mask_b = rng.random((2, g.ny, g.nx)) > 0.3
+    buf = np.empty_like(mask_a)
+    got = []
+    for m in (mask_a, mask_b):
+        buf[...] = m
+        got.append((laplacian(f, g.dx, g.dy, buf), Stencil.of(buf).ddx(f, g.dx)))
+        _assert_bitwise(got[-1][0], _ref_laplacian(f, g.dx, g.dy, m))
+        _assert_bitwise(got[-1][1], _ref_diff(f, g.dx, m, False, -1))
+    assert not np.array_equal(got[0][0], got[1][0])
+    assert not np.array_equal(got[0][1], got[1][1])
+
+
+def test_polar_filter_matches_per_row_oracle(masked):
+    g, mask, view, fields = masked
+    (f,) = fields(1)
+    crit = 20.0                           # wide polar caps: several pass counts
+    want = _ref_polar_filter(f, g.lats, view, crit)
+    assert want.dtype == g.policy.float_dtype and not np.array_equal(want, f)
+    plan = PolarFilter(g.lats, mask, crit)            # the model's (L, ny, nx) plan
+    assert len(plan.smooth_groups) >= 2               # the oracle saw >1 pass count
+    _assert_bitwise(plan(f), want)
+    _assert_bitwise(apply_polar_filter(f, g.lats, view, crit), want)
+    # 2-D mask (eta, ubar, vbar): open rows take the FFT branch; the level
+    # axis of ``f`` now plays the member axis.
+    want2d = _ref_polar_filter(f, g.lats, mask[0], crit)
+    assert len(PolarFilter(g.lats, mask[0], crit).fft_rows) >= 2
+    _assert_bitwise(apply_polar_filter(f, g.lats, mask[0], crit), want2d)
+    _assert_bitwise(apply_polar_filter(f[0], g.lats, mask[0], crit), want2d[0])
+
+
+def test_convective_adjustment_matches_recompute_everything_oracle(masked):
+    g, mask, view, fields = masked
+    temp, salt = fields(2)
+    temp, salt = 10.0 + 5.0 * temp, 35.0 + salt       # plenty of unstable pairs
+    want = _ref_convective_adjustment(temp, salt, g.dz, 3, view)
+    assert not np.array_equal(want[0], temp)
+    got = convective_adjustment(temp, salt, g.z_full, g.dz, mask=view)
+    for a, b in zip(got, want):
+        assert b.dtype == g.policy.float_dtype
+        _assert_bitwise(a, b)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "masked_zonal_smooth rolls an (L, nx) row mask without axis=-1, so cell "
+    "[l, nx-1] takes its eastern openness from [l+1, 0].  The bitwise golden "
+    "pins the seam; the fix regenerates it in a PR of its own (ROADMAP "
+    "'Physical validation and stress robustness')."))
+def test_masked_smoother_is_periodic_per_level():
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(2, 8))
+    mask = np.ones((2, 8), dtype=bool)
+    mask[1, 0] = False           # land on level 1 must not close level 0's seam
+    out = masked_zonal_smooth(rows, mask, passes=2)
+    for lev in range(2):
+        np.testing.assert_array_equal(
+            out[lev], masked_zonal_smooth(rows[lev], mask[lev], passes=2))

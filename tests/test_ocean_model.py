@@ -178,7 +178,10 @@ def test_depth_mean_removal_invariant(world):
     field = np.where(world.mask3d, rng.normal(size=st.u.shape), 0.0)
     out, mean = world.remove_depth_mean(field)
     resid = world.depth_mean(out)
-    np.testing.assert_allclose(resid[world.mask2d], 0.0, atol=1e-12)
+    # Round-off of the thickness weights: float64-tight by default, single
+    # precision under the tier1-float32 CI job.
+    atol = 1e-12 if world.policy.float_dtype == np.float64 else 1e-6
+    np.testing.assert_allclose(resid[world.mask2d], 0.0, atol=atol)
 
 
 def test_op_count_increases(world):
