@@ -2,8 +2,8 @@
 """Concurrent coupled execution on disjoint rank pools (ISSUE 5 demo).
 
 Runs the same coupled trajectory twice — serially and split across an
-atmosphere pool, a dedicated coupler rank, and an ocean pool on the
-simulated-MPI layer — verifies the float64 trajectories are bitwise
+atmosphere pool, a dedicated coupler rank, and an ocean pool of forked
+rank processes — verifies the float64 trajectories are bitwise
 identical, and prints the overlap/wait accounting plus the calibrated
 event-simulator prediction of the pool-split speedup.
 
@@ -25,7 +25,7 @@ from repro.perf.costmodel import (
     calibrate_from_profile,
 )
 from repro.perf.eventsim import predict_concurrent_speedup
-from repro.perf.profiler import Profiler, thread_profiler
+from repro.perf.profiler import disable_profiling, enable_profiling, take_profile
 from repro.perf.report import format_waits
 
 
@@ -49,14 +49,14 @@ def main() -> None:
     # Serial reference, profiled.
     model = FoamModel(cfg)
     state = model.initial_state()
-    prof = Profiler(enabled=True)
+    enable_profiling().reset()
     t0 = time.perf_counter()
-    with thread_profiler(prof):
-        for _ in range(nsteps):
-            state = model.coupled_step(state)
+    for _ in range(nsteps):
+        state = model.coupled_step(state)
     serial_wall = time.perf_counter() - t0
-    serial_profile = prof.snapshot(label="serial",
-                                   meta={"dtype": cfg.dtype_policy.name})
+    disable_profiling()
+    serial_profile = take_profile(label="serial",
+                                  meta={"dtype": cfg.dtype_policy.name})
 
     # Concurrent pool-split run.
     res = run_concurrent_coupled(config=cfg, nsteps=nsteps, layout=layout,

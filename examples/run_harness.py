@@ -1,17 +1,16 @@
 #!/usr/bin/env python
-"""Run harness tour: one plan, every substrate, bitwise-resumable.
+"""Run harness tour: one plan, every execution mode, bitwise-resumable.
 
 Declares a :class:`~repro.runs.RunPlan` (world + duration + output
 cadences), runs it through the :class:`~repro.runs.RunHarness` with
 streaming history and checkpoints, kills the run halfway, resumes it from
-the checkpoint — on a *concurrent* substrate — and shows the final state
+the checkpoint — on *concurrent* rank pools — and shows the final state
 is bitwise what the uninterrupted serial run produces.  Finishes by
 loading the streamed history files back as one time series.
 
-Run:  python examples/run_harness.py [--substrate thread|process]
+Run:  python examples/run_harness.py
 """
 
-import argparse
 import tempfile
 from pathlib import Path
 
@@ -22,12 +21,6 @@ from repro.runs import CheckpointSpec, HistorySpec, RunHarness, RunPlan
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--substrate", default="thread",
-                        choices=("thread", "process"),
-                        help="rank substrate for the resumed leg")
-    args = parser.parse_args()
-
     workdir = Path(tempfile.mkdtemp(prefix="foam_harness_"))
     plan = RunPlan(
         scenario="control", days=1.0,
@@ -57,9 +50,9 @@ def main() -> None:
 
     # --- resume onto the concurrent rank pools ---------------------------
     resumed = RunHarness(RunPlan(
-        scenario="control", days=1.0, mode="concurrent",
-        substrate=args.substrate)).run(resume_from=ckpt)
-    print(f"resumed on {args.substrate} rank pools: "
+        scenario="control", days=1.0,
+        mode="concurrent")).run(resume_from=ckpt)
+    print(f"resumed on forked rank pools: "
           f"{resumed.steps} more steps "
           f"(hidden ocean fraction {resumed.hidden_fraction:.0%})")
 

@@ -11,7 +11,7 @@ Climate Modeling" (Supercomputing 1997):
 * :mod:`repro.coupler` — overlap-grid fluxes, land, bucket hydrology,
   rivers, sea ice, closed hydrological cycle;
 * :mod:`repro.core` — the coupled FOAM driver, configuration, restarts;
-* :mod:`repro.parallel` — simulated-MPI substrate and decompositions;
+* :mod:`repro.parallel` — simulated MPI on forked rank processes, decompositions;
 * :mod:`repro.perf` — machine/cost models reproducing the paper's
   performance results;
 * :mod:`repro.analysis` — EOF/VARIMAX/filtering toolkit for the science

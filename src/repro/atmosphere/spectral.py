@@ -1,4 +1,4 @@
-"""Spherical-harmonic spectral transform core (the PCCM2 dynamical substrate).
+"""Spherical-harmonic spectral transform core (what the PCCM2 dynamics is built on).
 
 The FOAM atmosphere is a spectral transform model: fields live both on a
 longitude x Gaussian-latitude grid and as spherical-harmonic coefficients
@@ -23,7 +23,6 @@ coefficients carry a 1/nlon factor on analysis, so a spectral coefficient
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -198,7 +197,6 @@ def _legendre_derivative_ref(mu: np.ndarray, pbar_ext: np.ndarray) -> np.ndarray
 # ---------------------------------------------------------------------------
 # Cached Legendre plan tables
 # ---------------------------------------------------------------------------
-_plan_lock = threading.Lock()
 _plan_cache: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
 _plan_stats = {"builds": 0, "hits": 0}
 
@@ -208,40 +206,36 @@ def legendre_plan(nlat: int, mmax: int, nkmax: int) -> tuple[np.ndarray, np.ndar
 
     Every :class:`SpectralTransform` for the same (nlat, mmax, nkmax) —
     including the replicated per-rank models the concurrent coupled driver
-    constructs on simulated-MPI threads — shares one table, so pool workers
-    never redo the recurrences.  The arrays are marked non-writeable;
+    constructs, which inherit the caller's cache at fork — shares one
+    table, so pool workers never redo the recurrences the caller already
+    did.  The arrays are marked non-writeable;
     ``.astype(float64, copy=False)`` on them returns the shared array.
     """
     key = (int(nlat), int(mmax), int(nkmax))
-    with _plan_lock:
-        plan = _plan_cache.get(key)
-        if plan is not None:
-            _plan_stats["hits"] += 1
-            return plan
+    plan = _plan_cache.get(key)
+    if plan is not None:
+        _plan_stats["hits"] += 1
+        return plan
     mu, _ = gaussian_latitudes(nlat)
     pbar_ext = associated_legendre(mu, mmax, nkmax)
     hbar = legendre_derivative(mu, pbar_ext)
     pbar_ext.setflags(write=False)
     hbar.setflags(write=False)
-    with _plan_lock:
-        # A racing builder may have beaten us; keep whichever landed first.
-        plan = _plan_cache.setdefault(key, (pbar_ext, hbar))
-        _plan_stats["builds"] += 1
+    plan = _plan_cache[key] = (pbar_ext, hbar)
+    _plan_stats["builds"] += 1
     return plan
 
 
 def legendre_plan_stats() -> dict:
     """Copy of the plan-cache counters: {"builds": ..., "hits": ...}."""
-    with _plan_lock:
-        return dict(_plan_stats)
+    return dict(_plan_stats)
 
 
 def clear_legendre_plans() -> None:
     """Drop all cached plan tables and zero the counters (test hook)."""
-    with _plan_lock:
-        _plan_cache.clear()
-        _plan_stats["builds"] = 0
-        _plan_stats["hits"] = 0
+    _plan_cache.clear()
+    _plan_stats["builds"] = 0
+    _plan_stats["hits"] = 0
 
 
 class SpectralTransform:

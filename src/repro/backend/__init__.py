@@ -37,16 +37,13 @@ from repro.backend.dtypes import (
 from repro.backend.kernels import robert_filter
 from repro.backend.workspace import (
     Workspace,
-    arenas_disjoint,
     get_workspace,
-    reset_workspaces,
     workspace_totals,
 )
 
 __all__ = [
     "DTypePolicy", "FLOAT32", "FLOAT64", "default_policy", "dtype_policy",
     "policy_from_name", "set_default_dtype", "weak_scalar",
-    "Workspace", "arenas_disjoint", "get_workspace", "reset_workspaces",
-    "workspace_totals",
+    "Workspace", "get_workspace", "workspace_totals",
     "robert_filter",
 ]

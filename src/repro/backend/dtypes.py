@@ -20,7 +20,6 @@ and only cast down on the way into policy-dtype storage.
 from __future__ import annotations
 
 import os
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -79,7 +78,6 @@ _ALIASES = {
 
 # Process-wide override; None means "fall through to FOAM_DTYPE then float64".
 _override: DTypePolicy | None = None
-_override_lock = threading.Lock()
 
 
 def policy_from_name(name: str | DTypePolicy | None) -> DTypePolicy:
@@ -109,19 +107,16 @@ def default_policy() -> DTypePolicy:
 def set_default_dtype(name: str | DTypePolicy | None) -> None:
     """Install (or with None, clear) the process-wide dtype override."""
     global _override
-    with _override_lock:
-        _override = None if name is None else policy_from_name(name)
+    _override = None if name is None else policy_from_name(name)
 
 
 @contextmanager
 def dtype_policy(name: str | DTypePolicy):
     """Temporarily run under a different precision policy."""
     global _override
-    with _override_lock:
-        prev = _override
-        _override = policy_from_name(name)
+    prev = _override
+    _override = policy_from_name(name)
     try:
         yield _override
     finally:
-        with _override_lock:
-            _override = prev
+        _override = prev

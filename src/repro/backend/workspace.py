@@ -13,8 +13,9 @@ Usage rules that make reuse safe:
   anything stored into model state must stay freshly allocated;
 * every call site uses a unique name, so two live temporaries can never
   alias the same buffer;
-* the default workspace is **thread-local**: simulated-MPI rank threads
-  run the same kernels concurrently and each gets its own arena.
+* there is one arena **per process**: the model is single-threaded, and
+  a forked rank clears the arena it inherited before it starts
+  (``repro.parallel.procmpi._child_main``), so ranks never share scratch.
 
 Counters: ``hits``/``misses`` accumulate per workspace and are also fed
 to the profiler (``profile_count("ws.hits"/"ws.misses")``) so they land
@@ -24,15 +25,9 @@ on whichever profiler section is active.  The whole-run hit rate is
 
 from __future__ import annotations
 
-import threading
-import weakref
-
 import numpy as np
 
-__all__ = [
-    "Workspace", "arenas_disjoint", "get_workspace",
-    "workspace_totals", "reset_workspaces",
-]
+__all__ = ["Workspace", "get_workspace", "workspace_totals"]
 
 
 _profile_count = None
@@ -52,22 +47,15 @@ def _count(name: str) -> None:
     _profile_count(name)
 
 
-# Every workspace ever handed out, for aggregate reporting.
-_registry: "weakref.WeakSet[Workspace]" = weakref.WeakSet()
-_registry_lock = threading.Lock()
-
-
 class Workspace:
     """A keyed arena of reusable buffers with hit/miss accounting."""
 
-    __slots__ = ("_buffers", "hits", "misses", "__weakref__")
+    __slots__ = ("_buffers", "hits", "misses")
 
     def __init__(self):
         self._buffers: dict[tuple, np.ndarray] = {}
         self.hits = 0
         self.misses = 0
-        with _registry_lock:
-            _registry.add(self)
 
     def empty(self, name: str, shape, dtype) -> np.ndarray:
         """An uninitialised buffer for ``name`` (contents are stale on a hit)."""
@@ -131,50 +119,15 @@ class Workspace:
         self.misses = 0
 
 
-_local = threading.local()
+_arena = Workspace()
 
 
 def get_workspace() -> Workspace:
-    """This thread's workspace (each simmpi rank thread gets its own)."""
-    ws = getattr(_local, "ws", None)
-    if ws is None:
-        ws = _local.ws = Workspace()
-    return ws
+    """This process's workspace arena."""
+    return _arena
 
 
 def workspace_totals() -> dict[str, int]:
-    """Aggregate hit/miss/buffer/byte counts across all live workspaces."""
-    with _registry_lock:
-        workspaces = list(_registry)
-    return {
-        "hits": sum(w.hits for w in workspaces),
-        "misses": sum(w.misses for w in workspaces),
-        "buffers": sum(len(w) for w in workspaces),
-        "nbytes": sum(w.nbytes for w in workspaces),
-    }
-
-
-def reset_workspaces() -> None:
-    """Clear every live workspace (buffers and counters)."""
-    with _registry_lock:
-        workspaces = list(_registry)
-    for w in workspaces:
-        w.clear()
-
-
-def arenas_disjoint(workspaces) -> bool:
-    """True when no two of the given workspaces share a scratch buffer.
-
-    The concurrent coupled driver's correctness argument needs the
-    atmosphere-pool and ocean-pool rank threads to scribble in disjoint
-    arenas; thread-local :func:`get_workspace` guarantees it, and this
-    helper lets tests (and the driver's own audit) verify it by object
-    identity rather than by trusting the thread-local plumbing.
-    """
-    seen: set[int] = set()
-    for w in workspaces:
-        for buf in w._buffers.values():
-            if id(buf) in seen:
-                return False
-            seen.add(id(buf))
-    return True
+    """Hit/miss/buffer/byte counts of this process's arena."""
+    return {"hits": _arena.hits, "misses": _arena.misses,
+            "buffers": len(_arena), "nbytes": _arena.nbytes}

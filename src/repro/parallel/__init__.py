@@ -1,18 +1,25 @@
-"""Message-passing substrate: simulated MPI, domain decomposition, tracing.
+"""Message passing: simulated MPI, domain decomposition, tracing.
 
 FOAM's third and fourth design strategies (paper section 3) are
 distributed-memory message passing via MPI.  This package provides the
-in-process equivalent: :func:`run_ranks` spins up ranks exchanging real
-NumPy arrays through the :class:`SimComm` interface, on which the
-decompositions and distributed transposes of the component models are
-built.  Two substrates implement that interface: rank threads
-(:mod:`repro.parallel.simmpi`, the default) and real forked processes with
-shared-memory bulk payloads (:mod:`repro.parallel.procmpi`), selected per
-world via ``run_ranks(..., substrate=...)`` or the ``FOAM_COMM``
-environment variable.
+single-host equivalent: :func:`run_ranks` forks rank processes exchanging
+real NumPy arrays through the :class:`CommBase` interface
+(:mod:`repro.parallel.procmpi` is the one transport: a parent-side router
+plus shared-memory bulk payloads), on which the decompositions and
+distributed transposes of the component models are built.
 """
 
-from repro.parallel.commbase import CommBase, resolve_substrate
+from repro.parallel.commbase import (
+    ANY_SOURCE,
+    ANY_TAG,
+    BlockedRank,
+    CommBase,
+    CommError,
+    CommStats,
+    DeadlockError,
+    DeadlockReport,
+    RankCrashedError,
+)
 from repro.parallel.coupled import (
     ConcurrentCoupledResult,
     PoolLayout,
@@ -20,19 +27,7 @@ from repro.parallel.coupled import (
 )
 from repro.parallel.decomp import BlockDecomp1D, BlockDecomp2D, block_bounds
 from repro.parallel.faults import FaultPlan, corrupt_payload
-from repro.parallel.procmpi import ProcComm, run_ranks_process
-from repro.parallel.simmpi import (
-    ANY_SOURCE,
-    ANY_TAG,
-    BlockedRank,
-    CommError,
-    CommStats,
-    DeadlockError,
-    DeadlockReport,
-    RankCrashedError,
-    SimComm,
-    run_ranks,
-)
+from repro.parallel.procmpi import ProcComm, run_ranks
 from repro.parallel.trace import ACTIVITIES, RankTrace, Segment, TraceSet
 from repro.parallel.transpose import transpose_backward, transpose_forward
 
@@ -44,8 +39,6 @@ __all__ = [
     "CommError",
     "CommStats",
     "ProcComm",
-    "resolve_substrate",
-    "run_ranks_process",
     "ConcurrentCoupledResult",
     "PoolLayout",
     "run_concurrent_coupled",
@@ -53,7 +46,6 @@ __all__ = [
     "DeadlockReport",
     "FaultPlan",
     "RankCrashedError",
-    "SimComm",
     "corrupt_payload",
     "run_ranks",
     "BlockDecomp1D",

@@ -1,26 +1,17 @@
-"""Substrate-independent core of the simulated MPI layer.
+"""Transport-independent core of the simulated MPI layer.
 
-The communicator API (:class:`CommBase`) is implemented twice:
-
-* :class:`repro.parallel.simmpi.SimComm` — ranks are threads of one
-  process sharing a mailbox world (the default: deterministic, fast to
-  spawn, ideal for tests);
-* :class:`repro.parallel.procmpi.ProcComm` — ranks are real forked
-  processes exchanging envelopes through a parent-side router, with bulk
-  array payloads carried in POSIX shared memory (real wall-clock
-  parallelism: no GIL).
-
-Everything that must behave *identically* on both substrates lives here:
-the collective algorithms (binomial-tree bcast/reduce, gather-based
+:class:`CommBase` is the communicator API (an mpi4py-like subset) and
+every algorithm layered on the two blocking primitives ``_send`` and
+``_recv``: the collectives (binomial-tree bcast/reduce, gather-based
 barrier, pairwise-exchange alltoall), communicator-context tag stamping,
 ``split(color, key)`` bookkeeping, operation labeling for
 :class:`CommStats`, crash-injection scoping, and the structured failure
-vocabulary (:class:`CommError`, :class:`DeadlockReport`).  Because the
-collectives are layered on the two abstract primitives ``_send`` and
-``_recv``, a payload takes the same route — same message count, same
-reduction tree, same operation order — on threads and on processes, which
-is what makes the cross-substrate bitwise-equivalence suite
-(``tests/test_substrate_equivalence.py``) meaningful.
+vocabulary (:class:`CommError`, :class:`DeadlockReport`).  The transport —
+forked rank processes, a parent-side router and shared-memory bulk
+payloads — is :class:`repro.parallel.procmpi.ProcComm`; keeping the
+algorithms apart from it is what lets the hypothesis property suite
+(``tests/test_simmpi_properties.py``) pin each collective against its
+NumPy serial equivalent without caring how bytes move.
 """
 
 from __future__ import annotations
@@ -51,22 +42,6 @@ _TAG_REDUCE = 2 << 30
 _TAG_GATHER = 3 << 30
 _TAG_SCATTER = 4 << 30
 _TAG_ALLTOALL = 5 << 30
-
-_SUBSTRATES = ("thread", "process")
-
-
-def resolve_substrate(substrate: str | None = None) -> str:
-    """Resolve the communicator substrate for a new world.
-
-    An explicit ``substrate`` argument wins; otherwise the ``FOAM_COMM``
-    environment variable decides (default ``"thread"``).
-    """
-    sub = substrate or os.environ.get("FOAM_COMM", "thread")
-    if sub not in _SUBSTRATES:
-        raise CommError(
-            f"unknown communicator substrate {sub!r}; pick one of "
-            f"{_SUBSTRATES} (via substrate= or FOAM_COMM)")
-    return sub
 
 
 def _default_timeout() -> float:
@@ -116,9 +91,9 @@ class DeadlockReport:
     ``blocked`` lists every live blocked rank with its operation, peer and
     tag; ``cycle`` is a wait-for cycle if one exists (``r`` waits on the
     next entry, the last waits on the first); ``dead`` lists crashed ranks
-    implicated in the hang.  The report is a plain frozen dataclass, so a
-    process-substrate world can marshal it back to the parent (and to
-    every sibling rank) by pickling.
+    implicated in the hang.  The report is a plain frozen dataclass, so the
+    router can marshal it to the parent and to every sibling rank by
+    pickling.
     """
 
     blocked: tuple[BlockedRank, ...]
@@ -205,12 +180,10 @@ class CommStats:
     def merge(cls, stats: Sequence["CommStats"], rank: int = -1) -> "CommStats":
         """Sum per-rank counters into one world-level :class:`CommStats`.
 
-        This is the marshalling path for substrates whose ranks live in
-        child processes: each rank's counters come back to the parent by
-        pickling (they are plain dataclasses) and merge here, so
-        profiler/eventsim calibration sees the same world totals no
-        matter which substrate measured them.  ``rank=-1`` marks the
-        result as a merged, not per-rank, counter.
+        Each rank's counters come back from its process by pickling (they
+        are plain dataclasses) and merge here, so profiler/eventsim
+        calibration sees world totals.  ``rank=-1`` marks the result as a
+        merged, not per-rank, counter.
         """
         out = cls(rank=rank)
         for s in stats:
@@ -294,14 +267,14 @@ def _combine(a: Any, b: Any, op: str) -> Any:
 
 
 class CommBase:
-    """Shared communicator algorithms; substrates provide the transport.
+    """Communicator algorithms; a subclass provides the transport.
 
     Mirrors the mpi4py API subset the model uses.  Lower-case methods move
     arbitrary Python objects; arrays are passed by reference after a
     defensive copy at send time (MPI semantics: the send buffer may be
     reused by the sender immediately after ``send`` returns).
 
-    Substrate hooks (all operate on *world* ranks / absolute tags):
+    Transport hooks (all operate on *world* ranks / absolute tags):
 
     * ``_send(obj, dest, tag)`` / ``_recv(source, tag)`` — the blocking
       point-to-point primitives everything else is layered on;
@@ -338,7 +311,7 @@ class CommBase:
         self._op_count = 0
 
     # ------------------------------------------------------------------
-    # substrate hooks
+    # transport hooks
     # ------------------------------------------------------------------
     def _send(self, obj: Any, dest: int, tag: int) -> None:
         raise NotImplementedError

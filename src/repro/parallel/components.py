@@ -1,7 +1,7 @@
-"""Parallel execution of FOAM components on the simulated-MPI substrate.
+"""Parallel execution of FOAM components on the simulated-MPI layer.
 
 These drivers reproduce the decomposition strategy of the paper on the
-in-process message-passing layer, with the defining correctness property —
+forked-rank message-passing layer, with the defining correctness property —
 *a decomposed run produces bit-identical results to the serial run* —
 verified by the test suite:
 
@@ -26,8 +26,9 @@ from repro.atmosphere.physics import PhysicsSuite, SurfaceState
 from repro.atmosphere.spectral import SpectralTransform
 from repro.ocean.grid import OceanGrid
 from repro.ocean.operators import laplacian
+from repro.parallel.commbase import CommBase, CommStats
 from repro.parallel.decomp import BlockDecomp1D, BlockDecomp2D, block_bounds
-from repro.parallel.simmpi import CommStats, SimComm, run_ranks
+from repro.parallel.procmpi import run_ranks
 from repro.parallel.transpose import transpose_backward, transpose_forward
 from repro.util.tree import tree_map
 
@@ -45,7 +46,7 @@ def parallel_physics(nranks: int, *, temp, q, u, v, pressure, ps,
     nlon = temp.shape[2]
     decomp = BlockDecomp1D(nlat=nlat, nlon=nlon, nranks=nranks)
 
-    def worker(comm: SimComm):
+    def worker(comm: CommBase):
         lo, hi = decomp.bounds(comm.rank)
         sub_surface = tree_map(lambda a: a[lo:hi], surface)
         suite = PhysicsSuite()
@@ -86,7 +87,7 @@ def parallel_laplacian(py: int, px: int, field: np.ndarray,
     """
     decomp = BlockDecomp2D(ny=grid.ny, nx=grid.nx, py=py, px=px)
 
-    def worker(comm: SimComm):
+    def worker(comm: CommBase):
         local = decomp.scatter(comm, field if comm.rank == 0 else None)
         local_mask = decomp.scatter(comm, mask.astype(float)
                                     if comm.rank == 0 else None) > 0.5
@@ -113,8 +114,7 @@ def parallel_biharmonic(py: int, px: int, field: np.ndarray,
 # ----------------------------------------------------------------- spectral
 def parallel_spectral_analysis(nranks: int, tr: SpectralTransform,
                                grid_field: np.ndarray,
-                               with_stats: bool = False,
-                               substrate: str | None = None):
+                               with_stats: bool = False):
     """Distributed grid->spectral transform (the PCCM2 pattern).
 
     1. each rank FFTs its latitude band (local);
@@ -123,16 +123,14 @@ def parallel_spectral_analysis(nranks: int, tr: SpectralTransform,
     4. gather the spectral coefficients.
 
     Bit-identical to ``tr.analyze`` because every rank uses the same
-    quadrature weights and Legendre tables — on either communicator
-    substrate (``substrate="process"`` forks real rank processes).  With
-    ``with_stats=True`` returns ``(spec, [CommStats, ...])``, the
-    measured traffic of the run.
+    quadrature weights and Legendre tables.  With ``with_stats=True``
+    returns ``(spec, [CommStats, ...])``, the measured traffic of the run.
     """
     nlat = tr.nlat
     nm = tr.trunc.nm
     decomp = BlockDecomp1D(nlat=nlat, nlon=tr.nlon, nranks=nranks)
 
-    def worker(comm: SimComm):
+    def worker(comm: CommBase):
         local = decomp.scatter(comm, grid_field if comm.rank == 0 else None)
         # Local FFT of our latitude band.
         fm = np.fft.rfft(local, axis=1)[:, :nm] / tr.nlon
@@ -147,7 +145,7 @@ def parallel_spectral_analysis(nranks: int, tr: SpectralTransform,
             spec = np.concatenate(gathered, axis=0) * tr.trunc.mask()
         return spec, comm.stats
 
-    results = run_ranks(nranks, worker, substrate=substrate)
+    results = run_ranks(nranks, worker)
     spec = results[0][0]
     if with_stats:
         return spec, [r[1] for r in results]
@@ -155,8 +153,7 @@ def parallel_spectral_analysis(nranks: int, tr: SpectralTransform,
 
 
 def measure_transpose_comm(nranks: int, nlat: int, nm: int, nlev: int = 1,
-                           seed: int = 0,
-                           substrate: str | None = None) -> list[CommStats]:
+                           seed: int = 0) -> list[CommStats]:
     """Measure the real traffic of one forward+backward spectral transpose.
 
     Runs the distributed transpose on a ``(nlat, nm * nlev)`` complex field
@@ -165,15 +162,16 @@ def measure_transpose_comm(nranks: int, nlat: int, nm: int, nlev: int = 1,
     the measured message counts and bytes.  This is the calibration input
     for ``repro.perf.eventsim.simulate_coupled_day(transpose_comm=...)`` —
     simulated timing driven by measured traffic instead of the analytic
-    ``AtmosphereCost.transpose_bytes()`` formula.  The counters are
-    substrate-independent: per-rank ``CommStats`` marshal back from forked
-    processes (``substrate="process"``) identical to the thread run.
+    ``AtmosphereCost.transpose_bytes()`` formula.  With the caller's
+    profiler enabled, the ranks' ``transpose.*`` sections (seconds and
+    ``comm_bytes``) land in it too, which is what
+    :func:`repro.perf.costmodel.calibrate_from_profile` reads.
     """
     ncols = nm * nlev
     rng = np.random.default_rng(seed)
     full = rng.normal(size=(nlat, ncols)) + 1j * rng.normal(size=(nlat, ncols))
 
-    def worker(comm: SimComm):
+    def worker(comm: CommBase):
         lo, hi = block_bounds(nlat, comm.size, comm.rank)
         cols = transpose_forward(comm, full[lo:hi], nlat, ncols)
         back = transpose_backward(comm, cols, nlat, ncols)
@@ -182,4 +180,4 @@ def measure_transpose_comm(nranks: int, nlat: int, nm: int, nlev: int = 1,
                 f"rank {comm.rank}: transpose roundtrip not bitwise-identical")
         return comm.stats
 
-    return run_ranks(nranks, worker, substrate=substrate)
+    return run_ranks(nranks, worker)

@@ -23,9 +23,9 @@ The exchange epochs are exactly the serial :meth:`FoamModel.coupled_step`
 ones, so the float64 trajectory is bitwise comparable to the serial run
 (the equivalence tests assert array equality, not just 1e-12 closeness).
 
-Per-rank :class:`~repro.perf.profiler.RunProfile` s (recorded through
-``thread_profiler``) merge into one profile whose measured section costs
-calibrate the event simulator's concurrent-schedule prediction
+Per-rank :class:`~repro.perf.profiler.RunProfile` s (each rank process
+records into its own profiler) merge into one profile whose measured
+section costs calibrate the event simulator's concurrent-schedule prediction
 (:func:`repro.perf.eventsim.predict_concurrent_speedup`).
 """
 
@@ -37,9 +37,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.backend import get_workspace
+from repro.parallel.commbase import CommBase, CommStats
 from repro.parallel.decomp import block_bounds
-from repro.parallel.simmpi import CommStats, SimComm, resolve_substrate, run_ranks
-from repro.perf.profiler import Profiler, RunProfile, merge_profiles, thread_profiler
+from repro.parallel.procmpi import run_ranks
+from repro.perf.profiler import (
+    RunProfile,
+    enable_profiling,
+    merge_profiles,
+    take_profile,
+)
 
 # Coupler exchange tags (world-communicator context).
 TAG_ATM_STATE = 210    # atm leader -> coupler: bottom-level state fields
@@ -111,11 +117,9 @@ class ConcurrentCoupledResult:
     acc: object | None = None          # coupler-side OceanForcing accumulator
     acc_steps: int = 0
     sst: np.ndarray | None = None      # SST the coupler last held
-    workspaces: list = field(default_factory=list)   # per-rank arenas (strong refs)
-    ws_stats: list[dict] = field(default_factory=list)
+    ws_stats: list[dict] = field(default_factory=list)   # per-rank arena counters
     ocean_busy_seconds: float = 0.0    # time the ocean leader spent computing
     overlap_seconds: float = 0.0       # ocean busy time hidden under atm work
-    substrate: str = "thread"          # communicator substrate the run used
 
     @property
     def hidden_fraction(self) -> float:
@@ -125,7 +129,7 @@ class ConcurrentCoupledResult:
         return self.overlap_seconds / self.ocean_busy_seconds
 
 
-def _timed_recv(comm: SimComm, source: int, tag: int,
+def _timed_recv(comm: CommBase, source: int, tag: int,
                 waits: dict, key: str):
     t0 = time.perf_counter()
     payload = comm.recv(source, tag)
@@ -255,32 +259,25 @@ def run_concurrent_coupled(config=None, *, days: float = 1.0,
                            layout: PoolLayout | None = None,
                            profile: bool = False,
                            timeout: float | None = None,
-                           substrate: str | None = None,
                            initial_state=None) -> ConcurrentCoupledResult:
     """Run the coupled model concurrently on disjoint rank pools.
 
-    ``nsteps`` overrides ``days``.  With ``profile=True`` every rank
-    records its own :class:`RunProfile` (via ``thread_profiler``) and the
-    result carries both the per-rank profiles and their merge.  The
-    returned state is numerically equivalent — bitwise at float64 — to
-    ``nsteps`` serial ``coupled_step`` calls from the same initial state.
-
-    ``substrate`` picks the communicator implementation ("thread" or
-    "process"; default follows ``FOAM_COMM``).  On the process substrate
-    each pool rank is a forked OS process, so ``--atm-ranks``/``--ocn-ranks``
-    buy real multi-core wall-clock instead of GIL-interleaved threads.
+    ``nsteps`` overrides ``days``.  Every pool rank is a forked process
+    (:func:`repro.parallel.procmpi.run_ranks`).  With ``profile=True``
+    every rank enables its own profiler for the stepping loop and the
+    result carries both the per-rank :class:`RunProfile` s and their
+    merge.  The returned state is numerically equivalent — bitwise at
+    float64 — to ``nsteps`` serial ``coupled_step`` calls from the same
+    initial state.
 
     ``initial_state`` starts the run from an existing :class:`FoamState`
     (the run harness passes checkpointed or segment-boundary states here)
-    instead of ``model.initial_state()``.  Each rank deep-copies it, so
-    thread-substrate ranks never alias arrays.  For bitwise equivalence
+    instead of ``model.initial_state()``.  For bitwise equivalence
     with a continuous run, ``initial_state.time`` must sit on a safe
     checkpoint boundary (coupling + radiation; see
     ``FoamConfig.checkpoint_boundary_steps``) so the fresh per-rank
     models' transient caches reconstruct identically.
     """
-    import copy
-
     from repro.core.config import test_config
     from repro.core.foam import FoamModel, FoamState
 
@@ -290,43 +287,37 @@ def run_concurrent_coupled(config=None, *, days: float = 1.0,
         nsteps = max(1, int(round(days * 86400.0 / cfg.atm_dt)))
     if layout.n_atm > cfg.atm_nlat:
         raise ValueError(f"n_atm={layout.n_atm} exceeds nlat={cfg.atm_nlat}")
-    # Rank threads interleave on the GIL; size the backstop to the run, not
-    # to the (pytest-lowered) default, so long runs don't false-timeout.
+    # Size the backstop to the run, not to the (pytest-lowered) default, so
+    # a rank waiting out a long ocean call does not false-timeout.
     tmo = timeout if timeout is not None else max(60.0, 2.0 * nsteps)
 
-    def worker(comm: SimComm):
+    def worker(comm: CommBase):
         role = layout.role_of(comm.rank)
         pool = comm.split(_POOL_COLORS[role])
         model = FoamModel(cfg)
-        if initial_state is not None:
-            state = copy.deepcopy(initial_state)
-        else:
-            state = model.initial_state()
-        prof = Profiler(enabled=profile)
+        state = (initial_state if initial_state is not None
+                 else model.initial_state())
         waits: dict[str, float] = {}
         comm.barrier()                 # exclude construction from the walls
+        if profile:                    # ... and from this rank's profile
+            enable_profiling().reset()
         t0 = time.perf_counter()
-        with thread_profiler(prof):
-            out = _WORKERS[role](comm, pool, layout, model, state, nsteps,
-                                 waits)
+        out = _WORKERS[role](comm, pool, layout, model, state, nsteps, waits)
         wall = time.perf_counter() - t0
         ws = get_workspace()
         out.update(
             rank=comm.rank, role=role, wall=wall, waits=waits,
-            workspace=ws,
             ws_stats={"rank": comm.rank, "role": role, "hits": ws.hits,
                       "misses": ws.misses, "buffers": len(ws),
                       "nbytes": ws.nbytes},
             stats=comm.stats,
-            profile=(prof.snapshot(label=f"rank{comm.rank}:{role}",
-                                   meta={"rank": comm.rank, "pool": role,
-                                         "wall": wall})
+            profile=(take_profile(label=f"rank{comm.rank}:{role}",
+                                  meta={"rank": comm.rank, "pool": role,
+                                        "wall": wall})
                      if profile else None))
         return out
 
-    substrate = resolve_substrate(substrate)
-    results = run_ranks(layout.world_size, worker, timeout=tmo,
-                        substrate=substrate)
+    results = run_ranks(layout.world_size, worker, timeout=tmo)
 
     atm0 = results[layout.atm_ranks[0]]
     cplr = results[layout.cpl_rank]
@@ -361,8 +352,6 @@ def run_concurrent_coupled(config=None, *, days: float = 1.0,
         profile=merged, profiles=profiles,
         comm_stats=[r["stats"] for r in results],
         acc=cplr["acc"], acc_steps=cplr["acc_steps"], sst=cplr["sst"],
-        workspaces=[r["workspace"] for r in results],
         ws_stats=[r["ws_stats"] for r in results],
         ocean_busy_seconds=ocean_busy,
-        overlap_seconds=max(0.0, ocean_busy - sst_wait),
-        substrate=substrate)
+        overlap_seconds=max(0.0, ocean_busy - sst_wait))

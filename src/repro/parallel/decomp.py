@@ -10,7 +10,7 @@ provides:
 * :class:`BlockDecomp2D` — latitude x longitude checkerboard used by the
   ocean model, with 4-point halo exchange;
 * halo-exchange helpers that move real array ghost rows through a
-  :class:`~repro.parallel.simmpi.SimComm`.
+  :class:`~repro.parallel.commbase.CommBase`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.parallel.simmpi import SimComm
+from repro.parallel.commbase import CommBase
 
 _TAG_HALO_N = 101
 _TAG_HALO_S = 102
@@ -74,7 +74,7 @@ class BlockDecomp1D:
         lo, hi = self.bounds(rank)
         return (hi - lo, self.nlon)
 
-    def scatter(self, comm: SimComm, full: np.ndarray | None) -> np.ndarray:
+    def scatter(self, comm: CommBase, full: np.ndarray | None) -> np.ndarray:
         """Distribute a full (nlat, nlon, ...) array from rank 0 to band owners."""
         if comm.rank == 0:
             assert full is not None
@@ -83,14 +83,14 @@ class BlockDecomp1D:
             parts = None
         return comm.scatter(parts, root=0)
 
-    def gather(self, comm: SimComm, local: np.ndarray) -> np.ndarray | None:
+    def gather(self, comm: CommBase, local: np.ndarray) -> np.ndarray | None:
         """Reassemble the full array on rank 0 from per-rank bands."""
         parts = comm.gather(local, root=0)
         if comm.rank == 0:
             return np.concatenate(parts, axis=0)
         return None
 
-    def exchange_halo(self, comm: SimComm, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def exchange_halo(self, comm: CommBase, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Exchange one ghost latitude row with north/south neighbours.
 
         Returns ``(south_ghost, north_ghost)``; at the physical boundaries the
@@ -152,7 +152,7 @@ class BlockDecomp2D:
         (ylo, yhi), (xlo, xhi) = self.bounds(rank)
         return (yhi - ylo, xhi - xlo)
 
-    def scatter(self, comm: SimComm, full: np.ndarray | None) -> np.ndarray:
+    def scatter(self, comm: CommBase, full: np.ndarray | None) -> np.ndarray:
         if comm.rank == 0:
             assert full is not None
             parts = []
@@ -163,7 +163,7 @@ class BlockDecomp2D:
             parts = None
         return comm.scatter(parts, root=0)
 
-    def gather(self, comm: SimComm, local: np.ndarray) -> np.ndarray | None:
+    def gather(self, comm: CommBase, local: np.ndarray) -> np.ndarray | None:
         parts = comm.gather(local, root=0)
         if comm.rank != 0:
             return None
@@ -174,7 +174,7 @@ class BlockDecomp2D:
             full[ylo:yhi, xlo:xhi] = part
         return full
 
-    def exchange_halo(self, comm: SimComm, local: np.ndarray) -> np.ndarray:
+    def exchange_halo(self, comm: CommBase, local: np.ndarray) -> np.ndarray:
         """Return ``local`` padded by a one-cell halo filled from neighbours.
 
         East-west is periodic; north-south uses edge replication at the walls

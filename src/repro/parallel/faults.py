@@ -5,7 +5,7 @@ through perturbation: every production MPI code eventually meets delayed
 messages, reordered delivery, corrupted payloads, and dead peers, and the
 difference between a diagnosable failure and a two-minute hang is whether
 those conditions can be *provoked on demand*.  This module provides the
-:class:`FaultPlan` that :func:`repro.parallel.simmpi.run_ranks` threads
+:class:`FaultPlan` that :func:`repro.parallel.procmpi.run_ranks` threads
 through every ``send``/``recv`` and therefore through every collective
 (collectives are layered on point-to-point, so a plan perturbs ``bcast``,
 ``reduce``, ``gather``, ``scatter``, ``alltoall`` and ``barrier`` traffic
@@ -46,8 +46,8 @@ the order they were added.  The five kinds:
 
 Calibrating the performance model with CommStats
 ------------------------------------------------
-Every :class:`~repro.parallel.simmpi.SimComm` keeps a
-:class:`~repro.parallel.simmpi.CommStats` counter of messages, bytes and
+Every :class:`~repro.parallel.commbase.CommBase` keeps a
+:class:`~repro.parallel.commbase.CommStats` counter of messages, bytes and
 calls per operation label.  ``repro.parallel.components.measure_transpose_comm``
 runs the real distributed spectral transpose and returns those per-rank
 counters; ``repro.perf.costmodel.transpose_bytes_from_stats`` converts them
@@ -171,10 +171,9 @@ class FaultPlan:
 
         Returns ``[(dest, tag, payload, visible_at), ...]`` in delivery
         order; an empty list means the message is held back (reorder).
-        Called with the world lock held (thread substrate) or from the
-        router, the single point all traffic passes (process substrate —
-        which supplies its own ``corrupt`` transform able to reach
-        shared-memory-parked arrays).
+        Called from the router, the single point all traffic passes; it
+        supplies its own ``corrupt`` transform able to reach
+        shared-memory-parked arrays.
         """
         visible = now
         copies = 1

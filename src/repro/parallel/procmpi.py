@@ -1,11 +1,19 @@
-"""Real-process rank substrate: the simulated-MPI interface without the GIL.
+"""The rank transport: forked processes behind the simulated-MPI interface.
 
-:func:`run_ranks_process` runs the same worker functions as
-:func:`repro.parallel.simmpi.run_ranks`, but each rank is a *forked child
-process*, so rank pools genuinely execute in parallel on separate cores —
-this is the substrate that makes ``--atm-ranks/--ocn-ranks`` buy real
-wall-clock (ROADMAP "Break the GIL") and matches the paper's own
-architecture of MPI ranks on distributed memory.
+:func:`run_ranks` runs ``fn(comm, *args)`` on ``size`` *forked child
+processes* — the paper's fourth design element, MPI ranks on distributed
+memory — and is the only way a rank world runs.  Ranks exchange *real*
+NumPy arrays through the blocking point-to-point primitives of
+:class:`ProcComm`; every collective is layered on those two primitives in
+:mod:`repro.parallel.commbase`, exactly as a portable MPI implementation
+would layer them.  Typical usage::
+
+    def worker(comm):
+        data = comm.bcast(payload if comm.rank == 0 else None, root=0)
+        ...
+        return comm.allreduce(local_sum, op="sum")
+
+    results = run_ranks(4, worker)
 
 Design
 ------
@@ -13,17 +21,17 @@ Design
   inherits them, so only results, exceptions and message payloads ever
   cross a process boundary (all plain data).  This also means a
   ``FaultPlan`` is inherited by every child: each rank consults its own
-  copy for *crash* rules (the op counters are process-local, exactly like
-  the thread substrate's per-rank counters), while the parent's copy
-  applies the traffic rules (delay/reorder/duplicate/corrupt) at the
-  router, the single point every message passes through.
+  copy for *crash* rules (the op counters are process-local), while the
+  parent's copy applies the traffic rules (delay/reorder/duplicate/
+  corrupt) at the router, the single point every message passes through.
+  What a child must *not* keep from the fork — the caller's scratch arena
+  and profiler accumulators — is cleared before the worker runs.
 * **A parent-side router.**  Children push envelopes up one shared queue
   (``send`` / ``blocked`` / ``unblocked`` / ``ctx`` / ``done``); the parent
   routes messages to per-rank downlink queues and broadcasts liveness
   events (``finished`` / ``dead`` / ``deadlock``).  Because each child's
   uplink traffic is FIFO, a ``send`` is always routed before the same
-  child's ``finished``/``blocked`` — the orderings the thread substrate
-  gets for free from its shared lock.
+  child's ``finished``/``blocked``.
 * **Shared memory for bulk payloads.**  ndarrays of at least 64 KiB
   (``_SHM_MIN_BYTES``) travel as named POSIX shared-memory blocks; the
   queues carry only small pickled envelopes referencing them.  The
@@ -35,18 +43,23 @@ Design
   reports (op, peer, tag, ctx) along with how many messages it has seen;
   the world is declared deadlocked when every live rank's report is
   current (seen == delivered), the uplink is idle and no held/delayed
-  message remains — the same quiescence condition the thread substrate's
-  in-lock detector checks.  The router then builds the identical
+  message remains.  The router then builds a
   :class:`~repro.parallel.commbase.DeadlockReport` (rank/op/peer/tag +
   wait-for cycle) and broadcasts it, so every rank raises
   :class:`~repro.parallel.commbase.DeadlockError` within a poll slice —
-  still well under a second.
-
-Because :class:`ProcComm` and :class:`~repro.parallel.simmpi.SimComm`
-share every collective algorithm (:mod:`repro.parallel.commbase`), a
-payload takes the same reduction tree and operation order on both
-substrates; ``tests/test_substrate_equivalence.py`` pins the result to be
-bitwise-identical at float64.
+  well under a second, not after a two-minute timeout.
+* **Faults are first-class.**  Delays, reordering, duplication, corruption
+  and rank crashes are injected through a
+  :class:`repro.parallel.faults.FaultPlan`; a dead rank — an injected
+  crash, an exception, or a child that exits without reporting — surfaces
+  on every peer as a structured :class:`CommError` naming the rank that
+  really died, never as a hang.
+* **Measurements come home.**  Every communicator keeps a
+  :class:`CommStats` counter (plain data, returned by the worker), and
+  when the caller's profiler is enabled each rank ships the sections it
+  recorded back with its result; :func:`run_ranks` folds them into the
+  caller's profiler, so ``transpose.*`` seconds and ``comm_bytes``
+  measured inside rank processes calibrate ``repro.perf.eventsim``.
 """
 
 from __future__ import annotations
@@ -62,6 +75,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.backend import get_workspace
 from repro.parallel.commbase import (
     ANY_SOURCE,
     _CTX_SHIFT,
@@ -79,6 +93,7 @@ from repro.parallel.commbase import (
     _payload_nbytes,
 )
 from repro.parallel.faults import FaultPlan, corrupt_array
+from repro.perf.profiler import get_profiler
 from repro.util.tree import tree_map
 
 _ROUTER_SLICE = 0.02           # router poll cadence (uplink idle check)
@@ -146,8 +161,8 @@ def _clone(ref: _ShmRef) -> _ShmRef:
 
 
 def _corrupt(leaf: "np.ndarray | _ShmRef") -> "np.ndarray | _ShmRef":
-    """Inline arrays corrupt exactly like the thread substrate
-    (:func:`repro.parallel.faults.corrupt_array`); parked ones in place."""
+    """Inline arrays corrupt through
+    :func:`repro.parallel.faults.corrupt_array`; parked ones in place."""
     if not _is_ref(leaf):
         return corrupt_array(leaf)
     with _parked(leaf) as arr:
@@ -158,10 +173,9 @@ def _corrupt(leaf: "np.ndarray | _ShmRef") -> "np.ndarray | _ShmRef":
 def _encode_payload(obj: Any) -> Any:
     """Copy a payload for sending, parking bulk ndarrays in shared memory.
 
-    This is the process substrate's ``_copy_payload``: the copy *is* the
-    serialization.  Small arrays stay inline (the queue pickles them);
-    large ones become :class:`_ShmRef` so the router never touches bulk
-    bytes.
+    The copy *is* the serialization.  Small arrays stay inline (the queue
+    pickles them); large ones become :class:`_ShmRef` so the router never
+    touches bulk bytes.
     """
     return tree_map(_park, obj)
 
@@ -212,15 +226,14 @@ class _Client:
         self.plan = plan
         # (src, abs_tag, encoded, visible_at): delayed messages are
         # delivered eagerly and sit here until their visibility stamp
-        # passes, exactly like the thread substrate's mailbox.
+        # passes.
         self.box: list[tuple[int, int, Any, float]] = []
         # Envelopes ingested (messages AND liveness events); echoed in
         # blocked reports.  The router counts every downlink put the same
         # way, so a standing blocked report is invalidated by *any* event
         # the child has not yet reacted to — the child always gets to run
         # its liveness check on fresh dead/finished knowledge before the
-        # router may trust the report for deadlock declaration (the thread
-        # substrate gets this ordering from its shared lock).
+        # router may trust the report for deadlock declaration.
         self.seen = 0
         self.finished: set[int] = set()              # reports so the router can
         self.dead: dict[int, tuple[int, str]] = {}   # tell stale from current
@@ -263,12 +276,12 @@ class _Client:
 
 
 class ProcComm(CommBase):
-    """Communicator for one rank of a real-process simulated MPI world.
+    """Communicator for one rank of a forked-process simulated MPI world.
 
-    Same API and collective algorithms as
-    :class:`~repro.parallel.simmpi.SimComm` (both subclass
-    :class:`~repro.parallel.commbase.CommBase`); the transport is the
-    uplink/downlink queue pair of this rank's :class:`_Client`.
+    The public API and the collective algorithms live in
+    :class:`~repro.parallel.commbase.CommBase`; this class is the
+    transport: the uplink/downlink queue pair of this rank's
+    :class:`_Client`.
     """
 
     def __init__(self, rank: int, size: int, client: _Client, *,
@@ -279,12 +292,11 @@ class ProcComm(CommBase):
         self._client = client
 
     # ------------------------------------------------------------------
-    # substrate hooks
+    # transport hooks
     # ------------------------------------------------------------------
     def _crash_message(self, op: str) -> str | None:
-        # The child's inherited FaultPlan copy: per-rank op counters evolve
-        # exactly as the thread substrate's (each rank only ever consults
-        # its own counts), so crash schedules are substrate-portable.
+        # The child's inherited FaultPlan copy: each rank only ever
+        # consults its own op counts.
         return self._client.plan.crash_message(self._wrank, self._op_count, op)
 
     def _allocate_context(self, key: tuple) -> int:
@@ -311,10 +323,8 @@ class ProcComm(CommBase):
         dest_w = self._to_world(dest)
         abs_tag = (self._ctx << _CTX_SHIFT) + tag
         enc = _encode_payload(obj)
-        # Stats parity with the thread substrate: one note_send per send
-        # with the logical payload size (the router's fault transforms can
-        # add duplicate deliveries, which the thread substrate counts at
-        # the sender; fault-free traffic counts identically either way).
+        # One note_send per send with the logical payload size: duplicate
+        # deliveries added by the router's fault transforms are not counted.
         self.stats.note_send(op, dest_w, _payload_nbytes(obj))
         self._client.uplink.put(("send", self._wrank, dest_w, abs_tag, enc))
 
@@ -374,15 +384,19 @@ class ProcComm(CommBase):
 
 def _child_main(rank: int, size: int, fn: Callable[..., Any], args: tuple,
                 uplink, downlink, plan: FaultPlan, timeout: float) -> None:
-    from repro.backend.workspace import get_workspace
-    # The fork inherited the parent thread's workspace arena; start this
-    # rank with a clean one, as a fresh rank thread would.
+    # The fork copied the caller's scratch arena and profiler accumulators;
+    # this rank starts with clean ones.  The profiler's enabled flag is
+    # kept: a profiling caller gets this rank's sections back.
     get_workspace().clear()
+    prof = get_profiler()
+    prof.reset()
+    profiling = prof.enabled
     client = _Client(rank, size, uplink, downlink, plan)
     comm = ProcComm(rank, size, client, timeout=timeout)
     try:
         result = fn(comm, *args)
-        blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        blob = pickle.dumps((result, prof.snapshot() if profiling else None),
+                            protocol=pickle.HIGHEST_PROTOCOL)
     except BaseException as exc:  # noqa: BLE001 - marshalled to the parent
         uplink.put(("done", rank, None, _picklable_exc(exc)))
     else:
@@ -465,6 +479,11 @@ class _Router:
             self.blocked.pop(rank, None)
             self.errors[rank] = error
             self.results[rank] = blob
+            # A finished/dead sender releases its reorder holdbacks — ahead
+            # of its liveness event on the same FIFO downlinks, so no peer
+            # learns "rank finished" before that rank's last message.
+            for src, dest, tag, payload, visible in self.plan.flush_held(src=rank):
+                self._route(dest, tag, payload, visible, src)
             if error is None:
                 self.finished.add(rank)
                 self._broadcast(("finished", rank))
@@ -477,17 +496,12 @@ class _Router:
                     reason = f"{type(error).__name__}: {error}"
                 self.dead[rank] = (origin, reason)
                 self._broadcast(("dead", rank, origin, reason))
-            # A finished/dead sender releases its reorder holdbacks, as the
-            # thread substrate's mark_finished/mark_dead do.
-            for src, dest, tag, payload, visible in self.plan.flush_held(src=rank):
-                self._route(dest, tag, payload, visible, src)
 
     def _route(self, dest: int, abs_tag: int, enc: Any, visible: float,
                src: int) -> None:
         # Delayed messages are delivered eagerly with their visibility
-        # stamp — the receiver sits on them, exactly like the thread
-        # substrate's mailbox — so liveness/deadlock logic on the child
-        # can see matching in-flight traffic.
+        # stamp — the receiver sits on them — so liveness/deadlock logic
+        # on the child can see matching in-flight traffic.
         if self.done[dest]:
             _unlink_refs(enc)   # nobody will ever drain this payload
             return
@@ -527,10 +541,9 @@ class _Router:
     def _check_deadlock(self) -> None:
         """Declare deadlock iff the marshalled wait-for graph is quiescent.
 
-        Mirrors ``_World.detect_deadlock``: every live rank blocked with a
-        *current* report (it has ingested everything routed to it and
-        found no match), no reorder holdback and no pending delayed
-        message.  Only called with the uplink idle, so a rank that had
+        The condition: every live rank blocked with a *current* report (it
+        has ingested everything routed to it and found no match), no
+        reorder holdback and no pending delayed message.  Only called with the uplink idle, so a rank that had
         just sent before blocking has had that send routed already.
         """
         if self.deadlock is not None:
@@ -567,23 +580,32 @@ class _Router:
             _unlink_refs(payload)
 
 
-def run_ranks_process(size: int, fn: Callable[..., Any], *,
-                      timeout: float | None = None, args: tuple = (),
-                      faults: FaultPlan | None = None,
-                      return_exceptions: bool = False) -> list[Any]:
-    """Run ``fn(comm, *args)`` on ``size`` forked rank processes.
+def run_ranks(size: int, fn: Callable[..., Any], *,
+              timeout: float | None = None, args: tuple = (),
+              faults: FaultPlan | None = None,
+              return_exceptions: bool = False) -> list[Any]:
+    """Run ``fn(comm, *args)`` on ``size`` forked ranks; return per-rank results.
 
-    The process-substrate twin of :func:`repro.parallel.simmpi.run_ranks`
-    (same signature, semantics and error-priority re-raise order); usually
-    reached through ``run_ranks(..., substrate="process")`` or
-    ``FOAM_COMM=process``.  Results and exceptions must be picklable —
-    they cross a process boundary (an unpicklable result is reported as a
-    structured :class:`CommError` on that rank).
+    ``timeout`` bounds every blocking operation; ``None`` resolves via
+    :func:`_default_timeout` (low under pytest, ``REPRO_SIMMPI_TIMEOUT``
+    overrides).  ``faults`` is an optional
+    :class:`~repro.parallel.faults.FaultPlan` perturbing all traffic.
+    Results and exceptions must be picklable — they cross a process
+    boundary (an unpicklable result is reported as a structured
+    :class:`CommError` on that rank).
+
+    With ``return_exceptions=False`` (default), exceptions on any rank are
+    re-raised in the caller after all ranks have been joined, preferring
+    the root cause: genuine (non-communication) errors first, then injected
+    crashes, then structured deadlock reports, then secondary ``CommError``
+    fallout.  With ``return_exceptions=True``, each rank's slot in the
+    result list holds either its return value or the exception it raised —
+    the mode fault-injection tests use to assert what *every* peer saw.
     """
     if size < 1:
         raise CommError(f"world size must be >= 1, got {size}")
     if "fork" not in mp.get_all_start_methods():  # pragma: no cover - POSIX only
-        raise CommError("the process substrate requires the fork start method")
+        raise CommError("rank processes require the fork start method")
     tmo = _default_timeout() if timeout is None else timeout
     plan = faults or FaultPlan()
     ctx = mp.get_context("fork")
@@ -619,8 +641,13 @@ def run_ranks_process(size: int, fn: Callable[..., Any], *,
         stuck = sum(1 for d in router.done if not d)
         raise CommError(
             f"{stuck} rank process(es) failed to finish (deadlock?)")
-    results = [None if blob is None else pickle.loads(blob)
-               for blob in router.results]
+    results: list[Any] = [None] * size
+    prof = get_profiler()
+    for r, blob in enumerate(router.results):
+        if blob is not None:
+            results[r], rank_profile = pickle.loads(blob)
+            if rank_profile is not None:
+                prof.absorb(rank_profile)
     errors = router.errors
     if return_exceptions:
         return [errors[r] if errors[r] is not None else results[r]

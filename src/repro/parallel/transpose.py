@@ -7,7 +7,7 @@ solution is a transpose: re-decompose from latitude-bands to wavenumber-bands
 with a personalized all-to-all, do the (now local) Legendre sums, and
 transpose back.
 
-This module implements that transpose over :class:`SimComm` for 2-D arrays
+This module implements that transpose over :class:`CommBase` for 2-D arrays
 ``(nlat, nm)`` — rows = latitudes, columns = Fourier coefficients.
 """
 
@@ -16,12 +16,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend import get_workspace
+from repro.parallel.commbase import CommBase
 from repro.parallel.decomp import block_bounds
-from repro.parallel.simmpi import SimComm
 from repro.perf.profiler import profile_section
 
 
-def transpose_forward(comm: SimComm, local_rows: np.ndarray, nrows: int, ncols: int) -> np.ndarray:
+def transpose_forward(comm: CommBase, local_rows: np.ndarray,
+                      nrows: int, ncols: int) -> np.ndarray:
     """From row-decomposed to column-decomposed layout.
 
     Parameters
@@ -37,9 +38,9 @@ def transpose_forward(comm: SimComm, local_rows: np.ndarray, nrows: int, ncols: 
     rank's block of columns.
 
     The underlying all-to-all is labeled ``"transpose.forward"``, so its
-    traffic is attributable in :class:`~repro.parallel.simmpi.CommStats`
+    traffic is attributable in :class:`~repro.parallel.commbase.CommStats`
     and a wedged transpose is named as such in a
-    :class:`~repro.parallel.simmpi.DeadlockReport`.
+    :class:`~repro.parallel.commbase.DeadlockReport`.
     """
     rlo, rhi = block_bounds(nrows, comm.size, comm.rank)
     if local_rows.ndim != 2 or local_rows.shape != (rhi - rlo, ncols):
@@ -49,7 +50,7 @@ def transpose_forward(comm: SimComm, local_rows: np.ndarray, nrows: int, ncols: 
         bytes_before = comm.stats.bytes_sent
         # Pack into per-destination workspace buffers: the simulated MPI
         # layer copies payloads on send, so these are free to reuse on the
-        # next call (get_workspace() is thread-local == rank-local).
+        # next call (each rank process has its own arena).
         ws = get_workspace()
         sendblocks = []
         for dest in range(comm.size):
@@ -65,7 +66,8 @@ def transpose_forward(comm: SimComm, local_rows: np.ndarray, nrows: int, ncols: 
         return np.concatenate(recvblocks, axis=0)
 
 
-def transpose_backward(comm: SimComm, local_cols: np.ndarray, nrows: int, ncols: int) -> np.ndarray:
+def transpose_backward(comm: CommBase, local_cols: np.ndarray,
+                       nrows: int, ncols: int) -> np.ndarray:
     """Inverse of :func:`transpose_forward`: back to row-decomposed layout."""
     clo, chi = block_bounds(ncols, comm.size, comm.rank)
     if local_cols.ndim != 2 or local_cols.shape != (nrows, chi - clo):

@@ -53,7 +53,6 @@ from repro.perf.profiler import (
     profiling_enabled,
     set_profiler,
     take_profile,
-    thread_profiler,
 )
 
 __all__ = [
@@ -69,5 +68,5 @@ __all__ = [
     "Profiler", "RunProfile", "SectionStat",
     "disable_profiling", "enable_profiling", "get_profiler",
     "merge_profiles", "profile_count", "profile_section", "profiled",
-    "profiling_enabled", "set_profiler", "take_profile", "thread_profiler",
+    "profiling_enabled", "set_profiler", "take_profile",
 ]

@@ -296,10 +296,11 @@ def calibrate_concurrent_from_profile(profile, n_atm_ranks: int) -> MeasuredCost
 
     * ``step_seconds`` is the all-ranks total per step (summed ``atmosphere``
       minus radiation, over ``steps``); the simulator divides it by the rank
-      count, giving the *average* per-rank step time — under concurrent
-      execution each rank's section clock already includes time spent waiting
-      for shared resources, so this average approximates the pool's elapsed
-      step time;
+      count, giving the *average* per-rank step time.  Section clocks are
+      wall time measured inside each rank process: with a core per rank
+      they are pure compute, and on a host with fewer cores than ranks they
+      also hold the time the rank sat descheduled behind its peers — either
+      way the average approximates the pool's elapsed step time;
     * radiation is band-decomposed, so its summed cost per radiation step is
       ``rad_incl * n_atm_ranks / rad_calls``;
     * ``coupler_seconds`` is the dedicated coupler rank's full per-step cost

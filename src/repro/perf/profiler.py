@@ -5,9 +5,9 @@ counts (:mod:`repro.perf.costmodel`) fed a discrete-event simulator
 (:mod:`repro.perf.eventsim`) whose output mimics the paper's Figure 2.
 This module closes the loop with *measured* time: a low-overhead
 instrumentation layer threaded through the hot paths (spectral transforms,
-semi-Lagrangian advection, physics, ocean stages, coupler, the simmpi
-transpose), producing a structured :class:`RunProfile` whose per-section
-costs can in turn calibrate the event simulator
+semi-Lagrangian advection, physics, ocean stages, coupler, the
+distributed transpose), producing a structured :class:`RunProfile` whose
+per-section costs can in turn calibrate the event simulator
 (:func:`repro.perf.costmodel.calibrate_from_profile`).
 
 Design constraints, in order:
@@ -16,10 +16,11 @@ Design constraints, in order:
    paths permanently, so the disabled check is one attribute read and the
    returned context manager is a shared no-op singleton; a test bounds the
    overhead on an instrumented hot loop.
-2. **Thread-safe.**  The simmpi layer runs one thread per rank, all
-   entering the same sections concurrently.  Each thread keeps its own
-   section stack (``threading.local``); the shared per-path accumulators
-   are only touched under a lock at section exit.
+2. **One profiler per process.**  The model is single-threaded and a
+   rank is a forked process with its own default profiler, so there is
+   one section stack and no locking; what a rank recorded comes back to
+   the caller as a :class:`RunProfile` and is added with
+   :meth:`Profiler.absorb`.
 3. **Hierarchical.**  Sections nest: entering ``"physics"`` inside
    ``"atmosphere"`` records under the path ``"atmosphere/physics"``, and
    each node tracks both *inclusive* time (with children) and *exclusive*
@@ -40,7 +41,6 @@ Usage::
 from __future__ import annotations
 
 import json
-import threading
 import time
 from dataclasses import dataclass, field
 from functools import wraps
@@ -64,7 +64,7 @@ _NULL_SECTION = _NullSection()
 
 
 class _Node:
-    """Accumulator for one section path (shared across threads)."""
+    """Accumulator for one section path."""
 
     __slots__ = ("calls", "inclusive", "exclusive", "counters")
 
@@ -78,39 +78,29 @@ class _Node:
 class _Section:
     """Live context manager for one enabled section entry."""
 
-    __slots__ = ("_prof", "_name", "_start", "_child", "_counters", "_frames")
+    __slots__ = ("_prof", "_name", "_start", "_child", "_counters")
 
     def __init__(self, prof: "Profiler", name: str):
         self._prof = prof
         self._name = name
 
     def __enter__(self):
-        self._frames = self._prof._stack()
         self._child = 0.0
         self._counters = None
-        self._frames.append(self)
+        self._prof._stack.append(self)
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, *exc):
         elapsed = time.perf_counter() - self._start
-        frames = self._frames
+        frames = self._prof._stack
         frames.pop()
         if frames:
             frames[-1]._child += elapsed
         path = SEP.join(f._name for f in frames) + SEP + self._name if frames \
             else self._name
-        prof = self._prof
-        with prof._lock:
-            node = prof._nodes.get(path)
-            if node is None:
-                node = prof._nodes[path] = _Node()
-            node.calls += 1
-            node.inclusive += elapsed
-            node.exclusive += elapsed - self._child
-            if self._counters:
-                for k, v in self._counters.items():
-                    node.counters[k] = node.counters.get(k, 0.0) + v
+        self._prof._record(path, 1, elapsed, elapsed - self._child,
+                           self._counters)
         return False
 
     def count(self, name: str, value: float = 1.0) -> None:
@@ -120,22 +110,27 @@ class _Section:
 
 
 class Profiler:
-    """Thread-safe hierarchical wall-clock timer + counter registry."""
+    """Hierarchical wall-clock timer + counter registry."""
 
     def __init__(self, enabled: bool = False):
         self.enabled = enabled
-        self._lock = threading.Lock()
         self._nodes: dict[str, _Node] = {}
         self._counters: dict[str, float] = {}
-        self._local = threading.local()
+        self._stack: list[_Section] = []
         self._started = time.perf_counter()
 
     # -- section management ------------------------------------------------
-    def _stack(self) -> list:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
+    def _record(self, path: str, calls: int, inclusive: float,
+                exclusive: float, counters: dict | None) -> None:
+        node = self._nodes.get(path)
+        if node is None:
+            node = self._nodes[path] = _Node()
+        node.calls += calls
+        node.inclusive += inclusive
+        node.exclusive += exclusive
+        if counters:
+            for k, v in counters.items():
+                node.counters[k] = node.counters.get(k, 0.0) + v
 
     def section(self, name: str):
         """Context manager timing one (possibly nested) section.
@@ -162,19 +157,17 @@ class Profiler:
         return decorate
 
     def count(self, name: str, value: float = 1.0) -> None:
-        """Add to a counter on the innermost active section of this thread.
+        """Add to a counter on the innermost active section.
 
-        Outside any section (or from a thread with no sections open) the
-        count lands in the profile-level counter table instead.
+        Outside any section the count lands in the profile-level counter
+        table instead.
         """
         if not self.enabled:
             return
-        stack = self._stack()
-        if stack:
-            stack[-1].count(name, value)
+        if self._stack:
+            self._stack[-1].count(name, value)
             return
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0.0) + value
+        self._counters[name] = self._counters.get(name, 0.0) + value
 
     # -- lifecycle ---------------------------------------------------------
     def enable(self) -> None:
@@ -184,24 +177,33 @@ class Profiler:
         self.enabled = False
 
     def reset(self) -> None:
-        with self._lock:
-            self._nodes.clear()
-            self._counters.clear()
-            self._started = time.perf_counter()
+        self._nodes.clear()
+        self._counters.clear()
+        self._started = time.perf_counter()
 
     def snapshot(self, label: str = "", meta: dict | None = None) -> "RunProfile":
         """Freeze current accumulators into a :class:`RunProfile` (no reset)."""
-        with self._lock:
-            sections = [
-                SectionStat(path=path, calls=n.calls, inclusive=n.inclusive,
-                            exclusive=n.exclusive, counters=dict(n.counters))
-                for path, n in sorted(self._nodes.items())
-            ]
-            counters = dict(self._counters)
-            elapsed = time.perf_counter() - self._started
-        return RunProfile(label=label, wall_seconds=elapsed,
-                          sections=sections, counters=counters,
+        sections = [
+            SectionStat(path=path, calls=n.calls, inclusive=n.inclusive,
+                        exclusive=n.exclusive, counters=dict(n.counters))
+            for path, n in sorted(self._nodes.items())
+        ]
+        return RunProfile(label=label,
+                          wall_seconds=time.perf_counter() - self._started,
+                          sections=sections, counters=dict(self._counters),
                           meta=dict(meta or {}))
+
+    def absorb(self, profile: "RunProfile") -> None:
+        """Add a finished profile's sections and counters to the accumulators.
+
+        How sections recorded in a forked rank process reach the caller:
+        ``run_ranks`` absorbs every rank's snapshot into the caller's
+        profiler.  :func:`merge_profiles` is the same summation.
+        """
+        for s in profile.sections:
+            self._record(s.path, s.calls, s.inclusive, s.exclusive, s.counters)
+        for k, v in profile.counters.items():
+            self._counters[k] = self._counters.get(k, 0.0) + v
 
 
 @dataclass
@@ -233,8 +235,8 @@ class RunProfile:
 
     The measured analogue of the event simulator's Figure-2 breakdown:
     per-section inclusive/exclusive wall time, call counts, and whatever
-    counters the sections recorded (notably ``comm_bytes`` from the simmpi
-    transpose).  This is both the human-readable artifact behind
+    counters the sections recorded (notably ``comm_bytes`` from the
+    distributed transpose).  This is both the human-readable artifact behind
     ``python -m repro.perf.report`` and the machine-readable calibration
     input of :func:`repro.perf.costmodel.calibrate_from_profile`.
     """
@@ -398,55 +400,10 @@ def _human_bytes(n: float) -> str:
 
 # ---------------------------------------------------------------------------
 # Default (module-level) profiler: what the instrumented library code uses.
-#
-# A thread may override it with ``thread_profiler(...)`` so simulated-MPI
-# rank threads each record into their own Profiler.  ``_tls_installs`` is a
-# fast-path guard: while it is zero (the usual, single-profiler case) the
-# hot-path hooks pay only one extra global-int truthiness check.
+# A forked rank inherits it and resets it, so each rank process records
+# into its own.
 # ---------------------------------------------------------------------------
 _default = Profiler(enabled=False)
-_tls = threading.local()
-_tls_installs = 0
-_tls_lock = threading.Lock()
-
-
-def _active_profiler() -> Profiler:
-    """This thread's profiler: the thread-local override, else the default."""
-    if _tls_installs:
-        override = getattr(_tls, "profiler", None)
-        if override is not None:
-            return override
-    return _default
-
-
-class thread_profiler:
-    """Context manager: route this thread's sections to ``profiler``.
-
-    The concurrent coupled driver wraps each rank thread's main loop in one
-    of these so every rank accumulates its own :class:`RunProfile` (merged
-    afterwards with :func:`merge_profiles`).  Other threads — and this
-    thread outside the with-block — keep using the process default.
-    Re-entrant: nesting restores the previous override on exit.
-    """
-
-    def __init__(self, profiler: Profiler):
-        self.profiler = profiler
-        self._previous = None
-
-    def __enter__(self) -> Profiler:
-        global _tls_installs
-        self._previous = getattr(_tls, "profiler", None)
-        _tls.profiler = self.profiler
-        with _tls_lock:
-            _tls_installs += 1
-        return self.profiler
-
-    def __exit__(self, *exc):
-        global _tls_installs
-        _tls.profiler = self._previous
-        with _tls_lock:
-            _tls_installs -= 1
-        return False
 
 
 def merge_profiles(profiles, label: str = "",
@@ -463,35 +420,19 @@ def merge_profiles(profiles, label: str = "",
     profiles = list(profiles)
     if not profiles:
         raise ValueError("merge_profiles needs at least one profile")
-    nodes: dict[str, SectionStat] = {}
-    counters: dict[str, float] = {}
-    wall = 0.0
+    total = Profiler()
     for p in profiles:
-        wall = max(wall, p.wall_seconds)
-        for k, v in p.counters.items():
-            counters[k] = counters.get(k, 0.0) + v
-        for s in p.sections:
-            agg = nodes.get(s.path)
-            if agg is None:
-                nodes[s.path] = SectionStat(
-                    path=s.path, calls=s.calls, inclusive=s.inclusive,
-                    exclusive=s.exclusive, counters=dict(s.counters))
-            else:
-                agg.calls += s.calls
-                agg.inclusive += s.inclusive
-                agg.exclusive += s.exclusive
-                for k, v in s.counters.items():
-                    agg.counters[k] = agg.counters.get(k, 0.0) + v
+        total.absorb(p)
     merged_meta = {
         "merged_from": len(profiles),
         "rank_walls": [p.wall_seconds for p in profiles],
         "rank_labels": [p.label for p in profiles],
     }
     merged_meta.update(meta or {})
-    return RunProfile(label=label or f"merge of {len(profiles)} profiles",
-                      wall_seconds=wall,
-                      sections=[nodes[k] for k in sorted(nodes)],
-                      counters=counters, meta=merged_meta)
+    merged = total.snapshot(label=label or f"merge of {len(profiles)} profiles",
+                            meta=merged_meta)
+    merged.wall_seconds = max(p.wall_seconds for p in profiles)
+    return merged
 
 
 def get_profiler() -> Profiler:
@@ -522,31 +463,28 @@ def profiling_enabled() -> bool:
 
 
 def profile_section(name: str):
-    """Section context manager on the active profiler (the hot-path hook)."""
-    prof = _active_profiler() if _tls_installs else _default
-    if not prof.enabled:
+    """Section context manager on the default profiler (the hot-path hook)."""
+    if not _default.enabled:
         return _NULL_SECTION
-    return _Section(prof, name)
+    return _Section(_default, name)
 
 
 def profile_count(name: str, value: float = 1.0) -> None:
-    """Counter on the active profiler (no-op while disabled)."""
-    prof = _active_profiler() if _tls_installs else _default
-    if prof.enabled:
-        prof.count(name, value)
+    """Counter on the default profiler (no-op while disabled)."""
+    if _default.enabled:
+        _default.count(name, value)
 
 
 def profiled(name: str | None = None):
-    """Decorator: time every call of ``fn`` as a section on the active profiler."""
+    """Decorator: time every call of ``fn`` as a section on the default profiler."""
     def decorate(fn):
         label = name or fn.__name__
 
         @wraps(fn)
         def wrapper(*args, **kwargs):
-            prof = _active_profiler() if _tls_installs else _default
-            if not prof.enabled:
+            if not _default.enabled:
                 return fn(*args, **kwargs)
-            with _Section(prof, label):
+            with _Section(_default, label):
                 return fn(*args, **kwargs)
         return wrapper
     return decorate

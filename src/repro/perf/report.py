@@ -149,28 +149,25 @@ def profile_ensemble_run(days: float = 1.0, config: str = "test",
 
 
 def profile_concurrent_run(days: float = 1.0, config: str = "test",
-                           n_atm: int = 2, n_ocn: int = 1,
-                           substrate: str | None = None):
+                           n_atm: int = 2, n_ocn: int = 1):
     """Run the pool-split coupled driver with per-rank profiling.
 
     Returns the :class:`repro.parallel.coupled.ConcurrentCoupledResult`
     (merged profile on ``.profile``, per-rank ones on ``.profiles``).
-    ``substrate`` picks the communicator implementation: ``"thread"``
-    (default) or ``"process"`` for real forked rank processes that use
-    every core the layout asks for.
     """
     from repro.core.config import named_config
     from repro.parallel.coupled import PoolLayout, run_concurrent_coupled
 
     return run_concurrent_coupled(config=named_config(config), days=days,
                                   layout=PoolLayout(n_atm=n_atm, n_ocn=n_ocn),
-                                  profile=True, substrate=substrate)
+                                  profile=True)
 
 
 def format_waits(result) -> str:
     """Render a concurrent run's blocking-recv wait accounting."""
     lines = [f"blocking waits over {result.wall_seconds:.3f} s wall "
-             f"({result.nsteps} steps, {result.substrate} ranks):"]
+             f"({result.nsteps} steps, "
+             f"{result.layout.world_size} rank processes):"]
     for kind in sorted(result.waits):
         lines.append(f"  {kind:12s} {result.waits[kind]:10.3f} s")
     lines.append(f"  ocean busy  {result.ocean_busy_seconds:10.3f} s "
@@ -252,11 +249,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--ocn-ranks", type=int, default=1, metavar="N",
                         help="ocean-pool ranks for --atm-ranks mode "
                              "(default: 1)")
-    parser.add_argument("--substrate", default=None,
-                        choices=("thread", "process"),
-                        help="communicator substrate for --atm-ranks mode: "
-                             "rank threads or real forked processes "
-                             "(default: FOAM_COMM or thread)")
     parser.add_argument("--ensemble", type=int, default=None, metavar="N",
                         help="profile a batched N-member ensemble run "
                              "(section times are for the whole batch)")
@@ -264,9 +256,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.ensemble is not None and args.atm_ranks is not None:
         parser.error("--ensemble and --atm-ranks are mutually exclusive")
-    if args.substrate is not None and args.atm_ranks is None:
-        parser.error("--substrate requires --atm-ranks (it picks the "
-                     "communicator for the concurrent coupled run)")
 
     result = None
     if args.load is not None:
@@ -278,8 +267,7 @@ def main(argv: list[str] | None = None) -> int:
     elif args.atm_ranks is not None:
         result = profile_concurrent_run(days=args.days, config=args.config,
                                         n_atm=args.atm_ranks,
-                                        n_ocn=args.ocn_ranks,
-                                        substrate=args.substrate)
+                                        n_ocn=args.ocn_ranks)
         profile = result.profile
 
     else:

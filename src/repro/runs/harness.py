@@ -1,7 +1,7 @@
 """The run harness: one stepping loop for every execution path.
 
 :class:`RunHarness` resolves a declarative :class:`~repro.runs.plan.RunPlan`
-into an integration and owns the time loop for every substrate:
+into an integration and owns the time loop for every execution mode:
 
 * **serial** and **ensemble** plans drive :func:`drive_steps` — the single
   observer-instrumented loop that ``FoamModel.run_days`` and
@@ -15,10 +15,10 @@ into an integration and owns the time loop for every substrate:
 
 The headline contract (``tests/test_runs.py``): for any plan,
 ``run(N days)`` is bitwise float64-identical to ``run(k) -> checkpoint ->
-resume -> run(N-k)``, across serial == ensemble-member == thread-pool ==
-process-pool, including resuming a serial checkpoint onto a concurrent
-substrate.  That is what lets the future serving tier cache results under
-:meth:`RunPlan.run_key` regardless of how they were computed.
+resume -> run(N-k)``, across serial == ensemble-member == rank-pool,
+including resuming a serial checkpoint onto the rank pools.  That is what
+lets the future serving tier cache results under :meth:`RunPlan.run_key`
+regardless of how they were computed.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ class RunResult:
     start_step: int                    # absolute step index the run began at
     wall_seconds: float
     mode: str
-    substrate: str | None = None
     nens: int = 1
     history_files: list[Path] = field(default_factory=list)
     checkpoints: list[Path] = field(default_factory=list)
@@ -201,9 +200,9 @@ class RunHarness:
         return RunResult(
             state=result_state, plan=self.plan, run_key=self.plan.run_key(),
             steps=remaining, start_step=start, wall_seconds=wall,
-            mode=self.plan.mode, substrate=self.plan.substrate,
-            nens=self.plan.nens, history_files=history_files,
-            checkpoints=checkpoints, concurrent=segments)
+            mode=self.plan.mode, nens=self.plan.nens,
+            history_files=history_files, checkpoints=checkpoints,
+            concurrent=segments)
 
     # ------------------------------------------------------------------
     def _segment_targets(self, start: int, total: int,
@@ -248,7 +247,7 @@ class RunHarness:
                 continue
             seg = run_concurrent_coupled(
                 config=self.config, nsteps=target - cursor, layout=layout,
-                substrate=plan.substrate, initial_state=state)
+                initial_state=state)
             segments.append(seg)
             state = seg.state
             cursor = target

@@ -110,7 +110,7 @@ class CheckpointObserver(StepObserver):
     ``interval_steps`` must be a multiple of
     :attr:`FoamConfig.checkpoint_boundary_steps` (validated by
     :meth:`CheckpointSpec.interval_steps`) so every file is bitwise
-    resumable by a fresh model on any substrate.
+    resumable by a fresh model in any execution mode.
     """
 
     def __init__(self, directory: str | Path, interval_steps: int, *,

@@ -2,17 +2,17 @@
 
 A :class:`RunPlan` captures everything that determines a FOAM integration —
 the world (config and/or scenario), the duration, the execution mode
-(serial, batched ensemble, concurrent rank pools), the communicator
-substrate, and the output cadences (history snapshots, restart
-checkpoints).  The :class:`~repro.runs.harness.RunHarness` resolves a plan
-into a single stepping loop; nothing about the *result* depends on how the
+(serial, batched ensemble, concurrent rank pools), and the output
+cadences (history snapshots, restart checkpoints).  The
+:class:`~repro.runs.harness.RunHarness` resolves a plan into a single
+stepping loop; nothing about the *result* depends on how the
 plan is executed (the resume/equivalence contract in ``tests/test_runs.py``
-pins serial == ensemble-member == thread-pool == process-pool bitwise).
+pins serial == ensemble-member == rank-pool bitwise).
 
 :func:`RunPlan.run_key` is the content hash the future serving tier caches
 on: it covers exactly the result-determining inputs (config, scenario,
 duration, ensemble shape) and deliberately **excludes** the execution mode,
-rank layout, substrate, and output cadences — bitwise mode-equivalence is
+rank layout, and output cadences — bitwise mode-equivalence is
 what makes one cache entry valid for every way of computing it.
 """
 
@@ -61,7 +61,7 @@ class CheckpointSpec:
     The cadence must land on *safe* boundaries
     (:attr:`FoamConfig.checkpoint_boundary_steps` — coupling and radiation
     boundaries coincide there), which is what makes a checkpoint bitwise
-    resumable by a fresh model on any substrate.
+    resumable by a fresh model in any execution mode.
     """
 
     directory: str
@@ -93,9 +93,11 @@ class RunPlan:
     ``config`` is the base configuration (default: ``test_config()``);
     ``scenario`` optionally names a registered world whose knobs are
     applied on top of it.  ``mode`` selects the execution path; ``nens``
-    and ``ic_perturbation`` shape the ensemble; ``n_atm``/``n_ocn``/
-    ``substrate`` shape the concurrent rank pools.  ``history`` and
-    ``checkpoint`` attach the streaming observers.
+    and ``ic_perturbation`` shape the ensemble; ``n_atm``/``n_ocn`` shape
+    the concurrent rank pools.  ``history`` and ``checkpoint`` attach the
+    streaming observers.  ``substrate`` is vestigial: rank pools always run
+    on forked processes, and the field survives (``None`` or ``"process"``
+    only) because the frozen ledger workload still passes it.
     """
 
     config: FoamConfig | None = None
@@ -122,8 +124,11 @@ class RunPlan:
             raise ValueError(f"nens must be >= 1, got {self.nens}")
         if self.mode != "ensemble" and self.nens != 1:
             raise ValueError(f"nens={self.nens} requires mode='ensemble'")
-        if self.mode != "concurrent" and self.substrate is not None:
-            raise ValueError("substrate only applies to mode='concurrent'")
+        if self.substrate not in (None, "process"):
+            raise ValueError(
+                f"substrate={self.substrate!r}: the selector was removed — "
+                f"forked rank processes are the only transport (leave it "
+                f"unset)")
 
     # ------------------------------------------------------------------
     def resolved_config(self) -> FoamConfig:

@@ -5,7 +5,7 @@ Usage::
     python -m repro.scenarios list [--json]
     python -m repro.scenarios describe NAME [--json]
     python -m repro.scenarios run NAME [--days D] [--size test|small|paper]
-                                       [--ensemble N] [--substrate S]
+                                       [--ensemble N]
                                        [--atm-ranks N] [--ocn-ranks N]
                                        [--checkpoint-dir DIR]
                                        [--checkpoint-days D]
@@ -17,11 +17,11 @@ Usage::
 through the :class:`~repro.runs.RunHarness` — the same stepping loop
 whatever the mode: serial (default, with a climatology summary),
 ``--ensemble N`` (N perturbed members as one batch, spread reported), or
-``--substrate``/``--atm-ranks``/``--ocn-ranks`` (concurrent rank pools).
+``--atm-ranks N`` [``--ocn-ranks N``] (concurrent pools of forked ranks).
 ``--checkpoint-dir`` streams bitwise-resumable checkpoints,
 ``--history-dir`` streams rolling history files, and ``--resume CKPT``
-continues any prior run's checkpoint up to ``--days`` total — on any
-substrate, not just the one that wrote it.  ``golden`` regenerates the
+continues any prior run's checkpoint up to ``--days`` total — in any
+mode, not just the one that wrote it.  ``golden`` regenerates the
 committed regression climatologies.
 """
 
@@ -89,10 +89,11 @@ def cmd_describe(args) -> int:
 # ----------------------------------------------------------------------
 def _plan_from_args(scenario, args) -> RunPlan:
     """Translate CLI flags into the declarative run plan."""
-    if args.ensemble and (args.substrate or args.atm_ranks != 1):
-        raise SystemExit("--ensemble and --substrate/--atm-ranks are "
+    pooled = args.atm_ranks is not None or args.ocn_ranks != 1
+    if args.ensemble and pooled:
+        raise SystemExit("--ensemble and --atm-ranks/--ocn-ranks are "
                          "mutually exclusive")
-    if args.substrate or args.atm_ranks != 1 or args.ocn_ranks != 1:
+    if pooled:
         mode = "concurrent"
     elif args.ensemble:
         mode = "ensemble"
@@ -103,8 +104,8 @@ def _plan_from_args(scenario, args) -> RunPlan:
         days=args.days, mode=mode,
         nens=args.ensemble or 1,
         ic_perturbation=args.perturb if args.ensemble else 0.0,
-        n_atm=args.atm_ranks, n_ocn=args.ocn_ranks,
-        substrate=args.substrate,
+        n_atm=1 if args.atm_ranks is None else args.atm_ranks,
+        n_ocn=args.ocn_ranks,
         history=(HistorySpec(args.history_dir,
                              interval_days=args.history_days)
                  if args.history_dir else None),
@@ -136,9 +137,7 @@ def cmd_run(args) -> int:
     else:
         final = state_metrics(harness.model, result.state)
         final.pop("mean_ps_pa", None)
-        body.update(substrate=result.concurrent[-1].substrate
-                    if result.concurrent else plan.substrate,
-                    world_size=plan.n_atm + 1 + plan.n_ocn,
+        body.update(world_size=plan.n_atm + 1 + plan.n_ocn,
                     nsteps=result.steps,
                     wall_seconds=result.wall_seconds,
                     hidden_fraction=result.hidden_fraction,
@@ -229,11 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="ensemble IC vorticity noise amplitude "
                          "(matches the model's own 1e-8 IC noise; much "
                          "larger values destabilize polar land caps)")
-    rp.add_argument("--substrate", default=None,
-                    choices=("thread", "process"),
-                    help="drive the concurrent rank-pool driver")
-    rp.add_argument("--atm-ranks", type=int, default=1)
-    rp.add_argument("--ocn-ranks", type=int, default=1)
+    rp.add_argument("--atm-ranks", type=int, default=None, metavar="N",
+                    help="run concurrently on forked rank pools with N "
+                         "atmosphere ranks (adds a dedicated coupler rank)")
+    rp.add_argument("--ocn-ranks", type=int, default=1, metavar="N",
+                    help="ocean-pool ranks of the concurrent run "
+                         "(default: 1)")
     rp.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                     help="stream bitwise-resumable checkpoints here")
     rp.add_argument("--checkpoint-days", type=float, default=0.5,

@@ -6,7 +6,7 @@ one climate from another — solar constant, CO2, rotation rate, land-sea
 mask, ocean representation and initialization — and maps them onto a
 :class:`~repro.core.config.FoamConfig` delta.  Everything downstream
 (serial runs, batched ensembles, concurrent rank pools) consumes the
-config, so a scenario built here runs on every substrate unchanged.
+config, so a scenario built here runs in every execution mode unchanged.
 
 A scenario with all-default knobs builds *exactly* the model a plain
 ``FoamModel(config)`` would: the layer adds no silent drift (regression-

@@ -4,7 +4,7 @@ The requirements these encode (ISSUE 5): the pool-split driver
 (``repro.parallel.coupled``) must reproduce the serial float64 trajectory
 *bitwise* over multiple simulated days — same exchange epochs, same
 operation order; the per-rank profiles must merge into one coherent
-profile; the rank arenas must stay disjoint; a mis-tagged coupler
+profile; every rank must start from an empty scratch arena; a mis-tagged coupler
 exchange with two active pools must be diagnosed as a deadlock naming
 both pools' waiting ranks; and the calibrated event-simulator prediction
 must track the functional pool-split speedup.
@@ -17,7 +17,7 @@ import pytest
 
 from repro.core import FoamModel
 from repro.core import test_config as tiny_config
-from repro.parallel import DeadlockError, resolve_substrate, run_ranks
+from repro.parallel import DeadlockError, run_ranks
 from repro.parallel.coupled import (
     TAG_ATM_STATE,
     TAG_FORCING,
@@ -33,7 +33,7 @@ from repro.perf.costmodel import (
     calibrate_from_profile,
 )
 from repro.perf.eventsim import predict_concurrent_speedup
-from repro.perf.profiler import Profiler, thread_profiler
+from repro.perf.profiler import Profiler, set_profiler
 
 pytestmark = pytest.mark.parallel
 
@@ -55,10 +55,13 @@ def serial(cfg):
     model = FoamModel(cfg)
     state = model.initial_state()
     prof = Profiler(enabled=True)
+    previous = set_profiler(prof)
     t0 = time.perf_counter()
-    with thread_profiler(prof):
+    try:
         for _ in range(NSTEPS):
             state = model.coupled_step(state)
+    finally:
+        set_profiler(previous)
     wall = time.perf_counter() - t0
     return {"model": model, "state": state, "wall": wall,
             "profile": prof.snapshot(label="serial",
@@ -168,22 +171,21 @@ def test_overlap_accounting(concurrent):
     assert concurrent.waits.get("forcing", 0.0) > 0.0
 
 
-def test_workspace_arenas_disjoint(concurrent):
-    from repro.backend import arenas_disjoint
-    assert len(concurrent.workspaces) == LAYOUT.world_size
-    assert len({id(w) for w in concurrent.workspaces}) == LAYOUT.world_size
-    assert arenas_disjoint(concurrent.workspaces)
-    # Per-rank stats were captured at loop exit and aggregate without
-    # double counting (each arena is a distinct registry entry).
-    for w, st in zip(concurrent.workspaces, concurrent.ws_stats):
-        assert st["hits"] == w.hits and st["misses"] == w.misses
+def test_workspace_arenas_disjoint(serial, concurrent):
+    """Each rank process reports its own arena, emptied at fork: only the
+    counters come back (never the buffers), and every buffer a rank holds
+    is one it allocated itself — none inherited from the caller, whose
+    arena the serial run has already warmed."""
+    stats = concurrent.ws_stats
+    assert [st["rank"] for st in stats] == list(range(LAYOUT.world_size))
+    assert [st["role"] for st in stats] == ["atm", "atm", "cpl", "ocn"]
+    for st in stats:
+        assert st["misses"] == st["buffers"] > 0
+        assert st["hits"] > 0 and st["nbytes"] > 0
+    assert not hasattr(concurrent, "workspaces")
 
 
 def test_eventsim_prediction_tracks_functional(serial, concurrent, cfg):
-    if resolve_substrate() == "process":
-        pytest.skip("calibration envelope is a thread-substrate contract: "
-                    "forked ranks on a multi-core host change the "
-                    "functional/predicted timing ratio by design")
     serial_costs = calibrate_from_profile(serial["profile"])
     conc_costs = calibrate_concurrent_from_profile(concurrent.profile,
                                                    n_atm_ranks=LAYOUT.n_atm)

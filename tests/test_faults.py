@@ -7,13 +7,11 @@ recv/recv tag-mismatch cycle is diagnosed as a structured
 every FaultPlan perturbation (delay, reorder, duplicate, corrupt, crash)
 is observable through the normal API.
 
-ISSUE 7 extends the same guarantees to the real-process substrate: the
-``process substrate`` section pins that an injected crash is named on
-every peer *process* and that a mis-tagged coupler exchange on forked
-rank pools still yields a marshalled :class:`DeadlockReport` in under a
-second.  (The whole module also runs under ``FOAM_COMM=process`` in CI,
-which routes every ``run_ranks`` world here through the process
-substrate.)
+Every world here is a set of forked rank processes, so each diagnosis is
+also a marshalling test; the ``process boundary`` section pins the parts
+that are about the boundary itself: ``origin_rank`` surviving the pickle,
+a :class:`DeadlockReport` broadcast by the router in under a second, a
+corrupt rule reaching a shared-memory-parked payload.
 """
 
 import time
@@ -148,8 +146,7 @@ def test_tag_mismatch_in_transpose_forward_is_diagnosed():
         lo, hi = block_bounds(nrows, comm.size, comm.rank)
         return transpose_forward(comm, full[lo:hi], nrows, ncols)
 
-    # Patch the substrate-shared base so the skew applies on thread AND
-    # process communicators (forked children inherit the patched class).
+    # Forked children inherit the patched class.
     CommBase._collective_tag = skewed_tag
     try:
         t0 = time.monotonic()
@@ -272,7 +269,7 @@ def test_comm_stats_label_traffic_by_operation():
     assert sum(s.op_msgs.get("barrier", 0) for s in stats) > 0
 
 
-# -------------------------------------------------------- process substrate
+# --------------------------------------------------------- process boundary
 def test_process_crash_named_on_every_peer_process():
     """ISSUE 7: an injected crash in a forked rank process surfaces as a
     CommError naming the dead rank on every peer process — the diagnosis
@@ -286,7 +283,7 @@ def test_process_crash_named_on_every_peer_process():
     t0 = time.monotonic()
     out = run_ranks(4, worker, timeout=30.0,
                     faults=FaultPlan().crash(rank=2, at_op=1),
-                    return_exceptions=True, substrate="process")
+                    return_exceptions=True)
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0, f"crash diagnosis took {elapsed:.1f}s"
     assert isinstance(out[2], RankCrashedError)
@@ -316,8 +313,7 @@ def test_process_mistagged_coupler_exchange_deadlock_report():
 
     t0 = time.monotonic()
     with pytest.raises(DeadlockError) as excinfo:
-        run_ranks(layout.world_size, worker, timeout=60.0,
-                  substrate="process")
+        run_ranks(layout.world_size, worker, timeout=60.0)
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0, f"deadlock diagnosis took {elapsed:.1f}s"
 
@@ -334,15 +330,13 @@ def test_process_mistagged_coupler_exchange_deadlock_report():
 
 def test_process_faults_thread_through_collectives():
     """The router applies FaultPlan transforms: corruption of root's
-    outbound traffic perturbs a process-substrate bcast identically to
-    the thread substrate (including shm-parked bulk payloads)."""
+    outbound traffic reaches a bcast payload parked in shared memory."""
     big = 16384  # float64 payload over the shm threshold (128 KiB)
 
     def worker(comm):
         return comm.bcast(np.ones(big) if comm.rank == 0 else None, root=0)
 
     out = run_ranks(2, worker, timeout=30.0,
-                    faults=FaultPlan().corrupt(src=0, dest=1),
-                    substrate="process")
+                    faults=FaultPlan().corrupt(src=0, dest=1))
     np.testing.assert_array_equal(out[0], np.ones(big))       # root untouched
     np.testing.assert_array_equal(out[1], -np.ones(big) - 1)  # peer corrupted

@@ -2,7 +2,6 @@
 
 import json
 import sys
-import threading
 import time
 
 import numpy as np
@@ -172,48 +171,25 @@ def _timed(fn, n):
     return time.perf_counter() - t0
 
 
-# ------------------------------------------------------------- threads
-def test_thread_safety_across_threads(fresh_profiler):
-    """Concurrent threads in the same sections must not corrupt accounting."""
-    n_threads, n_iter = 8, 200
-    barrier = threading.Barrier(n_threads)
-
-    def worker():
-        barrier.wait()
-        for _ in range(n_iter):
-            with profile_section("outer"):
-                with profile_section("inner"):
-                    pass
-
-    threads = [threading.Thread(target=worker) for _ in range(n_threads)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    profile = take_profile()
-    # No cross-thread stack leakage: exactly the two expected paths.
-    assert {s.path for s in profile.sections} == {"outer", "outer/inner"}
-    assert profile["outer"].calls == n_threads * n_iter
-    assert profile["outer/inner"].calls == n_threads * n_iter
-    assert profile["outer"].inclusive >= profile["outer/inner"].inclusive
-
-
+# ------------------------------------------------------------- ranks
 @pytest.mark.parallel
-def test_simmpi_rank_threads_profile_transpose(fresh_profiler):
-    """The instrumented simmpi transpose profiles correctly from rank threads.
+def test_rank_processes_profile_transpose(fresh_profiler):
+    """Sections recorded inside forked ranks reach the caller's profiler.
 
-    Pinned to the thread substrate: the property under test is that the
-    *parent's* global profiler aggregates sections recorded by rank threads
-    sharing its process.  Forked ranks profile into their own processes
-    (the coupled driver marshals those back explicitly via per-rank
-    RunProfiles instead).
+    Each rank resets the accumulators it inherited at fork, records the
+    instrumented transpose into its own profiler, and ships the snapshot
+    back with its result; ``run_ranks`` absorbs them.  A section the caller
+    recorded *before* the fork must therefore still count once, not once
+    per rank.
     """
     from repro.parallel.components import measure_transpose_comm
 
     nranks = 4
-    stats = measure_transpose_comm(nranks, nlat=16, nm=8, nlev=3,
-                                   substrate="thread")
+    with profile_section("before_fork"):
+        pass
+    stats = measure_transpose_comm(nranks, nlat=16, nm=8, nlev=3)
     profile = take_profile("transpose")
+    assert profile["before_fork"].calls == 1
     fwd = profile["transpose.forward"]
     bwd = profile["transpose.backward"]
     assert fwd.calls == nranks and bwd.calls == nranks
@@ -290,63 +266,6 @@ def test_default_profiler_starts_disabled():
     # The library-wide default must not record in normal (unprofiled) runs.
     assert isinstance(get_profiler(), Profiler)
     assert not profiling_enabled()
-
-
-# ------------------------------------------------- thread-local routing
-def test_thread_profiler_routes_sections_to_local_profiler():
-    """Inside the context, hooks hit the installed per-thread profiler."""
-    from repro.perf.profiler import merge_profiles, thread_profiler
-
-    mine = Profiler(enabled=True)
-    with thread_profiler(mine):
-        with profile_section("work"):
-            profile_count("items", 3)
-    prof = mine.snapshot(label="tls")
-    assert prof.total_calls("work") == 1
-    assert prof.get("work").counters["items"] == 3
-    # Nothing leaked to the process-wide default profiler.
-    assert get_profiler().snapshot().sections == []
-    _ = merge_profiles  # imported together; used by the tests below
-
-
-def test_thread_profiler_is_reentrant_and_restores():
-    from repro.perf.profiler import thread_profiler
-
-    outer, inner = Profiler(enabled=True), Profiler(enabled=True)
-    with thread_profiler(outer):
-        with profile_section("outer_only"):
-            pass
-        with thread_profiler(inner):
-            with profile_section("inner_only"):
-                pass
-        with profile_section("outer_again"):
-            pass
-    out = outer.snapshot()
-    assert out.total_calls("outer_only") == 1
-    assert out.total_calls("outer_again") == 1
-    assert out.total_calls("inner_only") == 0
-    assert inner.snapshot().total_calls("inner_only") == 1
-
-
-def test_thread_profiler_isolated_between_threads():
-    """Two rank-style threads record into disjoint profilers."""
-    from repro.perf.profiler import thread_profiler
-
-    profs = [Profiler(enabled=True) for _ in range(2)]
-
-    def work(i):
-        with thread_profiler(profs[i]):
-            for _ in range(i + 1):
-                with profile_section("step"):
-                    pass
-
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert profs[0].snapshot().total_calls("step") == 1
-    assert profs[1].snapshot().total_calls("step") == 2
 
 
 # ---------------------------------------------------------------- merging

@@ -3,7 +3,7 @@
 The headline test matrix: ``run(N days)`` is bitwise float64-identical to
 ``run(k) -> checkpoint -> load -> run(N-k)`` across serial ==
 ensemble-member == concurrent rank pools, including resuming a serial
-checkpoint onto a concurrent substrate.  That equivalence is what makes
+checkpoint onto the rank pools.  That equivalence is what makes
 :meth:`RunPlan.run_key` a valid cache key for every execution path.
 """
 
@@ -100,8 +100,7 @@ class TestRunKey:
         # One cache entry serves every execution path: the key covers the
         # result-determining inputs only, never how they are computed.
         serial = RunPlan(days=DAYS)
-        concurrent = RunPlan(days=DAYS, mode="concurrent",
-                             substrate="thread", n_atm=3)
+        concurrent = RunPlan(days=DAYS, mode="concurrent", n_atm=3)
         assert serial.run_key() == concurrent.run_key()
 
     def test_output_cadences_do_not_change_key(self, tmp_path):
@@ -136,8 +135,13 @@ class TestPlanValidation:
             RunPlan(nens=3)
 
     def test_substrate_requires_concurrent_mode(self):
-        with pytest.raises(ValueError):
-            RunPlan(substrate="thread")
+        # The selector is gone: forked processes are the only transport.
+        # The field survives for the frozen ledger workload's "process".
+        for mode in ("serial", "concurrent"):
+            with pytest.raises(ValueError, match="selector was removed"):
+                RunPlan(mode=mode, substrate="thread")
+        assert RunPlan(mode="concurrent", substrate="process").substrate \
+            == "process"
 
     def test_checkpoint_cadence_must_hit_safe_boundary(self, tmp_path):
         cfg = _test_config()
@@ -229,7 +233,7 @@ class TestEnsembleResume:
 
 @pytest.mark.parallel
 class TestConcurrentResume:
-    """Rank-pool legs of the matrix; substrate follows ``FOAM_COMM``."""
+    """Rank-pool legs of the matrix (forked rank processes)."""
 
     def _plan(self, tmp_path=None):
         kw = {}
@@ -254,7 +258,7 @@ class TestConcurrentResume:
 
     def test_serial_checkpoint_resumes_on_concurrent_substrate(
             self, serial_baseline, serial_checkpointed):
-        # The cross-substrate leg: a checkpoint written by the serial path
+        # The cross-mode leg: a checkpoint written by the serial path
         # finishes bitwise-identically on the rank pools.
         ckpt = _halfway_checkpoint(serial_checkpointed)
         resumed = RunHarness(self._plan()).run(resume_from=ckpt)

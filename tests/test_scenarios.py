@@ -264,17 +264,20 @@ def test_cli_run_ensemble(capsys):
 
 def test_cli_run_concurrent(capsys):
     assert cli_main(["run", "aquaplanet", "--days", "0.125",
-                     "--substrate", "thread", "--json"]) == 0
+                     "--atm-ranks", "1", "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["mode"] == "concurrent"
-    assert out["substrate"] == "thread"
+    assert out["world_size"] == 3
+    assert "substrate" not in out
     assert 250.0 < out["final_state"]["ts_global_k"] < 320.0
 
 
 def test_cli_run_rejects_ensemble_plus_substrate():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit, match="mutually exclusive"):
         cli_main(["run", "aquaplanet", "--ensemble", "2",
-                  "--substrate", "thread"])
+                  "--atm-ranks", "2"])
+    with pytest.raises(SystemExit):     # argparse: the flag no longer exists
+        cli_main(["run", "aquaplanet", "--substrate", "process"])
 
 
 def test_cli_golden_roundtrip(tmp_path, capsys):

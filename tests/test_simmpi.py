@@ -1,4 +1,4 @@
-"""Unit tests for the simulated MPI layer (repro.parallel.simmpi)."""
+"""Unit tests for the simulated MPI layer (repro.parallel.procmpi on commbase)."""
 
 import numpy as np
 import pytest
@@ -211,8 +211,8 @@ def test_bytes_accounting():
 
 def test_comm_stats_merge_sums_every_counter():
     """CommStats.merge is the exact column sum of the per-rank counters —
-    the process substrate relies on it to fold child-process stats into a
-    world view without losing a byte."""
+    callers rely on it to fold per-rank-process stats into a world view
+    without losing a byte."""
     a = CommStats(rank=0)
     a.note_send("transpose.forward", dest=1, nbytes=100)
     a.note_send("transpose.forward", dest=2, nbytes=50)

@@ -1,11 +1,9 @@
-"""Property-based tests: every SimComm collective vs its NumPy serial equivalent.
+"""Property-based tests: every collective vs its NumPy serial equivalent.
 
 For randomized world sizes 1-9, random dtypes and shapes (including
 non-contiguous inputs and size-1 communicators), each collective must agree
-with the obvious serial NumPy computation over the same per-rank payloads.
-The whole module is parametrized over both communicator substrates (rank
-threads and real forked processes), so every property doubles as a
-cross-substrate equivalence proof:
+with the obvious serial NumPy computation over the same per-rank payloads,
+which cross real process boundaries (``run_ranks`` forks the ranks):
 
 * ``bcast``       == identity from the root payload
 * ``reduce``      == ``np.add/maximum/minimum/multiply.reduce`` over ranks
@@ -33,16 +31,6 @@ pytestmark = pytest.mark.parallel
 _SETTINGS = dict(max_examples=20, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
 
-
-@pytest.fixture(scope="module", params=["thread", "process"])
-def substrate(request):
-    """Run every property on both communicator substrates.
-
-    Module-scoped so hypothesis's function_scoped_fixture health check
-    stays quiet: the fixture value is a constant string per parametrized
-    module run, not per-example state.
-    """
-    return request.param
 
 world_sizes = st.integers(min_value=1, max_value=9)
 dtypes = st.sampled_from(["float64", "float32", "int64", "int32", "complex128"])
@@ -90,7 +78,7 @@ def _assert_agrees(actual, expected, op):
 
 @settings(**_SETTINGS)
 @given(world_and_payloads(), st.integers(0, 8))
-def test_bcast_equals_root_payload(substrate, wp, root_pick):
+def test_bcast_equals_root_payload(wp, root_pick):
     size, payloads = wp
     root = root_pick % size
 
@@ -98,14 +86,14 @@ def test_bcast_equals_root_payload(substrate, wp, root_pick):
         obj = payloads[root] if comm.rank == root else None
         return comm.bcast(obj, root=root)
 
-    for received in run_ranks(size, worker, timeout=30.0, substrate=substrate):
+    for received in run_ranks(size, worker, timeout=30.0):
         np.testing.assert_array_equal(received, payloads[root])
 
 
 @settings(**_SETTINGS)
 @given(world_and_payloads(), st.sampled_from(["sum", "max", "min"]),
        st.integers(0, 8))
-def test_reduce_equals_numpy_reduce(substrate, wp, op, root_pick):
+def test_reduce_equals_numpy_reduce(wp, op, root_pick):
     size, payloads = wp
     root = root_pick % size
     ufunc = {"sum": np.add, "max": np.maximum, "min": np.minimum}[op]
@@ -116,14 +104,14 @@ def test_reduce_equals_numpy_reduce(substrate, wp, op, root_pick):
     def worker(comm):
         return comm.reduce(payloads[comm.rank], op=op, root=root)
 
-    out = run_ranks(size, worker, timeout=30.0, substrate=substrate)
+    out = run_ranks(size, worker, timeout=30.0)
     _assert_agrees(out[root], expected, op)
     assert all(out[r] is None for r in range(size) if r != root)
 
 
 @settings(**_SETTINGS)
 @given(world_and_payloads(), st.sampled_from(["sum", "prod", "max", "min"]))
-def test_allreduce_equals_numpy_on_every_rank(substrate, wp, op):
+def test_allreduce_equals_numpy_on_every_rank(wp, op):
     size, payloads = wp
     ufunc = {"sum": np.add, "prod": np.multiply,
              "max": np.maximum, "min": np.minimum}[op]
@@ -134,20 +122,20 @@ def test_allreduce_equals_numpy_on_every_rank(substrate, wp, op):
     def worker(comm):
         return comm.allreduce(payloads[comm.rank], op=op)
 
-    for received in run_ranks(size, worker, timeout=30.0, substrate=substrate):
+    for received in run_ranks(size, worker, timeout=30.0):
         _assert_agrees(received, expected, op)
 
 
 @settings(**_SETTINGS)
 @given(world_and_payloads(), st.integers(0, 8))
-def test_gather_equals_rank_ordered_list(substrate, wp, root_pick):
+def test_gather_equals_rank_ordered_list(wp, root_pick):
     size, payloads = wp
     root = root_pick % size
 
     def worker(comm):
         return comm.gather(payloads[comm.rank], root=root)
 
-    out = run_ranks(size, worker, timeout=30.0, substrate=substrate)
+    out = run_ranks(size, worker, timeout=30.0)
     assert len(out[root]) == size
     for r in range(size):
         np.testing.assert_array_equal(out[root][r], payloads[r])
@@ -157,13 +145,13 @@ def test_gather_equals_rank_ordered_list(substrate, wp, root_pick):
 
 @settings(**_SETTINGS)
 @given(world_and_payloads())
-def test_allgather_equals_rank_ordered_list_everywhere(substrate, wp):
+def test_allgather_equals_rank_ordered_list_everywhere(wp):
     size, payloads = wp
 
     def worker(comm):
         return comm.allgather(payloads[comm.rank])
 
-    for received in run_ranks(size, worker, timeout=30.0, substrate=substrate):
+    for received in run_ranks(size, worker, timeout=30.0):
         assert len(received) == size
         for r in range(size):
             np.testing.assert_array_equal(received[r], payloads[r])
@@ -171,7 +159,7 @@ def test_allgather_equals_rank_ordered_list_everywhere(substrate, wp):
 
 @settings(**_SETTINGS)
 @given(world_and_payloads(), st.integers(0, 8))
-def test_scatter_is_bitwise_handout(substrate, wp, root_pick):
+def test_scatter_is_bitwise_handout(wp, root_pick):
     size, payloads = wp
     root = root_pick % size
 
@@ -179,14 +167,14 @@ def test_scatter_is_bitwise_handout(substrate, wp, root_pick):
         objs = payloads if comm.rank == root else None
         return comm.scatter(objs, root=root)
 
-    out = run_ranks(size, worker, timeout=30.0, substrate=substrate)
+    out = run_ranks(size, worker, timeout=30.0)
     for r in range(size):
         np.testing.assert_array_equal(out[r], payloads[r])
 
 
 @settings(**_SETTINGS)
 @given(world_and_payloads(), st.integers(0, 2**31 - 1))
-def test_alltoall_is_matrix_transpose(substrate, wp, seed):
+def test_alltoall_is_matrix_transpose(wp, seed):
     size, payloads = wp
     rng = np.random.default_rng(seed)
     # matrix[src][dest]: a distinct block for every (src, dest) pair.
@@ -196,7 +184,7 @@ def test_alltoall_is_matrix_transpose(substrate, wp, seed):
     def worker(comm):
         return comm.alltoall(matrix[comm.rank])
 
-    out = run_ranks(size, worker, timeout=30.0, substrate=substrate)
+    out = run_ranks(size, worker, timeout=30.0)
     for dest in range(size):
         for src in range(size):
             np.testing.assert_array_equal(out[dest][src], matrix[src][dest])
@@ -204,7 +192,7 @@ def test_alltoall_is_matrix_transpose(substrate, wp, seed):
 
 @settings(**_SETTINGS)
 @given(world_and_payloads())
-def test_sendrecv_ring_shift(substrate, wp):
+def test_sendrecv_ring_shift(wp):
     size, payloads = wp
 
     def worker(comm):
@@ -212,14 +200,14 @@ def test_sendrecv_ring_shift(substrate, wp):
         left = (comm.rank - 1) % comm.size
         return comm.sendrecv(payloads[comm.rank], dest=right, source=left)
 
-    out = run_ranks(size, worker, timeout=30.0, substrate=substrate)
+    out = run_ranks(size, worker, timeout=30.0)
     for r in range(size):
         np.testing.assert_array_equal(out[r], payloads[(r - 1) % size])
 
 
 @settings(**_SETTINGS)
 @given(world_and_payloads())
-def test_collectives_preserve_noncontiguous_inputs(substrate, wp):
+def test_collectives_preserve_noncontiguous_inputs(wp):
     """Send buffers are copied: mutating them after the call is harmless."""
     size, payloads = wp
     originals = [p.copy() for p in payloads]
@@ -229,12 +217,12 @@ def test_collectives_preserve_noncontiguous_inputs(substrate, wp):
         gathered = comm.gather(buf, root=0)
         return gathered
 
-    out = run_ranks(size, worker, timeout=30.0, substrate=substrate)
+    out = run_ranks(size, worker, timeout=30.0)
     for r in range(size):
         np.testing.assert_array_equal(out[0][r], originals[r])
 
 
-def test_size_one_world_runs_every_collective(substrate):
+def test_size_one_world_runs_every_collective():
     """Size-1 communicators: every collective degenerates to the identity."""
     x = np.arange(6.0).reshape(2, 3)
 
@@ -250,6 +238,6 @@ def test_size_one_world_runs_every_collective(substrate):
         g = comm.alltoall([x])
         return a, b, c, d, e, f, g
 
-    a, b, c, d, e, f, g = run_ranks(1, worker, timeout=30.0, substrate=substrate)[0]
+    a, b, c, d, e, f, g = run_ranks(1, worker, timeout=30.0)[0]
     for got in (a, b, c, d[0], e[0], f, g[0]):
         np.testing.assert_array_equal(got, x)

@@ -142,9 +142,39 @@ def test_foam_env_switch_census():
         r"""\bos\.(?:environ\.get\(|environ\[|getenv\()\s*["'](\w+)["']""", text)
     assert len(keys) == len(uses), "environment read without a literal key"
     assert set(keys) == {
-        "FOAM_DTYPE", "FOAM_COMM", "REPRO_SIMMPI_TIMEOUT",
+        "FOAM_DTYPE", "REPRO_SIMMPI_TIMEOUT",
         "PYTEST_CURRENT_TEST",   # read-only probe: "am I under pytest?"
     }
+
+
+def test_one_rank_transport_census():
+    """Forked processes are the only rank transport, and nothing selects it.
+
+    The model is single-threaded by construction (a rank is a process), so
+    no module under ``src/repro`` imports ``threading`` — which is what
+    lets the profiler, the workspace arena and the Legendre plan cache be
+    plain module state — and no function takes a ``substrate`` parameter
+    (``RunPlan.substrate`` is a vestigial dataclass field, not a selector).
+    """
+    import ast
+
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    assert not (src / "parallel" / "simmpi.py").exists()
+    for path in src.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""]
+            else:
+                imported = []
+            assert "threading" not in imported, f"{path} imports threading"
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                params = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+                assert "substrate" not in params, \
+                    f"{path}:{node.lineno} {node.name}() takes substrate="
 
 
 # ------------------------------------------------------------- tree walkers
