@@ -7,7 +7,7 @@ the diagnostics a climate modeler looks at first: global-mean surface
 pressure (mass conservation), SST statistics, precipitation, and the water
 inventory of the closed hydrological cycle.
 
-Run:  python examples/quickstart.py [--dtype float32]
+Run:  python examples/quickstart.py [--dtype float32] [--days N]
 """
 
 import argparse
@@ -23,6 +23,8 @@ def main() -> None:
     parser.add_argument("--dtype", default=None,
                         choices=("float64", "float32"),
                         help="array precision (default: FOAM_DTYPE or float64)")
+    parser.add_argument("--days", type=float, default=5.0,
+                        help="simulated days to integrate")
     args = parser.parse_args()
 
     print("=== FOAM quickstart ===")
@@ -38,13 +40,13 @@ def main() -> None:
     state = model.initial_state()
     diags = CoupledDiagnostics()
 
-    days = 5.0
+    days = args.days
     wall0 = time.time()
     state = model.run_days(state, days, diagnostics=diags)
     wall = time.time() - wall0
 
     sim_seconds = days * 86400.0
-    print(f"\nintegrated {days:.0f} simulated days in {wall:.1f} s wall "
+    print(f"\nintegrated {days:g} simulated days in {wall:.1f} s wall "
           f"(model speedup ~{sim_seconds / wall:,.0f}x real time)")
 
     d = model.dycore.diagnose(state.atm_curr)

@@ -31,9 +31,8 @@ from repro.atmosphere.semilag import advect_semilagrangian
 from repro.atmosphere.spectral import SpectralTransform
 from repro.atmosphere.vertical import VerticalGrid
 from repro.backend import get_workspace, weak_scalar
-from repro.backend.kernels import robert_filter
 from repro.perf.profiler import profile_section, profiled
-from repro.util.constants import CP, KAPPA, OMEGA, P0, RD
+from repro.util.constants import CP, GRAVITY, KAPPA, OMEGA, P0, RD
 from repro.util.tree import tree_map
 
 
@@ -66,6 +65,26 @@ class GridDiagnostics:
     pressure: np.ndarray    # (L, nlat, nlon) full-level pressure
     geopotential: np.ndarray  # (L, nlat, nlon), above the surface
     omega_over_p: np.ndarray
+    grad_lnps: tuple[np.ndarray, np.ndarray]  # (nlat, nlon) d(lnps)/dx, /dy
+    vgradp: np.ndarray      # (L, nlat, nlon) v . grad(lnps)
+
+
+def robert_filter(prev: np.ndarray, curr: np.ndarray, new: np.ndarray,
+                  filt) -> np.ndarray:
+    """``curr + filt * (prev - 2*curr + new)`` as one workspace chain.
+
+    Only the final sum is freshly allocated (it escapes into the filtered
+    state); the inner combination lives in a scratch buffer keyed by shape.
+    Bitwise identical to the expression form: the ops are the same IEEE
+    tree, with the two commuted multiplications (``curr * 2`` for
+    ``2 * curr``, ``tmp * filt`` for ``filt * tmp``) exact by IEEE-754
+    commutativity.
+    """
+    tmp = np.multiply(curr, 2.0, out=get_workspace().empty_like("dyn.robert", curr))
+    np.subtract(prev, tmp, out=tmp)
+    np.add(tmp, new, out=tmp)
+    np.multiply(tmp, filt, out=tmp)
+    return np.add(curr, tmp)
 
 
 class SpectralDynamicalCore:
@@ -106,12 +125,11 @@ class SpectralDynamicalCore:
 
         # Semi-implicit solver tables: one (L x L) inverse per total wavenumber.
         self._m_matrix = vgrid.semi_implicit_matrix()
-        self._hyper_denom: np.ndarray | None = None
-        self._hyper_dt: float | None = None
         self._build_implicit_inverses()
 
     # ------------------------------------------------------------------
     def _build_implicit_inverses(self) -> None:
+        """Everything that depends on ``dt``: rebuilt whenever it changes."""
         L = self.vg.nlev
         n_max = self.tr.trunc.mmax + self.tr.trunc.nk - 1
         eye = np.eye(L)
@@ -122,6 +140,8 @@ class SpectralDynamicalCore:
             self._inv[n] = np.linalg.inv(eye + dt * dt * b * self._m_matrix)
         # Map (m, k) slot -> n for gather operations.
         self._n_of_slot = self.tr.trunc.n_values()
+        # del^4 over the leapfrog interval, applied implicitly to new fields.
+        self._hyper_denom = self.tr.damping_denominator(self.k4, 2.0 * dt)
 
     # ------------------------------------------------------------------
     # state construction
@@ -155,11 +175,8 @@ class SpectralDynamicalCore:
             u0 = 20.0
             u = u0 * np.sin(2.0 * self.tr.lats) ** 2 * np.sign(self.tr.lats)
             ugrid = np.repeat(u[:, None], self.tr.nlon, axis=1)
-            vgrid_ = np.zeros_like(ugrid)
-            vs, ds = self.tr.vortdiv_from_uv(ugrid, vgrid_)
-            for l in range(L):
-                state.vort[l] = vs
-                state.div[l] = ds
+            state.vort[:], state.div[:] = self.tr.vortdiv_from_uv(
+                ugrid, np.zeros_like(ugrid))
         else:
             raise ValueError(f"unknown initial state kind {kind!r}")
         return state
@@ -192,7 +209,8 @@ class SpectralDynamicalCore:
         wop = self.vg.omega_over_p(dg, vgradp).astype(fdt, copy=False)
         return GridDiagnostics(u=u, v=v, temp=tg, vort=zg, div=dg, lnps=lnps,
                                ps=ps, pressure=pressure, geopotential=phi,
-                               omega_over_p=wop)
+                               omega_over_p=wop, grad_lnps=(px, py),
+                               vgradp=vgradp)
 
     # ------------------------------------------------------------------
     # tendency evaluation (the transform-method nonlinear terms)
@@ -205,10 +223,7 @@ class SpectralDynamicalCore:
         tr, vg = self.tr, self.vg
         d = self.diagnose(state)
         tprime = d.temp - vg.t_ref
-
-        px, py = tr.gradient(state.lnps)
-        vgradp = d.u * px[None] + d.v * py[None]
-        c = d.div + vgradp
+        (px, py), vgradp = d.grad_lnps, d.vgradp
 
         # Continuity: nonlinear part only (the -dsig.D part goes implicit).
         dsig = vg.dsigma.reshape((-1,) + (1,) * (vgradp.ndim - 1))
@@ -268,7 +283,7 @@ class SpectralDynamicalCore:
                 dsig = self.vg.dsigma
                 lin_d = np.tensordot(g_mat, curr.temp, axes=(1, 0)) \
                     + RD * self.vg.t_ref * curr.lnps[None]
-                new_div = prev.div + 2.0 * dt * (n_div - self._lap3(lin_d))
+                new_div = prev.div + 2.0 * dt * (n_div - self.tr.laplacian(lin_d))
                 new_temp = prev.temp + 2.0 * dt * (
                     n_temp - np.tensordot(tau, curr.div, axes=(1, 0)))
                 new_lnps = prev.lnps + 2.0 * dt * (
@@ -283,36 +298,20 @@ class SpectralDynamicalCore:
 
         # del^4 hyperdiffusion, applied implicitly to the new fields.
         with profile_section("hyperdiffusion"):
-            new_vort = self._hyperdiffuse(new_vort)
-            new_div = self._hyperdiffuse(new_div)
-            new_temp = self._hyperdiffuse(new_temp)
+            for field in (new_vort, new_div, new_temp):
+                self._hyperdiffuse(field)
 
         # Semi-Lagrangian moisture transport on the grid.
         with profile_section("semilag"):
             new_q = advect_semilagrangian(self.tr, diag.u, diag.v, prev.q, 2.0 * dt)
 
-        # Robert-Asselin filter on the center state (workspace-resident
-        # chains: only the filtered sums allocate).
-        filt = self.robert
-        filtered = AtmosphereState(
-            vort=robert_filter(prev.vort, curr.vort, new_vort, filt,
-                               name="dyn.rob.vort"),
-            div=robert_filter(prev.div, curr.div, new_div, filt,
-                              name="dyn.rob.div"),
-            temp=robert_filter(prev.temp, curr.temp, new_temp, filt,
-                               name="dyn.rob.temp"),
-            lnps=robert_filter(prev.lnps, curr.lnps, new_lnps, filt,
-                               name="dyn.rob.lnps"),
-            q=robert_filter(prev.q, curr.q, new_q, filt,
-                            name="dyn.rob.q"),
-            time=curr.time)
         new = AtmosphereState(new_vort, new_div, new_temp, new_lnps, new_q,
                               time=curr.time + dt)
+        # Robert-Asselin filter on every field of the center state (whose
+        # time it keeps); only the filtered sums allocate.
+        filtered = tree_map(
+            lambda c, p, n: robert_filter(p, c, n, self.robert), curr, prev, new)
         return filtered, new
-
-    def _lap3(self, spec3: np.ndarray) -> np.ndarray:
-        """Laplacian applied along the last two (spectral) axes of (L, nm, nk)."""
-        return spec3 * self.tr._lap[None]
 
     @staticmethod
     def _dsig_dot(dsig: np.ndarray, field: np.ndarray) -> np.ndarray:
@@ -329,14 +328,6 @@ class SpectralDynamicalCore:
                         ).reshape(field.shape[1:])
 
     def _hyperdiffuse(self, spec3: np.ndarray) -> np.ndarray:
-        # The implicit damping denominator depends only on (truncation, dt);
-        # rebuild it only when dt changes instead of three times per step.
-        if self._hyper_denom is None or self._hyper_dt != self.dt:
-            n = self.tr.trunc.n_values().astype(np.float64)
-            damp = self.k4 * (n * (n + 1.0) / self.tr.radius**2) ** 2
-            denom = (1.0 + 2.0 * self.dt * damp)[None]
-            self._hyper_denom = denom.astype(self.tr.policy.float_dtype, copy=False)
-            self._hyper_dt = self.dt
         # Every caller passes a freshly built new-time field, so the
         # division can land in place (same op, no temporary).
         return np.divide(spec3, self._hyper_denom, out=spec3)
@@ -420,14 +411,18 @@ class SpectralDynamicalCore:
     # ------------------------------------------------------------------
     # budgets used by tests and diagnostics
     # ------------------------------------------------------------------
-    def global_mass(self, state: AtmosphereState) -> float:
-        """Area-mean surface pressure (Pa): conserved by adiabatic dynamics."""
+    def global_mass(self, state: AtmosphereState):
+        """Area-mean surface pressure (Pa): conserved by adiabatic dynamics.
+
+        Like :meth:`total_energy`, a float for a serial state and one value
+        per member, ``(nens,)``, for a batched one.
+        """
         return self.tr.global_mean(P0 * np.exp(self.tr.synthesize(state.lnps)))
 
-    def total_energy(self, state: AtmosphereState) -> float:
+    def total_energy(self, state: AtmosphereState):
         """Column-integrated total (kinetic + internal) energy per unit area."""
         d = self.diagnose(state)
         ke = 0.5 * (d.u**2 + d.v**2)
         ie = CP * d.temp
-        col = np.tensordot(self.vg.dsigma, ke + ie, axes=(0, 0)) * d.ps / 9.80616
+        col = np.tensordot(self.vg.dsigma, ke + ie, axes=(0, 0)) * d.ps / GRAVITY
         return self.tr.global_mean(col)

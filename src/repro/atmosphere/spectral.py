@@ -63,17 +63,13 @@ class Truncation:
 
     def mask(self) -> np.ndarray:
         """Boolean (nm, nk) mask of retained coefficients."""
-        m = np.arange(self.nm)[:, None]
-        k = np.arange(self.nk)[None, :]
         if self.kind == "rhomboidal":
             return np.ones((self.nm, self.nk), dtype=bool)
-        return (m + k) <= self.mmax
+        return self.n_values() <= self.mmax
 
     def n_values(self) -> np.ndarray:
         """Total wavenumber n at each (m, k) slot."""
-        m = np.arange(self.nm)[:, None]
-        k = np.arange(self.nk)[None, :]
-        return m + k
+        return np.arange(self.nm)[:, None] + np.arange(self.nk)[None, :]
 
 
 def gaussian_latitudes(nlat: int) -> tuple[np.ndarray, np.ndarray]:
@@ -98,7 +94,7 @@ def associated_legendre(mu: np.ndarray, mmax: int, nkmax: int) -> np.ndarray:
     ``pbar[j, m, k] = Pbar_{m+k}^m(mu_j)``.  Normalization is
     ``(1/2) int Pbar^2 dmu = 1``; computed with the stable sectoral seed +
     three-term recurrence in n, batched across every m column at once
-    (bitwise identical to :func:`_associated_legendre_ref` — same
+    (bitwise identical to the per-m loop in ``tests/oracles.py`` — same
     elementwise IEEE operations, just stacked).
     """
     mu = np.asarray(mu, dtype=float)
@@ -129,43 +125,16 @@ def associated_legendre(mu: np.ndarray, mmax: int, nkmax: int) -> np.ndarray:
     return pbar
 
 
-def _associated_legendre_ref(mu: np.ndarray, mmax: int, nkmax: int) -> np.ndarray:
-    """Reference per-m loop implementation of :func:`associated_legendre`.
-
-    Kept as the bitwise oracle for the batched kernel
-    (``tests/test_spectral.py``).
-    """
-    mu = np.asarray(mu, dtype=float)
-    nlat = mu.size
-    cos2 = 1.0 - mu * mu
-    pbar = np.zeros((nlat, mmax + 1, nkmax))
-    pmm = np.ones(nlat)
-    for m in range(mmax + 1):
-        pbar[:, m, 0] = pmm
-        pnm2 = np.zeros(nlat)
-        pnm1 = pmm
-        for k in range(1, nkmax):
-            n = m + k
-            e_n = _epsilon(n, m)
-            e_nm1 = _epsilon(n - 1, m)
-            pn = (mu * pnm1 - e_nm1 * pnm2) / e_n
-            pbar[:, m, k] = pn
-            pnm2, pnm1 = pnm1, pn
-        if m < mmax:
-            pmm = np.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0)) * np.sqrt(cos2) * pmm
-    return pbar
-
-
 def legendre_derivative(mu: np.ndarray, pbar_ext: np.ndarray) -> np.ndarray:
     """H_n^m = (1 - mu^2) dPbar_n^m/dmu from the extended Pbar table.
 
     ``pbar_ext`` must hold one extra k row (n up to m + nk), since
     ``H_n = (n+1) eps_n Pbar_{n-1} - n eps_{n+1} Pbar_{n+1}``.
     Returns shape (nlat, nm, nk) where nk = pbar_ext.shape[2] - 1.
-    Fully vectorized over (m, k); bitwise identical to
-    :func:`_legendre_derivative_ref` (the k = 0 down-term is a zeros
-    column, so ``term_up + term_dn`` reproduces the reference's
-    ``term_up + 0.0`` including its -0.0 -> +0.0 normalization).
+    Fully vectorized over (m, k); bitwise identical to the double loop in
+    ``tests/oracles.py`` (the k = 0 down-term is a zeros column, so
+    ``term_up + term_dn`` reproduces the reference's ``term_up + 0.0``
+    including its -0.0 -> +0.0 normalization).
     """
     nlat, nm, nk_ext = pbar_ext.shape
     nk = nk_ext - 1
@@ -178,20 +147,6 @@ def legendre_derivative(mu: np.ndarray, pbar_ext: np.ndarray) -> np.ndarray:
     term_dn = np.zeros_like(h)
     term_dn[:, :, 1:] = dn[None, :, 1:] * pbar_ext[:, :, 0:nk - 1]
     return h + term_dn
-
-
-def _legendre_derivative_ref(mu: np.ndarray, pbar_ext: np.ndarray) -> np.ndarray:
-    """Reference double-loop implementation of :func:`legendre_derivative`."""
-    nlat, nm, nk_ext = pbar_ext.shape
-    nk = nk_ext - 1
-    h = np.zeros((nlat, nm, nk))
-    for m in range(nm):
-        for k in range(nk):
-            n = m + k
-            term_up = -n * _epsilon(n + 1, m) * pbar_ext[:, m, k + 1]
-            term_dn = (n + 1) * _epsilon(n, m) * pbar_ext[:, m, k - 1] if k >= 1 else 0.0
-            h[:, m, k] = term_up + term_dn
-    return h
 
 
 # ---------------------------------------------------------------------------
@@ -234,20 +189,23 @@ def legendre_plan_stats() -> dict:
 def clear_legendre_plans() -> None:
     """Drop all cached plan tables and zero the counters (test hook)."""
     _plan_cache.clear()
-    _plan_stats["builds"] = 0
-    _plan_stats["hits"] = 0
+    _plan_stats.update(builds=0, hits=0)
 
 
 class SpectralTransform:
     """Grid <-> spectral transform engine for one (nlat, nlon, truncation).
 
-    Precomputes Legendre tables once; all transforms are einsum/FFT calls
-    with no Python-level loops over latitude or wavenumber (the guides'
-    vectorization rule — these are the model's innermost kernels).  Every
-    transform accepts arbitrary leading batch axes — the dynamical core
-    passes whole ``(nlev, [nens], ...)`` stacks — keeps its intermediates
-    in the workspace arena, and is bitwise identical per slice to the
-    naive per-field ``*_ref`` oracles in :mod:`repro.backend.kernels`.
+    A transform is an FFT over a stack of fields composed with a Legendre
+    contraction of a stack against one precomputed table.  The two
+    contractions, :meth:`_spec_to_fourier` and :meth:`_fourier_to_spec`,
+    are the only places latitude or total wavenumber is summed; every
+    operator is a few lines on top of them.  Operands that share a table
+    are stacked along a new leading axis, and leading batch axes — the
+    dynamical core passes whole ``(nlev, [nens], ...)`` stacks — pass
+    straight through: each output element sees the same summation order
+    either way, so every transform is bitwise identical per slice to the
+    per-field oracles in ``tests/oracles.py``.  Intermediates live in the
+    workspace arena; what a public method returns is fresh.
     """
 
     def __init__(self, nlat: int, nlon: int, trunc: Truncation,
@@ -268,7 +226,6 @@ class SpectralTransform:
         self.radius = radius
         self.policy = policy_from_name(dtype)
         fdt = self.policy.float_dtype
-        cdt = self.policy.complex_dtype
 
         self.mu, self.weights = gaussian_latitudes(nlat)
         self.lats = np.arcsin(self.mu)                  # radians, S->N
@@ -284,26 +241,22 @@ class SpectralTransform:
         self.pbar = pbar.astype(fdt, copy=False)
         self.hbar = hbar.astype(fdt, copy=False)
         self.coslat = np.cos(self.lats).astype(fdt, copy=False)
+        # A rhomboidal truncation retains every slot: its mask multiplies
+        # are identity ops and are skipped (escaping results still copy).
         self._mask = trunc.mask()
+        self._allones = bool(self._mask.all())
         n64 = trunc.n_values().astype(np.float64)
         m64 = np.arange(trunc.nm, dtype=np.float64)[:, None] * np.ones_like(n64)
         lap64 = -n64 * (n64 + 1.0) / radius**2
         with np.errstate(divide="ignore"):
             inv64 = np.where(lap64 != 0.0, 1.0 / lap64, 0.0)
-        self._n = n64.astype(fdt, copy=False)
-        self._m = m64.astype(fdt, copy=False)
-        self._im = (1j * m64).astype(cdt, copy=False)
+        self._im = (1j * m64).astype(self.policy.complex_dtype, copy=False)
         self._lap = lap64.astype(fdt, copy=False)
         self._invlap = inv64.astype(fdt, copy=False)
         self._rcos = (radius * np.cos(self.lats)).astype(fdt, copy=False)[:, None]
-
-        # A rhomboidal truncation retains every slot: its mask multiplies
-        # are identity ops and are skipped (escaping results still copy).
-        self._allones = bool(self._mask.all())
         self._cos = self.coslat[:, None]
         self._oc2 = (1.0 / (self.coslat ** 2))[:, None]
 
-    # ------------------------------------------------------------------
     @property
     def spec_shape(self) -> tuple[int, int]:
         return (self.trunc.nm, self.trunc.nk)
@@ -319,18 +272,38 @@ class SpectralTransform:
     @cached_property
     def cell_area_weights(self) -> np.ndarray:
         """(nlat, nlon) area weights summing to 1 (Gaussian x uniform lon)."""
-        w = np.repeat(self.weights[:, None] / 2.0, self.nlon, axis=1) / self.nlon
-        return w
+        return np.repeat(self.weights[:, None] / 2.0, self.nlon, axis=1) / self.nlon
 
-    def global_mean(self, grid: np.ndarray) -> float:
-        """Exact (quadrature) area-weighted global mean of a grid field."""
-        return float(np.sum(grid * self.cell_area_weights))
+    def global_mean(self, grid: np.ndarray):
+        """Exact (quadrature) area-weighted global mean of ``(..., nlat, nlon)``:
+        a float for one grid, one value per leading index (``(nens,)``) otherwise."""
+        mean = np.sum(grid * self.cell_area_weights, axis=(-2, -1))
+        return float(mean) if mean.ndim == 0 else mean
 
     # ------------------------------------------------------------------
-    # core transforms
+    # the transform, once: spec -> Fourier -> grid and grid -> Fourier -> spec
     # ------------------------------------------------------------------
-    def _irfft_stacked(self, name: str, fms) -> np.ndarray:
-        """One inverse FFT over ``len(fms)`` stacked Fourier fields.
+    def _spec_to_fourier(self, specs, table: np.ndarray, tag: str) -> np.ndarray:
+        """Legendre-sum same-shape ``(..., nm, nk)`` fields against one table:
+        the ``(len(specs), ..., nlat, nm)`` Fourier coefficients
+        ``sum_k spec[m, k] table[j, m, k]``.  ``tag`` names the output after
+        the table, so the Pbar and H halves of one operator never alias; the
+        input stack is shared (dead once the contraction returns)."""
+        ws = get_workspace()
+        stack = ws.empty("spectral.stack", (len(specs),) + specs[0].shape,
+                         np.result_type(*specs))
+        for dst, spec in zip(stack, specs):
+            np.copyto(dst, spec)
+        if not self._allones:
+            np.multiply(stack, self._mask, out=stack)
+        return np.einsum("...mk,jmk->...jm", stack, table,
+                         out=ws.empty(f"spectral.fm.{tag}",
+                                      stack.shape[:-2] + (self.nlat, self.trunc.nm),
+                                      np.result_type(stack, table)))
+
+    def _fourier_to_grid(self, fms) -> np.ndarray:
+        """One inverse FFT over a sequence (or stacked array) of same-shape
+        ``(..., nlat, nm)`` Fourier fields.
 
         The pad buffer is zeroed once at allocation; each call rewrites
         only the live ``nm`` columns (folding the ``* nlon``
@@ -340,72 +313,51 @@ class SpectralTransform:
         share a pad (their zero tails start at different columns).
         """
         nm = self.trunc.nm
-        fm0 = fms[0]
         full = get_workspace().zeros_once(
-            f"{name}.m{nm}",
-            (len(fms),) + fm0.shape[:-1] + (self.nlon // 2 + 1,), fm0.dtype)
-        for i, fm in enumerate(fms):
-            np.multiply(fm, self.nlon, out=full[i][..., :nm])
+            f"spectral.pad.m{nm}",
+            (len(fms),) + fms[0].shape[:-1] + (self.nlon // 2 + 1,), fms[0].dtype)
+        for dst, fm in zip(full, fms):
+            np.multiply(fm, self.nlon, out=dst[..., :nm])
         return np.fft.irfft(full, n=self.nlon, axis=-1)
+
+    def _grid_to_fourier(self, grid: np.ndarray) -> np.ndarray:
+        """One forward FFT, truncated to the retained ``nm`` columns and
+        normalized there (only the columns that are kept are divided)."""
+        fm = np.fft.rfft(grid, axis=-1)[..., : self.trunc.nm]
+        return np.divide(fm, self.nlon, out=fm)
+
+    def _fourier_to_spec(self, fm: np.ndarray, table: np.ndarray, tag: str
+                         ) -> np.ndarray:
+        """Gauss-Legendre quadrature of ``(..., nlat, nm)`` Fourier fields
+        against one weighted table -> ``(..., nm, nk)`` (workspace; pass
+        what escapes through :meth:`_retained`)."""
+        return np.einsum("...jm,jmk->...mk", fm, table,
+                         out=get_workspace().empty(
+                             f"spectral.spec.{tag}",
+                             fm.shape[:-2] + self.spec_shape,
+                             np.result_type(fm, table)))
+
+    def _retained(self, spec: np.ndarray) -> np.ndarray:
+        """Fresh copy of a workspace result with truncated slots zeroed."""
+        return spec.copy() if self._allones else spec * self._mask
 
     @profiled("spectral.analyze")
     def analyze(self, grid: np.ndarray) -> np.ndarray:
-        """Grid (..., nlat, nlon) -> spectral coefficients (..., nm, nk).
+        """Grid (..., nlat, nlon) -> spectral coefficients (..., nm, nk)."""
+        return self._retained(
+            self._fourier_to_spec(self._grid_to_fourier(grid), self._wp, "p"))
 
-        Leading (batch/ensemble) axes pass straight through: the quadrature
-        einsum contracts latitude per batch member with the same summation
-        order as the unbatched call, so batched results are bitwise
-        identical to member-at-a-time calls.
-        """
-        fm = np.fft.rfft(grid, axis=-1)[..., : self.trunc.nm]
-        # Normalize only the retained columns of the fresh FFT output.
-        np.divide(fm, self.nlon, out=fm)
-        ws = get_workspace()
-        spec = np.einsum("...jm,jmk->...mk", fm, self._wp,
-                         out=ws.empty("spectral.an.spec",
-                                      grid.shape[:-2] + self.spec_shape,
-                                      np.result_type(fm, self._wp)))
-        if self._allones:
-            return spec.copy()
-        return spec * self._mask
-
-    @profiled("spectral.synthesize")
     def synthesize(self, spec: np.ndarray) -> np.ndarray:
-        """Spectral (..., nm, nk) -> grid (..., nlat, nlon), real."""
-        ws = get_workspace()
-        masked = spec
-        if not self._allones:
-            masked = np.multiply(spec, self._mask,
-                                 out=ws.empty("spectral.syn.masked",
-                                              spec.shape, spec.dtype))
-        fm = np.einsum("...mk,jmk->...jm", masked, self.pbar,
-                       out=ws.empty("spectral.syn.fm",
-                                    spec.shape[:-2] + (self.nlat, self.trunc.nm),
-                                    np.result_type(spec, self.pbar)))
-        return self._irfft_stacked("spectral.syn.pad", (fm,))[0]
+        """Spectral (..., nm, nk) -> grid (..., nlat, nlon), real: the one-field
+        case of :meth:`synthesize_many` (whose profiler section it shares)."""
+        return self.synthesize_many(spec)[0]
 
     @profiled("spectral.synthesize")
     def synthesize_many(self, *specs: np.ndarray) -> tuple:
-        """Synthesize several same-shape spectral fields at once.
-
-        The fields are stacked through a single einsum + inverse FFT; each
-        returned grid is bitwise identical to a per-field
-        :meth:`synthesize`.
-        """
-        n = len(specs)
-        s0 = specs[0]
-        ws = get_workspace()
-        sp = ws.empty(f"spectral.syn{n}.stack", (n,) + s0.shape, s0.dtype)
-        for i, s in enumerate(specs):
-            np.copyto(sp[i], s)
-        if not self._allones:
-            np.multiply(sp, self._mask, out=sp)
-        fm = np.einsum("...mk,jmk->...jm", sp, self.pbar,
-                       out=ws.empty(f"spectral.syn{n}.fm",
-                                    (n,) + s0.shape[:-2] + (self.nlat, self.trunc.nm),
-                                    np.result_type(s0, self.pbar)))
-        g = self._irfft_stacked(f"spectral.syn{n}.pad", (fm,))[0]
-        return tuple(g[i] for i in range(n))
+        """Synthesize several same-shape spectral fields through a single
+        contraction + inverse FFT; one grid per field, in order."""
+        return tuple(self._fourier_to_grid(
+            self._spec_to_fourier(specs, self.pbar, "p")))
 
     # ------------------------------------------------------------------
     # differential operators (spectral space)
@@ -430,45 +382,19 @@ class SpectralTransform:
                         ) -> tuple[np.ndarray, np.ndarray]:
         """Grid winds (u, v) from spectral relative vorticity and divergence.
 
-        Solves psi = del^-2 zeta, chi = del^-2 D, then
-        U = u cos(lat) = (im chi Pbar - psi H)/a summed over n, likewise V;
-        both components share one pad buffer and one inverse FFT.
+        Solves psi = del^-2 zeta, chi = del^-2 D, then (summed over n)
+        U = u cos(lat) = (im chi Pbar - psi H)/a, V = (im psi Pbar + chi H)/a:
+        one contraction for the Pbar pair, one for the H pair, one FFT.
         """
-        ws = get_workspace()
-        shape = vort_spec.shape
-        sdt = np.result_type(vort_spec, self._invlap)
-        psi = np.multiply(vort_spec, self._invlap,
-                          out=ws.empty("spectral.uv.psi", shape, sdt))
-        chi = np.multiply(div_spec, self._invlap,
-                          out=ws.empty("spectral.uv.chi", shape, sdt))
-        t1 = np.multiply(self._im, chi,
-                         out=ws.empty("spectral.uv.t1", shape, sdt))
-        t2 = psi
-        if not self._allones:
-            np.multiply(t1, self._mask, out=t1)
-            t2 = np.multiply(psi, self._mask,
-                             out=ws.empty("spectral.uv.t2", shape, sdt))
-        fm_shape = shape[:-2] + (self.nlat, self.trunc.nm)
-        fdt = np.result_type(sdt, self.pbar)
-        e1 = np.einsum("...mk,jmk->...jm", t1, self.pbar,
-                       out=ws.empty("spectral.uv.e1", fm_shape, fdt))
-        e2 = np.einsum("...mk,jmk->...jm", t2, self.hbar,
-                       out=ws.empty("spectral.uv.e2", fm_shape, fdt))
-        u_fm = np.subtract(e1, e2, out=e1)
-        np.divide(u_fm, self.radius, out=u_fm)
-        np.multiply(self._im, psi, out=t1)
-        t2 = chi
-        if not self._allones:
-            np.multiply(t1, self._mask, out=t1)
-            t2 = np.multiply(chi, self._mask,
-                             out=ws.empty("spectral.uv.t2b", shape, sdt))
-        e3 = np.einsum("...mk,jmk->...jm", t1, self.pbar,
-                       out=ws.empty("spectral.uv.e3", fm_shape, fdt))
-        e4 = np.einsum("...mk,jmk->...jm", t2, self.hbar,
-                       out=ws.empty("spectral.uv.e4", fm_shape, fdt))
-        v_fm = np.add(e3, e4, out=e3)
-        np.divide(v_fm, self.radius, out=v_fm)
-        g = self._irfft_stacked("spectral.uv.pad", (u_fm, v_fm))
+        psi = self.inverse_laplacian(vort_spec)
+        chi = self.inverse_laplacian(div_spec)
+        fm = self._spec_to_fourier((self.ddlambda(chi), self.ddlambda(psi)),
+                                   self.pbar, "p")
+        fh = self._spec_to_fourier((psi, chi), self.hbar, "h")
+        np.subtract(fm[0], fh[0], out=fm[0])
+        np.add(fm[1], fh[1], out=fm[1])
+        np.divide(fm, self.radius, out=fm)
+        g = self._fourier_to_grid(fm)
         np.divide(g, self._cos, out=g)
         return g[0], g[1]
 
@@ -481,37 +407,18 @@ class SpectralTransform:
         D_n^m    = (1/a) sum_j w_j/2 [ im U_m Pbar - V_m H ] / (1-mu^2)
         which never differentiates on the grid (Bourke 1972).
         """
-        ws = get_workspace()
-        nm = self.trunc.nm
-        uc = np.multiply(u, self._cos,
-                         out=ws.empty("spectral.vd.uc", u.shape, u.dtype))
-        vc = np.multiply(v, self._cos,
-                         out=ws.empty("spectral.vd.vc", v.shape, v.dtype))
-        u_fm = np.fft.rfft(uc, axis=-1)[..., :nm]
-        v_fm = np.fft.rfft(vc, axis=-1)[..., :nm]
-        np.divide(u_fm, self.nlon, out=u_fm)
-        np.divide(v_fm, self.nlon, out=v_fm)
-        np.multiply(u_fm, self._oc2, out=u_fm)
-        np.multiply(v_fm, self._oc2, out=v_fm)
-        sdt = np.result_type(u_fm, self._wp)
-        sp_shape = u.shape[:-2] + self.spec_shape
-        e1 = np.einsum("...jm,jmk->...mk", v_fm, self._wp,
-                       out=ws.empty("spectral.vd.e1", sp_shape, sdt))
-        e2 = np.einsum("...jm,jmk->...mk", u_fm, self._wh,
-                       out=ws.empty("spectral.vd.e2", sp_shape, sdt))
-        np.multiply(self._im, e1, out=e1)
-        vort = np.add(e1, e2, out=e1)
-        np.divide(vort, self.radius, out=vort)
-        e3 = np.einsum("...jm,jmk->...mk", u_fm, self._wp,
-                       out=ws.empty("spectral.vd.e3", sp_shape, sdt))
-        e4 = np.einsum("...jm,jmk->...mk", v_fm, self._wh,
-                       out=ws.empty("spectral.vd.e4", sp_shape, sdt))
-        np.multiply(self._im, e3, out=e3)
-        div = np.subtract(e3, e4, out=e3)
-        np.divide(div, self.radius, out=div)
-        if self._allones:
-            return vort.copy(), div.copy()
-        return vort * self._mask, div * self._mask
+        uv = get_workspace().empty("spectral.uv", (2,) + u.shape, u.dtype)
+        np.multiply(u, self._cos, out=uv[0])
+        np.multiply(v, self._cos, out=uv[1])
+        fm = self._grid_to_fourier(uv)
+        np.multiply(fm, self._oc2, out=fm)
+        sp = self._fourier_to_spec(fm, self._wp, "p")      # [U, V] . w Pbar
+        sh = self._fourier_to_spec(fm, self._wh, "h")      # [U, V] . w H
+        np.multiply(self._im, sp, out=sp)
+        vort = np.add(sp[1], sh[0], out=sp[1])
+        div = np.subtract(sp[0], sh[1], out=sp[0])
+        np.divide(sp, self.radius, out=sp)
+        return self._retained(vort), self._retained(div)
 
     def gradient(self, spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Grid (df/dx, df/dy) of a spectral field on the sphere.
@@ -519,34 +426,24 @@ class SpectralTransform:
         df/dx = (1/(a cos)) df/dlambda,  df/dy = (cos/a) df/dmu; the
         meridional part uses the H functions so no finite differencing occurs.
         """
-        ws = get_workspace()
-        t1 = np.multiply(spec, self._im,
-                         out=ws.empty("spectral.grad.t1", spec.shape,
-                                      np.result_type(spec, self._im)))
-        t2 = spec
-        if not self._allones:
-            np.multiply(t1, self._mask, out=t1)
-            t2 = np.multiply(spec, self._mask,
-                             out=ws.empty("spectral.grad.t2",
-                                          spec.shape, spec.dtype))
-        fm_shape = spec.shape[:-2] + (self.nlat, self.trunc.nm)
-        fdt = np.result_type(t1, self.pbar)
-        fx_fm = np.einsum("...mk,jmk->...jm", t1, self.pbar,
-                          out=ws.empty("spectral.grad.fx", fm_shape, fdt))
-        fy_fm = np.einsum("...mk,jmk->...jm", t2, self.hbar,
-                          out=ws.empty("spectral.grad.fy", fm_shape, fdt))
-        g = self._irfft_stacked("spectral.grad.pad", (fx_fm, fy_fm))
+        fx = self._spec_to_fourier((self.ddlambda(spec),), self.pbar, "p")
+        fy = self._spec_to_fourier((spec,), self.hbar, "h")
+        g = self._fourier_to_grid((fx[0], fy[0]))
         np.divide(g, self._rcos, out=g)
         return g[0], g[1]
 
-    def spectral_filter(self, spec: np.ndarray, order: int = 4,
-                        coefficient: float = 1.0e16, dt: float = 1.0) -> np.ndarray:
-        """Implicit del^(2*order/2) hyperdiffusion damping (CCM-style del^4).
-
-        Returns the filtered coefficients after one step of
-        d a / dt = -K (-lap)^{order/2} a  applied implicitly.
-        """
+    def damping_denominator(self, coefficient: float, dt: float,
+                            order: int = 4) -> np.ndarray:
+        """``1 + dt K (-lap)^(order/2)`` per slot: what one implicit step of
+        ``d a / dt = -K (-lap)^(order/2) a`` divides by (float64, then cast)."""
         if order % 2 != 0:
             raise ValueError(f"hyperdiffusion order must be even, got {order}")
-        damp = coefficient * (self._n * (self._n + 1.0) / self.radius**2) ** (order // 2)
-        return spec / (1.0 + dt * damp)
+        n = self.trunc.n_values().astype(np.float64)
+        damp = coefficient * (n * (n + 1.0) / self.radius**2) ** (order // 2)
+        return (1.0 + dt * damp).astype(self.policy.float_dtype, copy=False)
+
+    def spectral_filter(self, spec: np.ndarray, order: int = 4,
+                        coefficient: float = 1.0e16, dt: float = 1.0) -> np.ndarray:
+        """Implicit del^(2*order/2) hyperdiffusion damping (CCM-style del^4):
+        the coefficients after one step of :meth:`damping_denominator`."""
+        return spec / self.damping_denominator(coefficient, dt, order)

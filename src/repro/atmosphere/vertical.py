@@ -190,7 +190,3 @@ class VerticalGrid:
         out[:-1] += flux
         out[1:] += flux
         return out / (2.0 * dsig)
-
-    def column_mass_weights(self) -> np.ndarray:
-        """dsigma as mass weights (sum to 1): vertical integrals are dsig . X."""
-        return self.dsigma.copy()

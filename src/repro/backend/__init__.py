@@ -1,4 +1,4 @@
-"""Precision policy + preallocated workspaces + kernel oracles.
+"""Precision policy + preallocated workspaces.
 
 Every hot kernel in the model (spectral transforms, ocean stepping, the
 coupler's regrid passes, the parallel transpose) is plain NumPy on top of
@@ -13,9 +13,6 @@ two shared pieces instead of ad hoc dtype literals and allocations:
   back every step, so the steady-state allocation count of a step is
   (near) zero.  Hit/miss counts feed the profiler (``ws.hits`` /
   ``ws.misses`` per section), which is how the win is measured.
-
-:mod:`repro.backend.kernels` holds the ``*_ref`` oracles the spectral
-transforms are pinned against, and :func:`robert_filter`.
 
 The contract that keeps the default configuration *bitwise identical* to
 ad-hoc allocation: a workspace buffer holds exactly what the requesting
@@ -34,7 +31,6 @@ from repro.backend.dtypes import (
     set_default_dtype,
     weak_scalar,
 )
-from repro.backend.kernels import robert_filter
 from repro.backend.workspace import (
     Workspace,
     get_workspace,
@@ -45,5 +41,4 @@ __all__ = [
     "DTypePolicy", "FLOAT32", "FLOAT64", "default_policy", "dtype_policy",
     "policy_from_name", "set_default_dtype", "weak_scalar",
     "Workspace", "get_workspace", "workspace_totals",
-    "robert_filter",
 ]

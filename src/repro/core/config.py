@@ -108,10 +108,6 @@ class FoamConfig:
         return int(round(self.ocean_coupling_interval / self.atm_dt))
 
     @property
-    def atm_steps_per_day(self) -> int:
-        return int(round(SECONDS_PER_DAY / self.atm_dt))
-
-    @property
     def atm_steps_per_radiation(self) -> int:
         return max(1, int(round(self.radiation_interval / self.atm_dt)))
 

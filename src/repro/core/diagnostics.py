@@ -66,13 +66,6 @@ def meridional_heat_transport(heat_flux_into_ocean: np.ndarray,
     return transport
 
 
-def toa_energy_balance(fluxes: dict, weights: np.ndarray) -> dict:
-    """Global TOA budget from a physics flux dict (area weights sum to 1)."""
-    olr = float(np.sum(fluxes["olr"] * weights))
-    reflected = float(np.sum(fluxes["sw_toa_reflected"] * weights))
-    return {"olr": olr, "sw_reflected": reflected}
-
-
 def surface_energy_balance(fluxes: dict, t_sfc: np.ndarray,
                            weights: np.ndarray) -> dict:
     """Global surface budget: SW in, LW net, sensible, latent (W/m^2)."""
@@ -83,17 +76,6 @@ def surface_energy_balance(fluxes: dict, t_sfc: np.ndarray,
     lh = float(np.sum(fluxes["lhf"] * weights))
     return {"sw_absorbed": sw, "lw_net_up": lw_net, "sensible": sh,
             "latent": lh, "net_into_surface": sw - lw_net - sh - lh}
-
-
-def hydrological_ledger(model, state) -> dict:
-    """P, E, runoff, river discharge, and the implied imbalance (kg/s).
-
-    Uses the coupler's most recent diagnostics surfaces; intended for
-    monitoring the closed hydrological cycle during long runs.
-    """
-    inv = model.global_water_inventory(state)
-    total = sum(inv.values())
-    return {**inv, "total": total}
 
 
 def equator_pole_gradient(sst: np.ndarray, lats: np.ndarray,

@@ -51,11 +51,6 @@ class BarotropicParams:
         """Inertia multiplier of the barotropic mode (1 = no slowing)."""
         return 1.0 / self.slow_factor**2
 
-    @property
-    def effective_wave_speed_factor(self) -> float:
-        """External gravity waves travel this fraction of their true speed."""
-        return self.slow_factor
-
 
 class BarotropicSolver:
     """Explicit 2-D free-surface solver on the ocean A-grid."""

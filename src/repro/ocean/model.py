@@ -440,18 +440,37 @@ class OceanModel:
         """Sea surface temperature (deg C), NaN on land."""
         return np.where(self.mask2d, state.temp[0], np.nan)
 
-    def mean_temperature(self, state: OceanState) -> float:
-        vol = self.dz3d * self.grid.cell_areas()[None]
-        return float(np.sum(state.temp * vol) / np.sum(vol))
+    def _cell_volumes(self, field3d: np.ndarray) -> np.ndarray:
+        """Active cell volumes (m^3), viewed like :meth:`_m3`."""
+        return self._dz3(field3d) * self.grid.cell_areas()
 
-    def mean_salinity(self, state: OceanState) -> float:
-        vol = self.dz3d * self.grid.cell_areas()[None]
-        return float(np.sum(state.salt * vol) / np.sum(vol))
+    @staticmethod
+    def _member_sum(cells: np.ndarray):
+        """Sum over (level, y, x): a float for a serial ``(L, ny, nx)``
+        field, ``(nens,)`` for a batched ``(L, E, ny, nx)`` one.  Each
+        member's cells are summed as one contiguous run, so a batched value
+        equals that member's serial value bit for bit."""
+        cells = np.moveaxis(cells, 0, -3)
+        total = np.sum(cells.reshape(cells.shape[:-3] + (-1,)), axis=-1)
+        return float(total) if total.ndim == 0 else total
 
-    def total_kinetic_energy(self, state: OceanState) -> float:
+    def _volume_mean(self, field3d: np.ndarray):
+        vol = self._cell_volumes(field3d)
+        return self._member_sum(field3d * vol) / float(np.sum(vol))
+
+    def mean_temperature(self, state: OceanState):
+        """Volume-mean temperature: a float, or ``(nens,)`` when batched."""
+        return self._volume_mean(state.temp)
+
+    def mean_salinity(self, state: OceanState):
+        """Volume-mean salinity: a float, or ``(nens,)`` when batched."""
+        return self._volume_mean(state.salt)
+
+    def total_kinetic_energy(self, state: OceanState):
+        """Kinetic energy (J): a float, or ``(nens,)`` when batched."""
         u, v = self.total_velocity(state)
-        vol = self.dz3d * self.grid.cell_areas()[None]
-        return float(0.5 * RHO_SEAWATER * np.sum((u**2 + v**2) * vol))
+        return 0.5 * RHO_SEAWATER * self._member_sum(
+            (u**2 + v**2) * self._cell_volumes(u))
 
     def run(self, state: OceanState, nsteps: int,
             forcing: OceanForcing | None = None) -> OceanState:

@@ -70,10 +70,6 @@ class BlockDecomp1D:
                 return r
         raise ValueError(f"latitude index {j} out of range")
 
-    def local_shape(self, rank: int) -> tuple[int, int]:
-        lo, hi = self.bounds(rank)
-        return (hi - lo, self.nlon)
-
     def scatter(self, comm: CommBase, full: np.ndarray | None) -> np.ndarray:
         """Distribute a full (nlat, nlon, ...) array from rank 0 to band owners."""
         if comm.rank == 0:
@@ -147,10 +143,6 @@ class BlockDecomp2D:
         """((ylo, yhi), (xlo, xhi)) owned by ``rank``."""
         prow, pcol = self.coords(rank)
         return block_bounds(self.ny, self.py, prow), block_bounds(self.nx, self.px, pcol)
-
-    def local_shape(self, rank: int) -> tuple[int, int]:
-        (ylo, yhi), (xlo, xhi) = self.bounds(rank)
-        return (yhi - ylo, xhi - xlo)
 
     def scatter(self, comm: CommBase, full: np.ndarray | None) -> np.ndarray:
         if comm.rank == 0:

@@ -53,12 +53,6 @@ class RankTrace:
     def time_in(self, activity: str) -> float:
         return sum(s.duration for s in self.segments if s.activity == activity)
 
-    def busy_fraction(self) -> float:
-        total = self.end_time
-        if total <= 0:
-            return 0.0
-        return 1.0 - self.time_in("idle") / total
-
 
 @dataclass
 class TraceSet:

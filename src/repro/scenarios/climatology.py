@@ -57,8 +57,6 @@ def _metric_arrays(model: FoamModel, state: FoamState) -> dict:
     a batched state costs one batched diagnose — not nens serial ones plus
     a deep copy of every field.
     """
-    from repro.util.constants import RHO_SEAWATER
-
     w = _area_weights(model)
     sst = model.ocean.sst(state.ocean)
     surface = model.coupler.surface_state_for_atm(state.coupler, sst)
@@ -71,8 +69,6 @@ def _metric_arrays(model: FoamModel, state: FoamState) -> dict:
     # the column long before the ocean skin moves).
     dsig = model.dycore.vg.dsigma.reshape((-1,) + (1,) * diag.ps.ndim)
     wdp = dsig * diag.ps[None] * w
-    u, v = model.ocean.total_velocity(state.ocean)
-    vol = model.ocean._dz3(u) * model.ocean.grid.cell_areas()
     return {
         "ts_global_k": np.sum(surface.t_sfc * w, axis=hax),
         "t_atm_k": (np.sum(diag.temp * wdp, axis=(0,) + hax)
@@ -80,9 +76,8 @@ def _metric_arrays(model: FoamModel, state: FoamState) -> dict:
         "sst_ocean_c": np.sum(np.nan_to_num(sst) * oa, axis=hax) / oa_total,
         "ice_fraction": np.sum(np.where(state.coupler.ice.mask, oa, 0.0),
                                axis=hax) / oa_total,
-        "ocean_ke_j": 0.5 * RHO_SEAWATER * np.sum((u**2 + v**2) * vol,
-                                                  axis=(0,) + hax),
-        "mean_ps_pa": np.sum(diag.ps * w, axis=hax),
+        "ocean_ke_j": model.ocean.total_kinetic_energy(state.ocean),
+        "mean_ps_pa": model.transform.global_mean(diag.ps),
     }
 
 

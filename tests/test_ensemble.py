@@ -119,6 +119,37 @@ class TestPerturbedEnsemble:
         assert_trees_identical(m0, m1, "members differ")
 
 
+class TestBatchedDiagnostics:
+    @pytest.mark.parametrize("nens", [3, 5])
+    def test_budget_diagnostics_are_per_member(self, nens):
+        """Each budget scalar of a batched state is the ``(nens,)`` vector of
+        its members' serial values, bit for bit.  ``global_mean`` used to sum
+        over the members, and the ocean volume sums broadcast ``(L, ny, nx)``
+        against ``(L, E, ny, nx)`` — an error, or garbage when
+        ``nens == ocn_nlev`` (5 on the test grid)."""
+        cfg = _test_config()
+        assert cfg.ocn_nlev == 5
+        ens = FoamEnsemble(EnsembleConfig(nens=nens, base=cfg,
+                                          ic_perturbation=1e-7))
+        state = ens.step(ens.initial_state())
+        dycore, ocean = ens.model.dycore, ens.model.ocean
+        diagnostics = {
+            "global_mass": lambda s: dycore.global_mass(s.atm_curr),
+            "total_energy": lambda s: dycore.total_energy(s.atm_curr),
+            "mean_temperature": lambda s: ocean.mean_temperature(s.ocean),
+            "mean_salinity": lambda s: ocean.mean_salinity(s.ocean),
+            "total_kinetic_energy":
+                lambda s: ocean.total_kinetic_energy(s.ocean),
+        }
+        for name, diagnostic in diagnostics.items():
+            batched = diagnostic(state)
+            assert np.shape(batched) == (nens,), name
+            for e in range(nens):
+                serial = diagnostic(ens.member_state(state, e))
+                assert isinstance(serial, float), name
+                assert batched[e] == serial, f"{name}, member {e}"
+
+
 class TestWorkspaceReuse:
     def test_hit_rate_survives_ensemble_shapes(self):
         """Ensemble-shaped buffers miss once, then hit: the arena's >99%

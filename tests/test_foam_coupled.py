@@ -68,6 +68,42 @@ def test_ocean_called_on_schedule(model):
     assert st.ocean.time - t0 == pytest.approx(86400.0)
 
 
+def test_transform_calls_per_coupled_step(monkeypatch):
+    """One coupled step makes 15 outermost transform calls and diagnoses
+    grad(ln ps) once per ``diagnose`` (twice per step: physics and dynamics).
+
+    The methods are wrapped as instance attributes, the way the ledger
+    (``benchmarks/e2e/workloads.py``) wraps them for
+    ``atmosphere.spectral_calls``: a transform called by a transform
+    (``synthesize`` -> ``synthesize_many``) counts once.
+    """
+    model = FoamModel(tiny_config())
+    state = model.initial_state()
+    outermost, depth, gradient_ndims = [], [0], []
+
+    def wrap(name):
+        original = getattr(model.transform, name)
+
+        def traced(*args):
+            if depth[0] == 0:
+                outermost.append(name)
+            if name == "gradient":
+                gradient_ndims.append(args[0].ndim)
+            depth[0] += 1
+            try:
+                return original(*args)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(model.transform, name, traced)
+
+    for name in ("analyze", "synthesize", "synthesize_many",
+                 "uv_from_vortdiv", "vortdiv_from_uv", "gradient"):
+        wrap(name)
+    model.coupled_step(state)
+    assert len(outermost) == 15, outermost
+    assert gradient_ndims.count(2) == 2, gradient_ndims
+
+
 def test_sst_feels_the_atmosphere(model):
     """Coupling does something: SST pattern changes vs an uncoupled ocean."""
     st = model.initial_state()

@@ -1,7 +1,7 @@
 """Spectral kernels: bitwise regression against the unfused oracles.
 
 The batched spectral transforms must be bitwise identical in float64 to
-the seed-era unfused formulation (``repro.backend.kernels.*_ref``) — the
+the seed-era unfused formulation (``tests/oracles.py``) — the
 same pinning discipline ``legendre_plan`` uses against its per-m
 reference loop.  Covers serial (2-D) and batched (nlev, nens=3) inputs on
 both truncation kinds and the workspace-resident elementwise chains.
@@ -12,9 +12,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.atmosphere.dynamics import robert_filter
 from repro.atmosphere.spectral import SpectralTransform, Truncation
-from repro.backend import get_workspace, robert_filter
-from repro.backend import kernels as K
+from repro.backend import get_workspace
+from tests import oracles as K
 
 NLAT, NLON, MMAX = 24, 48, 10
 L, E = 3, 3
@@ -122,7 +123,7 @@ class TestElementwiseChains:
         curr = rng.normal(size=(L, 8, 8)) + 1j * rng.normal(size=(L, 8, 8))
         new = rng.normal(size=(L, 8, 8)) + 1j * rng.normal(size=(L, 8, 8))
         filt = 0.04
-        got = robert_filter(prev, curr, new, filt, name="test.rob")
+        got = robert_filter(prev, curr, new, filt)
         want = curr + filt * (prev - 2 * curr + new)
         assert _bitwise(got, want)
 
@@ -131,7 +132,7 @@ class TestElementwiseChains:
         shape = (L, E, 8, 8)
         prev, curr, new = (rng.normal(size=shape) for _ in range(3))
         filt = np.array([0.02, 0.04, 0.08]).reshape(E, 1, 1)
-        got = robert_filter(prev, curr, new, filt, name="test.rob.mem")
+        got = robert_filter(prev, curr, new, filt)
         want = curr + filt * (prev - 2 * curr + new)
         assert _bitwise(got, want)
 

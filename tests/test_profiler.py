@@ -1,10 +1,8 @@
 """Tests for the hierarchical wall-clock profiler (repro.perf.profiler)."""
 
 import json
-import sys
 import time
 
-import numpy as np
 import pytest
 
 from repro.perf.profiler import (
@@ -135,40 +133,30 @@ def test_disabled_records_nothing(fresh_profiler):
     assert profiling_enabled()
 
 
-def test_disabled_overhead_is_bounded(fresh_profiler):
-    """Instrumentation left in a hot loop must cost <5% while disabled."""
-    if sys.gettrace() is not None or "coverage" in sys.modules:
-        pytest.skip("timing comparison is meaningless under a line tracer")
+def test_disabled_sections_are_one_shared_noop(fresh_profiler, monkeypatch):
+    """What bounds the cost of instrumentation left in a hot loop: while
+    disabled, every section is the same preallocated no-op — no ``_Section``
+    is built, nothing is recorded — so an instrumented call pays one flag
+    test.  (The measured cost is the ledger's ``trace.overhead_frac``; a
+    wall-clock ratio asserted here flaked on loaded hosts.)"""
+    from repro.perf import profiler as mod
+
+    def no_section(*args):
+        raise AssertionError("a _Section was constructed while disabled")
+
+    @profiled("decorated")
+    def work():
+        return 7
+
     disable_profiling()
-    a = np.random.default_rng(0).normal(size=(96, 96))
-
-    def plain(n):
-        for _ in range(n):
-            a @ a
-
-    def instrumented(n):
-        for _ in range(n):
-            with profile_section("hot"):
-                a @ a
-
-    n = 200
-    plain(n), instrumented(n)   # warm up caches and allocator
-    # Min-of-7 suppresses scheduler noise; retry the whole measurement a
-    # couple of times so a loaded CI machine cannot flake a genuine pass.
-    for attempt in range(3):
-        t_plain = min(_timed(plain, n) for _ in range(7))
-        t_inst = min(_timed(instrumented, n) for _ in range(7))
-        if t_inst < 1.05 * t_plain:
-            return
-    assert t_inst < 1.05 * t_plain, (
-        f"disabled-mode overhead {100 * (t_inst / t_plain - 1):.2f}% "
-        f"exceeds the 5% budget")
-
-
-def _timed(fn, n):
-    t0 = time.perf_counter()
-    fn(n)
-    return time.perf_counter() - t0
+    monkeypatch.setattr(mod, "_Section", no_section)
+    assert profile_section("x") is profile_section("y")
+    assert fresh_profiler.section("x") is profile_section("y")
+    with profile_section("hot") as sec:
+        assert sec is None
+        assert work() == 7
+    profile = take_profile()
+    assert profile.sections == [] and profile.counters == {}
 
 
 # ------------------------------------------------------------- ranks

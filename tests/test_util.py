@@ -177,6 +177,35 @@ def test_one_rank_transport_census():
                     f"{path}:{node.lineno} {node.name}() takes substrate="
 
 
+def test_one_legendre_contraction_census():
+    """``atmosphere/spectral.py`` sums over latitude / total wavenumber in
+    exactly two places — one ``einsum`` per direction — and at most three
+    functions consult the truncation mask (the constructor that builds it
+    and one per direction).  Every operator stacks its operands through
+    those two sites, so a change to how the Legendre sum is evaluated
+    (hemispheric folding, a real-GEMM layout) is made once per direction,
+    not once per operator.
+    """
+    import ast
+
+    path = (Path(__file__).resolve().parents[1]
+            / "src" / "repro" / "atmosphere" / "spectral.py")
+    einsum_sites, mask_readers = [], set()
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and \
+                    getattr(node.func, "attr", None) == "einsum":
+                einsum_sites.append(fn.name)
+            if isinstance(node, ast.Attribute) and \
+                    node.attr in ("_mask", "_allones") and \
+                    isinstance(node.ctx, ast.Load):
+                mask_readers.add(fn.name)
+    assert sorted(einsum_sites) == ["_fourier_to_spec", "_spec_to_fourier"]
+    assert len(mask_readers) <= 3, sorted(mask_readers)
+
+
 # ------------------------------------------------------------- tree walkers
 def _container_dispatching_recursions(source: str) -> list[str]:
     """Names of self-recursive functions that dispatch on container type."""
