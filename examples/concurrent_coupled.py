@@ -21,7 +21,6 @@ from repro.parallel.coupled import PoolLayout, run_concurrent_coupled
 from repro.perf.costmodel import (
     AtmosphereCost,
     OceanCost,
-    calibrate_concurrent_from_profile,
     calibrate_from_profile,
 )
 from repro.perf.eventsim import predict_concurrent_speedup
@@ -58,9 +57,13 @@ def main() -> None:
     serial_profile = take_profile(label="serial",
                                   meta={"dtype": cfg.dtype_policy.name})
 
-    # Concurrent pool-split run.
-    res = run_concurrent_coupled(config=cfg, nsteps=nsteps, layout=layout,
-                                 profile=True)
+    # Concurrent pool-split run, profiled the same way: the spans every
+    # rank process records come home into this process's profiler.
+    enable_profiling().reset()
+    res = run_concurrent_coupled(config=cfg, nsteps=nsteps, layout=layout)
+    disable_profiling()
+    conc_profile = take_profile(label="concurrent",
+                                meta={"dtype": cfg.dtype_policy.name})
 
     bitwise = (
         np.array_equal(res.state.atm_curr.vort, state.atm_curr.vort)
@@ -76,7 +79,7 @@ def main() -> None:
     print(format_waits(res))
 
     serial_costs = calibrate_from_profile(serial_profile)
-    conc_costs = calibrate_concurrent_from_profile(res.profile, layout.n_atm)
+    conc_costs = calibrate_from_profile(conc_profile)
     atm = AtmosphereCost(nlat=cfg.atm_nlat, nlon=cfg.atm_nlon,
                          nlev=cfg.atm_nlev, mmax=cfg.atm_mmax, dt=cfg.atm_dt)
     ocn = OceanCost(nx=cfg.ocn_nx, ny=cfg.ocn_ny, nlev=cfg.ocn_nlev,

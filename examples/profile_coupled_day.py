@@ -3,8 +3,9 @@
 
 Walkthrough of the runtime profiling layer (``repro.perf.profiler``):
 
-1. run the coupled model with profiling enabled and capture a
-   hierarchical per-section :class:`~repro.perf.profiler.RunProfile`;
+1. run the coupled model with profiling enabled (enable → run →
+   ``take_profile()``) and capture a per-span
+   :class:`~repro.perf.profiler.RunProfile`;
 2. print the measured time-allocation table — the wall-clock analogue
    of the paper's Figure 2;
 3. calibrate the discrete-event simulator from the measured section
@@ -14,8 +15,16 @@ Walkthrough of the runtime profiling layer (``repro.perf.profiler``):
 Run:  PYTHONPATH=src python examples/profile_coupled_day.py
 """
 
-from repro.perf import calibrate_from_profile, simulate_coupled_day
-from repro.perf.report import format_calibration, profile_coupled_run
+from repro.core.config import test_config
+from repro.core.foam import FoamModel
+from repro.perf import (
+    calibrate_from_profile,
+    disable_profiling,
+    enable_profiling,
+    simulate_coupled_day,
+    take_profile,
+)
+from repro.perf.report import format_calibration
 
 
 def main() -> None:
@@ -23,11 +32,19 @@ def main() -> None:
 
     # Step 1: a profiled quarter-day at the test resolution (6 coupled
     # steps — includes the step-0 radiation pass and one ocean call).
-    profile = profile_coupled_run(days=0.25, config="test")
+    # Construction and the initial state stay outside the window.
+    model = FoamModel(test_config())
+    state = model.initial_state()
+    enable_profiling().reset()
+    model.run_days(state, 0.25)
+    disable_profiling()
+    profile = take_profile(label="coupled test run, 0.25 days",
+                           meta={"dtype": model.policy.name})
     print(f"captured: {profile.label}\n")
 
-    # Step 2: the measured Figure-2-style table.  Inclusive time counts
-    # children; exclusive time is a section's own work.
+    # Step 2: the measured Figure-2-style table, grouped by layer.  Self
+    # time is a span's own work, inclusive time counts the spans inside;
+    # the names are the ledger's (benchmarks/e2e --trace 1).
     print(profile.format_table(min_fraction=0.005))
     print()
     print(format_calibration(profile))

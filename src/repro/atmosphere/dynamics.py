@@ -31,7 +31,7 @@ from repro.atmosphere.semilag import advect_semilagrangian
 from repro.atmosphere.spectral import SpectralTransform
 from repro.atmosphere.vertical import VerticalGrid
 from repro.backend import get_workspace, weak_scalar
-from repro.perf.profiler import profile_section, profiled
+from repro.perf.profiler import profile_section
 from repro.util.constants import CP, GRAVITY, KAPPA, OMEGA, P0, RD
 from repro.util.tree import tree_map
 
@@ -184,7 +184,6 @@ class SpectralDynamicalCore:
     # ------------------------------------------------------------------
     # diagnostics
     # ------------------------------------------------------------------
-    @profiled("diagnose")
     def diagnose(self, state: AtmosphereState) -> GridDiagnostics:
         """Synthesize all grid fields the physics and coupler need.
 
@@ -221,7 +220,8 @@ class SpectralDynamicalCore:
         Returns also the grid diagnostics so the caller can reuse them.
         """
         tr, vg = self.tr, self.vg
-        d = self.diagnose(state)
+        with profile_section("atmosphere.rediagnose"):
+            d = self.diagnose(state)
         tprime = d.temp - vg.t_ref
         (px, py), vgradp = d.grad_lnps, d.vgradp
 
@@ -267,12 +267,12 @@ class SpectralDynamicalCore:
         Robert-Asselin-filtered center state.
         """
         dt = self.dt
-        with profile_section("nonlinear"):
+        with profile_section("atmosphere.nonlinear"):
             n_vort, n_div, n_temp, n_pi, diag = self._nonlinear_tendencies(curr)
 
         new_vort = prev.vort + 2.0 * dt * n_vort
 
-        with profile_section("implicit"):
+        with profile_section("atmosphere.implicit"):
             if self.semi_implicit:
                 new_div, new_temp, new_lnps = self._implicit_update(
                     prev, n_div, n_temp, n_pi)
@@ -297,12 +297,12 @@ class SpectralDynamicalCore:
         new_lnps = new_lnps.astype(cdt, copy=False)
 
         # del^4 hyperdiffusion, applied implicitly to the new fields.
-        with profile_section("hyperdiffusion"):
+        with profile_section("atmosphere.hyperdiffusion"):
             for field in (new_vort, new_div, new_temp):
                 self._hyperdiffuse(field)
 
         # Semi-Lagrangian moisture transport on the grid.
-        with profile_section("semilag"):
+        with profile_section("atmosphere.semilag"):
             new_q = advect_semilagrangian(self.tr, diag.u, diag.v, prev.q, 2.0 * dt)
 
         new = AtmosphereState(new_vort, new_div, new_temp, new_lnps, new_q,

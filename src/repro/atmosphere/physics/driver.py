@@ -114,7 +114,7 @@ class PhysicsSuite:
 
         # ---- 1. radiation (cached between radiation steps) --------------
         if self.radiation_due(time):
-            with profile_section("radiation"):
+            with profile_section("atmosphere.radiation"):
                 day = (time / SECONDS_PER_DAY) % 365.0
                 secs = time % SECONDS_PER_DAY
                 if self.rad.subsolar_lon_deg is not None:
@@ -133,7 +133,7 @@ class PhysicsSuite:
         lw_heat, olr, lw_down, lw_net_sfc = self._cached_lw
 
         # ---- 2. surface fluxes ------------------------------------------
-        with profile_section("surface_fluxes"):
+        with profile_section("atmosphere.surface_fluxes"):
             if external_fluxes is None:
                 from repro.atmosphere.physics.surface_flux import bulk_fluxes, ocean_fluxes
                 land = bulk_fluxes(temp[-1], q[-1], u[-1], v[-1], ps,
@@ -145,7 +145,7 @@ class PhysicsSuite:
                 fluxes = external_fluxes
 
         # ---- 3. boundary layer ------------------------------------------
-        with profile_section("boundary_layer"):
+        with profile_section("atmosphere.boundary_layer"):
             dtdt_pbl, dqdt_pbl, dudt_pbl, dvdt_pbl = boundary_layer_tendencies(
                 temp, q, u, v, pressure, z_full, dt,
                 ustar=fluxes["ustar"], shf=fluxes["shf"], lhf_evap=fluxes["evap"],
@@ -165,7 +165,7 @@ class PhysicsSuite:
             np.maximum(q_work, 0.0, out=q_work)
 
         # ---- 4. deep convection ------------------------------------------
-        with profile_section("deep_convection"):
+        with profile_section("atmosphere.deep_convection"):
             dtdt_zm, dqdt_zm, prec_zm = zhang_mcfarlane_deep(
                 t_work, q_work, pressure, dp, dt, self.conv)
             t_work += np.multiply(dtdt_zm, dt,
@@ -175,7 +175,7 @@ class PhysicsSuite:
             np.maximum(q_work, 0.0, out=q_work)
 
         # ---- 5. shallow convection ----------------------------------------
-        with profile_section("shallow_convection"):
+        with profile_section("atmosphere.shallow_convection"):
             dtdt_hk, dqdt_hk, prec_hk = hack_shallow(
                 t_work, q_work, pressure, dp, geopotential, dt, self.conv)
             t_work += np.multiply(dtdt_hk, dt,
@@ -185,7 +185,7 @@ class PhysicsSuite:
             np.maximum(q_work, 0.0, out=q_work)
 
         # ---- 6. stratiform -------------------------------------------------
-        with profile_section("stratiform"):
+        with profile_section("atmosphere.stratiform"):
             dtdt_st, dqdt_st, prec_st = stratiform_tendencies(
                 t_work, q_work, pressure, dp, dt, self.strat)
             t_work += np.multiply(dtdt_st, dt,

@@ -347,12 +347,13 @@ class SpectralTransform:
         return self._retained(
             self._fourier_to_spec(self._grid_to_fourier(grid), self._wp, "p"))
 
+    @profiled("spectral.synthesize")
     def synthesize(self, spec: np.ndarray) -> np.ndarray:
         """Spectral (..., nm, nk) -> grid (..., nlat, nlon), real: the one-field
-        case of :meth:`synthesize_many` (whose profiler section it shares)."""
+        case of :meth:`synthesize_many`."""
         return self.synthesize_many(spec)[0]
 
-    @profiled("spectral.synthesize")
+    @profiled("spectral.synthesize_many")
     def synthesize_many(self, *specs: np.ndarray) -> tuple:
         """Synthesize several same-shape spectral fields through a single
         contraction + inverse FFT; one grid per field, in order."""
@@ -420,6 +421,7 @@ class SpectralTransform:
         np.divide(sp, self.radius, out=sp)
         return self._retained(vort), self._retained(div)
 
+    @profiled("spectral.gradient")
     def gradient(self, spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Grid (df/dx, df/dy) of a spectral field on the sphere.
 

@@ -11,8 +11,8 @@ two shared pieces instead of ad hoc dtype literals and allocations:
 * :class:`Workspace` — a named, shape/dtype-keyed arena of reusable
   buffers.  Hot paths request scratch by name and get the same buffer
   back every step, so the steady-state allocation count of a step is
-  (near) zero.  Hit/miss counts feed the profiler (``ws.hits`` /
-  ``ws.misses`` per section), which is how the win is measured.
+  (near) zero; the arena's ``hits`` / ``misses`` are how the win is
+  measured (``backend.ws_hit_rate`` in ``benchmarks/e2e``).
 
 The contract that keeps the default configuration *bitwise identical* to
 ad-hoc allocation: a workspace buffer holds exactly what the requesting
@@ -26,9 +26,7 @@ from repro.backend.dtypes import (
     FLOAT64,
     DTypePolicy,
     default_policy,
-    dtype_policy,
     policy_from_name,
-    set_default_dtype,
     weak_scalar,
 )
 from repro.backend.workspace import (
@@ -38,7 +36,7 @@ from repro.backend.workspace import (
 )
 
 __all__ = [
-    "DTypePolicy", "FLOAT32", "FLOAT64", "default_policy", "dtype_policy",
-    "policy_from_name", "set_default_dtype", "weak_scalar",
+    "DTypePolicy", "FLOAT32", "FLOAT64", "default_policy",
+    "policy_from_name", "weak_scalar",
     "Workspace", "get_workspace", "workspace_totals",
 ]

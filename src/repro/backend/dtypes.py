@@ -4,12 +4,11 @@ The model was written float64-only; the policy threads a single choice
 of working precision through every constructor that used to hard-code
 ``np.float64`` / ``dtype=complex``.  Selection order:
 
-1. an explicit ``DTypePolicy`` passed to a constructor,
-2. a process-wide override installed by :func:`set_default_dtype` or the
-   :func:`dtype_policy` context manager,
-3. the ``FOAM_DTYPE`` environment variable (``float32``/``float64``,
+1. an explicit ``DTypePolicy`` passed to a constructor
+   (``FoamConfig.dtype`` resolves to one),
+2. the ``FOAM_DTYPE`` environment variable (``float32``/``float64``,
    with ``f32``/``single``/``f64``/``double`` accepted as aliases),
-4. float64 (the seed behaviour — bitwise identical to the pre-backend
+3. float64 (the seed behaviour — bitwise identical to the pre-backend
    code).
 
 Solver tables (Legendre recurrences, implicit-inverse matrices,
@@ -20,14 +19,13 @@ and only cast down on the way into policy-dtype storage.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "DTypePolicy", "FLOAT32", "FLOAT64", "policy_from_name",
-    "default_policy", "set_default_dtype", "dtype_policy", "weak_scalar",
+    "default_policy", "weak_scalar",
 ]
 
 
@@ -76,9 +74,6 @@ _ALIASES = {
     "float32": FLOAT32, "f32": FLOAT32, "single": FLOAT32, "fp32": FLOAT32,
 }
 
-# Process-wide override; None means "fall through to FOAM_DTYPE then float64".
-_override: DTypePolicy | None = None
-
 
 def policy_from_name(name: str | DTypePolicy | None) -> DTypePolicy:
     """Resolve a dtype name (or pass through a policy / None -> default)."""
@@ -95,28 +90,8 @@ def policy_from_name(name: str | DTypePolicy | None) -> DTypePolicy:
 
 
 def default_policy() -> DTypePolicy:
-    """The ambient policy: override if set, else FOAM_DTYPE, else float64."""
-    if _override is not None:
-        return _override
+    """The ambient policy: FOAM_DTYPE if set, else float64."""
     env = os.environ.get("FOAM_DTYPE")
     if env:
         return policy_from_name(env)
     return FLOAT64
-
-
-def set_default_dtype(name: str | DTypePolicy | None) -> None:
-    """Install (or with None, clear) the process-wide dtype override."""
-    global _override
-    _override = None if name is None else policy_from_name(name)
-
-
-@contextmanager
-def dtype_policy(name: str | DTypePolicy):
-    """Temporarily run under a different precision policy."""
-    global _override
-    prev = _override
-    _override = policy_from_name(name)
-    try:
-        yield _override
-    finally:
-        _override = prev

@@ -17,10 +17,8 @@ Usage rules that make reuse safe:
   a forked rank clears the arena it inherited before it starts
   (``repro.parallel.procmpi._child_main``), so ranks never share scratch.
 
-Counters: ``hits``/``misses`` accumulate per workspace and are also fed
-to the profiler (``profile_count("ws.hits"/"ws.misses")``) so they land
-on whichever profiler section is active.  The whole-run hit rate is
-``backend.ws_hit_rate`` in ``benchmarks/e2e``.
+Counters: ``hits``/``misses`` accumulate on the arena; the whole-run hit
+rate is ``backend.ws_hit_rate`` in ``benchmarks/e2e``.
 """
 
 from __future__ import annotations
@@ -28,23 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["Workspace", "get_workspace", "workspace_totals"]
-
-
-_profile_count = None
-
-
-def _count(name: str) -> None:
-    """Forward a counter to the profiler, importing it lazily.
-
-    ``repro.perf`` imports modules that themselves use workspaces, so a
-    module-level import here would be circular; the first actual counter
-    event resolves it instead (by then everything is loaded).
-    """
-    global _profile_count
-    if _profile_count is None:
-        from repro.perf.profiler import profile_count
-        _profile_count = profile_count
-    _profile_count(name)
 
 
 class Workspace:
@@ -64,12 +45,10 @@ class Workspace:
         buf = self._buffers.get(key)
         if buf is None:
             self.misses += 1
-            _count("ws.misses")
             buf = np.empty(shape, dtype=dtype)
             self._buffers[key] = buf
         else:
             self.hits += 1
-            _count("ws.hits")
         return buf
 
     def zeros(self, name: str, shape, dtype) -> np.ndarray:
@@ -91,12 +70,10 @@ class Workspace:
         buf = self._buffers.get(key)
         if buf is None:
             self.misses += 1
-            _count("ws.misses")
             buf = np.zeros(shape, dtype=dtype)
             self._buffers[key] = buf
         else:
             self.hits += 1
-            _count("ws.hits")
         return buf
 
     def empty_like(self, name: str, arr: np.ndarray) -> np.ndarray:

@@ -126,7 +126,6 @@ class FluxCoupler:
             river_volume=np.zeros((self.atm_nlat, self.atm_nlon)))
 
     # ------------------------------------------------------------------
-    @profiled("merge_surface")
     def surface_state_for_atm(self, state: CouplerState,
                               sst_celsius: np.ndarray) -> SurfaceState:
         """Blend ocean/ice/land surface properties onto the atmosphere grid.
@@ -167,7 +166,7 @@ class FluxCoupler:
                             z0=z0, ocean_mask=ocean_mask)
 
     # ------------------------------------------------------------------
-    @profiled("fluxes")
+    @profiled("coupler.fluxes")
     def turbulent_fluxes(self, state: CouplerState, *, t_air: np.ndarray,
                          q_air: np.ndarray, u_air: np.ndarray,
                          v_air: np.ndarray, ps: np.ndarray,
@@ -251,6 +250,7 @@ class FluxCoupler:
                                   ov.from_atm(net_atm), 0.0))
 
     # ------------------------------------------------------------------
+    @profiled("coupler.land_rivers")
     def step_land_and_rivers(self, state: CouplerState, *,
                              precip: np.ndarray, evap: np.ndarray,
                              t_low1: np.ndarray, t_low2: np.ndarray,

@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.ocean.grid import OceanGrid
 from repro.ocean.operators import Stencil
+from repro.perf.profiler import profiled
 from repro.util.constants import GRAVITY
 
 
@@ -71,6 +72,7 @@ class BarotropicSolver:
         """Number of barotropic substeps needed to cover ``dt_outer`` stably."""
         return max(1, int(np.ceil(dt_outer / self.dt_max)))
 
+    @profiled("ocean.barotropic")
     def step(self, eta: np.ndarray, ubar: np.ndarray, vbar: np.ndarray,
              gx: np.ndarray, gy: np.ndarray, dt_outer: float
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:

@@ -39,7 +39,7 @@ from repro.ocean.mixing import (
 )
 from repro.ocean.operators import Stencil
 from repro.backend import get_workspace, weak_scalar
-from repro.perf.profiler import profile_section
+from repro.perf.profiler import profile_section, profiled
 from repro.util.constants import (
     CP_SEAWATER,
     GRAVITY,
@@ -292,6 +292,7 @@ class OceanModel:
     # ------------------------------------------------------------------
     # the triple-rate step
     # ------------------------------------------------------------------
+    @profiled("ocean.step")
     def step(self, state: OceanState, forcing: OceanForcing) -> OceanState:
         """Advance one long (coupling) step using the three-rate scheme.
 
@@ -303,11 +304,10 @@ class OceanModel:
         pass diagnosed.
         """
         out, gxy = self._advance(state, forcing)
-        with profile_section("barotropic"):
-            out.eta, out.ubar, out.vbar, _ = self.baro.step(
-                state.eta, state.ubar, state.vbar, gxy[0], gxy[1],
-                self.params.dt_long)
-        with profile_section("polar_filter"):
+        out.eta, out.ubar, out.vbar, _ = self.baro.step(
+            state.eta, state.ubar, state.vbar, gxy[0], gxy[1],
+            self.params.dt_long)
+        with profile_section("ocean.polar_filter"):
             for name in ("eta", "ubar", "vbar"):
                 setattr(out, name, self.filter2d(getattr(out, name)))
         out.time = state.time + self.params.dt_long
@@ -327,7 +327,7 @@ class OceanModel:
         dt_int = dt_long / p.n_internal
 
         # ---- slow terms, once per long step -----------------------------
-        with profile_section("advection"):
+        with profile_section("ocean.advection"):
             u_tot, v_tot = self.total_velocity(s)
             m3 = self._m3(s.u)
             # One level at a time: a level's temporaries stay in cache, a
@@ -352,7 +352,7 @@ class OceanModel:
                     f3[k] += dt_long * self.a2 * st.laplacian(f3[k], g.dx, g.dy)
 
         # Vertical mixing (PP81 steepened) + surface fluxes, implicit.
-        with profile_section("mixing"):
+        with profile_section("ocean.mixing"):
             n_sq = buoyancy_frequency_sq(s.temp, s.salt, g.z_full)
             ri = richardson_number(s.u, s.v, n_sq, g.z_full)
             nu, kappa = pp_viscosity(ri, p.mixing)
@@ -391,7 +391,7 @@ class OceanModel:
             self._cosf = np.cos(g.f * dt_int)[None]
             self._sinf = np.sin(g.f * dt_int)[None]
         cosf, sinf = self._cosf, self._sinf
-        with profile_section("baroclinic"):
+        with profile_section("ocean.baroclinic"):
             for _ in range(p.n_internal):
                 w_top = self.vertical_velocity(s.u, s.v)
                 s.temp = s.temp + dt_int * self.advect_tracer_vertical(s.temp, w_top)
@@ -416,7 +416,7 @@ class OceanModel:
             self.mask2d, forcing.tauy / (RHO_SEAWATER * self.coldepth), 0.0)
 
         # ---- polar filter (baroclinic fields, 3-D mask-aware) ---------------
-        with profile_section("polar_filter"):
+        with profile_section("ocean.polar_filter"):
             for name in ("temp", "salt", "u", "v"):
                 setattr(s, name,
                         np.where(m3, self.filter3d(getattr(s, name)), 0.0))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ocean.model import OceanForcing, OceanModel, OceanState
-from repro.perf.profiler import profile_section
+from repro.perf.profiler import profiled
 from repro.util.constants import CP_SEAWATER, RHO_SEAWATER
 
 
@@ -41,6 +41,7 @@ class SlabOceanModel(OceanModel):
             1.0).astype(fdt, copy=False)
 
     # ------------------------------------------------------------------
+    @profiled("ocean.step")
     def step(self, state: OceanState, forcing: OceanForcing) -> OceanState:
         """One coupling interval of the mixed-layer heat budget.
 
@@ -49,19 +50,18 @@ class SlabOceanModel(OceanModel):
         identically zero.  Supports ensemble-batched forcing via the same
         leading-axis broadcasting as the full model.
         """
-        with profile_section("mixed_layer"):
-            s = state.copy()
-            dt = self.params.dt_long
-            heat_cap = RHO_SEAWATER * CP_SEAWATER * self._h_eff
-            t0 = s.temp[0] + forcing.heat_flux * dt / heat_cap
-            s.temp[0] = np.where(self.mask2d,
-                                 np.maximum(t0, self.params.sst_clamp), 0.0)
-            salt_in = (-forcing.freshwater * self.params.reference_salinity
-                       / RHO_SEAWATER)
-            s.salt[0] = np.where(self.mask2d,
-                                 s.salt[0] + salt_in * dt / self._h_eff, 0.0)
-            s.time = state.time + dt
-            self.op_count += self._ops_per_step()
+        s = state.copy()
+        dt = self.params.dt_long
+        heat_cap = RHO_SEAWATER * CP_SEAWATER * self._h_eff
+        t0 = s.temp[0] + forcing.heat_flux * dt / heat_cap
+        s.temp[0] = np.where(self.mask2d,
+                             np.maximum(t0, self.params.sst_clamp), 0.0)
+        salt_in = (-forcing.freshwater * self.params.reference_salinity
+                   / RHO_SEAWATER)
+        s.salt[0] = np.where(self.mask2d,
+                             s.salt[0] + salt_in * dt / self._h_eff, 0.0)
+        s.time = state.time + dt
+        self.op_count += self._ops_per_step()
         return s
 
     def _ops_per_step(self) -> int:

@@ -23,9 +23,10 @@ The exchange epochs are exactly the serial :meth:`FoamModel.coupled_step`
 ones, so the float64 trajectory is bitwise comparable to the serial run
 (the equivalence tests assert array equality, not just 1e-12 closeness).
 
-Per-rank :class:`~repro.perf.profiler.RunProfile` s (each rank process
-records into its own profiler) merge into one profile whose measured
-section costs calibrate the event simulator's concurrent-schedule prediction
+When the caller is profiling, the spans each rank process recorded in its
+stepping loop come home with its result (``run_ranks`` absorbs them into
+the caller's profiler); that summed profile calibrates the event
+simulator's concurrent-schedule prediction
 (:func:`repro.perf.eventsim.predict_concurrent_speedup`).
 """
 
@@ -36,16 +37,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.backend import get_workspace
+from repro.backend import workspace_totals
 from repro.parallel.commbase import CommBase, CommStats
 from repro.parallel.decomp import block_bounds
 from repro.parallel.procmpi import run_ranks
-from repro.perf.profiler import (
-    RunProfile,
-    enable_profiling,
-    merge_profiles,
-    take_profile,
-)
+from repro.perf.profiler import get_profiler
 
 # Coupler exchange tags (world-communicator context).
 TAG_ATM_STATE = 210    # atm leader -> coupler: bottom-level state fields
@@ -111,8 +107,6 @@ class ConcurrentCoupledResult:
     rank_walls: list[float]
     waits: dict[str, float]            # blocking-recv seconds by payload kind
     rank_waits: list[dict]
-    profile: RunProfile | None         # merged across ranks (None w/o profiling)
-    profiles: list[RunProfile] = field(default_factory=list)
     comm_stats: list[CommStats] = field(default_factory=list)
     acc: object | None = None          # coupler-side OceanForcing accumulator
     acc_steps: int = 0
@@ -161,8 +155,8 @@ def _atm_worker(comm, pool, layout, model, state, nsteps, waits):
         surface = SurfaceState(t_sfc=sfc["t_sfc"], albedo=sfc["albedo"],
                                wetness=sfc["wetness"], z0=sfc["z0"],
                                ocean_mask=ocean_mask)
-        phys = model.atm_physics(diag, curr.q, surface, sfc["fluxes"],
-                                 time=state.time, rows=(lo, hi))
+        phys = model._physics_kernel(diag, curr.q, surface, sfc["fluxes"],
+                                     time=state.time, rows=(lo, hi))
         band = {"dtdt": phys.dtdt, "dudt": phys.dudt, "dvdt": phys.dvdt,
                 "dqdt": phys.dqdt,
                 "precip": phys.precip_conv + phys.precip_strat,
@@ -178,7 +172,7 @@ def _atm_worker(comm, pool, layout, model, state, nsteps, waits):
             # dynamics: land/river/regrid work overlaps them every step.
             comm.send({"precip": full["precip"], "sw_sfc": full["sw_sfc"],
                        "lw_down": full["lw_down"]}, cpl, TAG_ATM_PHYS)
-        new_curr = model.atm_apply_tendencies(
+        new_curr = model._apply_tendencies_kernel(
             curr, full["dtdt"], full["dudt"], full["dvdt"], full["dqdt"])
         new_prev, new_next = model.atm_dynamics(state.atm_prev, new_curr)
         state = FoamState(atm_prev=new_prev, atm_curr=new_next,
@@ -245,7 +239,7 @@ def _ocn_worker(comm, pool, layout, model, state, nsteps, waits):
         for _ in range(n_calls):
             forcing = _timed_recv(comm, cpl, TAG_FORCING, waits, "forcing")
             t0 = time.perf_counter()
-            ocean_state = model.ocean_advance(ocean_state, forcing)
+            ocean_state = model.ocean.step(ocean_state, forcing)
             busy += time.perf_counter() - t0
             comm.send(model.ocean.sst(ocean_state), cpl, TAG_SST)
     return {"ocean": ocean_state, "ocean_busy": busy}
@@ -257,18 +251,15 @@ _WORKERS = {"atm": _atm_worker, "cpl": _cpl_worker, "ocn": _ocn_worker}
 def run_concurrent_coupled(config=None, *, days: float = 1.0,
                            nsteps: int | None = None,
                            layout: PoolLayout | None = None,
-                           profile: bool = False,
                            timeout: float | None = None,
                            initial_state=None) -> ConcurrentCoupledResult:
     """Run the coupled model concurrently on disjoint rank pools.
 
     ``nsteps`` overrides ``days``.  Every pool rank is a forked process
-    (:func:`repro.parallel.procmpi.run_ranks`).  With ``profile=True``
-    every rank enables its own profiler for the stepping loop and the
-    result carries both the per-rank :class:`RunProfile` s and their
-    merge.  The returned state is numerically equivalent — bitwise at
-    float64 — to ``nsteps`` serial ``coupled_step`` calls from the same
-    initial state.
+    (:func:`repro.parallel.procmpi.run_ranks`); when the caller's profiler
+    is enabled, the spans of every rank's stepping loop are added to it.
+    The returned state is numerically equivalent — bitwise at float64 — to
+    ``nsteps`` serial ``coupled_step`` calls from the same initial state.
 
     ``initial_state`` starts the run from an existing :class:`FoamState`
     (the run harness passes checkpointed or segment-boundary states here)
@@ -299,22 +290,14 @@ def run_concurrent_coupled(config=None, *, days: float = 1.0,
                  else model.initial_state())
         waits: dict[str, float] = {}
         comm.barrier()                 # exclude construction from the walls
-        if profile:                    # ... and from this rank's profile
-            enable_profiling().reset()
+        get_profiler().reset()         # ... and from this rank's spans
         t0 = time.perf_counter()
         out = _WORKERS[role](comm, pool, layout, model, state, nsteps, waits)
         wall = time.perf_counter() - t0
-        ws = get_workspace()
         out.update(
             rank=comm.rank, role=role, wall=wall, waits=waits,
-            ws_stats={"rank": comm.rank, "role": role, "hits": ws.hits,
-                      "misses": ws.misses, "buffers": len(ws),
-                      "nbytes": ws.nbytes},
-            stats=comm.stats,
-            profile=(take_profile(label=f"rank{comm.rank}:{role}",
-                                  meta={"rank": comm.rank, "pool": role,
-                                        "wall": wall})
-                     if profile else None))
+            ws_stats={"rank": comm.rank, "role": role, **workspace_totals()},
+            stats=comm.stats)
         return out
 
     results = run_ranks(layout.world_size, worker, timeout=tmo)
@@ -330,16 +313,6 @@ def run_concurrent_coupled(config=None, *, days: float = 1.0,
     for r in results:
         for k, v in r["waits"].items():
             waits[k] = waits.get(k, 0.0) + v
-    profiles = [r["profile"] for r in results if r["profile"] is not None]
-    merged = None
-    if profiles:
-        merged = merge_profiles(
-            profiles,
-            label=(f"concurrent coupled ({layout.n_atm} atm + 1 cpl + "
-                   f"{layout.n_ocn} ocn ranks), {nsteps} steps"),
-            meta={"layout": {"n_atm": layout.n_atm, "n_ocn": layout.n_ocn},
-                  "nsteps": nsteps, "atm_dt": cfg.atm_dt,
-                  "dtype": cfg.dtype_policy.name, "waits": dict(waits)})
     ocean_busy = ocn0["ocean_busy"]
     sst_wait = cplr["waits"].get("sst", 0.0)
     return ConcurrentCoupledResult(
@@ -349,7 +322,6 @@ def run_concurrent_coupled(config=None, *, days: float = 1.0,
         waits=waits,
         rank_waits=[{"rank": r["rank"], "role": r["role"], **r["waits"]}
                     for r in results],
-        profile=merged, profiles=profiles,
         comm_stats=[r["stats"] for r in results],
         acc=cplr["acc"], acc_steps=cplr["acc_steps"], sst=cplr["sst"],
         ws_stats=[r["ws_stats"] for r in results],

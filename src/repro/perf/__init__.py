@@ -10,7 +10,6 @@ from repro.perf.costmodel import (
     MeasuredCosts,
     OceanCost,
     atmosphere_ocean_cost_ratio,
-    calibrate_concurrent_from_profile,
     calibrate_from_profile,
     foam_paper_costs,
     transpose_bytes_from_stats,
@@ -46,27 +45,26 @@ from repro.perf.profiler import (
     disable_profiling,
     enable_profiling,
     get_profiler,
-    merge_profiles,
+    layer_of,
     profile_count,
     profile_section,
     profiled,
     profiling_enabled,
-    set_profiler,
     take_profile,
 )
 
 __all__ = [
     "MachineModel", "commodity_cluster_1999", "cray_c90", "ibm_sp2",
     "AtmosphereCost", "CouplerCost", "MeasuredCosts", "OceanCost",
-    "atmosphere_ocean_cost_ratio", "calibrate_concurrent_from_profile",
-    "calibrate_from_profile", "foam_paper_costs",
+    "atmosphere_ocean_cost_ratio", "calibrate_from_profile",
+    "foam_paper_costs",
     "transpose_bytes_from_stats", "transpose_messages_from_stats",
     "SimulationResult", "atmosphere_parallel_efficiency",
     "predict_concurrent_speedup", "scaling_curve",
     "simulate_coupled_day", "simulate_ocean_day", "simulate_serial_day",
     "CSMCostModel", "cost_performance_ratio", "foam_cost_musd",
     "Profiler", "RunProfile", "SectionStat",
-    "disable_profiling", "enable_profiling", "get_profiler",
-    "merge_profiles", "profile_count", "profile_section", "profiled",
-    "profiling_enabled", "set_profiler", "take_profile",
+    "disable_profiling", "enable_profiling", "get_profiler", "layer_of",
+    "profile_count", "profile_section", "profiled", "profiling_enabled",
+    "take_profile",
 ]

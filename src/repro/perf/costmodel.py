@@ -201,8 +201,9 @@ class MeasuredCosts:
     dynamics_seconds: float = 0.0    # dynamics slice of a step (overlap window)
     # Coupler work on the atmosphere's critical path even when the coupler
     # runs on its own rank (surface merge + turbulent fluxes: the atmosphere
-    # cannot start physics without their result).  None = not separately
-    # measured; the simulator then estimates exposure from overlap_seconds.
+    # cannot start physics without their result).  None = not measured
+    # (hand-built costs); the simulator then estimates exposure from
+    # overlap_seconds.
     coupler_exposed_seconds: float | None = None
     item_bytes: float = 8.0          # bytes/real of the profiled run's dtype
     source: str = "profile"
@@ -218,136 +219,69 @@ class MeasuredCosts:
 def calibrate_from_profile(profile) -> MeasuredCosts:
     """Derive :class:`MeasuredCosts` from a measured :class:`RunProfile`.
 
-    ``profile`` must come from a coupled run instrumented by
-    :mod:`repro.perf.profiler` (e.g. ``repro.perf.report.profile_coupled_run``)
-    covering at least one ocean call and one radiation step; section
-    conventions are the ones ``FoamModel.coupled_step`` establishes
-    (top-level ``atmosphere`` / ``coupler`` / ``ocean``, with
-    ``radiation`` nested somewhere under ``atmosphere``).
+    ``profile`` is a coupled run recorded by :mod:`repro.perf.profiler`
+    (``repro.perf.report.profile_run``, or enable → run → ``take_profile``)
+    covering at least one ocean call and one radiation step — serial,
+    batched, or a rank-pool run whose per-rank spans ``run_ranks`` summed
+    into the caller's profile.  It is read by exact span name:
 
-    Transpose cost is taken from ``transpose.forward``/``transpose.backward``
-    sections when the profiled run exercised the distributed transpose;
-    otherwise it is left at zero and the simulator falls back to charging
-    the (measured or analytic) byte volume on its machine model.
+    * coupled steps are ``coupler.merge_surface`` calls (one rank merges,
+      once per step) and the atmosphere rank count is
+      ``atmosphere.dynamics`` calls per step (every atmosphere rank steps
+      the replicated dynamics; 1 when serial);
+    * ``step_seconds`` is the all-ranks ``atmosphere`` layer total minus
+      radiation, per step; the simulator divides it by the rank count,
+      giving the *average* per-rank step time.  Span clocks are wall time
+      inside each rank process: with a core per rank they are pure
+      compute, on a host with fewer cores than ranks they also hold the
+      time the rank sat descheduled behind its peers — either way the
+      average approximates the pool's elapsed step time;
+    * radiation is band-decomposed, so its summed cost per radiation step
+      is ``inclusive * n_atm / calls``;
+    * ``coupler_seconds`` is the whole ``coupler`` layer per step and
+      ``coupler_exposed_seconds`` its serially-dependent slice
+      (``coupler.merge_surface``, fluxes included), which stays on the
+      atmosphere's critical path even with ``coupler_offloaded=True``;
+    * ``dynamics_seconds`` is the per-rank dynamics slice — the window the
+      concurrent schedule hides coupler/ocean work under (pass it as
+      ``overlap_seconds``);
+    * transpose cost comes from ``transpose.forward`` / ``transpose.backward``
+      when the run exercised the distributed transpose; otherwise it is
+      zero (the pool driver replicates spectral state) and the simulator
+      falls back to charging the byte volume on its machine model.
     """
-    n_steps = profile.total_calls("atmosphere/dynamics")
-    if n_steps == 0:
+    steps = profile.calls("coupler.merge_surface")
+    n_atm = profile.calls("atmosphere.dynamics") // steps if steps else 0
+    if n_atm == 0:
         raise ValueError(
-            "profile has no 'atmosphere/dynamics' sections — was the run "
-            "executed with profiling enabled through FoamModel.coupled_step?")
-    atm_seconds = profile.total_inclusive("atmosphere")
-    rad_seconds = profile.total_inclusive("radiation")
-    n_rad = profile.total_calls("radiation")
-    if n_rad == 0:
+            "profile has no full coupled step ('atmosphere.dynamics' per "
+            "'coupler.merge_surface' spans) — was the run executed with "
+            "profiling enabled through FoamModel.coupled_step or the pool "
+            "driver?")
+    radiation = profile.get("atmosphere.radiation")
+    if radiation is None:
         raise ValueError(
             "profile contains no radiation step; profile at least one "
             "radiation interval so radiation cost can be separated")
-    step_seconds = (atm_seconds - rad_seconds) / n_steps
-    radiation_step_seconds = step_seconds + rad_seconds / n_rad
-
-    coupler_seconds = profile.total_inclusive("coupler") / n_steps
-
-    n_ocean = profile.total_calls("ocean")
+    n_ocean = profile.calls("ocean.step")
     if n_ocean == 0:
         raise ValueError(
             "profile contains no ocean call; profile at least one coupling "
             "interval (ocean_coupling_interval of simulated time)")
-    ocean_call_seconds = profile.total_inclusive("ocean") / n_ocean
-
-    transpose_seconds = 0.0
-    for label in ("transpose.forward", "transpose.backward"):
-        calls = profile.total_calls(label)
-        if calls:
-            transpose_seconds += profile.total_inclusive(label) / calls
-
+    layers = profile.layer_seconds()
+    step_seconds = (layers["atmosphere"] - radiation.inclusive) / steps
+    transposes = [profile.get(f"transpose.{way}")
+                  for way in ("forward", "backward")]
     return MeasuredCosts(
         step_seconds=step_seconds,
-        radiation_step_seconds=radiation_step_seconds,
-        coupler_seconds=coupler_seconds,
-        ocean_call_seconds=ocean_call_seconds,
-        transpose_seconds=transpose_seconds,
-        dynamics_seconds=profile.total_inclusive("atmosphere/dynamics") / n_steps,
-        item_bytes=_profile_item_bytes(profile),
+        radiation_step_seconds=(step_seconds
+                                + radiation.inclusive * n_atm / radiation.calls),
+        coupler_seconds=layers["coupler"] / steps,
+        ocean_call_seconds=layers["ocean"] / n_ocean,
+        transpose_seconds=sum(t.per_call for t in transposes if t),
+        dynamics_seconds=profile["atmosphere.dynamics"].per_call,
+        coupler_exposed_seconds=profile["coupler.merge_surface"].inclusive / steps,
+        # The profiled run's precision: the simulator charges communication
+        # volumes in proportion to the element size.
+        item_bytes=float(np.dtype(profile.meta.get("dtype") or "float64").itemsize),
         source=profile.label or "profile")
-
-
-def _profile_item_bytes(profile) -> float:
-    """Element size of the profiled run's dtype (from profile metadata)."""
-    # Precision of the profiled run (recorded by repro.perf.report in the
-    # profile metadata): the event simulator charges communication volumes
-    # proportional to the element size.
-    meta = getattr(profile, "meta", None) or {}
-    dtype_name = meta.get("dtype")
-    if dtype_name:
-        return float(np.dtype(dtype_name).itemsize)
-    return 8.0
-
-
-def calibrate_concurrent_from_profile(profile, n_atm_ranks: int) -> MeasuredCosts:
-    """Derive :class:`MeasuredCosts` from a *merged* concurrent-run profile.
-
-    ``profile`` comes from :func:`repro.perf.profiler.merge_profiles` over the
-    per-rank profiles of a :func:`repro.parallel.coupled.run_concurrent_coupled`
-    run: section times are summed across the atmosphere-pool ranks (which each
-    execute the replicated spectral work plus a latitude band of physics), the
-    coupler rank, and the ocean rank.  The normalisations undo that summation
-    so the event simulator's usual "divide across ranks" convention recovers
-    per-rank elapsed time:
-
-    * ``step_seconds`` is the all-ranks total per step (summed ``atmosphere``
-      minus radiation, over ``steps``); the simulator divides it by the rank
-      count, giving the *average* per-rank step time.  Section clocks are
-      wall time measured inside each rank process: with a core per rank
-      they are pure compute, and on a host with fewer cores than ranks they
-      also hold the time the rank sat descheduled behind its peers — either
-      way the average approximates the pool's elapsed step time;
-    * radiation is band-decomposed, so its summed cost per radiation step is
-      ``rad_incl * n_atm_ranks / rad_calls``;
-    * ``coupler_seconds`` is the dedicated coupler rank's full per-step cost
-      (use ``coupler_offloaded=True`` in the simulator so it is charged as
-      overlap-hidden work, not divided across atmosphere ranks), and
-      ``coupler_exposed_seconds`` is its serially-dependent slice
-      (``merge_surface`` + ``fluxes``), which stays on the critical path;
-    * ``dynamics_seconds`` is the per-rank dynamics slice — the window the
-      concurrent schedule hides coupler/ocean work under (pass it as
-      ``overlap_seconds``);
-    * there is no distributed transpose in the concurrent driver (spectral
-      state is replicated), so ``transpose_seconds`` stays zero.
-    """
-    if n_atm_ranks < 1:
-        raise ValueError("need at least one atmosphere rank")
-    dyn_calls = profile.total_calls("atmosphere/dynamics")
-    steps = dyn_calls // n_atm_ranks
-    if steps == 0:
-        raise ValueError(
-            "profile has no full 'atmosphere/dynamics' step per atmosphere "
-            "rank — was it merged from a concurrent coupled run?")
-    atm_seconds = profile.total_inclusive("atmosphere")
-    rad_seconds = profile.total_inclusive("radiation")
-    rad_calls = profile.total_calls("radiation")
-    if rad_calls == 0:
-        raise ValueError(
-            "profile contains no radiation step; run at least one radiation "
-            "interval so radiation cost can be separated")
-    step_seconds = (atm_seconds - rad_seconds) / steps
-    radiation_step_seconds = step_seconds + rad_seconds * n_atm_ranks / rad_calls
-
-    n_ocean = profile.total_calls("ocean")
-    if n_ocean == 0:
-        raise ValueError(
-            "profile contains no ocean call; run at least one coupling "
-            "interval (ocean_coupling_interval of simulated time)")
-
-    exposed = (profile.total_inclusive("coupler/merge_surface")
-               + profile.total_inclusive("coupler/fluxes")) / steps
-
-    return MeasuredCosts(
-        step_seconds=step_seconds,
-        radiation_step_seconds=radiation_step_seconds,
-        coupler_seconds=profile.total_inclusive("coupler") / steps,
-        ocean_call_seconds=profile.total_inclusive("ocean") / n_ocean,
-        transpose_seconds=0.0,
-        dynamics_seconds=profile.total_inclusive("atmosphere/dynamics") / dyn_calls,
-        coupler_exposed_seconds=exposed,
-        item_bytes=_profile_item_bytes(profile),
-        source=profile.label or "concurrent-profile")

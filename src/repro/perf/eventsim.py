@@ -335,10 +335,9 @@ def predict_concurrent_speedup(serial: MeasuredCosts,
                                machine: MachineModel | None = None) -> dict:
     """Event-simulator prediction of the concurrent pool-split speedup.
 
-    ``serial`` comes from :func:`repro.perf.costmodel.calibrate_from_profile`
-    over a profiled serial ``run_days``; ``concurrent`` from
-    :func:`repro.perf.costmodel.calibrate_concurrent_from_profile` over the
-    merged per-rank profiles of a ``run_concurrent_coupled`` run.  Both runs
+    Both come from :func:`repro.perf.costmodel.calibrate_from_profile`:
+    ``serial`` over a profiled serial ``run_days``, ``concurrent`` over the
+    summed per-rank spans of a profiled ``run_concurrent_coupled``.  Both runs
     are replayed on the event simulator (the serial one inline on one rank,
     the concurrent one with the sync schedule, an offloaded coupler, and the
     measured per-step dynamics window as the overlap budget) and the ratio of

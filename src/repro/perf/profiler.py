@@ -1,38 +1,42 @@
-"""Hierarchical wall-clock profiling of the *real* Python components.
+"""Wall-clock spans of the *real* Python components, in the ledger's names.
 
 The performance story so far ran entirely on modeled time: analytic op
 counts (:mod:`repro.perf.costmodel`) fed a discrete-event simulator
 (:mod:`repro.perf.eventsim`) whose output mimics the paper's Figure 2.
-This module closes the loop with *measured* time: a low-overhead
-instrumentation layer threaded through the hot paths (spectral transforms,
-semi-Lagrangian advection, physics, ocean stages, coupler, the
-distributed transpose), producing a structured :class:`RunProfile` whose
-per-section costs can in turn calibrate the event simulator
+This module closes the loop with *measured* time: a low-overhead recorder
+whose spans are declared on the model's phase methods, producing a
+:class:`RunProfile` that calibrates the event simulator
 (:func:`repro.perf.costmodel.calibrate_from_profile`).
 
-Design constraints, in order:
+One span vocabulary.  A span is named ``layer.phase`` — exactly the names
+``benchmarks/e2e/tracing.py`` gives the same methods when it wraps them
+from outside (``runs.coupled_step``, ``atmosphere.physics``,
+``spectral.analyze``, ``coupler.fluxes``, ``ocean.step`` ...); the
+sub-phases only this recorder sees (radiation, the physics schemes, the
+ocean stages, the transposes) take names of the same form.  Rows are flat,
+keyed by that name, and carry the ledger's arithmetic: *inclusive* seconds
+and *self* seconds (``exclusive``: inclusive minus the spans opened
+directly inside).  Self times of all rows add up to the time inside root
+spans, so :func:`layer_of` turns them into per-layer totals that sum to
+the profiled wall — no nesting paths, no name matching.
 
-1. **Near-zero cost when disabled.**  Instrumentation stays in the hot
-   paths permanently, so the disabled check is one attribute read and the
-   returned context manager is a shared no-op singleton; a test bounds the
-   overhead on an instrumented hot loop.
-2. **One profiler per process.**  The model is single-threaded and a
-   rank is a forked process with its own default profiler, so there is
-   one section stack and no locking; what a rank recorded comes back to
-   the caller as a :class:`RunProfile` and is added with
-   :meth:`Profiler.absorb`.
-3. **Hierarchical.**  Sections nest: entering ``"physics"`` inside
-   ``"atmosphere"`` records under the path ``"atmosphere/physics"``, and
-   each node tracks both *inclusive* time (with children) and *exclusive*
-   time (children subtracted), the two columns of the report table.
+Design constraints:
+
+1. **Near-zero cost when disabled.**  The spans stay in the hot paths
+   permanently, so the disabled check is one attribute read and the
+   returned context manager is a shared no-op singleton.
+2. **One recorder per process.**  The model is single-threaded and a rank
+   is a forked process that resets the recorder it inherited; what a rank
+   recorded comes back to the caller as a :class:`RunProfile` and is added
+   with :meth:`Profiler.absorb` (``repro.parallel.procmpi.run_ranks``).
 
 Usage::
 
     from repro.perf.profiler import enable_profiling, profile_section, take_profile
 
     enable_profiling()
-    with profile_section("atmosphere"):
-        with profile_section("physics"):
+    with profile_section("atmosphere.physics"):
+        with profile_section("atmosphere.radiation"):
             ...
     profile = take_profile(label="one day")   # -> RunProfile (and resets)
     print(profile.format_table())
@@ -42,65 +46,48 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, field
 from functools import wraps
 
-SEP = "/"
+#: ``RunProfile`` JSON format: 2 = flat rows keyed by span name.  Format 1
+#: (rows keyed by a nesting ``path``) carried no marker and is refused.
+PROFILE_FORMAT = 2
 
 
-class _NullSection:
-    """Shared no-op context manager returned while profiling is disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
+def layer_of(name: str) -> str:
+    """The layer a span's self time is booked under (the ledger's rule)."""
+    prefix = name.split(".", 1)[0]
+    return "atmosphere" if prefix == "spectral" else prefix
 
 
-_NULL_SECTION = _NullSection()
-
-
-class _Node:
-    """Accumulator for one section path."""
-
-    __slots__ = ("calls", "inclusive", "exclusive", "counters")
-
-    def __init__(self):
-        self.calls = 0
-        self.inclusive = 0.0
-        self.exclusive = 0.0
-        self.counters: dict[str, float] = {}
+#: Shared no-op context manager returned while profiling is disabled.
+_NULL_SECTION = nullcontext()
 
 
 class _Section:
-    """Live context manager for one enabled section entry."""
+    """Live context manager for one entry of an enabled span."""
 
-    __slots__ = ("_prof", "_name", "_start", "_child", "_counters")
+    __slots__ = ("_name", "_start", "_child", "_counters")
 
-    def __init__(self, prof: "Profiler", name: str):
-        self._prof = prof
+    def __init__(self, name: str):
         self._name = name
 
     def __enter__(self):
         self._child = 0.0
         self._counters = None
-        self._prof._stack.append(self)
+        _default._stack.append(self)
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, *exc):
         elapsed = time.perf_counter() - self._start
-        frames = self._prof._stack
-        frames.pop()
-        if frames:
-            frames[-1]._child += elapsed
-        path = SEP.join(f._name for f in frames) + SEP + self._name if frames \
-            else self._name
-        self._prof._record(path, 1, elapsed, elapsed - self._child,
-                           self._counters)
+        stack = _default._stack
+        stack.pop()
+        if stack:
+            stack[-1]._child += elapsed
+        _default._record(self._name, 1, elapsed, elapsed - self._child,
+                         self._counters)
         return False
 
     def count(self, name: str, value: float = 1.0) -> None:
@@ -109,134 +96,78 @@ class _Section:
         self._counters[name] = self._counters.get(name, 0.0) + value
 
 
-class Profiler:
-    """Hierarchical wall-clock timer + counter registry."""
-
-    def __init__(self, enabled: bool = False):
-        self.enabled = enabled
-        self._nodes: dict[str, _Node] = {}
-        self._counters: dict[str, float] = {}
-        self._stack: list[_Section] = []
-        self._started = time.perf_counter()
-
-    # -- section management ------------------------------------------------
-    def _record(self, path: str, calls: int, inclusive: float,
-                exclusive: float, counters: dict | None) -> None:
-        node = self._nodes.get(path)
-        if node is None:
-            node = self._nodes[path] = _Node()
-        node.calls += calls
-        node.inclusive += inclusive
-        node.exclusive += exclusive
-        if counters:
-            for k, v in counters.items():
-                node.counters[k] = node.counters.get(k, 0.0) + v
-
-    def section(self, name: str):
-        """Context manager timing one (possibly nested) section.
-
-        Disabled profilers return a shared no-op object — the hot-path cost
-        is one attribute check and one method call.
-        """
-        if not self.enabled:
-            return _NULL_SECTION
-        return _Section(self, name)
-
-    def profiled(self, name: str | None = None):
-        """Decorator equivalent of :meth:`section` (name defaults to ``fn.__name__``)."""
-        def decorate(fn):
-            label = name or fn.__name__
-
-            @wraps(fn)
-            def wrapper(*args, **kwargs):
-                if not self.enabled:
-                    return fn(*args, **kwargs)
-                with _Section(self, label):
-                    return fn(*args, **kwargs)
-            return wrapper
-        return decorate
-
-    def count(self, name: str, value: float = 1.0) -> None:
-        """Add to a counter on the innermost active section.
-
-        Outside any section the count lands in the profile-level counter
-        table instead.
-        """
-        if not self.enabled:
-            return
-        if self._stack:
-            self._stack[-1].count(name, value)
-            return
-        self._counters[name] = self._counters.get(name, 0.0) + value
-
-    # -- lifecycle ---------------------------------------------------------
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
-    def reset(self) -> None:
-        self._nodes.clear()
-        self._counters.clear()
-        self._started = time.perf_counter()
-
-    def snapshot(self, label: str = "", meta: dict | None = None) -> "RunProfile":
-        """Freeze current accumulators into a :class:`RunProfile` (no reset)."""
-        sections = [
-            SectionStat(path=path, calls=n.calls, inclusive=n.inclusive,
-                        exclusive=n.exclusive, counters=dict(n.counters))
-            for path, n in sorted(self._nodes.items())
-        ]
-        return RunProfile(label=label,
-                          wall_seconds=time.perf_counter() - self._started,
-                          sections=sections, counters=dict(self._counters),
-                          meta=dict(meta or {}))
-
-    def absorb(self, profile: "RunProfile") -> None:
-        """Add a finished profile's sections and counters to the accumulators.
-
-        How sections recorded in a forked rank process reach the caller:
-        ``run_ranks`` absorbs every rank's snapshot into the caller's
-        profiler.  :func:`merge_profiles` is the same summation.
-        """
-        for s in profile.sections:
-            self._record(s.path, s.calls, s.inclusive, s.exclusive, s.counters)
-        for k, v in profile.counters.items():
-            self._counters[k] = self._counters.get(k, 0.0) + v
-
-
 @dataclass
 class SectionStat:
-    """One row of a :class:`RunProfile`: measured cost of one section path."""
+    """One row of a :class:`RunProfile`: measured cost of one span name."""
 
-    path: str                 # "/"-joined nesting path, e.g. "atmosphere/physics"
-    calls: int
-    inclusive: float          # seconds, children included
-    exclusive: float          # seconds, children subtracted
+    name: str                 # "layer.phase", e.g. "atmosphere.physics"
+    calls: int = 0
+    inclusive: float = 0.0    # seconds, spans opened inside included
+    exclusive: float = 0.0    # self seconds: those spans subtracted
     counters: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def name(self) -> str:
-        return self.path.rsplit(SEP, 1)[-1]
-
-    @property
-    def depth(self) -> int:
-        return self.path.count(SEP)
 
     @property
     def per_call(self) -> float:
         return self.inclusive / self.calls if self.calls else 0.0
 
 
+class Profiler:
+    """The process's span recorder: flat rows by name, plus counters."""
+
+    def __init__(self):
+        self.enabled = False
+        self._rows: dict[str, SectionStat] = {}
+        self._counters: dict[str, float] = {}
+        self._stack: list[_Section] = []
+        self._started = time.perf_counter()
+
+    def _record(self, name: str, calls: int, inclusive: float,
+                exclusive: float, counters: dict | None) -> None:
+        row = self._rows.get(name)
+        if row is None:
+            row = self._rows[name] = SectionStat(name)
+        row.calls += calls
+        row.inclusive += inclusive
+        row.exclusive += exclusive
+        if counters:
+            for k, v in counters.items():
+                row.counters[k] = row.counters.get(k, 0.0) + v
+
+    def reset(self) -> None:
+        self._rows.clear()
+        self._counters.clear()
+        self._started = time.perf_counter()
+
+    def snapshot(self, label: str = "", meta: dict | None = None) -> "RunProfile":
+        """Freeze current accumulators into a :class:`RunProfile` (no reset)."""
+        return RunProfile(
+            label=label, wall_seconds=time.perf_counter() - self._started,
+            sections=[SectionStat(r.name, r.calls, r.inclusive, r.exclusive,
+                                  dict(r.counters))
+                      for _, r in sorted(self._rows.items())],
+            counters=dict(self._counters), meta=dict(meta or {}))
+
+    def absorb(self, profile: "RunProfile") -> None:
+        """Add a finished profile's rows and counters to the accumulators.
+
+        How spans recorded in a forked rank process reach the caller:
+        ``run_ranks`` absorbs every rank's snapshot into the caller's
+        recorder.
+        """
+        for s in profile.sections:
+            self._record(s.name, s.calls, s.inclusive, s.exclusive, s.counters)
+        for k, v in profile.counters.items():
+            self._counters[k] = self._counters.get(k, 0.0) + v
+
+
 @dataclass
 class RunProfile:
     """Structured, JSON-serializable report of one profiled run.
 
-    The measured analogue of the event simulator's Figure-2 breakdown:
-    per-section inclusive/exclusive wall time, call counts, and whatever
-    counters the sections recorded (notably ``comm_bytes`` from the
-    distributed transpose).  This is both the human-readable artifact behind
+    The measured analogue of the event simulator's Figure-2 breakdown: per
+    span name the call count, inclusive and self seconds, and whatever
+    counters the span recorded (notably ``comm_bytes`` from the distributed
+    transpose).  This is both the human-readable artifact behind
     ``python -m repro.perf.report`` and the machine-readable calibration
     input of :func:`repro.perf.costmodel.calibrate_from_profile`.
     """
@@ -248,125 +179,75 @@ class RunProfile:
     meta: dict = field(default_factory=dict)
 
     # -- lookup ------------------------------------------------------------
-    def __getitem__(self, path: str) -> SectionStat:
-        for s in self.sections:
-            if s.path == path:
-                return s
-        raise KeyError(f"no section {path!r} in profile "
-                       f"(have {[s.path for s in self.sections]})")
+    def get(self, name: str) -> SectionStat | None:
+        return next((s for s in self.sections if s.name == name), None)
 
-    def get(self, path: str) -> SectionStat | None:
-        try:
-            return self[path]
-        except KeyError:
-            return None
+    def __getitem__(self, name: str) -> SectionStat:
+        s = self.get(name)
+        if s is None:
+            raise KeyError(f"no span {name!r} in profile "
+                           f"(have {[s.name for s in self.sections]})")
+        return s
 
-    def matching(self, predicate) -> list[SectionStat]:
-        """All sections whose *path* satisfies ``predicate``."""
-        return [s for s in self.sections if predicate(s.path)]
-
-    def _topmost_matches(self, prefix: str) -> list[SectionStat]:
-        """Sections matching ``prefix`` whose ancestors do not also match.
-
-        A section matches when its full path equals or extends ``prefix``,
-        or when its own (leaf) name equals ``prefix`` — so ``"radiation"``
-        finds ``"atmosphere/physics/radiation"`` wherever it nests.
-        Ancestor-matching sections shadow their children to avoid
-        double-charging nested matches.
-        """
-        out = []
-        for s in self.sections:
-            if not (s.path == prefix or s.path.startswith(prefix + SEP)
-                    or s.name == prefix):
-                continue
-            parts = s.path.split(SEP)
-            ancestor_match = any(
-                SEP.join(parts[:i]) == prefix or parts[i - 1] == prefix
-                for i in range(1, len(parts)))
-            if not ancestor_match:
-                out.append(s)
-        return out
-
-    def total_inclusive(self, prefix: str) -> float:
-        """Summed inclusive seconds of all top-most sections under ``prefix``."""
-        return sum(s.inclusive for s in self._topmost_matches(prefix))
-
-    def total_calls(self, prefix: str) -> int:
-        """Summed call count of all top-most sections under ``prefix``."""
-        return sum(s.calls for s in self._topmost_matches(prefix))
-
-    def calls(self, path: str) -> int:
-        s = self.get(path)
+    def calls(self, name: str) -> int:
+        s = self.get(name)
         return s.calls if s else 0
 
     def comm_bytes(self, prefix: str = "") -> float:
-        """Total ``comm_bytes`` counters under sections matching ``prefix``."""
+        """Total ``comm_bytes`` counters of spans whose name starts with ``prefix``."""
         return sum(s.counters.get("comm_bytes", 0.0) for s in self.sections
-                   if s.path.startswith(prefix))
+                   if s.name.startswith(prefix))
 
-    def roots(self) -> list[SectionStat]:
-        return [s for s in self.sections if SEP not in s.path]
+    def layer_seconds(self) -> dict[str, float]:
+        """Self seconds summed per :func:`layer_of` layer (disjoint buckets)."""
+        layers: dict[str, float] = {}
+        for s in self.sections:
+            layer = layer_of(s.name)
+            layers[layer] = layers.get(layer, 0.0) + s.exclusive
+        return layers
 
     @property
     def accounted_seconds(self) -> float:
-        """Wall time covered by top-level sections."""
-        return sum(s.inclusive for s in self.roots())
+        """Seconds inside root spans: what the self times add up to."""
+        return sum(s.exclusive for s in self.sections)
 
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "wall_seconds": self.wall_seconds,
-            "counters": dict(self.counters),
-            "meta": dict(self.meta),
-            "sections": [
-                {"path": s.path, "calls": s.calls, "inclusive": s.inclusive,
-                 "exclusive": s.exclusive, "counters": dict(s.counters)}
-                for s in self.sections
-            ],
-        }
+        return {"format": PROFILE_FORMAT, **asdict(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunProfile":
-        return cls(
-            label=d.get("label", ""),
-            wall_seconds=float(d.get("wall_seconds", 0.0)),
-            counters=dict(d.get("counters", {})),
-            meta=dict(d.get("meta", {})),
-            sections=[SectionStat(path=s["path"], calls=int(s["calls"]),
-                                  inclusive=float(s["inclusive"]),
-                                  exclusive=float(s["exclusive"]),
-                                  counters=dict(s.get("counters", {})))
-                      for s in d.get("sections", [])],
-        )
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunProfile":
-        return cls.from_dict(json.loads(text))
+        fields = dict(d)
+        if fields.pop("format", 1) != PROFILE_FORMAT:
+            raise ValueError(
+                f"profile format {d.get('format', 1)!r} is not supported: "
+                f"rows are flat 'layer.phase' span names since format "
+                f"{PROFILE_FORMAT} (format 1 keyed them by nesting path); "
+                f"capture the profile again")
+        fields["sections"] = [SectionStat(**row) for row in d["sections"]]
+        return cls(**fields)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write(self.to_json())
+            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
 
     @classmethod
     def load(cls, path) -> "RunProfile":
         with open(path) as fh:
-            return cls.from_json(fh.read())
+            return cls.from_dict(json.load(fh))
 
     # -- rendering ---------------------------------------------------------
     def format_table(self, min_fraction: float = 0.0) -> str:
         """Render the measured time-allocation table (Figure-2 analogue).
 
-        One row per section in tree order, indented by nesting depth, with
-        call counts, exclusive and inclusive seconds, the share of total
-        accounted time, and comm bytes when a section recorded traffic.
-        ``min_fraction`` hides rows below that share of the total.
+        One block per layer, largest first: the layer's self-second total,
+        then its spans by falling self time with call counts, self and
+        inclusive seconds, the self-time share of the accounted total, and
+        comm bytes when a span recorded traffic.  Shares add up to 100 %.
+        ``min_fraction`` hides span rows below that share.
         """
         total = self.accounted_seconds or 1e-30
-        header = (f"{'section':38s} {'calls':>7s} {'excl s':>10s} "
+        header = (f"{'span':38s} {'calls':>7s} {'self s':>10s} "
                   f"{'incl s':>10s} {'share':>7s} {'comm':>10s}")
         lines = []
         if self.label:
@@ -375,16 +256,20 @@ class RunProfile:
                      f"accounted {self.accounted_seconds:.3f} s")
         lines.append(header)
         lines.append("-" * len(header))
-        for s in self.sections:
-            share = s.inclusive / total
-            if share < min_fraction and s.depth > 0:
-                continue
-            indent = "  " * s.depth
-            comm = s.counters.get("comm_bytes", 0.0)
-            comm_str = _human_bytes(comm) if comm else ""
-            lines.append(f"{indent + s.name:38s} {s.calls:7d} "
-                         f"{s.exclusive:10.4f} {s.inclusive:10.4f} "
-                         f"{100.0 * share:6.1f}% {comm_str:>10s}")
+        layers = self.layer_seconds()
+        for layer in sorted(layers, key=layers.get, reverse=True):
+            lines.append(f"{layer:38s} {'':7s} {layers[layer]:10.4f} "
+                         f"{'':10s} {100.0 * layers[layer] / total:6.1f}%")
+            rows = [s for s in self.sections if layer_of(s.name) == layer]
+            for s in sorted(rows, key=lambda s: s.exclusive, reverse=True):
+                share = s.exclusive / total
+                if share < min_fraction:
+                    continue
+                comm = s.counters.get("comm_bytes", 0.0)
+                comm_str = _human_bytes(comm) if comm else ""
+                lines.append(f"{'  ' + s.name:38s} {s.calls:7d} "
+                             f"{s.exclusive:10.4f} {s.inclusive:10.4f} "
+                             f"{100.0 * share:6.1f}% {comm_str:>10s}")
         for name, value in sorted(self.counters.items()):
             lines.append(f"counter {name} = {value:g}")
         return "\n".join(lines)
@@ -395,67 +280,29 @@ def _human_bytes(n: float) -> str:
         if abs(n) < 1024.0 or unit == "GB":
             return f"{n:.0f}{unit}" if unit == "B" else f"{n:.1f}{unit}"
         n /= 1024.0
-    return f"{n:.1f}GB"
 
 
 # ---------------------------------------------------------------------------
-# Default (module-level) profiler: what the instrumented library code uses.
+# The process's recorder: what the instrumented library code reports to.
 # A forked rank inherits it and resets it, so each rank process records
 # into its own.
 # ---------------------------------------------------------------------------
-_default = Profiler(enabled=False)
-
-
-def merge_profiles(profiles, label: str = "",
-                   meta: dict | None = None) -> RunProfile:
-    """Merge per-rank :class:`RunProfile` s into one aggregate profile.
-
-    Section calls, inclusive/exclusive seconds, and counters are summed by
-    path; profile-level counters are summed by name.  ``wall_seconds`` is
-    the *maximum* rank wall (the ranks ran concurrently), while the summed
-    section seconds keep the total work visible — so the merged profile's
-    overlap (accounted_seconds vs wall) is exactly what the concurrent
-    schedule hid.  Per-rank walls and labels land in ``meta``.
-    """
-    profiles = list(profiles)
-    if not profiles:
-        raise ValueError("merge_profiles needs at least one profile")
-    total = Profiler()
-    for p in profiles:
-        total.absorb(p)
-    merged_meta = {
-        "merged_from": len(profiles),
-        "rank_walls": [p.wall_seconds for p in profiles],
-        "rank_labels": [p.label for p in profiles],
-    }
-    merged_meta.update(meta or {})
-    merged = total.snapshot(label=label or f"merge of {len(profiles)} profiles",
-                            meta=merged_meta)
-    merged.wall_seconds = max(p.wall_seconds for p in profiles)
-    return merged
+_default = Profiler()
 
 
 def get_profiler() -> Profiler:
-    """The process-wide default profiler the instrumentation reports to."""
+    """The process-wide recorder the instrumentation reports to."""
     return _default
 
 
-def set_profiler(profiler: Profiler) -> Profiler:
-    """Install ``profiler`` as the default; returns the previous one."""
-    global _default
-    previous = _default
-    _default = profiler
-    return previous
-
-
 def enable_profiling() -> Profiler:
-    """Enable (and return) the default profiler."""
-    _default.enable()
+    """Enable (and return) the recorder."""
+    _default.enabled = True
     return _default
 
 
 def disable_profiling() -> None:
-    _default.disable()
+    _default.enabled = False
 
 
 def profiling_enabled() -> bool:
@@ -463,20 +310,27 @@ def profiling_enabled() -> bool:
 
 
 def profile_section(name: str):
-    """Section context manager on the default profiler (the hot-path hook)."""
+    """Span context manager (the hot-path hook); a shared no-op while disabled."""
     if not _default.enabled:
         return _NULL_SECTION
-    return _Section(_default, name)
+    return _Section(name)
 
 
 def profile_count(name: str, value: float = 1.0) -> None:
-    """Counter on the default profiler (no-op while disabled)."""
-    if _default.enabled:
-        _default.count(name, value)
+    """Add to a counter on the innermost open span (no-op while disabled).
+
+    Outside any span the count lands in the profile-level counter table.
+    """
+    if not _default.enabled:
+        return
+    if _default._stack:
+        _default._stack[-1].count(name, value)
+    else:
+        _default._counters[name] = _default._counters.get(name, 0.0) + value
 
 
 def profiled(name: str | None = None):
-    """Decorator: time every call of ``fn`` as a section on the default profiler."""
+    """Decorator: every call of ``fn`` is a span (``name`` defaults to ``fn.__name__``)."""
     def decorate(fn):
         label = name or fn.__name__
 
@@ -484,20 +338,15 @@ def profiled(name: str | None = None):
         def wrapper(*args, **kwargs):
             if not _default.enabled:
                 return fn(*args, **kwargs)
-            with _Section(_default, label):
+            with _Section(label):
                 return fn(*args, **kwargs)
         return wrapper
     return decorate
 
 
-def take_profile(label: str = "", meta: dict | None = None,
-                 reset: bool = True) -> RunProfile:
-    """Snapshot the default profiler into a :class:`RunProfile`.
-
-    With ``reset=True`` (default) the accumulators are cleared so
-    back-to-back profiling windows do not bleed into each other.
-    """
+def take_profile(label: str = "", meta: dict | None = None) -> RunProfile:
+    """Snapshot the recorder into a :class:`RunProfile` and clear it, so
+    back-to-back profiling windows do not bleed into each other."""
     profile = _default.snapshot(label=label, meta=meta)
-    if reset:
-        _default.reset()
+    _default.reset()
     return profile

@@ -16,10 +16,16 @@ from repro.runs.observers import (
     HistoryObserver,
     StepObserver,
 )
-from repro.runs.plan import RUN_MODES, CheckpointSpec, HistorySpec, RunPlan
+from repro.runs.plan import (
+    RUN_MODES,
+    CheckpointSpec,
+    HistorySpec,
+    RunPlan,
+    plan_from_flags,
+)
 
 __all__ = [
-    "RunPlan", "HistorySpec", "CheckpointSpec", "RUN_MODES",
+    "RunPlan", "HistorySpec", "CheckpointSpec", "RUN_MODES", "plan_from_flags",
     "RunHarness", "RunResult", "drive_steps",
     "StepObserver", "HistoryObserver", "CheckpointObserver",
     "CoupledDiagnosticsObserver", "HISTORY_FIELDS",

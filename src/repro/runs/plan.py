@@ -22,7 +22,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from repro.core.config import FoamConfig, test_config
+from repro.core.config import FoamConfig, named_config, test_config
 
 RUN_MODES = ("serial", "ensemble", "concurrent")
 
@@ -160,3 +160,35 @@ class RunPlan:
              "ic_perturbation": self.ic_perturbation},
             sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def plan_from_flags(*, size: str = "test", days: float = 1.0,
+                    scenario: str | None = None, seed: int | None = None,
+                    dtype: str | None = None, ensemble: int | None = None,
+                    perturb: float = 0.0, atm_ranks: int | None = None,
+                    ocn_ranks: int = 1, history: HistorySpec | None = None,
+                    checkpoint: CheckpointSpec | None = None) -> RunPlan:
+    """The command-line flag vocabulary → a :class:`RunPlan`.
+
+    Shared by ``python -m repro.scenarios run`` and ``python -m
+    repro.perf.report`` so the same flags mean the same run: ``--ensemble
+    N`` is a batched N-member run, ``--atm-ranks N`` given or ``--ocn-ranks``
+    other than 1 is a rank-pool run (``--atm-ranks 1`` is a 1+1+1 pool),
+    ``--size``/``--config`` names the resolution, ``--seed``/``--dtype``
+    override that configuration.
+    """
+    pooled = atm_ranks is not None or ocn_ranks != 1
+    if ensemble and pooled:
+        raise ValueError("--ensemble and --atm-ranks/--ocn-ranks are "
+                         "mutually exclusive")
+    config = named_config(size)
+    if seed is not None:
+        config.seed = seed
+    if dtype is not None:
+        config.dtype = dtype
+    return RunPlan(
+        config=config, scenario=scenario, days=days,
+        mode="concurrent" if pooled else "ensemble" if ensemble else "serial",
+        nens=ensemble or 1, ic_perturbation=perturb if ensemble else 0.0,
+        n_atm=1 if atm_ranks is None else atm_ranks, n_ocn=ocn_ranks,
+        history=history, checkpoint=checkpoint)

@@ -31,8 +31,14 @@ import argparse
 import json
 import sys
 
-from repro.core.config import NAMED_CONFIGS, named_config
-from repro.runs import CheckpointSpec, HistorySpec, RunHarness, RunPlan
+from repro.core.config import NAMED_CONFIGS
+from repro.runs import (
+    CheckpointSpec,
+    HistorySpec,
+    RunHarness,
+    RunPlan,
+    plan_from_flags,
+)
 from repro.scenarios.climatology import (
     GOLDEN_DAYS,
     ClimatologyObserver,
@@ -89,29 +95,19 @@ def cmd_describe(args) -> int:
 # ----------------------------------------------------------------------
 def _plan_from_args(scenario, args) -> RunPlan:
     """Translate CLI flags into the declarative run plan."""
-    pooled = args.atm_ranks is not None or args.ocn_ranks != 1
-    if args.ensemble and pooled:
-        raise SystemExit("--ensemble and --atm-ranks/--ocn-ranks are "
-                         "mutually exclusive")
-    if pooled:
-        mode = "concurrent"
-    elif args.ensemble:
-        mode = "ensemble"
-    else:
-        mode = "serial"
-    return RunPlan(
-        config=named_config(args.size), scenario=scenario.name,
-        days=args.days, mode=mode,
-        nens=args.ensemble or 1,
-        ic_perturbation=args.perturb if args.ensemble else 0.0,
-        n_atm=1 if args.atm_ranks is None else args.atm_ranks,
-        n_ocn=args.ocn_ranks,
-        history=(HistorySpec(args.history_dir,
-                             interval_days=args.history_days)
-                 if args.history_dir else None),
-        checkpoint=(CheckpointSpec(args.checkpoint_dir,
-                                   interval_days=args.checkpoint_days)
-                    if args.checkpoint_dir else None))
+    try:
+        return plan_from_flags(
+            size=args.size, days=args.days, scenario=scenario.name,
+            ensemble=args.ensemble, perturb=args.perturb,
+            atm_ranks=args.atm_ranks, ocn_ranks=args.ocn_ranks,
+            history=(HistorySpec(args.history_dir,
+                                 interval_days=args.history_days)
+                     if args.history_dir else None),
+            checkpoint=(CheckpointSpec(args.checkpoint_dir,
+                                       interval_days=args.checkpoint_days)
+                        if args.checkpoint_dir else None))
+    except ValueError as err:
+        raise SystemExit(str(err)) from None
 
 
 def cmd_run(args) -> int:

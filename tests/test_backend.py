@@ -13,10 +13,8 @@ from repro.backend import (
     FLOAT64,
     Workspace,
     default_policy,
-    dtype_policy,
     get_workspace,
     policy_from_name,
-    set_default_dtype,
     workspace_totals,
 )
 from repro.core.config import test_config as _test_config
@@ -63,18 +61,6 @@ class TestDTypePolicy:
         monkeypatch.setenv("FOAM_DTYPE", "f32")
         assert default_policy() is FLOAT32
         monkeypatch.delenv("FOAM_DTYPE")
-        assert default_policy() is FLOAT64
-
-    def test_override_and_context(self, monkeypatch):
-        monkeypatch.delenv("FOAM_DTYPE", raising=False)
-        set_default_dtype("float32")
-        try:
-            assert default_policy() is FLOAT32
-        finally:
-            set_default_dtype(None)
-        assert default_policy() is FLOAT64
-        with dtype_policy("float32") as pol:
-            assert pol is FLOAT32 and default_policy() is FLOAT32
         assert default_policy() is FLOAT64
 
     def test_asfloat_identity_no_copy(self):
@@ -138,24 +124,6 @@ class TestWorkspace:
         assert after["misses"] - before["misses"] >= 1
         assert after["hits"] - before["hits"] >= 1
         assert after["nbytes"] >= before["nbytes"] + 56
-
-    def test_counters_land_on_profiler_sections(self):
-        from repro.perf.profiler import (
-            enable_profiling, profile_section, take_profile,
-        )
-        prof = enable_profiling()
-        prof.reset()
-        try:
-            ws = Workspace()
-            with profile_section("wstest"):
-                ws.empty("t.sec", (2,), np.float64)
-                ws.empty("t.sec", (2,), np.float64)
-        finally:
-            prof.disable()
-        profile = take_profile(label="ws counters")
-        stat = profile["wstest"]
-        assert stat.counters.get("ws.misses") == 1.0
-        assert stat.counters.get("ws.hits") == 1.0
 
 
 # ---------------------------------------------------------------------------

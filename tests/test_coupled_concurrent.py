@@ -3,11 +3,11 @@
 The requirements these encode (ISSUE 5): the pool-split driver
 (``repro.parallel.coupled``) must reproduce the serial float64 trajectory
 *bitwise* over multiple simulated days — same exchange epochs, same
-operation order; the per-rank profiles must merge into one coherent
-profile; every rank must start from an empty scratch arena; a mis-tagged coupler
-exchange with two active pools must be diagnosed as a deadlock naming
-both pools' waiting ranks; and the calibrated event-simulator prediction
-must track the functional pool-split speedup.
+operation order; the per-rank spans must sum into one coherent profile
+in the caller; every rank must start from an empty scratch arena; a
+mis-tagged coupler exchange with two active pools must be diagnosed as a
+deadlock naming both pools' waiting ranks; and the calibrated
+event-simulator prediction must track the functional pool-split speedup.
 """
 
 import time
@@ -29,11 +29,14 @@ from repro.parallel.coupled import (
 from repro.perf.costmodel import (
     AtmosphereCost,
     OceanCost,
-    calibrate_concurrent_from_profile,
     calibrate_from_profile,
 )
 from repro.perf.eventsim import predict_concurrent_speedup
-from repro.perf.profiler import Profiler, set_profiler
+from repro.perf.profiler import (
+    disable_profiling,
+    enable_profiling,
+    take_profile,
+)
 
 pytestmark = pytest.mark.parallel
 
@@ -54,25 +57,37 @@ def serial(cfg):
     """Profiled serial reference run of NSTEPS coupled steps."""
     model = FoamModel(cfg)
     state = model.initial_state()
-    prof = Profiler(enabled=True)
-    previous = set_profiler(prof)
+    enable_profiling().reset()
     t0 = time.perf_counter()
     try:
         for _ in range(NSTEPS):
             state = model.coupled_step(state)
     finally:
-        set_profiler(previous)
+        disable_profiling()
     wall = time.perf_counter() - t0
     return {"model": model, "state": state, "wall": wall,
-            "profile": prof.snapshot(label="serial",
-                                     meta={"dtype": cfg.dtype_policy.name})}
+            "profile": take_profile(label="serial",
+                                    meta={"dtype": cfg.dtype_policy.name})}
 
 
 @pytest.fixture(scope="module")
-def concurrent(cfg):
-    """The same NSTEPS on disjoint pools (2 atm + 1 coupler + 1 ocean)."""
-    return run_concurrent_coupled(config=cfg, nsteps=NSTEPS, layout=LAYOUT,
-                                  profile=True)
+def concurrent_run(cfg):
+    """The same NSTEPS on disjoint pools (2 atm + 1 coupler + 1 ocean),
+    profiled the one way there is: enable, run, take what the ranks sent
+    home.  Returns ``(result, profile)``."""
+    enable_profiling().reset()
+    try:
+        result = run_concurrent_coupled(config=cfg, nsteps=NSTEPS,
+                                        layout=LAYOUT)
+    finally:
+        disable_profiling()
+    return result, take_profile(label="2+1+1 pool",
+                                meta={"dtype": cfg.dtype_policy.name})
+
+
+@pytest.fixture(scope="module")
+def concurrent(concurrent_run):
+    return concurrent_run[0]
 
 
 def _assert_bitwise(a, b, label):
@@ -148,19 +163,21 @@ def test_trajectory_allclose_acceptance(serial, concurrent):
                            rtol=1e-12, atol=1e-12)
 
 
-def test_merged_profile_structure(concurrent):
-    assert len(concurrent.profiles) == LAYOUT.world_size
-    merged = concurrent.profile
+def test_merged_profile_structure(concurrent_run):
+    result, merged = concurrent_run
     # Both atmosphere ranks run dynamics every step (replicated spectral).
-    assert merged.total_calls("atmosphere/dynamics") == LAYOUT.n_atm * NSTEPS
-    assert merged.total_calls("ocean") == NSTEPS // 6
-    assert merged.total_calls("coupler/merge_surface") == NSTEPS
-    assert merged.meta["merged_from"] == LAYOUT.world_size
-    assert len(merged.meta["rank_walls"]) == LAYOUT.world_size
-    assert merged.meta["layout"] == {"n_atm": 2, "n_ocn": 1}
-    # Wall is a max across ranks, not a sum.
-    assert merged.wall_seconds == pytest.approx(
-        max(p.wall_seconds for p in concurrent.profiles))
+    assert merged.calls("atmosphere.dynamics") == LAYOUT.n_atm * NSTEPS
+    assert merged.calls("atmosphere.physics") == LAYOUT.n_atm * NSTEPS
+    assert merged.calls("ocean.step") == NSTEPS // 6
+    assert merged.calls("coupler.merge_surface") == NSTEPS
+    # The ranks drive the phases, never the serial step that composes them.
+    assert merged.calls("runs.coupled_step") == 0
+    assert set(merged.layer_seconds()) == {"atmosphere", "coupler", "ocean"}
+    # Spans are summed over ranks that ran side by side; the run's wall is
+    # the slowest rank's, a max and not a sum.
+    assert len(result.rank_walls) == LAYOUT.world_size
+    assert result.wall_seconds == max(result.rank_walls)
+    assert not hasattr(result, "profile")
 
 
 def test_overlap_accounting(concurrent):
@@ -185,10 +202,26 @@ def test_workspace_arenas_disjoint(serial, concurrent):
     assert not hasattr(concurrent, "workspaces")
 
 
-def test_eventsim_prediction_tracks_functional(serial, concurrent, cfg):
+def test_calibration_infers_the_atmosphere_rank_count(serial, concurrent_run):
+    """One calibrator for both: the rank count is in the profile (dynamics
+    calls per merged surface), so radiation — band-decomposed, summed over
+    ranks — is scaled by it without being told."""
+    for profile, n_atm in ((serial["profile"], 1),
+                           (concurrent_run[1], LAYOUT.n_atm)):
+        assert (profile.calls("atmosphere.dynamics")
+                // profile.calls("coupler.merge_surface")) == n_atm
+        costs = calibrate_from_profile(profile)
+        rad = profile["atmosphere.radiation"]
+        assert (costs.radiation_step_seconds - costs.step_seconds
+                == pytest.approx(rad.inclusive * n_atm / rad.calls))
+        assert costs.dynamics_seconds == pytest.approx(
+            profile["atmosphere.dynamics"].per_call)
+
+
+def test_eventsim_prediction_tracks_functional(serial, concurrent_run, cfg):
+    concurrent, concurrent_profile = concurrent_run
     serial_costs = calibrate_from_profile(serial["profile"])
-    conc_costs = calibrate_concurrent_from_profile(concurrent.profile,
-                                                   n_atm_ranks=LAYOUT.n_atm)
+    conc_costs = calibrate_from_profile(concurrent_profile)
     assert conc_costs.transpose_seconds == 0.0
     assert conc_costs.dynamics_seconds > 0.0
     assert conc_costs.coupler_exposed_seconds is not None

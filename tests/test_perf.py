@@ -250,7 +250,7 @@ def test_calibrate_from_profile_requires_instrumented_run():
     from repro.perf import calibrate_from_profile
     from repro.perf.profiler import RunProfile
 
-    with pytest.raises(ValueError, match="atmosphere/dynamics"):
+    with pytest.raises(ValueError, match=r"atmosphere\.dynamics"):
         calibrate_from_profile(RunProfile(label="empty"))
 
 

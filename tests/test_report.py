@@ -4,32 +4,39 @@ import json
 
 import pytest
 
+from repro.core.config import test_config as tiny_config
 from repro.perf.profiler import RunProfile, profiling_enabled
-from repro.perf.report import format_calibration, main, profile_coupled_run
+from repro.perf.report import format_calibration, main, profile_run
+from repro.runs import RunPlan, plan_from_flags
 
 
 @pytest.fixture(scope="module")
 def quarter_day_profile():
     """One profiled coupling interval of the test config (shared: ~0.2 s)."""
-    return profile_coupled_run(days=0.25, config="test", seed=0)
+    profile, _result = profile_run(RunPlan(config=tiny_config(), days=0.25))
+    return profile
 
 
-def test_profile_coupled_run_covers_all_components(quarter_day_profile):
+def test_profile_run_covers_all_components(quarter_day_profile):
     profile = quarter_day_profile
     assert not profiling_enabled()   # profiling must be off afterwards
-    roots = {s.path for s in profile.roots()}
-    assert roots == {"atmosphere", "coupler", "ocean"}
+    assert set(profile.layer_seconds()) == {"runs", "atmosphere", "coupler",
+                                            "ocean"}
     # 0.25 days at dt=3600 is 6 steps; dynamics runs once per step.
-    assert profile.calls("atmosphere/dynamics") == 6
-    assert profile.total_calls("radiation") >= 1
-    assert profile.meta["config"] == "test"
+    assert profile.calls("runs.coupled_step") == 6
+    assert profile.calls("atmosphere.dynamics") == 6
+    assert profile.calls("atmosphere.radiation") >= 1
+    assert profile.meta["mode"] == "serial"
+    cfg = tiny_config()
+    assert profile.meta["atm_grid"] == [cfg.atm_nlat, cfg.atm_nlon,
+                                        cfg.atm_nlev]
     assert set(profile.meta["kernel_caches"]) == {"legendre_plan", "workspace"}
     assert "backend" not in profile.meta
 
 
-def test_profile_coupled_run_rejects_unknown_config():
+def test_plan_from_flags_rejects_unknown_config():
     with pytest.raises(ValueError, match="unknown config"):
-        profile_coupled_run(days=0.25, config="huge")
+        plan_from_flags(size="huge", days=0.25)
 
 
 def test_format_calibration_renders_costs(quarter_day_profile):
@@ -45,15 +52,18 @@ def test_format_calibration_reports_uncalibratable_profile():
 
 
 def test_cli_prints_section_table(capsys, tmp_path):
-    """The Figure-2-style report: per-section rows with calls and shares."""
+    """The Figure-2-style report: per-span rows with calls and shares."""
     out = tmp_path / "profile.json"
     rc = main(["--days", "0.25", "--seed", "0", "--json", str(out)])
     assert rc == 0
     text = capsys.readouterr().out
-    for section in ("atmosphere", "dynamics", "physics", "coupler", "ocean"):
-        assert section in text
+    for span in ("atmosphere.dynamics", "atmosphere.physics",
+                 "atmosphere.radiation", "coupler.fluxes", "ocean.step",
+                 "ocean.barotropic", "runs.coupled_step"):
+        assert span in text
     assert "calls" in text and "incl s" in text and "%" in text
     assert "calibrated event-simulator costs" in text
+    assert "blocking waits" not in text          # serial: no waits block
     assert "kernel caches:" in text
 
     saved = json.loads(out.read_text())
@@ -70,26 +80,23 @@ def test_cli_renders_saved_profile(capsys, tmp_path, quarter_day_profile):
     assert quarter_day_profile.label in text
 
 
-def test_profile_ensemble_run_batches_members():
-    """--ensemble N profiles one batched run: per-step section call counts
+def test_profile_run_batches_members():
+    """An ensemble plan profiles one batched run: per-step span call counts
     match a serial run (the batch amortizes, it does not multiply calls)."""
-    from repro.perf.report import profile_ensemble_run
-
-    profile = profile_ensemble_run(days=0.25, config="test", nens=2, seed=0)
-    assert profile.meta["nens"] == 2
+    profile, result = profile_run(
+        RunPlan(config=tiny_config(), days=0.25, mode="ensemble", nens=2))
+    assert profile.meta["nens"] == 2 and result.nens == 2
     # 0.25 days at dt=3600 is 6 steps; dynamics runs once per batched step.
-    assert profile.calls("atmosphere/dynamics") == 6
-    roots = {s.path for s in profile.roots()}
-    assert roots == {"atmosphere", "coupler", "ocean"}
+    assert profile.calls("atmosphere.dynamics") == 6
+    assert set(profile.layer_seconds()) == {"runs", "atmosphere", "coupler",
+                                            "ocean"}
 
 
-def test_profile_ensemble_run_validates_nens():
-    from repro.perf.report import profile_ensemble_run
-
+def test_ensemble_plan_validates_nens():
     with pytest.raises(ValueError, match="nens"):
-        profile_ensemble_run(days=0.25, nens=0)
+        RunPlan(days=0.25, mode="ensemble", nens=0)
     with pytest.raises(ValueError, match="unknown config"):
-        profile_ensemble_run(days=0.25, config="huge")
+        plan_from_flags(size="huge", days=0.25, ensemble=2)
 
 
 def test_cli_ensemble_flag(capsys):
@@ -103,3 +110,35 @@ def test_cli_ensemble_flag(capsys):
 def test_cli_ensemble_excludes_ranks(capsys):
     with pytest.raises(SystemExit):
         main(["--ensemble", "2", "--atm-ranks", "2"])
+
+
+# ------------------------------------------------- flags on the pool path
+@pytest.mark.parallel
+def test_cli_pool_run_honours_dtype_and_seed(capsys, tmp_path):
+    """``--atm-ranks 1 --dtype float32 --seed 5`` used to profile a float64
+    run from the default seed: the pool driver took neither flag."""
+    out = tmp_path / "pool.json"
+    rc = main(["--days", "0.25", "--atm-ranks", "1", "--dtype", "float32",
+               "--seed", "5", "--json", str(out)])
+    assert rc == 0
+    assert "blocking waits over" in capsys.readouterr().out
+    meta = RunProfile.load(out).meta
+    assert meta["dtype"] == "float32"
+    assert meta["seed"] == 5
+    assert meta["mode"] == "concurrent"
+
+
+@pytest.mark.parallel
+def test_cli_ocn_ranks_alone_is_a_pool_run(capsys, tmp_path):
+    """``--ocn-ranks 2`` without ``--atm-ranks`` used to profile a *serial*
+    run silently; it is the 1+1+2 pool it is to ``repro.scenarios run``."""
+    out = tmp_path / "pool.json"
+    rc = main(["--days", "0.25", "--ocn-ranks", "2", "--json", str(out)])
+    assert rc == 0
+    text = capsys.readouterr().out
+    assert "1 atm + 1 cpl + 2 ocn ranks" in text
+    waits = text[text.index("blocking waits over"):]
+    assert "4 rank processes" in waits and "forcing" in waits
+    profile = RunProfile.load(out)
+    assert profile.calls("atmosphere.dynamics") == profile.meta["nsteps"] == 6
+    assert profile.calls("runs.coupled_step") == 0   # no rank runs the serial step

@@ -206,6 +206,71 @@ def test_one_legendre_contraction_census():
     assert len(mask_readers) <= 3, sorted(mask_readers)
 
 
+@pytest.fixture(scope="module")
+def serial_quarter_day_profile():
+    from repro.core.config import test_config
+    from repro.perf.report import profile_run
+    from repro.runs import RunPlan
+
+    profile, _result = profile_run(RunPlan(config=test_config(), days=0.25))
+    return profile
+
+
+def test_one_span_vocabulary_census(serial_quarter_day_profile):
+    """``layer.phase`` is the only span vocabulary, and it is the ledger's.
+
+    Every name given to ``profile_section`` / ``profiled`` under
+    ``src/repro`` is a literal of that form; the profiler has no nesting
+    paths to join or match; and a profiled serial run records every
+    model-layer span ``benchmarks/e2e/tracing.py`` attributes time to
+    (booked under the same layer), so a ``perf.report`` row and a
+    ``--trace 1`` per-layer metric are one key.
+    """
+    import ast
+    import importlib.util
+
+    from repro.perf.profiler import layer_of
+
+    root = Path(__file__).resolve().parents[1]
+    for path in (root / "src" / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "id", None) in ("profile_section", "profiled"):
+                (name,) = node.args
+                assert isinstance(name, ast.Constant) and re.fullmatch(
+                    r"[a-z]+\.[a-z0-9_]+", name.value), \
+                    f"{path}:{node.lineno} span name is not a layer.phase literal"
+    profiler = (root / "src" / "repro" / "perf" / "profiler.py").read_text()
+    assert '"/"' not in profiler and "SEP" not in profiler
+
+    tracing_py = root / "benchmarks" / "e2e" / "tracing.py"
+    if not tracing_py.exists():
+        pytest.skip("the ledger is not shipped with this checkout")
+    spec = importlib.util.spec_from_file_location("e2e_tracing", tracing_py)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    model_spans = {
+        name for name in tracing.SELF_TIME_METRIC
+        if tracing.layer_of(name) in ("atmosphere", "coupler", "ocean")
+        or name == "runs.coupled_step"}
+    assert len(model_spans) == 18
+    recorded = {s.name for s in serial_quarter_day_profile.sections}
+    assert model_spans <= recorded, sorted(model_spans - recorded)
+    assert all(layer_of(n) == tracing.layer_of(n) for n in recorded)
+
+
+def test_span_self_times_sum_to_the_roots(serial_quarter_day_profile):
+    """The ledger's accounting identity on a real run: self seconds over
+    all rows add up to the root spans (``coupled_step`` is a serial run's
+    only root), and the layer totals are exactly the four model layers."""
+    profile = serial_quarter_day_profile
+    assert sum(s.exclusive for s in profile.sections) == pytest.approx(
+        profile["runs.coupled_step"].inclusive, abs=1e-9)
+    layers = profile.layer_seconds()
+    assert set(layers) == {"runs", "atmosphere", "coupler", "ocean"}
+    assert sum(layers.values()) == pytest.approx(profile.accounted_seconds)
+
+
 # ------------------------------------------------------------- tree walkers
 def _container_dispatching_recursions(source: str) -> list[str]:
     """Names of self-recursive functions that dispatch on container type."""
