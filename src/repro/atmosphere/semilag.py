@@ -14,23 +14,32 @@ Departure points are found with one iteration of the implicit midpoint rule
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.atmosphere.spectral import SpectralTransform
 from repro.backend import get_workspace
 
 
-def _bilinear_sphere(field: np.ndarray, lats: np.ndarray, lons: np.ndarray,
-                     lat_d: np.ndarray, lon_d: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation on a (..., nlat, nlon) lat-lon grid.
+#: Elements per level block of :func:`advect_semilagrangian`: the ~20
+#: float64 temporaries of one block then stay cache-sized (DESIGN.md
+#: "Atmosphere step cost structure").
+_BLOCK_ELEMENTS = 16384
+
+
+def _stencil(shape: tuple, lats: np.ndarray, lat_d: np.ndarray,
+             lon_d: np.ndarray) -> tuple:
+    """Bilinear stencil of departure points on ``shape`` = (..., nlat, nlon)
+    lat-lon fields: the four flat corner indices and ``wx, 1-wx, wy, 1-wy``.
 
     Longitude wraps periodically; latitude is clamped to the Gaussian grid's
     span (trajectories crossing the pole are rare at climate time steps and
-    are handled by the clamp).  Leading (ensemble) axes on ``field`` must
-    match leading axes on the departure coordinates; each member is then
-    interpolated from its own field.
+    are handled by the clamp).  Leading (level, member) axes of ``shape``
+    must match leading axes of the departure coordinates; each slab is then
+    gathered from itself.
     """
-    nlat, nlon = field.shape[-2:]
+    nlat, nlon = shape[-2:]
     dlon = 2.0 * np.pi / nlon
 
     # Non-finite departure points (a blown-up wind field) fall back to zero;
@@ -38,42 +47,40 @@ def _bilinear_sphere(field: np.ndarray, lats: np.ndarray, lons: np.ndarray,
     # by its own finiteness checks.
     lon_d = np.nan_to_num(lon_d, nan=0.0, posinf=0.0, neginf=0.0)
     lat_d = np.nan_to_num(lat_d, nan=0.0, posinf=0.0, neginf=0.0)
-    lon_d = np.mod(lon_d, 2.0 * np.pi)
-    x = lon_d / dlon
-    i0 = np.floor(x).astype(int) % nlon
+    x = np.mod(lon_d, 2.0 * np.pi)
+    x /= dlon
+    floor_x = np.floor(x)
+    i0 = floor_x.astype(int) % nlon
     i1 = (i0 + 1) % nlon
-    wx = x - np.floor(x)
+    wx = np.subtract(x, floor_x, out=x)
 
     # Latitude: Gaussian nodes are not uniform; use searchsorted.
-    j1 = np.searchsorted(lats, lat_d)
-    j1 = np.clip(j1, 1, nlat - 1)
+    j1 = np.clip(np.searchsorted(lats, lat_d), 1, nlat - 1)
     j0 = j1 - 1
-    denom = lats[j1] - lats[j0]
-    wy = np.clip((lat_d - lats[j0]) / denom, 0.0, 1.0)
+    wy = lat_d - lats[j0]
+    wy /= lats[j1] - lats[j0]
+    np.clip(wy, 0.0, 1.0, out=wy)
 
     # Flattened-index gathers: np.take on a 1-D view moves the same elements
-    # as the 2-D fancy index (bitwise-identical) at a fraction of the cost.
-    j0n = j0 * nlon
-    j1n = j1 * nlon
-    idx00 = j0n + i0
-    idx01 = j0n + i1
-    idx10 = j1n + i0
-    idx11 = j1n + i1
-    if field.ndim > 2:
-        # Batched members gather from their own slab; the member offset on
-        # the flat index keeps the same elementwise arithmetic as the 2-D
-        # path.
-        base = (np.arange(field.shape[0]) * (nlat * nlon)).reshape(
-            (-1,) + (1,) * (field.ndim - 1))
-        idx00 = idx00 + base
-        idx01 = idx01 + base
-        idx10 = idx10 + base
-        idx11 = idx11 + base
-    # Gather the four corners into preallocated buffers, then combine them
-    # into float64 work buffers: the same pairwise operations on the same
-    # operands as ``(1-wy)*((1-wx)*f00 + wx*f01) + wy*((1-wx)*f10 + wx*f11)``
-    # (a float64 ``out=`` widens float32 gathers exactly, matching the
-    # expression form's dtype promotion).
+    # as the fancy index (bitwise-identical) at a fraction of the cost; the
+    # slab offset lets every (level, member) gather from its own field.
+    base = (np.arange(math.prod(shape[:-2])) * (nlat * nlon)).reshape(
+        shape[:-2] + (1, 1))
+    j0 *= nlon
+    j0 += base
+    j1 *= nlon
+    j1 += base
+    return j0 + i0, j0 + i1, j1 + i0, j1 + i1, wx, 1.0 - wx, wy, 1.0 - wy
+
+
+def _interpolate(field: np.ndarray, stencil: tuple) -> np.ndarray:
+    """Bilinear interpolant of ``field`` through a :func:`_stencil` (float64,
+    fresh).  Gathers the four corners into preallocated buffers, then
+    combines them in float64 work buffers: the same pairwise operations as
+    ``(1-wy)*((1-wx)*f00 + wx*f01) + wy*((1-wx)*f10 + wx*f11)`` (a float64
+    ``out=`` widens float32 gathers exactly, matching the expression form's
+    dtype promotion)."""
+    idx00, idx01, idx10, idx11, wx, wx1, wy, wy1 = stencil
     ws = get_workspace()
     rt = np.result_type(field.dtype, np.float64)
     shape = idx00.shape
@@ -82,8 +89,6 @@ def _bilinear_sphere(field: np.ndarray, lats: np.ndarray, lons: np.ndarray,
     f01 = np.take(flat, idx01, out=ws.empty("semilag.f01", shape, flat.dtype))
     f10 = np.take(flat, idx10, out=ws.empty("semilag.f10", shape, flat.dtype))
     f11 = np.take(flat, idx11, out=ws.empty("semilag.f11", shape, flat.dtype))
-    wx1 = np.subtract(1.0, wx, out=ws.empty("semilag.wx1", wx.shape, rt))
-    wy1 = np.subtract(1.0, wy, out=ws.empty("semilag.wy1", wy.shape, rt))
     t00 = np.multiply(f00, wx1, out=ws.empty("semilag.t00", shape, rt))
     t01 = np.multiply(f01, wx, out=ws.empty("semilag.t01", shape, rt))
     t00 += t01                          # (1-wx)*f00 + wx*f01
@@ -95,21 +100,28 @@ def _bilinear_sphere(field: np.ndarray, lats: np.ndarray, lons: np.ndarray,
     return t00 + t10                    # fresh array: outlives the workspace
 
 
+def _bilinear_sphere(field: np.ndarray, lats: np.ndarray, lons: np.ndarray,
+                     lat_d: np.ndarray, lon_d: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of a (..., nlat, nlon) field at (lat_d, lon_d)."""
+    return _interpolate(field, _stencil(field.shape, lats, lat_d, lon_d))
+
+
 def departure_points(tr: SpectralTransform, u: np.ndarray, v: np.ndarray,
                      dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Upstream departure (lat, lon) for every grid point, one midpoint pass."""
-    ws = get_workspace()
-    shape = u.shape                     # (nlat, nlon), batched: (E, nlat, nlon)
-    lat2 = ws.empty("semilag.lat2", shape, np.float64)
-    lat2[:] = tr.lats[:, None]
-    lon2 = ws.empty("semilag.lon2", shape, np.float64)
-    lon2[:] = tr.lons[None, :]
-    a = tr.radius
-    coslat = np.cos(lat2, out=ws.empty("semilag.coslat", shape, np.float64))
-    coslat = np.maximum(coslat, 0.05, out=coslat)  # guard the polar singularity
-    acoslat = np.multiply(coslat, a, out=coslat)
+    """Upstream departure (lat, lon) for every grid point, one midpoint pass.
 
-    # First guess straight upstream, then one midpoint refinement.
+    ``u, v`` are (..., nlat, nlon); the float64 grid geometry (three 1-D
+    arrays) is derived from the transform on each call, so nothing is cached.
+    """
+    ws = get_workspace()
+    shape = u.shape
+    a = tr.radius
+    lat2, lon2 = tr.lats[:, None], tr.lons
+    # a cos(lat), guarding the polar singularity
+    acoslat = (np.maximum(np.cos(tr.lats), 0.05) * a)[:, None]
+
+    # First guess straight upstream, then one midpoint refinement; u_mid and
+    # v_mid are interpolated at the same points, through one stencil.
     fdt = np.result_type(u, np.float64)
     t_lat = np.multiply(v, 0.5 * dt, out=ws.empty("semilag.tlat", shape, fdt))
     t_lat /= a
@@ -117,8 +129,9 @@ def departure_points(tr: SpectralTransform, u: np.ndarray, v: np.ndarray,
     t_lon = np.multiply(u, 0.5 * dt, out=ws.empty("semilag.tlon", shape, fdt))
     t_lon /= acoslat
     lon_mid = np.subtract(lon2, t_lon, out=t_lon)
-    u_mid = _bilinear_sphere(u, tr.lats, tr.lons, lat_mid, lon_mid)
-    v_mid = _bilinear_sphere(v, tr.lats, tr.lons, lat_mid, lon_mid)
+    mid = _stencil(shape, tr.lats, lat_mid, lon_mid)
+    u_mid = _interpolate(u, mid)
+    v_mid = _interpolate(v, mid)
     v_mid *= dt
     v_mid /= a
     lat_d = np.subtract(lat2, v_mid, out=v_mid)
@@ -131,16 +144,21 @@ def departure_points(tr: SpectralTransform, u: np.ndarray, v: np.ndarray,
 
 def advect_semilagrangian(tr: SpectralTransform, u: np.ndarray, v: np.ndarray,
                           q: np.ndarray, dt: float) -> np.ndarray:
-    """Advect each level of ``q`` (L, nlat, nlon) with winds (u, v) over dt.
+    """Advect each level of ``q`` (L, ..., nlat, nlon) with winds (u, v) over dt.
 
-    Moisture is clipped at zero after interpolation (the simple positivity
-    fixer low-resolution spectral-era models used).
+    Every point is independent, so levels go through in blocks of about
+    ``_BLOCK_ELEMENTS`` elements (bit-identical for any blocking).  Moisture
+    is clipped at zero after interpolation (the simple positivity fixer
+    low-resolution spectral-era models used).
     """
     if q.shape != u.shape:
         raise ValueError(f"q shape {q.shape} must match wind shape {u.shape}")
     # `out` never escapes: the clipped copy below is what the caller keeps.
+    # Storing the float64 interpolant into it narrows to ``q.dtype``.
     out = get_workspace().empty_like("semilag.out", q)
-    for l in range(q.shape[0]):
-        lat_d, lon_d = departure_points(tr, u[l], v[l], dt)
-        out[l] = _bilinear_sphere(q[l], tr.lats, tr.lons, lat_d, lon_d)
+    step = max(1, _BLOCK_ELEMENTS // q[0].size)
+    for l in range(0, q.shape[0], step):
+        blk = slice(l, l + step)
+        lat_d, lon_d = departure_points(tr, u[blk], v[blk], dt)
+        out[blk] = _bilinear_sphere(q[blk], tr.lats, tr.lons, lat_d, lon_d)
     return np.maximum(out, 0.0)

@@ -200,12 +200,13 @@ class SpectralTransform:
     contractions, :meth:`_spec_to_fourier` and :meth:`_fourier_to_spec`,
     are the only places latitude or total wavenumber is summed; every
     operator is a few lines on top of them.  Operands that share a table
-    are stacked along a new leading axis, and leading batch axes — the
-    dynamical core passes whole ``(nlev, [nens], ...)`` stacks — pass
-    straight through: each output element sees the same summation order
-    either way, so every transform is bitwise identical per slice to the
-    per-field oracles in ``tests/oracles.py``.  Intermediates live in the
-    workspace arena; what a public method returns is fresh.
+    are stacked, and they and every leading batch axis — the dynamical
+    core passes whole ``(nlev, [nens], ...)`` stacks — are flattened into
+    one batch axis laid innermost (:meth:`_batch_inner`): each output
+    element sees the same summation order whatever the batch, so every
+    transform is bitwise identical per slice to the per-field oracles in
+    ``tests/oracles.py``.  Intermediates live in the workspace arena; what
+    a public method returns is fresh.
     """
 
     def __init__(self, nlat: int, nlon: int, trunc: Truncation,
@@ -236,8 +237,11 @@ class SpectralTransform:
         # precision the transforms run in.
         pbar_ext, hbar = legendre_plan(nlat, trunc.mmax, trunc.nk + 1)
         pbar = pbar_ext[:, :, : trunc.nk]
-        self._wp = ((self.weights[:, None, None] / 2.0) * pbar).astype(fdt, copy=False)
-        self._wh = ((self.weights[:, None, None] / 2.0) * hbar).astype(fdt, copy=False)
+        # The quadrature tables are stored latitude-fastest (same indexing):
+        # the analysis contraction then sums j over an output row that
+        # stays in cache instead of sweeping the whole output per latitude.
+        self._wp = ((self.weights[:, None, None] / 2.0) * pbar).astype(fdt, order="F")
+        self._wh = ((self.weights[:, None, None] / 2.0) * hbar).astype(fdt, order="F")
         self.pbar = pbar.astype(fdt, copy=False)
         self.hbar = hbar.astype(fdt, copy=False)
         self.coslat = np.cos(self.lats).astype(fdt, copy=False)
@@ -283,23 +287,42 @@ class SpectralTransform:
     # ------------------------------------------------------------------
     # the transform, once: spec -> Fourier -> grid and grid -> Fourier -> spec
     # ------------------------------------------------------------------
+    @staticmethod
+    def _batch_inner(fields) -> np.ndarray:
+        """Same-shape complex ``(..., r, c)`` fields as one real
+        ``a[r, c, 2 nb]`` array, the flattened batch (re, im interleaved)
+        innermost.  A contraction with a real ``(j, r, c)`` table then runs
+        contiguous real inner loops of length ``2 nb`` with its summed index
+        an ascending outer loop: the bits of the complex ``einsum`` over
+        ``(..., r, c)``, whose table has an exactly zero imaginary part.
+        The buffer is shared: it is dead once the contraction returns."""
+        r, c = fields[0].shape[-2:]
+        cdt = np.result_type(*fields, np.complex64)
+        a = get_workspace().empty(
+            "spectral.stack", (r, c, len(fields), fields[0].size // (r * c)), cdt)
+        for i, f in enumerate(fields):
+            a[:, :, i] = np.moveaxis(f.reshape(-1, r, c), 0, -1)
+        return a.view(np.finfo(cdt).dtype).reshape(r, c, -1)
+
+    @staticmethod
+    def _batch_outer(a: np.ndarray, lead: tuple) -> np.ndarray:
+        """The complex ``lead + (r, c)`` view of a real batch-inner result."""
+        cdt = np.result_type(a, np.complex64)
+        return np.moveaxis(a.view(cdt), -1, 0).reshape(lead + a.shape[:2])
+
     def _spec_to_fourier(self, specs, table: np.ndarray, tag: str) -> np.ndarray:
         """Legendre-sum same-shape ``(..., nm, nk)`` fields against one table:
         the ``(len(specs), ..., nlat, nm)`` Fourier coefficients
-        ``sum_k spec[m, k] table[j, m, k]``.  ``tag`` names the output after
-        the table, so the Pbar and H halves of one operator never alias; the
-        input stack is shared (dead once the contraction returns)."""
-        ws = get_workspace()
-        stack = ws.empty("spectral.stack", (len(specs),) + specs[0].shape,
-                         np.result_type(*specs))
-        for dst, spec in zip(stack, specs):
-            np.copyto(dst, spec)
+        ``sum_k spec[m, k] table[j, m, k]`` (a view of a batch-inner
+        workspace buffer).  ``tag`` names the output after the table, so
+        the Pbar and H halves of one operator never alias."""
+        a = self._batch_inner(specs)
         if not self._allones:
-            np.multiply(stack, self._mask, out=stack)
-        return np.einsum("...mk,jmk->...jm", stack, table,
-                         out=ws.empty(f"spectral.fm.{tag}",
-                                      stack.shape[:-2] + (self.nlat, self.trunc.nm),
-                                      np.result_type(stack, table)))
+            np.multiply(a, self._mask[:, :, None], out=a)
+        fm = np.einsum("mkb,jmk->jmb", a, table, out=get_workspace().empty(
+            f"spectral.fm.{tag}", (self.nlat, self.trunc.nm, a.shape[2]),
+            np.result_type(a, table)))
+        return self._batch_outer(fm, (len(specs),) + specs[0].shape[:-2])
 
     def _fourier_to_grid(self, fms) -> np.ndarray:
         """One inverse FFT over a sequence (or stacked array) of same-shape
@@ -329,17 +352,19 @@ class SpectralTransform:
     def _fourier_to_spec(self, fm: np.ndarray, table: np.ndarray, tag: str
                          ) -> np.ndarray:
         """Gauss-Legendre quadrature of ``(..., nlat, nm)`` Fourier fields
-        against one weighted table -> ``(..., nm, nk)`` (workspace; pass
-        what escapes through :meth:`_retained`)."""
-        return np.einsum("...jm,jmk->...mk", fm, table,
-                         out=get_workspace().empty(
-                             f"spectral.spec.{tag}",
-                             fm.shape[:-2] + self.spec_shape,
-                             np.result_type(fm, table)))
+        against one weighted table -> ``(..., nm, nk)`` (a view of a
+        batch-inner workspace buffer; pass what escapes through
+        :meth:`_retained`)."""
+        a = self._batch_inner((fm,))
+        sp = np.einsum("jmb,jmk->mkb", a, table, out=get_workspace().empty(
+            f"spectral.spec.{tag}", self.spec_shape + a.shape[2:],
+            np.result_type(a, table)))
+        return self._batch_outer(sp, fm.shape[:-2])
 
     def _retained(self, spec: np.ndarray) -> np.ndarray:
-        """Fresh copy of a workspace result with truncated slots zeroed."""
-        return spec.copy() if self._allones else spec * self._mask
+        """Fresh C-ordered copy of a workspace result, truncated slots zeroed."""
+        return spec.copy() if self._allones \
+            else np.multiply(spec, self._mask, order="C")
 
     @profiled("spectral.analyze")
     def analyze(self, grid: np.ndarray) -> np.ndarray:

@@ -38,18 +38,21 @@ class Workspace:
         self.hits = 0
         self.misses = 0
 
-    def empty(self, name: str, shape, dtype) -> np.ndarray:
-        """An uninitialised buffer for ``name`` (contents are stale on a hit)."""
-        shape = (shape,) if np.isscalar(shape) else tuple(shape)
+    def _request(self, alloc, name: str, shape, dtype) -> np.ndarray:
+        """The buffer keyed (name, shape, dtype); ``alloc`` builds it on a miss."""
+        shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
         key = (name, shape, np.dtype(dtype))
         buf = self._buffers.get(key)
         if buf is None:
             self.misses += 1
-            buf = np.empty(shape, dtype=dtype)
-            self._buffers[key] = buf
+            buf = self._buffers[key] = alloc(shape, dtype=dtype)
         else:
             self.hits += 1
         return buf
+
+    def empty(self, name: str, shape, dtype) -> np.ndarray:
+        """An uninitialised buffer for ``name`` (contents are stale on a hit)."""
+        return self._request(np.empty, name, shape, dtype)
 
     def zeros(self, name: str, shape, dtype) -> np.ndarray:
         """A zero-filled buffer (refill of a reused buffer ≡ fresh np.zeros)."""
@@ -65,16 +68,7 @@ class Workspace:
         refill: the caller rewrites its live columns every request and the
         zero tail persists.
         """
-        shape = (shape,) if np.isscalar(shape) else tuple(shape)
-        key = (name, shape, np.dtype(dtype))
-        buf = self._buffers.get(key)
-        if buf is None:
-            self.misses += 1
-            buf = np.zeros(shape, dtype=dtype)
-            self._buffers[key] = buf
-        else:
-            self.hits += 1
-        return buf
+        return self._request(np.zeros, name, shape, dtype)
 
     def empty_like(self, name: str, arr: np.ndarray) -> np.ndarray:
         return self.empty(name, arr.shape, arr.dtype)

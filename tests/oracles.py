@@ -10,7 +10,12 @@ order, just batched and buffered.  The ``*_ref`` functions below keep the
 naive formulation — per-field calls, fresh allocations, one einsum per
 term, Python loops over (m, k) for the Legendre recurrences — as the
 oracle ``test_kernels.py`` / ``test_dynamics.py`` / ``test_spectral.py``
-compare against.  Nothing in ``src/`` imports this module.
+compare against.  The semi-Lagrangian step
+(:mod:`repro.atmosphere.semilag`) is pinned the same way: the per-level
+loop that rebuilt its geometry and searched the latitude table three
+times per level is the oracle ``test_semilag.py`` holds the planned,
+level-blocked step to, bit for bit.  Nothing in ``src/`` imports this
+module.
 """
 
 from __future__ import annotations
@@ -18,6 +23,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.atmosphere.spectral import _epsilon
+
+
+def bitwise(a, b) -> bool:
+    """Same dtype, shape and bytes (whatever the memory layout)."""
+    a = np.ascontiguousarray(a)
+    b = np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -128,3 +141,75 @@ def _legendre_derivative_ref(mu: np.ndarray, pbar_ext: np.ndarray) -> np.ndarray
             term_dn = (n + 1) * _epsilon(n, m) * pbar_ext[:, m, k - 1] if k >= 1 else 0.0
             h[:, m, k] = term_up + term_dn
     return h
+
+
+# ---------------------------------------------------------------------------
+# Semi-Lagrangian transport: the per-level loop, three stencils per level
+# ---------------------------------------------------------------------------
+def bilinear_sphere_ref(field: np.ndarray, lats: np.ndarray,
+                        lat_d: np.ndarray, lon_d: np.ndarray) -> np.ndarray:
+    """Reference bilinear interpolation on one (nlat, nlon) or (E, nlat,
+    nlon) field: stencil and interpolant in one expression-form body."""
+    nlat, nlon = field.shape[-2:]
+    dlon = 2.0 * np.pi / nlon
+    lon_d = np.nan_to_num(lon_d, nan=0.0, posinf=0.0, neginf=0.0)
+    lat_d = np.nan_to_num(lat_d, nan=0.0, posinf=0.0, neginf=0.0)
+    lon_d = np.mod(lon_d, 2.0 * np.pi)
+    x = lon_d / dlon
+    i0 = np.floor(x).astype(int) % nlon
+    i1 = (i0 + 1) % nlon
+    wx = x - np.floor(x)
+    j1 = np.searchsorted(lats, lat_d)
+    j1 = np.clip(j1, 1, nlat - 1)
+    j0 = j1 - 1
+    denom = lats[j1] - lats[j0]
+    wy = np.clip((lat_d - lats[j0]) / denom, 0.0, 1.0)
+    if field.ndim > 2:
+        e = np.arange(field.shape[0]).reshape(-1, 1, 1)
+        f00, f01 = field[e, j0, i0], field[e, j0, i1]
+        f10, f11 = field[e, j1, i0], field[e, j1, i1]
+    else:
+        f00, f01, f10, f11 = (field[j0, i0], field[j0, i1],
+                              field[j1, i0], field[j1, i1])
+    wx1 = (1.0 - wx).astype(np.float64)
+    wy1 = (1.0 - wy).astype(np.float64)
+    return wy1 * (wx1 * f00 + wx * f01) + wy * (wx1 * f10 + wx * f11)
+
+
+def departure_points_ref(tr, u: np.ndarray, v: np.ndarray, dt: float
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Reference departure points of one level: geometry rebuilt at full
+    size, ``u_mid`` and ``v_mid`` each through their own stencil."""
+    lat2 = np.empty(u.shape)
+    lat2[:] = tr.lats[:, None]
+    lon2 = np.empty(u.shape)
+    lon2[:] = tr.lons[None, :]
+    a = tr.radius
+    acoslat = np.maximum(np.cos(lat2), 0.05) * a
+    fdt = np.result_type(u, np.float64)
+    t_lat = np.multiply(v, 0.5 * dt, out=np.empty(u.shape, fdt))
+    t_lat /= a
+    lat_mid = lat2 - t_lat
+    t_lon = np.multiply(u, 0.5 * dt, out=np.empty(u.shape, fdt))
+    t_lon /= acoslat
+    lon_mid = lon2 - t_lon
+    u_mid = bilinear_sphere_ref(u, tr.lats, lat_mid, lon_mid)
+    v_mid = bilinear_sphere_ref(v, tr.lats, lat_mid, lon_mid)
+    v_mid *= dt
+    v_mid /= a
+    lat_d = lat2 - v_mid
+    u_mid *= dt
+    u_mid /= acoslat
+    lon_d = lon2 - u_mid
+    return np.clip(lat_d, tr.lats[0], tr.lats[-1]), lon_d
+
+
+def advect_semilagrangian_ref(tr, u: np.ndarray, v: np.ndarray,
+                              q: np.ndarray, dt: float) -> np.ndarray:
+    """Reference advection: one level at a time, narrowed to ``q.dtype`` by
+    the store, clipped at zero."""
+    out = np.empty_like(q)
+    for l in range(q.shape[0]):
+        lat_d, lon_d = departure_points_ref(tr, u[l], v[l], dt)
+        out[l] = bilinear_sphere_ref(q[l], tr.lats, lat_d, lon_d)
+    return np.maximum(out, 0.0)

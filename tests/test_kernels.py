@@ -16,16 +16,10 @@ from repro.atmosphere.dynamics import robert_filter
 from repro.atmosphere.spectral import SpectralTransform, Truncation
 from repro.backend import get_workspace
 from tests import oracles as K
+from tests.oracles import bitwise as _bitwise
 
 NLAT, NLON, MMAX = 24, 48, 10
 L, E = 3, 3
-
-
-def _bitwise(a, b) -> bool:
-    a = np.ascontiguousarray(a)
-    b = np.ascontiguousarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape \
-        and a.tobytes() == b.tobytes()
 
 
 @pytest.fixture(params=["rhomboidal", "triangular"])
@@ -111,6 +105,47 @@ class TestFusedBitwise:
         spec, _, _, _ = fields
         back = tr.analyze(tr.synthesize(spec))
         assert np.allclose(back, spec, atol=1e-12)
+
+    @pytest.mark.parametrize("single", [False, True],
+                             ids=["double", "single"])
+    @pytest.mark.parametrize("pick", [(0, 0), (slice(None), slice(0, 1))],
+                             ids=["lone2d", "L1"])
+    def test_short_batches_and_single_precision_input(self, tr, fields,
+                                                      pick, single):
+        """The batch-inner contraction at its shortest inner loop — a lone
+        2-D field (``nb`` = 1) and an ``(L, 1)`` lead (a non-contiguous
+        slice) — and in single precision (``complex64`` stacks viewed as
+        float32 against float32 tables): all six operators, bit for
+        bit against the per-field oracles."""
+        spec, grid, u, v = (a[pick] for a in fields)
+        if single:
+            tr = SpectralTransform(NLAT, NLON, tr.trunc, dtype="float32")
+            spec = spec.astype(np.complex64)
+            grid, u, v = (a.astype(np.float32) for a in (grid, u, v))
+        lead = spec.shape[:-2]
+
+        def per_field(ref, *args):
+            """``ref`` on every leading index, restacked per output."""
+            outs = [ref(tr, *(a[i] for a in args)) for i in np.ndindex(lead)]
+            if not isinstance(outs[0], tuple):
+                outs = [(o,) for o in outs]
+            return [np.stack(o).reshape(lead + o[0].shape) for o in zip(*outs)]
+
+        d = spec * 0.3
+        cases = (
+            ((tr.analyze(grid),), per_field(K.analyze_ref, grid)),
+            ((tr.synthesize(spec),), per_field(K.synthesize_ref, spec)),
+            (tr.synthesize_many(spec, d),
+             per_field(K.synthesize_ref, spec) + per_field(K.synthesize_ref, d)),
+            (tr.uv_from_vortdiv(spec, d),
+             per_field(K.uv_from_vortdiv_ref, spec, d)),
+            (tr.vortdiv_from_uv(u, v), per_field(K.vortdiv_from_uv_ref, u, v)),
+            (tr.gradient(spec), per_field(K.gradient_ref, spec)),
+        )
+        for got, want in cases:
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert _bitwise(g, w)
 
 
 # ---------------------------------------------------------------------------
