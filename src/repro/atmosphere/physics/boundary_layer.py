@@ -51,6 +51,28 @@ def solve_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
     return x
 
 
+def solve_shared_tridiagonal(lower: np.ndarray, diag: np.ndarray,
+                             upper: np.ndarray, field, flux, level: int,
+                             source):
+    """One elimination of a matrix for a field (L, ...) or a sequence of them.
+
+    The factors do not depend on the right-hand side: the fields are stacked
+    on a new axis after the level axis, the matrix gets a singleton there and
+    :func:`solve_tridiagonal` broadcasts — per field the same operations, in
+    the same order, as one call each.  Where a field's ``flux`` (one per
+    field, or None) is given, ``source(flux)`` is added to ``level`` of its
+    right-hand side.  An array comes back for an array, a tuple for a sequence.
+    """
+    single = isinstance(field, np.ndarray)
+    fields = (field,) if single else tuple(field)
+    rhs = np.stack(fields, axis=1)
+    for i, fx in enumerate((flux,) if single or flux is None else flux):
+        if fx is not None:
+            rhs[level, i] = rhs[level, i] + source(fx)
+    x = solve_tridiagonal(lower[:, None], diag[:, None], upper[:, None], rhs)
+    return x[:, 0] if single else tuple(x[:, i] for i in range(len(fields)))
+
+
 def diagnose_pbl_height(theta: np.ndarray, u: np.ndarray, v: np.ndarray,
                         z: np.ndarray,
                         params: BoundaryLayerParams = BoundaryLayerParams()
@@ -88,38 +110,40 @@ def kprofile_diffusivity(z_above_sfc: np.ndarray, pbl_height: np.ndarray,
     return np.clip(k + params.k_background, params.k_background, params.k_max)
 
 
-def diffuse_column(field: np.ndarray, k_half: np.ndarray, z_full: np.ndarray,
-                   dt: float, surface_flux: np.ndarray | None = None,
-                   rho: np.ndarray | None = None) -> np.ndarray:
+def diffuse_column(field, k_half: np.ndarray, z_full: np.ndarray,
+                   dt: float, surface_flux=None,
+                   rho: np.ndarray | None = None):
     """Implicit vertical diffusion of ``field`` (L, ...) over one step.
 
     ``k_half`` (L-1, ...) are diffusivities at interior interfaces (between
     level l and l+1).  ``surface_flux`` (positive into the atmosphere, units
     of field * kg m^-2 s^-1) enters the lowest layer; ``rho`` (L, ...) layer
-    densities convert it to a tendency.  Zero-flux at the top.
+    densities convert it to a tendency.  Zero-flux at the top.  ``field``
+    and ``surface_flux`` may be sequences of fields diffused by the same
+    ``k_half``: one matrix, one elimination (:func:`solve_shared_tridiagonal`).
     """
-    L = field.shape[0]
+    like = field if isinstance(field, np.ndarray) else field[0]
+    L = like.shape[0]
     dz_half = z_full[:-1] - z_full[1:]              # >0: spacing between levels
     dz_half = np.maximum(dz_half, 1.0)
     # Layer thickness around each full level.
-    dz_full = np.empty_like(field)
+    dz_full = np.empty_like(like)
     dz_full[0] = dz_half[0]
     dz_full[-1] = dz_half[-1]
     if L > 2:
         dz_full[1:-1] = 0.5 * (dz_half[:-1] + dz_half[1:])
 
-    a = np.zeros_like(field)   # lower diagonal (couples to l-1, i.e. above)
-    c = np.zeros_like(field)   # upper diagonal (couples to l+1, i.e. below)
+    a = np.zeros_like(like)   # lower diagonal (couples to l-1, i.e. above)
+    c = np.zeros_like(like)   # upper diagonal (couples to l+1, i.e. below)
     alpha = dt / dz_full
     a[1:] = -alpha[1:] * k_half / dz_half
     c[:-1] = -alpha[:-1] * k_half / dz_half
     b = 1.0 - a - c
-    rhs = field.copy()
-    if surface_flux is not None:
-        if rho is None:
-            raise ValueError("rho required when surface_flux is given")
-        rhs[-1] = rhs[-1] + dt * surface_flux / (rho[-1] * dz_full[-1])
-    return solve_tridiagonal(a, b, c, rhs)
+    if surface_flux is not None and rho is None:
+        raise ValueError("rho required when surface_flux is given")
+    return solve_shared_tridiagonal(
+        a, b, c, field, surface_flux, -1,
+        lambda flux: dt * flux / (rho[-1] * dz_full[-1]))
 
 
 def boundary_layer_tendencies(temp: np.ndarray, q: np.ndarray, u: np.ndarray,
@@ -143,12 +167,10 @@ def boundary_layer_tendencies(temp: np.ndarray, q: np.ndarray, u: np.ndarray,
     z_half = 0.5 * (z_above[:-1] + z_above[1:])
     k_half = kprofile_diffusivity(z_half, h[None], ustar[None], params)
 
-    theta_new = diffuse_column(theta, k_half, z_full, dt,
-                               surface_flux=shf / CP, rho=rho)
-    q_new = diffuse_column(q, k_half, z_full, dt,
-                           surface_flux=lhf_evap, rho=rho)
-    u_new = diffuse_column(u, k_half, z_full, dt, surface_flux=taux, rho=rho)
-    v_new = diffuse_column(v, k_half, z_full, dt, surface_flux=tauy, rho=rho)
+    # One matrix for all four: theta, q, u, v diffuse with the same K.
+    theta_new, q_new, u_new, v_new = diffuse_column(
+        (theta, q, u, v), k_half, z_full, dt,
+        surface_flux=(shf / CP, lhf_evap, taux, tauy), rho=rho)
 
     t_new = theta_new * (temp / theta)   # convert back with the same Exner factor
     return ((t_new - temp) / dt, (q_new - q) / dt,

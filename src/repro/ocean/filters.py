@@ -7,11 +7,13 @@ condition would otherwise force a tiny time step; the classic fix is to
 damp zonal wavenumbers that the converged meridians cannot stably carry.
 
 The filter multiplies each row's zonal Fourier spectrum by
-``min(1, (cos(lat)/cos(lat_crit)) * (m_crit/m))`` — wavenumbers resolvable at
-the critical latitude pass untouched, higher ones are attenuated in
-proportion to the meridian convergence.  Rows with any land are filtered in
-segments? No — following the original models, land rows are simply exempt
-(the Arctic rows of FOAM's grid are open ocean on this topography).
+a factor that is 1 up to the cutoff wavenumber ``(cos(lat)/cos(lat_crit)) *
+nx/2`` and rolls off quadratically above it (:func:`polar_filter_factors`) —
+wavenumbers resolvable at the critical latitude pass untouched, higher ones
+are attenuated in proportion to the meridian convergence.  That is exact
+only on fully open rows: a row with any closed cell (coastline, or sea floor
+at a deep level) gets a mask-aware 1-2-1 smoother instead, passes matched to
+the convergence, and an all-land row is left alone (:class:`PolarFilter`).
 """
 
 from __future__ import annotations
@@ -49,8 +51,10 @@ def _smoothing_weights(row_mask: np.ndarray) -> tuple[np.ndarray, ...]:
 
     The rolls carry no ``axis``: on an (L, nx) mask they run over the
     flattened array, so cell ``[l, nx-1]`` takes its eastern openness from
-    ``[l+1, 0]``.  That seam is wrong (ROADMAP "Physical validation") but the
+    ``[l+1, 0]``.  That seam is wrong (ROADMAP direction 2c) but the
     bitwise golden pins it; fixing it is a golden regeneration of its own.
+    Until then a plan must see the whole (L, ny, nx) mask: cut to a model's
+    wet box, the last level's seam would wrap to level 0, not the dry level.
     """
     w_e = np.where(row_mask & np.roll(row_mask, -1), 0.25, 0.0)
     w_w = np.where(row_mask & np.roll(row_mask, 1), 0.25, 0.0)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.atmosphere.physics.boundary_layer import solve_tridiagonal
+from repro.atmosphere.physics.boundary_layer import solve_shared_tridiagonal
 from repro.backend import get_workspace
 from repro.ocean.eos import density_anomaly
 
@@ -76,33 +76,32 @@ def pp_viscosity(ri: np.ndarray, p: PPMixingParams = PPMixingParams()
             np.where(unstable, p.convective_kappa, kappa))
 
 
-def mix_column_implicit(field: np.ndarray, kappa_half: np.ndarray,
+def mix_column_implicit(field, kappa_half: np.ndarray,
                         dz: np.ndarray, dt: float,
-                        surface_flux: np.ndarray | None = None,
-                        mask: np.ndarray | None = None) -> np.ndarray:
+                        surface_flux=None,
+                        mask: np.ndarray | None = None):
     """Implicit vertical diffusion of (nlev, ...) with interface diffusivities.
 
     ``surface_flux`` (units of field times m/s) enters the top layer.
     Zero flux through the bottom.  ``mask`` (L, ...) marks active cells;
     interfaces touching an inactive cell carry no flux (the sea floor).
-    Uses the shared tridiagonal solver.
+    ``field`` and ``surface_flux`` may be sequences of fields that share
+    ``kappa_half``: one matrix, one elimination of the shared solver.
     """
+    like = field if isinstance(field, np.ndarray) else field[0]
     if mask is not None:
         kappa_half = np.where(mask[:-1] & mask[1:], kappa_half, 0.0)
-    L = field.shape[0]
-    dzf = dz.reshape((-1,) + (1,) * (field.ndim - 1))
+    dzf = dz.reshape((-1,) + (1,) * (like.ndim - 1))
     dzh = 0.5 * (dzf[:-1] + dzf[1:])
     ws = get_workspace()
-    a = ws.zeros_like("mix.a", field)
-    c = ws.zeros_like("mix.c", field)
+    a = ws.zeros_like("mix.a", like)
+    c = ws.zeros_like("mix.c", like)
     a[1:] = -dt * kappa_half / (dzf[1:] * dzh)
     c[:-1] = -dt * kappa_half / (dzf[:-1] * dzh)
-    b = np.subtract(1.0, a, out=ws.empty_like("mix.b", field))
+    b = np.subtract(1.0, a, out=ws.empty_like("mix.b", like))
     b -= c
-    rhs = field.copy()
-    if surface_flux is not None:
-        rhs[0] = rhs[0] + dt * surface_flux / dzf[0]
-    return solve_tridiagonal(a, b, c, rhs)
+    return solve_shared_tridiagonal(a, b, c, field, surface_flux, 0,
+                                    lambda flux: dt * flux / dzf[0])
 
 
 def convective_adjustment(temp: np.ndarray, salt: np.ndarray,

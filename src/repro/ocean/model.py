@@ -15,13 +15,22 @@ FOAM Ocean Model"):
 
 :class:`OceanModel` integrates one coupling interval per :meth:`step` call,
 taking the coupler's surface fluxes (stress, heat, fresh water) as boundary
-conditions, and exposes SST and budget diagnostics.  All arithmetic is
-vectorized over the full 3-D grid; the structure maps one-to-one onto the
-2-D domain decomposition in :mod:`repro.parallel`.
+conditions, and exposes SST and budget diagnostics.  The step computes on
+the *wet box* — the smallest (levels, rows) box holding every wet cell of
+the 3-D mask, found once by the model that owns the mask — in two kinds of
+pass: the horizontal operators, which need zonal and meridional
+neighbours, run one level at a time (:class:`~repro.ocean.operators.Stencil`),
+and everything column-local in the subcycled internal loop (continuity,
+vertical advection, the equation of state and pressure integral, the
+Coriolis rotation, depth-mean removal) runs over all levels of one block of
+latitude rows at a time, in place, so a block's temporaries stay in cache
+(DESIGN.md "Ocean step cost structure").  Only the polar filter works on
+whole-grid fields.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +56,61 @@ from repro.util.constants import (
     T_FREEZE_SEA,
 )
 from repro.util.tree import tree_map
+
+
+# Elements of one field in a latitude-row block of the internal loop: a
+# block's dozen temporaries then sit in cache (4-32 rows of the paper grid
+# measure alike; whole columns are a quarter slower).
+_BLOCK_ELEMENTS = 32768
+
+
+def _lift(static3d: np.ndarray, field3d: np.ndarray) -> np.ndarray:
+    """An (L, ny, nx) static viewed to broadcast against ``field3d``.
+
+    Fields are (L, ..., ny, nx) — any member axes sit after the level
+    axis — so the static gains one singleton per such axis (none when
+    serial).  Always a view.
+    """
+    return static3d[(slice(None),) + (None,) * (field3d.ndim - 3)]
+
+
+def _wet_box(mask3d: np.ndarray) -> tuple[int, int, int]:
+    """(levels, first row, end row) of the smallest box with every wet cell
+    (and two rows at least: the meridional stencils need an edge)."""
+    levels = np.flatnonzero(mask3d.any(axis=(1, 2)))
+    rows = np.flatnonzero(mask3d.any(axis=(0, 2)))
+    if not rows.size:                       # no ocean: nothing to leave out
+        return mask3d.shape[0], 0, mask3d.shape[1]
+    j0 = min(int(rows[0]), mask3d.shape[1] - 2)
+    return int(levels[-1]) + 1, j0, max(int(rows[-1]) + 1, j0 + 2)
+
+
+class _WetBox:
+    """Every static of the step, sliced once to the wet box of a model.
+
+    Outside the box every field is exactly +0.0 (the step masks its
+    result), the rows next to it are all land — so the box's wall rows see
+    the neighbour masks they saw in the whole grid — and the dry levels
+    below it only ever added +0.0 terms to the column sums.
+    """
+
+    def __init__(self, model: "OceanModel"):
+        g = model.grid
+        kw, j0, j1 = _wet_box(model.mask3d)
+        self.index = np.s_[:kw, ..., j0:j1, :]    # of an (L, ..., ny, nx) field
+        self.rows = np.s_[..., j0:j1, :]          # of a (..., ny, nx) field
+        self.dx, self.dy, self.f = g.dx[j0:j1], g.dy[j0:j1], g.f[j0:j1]
+        self.a4, self.a2 = model.a4[j0:j1], model.a2[j0:j1]
+        self.dz, self.z_full = g.dz[:kw], g.z_full[:kw]
+        self.mask2d = model.mask2d[j0:j1]
+        self.coldepth = model.coldepth[j0:j1]
+        self.mask3d = np.ascontiguousarray(model.mask3d[:kw, j0:j1])
+        self.dz3d = np.ascontiguousarray(model.dz3d[:kw, j0:j1])
+        self.dry = ~self.mask3d
+        # Interfaces that touch an inactive cell (the sea floor).
+        self.closed = ~(self.mask3d[:-1] & self.mask3d[1:])
+        stencil = Stencil.of(self.mask3d)
+        self.stencils = [stencil[k] for k in range(kw)]
 
 
 @dataclass
@@ -126,10 +190,9 @@ class OceanModel:
                                    1e-9).astype(fdt, copy=False)
         self.baro = BarotropicSolver(grid, self.depth, self.mask2d,
                                      self.params.barotropic)
-        # The masks never change: their stencils (one per level, views of
-        # the 3-D one) and polar-filter plans are built here, once.
-        stencil = Stencil.of(self.mask3d)
-        self.stencils = [stencil[k] for k in range(grid.nlev)]
+        # The masks never change: the polar-filter plans (whole grid: the
+        # smoother's weights read across levels, see PolarFilter) and, below,
+        # the wet box with its per-level stencils are built here, once.
         self.filter3d = PolarFilter(grid.lats, self.mask3d,
                                     self.params.polar_filter_lat)
         self.filter2d = PolarFilter(grid.lats, self.mask2d,
@@ -149,6 +212,7 @@ class OceanModel:
         # the usual O(10^4) m^2/s eddy viscosity a ~2 degree ocean needs.
         self.a2 = (0.02 * dloc**2 / self.params.dt_long)[:, None].astype(
             fdt, copy=False)
+        self.box = _WetBox(self)
         # Coriolis rotation factors for the internal substep, rebuilt only
         # when the substep length changes.
         self._rot_dt: float | None = None
@@ -195,99 +259,21 @@ class OceanModel:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _m3(self, field3d: np.ndarray) -> np.ndarray:
-        """The 3-D mask, viewed to broadcast against ``field3d``.
-
-        Fields are (L, ..., ny, nx) — any member axes sit after the level
-        axis — so the mask gains one singleton per such axis (none when
-        serial).  Always a view.
-        """
-        return self.mask3d[(slice(None),) + (None,) * (field3d.ndim - 3)]
-
-    def _dz3(self, field3d: np.ndarray) -> np.ndarray:
-        """Active layer thickness, viewed like :meth:`_m3`."""
-        return self.dz3d[(slice(None),) + (None,) * (field3d.ndim - 3)]
-
     def depth_mean(self, field3d: np.ndarray) -> np.ndarray:
         """Thickness-weighted column mean over active levels."""
-        return np.sum(field3d * self._dz3(field3d), axis=0) / self.coldepth
+        return (np.sum(field3d * _lift(self.dz3d, field3d), axis=0)
+                / self.coldepth)
 
     def remove_depth_mean(self, field3d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mean = self.depth_mean(field3d)
-        out = np.where(self._m3(field3d), field3d - mean[None], 0.0)
+        out = np.where(_lift(self.mask3d, field3d), field3d - mean[None], 0.0)
         return out, mean
 
     def total_velocity(self, state: OceanState) -> tuple[np.ndarray, np.ndarray]:
-        u = np.where(self._m3(state.u), state.u + state.ubar[None], 0.0)
-        v = np.where(self._m3(state.v), state.v + state.vbar[None], 0.0)
+        m3 = _lift(self.mask3d, state.u)
+        u = np.where(m3, state.u + state.ubar[None], 0.0)
+        v = np.where(m3, state.v + state.vbar[None], 0.0)
         return u, v
-
-    def baroclinic_pressure_gradient(self, temp, salt):
-        """(-1/rho0) grad of hydrostatic pressure from density anomalies."""
-        g = self.grid
-        rho = np.where(self._m3(temp), density_anomaly(temp, salt, 0.0), 0.0)
-        # Pressure at layer centers: integrate rho from the surface down.
-        wdz = rho * g.dz.reshape((-1,) + (1,) * (rho.ndim - 1))
-        p_above = np.cumsum(wdz, axis=0) - wdz          # full layers above
-        p = GRAVITY * (p_above + 0.5 * wdz)
-        ws = get_workspace()
-        pgx = ws.empty_like("ocean.pgx", p)
-        pgy = ws.empty_like("ocean.pgy", p)
-        for k, st in enumerate(self.stencils):
-            pgx[k] = st.ddx(p[k], g.dx, centered_only=True)
-            pgy[k] = st.ddy(p[k], g.dy, centered_only=True)
-        np.negative(pgx, out=pgx)
-        pgx /= RHO_SEAWATER
-        np.negative(pgy, out=pgy)
-        pgy /= RHO_SEAWATER
-        return pgx, pgy
-
-    def vertical_velocity(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """w at layer *tops* (positive up), from discrete continuity, w=0 at bottom.
-
-        Uses the same flux-divergence stencil as the tracer advection so a
-        constant tracer is exactly preserved.
-        """
-        g = self.grid
-        ws = get_workspace()
-        div = ws.empty_like("ocean.div", u)
-        for k, st in enumerate(self.stencils):
-            div[k] = st.flux_divergence(u[k], v[k], g.dx, g.dy)
-        # integrate from the bottom: w_top(k) = w_top(k+1) - dz_k div_k
-        # (w_top is a workspace buffer: each internal substep consumes it
-        # fully before the next call refills it).
-        w_top = ws.empty_like("ocean.w_top", u)
-        acc = ws.zeros_like("ocean.w_acc", u[0])
-        for k in range(g.nlev - 1, -1, -1):
-            acc -= g.dz[k] * div[k]
-            w_top[k] = acc
-        return w_top
-
-    def advect_tracer_vertical(self, tracer: np.ndarray, w_top: np.ndarray
-                               ) -> np.ndarray:
-        """Tendency -w dC/dz, advective form (the *fast*, wave-carrying part).
-
-        This term couples the velocity field back into the density field —
-        it carries the internal gravity and near-inertial waves — so the
-        model evaluates it inside the subcycled internal loop, exactly the
-        paper's "fastest parts of the internal dynamics".  ``w_top`` holds
-        the upward velocity at layer tops (zero at the surface and floor by
-        construction); gradients across inactive interfaces are dropped.
-        """
-        g = self.grid
-        # dC/d(depth) at interior interfaces (between layer k-1 and k).
-        dzi = (g.z_full[1:] - g.z_full[:-1]).reshape(
-            (-1,) + (1,) * (tracer.ndim - 1))
-        grad = (tracer[1:] - tracer[:-1]) / dzi           # dC/d(depth)
-        m3 = self._m3(tracer)
-        open_if = m3[:-1] & m3[1:]
-        grad = np.where(open_if, grad, 0.0)
-        # w dC/dz = -w dC/d(depth); average the two interface contributions.
-        contrib = w_top[1:] * grad                        # at interfaces
-        tend = get_workspace().zeros_like("ocean.adv_tend", tracer)
-        tend[:-1] += 0.5 * contrib
-        tend[1:] += 0.5 * contrib
-        return np.where(m3, tend, 0.0)
 
     # ------------------------------------------------------------------
     # the triple-rate step
@@ -322,17 +308,23 @@ class OceanModel:
         """
         p = self.params
         g = self.grid
-        s = state.copy()
+        b = self.box
         dt_long = p.dt_long
         dt_int = dt_long / p.n_internal
+        # The wet box of the four 3-D fields, as contiguous copies.
+        u, v, temp, salt = (getattr(state, name)[b.index].copy()
+                            for name in ("u", "v", "temp", "salt"))
+        wet, dry = _lift(b.mask3d, u), _lift(b.dry, u)
 
         # ---- slow terms, once per long step -----------------------------
         with profile_section("ocean.advection"):
-            u_tot, v_tot = self.total_velocity(s)
-            m3 = self._m3(s.u)
+            u_tot = u + state.ubar[b.rows][None]
+            v_tot = v + state.vbar[b.rows][None]
+            np.copyto(u_tot, 0.0, where=dry)
+            np.copyto(v_tot, 0.0, where=dry)
             # One level at a time: a level's temporaries stay in cache, a
             # whole column's do not (DESIGN.md "Ocean step cost structure").
-            for k, st in enumerate(self.stencils):
+            for k, st in enumerate(b.stencils):
                 # Horizontal advection -(u dC/dx + v dC/dy) in *advective*
                 # form, pairing with the advective-form vertical term of
                 # the internal loop so that a spatially constant tracer is
@@ -341,41 +333,44 @@ class OceanModel:
                 # uncancelled C div(u) term on one of the two rates, which
                 # grows with the Celsius offset of T and is violently
                 # unstable in shallow polar channels.)
-                for f3 in (s.temp, s.salt, s.u, s.v):
+                for f3 in (temp, salt, u, v):
                     f3[k] += dt_long * st.advect_centered(
-                        f3[k], u_tot[k], v_tot[k], g.dx, g.dy)
+                        f3[k], u_tot[k], v_tot[k], b.dx, b.dy)
                 # del^4 dissipation (A-grid mode control) on all prognostic
                 # fields, plus harmonic eddy viscosity on momentum.
-                for f3 in (s.u, s.v, s.temp, s.salt):
-                    f3[k] -= dt_long * self.a4 * st.biharmonic(f3[k], g.dx, g.dy)
-                for f3 in (s.u, s.v):
-                    f3[k] += dt_long * self.a2 * st.laplacian(f3[k], g.dx, g.dy)
+                for f3 in (u, v, temp, salt):
+                    f3[k] -= dt_long * b.a4 * st.biharmonic(f3[k], b.dx, b.dy)
+                for f3 in (u, v):
+                    f3[k] += dt_long * b.a2 * st.laplacian(f3[k], b.dx, b.dy)
 
-        # Vertical mixing (PP81 steepened) + surface fluxes, implicit.
+        # Vertical mixing (PP81 steepened) + surface fluxes, implicit: one
+        # elimination for (T, S), which share kappa, one for (u, v) and nu.
         with profile_section("ocean.mixing"):
-            n_sq = buoyancy_frequency_sq(s.temp, s.salt, g.z_full)
-            ri = richardson_number(s.u, s.v, n_sq, g.z_full)
+            n_sq = buoyancy_frequency_sq(temp, salt, b.z_full)
+            ri = richardson_number(u, v, n_sq, b.z_full)
             nu, kappa = pp_viscosity(ri, p.mixing)
-            heat_in = forcing.heat_flux / (RHO_SEAWATER * CP_SEAWATER)   # K m/s
+            heat_in = forcing.heat_flux[b.rows] / (RHO_SEAWATER * CP_SEAWATER)  # K m/s
             # Virtual salt flux: fresh water dilutes surface salinity.
-            salt_in = -forcing.freshwater * p.reference_salinity / RHO_SEAWATER
-            s.temp = mix_column_implicit(s.temp, kappa, g.dz, dt_long, heat_in,
-                                         mask=m3)
-            s.salt = mix_column_implicit(s.salt, kappa, g.dz, dt_long, salt_in,
-                                         mask=m3)
-            s.u = mix_column_implicit(s.u, nu, g.dz, dt_long,
-                                      forcing.taux / RHO_SEAWATER, mask=m3)
-            s.v = mix_column_implicit(s.v, nu, g.dz, dt_long,
-                                      forcing.tauy / RHO_SEAWATER, mask=m3)
-            s.temp, s.salt = convective_adjustment(s.temp, s.salt, g.z_full, g.dz,
-                                                   mask=m3)
+            salt_in = (-forcing.freshwater[b.rows] * p.reference_salinity
+                       / RHO_SEAWATER)
+            temp, salt = mix_column_implicit(
+                (temp, salt), kappa, b.dz, dt_long, (heat_in, salt_in), mask=wet)
+            u, v = mix_column_implicit(
+                (u, v), nu, b.dz, dt_long,
+                (forcing.taux[b.rows] / RHO_SEAWATER,
+                 forcing.tauy[b.rows] / RHO_SEAWATER), mask=wet)
+            temp, salt = convective_adjustment(temp, salt, b.z_full, b.dz,
+                                               mask=wet)
 
         # The paper's sea-surface clamp at -1.92 C (ice formation handles the rest).
-        s.temp[0] = np.where(self.mask2d, np.maximum(s.temp[0], p.sst_clamp), 0.0)
+        clamp = p.sst_clamp
+        if isinstance(clamp, np.ndarray):
+            clamp = np.broadcast_to(clamp, state.temp[0].shape)[b.rows]
+        temp[0] = np.where(b.mask2d, np.maximum(temp[0], clamp), 0.0)
 
-        # Mask everything that may have leaked onto land.
-        for name in ("u", "v", "temp", "salt"):
-            setattr(s, name, np.where(m3, getattr(s, name), 0.0))
+        # Mask everything that may have leaked onto land (and make the
+        # stacked solves' strided views contiguous again).
+        u, v, temp, salt = (np.where(wet, f3, 0.0) for f3 in (u, v, temp, salt))
 
         # ---- fast internal terms, subcycled -------------------------------
         # Forward-backward pairing: density (via vertical advection of the
@@ -383,30 +378,101 @@ class OceanModel:
         # density — the neutral integration of the internal-wave loop.
         ws = get_workspace()
         fdt = self.policy.float_dtype
-        lead = s.u.shape[1:-2]                   # () serial, (nens,) batched
+        kw, lead, nyb = u.shape[0], u.shape[1:-2], u.shape[-2]
         gx_acc = ws.zeros("ocean.gx_acc", lead + (g.ny, g.nx), fdt)
         gy_acc = ws.zeros("ocean.gy_acc", lead + (g.ny, g.nx), fdt)
         if self._rot_dt != dt_int:
             self._rot_dt = dt_int
-            self._cosf = np.cos(g.f * dt_int)[None]
-            self._sinf = np.sin(g.f * dt_int)[None]
+            self._cosf = np.cos(b.f * dt_int)[None]
+            self._sinf = np.sin(b.f * dt_int)[None]
         cosf, sinf = self._cosf, self._sinf
+        dzdiv, pres, pgx, pgy = (ws.empty_like("ocean." + name, u)
+                                 for name in ("dzdiv", "p", "pgx", "pgy"))
+        # Column-local work runs on blocks of latitude rows, all levels and
+        # members of a block at once, in place on three block-sized buffers:
+        # (rows of the box fields, the buffers cut to as many rows) per block.
+        n = min(nyb, max(1, _BLOCK_ELEMENTS // (u.size // nyb)))
+        scratch = [ws.empty("ocean.block%d" % i, (kw,) + lead + (n, g.nx), u.dtype)
+                   for i in range(3)]
+        blocks = [(np.s_[..., j:j + n, :],
+                   [buf[..., :min(n, nyb - j), :] for buf in scratch])
+                  for j in range(0, nyb, n)]
+        dz3, closed = _lift(b.dz3d, u), _lift(b.closed, u)
+        dz = _lift(b.dz[:, None, None], u)
+        dzi = _lift((b.z_full[1:] - b.z_full[:-1])[:, None, None], u)
         with profile_section("ocean.baroclinic"):
             for _ in range(p.n_internal):
-                w_top = self.vertical_velocity(s.u, s.v)
-                s.temp = s.temp + dt_int * self.advect_tracer_vertical(s.temp, w_top)
-                s.salt = s.salt + dt_int * self.advect_tracer_vertical(s.salt, w_top)
-                pgx, pgy = self.baroclinic_pressure_gradient(s.temp, s.salt)
-                # Exact Coriolis rotation of the baroclinic shear.
-                u_rot = s.u * cosf + s.v * sinf
-                v_rot = -s.u * sinf + s.v * cosf
-                s.u = u_rot + dt_int * pgx
-                s.v = v_rot + dt_int * pgy
-                # Project out the depth mean; it belongs to the barotropic mode.
-                s.u, gu = self.remove_depth_mean(s.u)
-                s.v, gv = self.remove_depth_mean(s.v)
-                gx_acc += gu / dt_int
-                gy_acc += gv / dt_int
+                # Continuity uses the same flux-divergence stencil as the
+                # tracer advection, so a constant tracer is exactly preserved.
+                for k, st in enumerate(b.stencils):
+                    np.multiply(st.flux_divergence(u[k], v[k], b.dx, b.dy),
+                                b.dz[k], out=dzdiv[k])
+                for r, (w, tend, grad) in blocks:
+                    # w at layer tops (positive up), w = 0 at the floor:
+                    # w_top(k) = w_top(k+1) - dz_k div_k.  w_top(0) is unused.
+                    thin = dzdiv[r]
+                    np.subtract(0.0, thin[-1], out=w[-1])
+                    for k in range(kw - 2, 0, -1):
+                        np.subtract(w[k + 1], thin[k], out=w[k])
+                    # -w dC/dz in advective form: the fast, wave-carrying
+                    # part that couples velocity back into density.  dC/d(depth)
+                    # at interior interfaces, dropped across the sea floor;
+                    # each layer takes half of its two interfaces' w dC/dz.
+                    grad = grad[:-1]
+                    for c in (temp[r], salt[r]):
+                        np.subtract(c[1:], c[:-1], out=grad)
+                        grad /= dzi
+                        np.copyto(grad, 0.0, where=closed[r])
+                        grad *= w[1:]
+                        grad *= 0.5
+                        np.add(grad, 0.0, out=tend[:-1])
+                        tend[-1] = 0.0
+                        tend[1:] += grad
+                        np.copyto(tend, 0.0, where=dry[r])
+                        tend *= dt_int
+                        c += tend
+                    # Hydrostatic pressure at layer centers from the density
+                    # anomaly: the full layers above plus half of this one.
+                    rho = density_anomaly(temp[r], salt[r], 0.0)
+                    np.copyto(rho, 0.0, where=dry[r])
+                    rho *= dz
+                    above = tend
+                    above[0] = rho[0]
+                    for k in range(1, kw):          # cumsum, level by level
+                        np.add(above[k - 1], rho[k], out=above[k])
+                    above -= rho
+                    rho *= 0.5
+                    above += rho
+                    np.multiply(above, GRAVITY, out=pres[r])
+                # dt (-1/rho0) grad p, centered only: see Stencil.ddx.
+                for k, st in enumerate(b.stencils):
+                    for pg, d in ((pgx, st.ddx(pres[k], b.dx, centered_only=True)),
+                                  (pgy, st.ddy(pres[k], b.dy, centered_only=True))):
+                        np.negative(d, out=d)
+                        d /= RHO_SEAWATER
+                        np.multiply(d, dt_int, out=pg[k])
+                for r, (rot_u, rot_v, tmp) in blocks:
+                    # Exact Coriolis rotation of the baroclinic shear.
+                    np.multiply(u[r], cosf[r], out=rot_u)
+                    np.multiply(v[r], sinf[r], out=tmp)
+                    rot_u += tmp
+                    np.negative(u[r], out=rot_v)
+                    rot_v *= sinf[r]
+                    np.multiply(v[r], cosf[r], out=tmp)
+                    rot_v += tmp
+                    for vel, new, pg, acc in ((u, rot_u, pgx, gx_acc),
+                                              (v, rot_v, pgy, gy_acc)):
+                        new += pg[r]
+                        # Project out the depth mean; it belongs to the
+                        # barotropic mode.
+                        np.multiply(new, dz3[r], out=tmp)
+                        mean = np.sum(tmp, axis=0)
+                        mean /= b.coldepth[r]
+                        new -= mean
+                        np.copyto(new, 0.0, where=dry[r])
+                        vel[r] = new
+                        mean /= dt_int
+                        acc[b.rows][r] += mean
 
         # Time-mean depth-averaged acceleration over the long step, plus the
         # depth-mean wind stress: this is what drives the 2-D subsystem.
@@ -416,14 +482,20 @@ class OceanModel:
             self.mask2d, forcing.tauy / (RHO_SEAWATER * self.coldepth), 0.0)
 
         # ---- polar filter (baroclinic fields, 3-D mask-aware) ---------------
+        # On the whole grid: zero outside the box, as the masked step leaves
+        # it.  The rest of the state (eta, ubar, vbar, which ``step`` then
+        # replaces, and any field a subclass adds) is carried along as a copy.
+        out = dataclasses.replace(state, u=None, v=None, temp=None,
+                                  salt=None, time=state.time + dt_long).copy()
         with profile_section("ocean.polar_filter"):
-            for name in ("temp", "salt", "u", "v"):
-                setattr(s, name,
-                        np.where(m3, self.filter3d(getattr(s, name)), 0.0))
+            m3 = _lift(self.mask3d, state.u)
+            for name, f3 in zip(("u", "v", "temp", "salt"), (u, v, temp, salt)):
+                full = np.zeros(state.u.shape, f3.dtype)
+                full[b.index] = f3
+                setattr(out, name, np.where(m3, self.filter3d(full), 0.0))
 
-        s.time = state.time + dt_long
         self.op_count += self._ops_per_step()
-        return s, (gx, gy)
+        return out, (gx, gy)
 
     # ------------------------------------------------------------------
     def _ops_per_step(self) -> int:
@@ -441,8 +513,8 @@ class OceanModel:
         return np.where(self.mask2d, state.temp[0], np.nan)
 
     def _cell_volumes(self, field3d: np.ndarray) -> np.ndarray:
-        """Active cell volumes (m^3), viewed like :meth:`_m3`."""
-        return self._dz3(field3d) * self.grid.cell_areas()
+        """Active cell volumes (m^3), viewed to broadcast against the field."""
+        return _lift(self.dz3d, field3d) * self.grid.cell_areas()
 
     @staticmethod
     def _member_sum(cells: np.ndarray):
@@ -475,7 +547,8 @@ class OceanModel:
     def run(self, state: OceanState, nsteps: int,
             forcing: OceanForcing | None = None) -> OceanState:
         if forcing is None:
-            forcing = OceanForcing.zeros(self.grid.ny, self.grid.nx)
+            forcing = OceanForcing.zeros(self.grid.ny, self.grid.nx,
+                                         dtype=self.policy.float_dtype)
         for _ in range(nsteps):
             state = self.step(state, forcing)
         return state

@@ -17,24 +17,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import get_workspace
 from repro.util.tree import tree_map
 
 
-def _shift_east(name: str, arr: np.ndarray) -> np.ndarray:
-    """np.roll(arr, -1, axis=-1) into a reusable workspace buffer."""
-    out = get_workspace().empty_like(name, arr)
-    out[..., :-1] = arr[..., 1:]
-    out[..., -1] = arr[..., 0]
+def _zonal(ufunc, f: np.ndarray, a: int, b: int) -> np.ndarray:
+    """``ufunc(f[..., i + a], f[..., i + b])`` at every cell, longitude periodic.
+
+    ``f`` is C-contiguous and the offsets are -1, 0 or 1.  One pass over the
+    flattened array — consecutive rows run together, so a cell's flat
+    neighbour is its zonal neighbour everywhere but at the row ends —
+    instead of one short inner loop per row; the two wrap columns are then
+    written on their own (DESIGN.md "Ocean step cost structure").
+    """
+    out = np.empty_like(f)
+    flat, nx = f.reshape(-1), f.shape[-1]
+    lo, hi = -min(a, b, 0), flat.size - max(a, b, 0)
+    ufunc(flat[lo + a:hi + a], flat[lo + b:hi + b], out=out.reshape(-1)[lo:hi])
+    for col in (0, nx - 1):
+        ufunc(f[..., (col + a) % nx], f[..., (col + b) % nx], out=out[..., col])
     return out
 
 
-def _shift_west(name: str, arr: np.ndarray) -> np.ndarray:
-    """np.roll(arr, 1, axis=-1) into a reusable workspace buffer."""
-    out = get_workspace().empty_like(name, arr)
-    out[..., 1:] = arr[..., :-1]
-    out[..., 0] = arr[..., -1]
-    return out
+def _rowwise(ufunc, d: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """``ufunc(d, row[..., :, None])``, in place when that keeps ``d``'s dtype."""
+    row = row[..., :, None]
+    return ufunc(d, row, out=d if np.result_type(d, row) == d.dtype else None)
 
 
 @dataclass(frozen=True)
@@ -83,56 +90,64 @@ class Stencil:
         the full vertical pressure structure into a spurious permanent
         horizontal force (the classic z-coordinate topography PGF error).
         """
-        east = _shift_east("op.ddx.east", field)
-        west = _shift_west("op.ddx.west", field)
-        if centered_only:
-            d = np.where(self.x_both, (east - west) * 0.5, 0.0)
-        else:
-            d = np.where(self.x_both, (east - west) * 0.5,
-                         np.where(self.m_east, east - field,
-                                  np.where(self.m_west, field - west, 0.0)))
-        return np.where(self.mask, d / dx_row[..., :, None], 0.0)
+        f = np.ascontiguousarray(field)
+        d = _zonal(np.subtract, f, 1, -1)
+        d *= 0.5
+        used = self.x_both
+        if not centered_only:
+            np.copyto(d, _zonal(np.subtract, f, 1, 0),
+                      where=self.m_east & ~self.m_west)
+            np.copyto(d, _zonal(np.subtract, f, 0, -1),
+                      where=self.m_west & ~self.m_east)
+            used = self.m_east | self.m_west
+        d = _rowwise(np.divide, d, dx_row)
+        np.copyto(d, 0.0, where=~(self.mask & used))
+        return d
 
     def ddy(self, field: np.ndarray, dy_row: np.ndarray,
             centered_only: bool = False) -> np.ndarray:
         """Centered d/dy with wall boundaries at the first/last rows and land."""
-        ws = get_workspace()
-        north = ws.empty_like("op.ddy.north", field)
-        south = ws.empty_like("op.ddy.south", field)
-        north[..., :-1, :] = field[..., 1:, :]
-        north[..., -1, :] = field[..., -1, :]
-        south[..., 1:, :] = field[..., :-1, :]
-        south[..., 0, :] = field[..., 0, :]
-        if centered_only:
-            d = np.where(self.y_both, (north - south) * 0.5, 0.0)
-        else:
-            d = np.where(self.y_both, (north - south) * 0.5,
-                         np.where(self.m_north, north - field,
-                                  np.where(self.m_south, field - south, 0.0)))
-        return np.where(self.mask, d / dy_row[..., :, None], 0.0)
+        d = np.empty(field.shape, field.dtype)
+        d[..., 0, :] = d[..., -1, :] = 0.0
+        np.subtract(field[..., 2:, :], field[..., :-2, :], out=d[..., 1:-1, :])
+        d *= 0.5
+        used = self.y_both
+        if not centered_only:
+            # north - f of one row is f - south of the row above it.
+            step = field[..., 1:, :] - field[..., :-1, :]
+            np.copyto(d[..., :-1, :], step,
+                      where=(self.m_north & ~self.m_south)[..., :-1, :])
+            np.copyto(d[..., 1:, :], step,
+                      where=(self.m_south & ~self.m_north)[..., 1:, :])
+            used = self.m_north | self.m_south
+        d = _rowwise(np.divide, d, dy_row)
+        np.copyto(d, 0.0, where=~(self.mask & used))
+        return d
 
     def laplacian(self, field: np.ndarray, dx_row: np.ndarray,
                   dy_row: np.ndarray) -> np.ndarray:
         """Masked 5-point Laplacian; land neighbours contribute no flux."""
-        ws = get_workspace()
-        out = ws.zeros_like("op.lap.out", field)
-        # x direction (periodic)
-        east = _shift_east("op.lap.east", field)
-        west = _shift_west("op.lap.west", field)
-        fx = (np.where(self.m_east, east - field, 0.0)
-              + np.where(self.m_west, west - field, 0.0))
-        out += fx / (dx_row[..., :, None] ** 2)
+        f = np.ascontiguousarray(field)
+        # x direction (periodic).  west - f is taken as such: -(f - west)
+        # has the same value and the other zero.
+        out = _zonal(np.subtract, f, 1, 0)
+        np.copyto(out, 0.0, where=~self.m_east)
+        flux = _zonal(np.subtract, f, -1, 0)
+        np.copyto(flux, 0.0, where=~self.m_west)
+        out += flux
+        # 0.0 + fx/dx^2: the sum starts from +0.0, which a -0.0 term needs.
+        np.add(_rowwise(np.divide, out, dx_row ** 2), 0.0, out=out)
         # y direction (walls)
-        north = ws.empty_like("op.lap.north", field)
-        south = ws.empty_like("op.lap.south", field)
-        north[..., :-1, :] = field[..., 1:, :]
-        north[..., -1, :] = 0.0
-        south[..., 1:, :] = field[..., :-1, :]
-        south[..., 0, :] = 0.0
-        fy = (np.where(self.m_north, north - field, 0.0)
-              + np.where(self.m_south, south - field, 0.0))
-        out += fy / (dy_row[..., :, None] ** 2)
-        return np.where(self.mask, out, 0.0)
+        flux = np.empty_like(f)
+        np.subtract(f[..., 1:, :], f[..., :-1, :], out=flux[..., :-1, :])
+        np.copyto(flux, 0.0, where=~self.m_north)
+        south = np.empty_like(f)
+        np.subtract(f[..., :-1, :], f[..., 1:, :], out=south[..., 1:, :])
+        np.copyto(south, 0.0, where=~self.m_south)
+        flux += south
+        out += _rowwise(np.divide, flux, dy_row ** 2)
+        np.copyto(out, 0.0, where=~self.mask)
+        return out
 
     def biharmonic(self, field: np.ndarray, dx_row: np.ndarray,
                    dy_row: np.ndarray) -> np.ndarray:
@@ -154,23 +169,27 @@ class Stencil:
         integral of the divergence is exactly zero — the property the free
         surface (and the paper's closed hydrological cycle) needs.
         """
-        area = (dx_row * dy_row)[..., :, None]
+        area = dx_row * dy_row
         # x fluxes at east edges, integrated over the edge length dy (constant
         # along a row, so it factors out of the telescoping sum).
-        he = 0.5 * (h_u + _shift_east("op.fdiv.hu_e", h_u))
-        fe = np.where(self.open_e, he, 0.0) * dy_row[..., :, None]
-        div_x = (fe - _shift_west("op.fdiv.fe_w", fe)) / area
+        fe = _zonal(np.add, np.ascontiguousarray(h_u), 0, 1)
+        fe *= 0.5
+        np.copyto(fe, 0.0, where=~self.open_e)
+        fe = _rowwise(np.multiply, fe, dy_row)
+        div = _rowwise(np.divide, _zonal(np.subtract, fe, 0, -1), area)
         # y fluxes at north edges, integrated over the edge length dx_edge
         # (average of the adjacent rows' dx) so the column sum telescopes exactly.
-        dx_edge = 0.5 * (dx_row[:-1] + dx_row[1:])
-        hn = 0.5 * (h_v[..., :-1, :] + h_v[..., 1:, :])
-        fn = np.where(self.open_n, hn, 0.0) * dx_edge[..., :, None]
-        fy = get_workspace().empty_like("op.fdiv.fy", h_v)
+        fn = h_v[..., :-1, :] + h_v[..., 1:, :]
+        fn *= 0.5
+        np.copyto(fn, 0.0, where=~self.open_n)
+        fn = _rowwise(np.multiply, fn, 0.5 * (dx_row[:-1] + dx_row[1:]))
+        fy = np.empty(h_v.shape, h_v.dtype)
         fy[..., 0, :] = fn[..., 0, :]
-        fy[..., 1:-1, :] = fn[..., 1:, :] - fn[..., :-1, :]
-        fy[..., -1, :] = -fn[..., -1, :]
-        div_y = fy / area
-        return np.where(self.mask, div_x + div_y, 0.0)
+        np.subtract(fn[..., 1:, :], fn[..., :-1, :], out=fy[..., 1:-1, :])
+        np.negative(fn[..., -1, :], out=fy[..., -1, :])
+        div += _rowwise(np.divide, fy, area)
+        np.copyto(div, 0.0, where=~self.mask)
+        return div
 
 
 # One-off callers (the rank-decomposed stencils of repro.parallel, tests)

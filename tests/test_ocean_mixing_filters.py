@@ -1,5 +1,7 @@
 """Tests for PP mixing, convective adjustment, polar filter, and operators."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from repro.ocean.operators import (
     flux_divergence,
     laplacian,
 )
+from tests.oracles import bitwise
 
 
 # ------------------------------------------------------------- PP mixing
@@ -331,7 +334,12 @@ def _ref_convective_adjustment(temp, salt, dz, passes, mask):
 
 @pytest.fixture(params=[(), (NENS,)], ids=["serial", "members"])
 def masked(request):
-    """(grid, (L, ny, nx) mask, its view against the fields, field maker)."""
+    """(grid, (L, ny, nx) mask, its view against the fields, field maker).
+
+    ``fields(n)`` draws ``n`` Gaussian fields; ``fields(n, kind)`` makes the
+    sign-of-zero cases the in-place operators could get wrong: ``"zeros"``
+    is all (+-0.0), ``"negzeros"`` Gaussian with 30 % of the cells -0.0.
+    """
     lead = request.param
     g = OceanGrid(nx=16, ny=24, nlev=L)
     rng = np.random.default_rng(7)
@@ -340,46 +348,86 @@ def masked(request):
     mask[:, -3:] = True                  # fully open polar rows (FFT)
     mask[1:, -2] = rng.random((L - 1, g.nx)) > 0.3   # open at the top only
     view = mask[(slice(None),) + (None,) * len(lead)]
+    shape = (L,) + lead + (g.ny, g.nx)
 
-    def fields(n):
-        return [rng.normal(size=(L,) + lead + (g.ny, g.nx)).astype(
-            g.policy.float_dtype) for _ in range(n)]
+    def fields(n, kind="normal"):
+        out = []
+        for _ in range(n):
+            f = rng.normal(size=shape)
+            if kind == "zeros":
+                f = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+            elif kind == "negzeros":
+                f[rng.random(shape) < 0.3] = -0.0
+            out.append(f.astype(g.policy.float_dtype))
+        return out
     return g, mask, view, fields
 
 
+FIELD_KINDS = ["normal", "zeros", "negzeros"]
+
+
+def _operator_masks(mask, view):
+    """(mask, its view against the fields) for the operator oracles: the
+    fixture's, and the same with a level that has no wet cell."""
+    dry = mask.copy()
+    dry[L - 1] = False
+    lift = (slice(None),) + (None,) * (view.ndim - mask.ndim)
+    return (mask, view), (dry, dry[lift])
+
+
+def _layouts(f):
+    """``f`` and two non-contiguous arrays of the same values: every other
+    column of a wider array, and the leading rows of a taller one (whose
+    levels are contiguous when serial, strided with a member axis)."""
+    strided = np.repeat(f, 2, axis=-1)[..., ::2]
+    rows = np.concatenate([f, f], axis=-2)[..., :f.shape[-2], :]
+    assert not strided.flags.c_contiguous and not rows.flags.c_contiguous
+    assert not strided[0].flags.c_contiguous
+    return f, strided, rows
+
+
 def _assert_bitwise(got, want):
+    """Same dtype, shape and *bytes*: -0.0 is not +0.0 here."""
     assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.array_equal(got, want)
+    assert bitwise(got, want)
 
 
 @pytest.mark.parametrize("centered_only", [False, True])
 def test_ddx_ddy_match_shift_per_call_oracle(masked, centered_only):
     g, mask, view, fields = masked
-    (f,) = fields(1)
-    stencil = Stencil.of(mask)
-    for op, method, d_row, axis in ((ddx, Stencil.ddx, g.dx, -1),
-                                    (ddy, Stencil.ddy, g.dy, -2)):
-        want = _ref_diff(f, d_row, view, centered_only, axis)
-        assert want.dtype == g.policy.float_dtype
-        _assert_bitwise(op(f, d_row, view, centered_only), want)
-        for k in range(L):                # the model's use: one level a time
-            _assert_bitwise(method(stencil[k], f[k], d_row, centered_only), want[k])
+    for (mask, view), kind in itertools.product(_operator_masks(mask, view),
+                                                FIELD_KINDS):
+        (f,) = fields(1, kind)
+        stencil = Stencil.of(mask)
+        for op, method, d_row, axis in ((ddx, Stencil.ddx, g.dx, -1),
+                                        (ddy, Stencil.ddy, g.dy, -2)):
+            want = _ref_diff(f, d_row, view, centered_only, axis)
+            assert want.dtype == g.policy.float_dtype
+            for a in _layouts(f):
+                _assert_bitwise(op(a, d_row, view, centered_only), want)
+                for k in range(L):        # the model's use: one level a time
+                    _assert_bitwise(
+                        method(stencil[k], a[k], d_row, centered_only), want[k])
 
 
 def test_laplacian_flux_divergence_match_shift_per_call_oracle(masked):
     g, mask, view, fields = masked
-    f, hv = fields(2)
-    stencil = Stencil.of(mask)
-    lap = _ref_laplacian(f, g.dx, g.dy, view)
-    div = _ref_flux_divergence(f, hv, g.dx, g.dy, view)
-    assert lap.dtype == div.dtype == g.policy.float_dtype
-    _assert_bitwise(laplacian(f, g.dx, g.dy, view), lap)
-    _assert_bitwise(biharmonic(f, g.dx, g.dy, view),
-                    _ref_laplacian(lap, g.dx, g.dy, view))
-    _assert_bitwise(flux_divergence(f, hv, g.dx, g.dy, view), div)
-    for k in range(L):
-        _assert_bitwise(stencil[k].laplacian(f[k], g.dx, g.dy), lap[k])
-        _assert_bitwise(stencil[k].flux_divergence(f[k], hv[k], g.dx, g.dy), div[k])
+    for (mask, view), kind in itertools.product(_operator_masks(mask, view),
+                                                FIELD_KINDS):
+        f, hv = fields(2, kind)
+        stencil = Stencil.of(mask)
+        lap = _ref_laplacian(f, g.dx, g.dy, view)
+        div = _ref_flux_divergence(f, hv, g.dx, g.dy, view)
+        assert lap.dtype == div.dtype == g.policy.float_dtype
+        for a, b in zip(_layouts(f), _layouts(hv)):
+            _assert_bitwise(laplacian(a, g.dx, g.dy, view), lap)
+            _assert_bitwise(biharmonic(a, g.dx, g.dy, view),
+                            _ref_laplacian(lap, g.dx, g.dy, view))
+            _assert_bitwise(flux_divergence(a, b, g.dx, g.dy, view), div)
+            for k in range(L):
+                _assert_bitwise(stencil[k].laplacian(a[k], g.dx, g.dy), lap[k])
+                _assert_bitwise(
+                    stencil[k].flux_divergence(a[k], b[k], g.dx, g.dy), div[k])
 
 
 def test_stencils_of_two_masks_in_one_buffer_differ():
@@ -428,6 +476,27 @@ def test_convective_adjustment_matches_recompute_everything_oracle(masked):
     for a, b in zip(got, want):
         assert b.dtype == g.policy.float_dtype
         _assert_bitwise(a, b)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_stacked_mix_column_matches_one_call_per_field(masked, dtype):
+    """One elimination for fields that share a diffusivity: the matrix does
+    not depend on the right-hand side, so every field's bits are those of
+    its own call — with and without surface fluxes, member axes included."""
+    g, mask, view, fields = masked
+    t, s, u, kappa = (f.astype(dtype) for f in fields(4))
+    kappa = np.abs(kappa[1:]) * dtype(1e-3)
+    dz = g.dz.astype(dtype)
+    fluxes = [f[0] * dtype(1e-4) for f in (t, s)] + [None]
+    want = [mix_column_implicit(f, kappa, dz, 3600.0, flux, mask=view)
+            for f, flux in zip((t, s, u), fluxes)]
+    got = mix_column_implicit((t, s, u), kappa, dz, 3600.0, fluxes, mask=view)
+    assert isinstance(got, tuple) and len(got) == 3
+    for a, b in zip(got, want):
+        assert b.dtype == dtype
+        _assert_bitwise(a, b)
+    (alone,) = mix_column_implicit([u], kappa, dz, 3600.0)
+    _assert_bitwise(alone, mix_column_implicit(u, kappa, dz, 3600.0))
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -1,8 +1,11 @@
 """Integration tests for the FOAM ocean model and its baseline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.ocean import model as ocean_model
 from repro.ocean import (
     BarotropicParams,
     BarotropicSolver,
@@ -13,6 +16,8 @@ from repro.ocean import (
     aquaplanet_topography,
     world_topography,
 )
+from repro.util.tree import tree_map
+from tests.oracles import bitwise
 
 
 @pytest.fixture(scope="module")
@@ -224,3 +229,162 @@ def test_conventional_baseline_physics_comparable():
     # Temperature fields stay close (same physics, different step sizes).
     diff = np.abs(out_f.temp - out_c.temp).max()
     assert diff < 0.5
+
+
+# ------------------------------------------------------------- dtype
+def test_default_forcing_keeps_every_leaf_dtype():
+    """``run`` without a forcing must not promote a float32 run: the default
+    zero forcing carries the grid's dtype, so eta / ubar / vbar stay single."""
+    g = OceanGrid(nx=24, ny=24, nlev=5, dtype="float32")
+    model = OceanModel(g, *world_topography(g))
+    out = model.run(model.initial_state(), 2)
+    leaves = {f.name: getattr(out, f.name) for f in dataclasses.fields(out)}
+    arrays = {k: v for k, v in leaves.items() if isinstance(v, np.ndarray)}
+    assert len(arrays) == 7
+    assert {k: v.dtype for k, v in arrays.items()} == dict.fromkeys(
+        arrays, np.dtype(np.float32))
+
+
+# ------------------------------------------------------------- wet box, row blocks
+def _whole_grid(mask3d):
+    return mask3d.shape[0], 0, mask3d.shape[1]
+
+
+def _shelf_topography(grid):
+    """Two all-land rows at *each* wall, the floor two levels up, scattered
+    islands and three column depths in between."""
+    rng = np.random.default_rng(11)
+    land = rng.random((grid.ny, grid.nx)) < 0.2
+    land[:2] = land[-2:] = True
+    floors = grid.z_half[[2, grid.nlev - 3, grid.nlev - 2]]
+    depth = np.where(land, 0.0, rng.choice(floors, size=land.shape))
+    return land, depth
+
+
+def _channel_topography(grid):
+    """One wet row, one wet level: the box must still hold two rows."""
+    land = np.ones((grid.ny, grid.nx), dtype=bool)
+    land[grid.ny - 1, 2:-2] = False
+    return land, np.where(land, 0.0, float(grid.z_half[1]))
+
+
+def _boxed_and_whole(cls, grid, topography):
+    """(model on its wet box, the same model made to use the whole grid)."""
+    land, depth = topography(grid)
+    boxed = cls(grid, land, depth)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ocean_model, "_wet_box", _whole_grid)
+        whole = cls(grid, land, depth)
+    assert whole.box.index == np.s_[:grid.nlev, ..., 0:grid.ny, :]
+    return boxed, whole
+
+
+def _members(state, forcing, nens):
+    """``nens`` members of (state, forcing), each nudged differently."""
+    scale = 1.0 + 0.05 * np.arange(nens)
+    fdt = state.temp.dtype
+
+    def stack(a, axis):
+        shape = [1] * (a.ndim + 1)
+        shape[axis] = nens
+        return (np.stack([a] * nens, axis=axis)
+                * scale.reshape(shape)).astype(fdt)
+    state = tree_map(lambda a: stack(a, 1 if a.ndim == 3 else 0), state)
+    return state, tree_map(lambda a: stack(a, 0), forcing)
+
+
+def _forcing(model, seed=5):
+    """Wind bands, tropics-in / poles-out heat, fresh water: all non-zero."""
+    g = model.grid
+    rng = np.random.default_rng(seed)
+    lat = g.lats[:, None]
+    noise = rng.normal(size=(4, g.ny, g.nx))
+    fields = (-0.08 * np.cos(3 * lat) * np.cos(lat) + 0.01 * noise[0],
+              0.005 * noise[1],
+              40.0 * (np.cos(lat) ** 2 - 0.6) + 5.0 * noise[2],
+              1e-5 * noise[3])
+    return OceanForcing(*(f.astype(g.policy.float_dtype) for f in fields))
+
+
+def _assert_states_bitwise(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert bitwise(x, y) if isinstance(x, np.ndarray) else x == y, f.name
+
+
+BOX_CASES = {
+    # name: (topography, (nx, ny, nlev), the box is smaller than the grid)
+    "world": (world_topography, (32, 32, 8), True),
+    "aquaplanet": (aquaplanet_topography, (24, 24, 6), False),
+    "shelf": (_shelf_topography, (16, 20, 7), True),
+    "channel": (_channel_topography, (16, 12, 4), True),
+}
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("nens", [0, 3], ids=["serial", "members"])
+@pytest.mark.parametrize("case", BOX_CASES)
+def test_wet_box_step_equals_whole_grid_step(case, nens, dtype):
+    """The step on the wet box is the whole-grid step, bit for bit."""
+    topography, (nx, ny, nlev), smaller = BOX_CASES[case]
+    g = OceanGrid(nx=nx, ny=ny, nlev=nlev, dtype=dtype)
+    boxed, whole = _boxed_and_whole(OceanModel, g, topography)
+    assert (boxed.box.index != whole.box.index) == smaller
+    if case == "shelf":
+        assert boxed.box.index == np.s_[:nlev - 2, ..., 2:ny - 2, :]
+    state, forcing = boxed.initial_state(), _forcing(boxed)
+    if nens:
+        state, forcing = _members(state, forcing, nens)
+    a, b = state, state
+    for _ in range(3):
+        a, b = boxed.step(a, forcing), whole.step(b, forcing)
+    _assert_states_bitwise(a, b)
+    assert a.temp.dtype == np.dtype(dtype)
+    assert np.abs(a.u).max() > 0.0 or case == "channel"
+
+
+def test_wet_box_step_from_negative_zero_velocities():
+    """A column whose wet products are all -0.0 is the one place the dry
+    levels the box leaves out (which add +0.0 to the depth-mean sums) could
+    show: start from velocities of -0.0 everywhere."""
+    g = OceanGrid(nx=32, ny=32, nlev=8)
+    boxed, whole = _boxed_and_whole(OceanModel, g, world_topography)
+    state = boxed.initial_state()
+    for name in ("u", "v", "ubar", "vbar"):
+        getattr(state, name)[...] = -0.0
+    forcing = _forcing(boxed)
+    forcing.tauy[...] = 0.0
+    a, b = state, state
+    for _ in range(3):
+        a, b = boxed.step(a, forcing), whole.step(b, forcing)
+    _assert_states_bitwise(a, b)
+
+
+def test_conventional_baseline_on_wet_box_equals_whole_grid():
+    """The baseline rewrites ``dt_long`` / ``n_internal`` around every inner
+    step: nothing the box hoists may depend on them."""
+    g = OceanGrid(nx=32, ny=32, nlev=8)
+    boxed, whole = _boxed_and_whole(ConventionalOceanModel, g, world_topography)
+    assert boxed.box.index != whole.box.index and boxed.steps_per_long() > 5
+    state, forcing = boxed.initial_state(), _forcing(boxed)
+    _assert_states_bitwise(boxed.step(state, forcing), whole.step(state, forcing))
+
+
+@pytest.mark.parametrize("nens", [0, 3], ids=["serial", "members"])
+def test_internal_loop_is_bitwise_for_any_row_blocking(nens, monkeypatch):
+    """One row per block, a block size that does not divide the rows, and
+    one block for everything: the same bits."""
+    g = OceanGrid(nx=32, ny=32, nlev=8)
+    model = OceanModel(g, *world_topography(g))
+    state, forcing = model.initial_state(), _forcing(model)
+    if nens:
+        state, forcing = _members(state, forcing, nens)
+    kw, nyb = model.box.mask3d.shape[:2]
+    per_row = kw * max(nens, 1) * g.nx
+    assert nyb % 5 and nyb > 5
+    got = []
+    for elements in (1, 5 * per_row, 10**9):
+        monkeypatch.setattr(ocean_model, "_BLOCK_ELEMENTS", elements)
+        got.append(model.step(model.step(state, forcing), forcing))
+    _assert_states_bitwise(got[0], got[1])
+    _assert_states_bitwise(got[0], got[2])

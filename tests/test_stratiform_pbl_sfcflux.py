@@ -149,6 +149,30 @@ def test_surface_flux_injection_heats_lowest_layer():
     assert abs(out[0, 0, 0] - 280.0) < 1e-6
 
 
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["serial", "members"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_stacked_diffusion_matches_one_call_per_field(lead, dtype):
+    """theta, q, u, v diffuse with one K: built and eliminated once, every
+    field's bytes are those of its own ``diffuse_column`` call."""
+    L, shape = 7, lead + (4, 5)
+    rng = np.random.default_rng(2)
+    z = (np.linspace(6000.0, 40.0, L).reshape((L,) + (1,) * len(shape))
+         + rng.uniform(0.0, 20.0, size=(L,) + shape)).astype(dtype)
+    k_half = rng.uniform(0.1, 50.0, size=(L - 1,) + shape).astype(dtype)
+    rho = rng.uniform(0.4, 1.2, size=(L,) + shape).astype(dtype)
+    fields = [rng.normal(size=(L,) + shape).astype(dtype) for _ in range(4)]
+    fluxes = [rng.normal(size=shape).astype(dtype) for _ in range(3)] + [None]
+    want = [diffuse_column(f, k_half, z, 1800.0, surface_flux=flux, rho=rho)
+            for f, flux in zip(fields, fluxes)]
+    got = diffuse_column(fields, k_half, z, 1800.0, surface_flux=fluxes, rho=rho)
+    assert isinstance(got, tuple) and len(got) == 4
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == dtype and a.shape == b.shape
+        assert np.ascontiguousarray(a).tobytes() == b.tobytes()
+    with pytest.raises(ValueError):
+        diffuse_column(fields, k_half, z, 1800.0, surface_flux=fluxes)
+
+
 # ------------------------------------------------------------- PBL height
 def test_pbl_height_shallow_when_strongly_stable():
     L = 8
