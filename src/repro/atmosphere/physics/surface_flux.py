@@ -6,7 +6,7 @@ Two regimes, exactly as the paper describes the coupler doing:
   surface type and Louis-type stability functions of the bulk Richardson
   number;
 * **ocean**: the CCM3 update — the roughness length is *diagnosed* from wind
-  speed and stability via a Charnock relation, iterated once, so the drag
+  speed and stability via a Charnock relation, iterated twice, so the drag
   coefficient grows with wind speed ("a diagnosed surface roughness which is
   a function of wind speed and stability", paper section 4.1).
 
@@ -31,7 +31,6 @@ class SurfaceFluxParams:
     z_ref: float = 60.0          # m, height of the lowest model level (approx)
     min_wind: float = 1.0        # m/s gustiness floor
     z0_ocean_min: float = 1.5e-5  # m, smooth-flow limit
-    z0_ice: float = 5.0e-4
     louis_b: float = 5.0         # stability function coefficients
     louis_c: float = 5.0
     louis_d: float = 5.0
@@ -58,17 +57,22 @@ def neutral_coefficient(z0: np.ndarray, z_ref: float) -> np.ndarray:
 
 
 def ocean_roughness(wind: np.ndarray, rib: np.ndarray,
-                    p: SurfaceFluxParams = SurfaceFluxParams()) -> np.ndarray:
+                    p: SurfaceFluxParams = SurfaceFluxParams(),
+                    stability: np.ndarray | None = None) -> np.ndarray:
     """CCM3-style wind-speed-dependent ocean roughness (Charnock relation).
 
-    One fixed-point pass: z0 -> u* -> z0 = a u*^2 / g, floored at the
-    smooth-flow limit; stability enters through the friction velocity.
+    Two fixed-point passes from z0 = 0.1 mm: z0 -> u* -> z0 = a u*^2 / g,
+    floored at the smooth-flow limit.  Stability enters through the friction
+    velocity; its factor depends on ``rib`` alone, so it is evaluated once
+    (or handed in as ``stability`` by a caller that already has it).
     """
     w = np.maximum(wind, p.min_wind)
+    if stability is None:
+        stability = stability_function(rib, p)
+    f = np.maximum(stability, 0.05)
     z0 = np.full_like(w, 1.0e-4)
     for _ in range(2):
         cn = neutral_coefficient(z0, p.z_ref)
-        f = np.maximum(stability_function(rib, p), 0.05)
         ustar = np.sqrt(cn * f) * w
         z0 = np.maximum(CHARNOCK * ustar**2 / GRAVITY, p.z0_ocean_min)
     return z0
@@ -89,11 +93,17 @@ def bulk_fluxes(t_air: np.ndarray, q_air: np.ndarray, u_air: np.ndarray,
     stress on the surface ``taux, tauy`` (N/m^2), friction velocity
     ``ustar`` and the exchange coefficients.
     """
-    wind = np.sqrt(u_air**2 + v_air**2)
-    wind = np.maximum(wind, params.min_wind)
+    wind = np.maximum(np.sqrt(u_air**2 + v_air**2), params.min_wind)
     rib = bulk_richardson(t_air, t_sfc, wind, params.z_ref)
+    return _transfer(t_air, q_air, u_air, v_air, p_sfc, t_sfc, z0, wetness,
+                     wind, rib, stability_function(rib, params), params)
+
+
+def _transfer(t_air, q_air, u_air, v_air, p_sfc, t_sfc, z0, wetness,
+              wind, rib, stability, params: SurfaceFluxParams) -> dict:
+    """The bulk formulas, given floored wind, ``rib`` and its Louis factor."""
     cn = neutral_coefficient(z0, params.z_ref)
-    f = np.maximum(stability_function(rib, params), 0.02)
+    f = np.maximum(stability, 0.02)
     cd = cn * f                                  # momentum
     ch = cd                                      # heat ~ momentum at this level
     rho = p_sfc / (RD * 0.5 * (t_air + t_sfc))
@@ -114,9 +124,11 @@ def bulk_fluxes(t_air: np.ndarray, q_air: np.ndarray, u_air: np.ndarray,
 
 def ocean_fluxes(t_air, q_air, u_air, v_air, p_sfc, sst,
                  params: SurfaceFluxParams = SurfaceFluxParams()):
-    """Air-sea fluxes with the CCM3 diagnosed roughness (wetness = 1)."""
-    wind = np.sqrt(u_air**2 + v_air**2)
-    rib = bulk_richardson(t_air, sst, np.maximum(wind, params.min_wind), params.z_ref)
-    z0 = ocean_roughness(wind, rib, params)
-    return bulk_fluxes(t_air, q_air, u_air, v_air, p_sfc, sst, z0,
-                       np.ones_like(sst), params)
+    """Air-sea fluxes with the CCM3 diagnosed roughness (wetness = 1); the
+    roughness iteration and the bulk formulas share one stability factor."""
+    wind = np.maximum(np.sqrt(u_air**2 + v_air**2), params.min_wind)
+    rib = bulk_richardson(t_air, sst, wind, params.z_ref)
+    stability = stability_function(rib, params)
+    z0 = ocean_roughness(wind, rib, params, stability)
+    return _transfer(t_air, q_air, u_air, v_air, p_sfc, sst, z0,
+                     np.ones_like(sst), wind, rib, stability, params)

@@ -28,7 +28,39 @@ from repro.backend import get_workspace
 _BLOCK_ELEMENTS = 16384
 
 
-def _stencil(shape: tuple, lats: np.ndarray, lat_d: np.ndarray,
+class _LatitudeTable:
+    """What :func:`_stencil` needs of the latitude nodes, derived per call:
+    the node spacings and a uniform-bin lookup that replaces the search.
+
+    Bins are narrower than half the closest node spacing, so each holds at
+    most one node: ``guess[b]`` counts the nodes in lower bins, and
+    ``node[b] = lats[guess[b]]`` is the only node a value of bin ``b`` can
+    still exceed.  A value's bin is monotone in it, so ``guess[b] + (v >
+    node[b])`` is the left-sided ``searchsorted`` index of every finite ``v``.
+    """
+
+    def __init__(self, lats: np.ndarray):
+        self.lats = lats
+        self.dlat = np.diff(lats)
+        span = lats[-1] - lats[0]
+        self.nbin = int(2.0 * span / self.dlat.min()) + 1
+        self.scale = self.nbin / span
+        counts = np.bincount(self._bin(lats), minlength=self.nbin)
+        self.guess = np.cumsum(counts) - counts
+        self.node = lats[self.guess]
+
+    def _bin(self, v: np.ndarray) -> np.ndarray:
+        b = np.clip(v, self.lats[0], self.lats[-1])
+        b -= self.lats[0]
+        b *= self.scale
+        return np.minimum(b.astype(np.intp), self.nbin - 1)
+
+    def search(self, v: np.ndarray) -> np.ndarray:
+        b = self._bin(v)
+        return np.take(self.guess, b) + (v > np.take(self.node, b))
+
+
+def _stencil(shape: tuple, table: _LatitudeTable, lat_d: np.ndarray,
              lon_d: np.ndarray) -> tuple:
     """Bilinear stencil of departure points on ``shape`` = (..., nlat, nlon)
     lat-lon fields: the four flat corner indices and ``wx, 1-wx, wy, 1-wy``.
@@ -40,37 +72,42 @@ def _stencil(shape: tuple, lats: np.ndarray, lat_d: np.ndarray,
     gathered from itself.
     """
     nlat, nlon = shape[-2:]
-    dlon = 2.0 * np.pi / nlon
 
     # Non-finite departure points (a blown-up wind field) fall back to zero;
     # the caller's state is already garbage at that point and will be caught
     # by its own finiteness checks.
-    lon_d = np.nan_to_num(lon_d, nan=0.0, posinf=0.0, neginf=0.0)
-    lat_d = np.nan_to_num(lat_d, nan=0.0, posinf=0.0, neginf=0.0)
-    x = np.mod(lon_d, 2.0 * np.pi)
-    x /= dlon
+    if not (np.isfinite(lat_d).all() and np.isfinite(lon_d).all()):
+        lat_d, lon_d = (np.nan_to_num(a, nan=0.0, posinf=0.0, neginf=0.0)
+                        for a in (lat_d, lon_d))
+    # Nearly every longitude is in [0, 2 pi) already: wrap the few that are
+    # not (mod is the identity on the rest, bar -0.0, which indexes alike).
+    x = lon_d.copy()
+    np.mod(x, 2.0 * np.pi, out=x, where=(x < 0.0) | (x >= 2.0 * np.pi))
+    x /= 2.0 * np.pi / nlon
     floor_x = np.floor(x)
-    i0 = floor_x.astype(int) % nlon
-    i1 = (i0 + 1) % nlon
+    i0 = floor_x.astype(int)            # x is in [0, nlon]: only nlon wraps
+    i0[i0 == nlon] = 0
+    i1 = i0 + 1
+    i1[i1 == nlon] = 0
     wx = np.subtract(x, floor_x, out=x)
 
-    # Latitude: Gaussian nodes are not uniform; use searchsorted.
-    j1 = np.clip(np.searchsorted(lats, lat_d), 1, nlat - 1)
+    # Latitude: Gaussian nodes are not uniform; look the interval up.
+    j1 = np.clip(table.search(lat_d), 1, nlat - 1)
     j0 = j1 - 1
-    wy = lat_d - lats[j0]
-    wy /= lats[j1] - lats[j0]
+    wy = lat_d - np.take(table.lats, j0)
+    wy /= np.take(table.dlat, j0)              # lats[j1] - lats[j0]
     np.clip(wy, 0.0, 1.0, out=wy)
 
     # Flattened-index gathers: np.take on a 1-D view moves the same elements
     # as the fancy index (bitwise-identical) at a fraction of the cost; the
     # slab offset lets every (level, member) gather from its own field.
-    base = (np.arange(math.prod(shape[:-2])) * (nlat * nlon)).reshape(
-        shape[:-2] + (1, 1))
     j0 *= nlon
-    j0 += base
-    j1 *= nlon
-    j1 += base
-    return j0 + i0, j0 + i1, j1 + i0, j1 + i1, wx, 1.0 - wx, wy, 1.0 - wy
+    j0 += (np.arange(math.prod(shape[:-2])) * (nlat * nlon)).reshape(
+        shape[:-2] + (1, 1))
+    idx00 = j0 + i0
+    idx01 = np.add(j0, i1, out=j0)
+    return (idx00, idx01, idx00 + nlon, idx01 + nlon,
+            wx, 1.0 - wx, wy, 1.0 - wy)
 
 
 def _interpolate(field: np.ndarray, stencil: tuple) -> np.ndarray:
@@ -103,15 +140,18 @@ def _interpolate(field: np.ndarray, stencil: tuple) -> np.ndarray:
 def _bilinear_sphere(field: np.ndarray, lats: np.ndarray, lons: np.ndarray,
                      lat_d: np.ndarray, lon_d: np.ndarray) -> np.ndarray:
     """Bilinear interpolation of a (..., nlat, nlon) field at (lat_d, lon_d)."""
-    return _interpolate(field, _stencil(field.shape, lats, lat_d, lon_d))
+    return _interpolate(field, _stencil(field.shape, _LatitudeTable(lats),
+                                        lat_d, lon_d))
 
 
 def departure_points(tr: SpectralTransform, u: np.ndarray, v: np.ndarray,
-                     dt: float) -> tuple[np.ndarray, np.ndarray]:
+                     dt: float, table: _LatitudeTable | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Upstream departure (lat, lon) for every grid point, one midpoint pass.
 
     ``u, v`` are (..., nlat, nlon); the float64 grid geometry (three 1-D
-    arrays) is derived from the transform on each call, so nothing is cached.
+    arrays and ``table``, when the caller has not built it already) is
+    derived from the transform on each call, so nothing is cached.
     """
     ws = get_workspace()
     shape = u.shape
@@ -129,7 +169,7 @@ def departure_points(tr: SpectralTransform, u: np.ndarray, v: np.ndarray,
     t_lon = np.multiply(u, 0.5 * dt, out=ws.empty("semilag.tlon", shape, fdt))
     t_lon /= acoslat
     lon_mid = np.subtract(lon2, t_lon, out=t_lon)
-    mid = _stencil(shape, tr.lats, lat_mid, lon_mid)
+    mid = _stencil(shape, table or _LatitudeTable(tr.lats), lat_mid, lon_mid)
     u_mid = _interpolate(u, mid)
     v_mid = _interpolate(v, mid)
     v_mid *= dt
@@ -157,8 +197,10 @@ def advect_semilagrangian(tr: SpectralTransform, u: np.ndarray, v: np.ndarray,
     # Storing the float64 interpolant into it narrows to ``q.dtype``.
     out = get_workspace().empty_like("semilag.out", q)
     step = max(1, _BLOCK_ELEMENTS // q[0].size)
+    table = _LatitudeTable(tr.lats)
     for l in range(0, q.shape[0], step):
         blk = slice(l, l + step)
-        lat_d, lon_d = departure_points(tr, u[blk], v[blk], dt)
-        out[blk] = _bilinear_sphere(q[blk], tr.lats, tr.lons, lat_d, lon_d)
+        lat_d, lon_d = departure_points(tr, u[blk], v[blk], dt, table)
+        out[blk] = _interpolate(q[blk], _stencil(q[blk].shape, table,
+                                                 lat_d, lon_d))
     return np.maximum(out, 0.0)

@@ -258,24 +258,20 @@ class FoamModel:
         ``external_fluxes``), so the coupler rank needs no flux arrays back
         from the atmosphere pool beyond precip and radiation.
         """
-        t_sfc_atm = surface.t_sfc
-        net_sfc = (sw_sfc + lw_down
-                   - STEFAN_BOLTZMANN * t_sfc_atm**4
-                   - turb["atm"]["shf"] - turb["atm"]["lhf"])
+        net_rad = sw_sfc + lw_down - STEFAN_BOLTZMANN * surface.t_sfc**4
+        net_sfc = net_rad - turb["atm"]["shf"] - turb["atm"]["lhf"]
         new_cpl, discharge_atm, cpl_diags = self.coupler.step_land_and_rivers(
             cpl_state, precip=precip, evap=turb["atm"]["evap"],
             t_low1=t_low1, t_low2=t_low2, net_land_flux=net_sfc, dt=dt)
 
         # --- accumulate ocean forcing ---------------------------------------
         with profile_section("coupler.regrid_merge"):
-            ov = self.coupler.overlap
-            rad_ocn = self.coupler.surface_radiation_to_ocean(
-                sw_sfc=sw_sfc, lw_down=lw_down, t_sfc=t_sfc_atm)
-            heat_ocn = rad_ocn - turb["ocn_turb_heat_loss"]
-            precip_ocn = ov.to_ocn(np.where(self.coupler._water_overlap,
-                                            ov.from_atm(precip), 0.0))
+            # Radiation, rain and river mouths reach the ocean through its
+            # water overlap cells only, like the turbulent fluxes.
+            to_ocn = self.coupler.water_flux_to_ocean
+            heat_ocn = to_ocn(net_rad) - turb["ocn_turb_heat_loss"]
             discharge_ocn = self.coupler.discharge_to_ocean_grid(discharge_atm)
-            fresh = precip_ocn - turb["ocn_evap"] + discharge_ocn
+            fresh = to_ocn(precip) - turb["ocn_evap"] + discharge_ocn
 
             step = OceanForcing(turb["ocn_taux"], turb["ocn_tauy"],
                                 heat_ocn, fresh)

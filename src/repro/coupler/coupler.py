@@ -11,10 +11,11 @@ hydrology model to the oceans."*
 Responsibilities implemented here:
 
 * build the overlap grid between the two component grids (:mod:`overlap`);
-* classify every overlap cell as open ocean / sea ice / land;
-* compute turbulent fluxes once per overlap cell — CCM3 wind-dependent
-  roughness over water, CCM2 bulk formulas with soil-type roughness over
-  land — and area-average them back to both grids;
+* classify every overlap cell as open ocean / sea ice / land (an exchange
+  plan, re-derived when the ice mask changes);
+* compute turbulent fluxes once per overlap cell, one formula each — CCM3
+  wind-dependent roughness over open water, CCM2 bulk formulas over sea ice
+  and over land — and area-average them back to both grids;
 * run the land four-layer soil model, the 15 cm bucket hydrology, the river
   routing, and the thermodynamic sea ice;
 * close the hydrological cycle: precipitation - evaporation + river
@@ -35,7 +36,7 @@ from repro.atmosphere.physics.surface_flux import (
     bulk_fluxes,
     ocean_fluxes,
 )
-from repro.backend import DTypePolicy, get_workspace, policy_from_name
+from repro.backend import DTypePolicy, policy_from_name
 from repro.coupler.hydrology import HydrologyState, step_hydrology, wetness_factor
 from repro.coupler.land import LandModel, LandState, soil_types_from_latitude
 from repro.coupler.overlap import OverlapGrid
@@ -47,12 +48,12 @@ from repro.coupler.seaice import (
     SeaIceState,
 )
 from repro.perf.profiler import profiled
-from repro.util.constants import (
-    EARTH_RADIUS,
-    STEFAN_BOLTZMANN,
-)
+from repro.util.constants import EARTH_RADIUS
 
 OCEAN_ALBEDO = 0.07
+#: The fluxes the exchange carries to both grids (``bulk_fluxes`` returns
+#: more; nothing reads the rest).
+FLUX_KEYS = ("shf", "lhf", "evap", "taux", "tauy", "ustar")
 
 
 @dataclass
@@ -74,7 +75,6 @@ class CouplerDiagnostics:
     evap_total: float = 0.0
     runoff_total: float = 0.0
     river_discharge_total: float = 0.0
-    ocean_heat_flux_mean: float = 0.0  # W/m^2 over the ocean
 
 
 class FluxCoupler:
@@ -100,6 +100,15 @@ class FluxCoupler:
         self.atm_land_mask = self.atm_ocean_frac < 0.5
         self.ocn_land_mask = ocn_land_mask
         self._water_overlap = water_on_overlap > 0.5   # open-water overlap cells
+        # The static half of the exchange plan: the water cells as flat
+        # overlap indices, with their source cells and areas.
+        ov = self.overlap
+        self._water_ov = np.flatnonzero(self._water_overlap)
+        self._water_atm = ov._a_flat[self._water_ov]
+        self._water_ocn = ov._o_flat[self._water_ov]
+        self._water_area = ov._areas_flat[self._water_ov]
+        self._plan_key = self._plan = None     # see _exchange_plan
+        self.plans_built = self.plan_requests = 0
 
         # Land-side components live on the atmosphere grid.
         lat_deg = np.degrees(atm_lats)
@@ -166,6 +175,48 @@ class FluxCoupler:
                             z0=z0, ocean_mask=ocean_mask)
 
     # ------------------------------------------------------------------
+    def _exchange_plan(self, ice_mask: np.ndarray) -> tuple:
+        """The open-water and the sea-ice overlap cells under ``ice_mask``
+        (ocean grid), each as flat C-ordered (overlap, atmosphere, ocean)
+        index arrays, member-offset under leading member axes; and where, of
+        the water cells, ice shields the stress.  A derived cache of the
+        masks this coupler owns, keyed on the mask's *content*: rebuilt when
+        the ice edge moves or the member shape changes, reused otherwise."""
+        self.plan_requests += 1
+        if self._plan is None or not np.array_equal(self._plan_key, ice_mask):
+            ov = self.overlap
+            nov, natm, nocn = ov.areas.size, ov._atm_area.size, ov._ocn_area.size
+            ice_ov = ice_mask.reshape(-1, nocn)[:, ov._o_flat] & ~ov._ocn_invalid
+
+            def cells(mask):
+                member, cell = np.nonzero(mask)
+                return (member * nov + cell, member * natm + ov._a_flat[cell],
+                        member * nocn + ov._o_flat[cell])
+
+            self._plan_key = ice_mask.copy()
+            self._plan = (
+                cells(self._water_overlap.ravel() & ~ice_ov), cells(ice_ov),
+                ice_ov[:, self._water_ov].reshape(
+                    ice_mask.shape[:-2] + (-1,)))
+            self.plans_built += 1
+        return self._plan
+
+    def _water_to_ocn(self, on_water: np.ndarray) -> np.ndarray:
+        """Area-average values on the water cells, (..., n_water), onto the
+        ocean grid: ``overlap.to_ocn`` of the field that is zero on every
+        other cell, bit for bit — the terms left out are ``+0.0`` and a
+        ``bincount`` accumulator is never ``-0.0`` (DESIGN.md)."""
+        ov = self.overlap
+        return ov.scatter(on_water * self._water_area, self._water_ocn,
+                          ov._ocn_area_safe)
+
+    def water_flux_to_ocean(self, atm_field: np.ndarray) -> np.ndarray:
+        """An atmosphere-grid flux, (..., nlat, nlon), onto the ocean grid
+        through the water overlap cells only (land cells contribute zero)."""
+        flat = atm_field.reshape(atm_field.shape[:-2] + (-1,))
+        return self._water_to_ocn(np.take(flat, self._water_atm, axis=-1))
+
+    # ------------------------------------------------------------------
     @profiled("coupler.fluxes")
     def turbulent_fluxes(self, state: CouplerState, *, t_air: np.ndarray,
                          q_air: np.ndarray, u_air: np.ndarray,
@@ -174,80 +225,69 @@ class FluxCoupler:
         """Compute surface turbulent fluxes once per overlap cell (Fig. 1).
 
         Atmosphere inputs are lowest-model-level fields on the atm grid; SST
-        on the ocean grid.  Returns a dict with the fluxes already averaged
-        onto both grids:
+        on the ocean grid.  Every overlap cell gets exactly one formula,
+        evaluated on the coarsest grid that determines it: CCM3 over the
+        gathered open-water cells, CCM2 bulk over the gathered sea-ice cells
+        and — every land input lives there — over the *atmosphere grid*,
+        gathered afterwards.  Returns a dict with the ``FLUX_KEYS`` fluxes
+        already averaged onto both grids:
 
         * ``atm``: dict usable as ``external_fluxes`` by the physics driver;
         * ``ocn_taux/ocn_tauy``: stress on the ocean grid (ice-divided);
         * ``ocn_turb_heat_loss``: SH + LH leaving the water surface (W/m^2);
         * ``ocn_evap``: evaporation from the water surface (kg m^-2 s^-1);
-        * plus the raw overlap-cell fields for conservation checks.
+        * ``overlap``: the raw overlap-cell fields, for conservation checks.
         """
         ov = self.overlap
-        water = self._water_overlap
-        ice_ov = ov.from_ocn(state.ice.mask.astype(float), fill=0.0) > 0.5
-        open_water = water & ~ice_ov
-
-        ta = ov.from_atm(t_air)
-        qa = ov.from_atm(q_air)
-        ua = ov.from_atm(u_air)
-        va = ov.from_atm(v_air)
-        pa = ov.from_atm(ps)
+        ice = state.ice
+        lead = ice.thickness.shape[:-2]
+        if not t_air.shape[:-2] == sst_celsius.shape[:-2] == lead:
+            raise ValueError(f"t_air {t_air.shape} and SST {sst_celsius.shape}"
+                             f" must carry the ice state's member axes {lead}")
+        (open_ov, open_atm, open_ocn), (ice_ov, ice_atm, ice_ocn), \
+            ice_on_water = self._exchange_plan(ice.mask)
+        air = (t_air, q_air, u_air, v_air, ps)
+        land_skin = self.land_model.skin_temperature(state.land)
+        wet_land = wetness_factor(state.hydrology,
+                                  self.land_model.soil_type == 4)
+        z0_land = self.land_model.roughness
+        # Ice and land share one "solid" formula: each side's inputs take
+        # the dtype a whole-grid merge of the two would promote them to.
+        t_dtype = np.result_type(ice.surface_temp, land_skin)
 
         sst_k = np.nan_to_num(sst_celsius, nan=-1.92) + 273.15
-        sst_ov = ov.from_ocn(sst_k, fill=271.23)
-        ice_skin_ov = ov.from_ocn(state.ice.surface_temp, fill=271.23)
-        land_skin_ov = ov.from_atm(self.land_model.skin_temperature(state.land))
-        wet_land_ov = ov.from_atm(wetness_factor(
-            state.hydrology, self.land_model.soil_type == 4))
-        z0_land_ov = ov.from_atm(self.land_model.roughness)
+        f_open = ocean_fluxes(*(a.ravel()[open_atm] for a in air),
+                              sst_k.ravel()[open_ocn], self.flux_params)
+        f_ice = bulk_fluxes(
+            *(a.ravel()[ice_atm] for a in air),
+            ice.surface_temp.ravel()[ice_ocn].astype(t_dtype, copy=False),
+            np.full(ice_ov.size, SEAICE_ROUGHNESS, z0_land.dtype),
+            np.ones(ice_ov.size, wet_land.dtype), self.flux_params)
+        f_land = bulk_fluxes(*air, land_skin.astype(t_dtype, copy=False),
+                             z0_land, wet_land, self.flux_params)
 
-        # CCM3 formulas over open water; CCM2 bulk over land and ice.
-        f_ocean = ocean_fluxes(ta, qa, ua, va, pa, sst_ov, self.flux_params)
-        t_solid = np.where(ice_ov, ice_skin_ov, land_skin_ov)
-        z0_solid = np.where(ice_ov, SEAICE_ROUGHNESS, z0_land_ov)
-        wet_solid = np.where(ice_ov, 1.0, wet_land_ov)
-        f_solid = bulk_fluxes(ta, qa, ua, va, pa, t_solid, z0_solid,
-                              wet_solid, self.flux_params)
-
-        fluxes_ov = {k: np.where(open_water, f_ocean[k], f_solid[k])
-                     for k in f_ocean}
-
-        atm_fluxes = {k: ov.to_atm(v) for k, v in fluxes_ov.items()}
+        # One stacked (key, ..., nlat, nlon) overlap buffer: land values
+        # gathered from the atmosphere grid, the other two classes scattered
+        # over them; one averaging pass takes all six fields back.
+        stacked = ov.from_atm(np.stack([f_land[k] for k in FLUX_KEYS])).astype(
+            np.result_type(f_open["shf"], f_land["shf"]), copy=False)
+        for row, k in zip(stacked.reshape(len(FLUX_KEYS), -1), FLUX_KEYS):
+            row[open_ov] = f_open[k]
+            row[ice_ov] = f_ice[k]
+        fluxes_ov = dict(zip(FLUX_KEYS, stacked))
+        atm_fluxes = dict(zip(FLUX_KEYS, ov.to_atm(stacked)))
 
         # Ocean receives stress (ice-shielded), turbulent heat loss and evap
-        # only from its water cells.
-        taux_ov, tauy_ov = SeaIceModel.stress_to_ocean(
-            fluxes_ov["taux"], fluxes_ov["tauy"], ice_ov)
-        zero = get_workspace().zeros_like("coupler.zero_ov", taux_ov)
-        ocn_taux = ov.to_ocn(np.where(water, taux_ov, zero))
-        ocn_tauy = ov.to_ocn(np.where(water, tauy_ov, zero))
-        turb_loss_ov = np.where(water, fluxes_ov["shf"] + fluxes_ov["lhf"], zero)
-        ocn_turb = ov.to_ocn(turb_loss_ov)
-        ocn_evap = ov.to_ocn(np.where(water, fluxes_ov["evap"], zero))
+        # only from its water cells (all of FLUX_KEYS but the last, ustar).
+        shf, lhf, evap, taux, tauy = np.take(
+            stacked[:5].reshape((5,) + lead + (-1,)), self._water_ov, axis=-1)
+        taux, tauy = SeaIceModel.stress_to_ocean(taux, tauy, ice_on_water)
+        ocn_taux, ocn_tauy, ocn_turb, ocn_evap = self._water_to_ocn(
+            np.stack([taux, tauy, shf + lhf, evap]))
 
-        return {
-            "atm": atm_fluxes,
-            "overlap": fluxes_ov,
-            "ocn_taux": ocn_taux,
-            "ocn_tauy": ocn_tauy,
-            "ocn_turb_heat_loss": ocn_turb,
-            "ocn_evap": ocn_evap,
-        }
-
-    # ------------------------------------------------------------------
-    def surface_radiation_to_ocean(self, *, sw_sfc: np.ndarray,
-                                   lw_down: np.ndarray,
-                                   t_sfc: np.ndarray) -> np.ndarray:
-        """Net radiative flux INTO the surface, mapped to the ocean grid.
-
-        ``sw_sfc`` (absorbed solar), ``lw_down`` and ``t_sfc`` live on the
-        atmosphere grid (radiation is an atmosphere column computation).
-        """
-        ov = self.overlap
-        net_atm = sw_sfc + lw_down - STEFAN_BOLTZMANN * t_sfc**4
-        return ov.to_ocn(np.where(self._water_overlap,
-                                  ov.from_atm(net_atm), 0.0))
+        return {"atm": atm_fluxes, "overlap": fluxes_ov,
+                "ocn_taux": ocn_taux, "ocn_tauy": ocn_tauy,
+                "ocn_turb_heat_loss": ocn_turb, "ocn_evap": ocn_evap}
 
     # ------------------------------------------------------------------
     @profiled("coupler.land_rivers")
@@ -315,9 +355,7 @@ class FluxCoupler:
     def discharge_to_ocean_grid(self, discharge_atm: np.ndarray) -> np.ndarray:
         """Map river-mouth discharge (atm grid) onto the ocean grid, conserving mass."""
         ov = self.overlap
-        ov_field = ov.from_atm(discharge_atm)
-        ov_field = np.where(self._water_overlap, ov_field, 0.0)
-        mapped = ov.to_ocn(ov_field)
+        mapped = self.water_flux_to_ocean(discharge_atm)
         # Rescale to conserve the global freshwater integral exactly
         # (coastline mismatch between grids can clip some discharge cells).
         # The conservation ratio is a per-member scalar.

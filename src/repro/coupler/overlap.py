@@ -19,6 +19,7 @@ depends on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,56 +115,60 @@ class OverlapGrid:
 
     # ------------------------------------------------------------------
     def _build_weights(self) -> None:
-        """Per-target-cell area normalizations for the averaging passes.
-
-        The broadcast 2-D scatter indices and the clamped denominators are
-        built once here and reused by every :meth:`to_atm` / :meth:`to_ocn`
-        call — the regrid runs every coupling interval and must not rebuild
-        its index arrays each time.
-        """
-        self._a_idx = (
-            self.a_lat_of[:, None] * np.ones_like(self.a_lon_of[None, :]),
-            np.ones_like(self.a_lat_of[:, None]) * self.a_lon_of[None, :])
-        self._atm_area = np.zeros((len(self.atm_lats), self.atm_nlon))
-        np.add.at(self._atm_area, self._a_idx, self.areas)
+        """Flat gather / scatter indices and per-target-cell area
+        normalizations, built once: the regrid runs every coupling interval
+        and must not rebuild its index arrays each time."""
         valid = self.ocean_valid_mask()
         self._ocn_valid = valid
-        self._ocn_invalid = ~valid
+        self._ocn_invalid = ~valid.ravel()
         o_lat = np.where(self.o_lat_of >= 0, self.o_lat_of, 0)
-        self._o_idx = (
-            o_lat[:, None] * np.ones_like(self.o_lon_of[None, :], dtype=int),
-            np.ones_like(o_lat[:, None], dtype=int) * self.o_lon_of[None, :])
-        self._ocn_area = np.zeros((len(self.ocn_lats), self.ocn_nlon))
-        np.add.at(self._ocn_area, self._o_idx,
-                  np.where(valid, self.areas, 0.0))
-        self._atm_area_safe = np.maximum(self._atm_area, 1e-30)
-        self._ocn_area_safe = np.maximum(self._ocn_area, 1e-30)
-        # Flattened scatter indices for the bincount-based averaging passes
-        # (bincount accumulates in the same C traversal order as np.add.at,
-        # so the swap is bitwise-neutral — and an order of magnitude faster).
-        self._a_flat = (self._a_idx[0] * self.atm_nlon
-                        + self._a_idx[1]).ravel()
-        self._o_flat = (self._o_idx[0] * self.ocn_nlon
-                        + self._o_idx[1]).ravel()
-        self._flat_cache: dict = {}
-        # Flattened gather indices for from_atm/from_ocn: np.take along a
-        # flattened trailing axis moves the same elements as the broadcast
-        # 2-D fancy index (bitwise-identical), substantially faster.
+        # Source cell of every overlap cell, flattened: np.take along a
+        # flattened trailing axis moves the same elements as a broadcast 2-D
+        # fancy index, substantially faster.  The same indices, raveled, are
+        # the bins of the averaging passes (bincount accumulates in C order).
         self._a_gather = (self.a_lat_of[:, None] * self.atm_nlon
                           + self.a_lon_of[None, :])
         self._o_gather = o_lat[:, None] * self.ocn_nlon + self.o_lon_of[None, :]
+        self._a_flat = self._a_gather.ravel()
+        self._o_flat = self._o_gather.ravel()
+        self._areas_flat = self.areas.ravel()
+        self._slab_cache: list = []
+        self._atm_area = np.bincount(self._a_flat, weights=self._areas_flat).reshape(
+            len(self.atm_lats), self.atm_nlon)
+        self._ocn_area = np.bincount(
+            self._o_flat, weights=np.where(valid, self.areas, 0.0).ravel(),
+            minlength=len(self.ocn_lats) * self.ocn_nlon).reshape(
+                len(self.ocn_lats), self.ocn_nlon)
+        self._atm_area_safe = np.maximum(self._atm_area, 1e-30)
+        self._ocn_area_safe = np.maximum(self._ocn_area, 1e-30)
 
-    def _flat_scatter_idx(self, flat: np.ndarray, ncell: int,
-                          lead: tuple) -> np.ndarray:
-        """Member-offset flattened scatter indices, cached per batch shape."""
-        if not lead:
-            return flat
-        key = (flat is self._a_flat, lead[0])
-        cached = self._flat_cache.get(key)
-        if cached is None:
-            cached = (np.arange(lead[0])[:, None] * ncell + flat[None]).ravel()
-            self._flat_cache[key] = cached
+    def _slab_bins(self, bins: np.ndarray, ncell: int, nslab: int) -> np.ndarray:
+        """``bins`` offset by ``ncell`` per slab (member, stacked field),
+        cached per (index array, slab count)."""
+        if nslab == 1:
+            return bins
+        for base, n, cached in self._slab_cache:
+            if base is bins and n == nslab:
+                return cached
+        cached = (np.arange(nslab)[:, None] * ncell + bins).ravel()
+        self._slab_cache.append((bins, nslab, cached))
         return cached
+
+    def scatter(self, weighted: np.ndarray, bins: np.ndarray,
+                area_safe: np.ndarray) -> np.ndarray:
+        """Sum area-weighted values (..., n) into the target cells ``bins``
+        names and divide by the target areas: the averaging pass.
+
+        Any leading axes (members, stacked fields) carry through; each slab
+        accumulates its cells in the same C order as an unbatched scatter,
+        so results are bitwise identical per slab.
+        """
+        lead = weighted.shape[:-1]
+        nslab = math.prod(lead)
+        out = np.bincount(self._slab_bins(bins, area_safe.size, nslab),
+                          weights=weighted.ravel(),
+                          minlength=nslab * area_safe.size)
+        return out.reshape(lead + area_safe.shape) / area_safe
 
     def ocean_valid_mask(self) -> np.ndarray:
         """(nlat, nlon) overlap cells that lie inside the ocean grid's span."""
@@ -190,41 +195,23 @@ class OverlapGrid:
     # ------------------------------------------------------------------
     # scatter: overlap grid -> component grid (area-weighted average)
     # ------------------------------------------------------------------
-    def to_atm(self, overlap_field: np.ndarray) -> np.ndarray:
-        """Area-average the overlap field onto the atmosphere grid.
+    def _weighted(self, overlap_field: np.ndarray) -> np.ndarray:
+        """field x cell area, (..., nlat * nlon), in a float64 work buffer."""
+        flat = overlap_field.reshape(overlap_field.shape[:-2] + (-1,))
+        return np.multiply(flat, self._areas_flat, out=get_workspace().empty(
+            "overlap.weighted", flat.shape, np.float64))
 
-        Leading (ensemble) axes on ``overlap_field`` carry through; each
-        member accumulates its overlap cells in the same C order as the
-        unbatched scatter, so results are bitwise identical per member.
-        """
-        ws = get_workspace()
-        lead = overlap_field.shape[:-2]
-        weighted = np.multiply(overlap_field, self.areas,
-                               out=ws.empty("overlap.weighted",
-                                            lead + self.areas.shape, np.float64))
-        ncell = len(self.atm_lats) * self.atm_nlon
-        idx = self._flat_scatter_idx(self._a_flat, ncell, lead)
-        out = np.bincount(idx, weights=weighted.ravel(),
-                          minlength=int(np.prod(lead, dtype=int)) * ncell)
-        out = out.reshape(lead + (len(self.atm_lats), self.atm_nlon))
-        return out / self._atm_area_safe
+    def to_atm(self, overlap_field: np.ndarray) -> np.ndarray:
+        """Area-average the overlap field onto the atmosphere grid."""
+        return self.scatter(self._weighted(overlap_field), self._a_flat,
+                            self._atm_area_safe)
 
     def to_ocn(self, overlap_field: np.ndarray) -> np.ndarray:
-        """Area-average the overlap field onto the ocean grid."""
-        ws = get_workspace()
-        lead = overlap_field.shape[:-2]
-        weighted = np.multiply(overlap_field, self.areas,
-                               out=ws.empty("overlap.weighted",
-                                            lead + self.areas.shape, np.float64))
-        # Zeroing invalid cells in place adds the same 0.0 terms, in the
-        # same order, as the old np.where operand did.
+        """Area-average the overlap field onto the ocean grid (cells outside
+        its span contribute nothing, whatever they hold)."""
+        weighted = self._weighted(overlap_field)
         weighted[..., self._ocn_invalid] = 0.0
-        ncell = len(self.ocn_lats) * self.ocn_nlon
-        idx = self._flat_scatter_idx(self._o_flat, ncell, lead)
-        out = np.bincount(idx, weights=weighted.ravel(),
-                          minlength=int(np.prod(lead, dtype=int)) * ncell)
-        out = out.reshape(lead + (len(self.ocn_lats), self.ocn_nlon))
-        return out / self._ocn_area_safe
+        return self.scatter(weighted, self._o_flat, self._ocn_area_safe)
 
     # ------------------------------------------------------------------
     def integrate(self, overlap_field: np.ndarray) -> float:

@@ -33,12 +33,12 @@ Design
   uplink traffic is FIFO, a ``send`` is always routed before the same
   child's ``finished``/``blocked``.
 * **Shared memory for bulk payloads.**  ndarrays of at least 64 KiB
-  (``_SHM_MIN_BYTES``) travel as named POSIX shared-memory blocks; the
-  queues carry only small pickled envelopes referencing them.  The
-  receiver copies out of the block and unlinks it, preserving MPI
-  copy-on-send semantics end to end.  One resource tracker is started
-  *before* forking so create/attach/unlink bookkeeping balances across
-  processes.
+  (``_SHM_MIN_BYTES``), in a message or in a rank's result, travel as
+  named POSIX shared-memory blocks; the queues carry only small pickled
+  envelopes referencing them.  The receiver copies out of the block and
+  unlinks it, preserving MPI copy-on-send semantics end to end.  One
+  resource tracker is started *before* forking so create/attach/unlink
+  bookkeeping balances across processes.
 * **Deadlock detection by marshalled wait-for graph.**  A blocked child
   reports (op, peer, tag, ctx) along with how many messages it has seen;
   the world is declared deadlocked when every live rank's report is
@@ -393,11 +393,17 @@ def _child_main(rank: int, size: int, fn: Callable[..., Any], args: tuple,
     profiling = prof.enabled
     client = _Client(rank, size, uplink, downlink, plan)
     comm = ProcComm(rank, size, client, timeout=timeout)
+    result = None
     try:
         result = fn(comm, *args)
+        get_workspace().clear()     # so the copies below stay under the rank's peak RSS
+        # Bulk arrays go home in shm blocks, as messages do: in the blob, the queue's
+        # feeder thread copies them during teardown — a race for the rank's peak RSS.
+        result = _encode_payload(result)
         blob = pickle.dumps((result, prof.snapshot() if profiling else None),
                             protocol=pickle.HIGHEST_PROTOCOL)
     except BaseException as exc:  # noqa: BLE001 - marshalled to the parent
+        _unlink_refs(result)       # the blocks of a result that did not pickle
         uplink.put(("done", rank, None, _picklable_exc(exc)))
     else:
         uplink.put(("done", rank, blob, None))
@@ -590,9 +596,9 @@ def run_ranks(size: int, fn: Callable[..., Any], *,
     :func:`_default_timeout` (low under pytest, ``REPRO_SIMMPI_TIMEOUT``
     overrides).  ``faults`` is an optional
     :class:`~repro.parallel.faults.FaultPlan` perturbing all traffic.
-    Results and exceptions must be picklable — they cross a process
-    boundary (an unpicklable result is reported as a structured
-    :class:`CommError` on that rank).
+    Results (message-like trees: bulk arrays come home through shm) and
+    exceptions must be picklable — they cross a process boundary; an
+    unpicklable result is that rank's error, as if the worker had raised.
 
     With ``return_exceptions=False`` (default), exceptions on any rank are
     re-raised in the caller after all ranks have been joined, preferring
@@ -637,17 +643,18 @@ def run_ranks(size: int, fn: Callable[..., Any], *,
     for q in [uplink, *downlinks]:
         q.cancel_join_thread()
         q.close()
+    results: list[Any] = [None] * size
+    prof = get_profiler()
+    for r, blob in enumerate(router.results):
+        if blob is not None:        # decoded even when about to raise: frees shm
+            result, rank_profile = pickle.loads(blob)
+            results[r] = _decode_payload(result)
+            if rank_profile is not None:
+                prof.absorb(rank_profile)
     if not ok:
         stuck = sum(1 for d in router.done if not d)
         raise CommError(
             f"{stuck} rank process(es) failed to finish (deadlock?)")
-    results: list[Any] = [None] * size
-    prof = get_profiler()
-    for r, blob in enumerate(router.results):
-        if blob is not None:
-            results[r], rank_profile = pickle.loads(blob)
-            if rank_profile is not None:
-                prof.absorb(rank_profile)
     errors = router.errors
     if return_exceptions:
         return [errors[r] if errors[r] is not None else results[r]

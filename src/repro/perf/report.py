@@ -6,7 +6,7 @@ shows the event-simulator calibration derived from it
 (:func:`repro.perf.costmodel.calibrate_from_profile`) — closing the loop
 between the real Python components and the modeled 1997 machine::
 
-    PYTHONPATH=src python -m repro.perf.report --days 0.5
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m repro.perf.report --days 0.5
     PYTHONPATH=src python -m repro.perf.report --json profile.json
     PYTHONPATH=src python -m repro.perf.report --load profile.json
     PYTHONPATH=src python -m repro.perf.report --atm-ranks 2 --ocn-ranks 1
@@ -24,6 +24,7 @@ import ``repro.perf.profiler`` and must not be pulled in circularly.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.atmosphere.spectral import legendre_plan_stats
@@ -38,6 +39,17 @@ from repro.perf.profiler import (
 from repro.runs import RunHarness, RunPlan, RunResult, plan_from_flags
 
 
+def format_blas_threads(profile: RunProfile) -> str:
+    """The header line: what set this run's BLAS thread count.  The shell
+    decides it here; ``benchmarks/e2e`` pins all three to 1 (unpinned, thread
+    sync on 18 x 18 matmuls inflates ``atmosphere.implicit`` fivefold)."""
+    env = profile.meta.get("blas_threads")
+    if env is None:
+        return "BLAS threads: not recorded in this profile"
+    seen = " ".join(f"{var}={value or 'unset'}" for var, value in env)
+    return f"BLAS threads: {seen}; the ledger runs with 1"
+
+
 def format_kernel_caches(profile: RunProfile) -> str:
     """Render the kernel-cache health block from profile metadata."""
     stats = profile.meta.get("kernel_caches")
@@ -45,13 +57,18 @@ def format_kernel_caches(profile: RunProfile) -> str:
         return "kernel caches: not recorded in this profile"
     plan, ws = stats["legendre_plan"], stats["workspace"]
     requests = ws["hits"] + ws["misses"]
-    return "\n".join([
+    lines = [
         "kernel caches:",
         f"  legendre plans   {plan['builds']} built, {plan['hits']} cache hits",
         f"  workspace        {ws['hits']} hits / {ws['misses']} misses "
         f"({ws['hits'] / max(requests, 1):.1%} hit rate), "
         f"{ws['buffers']} buffers, {ws['nbytes'] / 1e6:.1f} MB resident",
-    ])
+    ]
+    exchange = profile.meta.get("exchange_plans")
+    if exchange:        # in-process coupler only; a pool run records none
+        lines.append(f"  exchange plans   {exchange['built']} built / "
+                     f"{exchange['requests']} requests")
+    return "\n".join(lines)
 
 
 def profile_run(plan: RunPlan) -> tuple[RunProfile, RunResult]:
@@ -64,7 +81,8 @@ def profile_run(plan: RunPlan) -> tuple[RunProfile, RunResult]:
     processes — and the harness result (its ``concurrent`` segments carry
     the waits).  The metadata records what ran, including the dtype
     :func:`calibrate_from_profile` sizes communication volumes with, and
-    the kernel-cache counters (the rank arenas' on a pool run).
+    the kernel-cache counters (the rank arenas' on a pool run; the
+    coupler's exchange-plan counter where the coupler ran in this process).
     """
     harness = RunHarness(plan)
     state = harness.initial_state()
@@ -78,6 +96,9 @@ def profile_run(plan: RunPlan) -> tuple[RunProfile, RunResult]:
     if result.concurrent:       # the parent's arena is idle: sum the ranks'
         workspace = {key: sum(ws[key] for seg in result.concurrent
                               for ws in seg.ws_stats) for key in workspace}
+    coupler = harness.model.coupler         # idle when ranks did the run
+    exchange = None if result.concurrent else {
+        "built": coupler.plans_built, "requests": coupler.plan_requests}
     shape = {"serial": "", "ensemble": f", nens={plan.nens}",
              "concurrent": f", {plan.n_atm} atm + 1 cpl + {plan.n_ocn} ocn ranks"}
     return take_profile(
@@ -88,6 +109,12 @@ def profile_run(plan: RunPlan) -> tuple[RunProfile, RunResult]:
               "atm_grid": [cfg.atm_nlat, cfg.atm_nlon, cfg.atm_nlev],
               "ocn_grid": [cfg.ocn_ny, cfg.ocn_nx, cfg.ocn_nlev],
               "dtype": cfg.dtype_policy.name,
+              # recorded, never acted on: (name, value or None) pairs
+              "blas_threads": [
+                  ("OPENBLAS_NUM_THREADS", os.environ.get("OPENBLAS_NUM_THREADS")),
+                  ("OMP_NUM_THREADS", os.environ.get("OMP_NUM_THREADS")),
+                  ("MKL_NUM_THREADS", os.environ.get("MKL_NUM_THREADS"))],
+              "exchange_plans": exchange,
               "kernel_caches": {"legendre_plan": legendre_plan_stats(),
                                 "workspace": workspace}}), result
 
@@ -178,6 +205,7 @@ def main(argv: list[str] | None = None) -> int:
         profile, result = profile_run(plan)
         segments = result.concurrent
 
+    print(format_blas_threads(profile))
     print(profile.format_table(min_fraction=args.min_fraction))
     print()
     for segment in segments:

@@ -13,16 +13,32 @@ oracle ``test_kernels.py`` / ``test_dynamics.py`` / ``test_spectral.py``
 compare against.  The semi-Lagrangian step
 (:mod:`repro.atmosphere.semilag`) is pinned the same way: the per-level
 loop that rebuilt its geometry and searched the latitude table three
-times per level is the oracle ``test_semilag.py`` holds the planned,
-level-blocked step to, bit for bit.  Nothing in ``src/`` imports this
-module.
+times per level (``np.mod`` on every longitude, ``np.searchsorted`` on
+every latitude) is the oracle ``test_semilag.py`` holds the planned,
+level-blocked, table-lookup step to, bit for bit.  So is the coupler's
+exchange (:meth:`repro.coupler.FluxCoupler.turbulent_fluxes`): the
+whole-grid formulation — both bulk formulas on every overlap cell, merged
+by ``np.where``, the Louis stability function three times per ocean cell,
+every ocean-bound field through a whole-grid ``to_ocn`` — is the oracle
+``test_flux_coupler.py`` holds the planned exchange to.  Nothing in
+``src/`` imports this module.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.atmosphere.physics.surface_flux import (
+    CHARNOCK,
+    bulk_richardson,
+    neutral_coefficient,
+    stability_function,
+)
 from repro.atmosphere.spectral import _epsilon
+from repro.coupler.hydrology import wetness_factor
+from repro.coupler.seaice import SEAICE_ROUGHNESS, SeaIceModel
+from repro.util.constants import CP, GRAVITY, LATENT_HEAT_VAP, RD
+from repro.util.thermo import saturation_mixing_ratio
 
 
 def bitwise(a, b) -> bool:
@@ -213,3 +229,110 @@ def advect_semilagrangian_ref(tr, u: np.ndarray, v: np.ndarray,
         lat_d, lon_d = departure_points_ref(tr, u[l], v[l], dt)
         out[l] = bilinear_sphere_ref(q[l], tr.lats, lat_d, lon_d)
     return np.maximum(out, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Surface exchange: both formulas on every overlap cell, merged by np.where
+# ---------------------------------------------------------------------------
+def bulk_fluxes_ref(t_air, q_air, u_air, v_air, p_sfc, t_sfc, z0, wetness,
+                    params) -> dict:
+    """Reference bulk transfer fluxes: wind, Richardson number and stability
+    factor all computed here."""
+    wind = np.sqrt(u_air**2 + v_air**2)
+    wind = np.maximum(wind, params.min_wind)
+    rib = bulk_richardson(t_air, t_sfc, wind, params.z_ref)
+    cn = neutral_coefficient(z0, params.z_ref)
+    f = np.maximum(stability_function(rib, params), 0.02)
+    cd = cn * f
+    ch = cd
+    rho = p_sfc / (RD * 0.5 * (t_air + t_sfc))
+    shf = rho * CP * ch * wind * (t_sfc - t_air)
+    qsat_sfc = saturation_mixing_ratio(t_sfc, p_sfc)
+    evap = rho * ch * wind * wetness * np.maximum(qsat_sfc - q_air, -q_air)
+    lhf = LATENT_HEAT_VAP * evap
+    taux = rho * cd * wind * u_air
+    tauy = rho * cd * wind * v_air
+    ustar = np.sqrt(cd) * wind
+    return {"shf": shf, "lhf": lhf, "evap": evap, "taux": taux, "tauy": tauy,
+            "ustar": ustar, "cd": cd, "ch": ch, "rib": rib}
+
+
+def ocean_roughness_ref(wind, rib, p) -> np.ndarray:
+    """Reference Charnock iteration: the stability factor re-evaluated in
+    each of the two passes."""
+    w = np.maximum(wind, p.min_wind)
+    z0 = np.full_like(w, 1.0e-4)
+    for _ in range(2):
+        cn = neutral_coefficient(z0, p.z_ref)
+        f = np.maximum(stability_function(rib, p), 0.05)
+        ustar = np.sqrt(cn * f) * w
+        z0 = np.maximum(CHARNOCK * ustar**2 / GRAVITY, p.z0_ocean_min)
+    return z0
+
+
+def ocean_fluxes_ref(t_air, q_air, u_air, v_air, p_sfc, sst, params) -> dict:
+    """Reference air-sea fluxes: three stability-function evaluations on one
+    Richardson number (two in the roughness loop, one in the bulk body)."""
+    wind = np.sqrt(u_air**2 + v_air**2)
+    rib = bulk_richardson(t_air, sst, np.maximum(wind, params.min_wind),
+                          params.z_ref)
+    z0 = ocean_roughness_ref(wind, rib, params)
+    return bulk_fluxes_ref(t_air, q_air, u_air, v_air, p_sfc, sst, z0,
+                           np.ones_like(sst), params)
+
+
+def turbulent_fluxes_ref(coupler, state, *, t_air, q_air, u_air, v_air, ps,
+                         sst_celsius) -> dict:
+    """Reference exchange: every input gathered onto the whole overlap grid
+    one field at a time, both formulas on all of it, nine fields averaged
+    back one ``to_atm`` / ``to_ocn`` call each."""
+    ov = coupler.overlap
+    water = coupler._water_overlap
+    ice_ov = ov.from_ocn(state.ice.mask.astype(float), fill=0.0) > 0.5
+    open_water = water & ~ice_ov
+
+    ta = ov.from_atm(t_air)
+    qa = ov.from_atm(q_air)
+    ua = ov.from_atm(u_air)
+    va = ov.from_atm(v_air)
+    pa = ov.from_atm(ps)
+
+    sst_k = np.nan_to_num(sst_celsius, nan=-1.92) + 273.15
+    sst_ov = ov.from_ocn(sst_k, fill=271.23)
+    ice_skin_ov = ov.from_ocn(state.ice.surface_temp, fill=271.23)
+    land_skin_ov = ov.from_atm(coupler.land_model.skin_temperature(state.land))
+    wet_land_ov = ov.from_atm(wetness_factor(
+        state.hydrology, coupler.land_model.soil_type == 4))
+    z0_land_ov = ov.from_atm(coupler.land_model.roughness)
+
+    f_ocean = ocean_fluxes_ref(ta, qa, ua, va, pa, sst_ov, coupler.flux_params)
+    t_solid = np.where(ice_ov, ice_skin_ov, land_skin_ov)
+    z0_solid = np.where(ice_ov, SEAICE_ROUGHNESS, z0_land_ov)
+    wet_solid = np.where(ice_ov, 1.0, wet_land_ov)
+    f_solid = bulk_fluxes_ref(ta, qa, ua, va, pa, t_solid, z0_solid,
+                              wet_solid, coupler.flux_params)
+
+    fluxes_ov = {k: np.where(open_water, f_ocean[k], f_solid[k])
+                 for k in f_ocean}
+    atm_fluxes = {k: ov.to_atm(v) for k, v in fluxes_ov.items()}
+
+    taux_ov, tauy_ov = SeaIceModel.stress_to_ocean(
+        fluxes_ov["taux"], fluxes_ov["tauy"], ice_ov)
+    zero = np.zeros_like(taux_ov)
+    return {
+        "atm": atm_fluxes,
+        "overlap": fluxes_ov,
+        "ocn_taux": ov.to_ocn(np.where(water, taux_ov, zero)),
+        "ocn_tauy": ov.to_ocn(np.where(water, tauy_ov, zero)),
+        "ocn_turb_heat_loss": ov.to_ocn(np.where(
+            water, fluxes_ov["shf"] + fluxes_ov["lhf"], zero)),
+        "ocn_evap": ov.to_ocn(np.where(water, fluxes_ov["evap"], zero)),
+    }
+
+
+def water_to_ocn_ref(coupler, atm_field: np.ndarray) -> np.ndarray:
+    """Reference water-only regrid of an atmosphere-grid flux: the whole
+    overlap grid through ``to_ocn``, dry cells as explicit zeros."""
+    ov = coupler.overlap
+    return ov.to_ocn(np.where(coupler._water_overlap,
+                              ov.from_atm(atm_field), 0.0))

@@ -3,19 +3,31 @@
 import numpy as np
 import pytest
 
+from repro.atmosphere.physics.surface_flux import (
+    SurfaceFluxParams,
+    bulk_fluxes,
+    ocean_fluxes,
+    ocean_roughness,
+)
 from repro.atmosphere.spectral import gaussian_latitudes
 from repro.coupler import FluxCoupler
+from repro.coupler.coupler import FLUX_KEYS
 from repro.ocean import OceanGrid, world_topography
+from repro.util.constants import T_FREEZE_SEA
+from repro.util.tree import tree_leaves, tree_map
+from tests import oracles as K
+
+
+def _coupler(dtype=None):
+    mu, _ = gaussian_latitudes(16)
+    g = OceanGrid(nx=24, ny=24, nlev=4)
+    land, _depth = world_topography(g)
+    return FluxCoupler(np.arcsin(mu), 24, g.lats, 24, land, dtype=dtype), g, land
 
 
 @pytest.fixture(scope="module")
 def setup():
-    mu, _ = gaussian_latitudes(16)
-    atm_lats = np.arcsin(mu)
-    g = OceanGrid(nx=24, ny=24, nlev=4)
-    land, depth = world_topography(g)
-    coupler = FluxCoupler(atm_lats, 24, g.lats, 24, land)
-    return coupler, g, land
+    return _coupler()
 
 
 def make_atm_fields(nlat=16, nlon=24, seed=0):
@@ -186,3 +198,172 @@ def test_sea_ice_step_freshwater_bookkeeping(setup):
             dt=6 * 3600.0)
     assert new_state.ice.mask.sum() > 0
     assert np.all(fw[land] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the planned exchange == the whole-grid oracle, bitwise
+# ---------------------------------------------------------------------------
+def _inputs(g, land, dtype, seed=0):
+    """Atmosphere fields and SST as a run of that precision hands them over
+    (the coupler's own state stays float64 either way)."""
+    fields = {k: v.astype(dtype) for k, v in make_atm_fields(seed=seed).items()}
+    rng = np.random.default_rng(100 + seed)
+    sst = make_sst(g, land) + rng.normal(scale=1.5, size=land.shape)
+    return fields, sst.astype(dtype)
+
+
+def _state(coupler, g, land, ice: str, seed=0):
+    """A coupler state with noisy land / hydrology / ice-skin fields and ice
+    nowhere (``free``), poleward of 55 degrees (``polar``) or on every ocean
+    cell (``snowball``)."""
+    rng = np.random.default_rng(200 + seed)
+    state = coupler.initial_state()
+    icy = {"free": np.zeros_like(land),
+           "polar": (np.abs(np.degrees(g.lats))[:, None] > 55) & ~land,
+           "snowball": ~land}[ice]
+    state.ice.thickness[...] = np.where(icy, 1.0, 0.0)
+    state.ice.surface_temp[...] = np.where(
+        icy, 255.0 + rng.normal(scale=6.0, size=land.shape), T_FREEZE_SEA)
+    shape = state.land.soil_temp.shape[-2:]
+    state.land.soil_temp[0] += rng.normal(scale=8.0, size=shape)
+    state.hydrology.soil_moisture[...] = rng.uniform(0.0, 0.15, shape)
+    state.hydrology.snow_depth[...] = np.where(rng.random(shape) < 0.2,
+                                               0.01, 0.0)
+    return state
+
+
+def _assert_matches_oracle(coupler, state, fields, sst):
+    got = coupler.turbulent_fluxes(state, sst_celsius=sst, **fields)
+    want = K.turbulent_fluxes_ref(coupler, state, sst_celsius=sst, **fields)
+    for part in ("atm", "overlap"):
+        assert tuple(got[part]) == FLUX_KEYS
+        want[part] = {k: want[part][k] for k in FLUX_KEYS}
+    got_leaves, want_leaves = dict(tree_leaves(got)), dict(tree_leaves(want))
+    assert got_leaves.keys() == want_leaves.keys()
+    for path, leaf in got_leaves.items():
+        assert K.bitwise(leaf, want_leaves[path]), path
+    return got
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("ice", ["free", "polar", "snowball"])
+def test_planned_exchange_matches_whole_grid_oracle(ice, dtype):
+    coupler, g, land = _coupler(dtype)
+    fields, sst = _inputs(g, land, dtype)
+    out = _assert_matches_oracle(coupler, _state(coupler, g, land, ice),
+                                 fields, sst)
+    assert out["atm"]["shf"].dtype == np.float64
+    assert np.isfinite(out["ocn_evap"]).all()
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_signed_zero_winds_and_nan_sst(dtype):
+    """Calm air as ``-0.0`` (stress of either zero sign on every cell class)
+    under a land-NaN SST exactly as ``OceanModel.sst`` returns it."""
+    coupler, g, land = _coupler(dtype)
+    fields, sst = _inputs(g, land, dtype)
+    assert np.isnan(sst[land]).all() and land.any()
+    fields["u_air"][::2] = -0.0
+    fields["v_air"][:, ::3] = -0.0
+    fields["u_air"][5:9] = -0.0
+    fields["v_air"][5:9] = -0.0
+    out = _assert_matches_oracle(coupler, _state(coupler, g, land, "polar"),
+                                 fields, sst)
+    assert np.signbit(out["overlap"]["taux"]).any()
+
+
+def test_exchange_plan_follows_the_ice_mask():
+    """One coupler, the ice edge moving and moving back: the plan is rebuilt
+    when the mask's content changes and reused while it does not — a new
+    skin temperature, or another state object with the same mask, is not a
+    change."""
+    coupler, g, land = _coupler("float64")
+    fields, sst = _inputs(g, land, "float64")
+    free, polar = (_state(coupler, g, land, ice) for ice in ("free", "polar"))
+    assert (coupler.plans_built, coupler.plan_requests) == (0, 0)
+    built = []
+    for state in (free, free, polar, _state(coupler, g, land, "polar", seed=1),
+                  polar, free, free):
+        _assert_matches_oracle(coupler, state, fields, sst)
+        built.append(coupler.plans_built)
+    assert built == [1, 1, 2, 2, 2, 3, 3]
+    assert coupler.plan_requests == 7
+    # An in-place edit of the state is seen too: the key is a stored copy.
+    free.ice.thickness[...] = polar.ice.thickness
+    _assert_matches_oracle(coupler, free, fields, sst)
+    assert coupler.plans_built == 4
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_member_batch_with_different_ice_masks(dtype):
+    """Three members, three ice masks, three SSTs: one batched call equals
+    the oracle and, per member, the serial call; the member shape is part
+    of the plan's key, so serial and batched calls may alternate."""
+    coupler, g, land = _coupler(dtype)
+    kinds = ("free", "polar", "snowball")
+    states = [_state(coupler, g, land, ice, seed=e)
+              for e, ice in enumerate(kinds)]
+    inputs = [_inputs(g, land, dtype, seed=e) for e in range(3)]
+
+    def stack(*members):
+        return tree_map(lambda *a: np.stack(a, axis=-3), *members)
+
+    batch = _assert_matches_oracle(
+        coupler, stack(*states), stack(*(f for f, _ in inputs)),
+        stack(*(sst for _, sst in inputs)))
+    for e, (state, (fields, sst)) in enumerate(zip(states, inputs)):
+        serial = _assert_matches_oracle(coupler, state, fields, sst)
+        for (path, leaf), (_, member) in zip(
+                tree_leaves(serial),
+                tree_leaves(tree_map(lambda a: a[e], batch))):
+            assert K.bitwise(leaf, member), (e, path)
+    with pytest.raises(ValueError, match="member axes"):
+        coupler.turbulent_fluxes(states[0], sst_celsius=inputs[0][1],
+                                 **stack(*(f for f, _ in inputs)))
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_water_only_regrid_matches_whole_grid_oracle(lead):
+    """Radiation, rain and river mouths go to the ocean through the water
+    cells only: dropping the dry cells' ``+0.0`` terms changes no bit, with
+    negative zeros and both signs in the field."""
+    coupler, g, land = _coupler("float64")
+    rng = np.random.default_rng(9)
+    for dtype in (np.float64, np.float32):
+        field = rng.normal(size=lead + (16, 24)).astype(dtype)
+        field[..., ::3, :] = -0.0
+        field[..., 1::3, ::2] = 0.0
+        got = coupler.water_flux_to_ocean(field)
+        assert K.bitwise(got, K.water_to_ocn_ref(coupler, field))
+        assert not np.signbit(got[got == 0.0]).any()
+        assert np.all(got[..., land] == 0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_shared_stability_is_the_three_evaluation_form(dtype):
+    """``ocean_fluxes`` evaluates the Louis function once and shares it with
+    the roughness iteration and the bulk body: the same bytes as evaluating
+    it three times; ``bulk_fluxes`` keeps its nine-key contract."""
+    rng = np.random.default_rng(11)
+    n = 4001
+    t_air = (285.0 + rng.normal(scale=8.0, size=n)).astype(dtype)
+    sst = (286.0 + rng.normal(scale=8.0, size=n)).astype(dtype)
+    q_air = rng.uniform(0.0, 0.02, n).astype(dtype)
+    u = rng.normal(scale=8.0, size=n).astype(dtype)
+    v = rng.normal(scale=8.0, size=n).astype(dtype)
+    u[:50] = v[:50] = 0.0                    # under the gustiness floor
+    ps = rng.uniform(9.5e4, 1.03e5, n).astype(dtype)
+    p = SurfaceFluxParams()
+    got = ocean_fluxes(t_air, q_air, u, v, ps, sst, p)
+    want = K.ocean_fluxes_ref(t_air, q_air, u, v, ps, sst, p)
+    assert got.keys() == want.keys() and len(got) == 9
+    assert all(K.bitwise(got[k], want[k]) for k in got)
+    z0 = rng.uniform(1e-4, 0.5, n)
+    wet = rng.uniform(0.0, 1.0, n)
+    got = bulk_fluxes(t_air, q_air, u, v, ps, sst, z0, wet, p)
+    want = K.bulk_fluxes_ref(t_air, q_air, u, v, ps, sst, z0, wet, p)
+    assert got.keys() == want.keys() and len(got) == 9
+    assert all(K.bitwise(got[k], want[k]) for k in got)
+    wind = np.sqrt(u**2 + v**2)
+    assert K.bitwise(ocean_roughness(wind, got["rib"], p),
+                     K.ocean_roughness_ref(wind, got["rib"], p))

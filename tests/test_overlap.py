@@ -113,3 +113,21 @@ def test_no_interpolation_of_state(grids):
     f[:, :12] = 1.0
     ov = grids.from_atm(f)
     assert set(np.unique(ov)) == {0.0, 1.0}
+
+
+@pytest.mark.parametrize("target", ["to_atm", "to_ocn"])
+def test_scatter_of_stacked_leads_matches_per_slice(grids, target):
+    """Any number of leading axes (stacked fields x members) scatters slab
+    by slab, bitwise; two batches that share their first axis but not their
+    slab count do not share scatter indices."""
+    from tests.oracles import bitwise
+
+    rng = np.random.default_rng(6)
+    op = getattr(grids, target)
+    stacked = rng.normal(size=(3, 2, grids.nlat, grids.nlon))
+    members = rng.normal(size=(3, grids.nlat, grids.nlon))
+    for batch in (stacked, members, stacked):
+        got = op(batch)
+        assert got.shape[:-2] == batch.shape[:-2]
+        for lead in np.ndindex(*batch.shape[:-2]):
+            assert bitwise(got[lead], op(batch[lead])), lead

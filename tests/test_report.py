@@ -65,9 +65,32 @@ def test_cli_prints_section_table(capsys, tmp_path):
     assert "calibrated event-simulator costs" in text
     assert "blocking waits" not in text          # serial: no waits block
     assert "kernel caches:" in text
+    # No ice forms in six steps: one plan, asked for once per step.
+    assert "exchange plans   1 built / 6 requests" in text
 
     saved = json.loads(out.read_text())
     assert saved["sections"]   # non-empty profile was written
+
+
+def test_table_says_what_blas_threads_it_ran_on(capsys, tmp_path, monkeypatch):
+    """The header line prints the three thread variables as the process saw
+    them — recorded in ``profile.meta``, never set — and survives a JSON
+    round trip; a profile saved without them says so."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")
+    line = ("BLAS threads: OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset "
+            "MKL_NUM_THREADS=3; the ledger runs with 1")
+    out = tmp_path / "profile.json"
+    assert main(["--days", "0.25", "--json", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == line
+    assert main(["--load", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == line
+    old = RunProfile.load(out)
+    del old.meta["blas_threads"]
+    old.save(out)
+    assert main(["--load", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("BLAS threads: not recorded")
 
 
 def test_cli_renders_saved_profile(capsys, tmp_path, quarter_day_profile):
@@ -105,6 +128,7 @@ def test_cli_ensemble_flag(capsys):
     text = capsys.readouterr().out
     assert "nens=2" in text
     assert "atmosphere" in text and "ocean" in text
+    assert "exchange plans   1 built / 6 requests" in text
 
 
 def test_cli_ensemble_excludes_ranks(capsys):
@@ -121,8 +145,11 @@ def test_cli_pool_run_honours_dtype_and_seed(capsys, tmp_path):
     rc = main(["--days", "0.25", "--atm-ranks", "1", "--dtype", "float32",
                "--seed", "5", "--json", str(out)])
     assert rc == 0
-    assert "blocking waits over" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert "blocking waits over" in text
+    assert "exchange plans" not in text     # the coupler ran in a rank
     meta = RunProfile.load(out).meta
+    assert meta["exchange_plans"] is None
     assert meta["dtype"] == "float32"
     assert meta["seed"] == 5
     assert meta["mode"] == "concurrent"

@@ -1,11 +1,14 @@
 """Tests for semi-Lagrangian moisture transport."""
 
+import ast
 import math
-import re
 from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.atmosphere import semilag
 from repro.atmosphere.semilag import (
@@ -189,24 +192,125 @@ def test_two_grids_used_alternately(tr):
 
 
 def test_latitude_search_once_per_set_of_departure_points(monkeypatch):
-    """An 18-level paper-size column searches the latitude table exactly
-    twice per block (midpoint, then departure points): ``u_mid`` and
-    ``v_mid`` share one stencil.  One function under ``atmosphere/`` calls
-    ``np.searchsorted`` at all."""
+    """An 18-level paper-size column looks latitudes up exactly twice per
+    block (midpoint, then departure points) — ``u_mid`` and ``v_mid`` share
+    one stencil — through a table derived once per
+    ``advect_semilagrangian`` call.  Nothing under ``atmosphere/`` calls
+    ``searchsorted`` any more."""
     tr = SpectralTransform(nlat=40, nlon=48, trunc=Truncation(15))
     u, v, q = _winds(tr, (18,), np.float64)
-    calls = []
-    real = np.searchsorted
+    tables, stencils = [], []
 
-    def counting(a, x, *args, **kwargs):
-        calls.append(np.shape(x))
-        return real(a, x, *args, **kwargs)
+    class CountingTable(semilag._LatitudeTable):
+        def __init__(self, lats):
+            tables.append(lats)
+            super().__init__(lats)
 
-    monkeypatch.setattr(semilag.np, "searchsorted", counting)
-    advect_semilagrangian(tr, u, v, q, 3600.0)
+    real = semilag._stencil
+
+    def counting(shape, table, lat_d, lon_d):
+        stencils.append(table)
+        return real(shape, table, lat_d, lon_d)
+
+    monkeypatch.setattr(semilag, "_LatitudeTable", CountingTable)
+    monkeypatch.setattr(semilag, "_stencil", counting)
+    for _ in range(2):
+        advect_semilagrangian(tr, u, v, q, 3600.0)
     n_blocks = math.ceil(18 / _levels_per_block(tr, (18,)))
     assert n_blocks == 3
-    assert len(calls) == 2 * n_blocks, calls
-    sources = "".join(p.read_text() for p in
-                      Path(semilag.__file__).parent.glob("*.py"))
-    assert len(re.findall(r"np\.searchsorted\(", sources)) == 1
+    assert len(tables) == 2 and all(t is tr.lats for t in tables)
+    assert len(stencils) == 2 * 2 * n_blocks
+    assert len({id(t) for t in stencils}) == 2      # one table per call
+    searches = [node for path in Path(semilag.__file__).parent.rglob("*.py")
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Attribute)
+                and node.attr == "searchsorted"]
+    assert not searches
+
+
+# ---------------------------------------------------------------------------
+# the table lookup is the search; the masked wrap is the modulo
+# ---------------------------------------------------------------------------
+_GRIDS = {nlat: SpectralTransform(nlat, 48, Truncation(7)).lats
+          for nlat in (24, 40)}
+
+
+def _edge_latitudes(lats):
+    return np.concatenate([lats, np.nextafter(lats, np.inf),
+                           np.nextafter(lats, -np.inf),
+                           [-np.pi, np.pi, -1e300, 1e300, 0.0, -0.0]])
+
+
+@pytest.mark.parametrize("nlat", sorted(_GRIDS))
+def test_table_lookup_is_searchsorted_at_the_edges(nlat):
+    """Every node, one ulp either side of it, and values beyond both ends."""
+    lats = _GRIDS[nlat]
+    v = _edge_latitudes(lats)
+    got = semilag._LatitudeTable(lats).search(v)
+    assert got.dtype == np.intp
+    np.testing.assert_array_equal(got, np.searchsorted(lats, v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nlat=st.sampled_from(sorted(_GRIDS)),
+       v=hnp.arrays(np.float64, st.integers(1, 64),
+                    elements=st.floats(allow_nan=False, allow_infinity=False)),
+       near=st.lists(st.tuples(st.integers(0, 39), st.integers(-3, 3)),
+                     max_size=16))
+def test_table_lookup_is_searchsorted_everywhere(nlat, v, near):
+    """Arbitrary finite values, and values a few ulps from arbitrary nodes."""
+    lats = _GRIDS[nlat]
+    close = []
+    for j, ulps in near:
+        x = lats[j % nlat]
+        for _ in range(abs(ulps)):
+            x = np.nextafter(x, np.sign(ulps) * np.inf)
+        close.append(x)
+    v = np.concatenate([v, close])
+    np.testing.assert_array_equal(semilag._LatitudeTable(lats).search(v),
+                                  np.searchsorted(lats, v))
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (4, 2)])
+def test_adversarial_departure_points_match_oracle(lead):
+    """A field of all-distinct values, so a wrong corner index or weight
+    changes bytes; blocks seeded with the values the index arithmetic
+    special-cases (``+-0.0``, ``2 pi`` and its neighbours, far out of range,
+    every grid longitude and latitude, non-finite)."""
+    tr = SpectralTransform(nlat=40, nlon=48, trunc=Truncation(15))
+    rng = np.random.default_rng(7)
+    shape = lead + (tr.nlat, tr.nlon)
+    field = rng.permutation(math.prod(shape)).reshape(shape) + 0.5
+    two_pi = 2.0 * np.pi
+    lon_seeds = np.concatenate([
+        [0.0, -0.0, two_pi, np.nextafter(two_pi, 0.0),
+         np.nextafter(two_pi, 9.0), -1e-18, -1e-3, -two_pi, -7.0, -13.0,
+         2 * two_pi, 13.0, 26.0, 1e300, np.nan, np.inf, -np.inf],
+        tr.lons, np.nextafter(tr.lons, 9.0), np.nextafter(tr.lons, -9.0),
+        tr.lons - two_pi, tr.lons + two_pi])
+    lat_seeds = np.concatenate([_edge_latitudes(tr.lats),
+                                [np.nan, np.inf, -np.inf]])
+    for rep in range(8):
+        lon_d = rng.uniform(-0.1, two_pi + 0.1, shape)
+        lat_d = rng.uniform(-1.7, 1.7, shape)
+        if rep < 2:                     # the in-model case: nothing to wrap
+            lon_d = rng.uniform(0.0, two_pi, shape)
+            lat_d = np.clip(lat_d, tr.lats[0], tr.lats[-1])
+        else:
+            for coord, seeds in ((lon_d, lon_seeds), (lat_d, lat_seeds)):
+                where = rng.choice(coord.size, 2 * seeds.size, replace=False)
+                coord.reshape(-1)[where] = np.tile(seeds, 2)
+        want = _per_slab(K.bilinear_sphere_ref, field, tr.lats, lat_d, lon_d)
+        keep = lat_d.copy(), lon_d.copy()
+        got = _bilinear_sphere(field, tr.lats, tr.lons, lat_d, lon_d)
+        assert _bitwise(got, want), rep
+        # the inputs are the caller's (workspace) buffers: left untouched
+        assert _bitwise(lat_d, keep[0]) and _bitwise(lon_d, keep[1])
+
+
+def _per_slab(ref, field, lats, lat_d, lon_d):
+    """The oracle takes one (nlat, nlon) or (E, nlat, nlon) field."""
+    if field.ndim <= 3:
+        return ref(field, lats, lat_d, lon_d)
+    return np.stack([ref(f, lats, la, lo)
+                     for f, la, lo in zip(field, lat_d, lon_d)])

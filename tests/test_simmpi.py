@@ -1,9 +1,13 @@
 """Unit tests for the simulated MPI layer (repro.parallel.procmpi on commbase)."""
 
+import glob
+
 import numpy as np
 import pytest
 
 from repro.parallel import ANY_SOURCE, CommError, CommStats, DeadlockError, run_ranks
+from repro.util.tree import tree_leaves
+from tests.oracles import bitwise
 
 pytestmark = pytest.mark.parallel
 
@@ -175,6 +179,50 @@ def test_worker_exception_propagates():
 
     with pytest.raises(ValueError, match="rank 1 blew up"):
         run_ranks(3, worker, timeout=5.0)
+
+
+def _shm_blocks() -> set:
+    return set(glob.glob("/dev/shm/psm_*"))
+
+
+def test_bulk_results_come_home_through_shared_memory(monkeypatch):
+    """A rank's result travels as its messages do — arrays of at least 64 KiB
+    in shm blocks, so the queue's feeder thread has nothing bulk to copy while
+    the rank tears down (that race set the rank's peak RSS) — and arrives
+    bitwise, every block consumed: also when another rank raised, and when the
+    result itself would not pickle."""
+    from repro.parallel import procmpi
+
+    def result():
+        return {"strided": np.arange(40000.0).reshape(100, 400)[:, ::2],
+                "f32": (np.full((200, 200), 0.1, np.float32), "label", None),
+                "small": [np.arange(3), -0.0], "nan": np.full(9000, np.nan)}
+
+    before = _shm_blocks()
+    crossed = []            # what came off the queue, before decoding
+    decode = procmpi._decode_payload
+    monkeypatch.setattr(procmpi, "_decode_payload",
+                        lambda enc: crossed.append(enc) or decode(enc))
+    results = run_ranks(2, lambda comm: result())
+    for enc, got in zip(crossed, results, strict=True):
+        assert all(procmpi._is_ref(ref)
+                   for ref in (enc["strided"], enc["f32"][0], enc["nan"]))
+        assert isinstance(enc["small"][0], np.ndarray)
+        for (_, a), (_, b) in zip(tree_leaves(got), tree_leaves(result()),
+                                  strict=True):
+            assert bitwise(a, b) if isinstance(b, np.ndarray) else a == b
+        assert isinstance(got["f32"], tuple) and isinstance(got["small"], list)
+
+    def one_raises(comm):
+        if comm.rank == 1:
+            raise ValueError("rank 1 blew up")
+        return result()
+
+    with pytest.raises(ValueError, match="rank 1 blew up"):
+        run_ranks(2, one_raises, timeout=5.0)
+    with pytest.raises(Exception, match="pickle"):
+        run_ranks(1, lambda comm: {"bulk": np.zeros(10000), "f": lambda: 0})
+    assert _shm_blocks() == before
 
 
 def test_recv_from_finished_peer_diagnosed_immediately():

@@ -144,6 +144,8 @@ def test_foam_env_switch_census():
     assert set(keys) == {
         "FOAM_DTYPE", "REPRO_SIMMPI_TIMEOUT",
         "PYTEST_CURRENT_TEST",   # read-only probe: "am I under pytest?"
+        # read-only probes: perf.report prints what its table ran under
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
     }
 
 
