@@ -51,12 +51,13 @@ def main() -> None:
           f"{'runoff (kg/s)':>14} {'discharge (kg/s)':>17} {'stored (m^3)':>13}")
     added = 0.0
     delivered = 0.0
+    stored = np.zeros((ny, nx))                  # m^3 in the river channels
     for step in range(120):
         hydro, runoff = step_hydrology(
             hydro, precip=rain, evaporation=evap, ground_temp=warm,
             t_low1=warm, t_low2=warm, melt_energy=np.zeros((ny, nx)),
             dt=dt, land_mask=land)
-        discharge = river.step(runoff, dt)
+        discharge, stored = river.step(stored, runoff, dt)
         added += float(np.sum((rain - evap) * np.where(land, areas, 0.0))) * dt
         delivered += float(np.sum(discharge * areas)) * dt
         if step % 20 == 19:
@@ -65,13 +66,13 @@ def main() -> None:
             print(f"{(step + 1) / 4:4.0f} {bucket:12.1f} {dw:8.2f} "
                   f"{np.sum(runoff * areas):14.3e} "
                   f"{np.sum(discharge * areas):17.3e} "
-                  f"{river.total_storage():13.3e}")
+                  f"{stored.sum():13.3e}")
 
     print("\n=== water ledger (kg) ===")
     bucket_kg = float(np.sum(hydro.soil_moisture * RHO_WATER
                              * np.where(land, areas, 0.0)))
     initial_kg = 0.3 * 0.15 * RHO_WATER * float(np.sum(np.where(land, areas, 0.0)))
-    stored_kg = river.total_storage() * 1000.0
+    stored_kg = float(stored.sum()) * 1000.0
     print(f"net precipitation input:    {added:.4e}")
     print(f"delivered to the ocean:     {delivered:.4e}")
     print(f"held in river channels:     {stored_kg:.4e}")
@@ -81,7 +82,7 @@ def main() -> None:
           f"({abs(closure) / max(added, 1e-30):.2e} relative — exact to roundoff)")
 
     print("\n=== river mouths ===")
-    discharge = river.step(runoff, dt)
+    discharge, stored = river.step(stored, runoff, dt)
     mouths = np.argwhere(discharge > 0)
     print(f"{len(mouths)} mouth cells along the coast; largest:")
     flat = [(float(discharge[j, i] * areas[j, i]), j, i) for j, i in mouths]

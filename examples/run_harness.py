@@ -3,9 +3,10 @@
 
 Declares a :class:`~repro.runs.RunPlan` (world + duration + output
 cadences), runs it through the :class:`~repro.runs.RunHarness` with
-streaming history and checkpoints, kills the run halfway, resumes it from
-the checkpoint — on *concurrent* rank pools — and shows the final state
-is bitwise what the uninterrupted serial run produces.  Finishes by
+streaming history and checkpoints, kills the run three steps in — inside a
+forcing window and a radiation interval — resumes it from that checkpoint
+on *concurrent* rank pools, and shows the final state is bitwise what the
+uninterrupted serial run produces.  Finishes by
 loading the streamed history files back as one time series.
 
 Run:  python examples/run_harness.py
@@ -40,13 +41,16 @@ def main() -> None:
     print(f"  checkpoints: {[p.name for p in result.checkpoints]}")
     print(f"  history files: {[p.name for p in result.history_files]}")
 
-    # --- the interrupted version: stop at the halfway checkpoint ---------
-    half = RunHarness(RunPlan(scenario="control", days=0.5,
-                              checkpoint=CheckpointSpec(
-                                  str(workdir / "ckpt2"),
-                                  interval_days=0.5))).run()
-    ckpt = half.checkpoints[-1]
-    print(f"\ninterrupted at day 0.5 -> {ckpt.name}")
+    # --- the interrupted version: a checkpoint is the state, at any step -
+    # 0.125 day is 3 steps at this size: neither a coupling boundary (6)
+    # nor a radiation one (12).
+    cut = RunHarness(RunPlan(scenario="control", days=0.125,
+                             checkpoint=CheckpointSpec(
+                                 str(workdir / "ckpt2"),
+                                 interval_days=0.125))).run()
+    ckpt = cut.checkpoints[-1]
+    assert ckpt.name == "ckpt_00000003.npz"
+    print(f"\ninterrupted at day 0.125 -> {ckpt.name}")
 
     # --- resume onto the concurrent rank pools ---------------------------
     resumed = RunHarness(RunPlan(

@@ -12,7 +12,12 @@ from repro.atmosphere.physics.convection import (
     hack_shallow,
     zhang_mcfarlane_deep,
 )
-from repro.atmosphere.physics.driver import PhysicsSuite, PhysicsTendencies, SurfaceState
+from repro.atmosphere.physics.driver import (
+    PhysicsSuite,
+    PhysicsTendencies,
+    RadiationState,
+    SurfaceState,
+)
 from repro.atmosphere.physics.radiation import (
     RadiationParams,
     diagnose_cloud_fraction,
@@ -41,5 +46,5 @@ __all__ = [
     "BoundaryLayerParams", "boundary_layer_tendencies", "diagnose_pbl_height",
     "solve_tridiagonal",
     "SurfaceFluxParams", "bulk_fluxes", "ocean_fluxes", "ocean_roughness",
-    "PhysicsSuite", "PhysicsTendencies", "SurfaceState",
+    "PhysicsSuite", "PhysicsTendencies", "RadiationState", "SurfaceState",
 ]

@@ -55,6 +55,26 @@ class SurfaceState:
 
 
 @dataclass
+class RadiationState:
+    """The radiation a physics step applies, and when it was computed.
+
+    Radiation runs on its own (longer) cadence — paper: 2x/day — so its
+    heating rates and surface/top fluxes outlive the step that computed
+    them: they are state (``FoamState.radiation``), not a cache.  ``None``
+    arrays and ``time = -inf`` before the first call.
+    """
+
+    sw_heat: np.ndarray | None = None       # K/s, (L, ...)
+    sw_sfc: np.ndarray | None = None        # W/m^2 absorbed at the surface
+    sw_toa_refl: np.ndarray | None = None
+    lw_heat: np.ndarray | None = None       # K/s, (L, ...)
+    olr: np.ndarray | None = None
+    lw_down: np.ndarray | None = None
+    lw_net_sfc: np.ndarray | None = None
+    time: float = -np.inf                   # s; when the arrays were computed
+
+
+@dataclass
 class PhysicsTendencies:
     """Output of one physics step (all per second)."""
 
@@ -64,9 +84,10 @@ class PhysicsTendencies:
     dvdt: np.ndarray
     precip_conv: np.ndarray     # kg m^-2 s^-1
     precip_strat: np.ndarray
-    fluxes: dict = field(default_factory=dict)   # surface energy budget pieces
-    heating_sw: np.ndarray | None = None
-    heating_lw: np.ndarray | None = None
+    #: The radiation this step applied: the state it was handed, or a new
+    #: one when that was ``radiation_interval`` old.
+    radiation: RadiationState
+    fluxes: dict = field(default_factory=dict)   # turbulent surface fluxes
 
 
 class PhysicsSuite:
@@ -83,13 +104,6 @@ class PhysicsSuite:
         self.strat = stratiform
         self.pbl = boundary_layer
         self.radiation_interval = radiation_interval
-        self._cached_sw = None
-        self._cached_lw = None
-        self._last_radiation_time = -np.inf
-
-    def radiation_due(self, time: float) -> bool:
-        """Radiation recomputes on its own (longer) cadence — paper: 2x/day."""
-        return time - self._last_radiation_time >= self.radiation_interval - 1e-6
 
     # ------------------------------------------------------------------
     def compute(self, *, temp: np.ndarray, q: np.ndarray, u: np.ndarray,
@@ -97,12 +111,16 @@ class PhysicsSuite:
                 geopotential: np.ndarray, dsigma: np.ndarray,
                 surface: SurfaceState, dt: float, time: float,
                 lats: np.ndarray, lons: np.ndarray,
-                external_fluxes: dict | None = None) -> PhysicsTendencies:
+                external_fluxes: dict | None = None,
+                radiation: RadiationState = RadiationState()
+                ) -> PhysicsTendencies:
         """One physics step over all columns.
 
         ``external_fluxes`` lets the FOAM coupler own the surface flux
         computation (its overlap-grid role); otherwise the CCM2/CCM3 bulk
-        formulas run here.
+        formulas run here.  ``radiation`` is applied as handed in while it
+        is younger than ``radiation_interval`` and recomputed otherwise;
+        either way the one applied comes back as ``.radiation``.
         """
         ws = get_workspace()
         dp = np.multiply(
@@ -112,8 +130,8 @@ class PhysicsSuite:
         z_full = np.divide(geopotential, GRAVITY,
                            out=ws.empty_like("phys.z_full", geopotential))
 
-        # ---- 1. radiation (cached between radiation steps) --------------
-        if self.radiation_due(time):
+        # ---- 1. radiation (only when the one handed in is due) ----------
+        if time - radiation.time >= self.radiation_interval - 1e-6:
             with profile_section("atmosphere.radiation"):
                 day = (time / SECONDS_PER_DAY) % 365.0
                 secs = time % SECONDS_PER_DAY
@@ -126,11 +144,9 @@ class PhysicsSuite:
                     temp, q, pressure, dp, cosz, surface.albedo, self.rad)
                 lw_heat, olr, lw_down, lw_net_sfc = longwave(
                     temp, q, dp, surface.t_sfc, self.rad)
-                self._cached_sw = (sw_heat, sw_sfc, sw_toa_refl)
-                self._cached_lw = (lw_heat, olr, lw_down, lw_net_sfc)
-                self._last_radiation_time = time
-        sw_heat, sw_sfc, sw_toa_refl = self._cached_sw
-        lw_heat, olr, lw_down, lw_net_sfc = self._cached_lw
+                radiation = RadiationState(sw_heat, sw_sfc, sw_toa_refl,
+                                           lw_heat, olr, lw_down, lw_net_sfc,
+                                           time)
 
         # ---- 2. surface fluxes ------------------------------------------
         with profile_section("atmosphere.surface_fluxes"):
@@ -154,9 +170,9 @@ class PhysicsSuite:
             # In-place accumulation on workspace buffers; the op order matches
             # the original expressions so default-precision runs are bitwise
             # identical.  Only the fresh total_* arrays below escape.
-            t_work = np.add(dtdt_pbl, sw_heat,
+            t_work = np.add(dtdt_pbl, radiation.sw_heat,
                             out=ws.empty_like("phys.t_work", temp))
-            t_work += lw_heat
+            t_work += radiation.lw_heat
             t_work *= dt
             t_work += temp
             q_work = np.multiply(dqdt_pbl, dt,
@@ -201,12 +217,7 @@ class PhysicsSuite:
         total_dqdt = np.subtract(q_work, q)
         np.divide(total_dqdt, dt, out=total_dqdt)
 
-        fluxes = dict(fluxes)
-        fluxes.update({
-            "sw_sfc": sw_sfc, "lw_down": lw_down, "lw_net_sfc": lw_net_sfc,
-            "olr": olr, "sw_toa_reflected": sw_toa_refl,
-        })
         return PhysicsTendencies(
             dtdt=total_dtdt, dqdt=total_dqdt, dudt=dudt_pbl, dvdt=dvdt_pbl,
             precip_conv=prec_zm + prec_hk, precip_strat=prec_st,
-            fluxes=fluxes, heating_sw=sw_heat, heating_lw=lw_heat)
+            fluxes=fluxes, radiation=radiation)

@@ -2,8 +2,7 @@
 
 The paper's radiation is the CCM2 package (delta-Eddington solar of Briegleb
 1992, longwave with the Kiehl-Briegleb CO2 15-micron band absorptance) plus
-the CCM3 refinements.  We implement schemes with the same *structure* and
-cost profile:
+the CCM3 refinements.  We implement schemes with the same *structure*:
 
 * **shortwave**: two-stream with a delta-Eddington-style cloud layer —
   insolation from orbital geometry, reflection from diagnosed cloud albedo
@@ -15,9 +14,11 @@ cost profile:
   upward/downward recursion, heating rates from flux divergence;
 * **clouds**: relative-humidity diagnosis, as CCM2 did.
 
-Radiation is deliberately the most expensive physics component and is called
-twice per simulated day (paper, Figure 2 discussion); the FOAM driver honors
-that cadence.
+Radiation is called twice per simulated day (paper, Figure 2 discussion) and
+the FOAM driver honors that cadence — but not the paper's cost ranking: an
+O(L) broadband recursion and a one-band shortwave make a radiation step
+1.05x an ordinary one as ``repro.perf.report`` measures it; the machine
+model's 10x (``repro.perf``) is a modelled constant.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,20 +109,6 @@ class FoamConfig:
     @property
     def atm_steps_per_radiation(self) -> int:
         return max(1, int(round(self.radiation_interval / self.atm_dt)))
-
-    @property
-    def checkpoint_boundary_steps(self) -> int:
-        """Steps between *safe* checkpoint boundaries.
-
-        A checkpoint is bitwise-resumable by a **fresh** model only where
-        every model-level transient reconstructs itself: the ocean-forcing
-        accumulator must be empty (a coupling boundary) and the radiation
-        cache must be recomputed on the next step anyway (a radiation
-        boundary).  The least common multiple of the two cadences is the
-        finest checkpoint interval the run harness accepts.
-        """
-        return math.lcm(self.atm_steps_per_coupling,
-                        self.atm_steps_per_radiation)
 
     # ------------------------------------------------------------------
     # serialization (scenario specs, result-cache keys, restart metadata)

@@ -23,12 +23,12 @@ grid and transported semi-Lagrangially as in PCCM2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.atmosphere.dynamics import AtmosphereState, SpectralDynamicalCore
-from repro.atmosphere.physics import PhysicsSuite
+from repro.atmosphere.physics import PhysicsSuite, RadiationState
 from repro.atmosphere.physics.radiation import RadiationParams
 from repro.atmosphere.spectral import SpectralTransform, Truncation
 from repro.atmosphere.vertical import VerticalGrid
@@ -45,12 +45,16 @@ from repro.util.tree import tree_map
 
 @dataclass
 class FoamState:
-    """Complete prognostic state of the coupled system."""
+    """Everything a later step reads: ``coupled_step`` is a function of this
+    tree alone (DESIGN.md "State layout"), so any step is a checkpoint."""
 
     atm_prev: AtmosphereState
     atm_curr: AtmosphereState
     ocean: OceanState
     coupler: CouplerState
+    #: Beside, not inside, the atmosphere states: those are Robert-filtered
+    #: leaf by leaf.
+    radiation: RadiationState
     time: float = 0.0
 
 
@@ -113,20 +117,12 @@ class FoamModel:
                                    self.ocean_grid.lats, cfg.ocn_nx,
                                    land_mask, rng_seed=cfg.seed + 7,
                                    dtype=policy)
-        # Running ocean-forcing accumulator between ocean calls.
-        self._reset_ocean_accumulator()
         # Most recent coupler bookkeeping (precip/evap/runoff totals);
         # refreshed every coupled_step so monitoring code (the scenario
         # climatology reducer) can read it without re-running physics.
         self.last_coupler_diagnostics = None
 
     # ------------------------------------------------------------------
-    def _reset_ocean_accumulator(self) -> None:
-        # Shaped by the first step of the window (accumulate_forcing), so
-        # serial and member-batched runs need no shape told in advance.
-        self._acc: OceanForcing | None = None
-        self._acc_steps = 0
-
     def initial_state(self, seed: int | None = None,
                       perturb=None) -> FoamState:
         """Build the coupled initial state.
@@ -160,7 +156,7 @@ class FoamModel:
         prev = atm
         curr = self.dycore._forward_start(atm)
         return FoamState(atm_prev=prev, atm_curr=curr, ocean=ocn,
-                         coupler=cpl, time=0.0)
+                         coupler=cpl, radiation=RadiationState(), time=0.0)
 
     # ------------------------------------------------------------------
     # coupled-step phases
@@ -188,9 +184,10 @@ class FoamModel:
         return surface, turb
 
     @profiled("atmosphere.physics")
-    def _physics_kernel(self, diag, q, surface, external_fluxes, *,
-                        time: float, rows: tuple[int, int] | None = None):
-        """Column physics; ``rows=(lo, hi)`` restricts to a latitude band.
+    def _physics_kernel(self, diag, q, surface, external_fluxes, radiation,
+                        *, time: float, rows: tuple[int, int] | None = None):
+        """Column physics; ``rows=(lo, hi)`` restricts to a latitude band
+        (of the result too: a band's ``.radiation`` holds its rows).
 
         Physics is column-local, so the selected rows of every member run
         as one wide grid of ``members * rows`` latitudes (the latitude
@@ -215,7 +212,8 @@ class FoamModel:
             geopotential=fold(diag.geopotential), dsigma=self.vgrid.dsigma,
             surface=tree_map(fold, surface), dt=self.config.atm_dt, time=time,
             lats=np.tile(tr.lats[sl], math.prod(lead)), lons=tr.lons,
-            external_fluxes=tree_map(fold, external_fluxes))
+            external_fluxes=tree_map(fold, external_fluxes),
+            radiation=tree_map(fold, radiation))
         return tree_map(
             lambda a: a.reshape(a.shape[:-2] + lead + (-1, nlon)), phys)
 
@@ -239,7 +237,8 @@ class FoamModel:
     def atm_advance(self, state: FoamState, diag, surface, external_fluxes):
         """Full-grid physics + spectral update (the serial atmosphere phase)."""
         phys = self._physics_kernel(diag, state.atm_curr.q, surface,
-                                    external_fluxes, time=state.time)
+                                    external_fluxes, state.radiation,
+                                    time=state.time)
         new_curr = self._apply_tendencies_kernel(
             state.atm_curr, phys.dtdt, phys.dudt, phys.dvdt, phys.dqdt)
         return new_curr, phys
@@ -275,25 +274,25 @@ class FoamModel:
 
             step = OceanForcing(turb["ocn_taux"], turb["ocn_tauy"],
                                 heat_ocn, fresh)
-            if self._acc is None:
-                fdt = self.policy.float_dtype
-                self._acc = tree_map(lambda a: np.zeros(a.shape, fdt), step)
-            self._acc = tree_map(lambda acc, a: np.add(acc, a, out=acc),
-                                 self._acc, step)
-            self._acc_steps += 1
-        return new_cpl, cpl_diags
+            # Out of place (the caller's state keeps its window), in the
+            # window's dtype.
+            window = tree_map(
+                lambda acc, a: np.add(acc, a, out=np.empty_like(acc)),
+                cpl_state.forcing_sum, step)
+        return replace(new_cpl, forcing_sum=window,
+                       forcing_steps=cpl_state.forcing_steps + 1), cpl_diags
 
-    def coupling_due(self) -> bool:
+    def coupling_due(self, cpl_state: CouplerState) -> bool:
         """True when a full averaging window has accumulated (ocean is due)."""
-        return self._acc_steps >= self.config.atm_steps_per_coupling
+        return cpl_state.forcing_steps >= self.config.atm_steps_per_coupling
 
     @profiled("coupler.ocean_forcing")
     def ocean_forcing(self, cpl_state: CouplerState, sst: np.ndarray, *,
                       t_air_bot: np.ndarray):
-        """Window-mean forcing + sea-ice step; resets the accumulator."""
+        """Window-mean forcing + sea-ice step; the new state's window is empty."""
         cfg = self.config
-        n = self._acc_steps
-        forcing = tree_map(lambda a: a / n, self._acc)
+        n = cpl_state.forcing_steps
+        forcing = tree_map(lambda a: a / n, cpl_state.forcing_sum)
         # Sea ice first: it converts persistent heat loss at the clamp
         # into ice and shields the stress.
         ov = self.coupler.overlap
@@ -305,8 +304,8 @@ class FoamModel:
                 t_air_on_ocn=t_air_ocn,
                 dt=cfg.ocean_coupling_interval)
         forcing.freshwater += ice_fw
-        self._reset_ocean_accumulator()
-        return new_cpl, forcing
+        empty = tree_map(np.zeros_like, cpl_state.forcing_sum)
+        return replace(new_cpl, forcing_sum=empty, forcing_steps=0), forcing
 
     @profiled("atmosphere.dynamics")
     def atm_dynamics(self, atm_prev: AtmosphereState,
@@ -344,7 +343,7 @@ class FoamModel:
         # --- land, hydrology, rivers + ocean-forcing accumulation -----------
         new_cpl, _cpl_diags = self.accumulate_forcing(
             state.coupler, turb, surface, precip=precip,
-            sw_sfc=phys.fluxes["sw_sfc"], lw_down=phys.fluxes["lw_down"],
+            sw_sfc=phys.radiation.sw_sfc, lw_down=phys.radiation.lw_down,
             t_low1=diag.temp[-1], t_low2=diag.temp[-2], dt=dt)
         self.last_coupler_diagnostics = _cpl_diags
 
@@ -352,7 +351,7 @@ class FoamModel:
         new_time = state.time + dt
 
         # --- ocean call (every 6 simulated hours) ---------------------------
-        if self.coupling_due():
+        if self.coupling_due(new_cpl):
             new_cpl, forcing = self.ocean_forcing(new_cpl, sst,
                                                   t_air_bot=diag.temp[-1])
             new_ocean = self.ocean.step(state.ocean, forcing)
@@ -360,7 +359,8 @@ class FoamModel:
         # --- atmosphere dynamics step ----------------------------------------
         new_prev, new_next = self.atm_dynamics(state.atm_prev, new_curr)
         return FoamState(atm_prev=new_prev, atm_curr=new_next,
-                         ocean=new_ocean, coupler=new_cpl, time=new_time)
+                         ocean=new_ocean, coupler=new_cpl,
+                         radiation=phys.radiation, time=new_time)
 
     # ------------------------------------------------------------------
     def run_days(self, state: FoamState, days: float,

@@ -20,6 +20,7 @@ API; :func:`load_checkpoint` additionally returns the stamp metadata.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +30,10 @@ from repro.util.tree import tree_leaves, tree_skeleton, tree_unflatten
 
 #: The one on-disk checkpoint format this build reads and writes; a file
 #: stamped with any other version (or none) is rejected, not guessed at.
-#: Version 3 names every state leaf by its path (``state.ocean.temp``).
-CHECKPOINT_FORMAT_VERSION = 3
+#: Version 3 named every state leaf by its path (``state.ocean.temp``);
+#: version 4 states carry the radiation and the ocean-forcing window, so a
+#: file taken at any step resumes bitwise.
+CHECKPOINT_FORMAT_VERSION = 4
 
 
 class HistoryWriter:
@@ -174,13 +177,20 @@ def save_restart(path: str | Path, state: FoamState, *,
     ``state.time``), so a field added to any state dataclass is
     checkpointed without touching this module.  Batched (ensemble) states
     serialize unchanged — every array simply carries its member axis.
-    ``None`` leaves (an absent ``river_volume``) are listed in
-    ``none_leaves`` and round-trip as ``None``; they are never zero-filled.
+    ``None`` leaves (an absent ``river_volume``, the radiation arrays
+    before the first step) are listed in ``none_leaves`` and round-trip as
+    ``None``; they are never zero-filled.
 
     ``config`` (a :class:`~repro.core.config.FoamConfig`) stamps the file
     with the producing configuration's content hash and JSON so a resume
     can validate compatibility; ``meta`` attaches arbitrary
     JSON-serializable run metadata (mode, nens, scenario, run key).
+
+    The file is written under a sibling temporary name (no ``.npz``
+    suffix, so nothing that globs checkpoints sees it) and renamed onto
+    ``path``: a run killed mid-write leaves the previous file at ``path``
+    intact, never a torn one.  There is no ``fsync`` — atomic against a
+    kill, not against a power cut.
     """
     path = Path(path)
     leaves = {_leaf_key(p): leaf for p, leaf in tree_leaves(state)}
@@ -193,7 +203,13 @@ def save_restart(path: str | Path, state: FoamState, *,
         payload["config_json"] = json.dumps(config.to_dict(), sort_keys=True)
     if meta is not None:
         payload["meta_json"] = json.dumps(meta, sort_keys=True)
-    np.savez_compressed(path, **payload)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as handle:     # a handle: numpy appends no suffix
+            np.savez_compressed(handle, **payload)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 

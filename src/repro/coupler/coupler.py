@@ -47,6 +47,7 @@ from repro.coupler.seaice import (
     SeaIceModel,
     SeaIceState,
 )
+from repro.ocean.model import OceanForcing
 from repro.perf.profiler import profiled
 from repro.util.constants import EARTH_RADIUS
 
@@ -63,6 +64,11 @@ class CouplerState:
     land: LandState
     hydrology: HydrologyState
     ice: SeaIceState
+    #: The forcing window: what the ocean is owed since its last call, as a
+    #: running sum over ``forcing_steps`` atmosphere steps (zeros and 0 at a
+    #: coupling boundary, so the tree's shape never changes).
+    forcing_sum: OceanForcing
+    forcing_steps: int = 0
     river_volume: np.ndarray | None = None   # m^3 stored water per cell
     time: float = 0.0
 
@@ -132,6 +138,8 @@ class FluxCoupler:
             land=LandState.isothermal(self.atm_nlat, self.atm_nlon),
             hydrology=HydrologyState.initialized(self.atm_nlat, self.atm_nlon),
             ice=SeaIceState.ice_free(ny_o, nx_o),
+            forcing_sum=OceanForcing.zeros(ny_o, nx_o,
+                                           self.policy.float_dtype),
             river_volume=np.zeros((self.atm_nlat, self.atm_nlon)))
 
     # ------------------------------------------------------------------
@@ -312,20 +320,16 @@ class FluxCoupler:
             ground_temp=ground, t_low1=t_low1, t_low2=t_low2,
             melt_energy=np.where(land, np.maximum(net_land_flux, 0.0), 0.0),
             dt=dt, land_mask=land)
-        # River storage is prognostic state: it comes from ``state`` (empty
-        # when None), never from what the last call left in the kernel.
-        # Routing is a stateful scatter-add, so each member runs through
-        # the 2-D kernel (one iteration when serial).
+        # Routing is a scatter-add whose order matters, so each member's
+        # storage (empty when None) runs through the 2-D kernel (one
+        # iteration when serial).
         members = runoff.reshape((-1,) + runoff.shape[-2:])
         volumes = (np.zeros(members.shape) if state.river_volume is None
                    else state.river_volume.reshape(members.shape))
-        discharge, new_volume = [], []
-        for member_runoff, volume in zip(members, volumes):
-            self.river.volume = volume.copy()
-            discharge.append(self.river.step(member_runoff, dt))
-            new_volume.append(self.river.volume)
-        discharge = np.stack(discharge).reshape(runoff.shape)
-        new_volume = np.stack(new_volume).reshape(runoff.shape)
+        routed = [self.river.step(volume, member_runoff, dt)
+                  for member_runoff, volume in zip(members, volumes)]
+        discharge, new_volume = (np.stack(part).reshape(runoff.shape)
+                                 for part in zip(*routed))
         new_land = self.land_model.step(
             state.land, np.where(land, net_land_flux, 0.0), dt)
 

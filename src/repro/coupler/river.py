@@ -87,7 +87,11 @@ def derive_flow_directions(land_mask: np.ndarray,
 
 
 class RiverModel:
-    """Explicit river routing with storage, on the atmosphere (land) grid."""
+    """Explicit river routing on the atmosphere (land) grid.
+
+    Holds the routing network only; the stored water is the caller's
+    (``CouplerState.river_volume``), taken and returned by :meth:`step`.
+    """
 
     def __init__(self, land_mask: np.ndarray, cell_areas: np.ndarray,
                  cell_spacing: np.ndarray,
@@ -99,7 +103,6 @@ class RiverModel:
         self.spacing = np.asarray(cell_spacing, dtype=float)
         self.u = float(flow_velocity)
         self.direction = derive_flow_directions(self.land, rng_seed)
-        self.volume = np.zeros_like(self.areas)          # m^3 stored per cell
         self._build_routing()
 
     def set_direction(self, j: int, i: int, direction: int) -> None:
@@ -127,36 +130,34 @@ class RiverModel:
                     self.dest_i[j, i] = ii
 
     # ------------------------------------------------------------------
-    def step(self, runoff: np.ndarray, dt: float) -> np.ndarray:
-        """Route ``runoff`` (kg m^-2 s^-1 on land) for ``dt`` seconds.
+    def step(self, volume: np.ndarray, runoff: np.ndarray, dt: float
+             ) -> tuple[np.ndarray, np.ndarray]:
+        """Route ``runoff`` (kg m^-2 s^-1 on land) for ``dt`` seconds through
+        the stored water ``volume`` (m^3 per cell; not written to).
 
         Returns the freshwater flux delivered to ocean cells
-        (kg m^-2 s^-1 on this grid; zero on land).  Total water is conserved
-        exactly: d(storage)/dt = inflow - outflow, outflow at the coast goes
-        to the mouth cell.
+        (kg m^-2 s^-1 on this grid; zero on land) and the new storage.
+        Total water is conserved exactly: d(storage)/dt = inflow - outflow,
+        outflow at the coast goes to the mouth cell.
         """
         ny, nx = self.land.shape
         # Add local runoff to storage (convert kg/m^2/s -> m^3).
-        self.volume += np.where(self.land, runoff, 0.0) * self.areas * dt / 1000.0
+        volume = volume + np.where(self.land, runoff, 0.0) * self.areas * dt / 1000.0
 
         # F = V u / d, limited so a cell cannot export more than it holds.
         d_row = self.spacing[:, None]
         outflow = np.where(self.land & (self.direction >= 0),
-                           self.volume * self.u / d_row, 0.0)   # m^3/s
-        outflow = np.minimum(outflow, self.volume / max(dt, 1e-9))
+                           volume * self.u / d_row, 0.0)        # m^3/s
+        outflow = np.minimum(outflow, volume / max(dt, 1e-9))
 
         delivered = np.zeros((ny, nx))
         moved = outflow * dt
-        self.volume -= moved
+        volume -= moved
         valid = self.dest_j >= 0
         np.add.at(delivered, (self.dest_j[valid], self.dest_i[valid]),
                   moved[valid])
         # Water arriving on land joins that cell's storage; water arriving
         # in the ocean is the river discharge at the mouth.
-        self.volume += np.where(self.land, delivered, 0.0)
+        volume += np.where(self.land, delivered, 0.0)
         mouth_m3 = np.where(~self.land, delivered, 0.0)
-        return mouth_m3 * 1000.0 / (self.areas * dt)     # kg m^-2 s^-1
-
-    def total_storage(self) -> float:
-        """Total river water in storage (m^3)."""
-        return float(self.volume.sum())
+        return mouth_m3 * 1000.0 / (self.areas * dt), volume   # kg m^-2 s^-1

@@ -11,9 +11,9 @@ layer: :func:`run_concurrent_coupled` splits the world into
   (physics is column-local, so bands are bitwise rows of the full-grid
   run), allgathers the band tendencies inside the pool, and redundantly
   applies the cheap spectral update + dynamics;
-* a **coupler rank** owning the land/hydrology/river/ice state and the
-  ocean-forcing accumulator, exchanging only overlap-grid payloads with
-  both pools via tagged sends;
+* a **coupler rank** owning the coupler state (land/hydrology/river/ice
+  and the ocean-forcing window), exchanging only overlap-grid payloads
+  with both pools via tagged sends;
 * an **ocean pool** (``layout.n_ocn`` ranks; the leader computes) running
   the 6-hour ocean call *under* the atmosphere's boundary-step dynamics
   and the next step's diagnostics — the coupler asks for the fresh SST
@@ -33,7 +33,7 @@ simulator's concurrent-schedule prediction
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from repro.parallel.commbase import CommBase, CommStats
 from repro.parallel.decomp import block_bounds
 from repro.parallel.procmpi import run_ranks
 from repro.perf.profiler import get_profiler
+from repro.util.tree import tree_map
 
 # Coupler exchange tags (world-communicator context).
 TAG_ATM_STATE = 210    # atm leader -> coupler: bottom-level state fields
@@ -108,8 +109,6 @@ class ConcurrentCoupledResult:
     waits: dict[str, float]            # blocking-recv seconds by payload kind
     rank_waits: list[dict]
     comm_stats: list[CommStats] = field(default_factory=list)
-    acc: object | None = None          # coupler-side OceanForcing accumulator
-    acc_steps: int = 0
     sst: np.ndarray | None = None      # SST the coupler last held
     ws_stats: list[dict] = field(default_factory=list)   # per-rank arena counters
     ocean_busy_seconds: float = 0.0    # time the ocean leader spent computing
@@ -132,9 +131,9 @@ def _timed_recv(comm: CommBase, source: int, tag: int,
 
 
 def _atm_worker(comm, pool, layout, model, state, nsteps, waits):
-    """One atmosphere-pool rank: band physics + replicated spectral state."""
+    """One atmosphere-pool rank: band physics + replicated spectral state
+    (and, like it, the full-grid radiation state)."""
     from repro.atmosphere.physics import SurfaceState
-    from repro.core.foam import FoamState
 
     cfg = model.config
     dt = cfg.atm_dt
@@ -156,30 +155,29 @@ def _atm_worker(comm, pool, layout, model, state, nsteps, waits):
                                wetness=sfc["wetness"], z0=sfc["z0"],
                                ocean_mask=ocean_mask)
         phys = model._physics_kernel(diag, curr.q, surface, sfc["fluxes"],
-                                     time=state.time, rows=(lo, hi))
+                                     state.radiation, time=state.time,
+                                     rows=(lo, hi))
         band = {"dtdt": phys.dtdt, "dudt": phys.dudt, "dvdt": phys.dvdt,
                 "dqdt": phys.dqdt,
-                "precip": phys.precip_conv + phys.precip_strat,
-                "sw_sfc": phys.fluxes["sw_sfc"],
-                "lw_down": phys.fluxes["lw_down"]}
-        parts = pool.allgather(band)
+                "precip": phys.precip_conv + phys.precip_strat}
+        if phys.radiation.time != state.radiation.time:
+            band["radiation"] = phys.radiation     # recomputed on this step
         # Latitude is the second-to-last axis of every payload field.
-        full = {key: np.concatenate([p[key] for p in parts],
-                                    axis=parts[0][key].ndim - 2)
-                for key in band}
+        full = tree_map(lambda *bands: np.concatenate(
+            bands, axis=bands[0].ndim - 2), *pool.allgather(band))
+        radiation = full.get("radiation", state.radiation)
         if leader:
             # Ship the coupler's inputs *before* the spectral update and
             # dynamics: land/river/regrid work overlaps them every step.
-            comm.send({"precip": full["precip"], "sw_sfc": full["sw_sfc"],
-                       "lw_down": full["lw_down"]}, cpl, TAG_ATM_PHYS)
+            comm.send({"precip": full["precip"], "sw_sfc": radiation.sw_sfc,
+                       "lw_down": radiation.lw_down}, cpl, TAG_ATM_PHYS)
         new_curr = model._apply_tendencies_kernel(
             curr, full["dtdt"], full["dudt"], full["dvdt"], full["dqdt"])
         new_prev, new_next = model.atm_dynamics(state.atm_prev, new_curr)
-        state = FoamState(atm_prev=new_prev, atm_curr=new_next,
-                          ocean=state.ocean, coupler=state.coupler,
-                          time=state.time + dt)
+        state = replace(state, atm_prev=new_prev, atm_curr=new_next,
+                        radiation=radiation, time=state.time + dt)
     return {"atm_prev": state.atm_prev, "atm_curr": state.atm_curr,
-            "time": state.time}
+            "radiation": state.radiation, "time": state.time}
 
 
 def _cpl_worker(comm, pool, layout, model, state, nsteps, waits):
@@ -216,15 +214,14 @@ def _cpl_worker(comm, pool, layout, model, state, nsteps, waits):
             cpl_state, turb, surface, precip=ph["precip"],
             sw_sfc=ph["sw_sfc"], lw_down=ph["lw_down"],
             t_low1=st["t_air"], t_low2=st["t_air2"], dt=dt)
-        if model.coupling_due():
+        if model.coupling_due(cpl_state):
             cpl_state, forcing = model.ocean_forcing(cpl_state, sst,
                                                      t_air_bot=st["t_air"])
             comm.send(forcing, ocn_leader, TAG_FORCING)
             pending_sst = True
     if pending_sst:  # drain the final overlapped call
         sst = _timed_recv(comm, ocn_leader, TAG_SST, waits, "sst")
-    return {"coupler": cpl_state, "sst": sst, "acc": model._acc,
-            "acc_steps": model._acc_steps}
+    return {"coupler": cpl_state, "sst": sst}
 
 
 def _ocn_worker(comm, pool, layout, model, state, nsteps, waits):
@@ -235,7 +232,9 @@ def _ocn_worker(comm, pool, layout, model, state, nsteps, waits):
     busy = 0.0
     if pool.rank == 0:
         comm.send(model.ocean.sst(ocean_state), cpl, TAG_SST)
-        n_calls = nsteps // cfg.atm_steps_per_coupling
+        # The window may be part-full where this leg starts.
+        n_calls = ((state.coupler.forcing_steps + nsteps)
+                   // cfg.atm_steps_per_coupling)
         for _ in range(n_calls):
             forcing = _timed_recv(comm, cpl, TAG_FORCING, waits, "forcing")
             t0 = time.perf_counter()
@@ -263,11 +262,8 @@ def run_concurrent_coupled(config=None, *, days: float = 1.0,
 
     ``initial_state`` starts the run from an existing :class:`FoamState`
     (the run harness passes checkpointed or segment-boundary states here)
-    instead of ``model.initial_state()``.  For bitwise equivalence
-    with a continuous run, ``initial_state.time`` must sit on a safe
-    checkpoint boundary (coupling + radiation; see
-    ``FoamConfig.checkpoint_boundary_steps``) so the fresh per-rank
-    models' transient caches reconstruct identically.
+    instead of ``model.initial_state()`` — at any step: the state carries
+    the forcing window and the radiation the fresh per-rank models need.
     """
     from repro.core.config import test_config
     from repro.core.foam import FoamModel, FoamState
@@ -307,7 +303,7 @@ def run_concurrent_coupled(config=None, *, days: float = 1.0,
     ocn0 = results[layout.ocn_leader]
     state = FoamState(atm_prev=atm0["atm_prev"], atm_curr=atm0["atm_curr"],
                       ocean=ocn0["ocean"], coupler=cplr["coupler"],
-                      time=atm0["time"])
+                      radiation=atm0["radiation"], time=atm0["time"])
 
     waits: dict[str, float] = {}
     for r in results:
@@ -323,7 +319,7 @@ def run_concurrent_coupled(config=None, *, days: float = 1.0,
         rank_waits=[{"rank": r["rank"], "role": r["role"], **r["waits"]}
                     for r in results],
         comm_stats=[r["stats"] for r in results],
-        acc=cplr["acc"], acc_steps=cplr["acc_steps"], sst=cplr["sst"],
+        sst=cplr["sst"],
         ws_stats=[r["ws_stats"] for r in results],
         ocean_busy_seconds=ocean_busy,
         overlap_seconds=max(0.0, ocean_busy - sst_wait))

@@ -9,9 +9,8 @@ into an integration and owns the time loop for every execution mode:
 * **concurrent** plans segment the run at observer-event boundaries and
   hand each segment to the rank-pool driver
   (:func:`repro.parallel.coupled.run_concurrent_coupled`), threading the
-  state through — since segments start at safe boundaries (see
-  :attr:`FoamConfig.checkpoint_boundary_steps`) the segmented trajectory is
-  bitwise the continuous one.
+  state through — the state is all a segment's fresh rank models need, so
+  the segmented trajectory is bitwise the continuous one.
 
 The headline contract (``tests/test_runs.py``): for any plan,
 ``run(N days)`` is bitwise float64-identical to ``run(k) -> checkpoint ->
@@ -50,8 +49,7 @@ def drive_steps(model: FoamModel, state: FoamState, nsteps: int,
     climatology reducer, and the harness's serial/ensemble modes — so
     there is exactly one place where a FOAM trajectory advances.
     Observers only *read* the state; the trajectory is independent of the
-    observer set (and of ``nsteps`` partitioning, for the cache-
-    reconstructible boundaries the checkpoint observer enforces).
+    observer set and of how ``nsteps`` is partitioned into calls.
     """
     for ob in observers:
         ob.on_start(model, state)
@@ -207,29 +205,14 @@ class RunHarness:
     # ------------------------------------------------------------------
     def _segment_targets(self, start: int, total: int,
                          observers) -> list[int]:
-        """Absolute step indices the concurrent run must surface state at.
-
-        Segment boundaries are where observers fire; they must be safe
-        boundaries (fresh per-segment rank models reconstruct their
-        caches bitwise there), which the cadence validation guarantees
-        for checkpoints and this method enforces for history.
-        """
-        boundary = self.config.checkpoint_boundary_steps
-        cadences = []
+        """Absolute step indices the concurrent run must surface state at:
+        wherever a cadenced observer fires, and the end."""
+        targets = {total}
         for ob in observers:
             interval = getattr(ob, "interval_steps", None)
-            if interval is None:
-                continue
-            if interval % boundary != 0:
-                raise ValueError(
-                    f"{type(ob).__name__} cadence of {interval} steps "
-                    f"does not align with the safe segment boundary of "
-                    f"{boundary} steps required by concurrent execution")
-            cadences.append(interval)
-        targets = {total}
-        for interval in cadences:
-            targets.update(s for s in range(start + 1, total + 1)
-                           if s % interval == 0)
+            if interval is not None:
+                targets.update(s for s in range(start + 1, total + 1)
+                               if s % interval == 0)
         return sorted(targets)
 
     def _run_concurrent(self, state: FoamState, start: int, total: int,

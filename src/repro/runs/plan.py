@@ -58,10 +58,8 @@ class HistorySpec:
 class CheckpointSpec:
     """Restart checkpoints: cadence and directory.
 
-    The cadence must land on *safe* boundaries
-    (:attr:`FoamConfig.checkpoint_boundary_steps` — coupling and radiation
-    boundaries coincide there), which is what makes a checkpoint bitwise
-    resumable by a fresh model in any execution mode.
+    Any cadence of whole steps: a checkpoint is the state, and the state is
+    everything a fresh model in any execution mode needs to resume bitwise.
     """
 
     directory: str
@@ -75,15 +73,7 @@ class CheckpointSpec:
 
     def interval_steps(self, config: FoamConfig) -> int:
         steps = int(round(self.interval_days * 86400.0 / config.atm_dt))
-        boundary = config.checkpoint_boundary_steps
-        if steps <= 0 or steps % boundary != 0:
-            raise ValueError(
-                f"checkpoint cadence of {self.interval_days} days "
-                f"({steps} steps) does not align with the safe checkpoint "
-                f"boundary of {boundary} steps "
-                f"({boundary * config.atm_dt / 86400.0:g} days): resumes "
-                f"would not be bitwise")
-        return steps
+        return max(1, steps)
 
 
 @dataclass(frozen=True)

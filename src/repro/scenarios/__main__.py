@@ -233,8 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                     help="stream bitwise-resumable checkpoints here")
     rp.add_argument("--checkpoint-days", type=float, default=0.5,
-                    help="checkpoint cadence in simulated days (must land "
-                         "on safe coupling/radiation boundaries)")
+                    help="checkpoint cadence in simulated days")
     rp.add_argument("--history-dir", default=None, metavar="DIR",
                     help="stream rolling history files here")
     rp.add_argument("--history-days", type=float, default=0.25,

@@ -12,9 +12,9 @@ def leaf_name(path) -> str:
 def assert_trees_identical(got, want, context=""):
     """Assert two trees hold the same leaves, bit for bit.
 
-    Same leaf paths; arrays equal in dtype, shape and every element (NaNs
-    in the same places); everything else ``==``.  A failure names the path
-    of the first differing leaf.
+    Same leaf paths; arrays equal in dtype, shape and every byte (so the
+    sign of a zero and the place of a NaN count); everything else ``==``.
+    A failure names the path of the first differing leaf.
     """
     where = f"{context}: " if context else ""
     got_leaves, want_leaves = dict(tree_leaves(got)), dict(tree_leaves(want))
@@ -27,9 +27,9 @@ def assert_trees_identical(got, want, context=""):
         if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
             assert (a.dtype, a.shape) == (b.dtype, b.shape), (
                 f"{where}{name}: {a.dtype}{a.shape} vs {b.dtype}{b.shape}")
-            assert np.array_equal(a, b, equal_nan=True), (
+            assert a.tobytes() == b.tobytes(), (
                 f"{where}{name} differs in "
                 f"{np.count_nonzero(~((a == b) | ((a != a) & (b != b))))} "
-                f"of {a.size} elements")
+                f"of {a.size} values (0: in the bits of a zero or a NaN)")
         else:
             assert type(a) is type(b) and a == b, f"{where}{name}: {a!r} != {b!r}"

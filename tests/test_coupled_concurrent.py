@@ -37,11 +37,12 @@ from repro.perf.profiler import (
     enable_profiling,
     take_profile,
 )
+from tests.helpers import assert_trees_identical
 
 pytestmark = pytest.mark.parallel
 
 # Two simulated days plus three extra steps, so the coupler's forcing
-# accumulator is mid-window at the end (acc_steps == 3): equivalence must
+# window is part-full at the end (forcing_steps == 3): equivalence must
 # hold for partial windows too, not just at coupling boundaries.
 NSTEPS = 51
 LAYOUT = PoolLayout(n_atm=2, n_ocn=1)
@@ -140,12 +141,17 @@ def test_coupler_state_and_accumulators_bitwise(serial, concurrent):
     _assert_bitwise(c.ice.thickness, s.ice.thickness, "ice.thickness")
     _assert_bitwise(c.ice.surface_temp, s.ice.surface_temp, "ice.surface_temp")
     _assert_bitwise(c.river_volume, s.river_volume, "river_volume")
-    # Mid-window forcing accumulator: 51 = 8 * 6 + 3 steps accumulated.
-    model = serial["model"]
-    assert concurrent.acc_steps == model._acc_steps == 3
-    for f in ("taux", "tauy", "heat_flux", "freshwater"):
-        _assert_bitwise(getattr(concurrent.acc, f), getattr(model._acc, f),
-                        f"acc.{f}")
+    # Mid-window forcing sum: 51 = 8 * 6 + 3 steps accumulated.
+    assert c.forcing_steps == s.forcing_steps == 3
+    assert_trees_identical(c.forcing_sum, s.forcing_sum, "forcing_sum")
+
+
+def test_radiation_state_bitwise(serial, concurrent):
+    """Every atmosphere rank holds the full-grid radiation; the leader's
+    comes home (51 steps: last computed at step 48, applied since)."""
+    assert_trees_identical(concurrent.state.radiation,
+                           serial["state"].radiation, "radiation")
+    assert concurrent.state.radiation.time == 48 * 3600.0
 
 
 def test_trajectory_allclose_acceptance(serial, concurrent):
@@ -158,8 +164,8 @@ def test_trajectory_allclose_acceptance(serial, concurrent):
     assert np.allclose(np.nan_to_num(concurrent.sst), np.nan_to_num(sst),
                        rtol=1e-12, atol=1e-12)
     for f in ("taux", "tauy", "heat_flux", "freshwater"):
-        assert np.allclose(getattr(concurrent.acc, f),
-                           getattr(serial["model"]._acc, f),
+        assert np.allclose(getattr(c.coupler.forcing_sum, f),
+                           getattr(s.coupler.forcing_sum, f),
                            rtol=1e-12, atol=1e-12)
 
 

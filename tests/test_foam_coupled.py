@@ -1,17 +1,21 @@
 """Integration tests for the coupled FOAM model (repro.core)."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.core import (
     CoupledDiagnostics,
     FoamConfig,
+    FoamEnsemble,
     FoamModel,
     load_restart,
     paper_config,
     save_restart,
 )
 from repro.core import test_config as tiny_config
+from tests.helpers import assert_trees_identical
 
 
 @pytest.fixture(scope="module")
@@ -173,24 +177,57 @@ def test_restart_roundtrip(tmp_path, model, spun_up):
 
 
 def test_restart_continues_identically(tmp_path):
-    """run(1 day) -> restart -> run(1 day) is bit-exact vs running through.
+    """run(0.3 day) -> restart -> run(1 day) is bit-exact vs running through.
 
-    Restarting at a radiation + ocean-coupling boundary (whole days are
-    both) makes the model-level caches reconstructible; the test uses a
-    fresh model so no cache state leaks in from other tests.
+    0.3 day is 7 steps here: one step into a forcing window and seven into
+    a radiation interval.  The resumed leg runs on a second, fresh model —
+    everything it needs is in the file.
     """
     model = FoamModel(tiny_config())
-    st_a = model.initial_state()
-    st_a = model.run_days(st_a, 1.0)
-    p = save_restart(tmp_path / "mid.npz", st_a)
-    st_b = load_restart(p)
+    st_a = model.run_days(model.initial_state(), 0.3)
+    assert st_a.coupler.forcing_steps == 1 and st_a.radiation.time == 0.0
+    st_b = load_restart(save_restart(tmp_path / "mid.npz", st_a))
     out_a = model.run_days(st_a, 1.0)
-    # Reset model-level caches the way a fresh process would start.
-    model.physics._last_radiation_time = -np.inf
-    model._reset_ocean_accumulator()
-    out_b = model.run_days(st_b, 1.0)
-    np.testing.assert_array_equal(out_b.ocean.temp, out_a.ocean.temp)
-    np.testing.assert_array_equal(out_b.atm_curr.vort, out_a.atm_curr.vort)
+    out_b = FoamModel(tiny_config()).run_days(st_b, 1.0)
+    assert_trees_identical(out_b, out_a, "restart at step 7")
+
+
+def test_model_object_carries_no_trajectory():
+    """One model object, any number of trajectories: nothing a step reads
+    is left on it by an earlier run (0.75 day ends mid radiation interval,
+    3 steps end mid forcing window)."""
+    model = FoamModel(tiny_config())
+    first = model.run_days(model.initial_state(), 0.75)
+    again = model.run_days(model.initial_state(), 0.75)
+    assert_trees_identical(again, first, "second run on the same model")
+    model.run_days(model.initial_state(), 0.125)        # 3 steps
+    after = model.run_days(model.initial_state(), 1.0)
+    fresh = FoamModel(tiny_config())
+    assert_trees_identical(after, fresh.run_days(fresh.initial_state(), 1.0),
+                           "used model vs fresh model")
+
+
+@pytest.mark.parametrize("nens", [1, 3])
+def test_coupled_step_does_not_mutate_its_input(nens):
+    """``coupled_step(state) -> state`` writes into nothing it was given: an
+    in-place forcing sum, river volume or radiation array would show in the
+    input's leaves.  Thirteen steps cover a part-full window with handed-in
+    radiation (most), a window's last step (6, 12) and a radiation step (13).
+    """
+    if nens == 1:
+        model = FoamModel(tiny_config())
+        state = model.initial_state()
+    else:
+        ens = FoamEnsemble(nens=nens, base=tiny_config(),
+                           ic_perturbation=1e-8)
+        model, state = ens.model, ens.initial_state()
+    for step in range(1, 14):
+        before = copy.deepcopy(state)
+        after = model.coupled_step(state)
+        assert_trees_identical(state, before, f"input of step {step}")
+        state = after
+    assert state.radiation.time == 12 * 3600.0
+    assert state.coupler.forcing_steps == 1
 
 
 def test_history_writer_roundtrip(tmp_path):

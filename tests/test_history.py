@@ -201,17 +201,18 @@ class TestCheckpointFormat:
         assert meta == {"format_version": CHECKPOINT_FORMAT_VERSION}
 
     def test_legacy_v1_file_is_rejected(self, tmp_path, state):
-        # A file without a format_version, the previous format (2) and a
-        # future version are refused by both loaders, naming the file and
-        # the version found -- never guessed at or zero-filled.
+        # A file without a format_version, the previous format (3: no
+        # radiation, no forcing window) and a future version are refused by
+        # both loaders, naming the file and the version found -- never
+        # guessed at or zero-filled.
         path = save_restart(tmp_path / "current.npz", state)
         with np.load(path) as d:
             payload = {k: d[k] for k in d.files}
         legacy = tmp_path / "v1.npz"
         np.savez_compressed(legacy, **{
             k: v for k, v in payload.items() if k != "format_version"})
-        previous = tmp_path / "v2.npz"
-        np.savez_compressed(previous, **{**payload, "format_version": 2})
+        previous = tmp_path / "v3.npz"
+        np.savez_compressed(previous, **{**payload, "format_version": 3})
         future = tmp_path / "next.npz"
         np.savez_compressed(future, **{
             **payload, "format_version": CHECKPOINT_FORMAT_VERSION + 1})
@@ -220,7 +221,7 @@ class TestCheckpointFormat:
         for load in (load_checkpoint, load_restart):
             with pytest.raises(ValueError, match=r"v1\.npz.*missing"):
                 load(legacy)
-            with pytest.raises(ValueError, match=rf"v2\.npz.* is 2, .*{only}"):
+            with pytest.raises(ValueError, match=rf"v3\.npz.* is 3, .*{only}"):
                 load(previous)
             with pytest.raises(
                     ValueError,
@@ -235,3 +236,21 @@ class TestCheckpointFormat:
         np.savez_compressed(tmp_path / "cut.npz", **payload)
         with pytest.raises(ValueError, match=r"cut\.npz.*state\.ocean\.salt"):
             load_restart(tmp_path / "cut.npz")
+
+    def test_failed_write_leaves_the_previous_file(self, tmp_path, state,
+                                                   monkeypatch):
+        # A checkpoint is replaced, never torn: a write that dies half way
+        # leaves the file that was there, whole, and nothing a glob of
+        # ``ckpt_*.npz`` (or of anything else) would pick up beside it.
+        path = save_restart(tmp_path / "ckpt_00000006.npz", state)
+
+        def dies_half_way(file, **payload):
+            file.write(b"PK\x03\x04 half a zip member")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez_compressed", dies_half_way)
+        with pytest.raises(OSError, match="disk full"):
+            save_restart(path, dataclasses.replace(state, time=3600.0))
+        monkeypatch.undo()
+        assert load_restart(path).time == state.time
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt_00000006.npz"]

@@ -186,11 +186,12 @@ def test_river_conserves_water():
     runoff = np.where(land, 1e-4, 0.0)
     delivered = 0.0
     added = 0.0
+    volume = np.zeros(land.shape)
     for _ in range(50):
-        out = rm.step(runoff, dt)
+        out, volume = rm.step(volume, runoff, dt)
         delivered += float(np.sum(out * areas)) * dt
         added += float(np.sum(runoff * np.where(land, areas, 0.0))) * dt
-    stored = rm.total_storage() * 1000.0   # m^3 -> kg
+    stored = float(volume.sum()) * 1000.0   # m^3 -> kg
     np.testing.assert_allclose(added, delivered + stored, rtol=1e-10)
 
 
@@ -199,9 +200,9 @@ def test_river_delivers_to_coastal_ocean_only():
     areas = np.full(land.shape, 1e10)
     spacing = np.full(land.shape[0], 2e5)
     rm = RiverModel(land, areas, spacing)
-    out = np.zeros(land.shape)
+    out = volume = np.zeros(land.shape)
     for _ in range(30):
-        out = rm.step(np.where(land, 1e-4, 0.0), 6 * 3600.0)
+        out, volume = rm.step(volume, np.where(land, 1e-4, 0.0), 6 * 3600.0)
     assert np.all(out[land] == 0.0)
     assert out.sum() > 0
     # Mouths hug the coastline: every delivery cell touches land.
@@ -219,10 +220,10 @@ def test_river_finite_delay():
     rm = RiverModel(land, areas, spacing)
     dt = 6 * 3600.0
     runoff = np.where(land, 1e-4, 0.0)
-    first = rm.step(runoff, dt).sum()
+    first, volume = rm.step(np.zeros(land.shape), runoff, dt)
     for _ in range(60):
-        last = rm.step(runoff, dt).sum()
-    assert last > 2 * max(first, 1e-30)
+        last, volume = rm.step(volume, runoff, dt)
+    assert last.sum() > 2 * max(first.sum(), 1e-30)
 
 
 def test_set_direction_hand_tuning():

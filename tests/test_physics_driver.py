@@ -6,6 +6,7 @@ import pytest
 from repro.atmosphere.physics import PhysicsSuite, SurfaceState
 from repro.util.constants import SECONDS_PER_DAY
 from repro.util.thermo import saturation_mixing_ratio
+from repro.util.tree import tree_leaves
 
 
 @pytest.fixture
@@ -44,17 +45,27 @@ def test_driver_produces_finite_tendencies(setup):
         assert np.all(np.isfinite(arr))
     assert np.all(out.precip_conv >= 0.0)
     assert np.all(out.precip_strat >= 0.0)
-    assert "olr" in out.fluxes and np.all(out.fluxes["olr"] > 50.0)
+    assert np.all(out.radiation.olr > 50.0)
 
 
 def test_driver_radiation_cadence(setup):
-    """Radiation runs twice per day: cached between radiation steps."""
+    """Radiation runs twice per day: inside the interval a call applies the
+    very arrays it was handed; at the interval it hands back new ones."""
     suite = PhysicsSuite()
-    assert suite.radiation_due(0.0)
-    suite.compute(dt=1800.0, time=0.0, **setup)
-    assert not suite.radiation_due(1800.0)
-    assert not suite.radiation_due(SECONDS_PER_DAY / 2 - 1800.0)
-    assert suite.radiation_due(SECONDS_PER_DAY / 2)
+    first = suite.compute(dt=1800.0, time=0.0, **setup).radiation
+    assert first.time == 0.0
+    for time in (1800.0, SECONDS_PER_DAY / 2 - 1800.0):
+        assert suite.compute(dt=1800.0, time=time, radiation=first,
+                             **setup).radiation is first
+    due = suite.compute(dt=1800.0, time=SECONDS_PER_DAY / 2, radiation=first,
+                        **setup).radiation
+    assert due.time == SECONDS_PER_DAY / 2
+    for (path, new), (_, old) in zip(tree_leaves(due), tree_leaves(first)):
+        assert new is not old, path
+    # The suite object remembers nothing: a call without a radiation state
+    # computes one, whatever was computed before.
+    assert suite.compute(dt=1800.0, time=1800.0, **setup).radiation.time \
+        == 1800.0
 
 
 def test_driver_external_fluxes_respected(setup):

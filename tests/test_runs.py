@@ -3,14 +3,18 @@
 The headline test matrix: ``run(N days)`` is bitwise float64-identical to
 ``run(k) -> checkpoint -> load -> run(N-k)`` across serial ==
 ensemble-member == concurrent rank pools, including resuming a serial
-checkpoint onto the rank pools.  That equivalence is what makes
-:meth:`RunPlan.run_key` a valid cache key for every execution path.
+checkpoint onto the rank pools — at any step ``k``, not only where a
+forcing window and a radiation interval happen to end.  That equivalence
+is what makes :meth:`RunPlan.run_key` a valid cache key for every
+execution path.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import FoamConfig
 from repro.core.config import test_config as _test_config
@@ -29,7 +33,14 @@ from repro.runs import (
 from tests.helpers import assert_trees_identical
 
 DAYS = 1.0          # total run length; checkpoint taken halfway
-CKPT_DAYS = 0.5     # the safe boundary at test size (lcm of cadences)
+CKPT_DAYS = 0.5
+
+# The any-step matrix: 30 steps at test size compute radiation at steps 0,
+# 12 and 24 and call the ocean after steps 6, 12, 18, 24 and 30, so the
+# checkpoints 1 ... 29 meet every position in both cadences.
+N_STEPS = 30
+STEP_DAYS = 1.0 / 24.0          # one step of the test configuration
+ANY_DAYS = N_STEPS * STEP_DAYS
 
 
 def _halfway_checkpoint(result):
@@ -58,6 +69,23 @@ def serial_checkpointed(tmp_path_factory):
         days=DAYS, checkpoint=CheckpointSpec(str(td),
                                              interval_days=CKPT_DAYS)))
     return harness.run()
+
+
+def _checkpointed_every_step(directory, **plan_kwargs):
+    """One continuous run of N_STEPS writing a checkpoint after every step;
+    ``result.checkpoints[k - 1]`` is the state after step ``k``."""
+    result = RunHarness(RunPlan(
+        days=ANY_DAYS, checkpoint=CheckpointSpec(str(directory),
+                                                 interval_days=STEP_DAYS),
+        **plan_kwargs)).run()
+    assert [p.name for p in result.checkpoints] == [
+        f"ckpt_{k:08d}.npz" for k in range(1, N_STEPS + 1)]
+    return result
+
+
+@pytest.fixture(scope="module")
+def serial_every_step(tmp_path_factory):
+    return _checkpointed_every_step(tmp_path_factory.mktemp("every_serial"))
 
 
 # ----------------------------------------------------------------------
@@ -143,16 +171,17 @@ class TestPlanValidation:
         assert RunPlan(mode="concurrent", substrate="process").substrate \
             == "process"
 
-    def test_checkpoint_cadence_must_hit_safe_boundary(self, tmp_path):
+    def test_checkpoint_cadence_is_any_whole_step(self, tmp_path):
         cfg = _test_config()
-        # 0.25 day = 6 steps at test size: a coupling boundary but not a
-        # radiation one — a checkpoint there would not resume bitwise.
+        # 0.25 day = 6 steps at test size (a coupling boundary inside a
+        # radiation interval) and a single step: both are cadences.
         spec = CheckpointSpec(str(tmp_path), interval_days=0.25)
-        with pytest.raises(ValueError, match="safe checkpoint boundary"):
-            spec.interval_steps(cfg)
-        plan = RunPlan(days=DAYS, checkpoint=spec)
-        with pytest.raises(ValueError, match="safe checkpoint boundary"):
-            RunHarness(plan).run()
+        assert spec.interval_steps(cfg) == 6
+        assert CheckpointSpec(str(tmp_path),
+                              interval_days=STEP_DAYS).interval_steps(cfg) == 1
+        result = RunHarness(RunPlan(days=0.5, checkpoint=spec)).run()
+        assert [p.name for p in result.checkpoints] == [
+            "ckpt_00000006.npz", "ckpt_00000012.npz"]
 
     def test_resume_refuses_config_mismatch(self, serial_checkpointed):
         ckpt = _halfway_checkpoint(serial_checkpointed)
@@ -201,6 +230,37 @@ class TestSerialResume:
         assert meta["run_key"] == serial_checkpointed.run_key
         assert meta["mode"] == "serial"
         assert meta["step"] * cfg.atm_dt == pytest.approx(state.time)
+
+
+class TestAnyStepResume:
+    """``run(N) == run(k) -> checkpoint -> fresh harness -> run(N - k)`` on
+    every leaf, for every ``k``: the file is the whole trajectory so far."""
+
+    NENS = 3
+
+    @pytest.mark.parametrize("k", range(1, N_STEPS))
+    def test_serial_resume_at_every_step(self, serial_every_step, k):
+        resumed = RunHarness(RunPlan(days=ANY_DAYS)).run(
+            resume_from=serial_every_step.checkpoints[k - 1])
+        assert (resumed.start_step, resumed.steps) == (k, N_STEPS - k)
+        assert_trees_identical(resumed.state, serial_every_step.state,
+                               f"serial resume at step {k}")
+
+    @pytest.fixture(scope="class")
+    def ensemble_every_step(self, tmp_path_factory):
+        return _checkpointed_every_step(
+            tmp_path_factory.mktemp("every_ensemble"), mode="ensemble",
+            nens=self.NENS, ic_perturbation=1e-8)
+
+    @settings(max_examples=5, deadline=None)
+    @given(k=st.integers(1, N_STEPS - 1))
+    def test_ensemble_resume_at_drawn_steps(self, ensemble_every_step, k):
+        resumed = RunHarness(RunPlan(
+            days=ANY_DAYS, mode="ensemble", nens=self.NENS,
+            ic_perturbation=1e-8)).run(
+                resume_from=ensemble_every_step.checkpoints[k - 1])
+        assert_trees_identical(resumed.state, ensemble_every_step.state,
+                               f"ensemble resume at step {k}")
 
 
 class TestEnsembleResume:
@@ -264,6 +324,29 @@ class TestConcurrentResume:
         resumed = RunHarness(self._plan()).run(resume_from=ckpt)
         assert_trees_identical(resumed.state, serial_baseline.state,
                         "serial ckpt -> concurrent resume")
+
+    @pytest.mark.parametrize("k", [
+        3,      # part-way through the first window, before any ocean call
+        14,     # past two ocean calls and the second radiation call
+    ])
+    def test_serial_checkpoint_resumes_off_boundary(
+            self, serial_every_step, k):
+        resumed = RunHarness(RunPlan(days=ANY_DAYS, mode="concurrent")).run(
+            resume_from=serial_every_step.checkpoints[k - 1])
+        assert resumed.start_step == k
+        assert_trees_identical(resumed.state, serial_every_step.state,
+                               f"serial ckpt at step {k} -> 2+1+1 pool")
+
+    def test_pool_segments_anywhere(self, serial_every_step, tmp_path):
+        # A 5-step history cadence cuts the pool run into six legs whose
+        # seams fall inside windows and radiation intervals.
+        result = RunHarness(RunPlan(
+            days=ANY_DAYS, mode="concurrent", history=HistorySpec(
+                str(tmp_path), interval_days=5 * STEP_DAYS,
+                fields=("sst",)))).run()
+        assert [seg.nsteps for seg in result.concurrent] == [5] * 6
+        assert_trees_identical(result.state, serial_every_step.state,
+                               "pool in 5-step legs vs serial")
 
 
 # ----------------------------------------------------------------------

@@ -173,6 +173,9 @@ def test_checkpoint_roundtrip_is_bitwise(tmp_path, members, kind):
     loaded = load_restart(save_restart(tmp_path / f"{kind}.npz", state))
     assert_trees_identical(loaded, state, kind)        # dtypes included
     assert isinstance(loaded.time, float)
+    # One step in: radiation computed, the forcing window part-full.
+    assert loaded.radiation.sw_heat is not None and loaded.radiation.time == 0.0
+    assert loaded.coupler.forcing_steps == 1
     if kind == "no_rivers":
         assert loaded.coupler.river_volume is None
 

@@ -322,10 +322,107 @@ def test_tree_walker_census(tmp_path):
     from repro.core import FoamModel, save_restart, test_config
     from repro.util.tree import tree_leaves
 
-    state = FoamModel(test_config()).initial_state()
-    with np.load(save_restart(tmp_path / "ckpt.npz", state)) as saved:
-        for path, leaf in tree_leaves(state):
-            if isinstance(leaf, np.ndarray):
-                key = ".".join(("state", *path))
-                assert key in saved.files, f"{key} missing from checkpoint"
-                assert np.array_equal(saved[key], leaf)
+    # (On the initial state and three steps in: radiation computed, the
+    # forcing window part-full.)
+    model = FoamModel(test_config())
+    state = model.initial_state()
+    for state in (state, model.run_days(state, 0.125)):
+        with np.load(save_restart(tmp_path / "ckpt.npz", state)) as saved:
+            for path, leaf in tree_leaves(state):
+                if isinstance(leaf, np.ndarray):
+                    key = ".".join(("state", *path))
+                    assert key in saved.files, f"{key} missing from checkpoint"
+                    assert np.array_equal(saved[key], leaf)
+    assert state.coupler.forcing_steps == 3
+    assert isinstance(state.radiation.sw_heat, np.ndarray)
+
+
+# ------------------------------------------------------------- trajectory
+def _attributes_written_outside_init(source: str) -> dict[str, set[str]]:
+    """``{class: names}`` of every ``self.<name>`` a method other than
+    ``__init__`` assigns, augments or stores into (``self.<name>[i] = x``)."""
+    import ast
+
+    found: dict[str, set[str]] = {}
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "__init__":
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                else:
+                    continue
+                for target in targets:
+                    for t in ast.walk(target):      # tuple targets too
+                        while isinstance(t, ast.Subscript):
+                            t = t.value
+                        if isinstance(t, ast.Attribute) and \
+                                getattr(t.value, "id", None) == "self":
+                            found.setdefault(cls.name, set()).add(t.attr)
+    return found
+
+
+def test_no_trajectory_on_model_objects_census():
+    """What evolves is a leaf of ``FoamState``; a model object holds static
+    data, derived caches rebuilt from a checked key, and counters (DESIGN.md
+    "State layout").  So outside ``__init__`` the component classes assign
+    only the attributes listed here, each for the reason beside it — a new
+    entry is a value some later step may read off the object instead of the
+    state, which is what pinned checkpoints to half-day boundaries before
+    PR 22."""
+    assert _attributes_written_outside_init(
+        "class Sample:\n"
+        "    def __init__(self):\n"
+        "        self.static = 1\n"
+        "    def step(self, x):\n"
+        "        self._cached = x\n"
+        "        self.table[0] = x\n"
+        "        self.count += 1\n") == {
+            "Sample": {"_cached", "table", "count"}}   # the scan sees them
+
+    allowed = {
+        "FoamModel": {
+            # Write-only bookkeeping of the last step, read by monitoring
+            # code (the scenario climatology reducer) and by no step.
+            "last_coupler_diagnostics"},
+        "PhysicsSuite": set(),
+        "FluxCoupler": {
+            # The exchange plan: rebuilt when its key, a copy of the ice
+            # mask it was derived from, differs from the state's mask.
+            "_plan", "_plan_key",
+            "plans_built", "plan_requests"},        # counters
+        "RiverModel": {
+            # set_direction(): hand-tuning the static routing network and
+            # the destination tables derived from it.
+            "direction", "dest_j", "dest_i"},
+        "SeaIceModel": set(),
+        "LandModel": set(),
+        "OceanModel": {
+            # Coriolis rotation tables, rebuilt when the step length
+            # (_rot_dt, their key) changes.
+            "_rot_dt", "_cosf", "_sinf",
+            "op_count"},                            # counter
+        "SlabOceanModel": {"op_count"},             # counter
+        "BarotropicSolver": set(),
+        "SpectralDynamicalCore": {
+            # The semi-implicit inverses, rebuilt from dt (their key) ...
+            "_inv", "_n_of_slot", "_hyper_denom",
+            # ... which _forward_start halves and restores around its
+            # one forward half step.
+            "dt"},
+    }
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    written: dict[str, set[str]] = {}
+    for path in src.rglob("*.py"):
+        for cls, names in _attributes_written_outside_init(
+                path.read_text()).items():
+            if cls in allowed:
+                written.setdefault(cls, set()).update(names)
+    assert set(written) <= set(allowed)
+    for cls, names in allowed.items():
+        assert written.get(cls, set()) == names, cls
