@@ -12,21 +12,23 @@ import numpy as np
 
 from conftest import report
 from repro.analysis import sst_error_statistics, synthetic_sst_climatology
-from repro.core import CoupledDiagnostics, FoamModel
+from repro.core import FoamModel, HistoryWriter, load_history
 from repro.core import test_config as tiny_config
+from repro.runs import HistoryObserver
 
 
-def run_climatology(days: float = 10.0):
+def run_climatology(tmp_path, days: float = 10.0):
+    """The mean of daily SST snapshots, written and read back as history."""
     model = FoamModel(tiny_config())
-    state = model.initial_state()
-    diags = CoupledDiagnostics()
-    model.run_days(state, days, diagnostics=diags)
-    return model, diags.mean_sst()
+    daily = HistoryObserver(HistoryWriter(tmp_path), fields=("sst",),
+                            interval_steps=round(86400.0 / model.config.atm_dt))
+    model.run_days(model.initial_state(), days, observers=(daily,))
+    return model, load_history(daily.writer.files_written)["sst"].mean(axis=0)
 
 
-def test_figure3_sst_climatology(benchmark):
-    model, model_sst = benchmark.pedantic(run_climatology, rounds=1,
-                                          iterations=1)
+def test_figure3_sst_climatology(benchmark, tmp_path):
+    model, model_sst = benchmark.pedantic(run_climatology, args=(tmp_path,),
+                                          rounds=1, iterations=1)
     g = model.ocean_grid
     obs = synthetic_sst_climatology(g.lats, g.lons)
     mask = model.ocean.mask2d

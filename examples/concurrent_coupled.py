@@ -60,7 +60,7 @@ def main() -> None:
     # Concurrent pool-split run, profiled the same way: the spans every
     # rank process records come home into this process's profiler.
     enable_profiling().reset()
-    res = run_concurrent_coupled(config=cfg, nsteps=nsteps, layout=layout)
+    res = run_concurrent_coupled(model, model.initial_state(), nsteps, layout)
     disable_profiling()
     conc_profile = take_profile(label="concurrent",
                                 meta={"dtype": cfg.dtype_policy.name})

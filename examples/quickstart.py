@@ -11,11 +11,13 @@ Run:  python examples/quickstart.py [--dtype float32] [--days N]
 """
 
 import argparse
+import tempfile
 import time
 
 import numpy as np
 
-from repro.core import CoupledDiagnostics, FoamModel, test_config
+from repro.core import FoamModel, HistoryWriter, load_history, test_config
+from repro.runs import HistoryObserver
 
 
 def main() -> None:
@@ -38,11 +40,16 @@ def main() -> None:
 
     model = FoamModel(cfg)
     state = model.initial_state()
-    diags = CoupledDiagnostics()
 
+    # Watching a run = an observer reading the state: daily SST snapshots
+    # stream to history files, read back below.
     days = args.days
     wall0 = time.time()
-    state = model.run_days(state, days, diagnostics=diags)
+    with tempfile.TemporaryDirectory() as tmp:
+        history = HistoryObserver(HistoryWriter(tmp), fields=("sst",),
+                                  interval_steps=round(86400.0 / cfg.atm_dt))
+        state = model.run_days(state, days, observers=(history,))
+        sst_daily = load_history(history.writer.files_written)["sst"]
     wall = time.time() - wall0
 
     sim_seconds = days * 86400.0
@@ -62,8 +69,8 @@ def main() -> None:
     for name, kg in inv.items():
         print(f"  {name:12s} {kg:.3e}")
 
-    mean_sst = diags.mean_sst()
-    print(f"\n{diags.sst_count}-sample mean SST (zonal means, S->N):")
+    mean_sst = sst_daily.mean(axis=0)
+    print(f"\n{len(sst_daily)}-sample mean SST (zonal means, S->N):")
     zonal = np.nanmean(np.where(model.ocean.mask2d, mean_sst, np.nan), axis=1)
     lats = np.degrees(model.ocean_grid.lats)
     for j in range(0, len(lats), max(1, len(lats) // 8)):

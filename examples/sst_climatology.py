@@ -16,12 +16,14 @@ Run:  python examples/sst_climatology.py [--days N]
 """
 
 import argparse
+import tempfile
 import time
 
 import numpy as np
 
 from repro.analysis import sst_error_statistics, synthetic_sst_climatology
-from repro.core import CoupledDiagnostics, FoamModel, test_config
+from repro.core import FoamModel, HistoryWriter, load_history, test_config
+from repro.runs import HistoryObserver
 
 
 def main() -> None:
@@ -32,15 +34,17 @@ def main() -> None:
 
     model = FoamModel(test_config())
     state = model.initial_state()
-    diags = CoupledDiagnostics()
 
     print(f"running {args.days:.0f} simulated days ...")
     t0 = time.time()
-    state = model.run_days(state, args.days, diagnostics=diags)
+    with tempfile.TemporaryDirectory() as tmp:
+        daily = HistoryObserver(HistoryWriter(tmp), fields=("sst",),
+                                interval_steps=round(86400.0 / model.config.atm_dt))
+        state = model.run_days(state, args.days, observers=(daily,))
+        model_sst = load_history(daily.writer.files_written)["sst"].mean(axis=0)
     print(f"done in {time.time() - t0:.1f} s wall")
 
     g = model.ocean_grid
-    model_sst = diags.mean_sst()
     obs_sst = synthetic_sst_climatology(g.lats, g.lons)
     mask = model.ocean.mask2d
     weights = g.cell_areas()

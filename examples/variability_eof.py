@@ -15,6 +15,7 @@ Run:  python examples/variability_eof.py [--years N]
 """
 
 import argparse
+import tempfile
 import time
 
 import numpy as np
@@ -26,7 +27,8 @@ from repro.analysis import (
     rotated_variance_fractions,
     varimax,
 )
-from repro.core import CoupledDiagnostics, FoamModel, test_config
+from repro.core import FoamModel, HistoryWriter, load_history, test_config
+from repro.runs import HistoryObserver
 
 
 def basin_masks(model):
@@ -47,18 +49,20 @@ def main() -> None:
 
     model = FoamModel(test_config())
     state = model.initial_state()
-    diags = CoupledDiagnostics()
 
     days = args.years * 360.0
     print(f"running {days:.0f} simulated days for the SST record ...")
     t0 = time.time()
     # Sample SST every 10 days: 36 "months" per simulated year.
-    state = model.run_days(state, days, diagnostics=diags,
-                           sst_sample_interval=10 * 86400.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        record = HistoryObserver(
+            HistoryWriter(tmp), fields=("sst",),
+            interval_steps=round(10 * 86400.0 / model.config.atm_dt))
+        state = model.run_days(state, days, observers=(record,))
+        sst = load_history(record.writer.files_written)["sst"]   # (t, ny, nx)
     print(f"done in {time.time() - t0:.1f} s wall; "
-          f"{diags.sst_count} SST samples collected")
+          f"{len(sst)} SST samples collected")
 
-    sst = np.array(diags.history_sst)                     # (t, ny, nx)
     mask = model.ocean.mask2d
     nt = sst.shape[0]
     # Anomalies, then low-pass: with the short demo record we use a cutoff

@@ -3,7 +3,7 @@
 from repro.core.config import FoamConfig, paper_config, small_config, test_config
 from repro.core.ensemble import (EnsembleConfig, FoamEnsemble, member_state,
                                  stack_members)
-from repro.core.foam import CoupledDiagnostics, FoamModel, FoamState
+from repro.core.foam import FoamModel, FoamState
 from repro.core.history import (
     HistoryWriter,
     load_checkpoint,
@@ -14,7 +14,7 @@ from repro.core.history import (
 
 __all__ = [
     "FoamConfig", "paper_config", "small_config", "test_config",
-    "CoupledDiagnostics", "FoamModel", "FoamState",
+    "FoamModel", "FoamState",
     "EnsembleConfig", "FoamEnsemble", "stack_members", "member_state",
     "HistoryWriter", "load_history", "save_restart", "load_restart",
     "load_checkpoint",

@@ -37,7 +37,7 @@ import numpy as np
 from repro.atmosphere.dynamics import AtmosphereState
 from repro.backend import weak_scalar
 from repro.core.config import FoamConfig, test_config
-from repro.core.foam import CoupledDiagnostics, FoamModel, FoamState
+from repro.core.foam import FoamModel, FoamState
 from repro.util.tree import tree_map
 
 __all__ = ["EnsembleConfig", "FoamEnsemble", "promote_member_values",
@@ -202,8 +202,6 @@ class FoamEnsemble:
         return self.model.coupled_step(state)
 
     def run_days(self, state: FoamState, days: float,
-                 diagnostics: CoupledDiagnostics | None = None,
-                 sst_sample_interval: float = 86400.0,
                  observers: tuple = ()) -> FoamState:
         """Integrate the whole batch for ``days`` simulated days.
 
@@ -211,9 +209,7 @@ class FoamEnsemble:
         observers see the *batched* state, so history snapshots carry the
         member axis natively.
         """
-        return self.model.run_days(state, days, diagnostics=diagnostics,
-                                   sst_sample_interval=sst_sample_interval,
-                                   observers=observers)
+        return self.model.run_days(state, days, observers=observers)
 
     def member_state(self, state: FoamState, e: int) -> FoamState:
         """Member ``e`` of a batched state as an independent serial state."""

@@ -23,7 +23,7 @@ grid and transported semi-Lagrangially as in PCCM2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,22 +56,6 @@ class FoamState:
     #: leaf by leaf.
     radiation: RadiationState
     time: float = 0.0
-
-
-@dataclass
-class CoupledDiagnostics:
-    """Running diagnostics collected during an integration."""
-
-    sst_sum: np.ndarray | None = None
-    sst_count: int = 0
-    precip_sum: np.ndarray | None = None
-    history_sst: list = field(default_factory=list)   # monthly-ish SST means
-    history_time: list = field(default_factory=list)
-
-    def mean_sst(self) -> np.ndarray:
-        if self.sst_count == 0:
-            raise RuntimeError("no SST samples accumulated")
-        return self.sst_sum / self.sst_count
 
 
 class FoamModel:
@@ -117,10 +101,6 @@ class FoamModel:
                                    self.ocean_grid.lats, cfg.ocn_nx,
                                    land_mask, rng_seed=cfg.seed + 7,
                                    dtype=policy)
-        # Most recent coupler bookkeeping (precip/evap/runoff totals);
-        # refreshed every coupled_step so monitoring code (the scenario
-        # climatology reducer) can read it without re-running physics.
-        self.last_coupler_diagnostics = None
 
     # ------------------------------------------------------------------
     def initial_state(self, seed: int | None = None,
@@ -248,19 +228,21 @@ class FoamModel:
                            surface, *, precip: np.ndarray,
                            sw_sfc: np.ndarray, lw_down: np.ndarray,
                            t_low1: np.ndarray, t_low2: np.ndarray,
-                           dt: float):
+                           dt: float) -> CouplerState:
         """Land/hydrology/rivers + ocean-forcing accumulation (coupler phase).
 
         ``sw_sfc``/``lw_down`` are the radiation outputs of the physics
         step; the turbulent pieces of the net surface flux come from
         ``turb["atm"]`` (the very arrays physics passed through via
         ``external_fluxes``), so the coupler rank needs no flux arrays back
-        from the atmosphere pool beyond precip and radiation.
+        from the atmosphere pool beyond precip and radiation.  The new
+        state keeps the step's ``precip`` and evaporation for observers.
         """
         net_rad = sw_sfc + lw_down - STEFAN_BOLTZMANN * surface.t_sfc**4
         net_sfc = net_rad - turb["atm"]["shf"] - turb["atm"]["lhf"]
-        new_cpl, discharge_atm, cpl_diags = self.coupler.step_land_and_rivers(
-            cpl_state, precip=precip, evap=turb["atm"]["evap"],
+        evap = turb["atm"]["evap"]
+        new_cpl, discharge_atm = self.coupler.step_land_and_rivers(
+            cpl_state, precip=precip, evap=evap,
             t_low1=t_low1, t_low2=t_low2, net_land_flux=net_sfc, dt=dt)
 
         # --- accumulate ocean forcing ---------------------------------------
@@ -279,8 +261,8 @@ class FoamModel:
             window = tree_map(
                 lambda acc, a: np.add(acc, a, out=np.empty_like(acc)),
                 cpl_state.forcing_sum, step)
-        return replace(new_cpl, forcing_sum=window,
-                       forcing_steps=cpl_state.forcing_steps + 1), cpl_diags
+        return replace(new_cpl, forcing_sum=window, precip=precip, evap=evap,
+                       forcing_steps=cpl_state.forcing_steps + 1)
 
     def coupling_due(self, cpl_state: CouplerState) -> bool:
         """True when a full averaging window has accumulated (ocean is due)."""
@@ -341,11 +323,10 @@ class FoamModel:
         precip = phys.precip_conv + phys.precip_strat
 
         # --- land, hydrology, rivers + ocean-forcing accumulation -----------
-        new_cpl, _cpl_diags = self.accumulate_forcing(
+        new_cpl = self.accumulate_forcing(
             state.coupler, turb, surface, precip=precip,
             sw_sfc=phys.radiation.sw_sfc, lw_down=phys.radiation.lw_down,
             t_low1=diag.temp[-1], t_low2=diag.temp[-2], dt=dt)
-        self.last_coupler_diagnostics = _cpl_diags
 
         new_ocean = state.ocean
         new_time = state.time + dt
@@ -364,26 +345,18 @@ class FoamModel:
 
     # ------------------------------------------------------------------
     def run_days(self, state: FoamState, days: float,
-                 diagnostics: CoupledDiagnostics | None = None,
-                 sst_sample_interval: float = 86400.0,
                  observers: tuple = ()) -> FoamState:
         """Integrate the coupled system for ``days`` simulated days.
 
         Delegates to the run harness's single stepping loop
-        (:func:`repro.runs.drive_steps`); ``diagnostics`` rides along as
-        the legacy SST-sampling observer and ``observers`` attaches any
-        further :class:`~repro.runs.StepObserver` s (history,
-        checkpoints).
+        (:func:`repro.runs.drive_steps`); ``observers`` attaches
+        :class:`~repro.runs.StepObserver` s (history, checkpoints,
+        climatology), which read the state and nothing else.
         """
         from repro.runs.harness import drive_steps
-        from repro.runs.observers import CoupledDiagnosticsObserver
 
         nsteps = int(round(days * 86400.0 / self.config.atm_dt))
-        obs = tuple(observers)
-        if diagnostics is not None:
-            obs = (CoupledDiagnosticsObserver(diagnostics,
-                                              sst_sample_interval),) + obs
-        return drive_steps(self, state, nsteps, obs)
+        return drive_steps(self, state, nsteps, tuple(observers))
 
     # ------------------------------------------------------------------
     # budgets

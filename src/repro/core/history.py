@@ -32,8 +32,9 @@ from repro.util.tree import tree_leaves, tree_skeleton, tree_unflatten
 #: stamped with any other version (or none) is rejected, not guessed at.
 #: Version 3 named every state leaf by its path (``state.ocean.temp``);
 #: version 4 states carry the radiation and the ocean-forcing window, so a
-#: file taken at any step resumes bitwise.
-CHECKPOINT_FORMAT_VERSION = 4
+#: file taken at any step resumes bitwise; version 5 states carry the last
+#: step's ``coupler.precip`` / ``.evap`` and no ``coupler.time``.
+CHECKPOINT_FORMAT_VERSION = 5
 
 
 class HistoryWriter:

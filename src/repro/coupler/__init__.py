@@ -8,7 +8,6 @@ river model.
 
 from repro.coupler.coupler import (
     OCEAN_ALBEDO,
-    CouplerDiagnostics,
     CouplerState,
     FluxCoupler,
 )
@@ -44,5 +43,5 @@ __all__ = [
     "wetness_factor",
     "NEIGHBORS", "RiverModel", "derive_flow_directions", "distance_to_ocean",
     "SeaIceModel", "SeaIceState",
-    "CouplerDiagnostics", "CouplerState", "FluxCoupler", "OCEAN_ALBEDO",
+    "CouplerState", "FluxCoupler", "OCEAN_ALBEDO",
 ]

@@ -68,19 +68,13 @@ class CouplerState:
     #: running sum over ``forcing_steps`` atmosphere steps (zeros and 0 at a
     #: coupling boundary, so the tree's shape never changes).
     forcing_sum: OceanForcing
+    #: The last step's precipitation and evaporation on the atmosphere grid
+    #: (kg m^-2 s^-1; zeros at t = 0): the one by-product of a step that
+    #: observers want and no later step reads.
+    precip: np.ndarray
+    evap: np.ndarray
     forcing_steps: int = 0
     river_volume: np.ndarray | None = None   # m^3 stored water per cell
-    time: float = 0.0
-
-
-@dataclass
-class CouplerDiagnostics:
-    """Per-coupling-step diagnostics (global water/energy bookkeeping)."""
-
-    precip_total: float = 0.0          # kg/s, global
-    evap_total: float = 0.0
-    runoff_total: float = 0.0
-    river_discharge_total: float = 0.0
 
 
 class FluxCoupler:
@@ -140,6 +134,11 @@ class FluxCoupler:
             ice=SeaIceState.ice_free(ny_o, nx_o),
             forcing_sum=OceanForcing.zeros(ny_o, nx_o,
                                            self.policy.float_dtype),
+            # In the dtypes a step leaves there: physics rains in the
+            # policy's, the overlap average is a float64 ``bincount``.
+            precip=np.zeros((self.atm_nlat, self.atm_nlon),
+                            self.policy.float_dtype),
+            evap=np.zeros((self.atm_nlat, self.atm_nlon)),
             river_volume=np.zeros((self.atm_nlat, self.atm_nlon)))
 
     # ------------------------------------------------------------------
@@ -303,14 +302,12 @@ class FluxCoupler:
                              precip: np.ndarray, evap: np.ndarray,
                              t_low1: np.ndarray, t_low2: np.ndarray,
                              net_land_flux: np.ndarray, dt: float
-                             ) -> tuple[CouplerState, np.ndarray,
-                                        CouplerDiagnostics]:
+                             ) -> tuple[CouplerState, np.ndarray]:
         """Advance land temperature, hydrology, and river routing.
 
         All inputs on the atmosphere grid; ``net_land_flux`` is the energy
-        residual into the soil (W/m^2).  Returns the new state, the river
-        discharge onto atmosphere-grid ocean cells (kg m^-2 s^-1), and
-        bookkeeping diagnostics.
+        residual into the soil (W/m^2).  Returns the new state and the river
+        discharge onto atmosphere-grid ocean cells (kg m^-2 s^-1).
         """
         land = self.atm_land_mask
         ground = self.land_model.skin_temperature(state.land)
@@ -332,17 +329,8 @@ class FluxCoupler:
                                  for part in zip(*routed))
         new_land = self.land_model.step(
             state.land, np.where(land, net_land_flux, 0.0), dt)
-
-        a = self.atm_cell_areas
-        diags = CouplerDiagnostics(
-            precip_total=float(np.sum(precip * a)),
-            evap_total=float(np.sum(evap * a)),
-            runoff_total=float(np.sum(runoff * a)),
-            river_discharge_total=float(np.sum(discharge * a)))
-        return (dataclasses.replace(state, land=new_land, hydrology=new_hydro,
-                                    river_volume=new_volume,
-                                    time=state.time + dt),
-                discharge, diags)
+        return dataclasses.replace(state, land=new_land, hydrology=new_hydro,
+                                   river_volume=new_volume), discharge
 
     # ------------------------------------------------------------------
     def step_sea_ice(self, state: CouplerState, *, sst_celsius: np.ndarray,

@@ -544,6 +544,11 @@ class OceanModel:
         return 0.5 * RHO_SEAWATER * self._member_sum(
             (u**2 + v**2) * self._cell_volumes(u))
 
+    def heat_content(self, state: OceanState):
+        """Heat content relative to 0 C (J): a float, or ``(nens,)`` batched."""
+        return RHO_SEAWATER * CP_SEAWATER * self._member_sum(
+            state.temp * self._cell_volumes(state.temp))
+
     def run(self, state: OceanState, nsteps: int,
             forcing: OceanForcing | None = None) -> OceanState:
         if forcing is None:

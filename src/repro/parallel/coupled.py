@@ -41,7 +41,6 @@ from repro.backend import workspace_totals
 from repro.parallel.commbase import CommBase, CommStats
 from repro.parallel.decomp import block_bounds
 from repro.parallel.procmpi import run_ranks
-from repro.perf.profiler import get_profiler
 from repro.util.tree import tree_map
 
 # Coupler exchange tags (world-communicator context).
@@ -210,7 +209,7 @@ def _cpl_worker(comm, pool, layout, model, state, nsteps, waits):
         ph = _timed_recv(comm, atm_leader, TAG_ATM_PHYS, waits, "atm_phys")
         # Land/rivers/regrid run here while the atm pool is inside its
         # spectral update + dynamics — the every-step overlap.
-        cpl_state, _diags = model.accumulate_forcing(
+        cpl_state = model.accumulate_forcing(
             cpl_state, turb, surface, precip=ph["precip"],
             sw_sfc=ph["sw_sfc"], lw_down=ph["lw_down"],
             t_low1=st["t_air"], t_low2=st["t_air2"], dt=dt)
@@ -247,31 +246,23 @@ def _ocn_worker(comm, pool, layout, model, state, nsteps, waits):
 _WORKERS = {"atm": _atm_worker, "cpl": _cpl_worker, "ocn": _ocn_worker}
 
 
-def run_concurrent_coupled(config=None, *, days: float = 1.0,
-                           nsteps: int | None = None,
-                           layout: PoolLayout | None = None,
-                           timeout: float | None = None,
-                           initial_state=None) -> ConcurrentCoupledResult:
-    """Run the coupled model concurrently on disjoint rank pools.
+def run_concurrent_coupled(model, state, nsteps: int, layout: PoolLayout,
+                           timeout: float | None = None
+                           ) -> ConcurrentCoupledResult:
+    """Advance ``state`` by ``nsteps`` on disjoint rank pools.
 
-    ``nsteps`` overrides ``days``.  Every pool rank is a forked process
-    (:func:`repro.parallel.procmpi.run_ranks`); when the caller's profiler
-    is enabled, the spans of every rank's stepping loop are added to it.
-    The returned state is numerically equivalent — bitwise at float64 — to
-    ``nsteps`` serial ``coupled_step`` calls from the same initial state.
-
-    ``initial_state`` starts the run from an existing :class:`FoamState`
-    (the run harness passes checkpointed or segment-boundary states here)
-    instead of ``model.initial_state()`` — at any step: the state carries
-    the forcing window and the radiation the fresh per-rank models need.
+    Every pool rank is a forked process
+    (:func:`repro.parallel.procmpi.run_ranks`) stepping its own copy of the
+    caller's ``model`` — a model holds no trajectory, so the copy is as good
+    as a fresh one; when the caller's profiler is enabled, the spans of
+    every rank's stepping loop are added to it.  The returned state is
+    numerically equivalent — bitwise at float64 — to ``nsteps`` serial
+    ``coupled_step`` calls from ``state``, taken at any step: the state
+    carries the forcing window and the radiation.
     """
-    from repro.core.config import test_config
-    from repro.core.foam import FoamModel, FoamState
+    from repro.core.foam import FoamState
 
-    layout = layout or PoolLayout()
-    cfg = config or test_config()
-    if nsteps is None:
-        nsteps = max(1, int(round(days * 86400.0 / cfg.atm_dt)))
+    cfg = model.config
     if layout.n_atm > cfg.atm_nlat:
         raise ValueError(f"n_atm={layout.n_atm} exceeds nlat={cfg.atm_nlat}")
     # Size the backstop to the run, not to the (pytest-lowered) default, so
@@ -281,12 +272,8 @@ def run_concurrent_coupled(config=None, *, days: float = 1.0,
     def worker(comm: CommBase):
         role = layout.role_of(comm.rank)
         pool = comm.split(_POOL_COLORS[role])
-        model = FoamModel(cfg)
-        state = (initial_state if initial_state is not None
-                 else model.initial_state())
         waits: dict[str, float] = {}
-        comm.barrier()                 # exclude construction from the walls
-        get_profiler().reset()         # ... and from this rank's spans
+        comm.barrier()                 # exclude the pool split from the walls
         t0 = time.perf_counter()
         out = _WORKERS[role](comm, pool, layout, model, state, nsteps, waits)
         wall = time.perf_counter() - t0

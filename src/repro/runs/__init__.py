@@ -12,7 +12,6 @@ from repro.runs.harness import RunHarness, RunResult, drive_steps
 from repro.runs.observers import (
     HISTORY_FIELDS,
     CheckpointObserver,
-    CoupledDiagnosticsObserver,
     HistoryObserver,
     StepObserver,
 )
@@ -27,6 +26,5 @@ from repro.runs.plan import (
 __all__ = [
     "RunPlan", "HistorySpec", "CheckpointSpec", "RUN_MODES", "plan_from_flags",
     "RunHarness", "RunResult", "drive_steps",
-    "StepObserver", "HistoryObserver", "CheckpointObserver",
-    "CoupledDiagnosticsObserver", "HISTORY_FIELDS",
+    "StepObserver", "HistoryObserver", "CheckpointObserver", "HISTORY_FIELDS",
 ]

@@ -9,8 +9,8 @@ into an integration and owns the time loop for every execution mode:
 * **concurrent** plans segment the run at observer-event boundaries and
   hand each segment to the rank-pool driver
   (:func:`repro.parallel.coupled.run_concurrent_coupled`), threading the
-  state through — the state is all a segment's fresh rank models need, so
-  the segmented trajectory is bitwise the continuous one.
+  state through — the state is all a segment's forked ranks need beside
+  the model, so the segmented trajectory is bitwise the continuous one.
 
 The headline contract (``tests/test_runs.py``): for any plan,
 ``run(N days)`` is bitwise float64-identical to ``run(k) -> checkpoint ->
@@ -209,10 +209,9 @@ class RunHarness:
         wherever a cadenced observer fires, and the end."""
         targets = {total}
         for ob in observers:
-            interval = getattr(ob, "interval_steps", None)
-            if interval is not None:
+            if ob.interval_steps is not None:
                 targets.update(s for s in range(start + 1, total + 1)
-                               if s % interval == 0)
+                               if s % ob.interval_steps == 0)
         return sorted(targets)
 
     def _run_concurrent(self, state: FoamState, start: int, total: int,
@@ -228,9 +227,8 @@ class RunHarness:
         for target in self._segment_targets(start, total, observers):
             if target == cursor:
                 continue
-            seg = run_concurrent_coupled(
-                config=self.config, nsteps=target - cursor, layout=layout,
-                initial_state=state)
+            seg = run_concurrent_coupled(self.model, state, target - cursor,
+                                         layout)
             segments.append(seg)
             state = seg.state
             cursor = target

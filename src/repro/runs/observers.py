@@ -2,10 +2,12 @@
 
 A :class:`StepObserver` sees the model and the state after every coupled
 step (and at run start/end) without owning any part of the stepping loop —
-history output, checkpointing, climatology accumulation, and the legacy
-``CoupledDiagnostics`` sampling are all observers now, so every execution
-path (serial, batched ensemble, concurrent rank pools) gets them from the
-same code.
+history output, checkpointing and climatology accumulation are all
+observers, so every execution path (serial, batched ensemble, concurrent
+rank pools) gets them from the same code.  An observer reads the state and
+nothing else: what it reports is a function of the ``FoamState`` it is
+handed (the model supplies static grids and operators), so the same
+observer serves every mode and a resumed run.
 
 Cadenced observers derive "am I due?" from the *absolute* step index
 (``round(state.time / atm_dt)``), never from a private counter — so a run
@@ -23,7 +25,7 @@ import numpy as np
 from repro.core.history import HistoryWriter, save_restart
 
 __all__ = ["StepObserver", "HistoryObserver", "CheckpointObserver",
-           "CoupledDiagnosticsObserver", "HISTORY_FIELDS", "step_index"]
+           "HISTORY_FIELDS", "step_index"]
 
 
 def step_index(model, state) -> int:
@@ -32,7 +34,13 @@ def step_index(model, state) -> int:
 
 
 class StepObserver:
-    """Base class: override any subset of the three hooks."""
+    """Base class: override any subset of the three hooks.
+
+    In-process runs call ``on_step`` after every step; a pool run surfaces
+    the state every ``interval_steps`` steps (where declared) and at the end.
+    """
+
+    interval_steps: int | None = None
 
     def on_start(self, model, state) -> None:
         """Called once with the state the loop starts from."""
@@ -59,6 +67,8 @@ HISTORY_FIELDS = {
     "eta": lambda model, state: state.ocean.eta,
     "soil_moisture": lambda model, state: state.coupler.hydrology.soil_moisture,
     "snow_depth": lambda model, state: state.coupler.hydrology.snow_depth,
+    "precip": lambda model, state: state.coupler.precip,
+    "evap": lambda model, state: state.coupler.evap,
 }
 
 
@@ -128,36 +138,3 @@ class CheckpointObserver(StepObserver):
             save_restart(path, state, config=self.config,
                          meta={**self.meta, "step": istep})
             self.paths.append(path)
-
-
-# ----------------------------------------------------------------------
-# legacy CoupledDiagnostics sampling (FoamModel.run_days contract)
-# ----------------------------------------------------------------------
-class CoupledDiagnosticsObserver(StepObserver):
-    """Replicates the historical ``run_days(diagnostics=...)`` sampling.
-
-    Samples SST whenever ``state.time`` crosses the next multiple of
-    ``sample_interval`` past the start time — operation-for-operation the
-    loop ``run_days`` used to inline, so existing diagnostics consumers
-    see identical accumulations.
-    """
-
-    def __init__(self, diagnostics, sample_interval: float = 86400.0):
-        self.diagnostics = diagnostics
-        self.sample_interval = sample_interval
-        self._next = None
-
-    def on_start(self, model, state) -> None:
-        self._next = state.time
-
-    def on_step(self, model, state) -> None:
-        d = self.diagnostics
-        if state.time >= self._next:
-            sst = model.ocean.sst(state.ocean)
-            if d.sst_sum is None:
-                d.sst_sum = np.zeros_like(np.nan_to_num(sst))
-            d.sst_sum += np.nan_to_num(sst)
-            d.sst_count += 1
-            d.history_sst.append(np.nan_to_num(sst).copy())
-            d.history_time.append(state.time)
-            self._next += self.sample_interval

@@ -38,7 +38,7 @@ class HistorySpec:
 
     directory: str
     interval_days: float = 0.25
-    fields: tuple[str, ...] = ("sst", "t_sfc", "ice_thickness")
+    fields: tuple[str, ...] = ("sst", "t_sfc", "ice_thickness", "precip")
     flush_every: int = 8
     prefix: str = "history"
 

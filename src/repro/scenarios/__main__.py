@@ -14,10 +14,11 @@ Usage::
     python -m repro.scenarios golden [--days D] [--out PATH] [NAME ...]
 
 ``run`` builds a declarative :class:`~repro.runs.RunPlan` and executes it
-through the :class:`~repro.runs.RunHarness` — the same stepping loop
-whatever the mode: serial (default, with a climatology summary),
-``--ensemble N`` (N perturbed members as one batch, spread reported), or
-``--atm-ranks N`` [``--ocn-ranks N``] (concurrent pools of forked ranks).
+through the :class:`~repro.runs.RunHarness` — the same stepping loop and
+the same climatology report whatever the mode: serial (default),
+``--ensemble N`` (N perturbed members as one batch: one climatology per
+member, spread reported), or ``--atm-ranks N`` [``--ocn-ranks N``]
+(concurrent pools of forked ranks; reports the end state).
 ``--checkpoint-dir`` streams bitwise-resumable checkpoints,
 ``--history-dir`` streams rolling history files, and ``--resume CKPT``
 continues any prior run's checkpoint up to ``--days`` total — in any
@@ -42,7 +43,7 @@ from repro.runs import (
 from repro.scenarios.climatology import (
     GOLDEN_DAYS,
     ClimatologyObserver,
-    ensemble_member_metrics,
+    member_rows,
     scenario_climatology,
     state_metrics,
 )
@@ -114,30 +115,31 @@ def cmd_run(args) -> int:
     scenario = get_scenario(args.name)
     plan = _plan_from_args(scenario, args)
     harness = RunHarness(plan)
-    clim = ClimatologyObserver(harness.model) if plan.mode == "serial" else None
+    # A pool run surfaces the state at declared cadences and at the end
+    # only: it reports the end state, not an every-step climatology.
+    pooled = plan.mode == "concurrent"
+    clim = ClimatologyObserver(harness.model)
     result = harness.run(resume_from=args.resume,
-                         observers=(clim,) if clim else ())
+                         observers=() if pooled else (clim,))
 
     body: dict = {"mode": plan.mode, "run_key": result.run_key}
-    if plan.mode == "serial":
-        body["climatology"] = clim.metrics(result.state)
-    elif plan.mode == "ensemble":
-        ens = harness.ensemble
-        # One batched diagnose over the (nens, ...) state — no per-member
-        # member_state extraction.
-        members = ensemble_member_metrics(ens.model, result.state)
-        ts = [m["ts_global_k"] for m in members]
-        body.update(nens=ens.nens, members=members,
-                    ts_global_k_mean=sum(ts) / len(ts),
-                    ts_spread_k=max(ts) - min(ts))
-    else:
-        final = state_metrics(harness.model, result.state)
-        final.pop("mean_ps_pa", None)
+    if pooled:
         body.update(world_size=plan.n_atm + 1 + plan.n_ocn,
                     nsteps=result.steps,
                     wall_seconds=result.wall_seconds,
                     hidden_fraction=result.hidden_fraction,
-                    final_state=final)
+                    final_state=member_rows(
+                        state_metrics(harness.model, result.state))[0])
+    else:
+        # One row per member, each with the serial run's keys.
+        members = member_rows(clim.metrics(result.state))
+        if plan.mode == "serial":
+            body["climatology"] = members[0]
+        else:
+            ts = [m["ts_global_k"] for m in members]
+            body.update(nens=plan.nens, members=members,
+                        ts_global_k_mean=sum(ts) / len(ts),
+                        ts_spread_k=max(ts) - min(ts))
     if args.resume:
         body["resumed_from_step"] = result.start_step
     if result.checkpoints:
@@ -162,7 +164,7 @@ def cmd_run(args) -> int:
         print(f"  members                  {body['nens']}")
         print(f"  ts_global_k_mean         {body['ts_global_k_mean']:.6g}")
         print(f"  ts_spread_k              {body['ts_spread_k']:.3g}")
-    if body["mode"] == "concurrent":
+    if pooled:
         print(f"  wall_seconds             {body['wall_seconds']:.3g}")
         print(f"  hidden_fraction          {body['hidden_fraction']:.3g}")
     if result.checkpoints:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.foam import FoamModel, FoamState
+from repro.runs.observers import StepObserver
 
 #: Days every golden climatology is integrated for (test-size grids).
 #: Four days: long enough for the doubled-CO2 column-temperature signal to
@@ -49,15 +50,17 @@ def _ocean_areas(model: FoamModel) -> np.ndarray:
     return np.where(model.ocean.mask2d, model.ocean.grid.cell_areas(), 0.0)
 
 
-def _metric_arrays(model: FoamModel, state: FoamState) -> dict:
-    """Each metric reduced over levels and the horizontal; what is left is
-    the member axis (0-d for a serial state, ``(nens,)`` for a batched one).
+def state_metrics(model: FoamModel, state: FoamState) -> dict:
+    """Instantaneous diagnostics of one coupled state, each reduced over
+    levels and the horizontal: what is left is the member axis (a scalar for
+    a serial state, ``(nens,)`` for a batched one, equal member by member).
 
     One diagnose/synthesis pass over the whole (level[, member]) stack, so
     a batched state costs one batched diagnose — not nens serial ones plus
     a deep copy of every field.
     """
     w = _area_weights(model)
+    area = model.coupler.atm_cell_areas
     sst = model.ocean.sst(state.ocean)
     surface = model.coupler.surface_state_for_atm(state.coupler, sst)
     oa = _ocean_areas(model)
@@ -78,91 +81,80 @@ def _metric_arrays(model: FoamModel, state: FoamState) -> dict:
                                axis=hax) / oa_total,
         "ocean_ke_j": model.ocean.total_kinetic_energy(state.ocean),
         "mean_ps_pa": model.transform.global_mean(diag.ps),
+        # The last step's global rain and evaporation (kg/s), and the
+        # ocean's heat content (J).
+        "precip_kg_s": np.sum(state.coupler.precip * area, axis=hax),
+        "evap_kg_s": np.sum(state.coupler.evap * area, axis=hax),
+        "ocean_heat_j": model.ocean.heat_content(state.ocean),
     }
 
 
-def state_metrics(model: FoamModel, state: FoamState) -> dict:
-    """Instantaneous scalar diagnostics of one (serial) coupled state."""
-    return {k: float(v) for k, v in _metric_arrays(model, state).items()}
+def member_rows(metrics: dict) -> list[dict]:
+    """Per-member metrics as one dict of floats per member (one row for a
+    serial state)."""
+    columns = {k: np.atleast_1d(v) for k, v in metrics.items()}
+    return [{k: float(col[e]) for k, col in columns.items()}
+            for e in range(len(columns["ts_global_k"]))]
 
 
-def ensemble_member_metrics(model: FoamModel, state: FoamState) -> list[dict]:
-    """:func:`state_metrics` of every member of a batched ensemble state."""
-    arrays = _metric_arrays(model, state)
-    return [{k: float(v[e]) for k, v in arrays.items()}
-            for e in range(len(arrays["mean_ps_pa"]))]
-
-
-def _ocean_heat_content(model: FoamModel, state: FoamState) -> float:
-    from repro.core.diagnostics import ocean_heat_content
-    return ocean_heat_content(state.ocean.temp, model.ocean.dz3d,
-                              model.ocean.grid.cell_areas())
-
-
-class ClimatologyObserver:
+class ClimatologyObserver(StepObserver):
     """Accumulates the regression climatology as a run-harness observer.
 
-    A :class:`~repro.runs.StepObserver` that reduces the trajectory the
-    exact way the old inline loop did (``state_metrics`` after every
-    coupled step plus the coupler's precip/evap totals), so the committed
-    goldens are untouched by the harness refactor.  Attach it to any
-    serial harness run and call :meth:`metrics` afterwards.
+    Reduces the trajectory with :func:`state_metrics` after every coupled
+    step — the state carries the step's rain and evaporation — so one
+    observer serves serial and batched runs (every figure is per member),
+    and the committed goldens.  Attach it to any in-process harness run and
+    call :meth:`metrics` afterwards.
     """
+
+    MEANS = ("ts_global_k", "t_atm_k", "sst_ocean_c", "ice_fraction",
+             "precip_kg_s", "evap_kg_s")
 
     def __init__(self, model: FoamModel):
         self.model = model
-        self.sums = {k: 0.0 for k in ("ts_global_k", "t_atm_k",
-                                      "sst_ocean_c", "ice_fraction")}
-        self.precip_sum = 0.0
-        self.evap_sum = 0.0
+        self.sums = dict.fromkeys(self.MEANS, 0.0)
         self.nsteps = 0
         self._start = None
-        self._ohc0 = None
 
     def on_start(self, model, state) -> None:
         self._start = state_metrics(self.model, state)
-        self._ohc0 = _ocean_heat_content(self.model, state)
 
     def on_step(self, model, state) -> None:
         inst = state_metrics(self.model, state)
         for k in self.sums:
-            self.sums[k] += inst[k]
-        cpl = self.model.last_coupler_diagnostics
-        if cpl is not None:
-            self.precip_sum += cpl.precip_total     # kg/s, global
-            self.evap_sum += cpl.evap_total
+            self.sums[k] = self.sums[k] + inst[k]
         self.nsteps += 1
 
-    def on_end(self, model, state) -> None:
-        pass
-
     def metrics(self, state: FoamState) -> dict:
-        """The climatology dict for the trajectory observed so far."""
+        """The climatology dict for the trajectory observed so far: a float
+        per metric for a serial run, a list (one per member) for a batched
+        one."""
         if self.nsteps == 0 or self._start is None:
             raise RuntimeError("no steps observed yet")
-        model = self.model
+        model, start = self.model, self._start
         end = state_metrics(model, state)
         elapsed = self.nsteps * model.config.atm_dt
-        ohc1 = _ocean_heat_content(model, state)
         oa_total = float(_ocean_areas(model).sum())
         area_atm = float(model.coupler.atm_cell_areas.sum())
-        out = {k: self.sums[k] / self.nsteps for k in self.sums}
+        out = {k: self.sums[k] / self.nsteps for k in self.MEANS[:4]}
         out.update({
             # mm/day == kg m^-2 day^-1 of the global-mean rate.  Precip
             # is the real thing; evaporation is the active spin-up proxy
             # for hydrological-cycle intensity (the default dry-start
             # atmosphere takes weeks to first saturate, so precip pins at
             # 0 early on).
-            "precip_mm_day": self.precip_sum / self.nsteps / area_atm
+            "precip_mm_day": self.sums["precip_kg_s"] / self.nsteps / area_atm
             * 86400.0,
-            "evap_mm_day": self.evap_sum / self.nsteps / area_atm * 86400.0,
+            "evap_mm_day": self.sums["evap_kg_s"] / self.nsteps / area_atm
+            * 86400.0,
             "ocean_ke_j": end["ocean_ke_j"],
-            "mass_drift_rel": abs(end["mean_ps_pa"] - self._start["mean_ps_pa"])
-            / self._start["mean_ps_pa"],
-            "ocean_heat_uptake_wm2": (ohc1 - self._ohc0)
+            "mass_drift_rel": np.abs(end["mean_ps_pa"] - start["mean_ps_pa"])
+            / start["mean_ps_pa"],
+            "ocean_heat_uptake_wm2": (end["ocean_heat_j"]
+                                      - start["ocean_heat_j"])
             / (oa_total * elapsed),
         })
-        return out
+        return {k: np.asarray(v).tolist() for k, v in out.items()}
 
 
 def scenario_climatology(model: FoamModel, state: FoamState,

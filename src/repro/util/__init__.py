@@ -1,4 +1,4 @@
-"""Shared utilities: physical constants, thermodynamic helpers, validation."""
+"""Shared utilities: physical constants, thermodynamic helpers."""
 
 from repro.util import constants
 from repro.util.thermo import (
@@ -10,12 +10,6 @@ from repro.util.thermo import (
     temperature_from_theta,
     virtual_temperature,
 )
-from repro.util.validation import (
-    require_finite,
-    require_in_range,
-    require_positive,
-    require_shape,
-)
 
 __all__ = [
     "constants",
@@ -26,8 +20,4 @@ __all__ = [
     "virtual_temperature",
     "moist_static_energy",
     "dewpoint",
-    "require_positive",
-    "require_shape",
-    "require_in_range",
-    "require_finite",
 ]

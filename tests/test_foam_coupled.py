@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    CoupledDiagnostics,
     FoamConfig,
     FoamEnsemble,
     FoamModel,
+    HistoryWriter,
+    load_history,
     load_restart,
     paper_config,
     save_restart,
 )
 from repro.core import test_config as tiny_config
+from repro.runs import HistoryObserver
+from repro.scenarios import ClimatologyObserver
 from tests.helpers import assert_trees_identical
 
 
@@ -117,18 +120,24 @@ def test_sst_feels_the_atmosphere(model):
     assert np.abs(sst1 - sst0).max() > 0.05
 
 
-def test_diagnostics_accumulate(model):
-    st = model.initial_state()
-    diags = CoupledDiagnostics()
-    model.run_days(st, 2.0, diagnostics=diags)
-    assert 2 <= diags.sst_count <= 3   # daily samples incl. the first step
-    assert len(diags.history_sst) == diags.sst_count
-    assert diags.mean_sst().shape == (model.ocean_grid.ny, model.ocean_grid.nx)
+def test_diagnostics_accumulate(model, tmp_path):
+    """Watching a run is an observer reading the state: daily SST (and the
+    step's rain) through ``run_days(observers=...)`` and ``load_history``."""
+    daily = HistoryObserver(HistoryWriter(tmp_path), fields=("sst", "precip"),
+                            interval_steps=round(86400.0 / model.config.atm_dt))
+    model.run_days(model.initial_state(), 2.0, observers=(daily,))
+    history = load_history(daily.writer.files_written)
+    assert history["time"].tolist() == [0.0, 86400.0, 172800.0]
+    assert history["sst"].mean(axis=0).shape == (model.ocean_grid.ny,
+                                                 model.ocean_grid.nx)
+    assert history["precip"].shape == (3, model.config.atm_nlat,
+                                       model.config.atm_nlon)
 
 
-def test_diagnostics_error_when_empty():
-    with pytest.raises(RuntimeError):
-        CoupledDiagnostics().mean_sst()
+def test_diagnostics_error_when_empty(model):
+    """The one accumulating observer refuses to report on no steps."""
+    with pytest.raises(RuntimeError, match="no steps observed"):
+        ClimatologyObserver(model).metrics(model.initial_state())
 
 
 def test_water_inventory_reservoirs(model, spun_up):

@@ -27,6 +27,8 @@ from repro.core.history import (
     load_restart,
     save_restart,
 )
+from repro.runs import CheckpointSpec, HistorySpec, RunHarness, RunPlan
+from tests.helpers import assert_trees_identical
 
 
 @pytest.fixture(scope="module")
@@ -201,18 +203,21 @@ class TestCheckpointFormat:
         assert meta == {"format_version": CHECKPOINT_FORMAT_VERSION}
 
     def test_legacy_v1_file_is_rejected(self, tmp_path, state):
-        # A file without a format_version, the previous format (3: no
-        # radiation, no forcing window) and a future version are refused by
-        # both loaders, naming the file and the version found -- never
-        # guessed at or zero-filled.
+        # A file without a format_version, the previous format (4: a
+        # ``coupler.time``, no ``coupler.precip`` / ``.evap``) and a future
+        # version are refused by both loaders, naming the file and the
+        # version found -- never guessed at or zero-filled.
         path = save_restart(tmp_path / "current.npz", state)
         with np.load(path) as d:
             payload = {k: d[k] for k in d.files}
         legacy = tmp_path / "v1.npz"
         np.savez_compressed(legacy, **{
             k: v for k, v in payload.items() if k != "format_version"})
-        previous = tmp_path / "v3.npz"
-        np.savez_compressed(previous, **{**payload, "format_version": 3})
+        previous = tmp_path / "v4.npz"
+        np.savez_compressed(previous, **{
+            **{k: v for k, v in payload.items()
+               if k not in ("state.coupler.precip", "state.coupler.evap")},
+            "state.coupler.time": np.float64(0.0), "format_version": 4})
         future = tmp_path / "next.npz"
         np.savez_compressed(future, **{
             **payload, "format_version": CHECKPOINT_FORMAT_VERSION + 1})
@@ -221,7 +226,7 @@ class TestCheckpointFormat:
         for load in (load_checkpoint, load_restart):
             with pytest.raises(ValueError, match=r"v1\.npz.*missing"):
                 load(legacy)
-            with pytest.raises(ValueError, match=rf"v3\.npz.* is 3, .*{only}"):
+            with pytest.raises(ValueError, match=rf"v4\.npz.* is 4, .*{only}"):
                 load(previous)
             with pytest.raises(
                     ValueError,
@@ -254,3 +259,29 @@ class TestCheckpointFormat:
         monkeypatch.undo()
         assert load_restart(path).time == state.time
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt_00000006.npz"]
+
+
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_cut_and_resumed_history_equals_the_straight_run(tmp_path, dtype):
+    """History reads the state, by absolute step index: a run cut at a
+    checkpoint and resumed writes what the straight run writes, the step's
+    rain included — whose t = 0 snapshot (zeros) must already have the dtype
+    every later step leaves, or the writer refuses the second one."""
+    config = dataclasses.replace(_test_config(), dtype=dtype)
+
+    def plan(days, where, **kw):
+        return RunPlan(config=config, days=days, history=HistorySpec(
+            str(tmp_path / where), interval_days=1 / 24, flush_every=4,
+            fields=("sst", "precip")), **kw)
+
+    straight = RunHarness(plan(0.5, "straight")).run()
+    # Cut after step 5: inside a forcing window and a radiation interval.
+    first = RunHarness(plan(5 / 24, "cut", checkpoint=CheckpointSpec(
+        str(tmp_path / "ck"), interval_days=5 / 24))).run()
+    second = RunHarness(plan(0.5, "cut")).run(resume_from=first.checkpoints[-1])
+    assert (second.start_step, second.steps) == (5, 7)
+    want = load_history(straight.history_files)
+    assert_trees_identical(
+        load_history(first.history_files + second.history_files), want)
+    assert want["precip"].dtype == np.dtype(dtype) and len(want["time"]) == 13

@@ -213,21 +213,23 @@ class TestElementwiseChains:
 # batched ensemble diagnostics == per-member serial metrics
 # ---------------------------------------------------------------------------
 def test_ensemble_member_metrics_match_serial():
+    """One ``state_metrics`` for both: a batched state leaves the member
+    axis, and each entry is that member's serial value."""
     from repro.core import EnsembleConfig, FoamEnsemble, test_config
-    from repro.scenarios.climatology import (
-        ensemble_member_metrics, state_metrics,
-    )
+    from repro.scenarios.climatology import member_rows, state_metrics
 
     ens = FoamEnsemble(EnsembleConfig(nens=3, base=test_config(),
                                       ic_perturbation=1e-7))
     state = ens.initial_state()
     for _ in range(4):
         state = ens.step(state)
-    batched = ensemble_member_metrics(ens.model, state)
+    batched = member_rows(state_metrics(ens.model, state))
     assert len(batched) == 3
     for e, got in enumerate(batched):
-        want = state_metrics(ens.model, ens.member_state(state, e))
+        (want,) = member_rows(
+            state_metrics(ens.model, ens.member_state(state, e)))
         assert set(got) == set(want)
+        assert want["evap_kg_s"] != 0.0 and want["ocean_heat_j"] > 0.0
         for key in want:
             assert got[key] == pytest.approx(want[key], rel=1e-10), (
                 f"member {e} metric {key}")

@@ -95,6 +95,12 @@ class TestContentHash:
         assert len(h) == 64
         int(h, 16)      # hex-parsable
 
+    def test_pinned(self):
+        # A format bump or a new state leaf is not configuration: the hash
+        # every checkpoint is stamped with has not moved since PR 22.
+        assert _test_config().content_hash() == (
+            "17f6e08aa4824c41c68d21da8424998e0450e0b981c191ce2dad9f67e1a7275b")
+
     def test_stable_across_key_ordering(self):
         cfg = _test_config()
         shuffled = dict(reversed(list(cfg.to_dict().items())))
@@ -129,7 +135,11 @@ class TestRunKey:
         # result-determining inputs only, never how they are computed.
         serial = RunPlan(days=DAYS)
         concurrent = RunPlan(days=DAYS, mode="concurrent", n_atm=3)
-        assert serial.run_key() == concurrent.run_key()
+        assert serial.run_key() == concurrent.run_key() == (
+            "b63f602f3722919e05e46f3eefb9ba323152c6519e21e4dfcc3bf1009c99fc5d")
+        assert RunPlan(days=DAYS, scenario="aquaplanet", mode="ensemble",
+                       nens=3, ic_perturbation=1e-8).run_key() == (
+            "e4ff10ce562e762cfbf8fbf7534dc503ce1fb61fae0edf08211b1ce30b782df7")
 
     def test_output_cadences_do_not_change_key(self, tmp_path):
         plain = RunPlan(days=DAYS)
@@ -245,6 +255,8 @@ class TestAnyStepResume:
         assert (resumed.start_step, resumed.steps) == (k, N_STEPS - k)
         assert_trees_identical(resumed.state, serial_every_step.state,
                                f"serial resume at step {k}")
+        # Every leaf: the last step's rain and evaporation ride the tree.
+        assert resumed.state.coupler.evap.any()
 
     @pytest.fixture(scope="class")
     def ensemble_every_step(self, tmp_path_factory):

@@ -222,6 +222,27 @@ def test_config_roundtrip_property(solar, co2, rot, sublon, topo, mode,
     assert back == cfg
 
 
+def test_batched_climatology_is_each_members_serial_one():
+    """One ``ClimatologyObserver`` for serial and batched runs: it reduces
+    the state it is handed per member, so member ``e`` of a batch reports
+    what a serial run of ``member_config(e)`` reports.  (The rain and
+    evaporation totals used to be summed over the members, off the model
+    object.)"""
+    from repro.core import EnsembleConfig, FoamEnsemble
+    from repro.scenarios.climatology import member_rows
+
+    ens = FoamEnsemble(EnsembleConfig(nens=2, base=_test_config(),
+                                      robert_filter=[0.04, 0.08]))
+    _, batched = scenario_climatology(ens.model, ens.initial_state(), days=0.5)
+    rows = member_rows(batched)
+    assert len(rows) == 2 and rows[0] != rows[1]
+    for e, got in enumerate(rows):
+        model = FoamModel(ens.member_config(e))
+        _, want = scenario_climatology(model, model.initial_state(), days=0.5)
+        assert want["evap_mm_day"] > 0.0
+        assert got == want, f"member {e}"
+
+
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
@@ -260,6 +281,13 @@ def test_cli_run_ensemble(capsys):
     assert out["nens"] == 2
     assert len(out["members"]) == 2
     assert out["ts_spread_k"] >= 0.0
+    # One report: each member's climatology has the serial run's keys.
+    assert cli_main(["run", "aquaplanet", "--days", "0.125", "--json"]) == 0
+    serial = json.loads(capsys.readouterr().out)["climatology"]
+    for member in out["members"]:
+        assert set(member) == set(serial)
+    assert out["members"][0]["evap_mm_day"] == pytest.approx(
+        serial["evap_mm_day"], rel=1e-3)   # 1e-8 IC noise apart, not 2x
 
 
 def test_cli_run_concurrent(capsys):

@@ -135,6 +135,20 @@ def members(model):
     return [model.coupled_step(s) for s in states]
 
 
+def test_a_step_keeps_the_coupler_tree_shape_and_dtype(model, members):
+    """Every coupler leaf is allocated at t = 0 as a step will leave it —
+    the forcing window and the last step's rain and evaporation are zeros
+    there, never ``None`` — so a history of any of them starts at t = 0."""
+    def layout(state):
+        return [(path, getattr(leaf, "shape", None), getattr(leaf, "dtype", None))
+                for path, leaf in tree_leaves(state.coupler)]
+
+    start = model.initial_state()
+    assert not start.coupler.precip.any() and not start.coupler.evap.any()
+    assert layout(members[0]) == layout(start)
+    assert members[0].coupler.evap.any()
+
+
 def test_member_of_stacked_is_the_member(members):
     batched = stack_members(members)
     assert batched.atm_curr.vort.shape[1] == 3          # after the level axis

@@ -1,4 +1,4 @@
-"""Tests for the shared utilities: thermodynamics, validation, constants."""
+"""Tests for the shared utilities: thermodynamics, constants, censuses."""
 
 import re
 from pathlib import Path
@@ -12,10 +12,6 @@ from repro.util import (
     dewpoint,
     moist_static_energy,
     potential_temperature,
-    require_finite,
-    require_in_range,
-    require_positive,
-    require_shape,
     saturation_mixing_ratio,
     saturation_vapor_pressure,
     temperature_from_theta,
@@ -82,34 +78,6 @@ def test_dewpoint_below_temperature_when_subsaturated():
     t = 295.0
     e = 0.5 * saturation_vapor_pressure(t)
     assert dewpoint(e) < t
-
-
-# ------------------------------------------------------------- validation
-def test_require_positive():
-    assert require_positive(3, "x") == 3
-    with pytest.raises(ValueError):
-        require_positive(0, "x")
-    with pytest.raises(TypeError):
-        require_positive(np.array([1.0, 2.0]), "x")
-
-
-def test_require_shape():
-    a = require_shape(np.zeros((2, 3)), (2, 3), "a")
-    assert a.shape == (2, 3)
-    with pytest.raises(ValueError, match="must have shape"):
-        require_shape(np.zeros((3, 2)), (2, 3), "a")
-
-
-def test_require_in_range():
-    assert require_in_range(0.5, 0.0, 1.0, "f") == 0.5
-    with pytest.raises(ValueError):
-        require_in_range(1.5, 0.0, 1.0, "f")
-
-
-def test_require_finite():
-    require_finite(np.ones(3), "ok")
-    with pytest.raises(FloatingPointError, match="2 non-finite"):
-        require_finite(np.array([1.0, np.nan, np.inf]), "bad")
 
 
 # ------------------------------------------------------------- constants
@@ -386,10 +354,9 @@ def test_no_trajectory_on_model_objects_census():
             "Sample": {"_cached", "table", "count"}}   # the scan sees them
 
     allowed = {
-        "FoamModel": {
-            # Write-only bookkeeping of the last step, read by monitoring
-            # code (the scenario climatology reducer) and by no step.
-            "last_coupler_diagnostics"},
+        # What a step leaves behind for watchers is state too
+        # (``coupler.precip`` / ``.evap``): an observer reads the state.
+        "FoamModel": set(),
         "PhysicsSuite": set(),
         "FluxCoupler": {
             # The exchange plan: rebuilt when its key, a copy of the ice
@@ -426,3 +393,5 @@ def test_no_trajectory_on_model_objects_census():
     assert set(written) <= set(allowed)
     for cls, names in allowed.items():
         assert written.get(cls, set()) == names, cls
+        assert not [n for n in names
+                    if n.startswith("last_") or "diagnostics" in n], cls
