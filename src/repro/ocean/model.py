@@ -64,6 +64,16 @@ from repro.util.tree import tree_map
 _BLOCK_ELEMENTS = 32768
 
 
+def member_sum(cells: np.ndarray):
+    """Sum over (level, y, x): a float for a serial ``(L, ny, nx)`` field,
+    ``(nens,)`` for a batched ``(L, E, ny, nx)`` one.  Each member's cells are
+    summed as one contiguous run, so a batched value equals that member's
+    serial value bit for bit."""
+    cells = np.moveaxis(cells, 0, -3)
+    total = np.sum(cells.reshape(cells.shape[:-3] + (-1,)), axis=-1)
+    return float(total) if total.ndim == 0 else total
+
+
 def _lift(static3d: np.ndarray, field3d: np.ndarray) -> np.ndarray:
     """An (L, ny, nx) static viewed to broadcast against ``field3d``.
 
@@ -516,19 +526,9 @@ class OceanModel:
         """Active cell volumes (m^3), viewed to broadcast against the field."""
         return _lift(self.dz3d, field3d) * self.grid.cell_areas()
 
-    @staticmethod
-    def _member_sum(cells: np.ndarray):
-        """Sum over (level, y, x): a float for a serial ``(L, ny, nx)``
-        field, ``(nens,)`` for a batched ``(L, E, ny, nx)`` one.  Each
-        member's cells are summed as one contiguous run, so a batched value
-        equals that member's serial value bit for bit."""
-        cells = np.moveaxis(cells, 0, -3)
-        total = np.sum(cells.reshape(cells.shape[:-3] + (-1,)), axis=-1)
-        return float(total) if total.ndim == 0 else total
-
     def _volume_mean(self, field3d: np.ndarray):
         vol = self._cell_volumes(field3d)
-        return self._member_sum(field3d * vol) / float(np.sum(vol))
+        return member_sum(field3d * vol) / float(np.sum(vol))
 
     def mean_temperature(self, state: OceanState):
         """Volume-mean temperature: a float, or ``(nens,)`` when batched."""
@@ -541,12 +541,12 @@ class OceanModel:
     def total_kinetic_energy(self, state: OceanState):
         """Kinetic energy (J): a float, or ``(nens,)`` when batched."""
         u, v = self.total_velocity(state)
-        return 0.5 * RHO_SEAWATER * self._member_sum(
+        return 0.5 * RHO_SEAWATER * member_sum(
             (u**2 + v**2) * self._cell_volumes(u))
 
     def heat_content(self, state: OceanState):
         """Heat content relative to 0 C (J): a float, or ``(nens,)`` batched."""
-        return RHO_SEAWATER * CP_SEAWATER * self._member_sum(
+        return RHO_SEAWATER * CP_SEAWATER * member_sum(
             state.temp * self._cell_volumes(state.temp))
 
     def run(self, state: OceanState, nsteps: int,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.foam import FoamModel, FoamState
+from repro.ocean.model import member_sum
 from repro.runs.observers import StepObserver
 
 #: Days every golden climatology is integrated for (test-size grids).
@@ -74,8 +75,7 @@ def state_metrics(model: FoamModel, state: FoamState) -> dict:
     wdp = dsig * diag.ps[None] * w
     return {
         "ts_global_k": np.sum(surface.t_sfc * w, axis=hax),
-        "t_atm_k": (np.sum(diag.temp * wdp, axis=(0,) + hax)
-                    / np.sum(wdp, axis=(0,) + hax)),
+        "t_atm_k": member_sum(diag.temp * wdp) / member_sum(wdp),
         "sst_ocean_c": np.sum(np.nan_to_num(sst) * oa, axis=hax) / oa_total,
         "ice_fraction": np.sum(np.where(state.coupler.ice.mask, oa, 0.0),
                                axis=hax) / oa_total,
