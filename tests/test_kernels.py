@@ -231,6 +231,6 @@ def test_ensemble_member_metrics_match_serial():
         assert set(got) == set(want)
         assert want["evap_kg_s"] != 0.0 and want["ocean_heat_j"] > 0.0
         for key in want:
-            assert got[key] == pytest.approx(want[key], rel=1e-10), (
+            assert got[key] == want[key], (
                 f"member {e} metric {key}")
 
