@@ -47,17 +47,10 @@ def masked_zonal_smooth(row: np.ndarray, row_mask: np.ndarray,
 
 
 def _smoothing_weights(row_mask: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(w_c, w_e, w_w) of one row's mask, (nx,) or (L, nx).
-
-    The rolls carry no ``axis``: on an (L, nx) mask they run over the
-    flattened array, so cell ``[l, nx-1]`` takes its eastern openness from
-    ``[l+1, 0]``.  That seam is wrong (ROADMAP direction 2c) but the
-    bitwise golden pins it; fixing it is a golden regeneration of its own.
-    Until then a plan must see the whole (L, ny, nx) mask: cut to a model's
-    wet box, the last level's seam would wrap to level 0, not the dry level.
-    """
-    w_e = np.where(row_mask & np.roll(row_mask, -1), 0.25, 0.0)
-    w_w = np.where(row_mask & np.roll(row_mask, 1), 0.25, 0.0)
+    """(w_c, w_e, w_w) of one row's mask, (nx,) or (L, nx): each level's
+    row is periodic in itself."""
+    w_e = np.where(row_mask & np.roll(row_mask, -1, axis=-1), 0.25, 0.0)
+    w_w = np.where(row_mask & np.roll(row_mask, 1, axis=-1), 0.25, 0.0)
     return 1.0 - w_e - w_w, w_e, w_w
 
 

@@ -200,9 +200,8 @@ class OceanModel:
                                    1e-9).astype(fdt, copy=False)
         self.baro = BarotropicSolver(grid, self.depth, self.mask2d,
                                      self.params.barotropic)
-        # The masks never change: the polar-filter plans (whole grid: the
-        # smoother's weights read across levels, see PolarFilter) and, below,
-        # the wet box with its per-level stencils are built here, once.
+        # The masks never change: the polar-filter plans and, below, the wet
+        # box with its per-level stencils are built here, once.
         self.filter3d = PolarFilter(grid.lats, self.mask3d,
                                     self.params.polar_filter_lat)
         self.filter2d = PolarFilter(grid.lats, self.mask2d,

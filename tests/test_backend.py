@@ -21,6 +21,12 @@ from repro.core.config import test_config as _test_config
 from repro.core.foam import FoamModel
 
 GOLDEN = Path(__file__).parent / "data" / "golden_backend_float64.npz"
+#: The numerics epoch the golden file was written in (DESIGN.md "State
+#: layout": bitwise within a build, tolerances across an epoch).  A deliberate
+#: change of arithmetic bumps this and regenerates the file, once, with
+#:     PYTHONPATH=src python -m tests.test_backend
+#: Epoch 1: the polar smoother's weights are periodic per level.
+GOLDEN_EPOCH = 1
 
 
 def _run_coupled(dtype: str, steps: int):
@@ -31,6 +37,17 @@ def _run_coupled(dtype: str, steps: int):
     for _ in range(steps):
         state = model.coupled_step(state)
     return model, state
+
+
+def _golden_fields() -> dict:
+    """Six coupled float64 steps of the test config, as the golden names them."""
+    _, s = _run_coupled("float64", 6)
+    return {
+        "vort": s.atm_curr.vort, "temp": s.atm_curr.temp,
+        "lnps": s.atm_curr.lnps, "q": s.atm_curr.q,
+        "otemp": s.ocean.temp, "osalt": s.ocean.salt,
+        "eta": s.ocean.eta, "ubar": s.ocean.ubar, "vbar": s.ocean.vbar,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -176,19 +193,18 @@ class TestGoldenRegression:
         also passes under a ``FOAM_DTYPE=float32`` CI environment — it pins
         the *default policy's* arithmetic, not the ambient environment.
         """
-        _, s = _run_coupled("float64", 6)
         golden = np.load(GOLDEN)
-        got = {
-            "vort": s.atm_curr.vort, "temp": s.atm_curr.temp,
-            "lnps": s.atm_curr.lnps, "q": s.atm_curr.q,
-            "otemp": s.ocean.temp, "osalt": s.ocean.salt,
-            "eta": s.ocean.eta, "ubar": s.ocean.ubar, "vbar": s.ocean.vbar,
-        }
-        for name, arr in got.items():
+        assert int(golden["epoch"]) == GOLDEN_EPOCH
+        for name, arr in _golden_fields().items():
             ref = golden[name]
             assert arr.dtype == ref.dtype, f"{name}: dtype changed"
             assert np.array_equal(arr, ref), (
                 f"{name}: trajectory diverged bitwise from the golden file; "
                 "the default float64 path must stay bit-identical — if the "
-                "numerics changed intentionally, regenerate "
-                "tests/data/golden_backend_float64.npz")
+                "numerics changed intentionally, that is a new epoch: see "
+                "GOLDEN_EPOCH")
+
+
+if __name__ == "__main__":
+    np.savez_compressed(GOLDEN, epoch=GOLDEN_EPOCH, **_golden_fields())
+    print(f"wrote {GOLDEN} (epoch {GOLDEN_EPOCH})")

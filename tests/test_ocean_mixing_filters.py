@@ -306,9 +306,8 @@ def _ref_polar_filter(field, lats, mask, lat_crit_deg):
             out[..., j, :] = np.fft.irfft(spec, n=nx, axis=-1)
             continue
         passes = int(np.clip(np.ceil(coslat_crit / max(float(coslat[j]), 1e-3)), 1, 8))
-        # Bug for bug: no axis on the mask rolls (see the xfail test below).
-        w_e = np.where(row_mask & np.roll(row_mask, -1), 0.25, 0.0)
-        w_w = np.where(row_mask & np.roll(row_mask, 1), 0.25, 0.0)
+        w_e = np.where(row_mask & np.roll(row_mask, -1, axis=-1), 0.25, 0.0)
+        w_w = np.where(row_mask & np.roll(row_mask, 1, axis=-1), 0.25, 0.0)
         for _ in range(passes):
             east, west = np.roll(slab, -1, axis=-1), np.roll(slab, 1, axis=-1)
             slab = np.where(row_mask, (1.0 - w_e - w_w) * slab + w_e * east + w_w * west, slab)
@@ -499,12 +498,10 @@ def test_stacked_mix_column_matches_one_call_per_field(masked, dtype):
     _assert_bitwise(alone, mix_column_implicit(u, kappa, dz, 3600.0))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "masked_zonal_smooth rolls an (L, nx) row mask without axis=-1, so cell "
-    "[l, nx-1] takes its eastern openness from [l+1, 0].  The bitwise golden "
-    "pins the seam; the fix regenerates it in a PR of its own (ROADMAP "
-    "'Physical validation and stress robustness')."))
 def test_masked_smoother_is_periodic_per_level():
+    """Cell ``[l, nx-1]`` takes its eastern openness from ``[l, 0]``, not from
+    ``[l+1, 0]`` (numerics epoch 1: the mask rolls used to run over the
+    flattened (L, nx) array)."""
     rng = np.random.default_rng(5)
     rows = rng.normal(size=(2, 8))
     mask = np.ones((2, 8), dtype=bool)
