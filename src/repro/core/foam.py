@@ -240,7 +240,9 @@ class FoamModel:
         """
         net_rad = sw_sfc + lw_down - STEFAN_BOLTZMANN * surface.t_sfc**4
         net_sfc = net_rad - turb["atm"]["shf"] - turb["atm"]["lhf"]
-        evap = turb["atm"]["evap"]
+        # Its own array: a view would pin the six-field exchange buffer for
+        # as long as a state, or a buffered history snapshot of it, lives.
+        evap = turb["atm"]["evap"].copy()
         new_cpl, discharge_atm = self.coupler.step_land_and_rivers(
             cpl_state, precip=precip, evap=evap,
             t_low1=t_low1, t_low2=t_low2, net_land_flux=net_sfc, dt=dt)

@@ -118,9 +118,8 @@ def cmd_run(args) -> int:
     # A pool run surfaces the state at declared cadences and at the end
     # only: it reports the end state, not an every-step climatology.
     pooled = plan.mode == "concurrent"
-    clim = ClimatologyObserver(harness.model)
-    result = harness.run(resume_from=args.resume,
-                         observers=() if pooled else (clim,))
+    observers = () if pooled else (ClimatologyObserver(harness.model),)
+    result = harness.run(resume_from=args.resume, observers=observers)
 
     body: dict = {"mode": plan.mode, "run_key": result.run_key}
     if pooled:
@@ -132,7 +131,7 @@ def cmd_run(args) -> int:
                         state_metrics(harness.model, result.state))[0])
     else:
         # One row per member, each with the serial run's keys.
-        members = member_rows(clim.metrics(result.state))
+        members = member_rows(observers[0].metrics(result.state))
         if plan.mode == "serial":
             body["climatology"] = members[0]
         else:

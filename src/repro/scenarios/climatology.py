@@ -61,7 +61,6 @@ def state_metrics(model: FoamModel, state: FoamState) -> dict:
     a deep copy of every field.
     """
     w = _area_weights(model)
-    area = model.coupler.atm_cell_areas
     sst = model.ocean.sst(state.ocean)
     surface = model.coupler.surface_state_for_atm(state.coupler, sst)
     oa = _ocean_areas(model)
@@ -81,10 +80,10 @@ def state_metrics(model: FoamModel, state: FoamState) -> dict:
                                axis=hax) / oa_total,
         "ocean_ke_j": model.ocean.total_kinetic_energy(state.ocean),
         "mean_ps_pa": model.transform.global_mean(diag.ps),
-        # The last step's global rain and evaporation (kg/s), and the
-        # ocean's heat content (J).
-        "precip_kg_s": np.sum(state.coupler.precip * area, axis=hax),
-        "evap_kg_s": np.sum(state.coupler.evap * area, axis=hax),
+        # The last step's global-mean rain and evaporation
+        # (mm/day == kg m^-2 day^-1).
+        "precip_mm_day": np.sum(state.coupler.precip * w, axis=hax) * 86400.0,
+        "evap_mm_day": np.sum(state.coupler.evap * w, axis=hax) * 86400.0,
         "ocean_heat_j": model.ocean.heat_content(state.ocean),
     }
 
@@ -107,8 +106,12 @@ class ClimatologyObserver(StepObserver):
     call :meth:`metrics` afterwards.
     """
 
+    #: Averaged over every step.  Precip is the real thing; evaporation is
+    #: the active spin-up proxy for hydrological-cycle intensity (the default
+    #: dry-start atmosphere takes weeks to first saturate, so precip pins at
+    #: 0 early on).
     MEANS = ("ts_global_k", "t_atm_k", "sst_ocean_c", "ice_fraction",
-             "precip_kg_s", "evap_kg_s")
+             "precip_mm_day", "evap_mm_day")
 
     def __init__(self, model: FoamModel):
         self.model = model
@@ -135,18 +138,8 @@ class ClimatologyObserver(StepObserver):
         end = state_metrics(model, state)
         elapsed = self.nsteps * model.config.atm_dt
         oa_total = float(_ocean_areas(model).sum())
-        area_atm = float(model.coupler.atm_cell_areas.sum())
-        out = {k: self.sums[k] / self.nsteps for k in self.MEANS[:4]}
+        out = {k: total / self.nsteps for k, total in self.sums.items()}
         out.update({
-            # mm/day == kg m^-2 day^-1 of the global-mean rate.  Precip
-            # is the real thing; evaporation is the active spin-up proxy
-            # for hydrological-cycle intensity (the default dry-start
-            # atmosphere takes weeks to first saturate, so precip pins at
-            # 0 early on).
-            "precip_mm_day": self.sums["precip_kg_s"] / self.nsteps / area_atm
-            * 86400.0,
-            "evap_mm_day": self.sums["evap_kg_s"] / self.nsteps / area_atm
-            * 86400.0,
             "ocean_ke_j": end["ocean_ke_j"],
             "mass_drift_rel": np.abs(end["mean_ps_pa"] - start["mean_ps_pa"])
             / start["mean_ps_pa"],

@@ -229,7 +229,7 @@ def test_ensemble_member_metrics_match_serial():
         (want,) = member_rows(
             state_metrics(ens.model, ens.member_state(state, e)))
         assert set(got) == set(want)
-        assert want["evap_kg_s"] != 0.0 and want["ocean_heat_j"] > 0.0
+        assert want["evap_mm_day"] > 0.0 and want["ocean_heat_j"] > 0.0
         for key in want:
             assert got[key] == want[key], (
                 f"member {e} metric {key}")
