@@ -87,6 +87,20 @@ def robert_filter(prev: np.ndarray, curr: np.ndarray, new: np.ndarray,
     return np.add(curr, tmp)
 
 
+def _level_columns(field: np.ndarray) -> np.ndarray:
+    """Complex ``(L, ..., nm, nk)`` as the real ``(..., nm, nk, L, 2)``
+    operand of a level contraction (a shared float64 workspace buffer, dead
+    once the contraction returns).  Member and slot are matmul broadcast
+    axes, so the GEMM per slot — ``(L x L) @ (L x 2)`` in the semi-implicit
+    solve, ``(L,) @ (L x 2)`` in ``_dsig_dot`` — is the one a serial run
+    issues, on the same bytes: batched integration is bitwise
+    member-at-a-time integration by construction."""
+    cols = np.moveaxis(field, 0, -1)
+    buf = get_workspace().empty("dyn.level_columns", cols.shape, np.complex128)
+    buf[...] = cols
+    return buf.view(np.float64).reshape(cols.shape + (2,))
+
+
 class SpectralDynamicalCore:
     """The atmosphere dynamics engine: owns the transform, vertical grid, stepping."""
 
@@ -134,12 +148,14 @@ class SpectralDynamicalCore:
         n_max = self.tr.trunc.mmax + self.tr.trunc.nk - 1
         eye = np.eye(L)
         dt = self.dt
-        self._inv = np.empty((n_max + 1, L, L))
+        inv = np.empty((n_max + 1, L, L))
         for n in range(n_max + 1):
             b = n * (n + 1) / self.tr.radius**2
-            self._inv[n] = np.linalg.inv(eye + dt * dt * b * self._m_matrix)
-        # Map (m, k) slot -> n for gather operations.
+            inv[n] = np.linalg.inv(eye + dt * dt * b * self._m_matrix)
+        # Total wavenumber of each (m, k) slot, and each slot's inverse:
+        # the (nm, nk, L, L) stack the solve multiplies from the left.
         self._n_of_slot = self.tr.trunc.n_values()
+        self._inv = inv[self._n_of_slot]
         # del^4 over the leapfrog interval, applied implicitly to new fields.
         self._hyper_denom = self.tr.damping_denominator(self.k4, 2.0 * dt)
 
@@ -193,9 +209,10 @@ class SpectralDynamicalCore:
         """
         fdt = self.tr.policy.float_dtype
         # Whole-(level[, member]) stacks: one transform call per field
-        # (ellipsis einsum batching is bitwise identical per slice).  The
-        # returned grids are views of per-call-fresh inverse-FFT outputs,
-        # so they escape into GridDiagnostics safely.
+        # (leading axes are matmul broadcast axes, so each slice gets the
+        # GEMMs of its own serial call).  The returned grids are views of
+        # per-call-fresh inverse-FFT outputs, so they escape into
+        # GridDiagnostics safely.
         u, v = self.tr.uv_from_vortdiv(state.vort, state.div)
         tg, zg, dg = self.tr.synthesize_many(state.temp, state.vort, state.div)
         tg = tg + self.vg.t_ref
@@ -315,17 +332,8 @@ class SpectralDynamicalCore:
 
     @staticmethod
     def _dsig_dot(dsig: np.ndarray, field: np.ndarray) -> np.ndarray:
-        """Contract the level axis of ``field`` ((L, ...)) with ``dsig`` ((L,)).
-
-        A single tensordot over a member-batched operand is a gemv whose
-        accumulation order differs from the serial per-member call, so
-        each member is contracted separately (one iteration when serial) —
-        bitwise identical to serial member-at-a-time integration.
-        """
-        members = field.reshape(field.shape[:1] + (-1,) + field.shape[-2:])
-        return np.stack([np.tensordot(dsig, members[:, e], axes=(0, 0))
-                         for e in range(members.shape[1])]
-                        ).reshape(field.shape[1:])
+        """Contract the level axis of ``field`` ((L, ...)) with ``dsig`` ((L,))."""
+        return np.matmul(dsig, _level_columns(field)).view(np.complex128)[..., 0]
 
     def _hyperdiffuse(self, spec3: np.ndarray) -> np.ndarray:
         # Every caller passes a freshly built new-time field, so the
@@ -336,7 +344,6 @@ class SpectralDynamicalCore:
         """Semi-implicit solve for divergence, then back-substitute T and lnps."""
         dt = self.dt
         vg, tr = self.vg, self.tr
-        L = vg.nlev
         g_mat = vg.hydrostatic_matrix()
         tau = vg.energy_conversion_matrix()
         dsig = vg.dsigma
@@ -356,21 +363,12 @@ class SpectralDynamicalCore:
             + 2.0 * dt * b[None] * lin \
             - dt * dt * b[None] * md_prev
 
-        # Solve (I + dt^2 b M) D+ = rhs, gathering coefficients by n.
-        # Batched fields solve member-at-a-time: a single gemm over all
-        # members' gathered columns widens N and shifts BLAS blocking, which
-        # perturbs the last bits relative to the serial solve.  The gathered
-        # (L, S_n) operand per member is byte-identical to the serial one.
+        # Solve (I + dt^2 b M) D+ = rhs: each slot's inverse times its
+        # column of levels, one stacked real matmul.
         new_div = np.empty_like(prev.div)
-        flat_rhs = rhs.reshape(L, -1, n_vals.size)         # (L, E|1, S)
-        flat_new = new_div.reshape(L, -1, n_vals.size)
-        flat_n = n_vals.reshape(-1)
-        for n in np.unique(flat_n):
-            cols = flat_n == n
-            inv = self._inv[n]
-            for e in range(flat_rhs.shape[1]):
-                flat_new[:, e][:, cols] = inv @ flat_rhs[:, e][:, cols]
-        new_div = flat_new.reshape(prev.div.shape)
+        new_div[...] = np.moveaxis(
+            np.matmul(self._inv, _level_columns(rhs)
+                      ).view(np.complex128)[..., 0], -1, 0)
 
         dbar = 0.5 * (new_div + prev.div)
         new_temp = prev.temp + 2.0 * dt * n_temp \

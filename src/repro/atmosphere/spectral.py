@@ -163,8 +163,8 @@ def legendre_plan(nlat: int, mmax: int, nkmax: int) -> tuple[np.ndarray, np.ndar
     including the replicated per-rank models the concurrent coupled driver
     constructs, which inherit the caller's cache at fork — shares one
     table, so pool workers never redo the recurrences the caller already
-    did.  The arrays are marked non-writeable;
-    ``.astype(float64, copy=False)`` on them returns the shared array.
+    did.  The arrays are marked non-writeable; each transform lays its own
+    m-major copy out from them.
     """
     key = (int(nlat), int(mmax), int(nkmax))
     plan = _plan_cache.get(key)
@@ -196,17 +196,28 @@ class SpectralTransform:
     """Grid <-> spectral transform engine for one (nlat, nlon, truncation).
 
     A transform is an FFT over a stack of fields composed with a Legendre
-    contraction of a stack against one precomputed table.  The two
-    contractions, :meth:`_spec_to_fourier` and :meth:`_fourier_to_spec`,
-    are the only places latitude or total wavenumber is summed; every
-    operator is a few lines on top of them.  Operands that share a table
-    are stacked, and they and every leading batch axis — the dynamical
-    core passes whole ``(nlev, [nens], ...)`` stacks — are flattened into
-    one batch axis laid innermost (:meth:`_batch_inner`): each output
-    element sees the same summation order whatever the batch, so every
-    transform is bitwise identical per slice to the per-field oracles in
-    ``tests/oracles.py``.  Intermediates live in the workspace arena; what
-    a public method returns is fresh.
+    sum against a precomputed table.  The two sums,
+    :meth:`_spec_to_fourier` and :meth:`_fourier_to_spec`, are the only
+    places latitude or total wavenumber is summed; every operator is a few
+    lines on top of them.  Each is an ``np.matmul`` against an m-major
+    table stored once in the layout the GEMM reads — ``_syn``,
+    ``(m, j, [Pbar | H] k)``, and ``_ana``, ``(m, [w Pbar ; w H] k, j)``,
+    truncated slots zeroed; ``pbar`` / ``hbar`` / ``_wp`` / ``_wh`` are
+    ``(j, m, k)`` views of their halves — under one shape rule: **every
+    leading axis of an operand (level, member, stacked field) and the zonal
+    wavenumber are matmul broadcast axes; one GEMM multiplies one
+    wavenumber's table slice by one field's coefficients as two real
+    columns (re, im: a free view of the complex array).**  Its
+    ``(M, N, K)`` is ``(nlat, 2, nk)`` or ``(nk, 2, nlat)`` — ``K`` or
+    ``M`` doubled where an operator sums a field against Pbar and H at
+    once — fixed by the grid, the truncation and the operator, never by
+    the levels, members or ranks present.  Serial, member-batched and
+    rank-pool runs therefore issue the same GEMMs on the same bytes and
+    agree bit for bit by construction; the per-field oracles of
+    ``tests/oracles.py`` sum in another order and agree to rounding.  A
+    Fourier field stays ``(..., nlat, nlon // 2 + 1)``, as the FFT reads
+    and writes it: the GEMMs address its wavenumber columns in place.
+    What a public method returns is fresh.
     """
 
     def __init__(self, nlat: int, nlon: int, trunc: Truncation,
@@ -236,19 +247,23 @@ class SpectralTransform:
         # across transforms via the plan cache), then cast to the policy
         # precision the transforms run in.
         pbar_ext, hbar = legendre_plan(nlat, trunc.mmax, trunc.nk + 1)
-        pbar = pbar_ext[:, :, : trunc.nk]
-        # The quadrature tables are stored latitude-fastest (same indexing):
-        # the analysis contraction then sums j over an output row that
-        # stays in cache instead of sweeping the whole output per latitude.
-        self._wp = ((self.weights[:, None, None] / 2.0) * pbar).astype(fdt, order="F")
-        self._wh = ((self.weights[:, None, None] / 2.0) * hbar).astype(fdt, order="F")
-        self.pbar = pbar.astype(fdt, copy=False)
-        self.hbar = hbar.astype(fdt, copy=False)
-        self.coslat = np.cos(self.lats).astype(fdt, copy=False)
-        # A rhomboidal truncation retains every slot: its mask multiplies
-        # are identity ops and are skipped (escaping results still copy).
+        nk = trunc.nk
         self._mask = trunc.mask()
-        self._allones = bool(self._mask.all())
+        # Truncated slots are zeroed in the tables, so no operand or result
+        # is ever masked.  (j, m, 2 nk): Pbar in the first nk, H in the last.
+        both = np.concatenate([pbar_ext[:, :, :nk], hbar], axis=2) \
+            * np.tile(self._mask, 2)
+        half_w = self.weights[:, None, None] / 2.0
+        self._syn = np.ascontiguousarray(both.transpose(1, 0, 2), dtype=fdt)
+        self._ana = np.ascontiguousarray((half_w * both).transpose(1, 2, 0),
+                                         dtype=fdt)
+        self._syn_p, self._syn_h = self._syn[:, :, :nk], self._syn[:, :, nk:]
+        self._ana_p = self._ana[:, :nk]
+        self.pbar, self.hbar = (
+            t.transpose(1, 0, 2) for t in (self._syn_p, self._syn_h))
+        self._wp, self._wh = (
+            t.transpose(2, 0, 1) for t in (self._ana_p, self._ana[:, nk:]))
+        self.coslat = np.cos(self.lats).astype(fdt, copy=False)
         n64 = trunc.n_values().astype(np.float64)
         m64 = np.arange(trunc.nm, dtype=np.float64)[:, None] * np.ones_like(n64)
         lap64 = -n64 * (n64 + 1.0) / radius**2
@@ -259,7 +274,6 @@ class SpectralTransform:
         self._invlap = inv64.astype(fdt, copy=False)
         self._rcos = (radius * np.cos(self.lats)).astype(fdt, copy=False)[:, None]
         self._cos = self.coslat[:, None]
-        self._oc2 = (1.0 / (self.coslat ** 2))[:, None]
 
     @property
     def spec_shape(self) -> tuple[int, int]:
@@ -288,89 +302,65 @@ class SpectralTransform:
     # the transform, once: spec -> Fourier -> grid and grid -> Fourier -> spec
     # ------------------------------------------------------------------
     @staticmethod
-    def _batch_inner(fields) -> np.ndarray:
-        """Same-shape complex ``(..., r, c)`` fields as one real
-        ``a[r, c, 2 nb]`` array, the flattened batch (re, im interleaved)
-        innermost.  A contraction with a real ``(j, r, c)`` table then runs
-        contiguous real inner loops of length ``2 nb`` with its summed index
-        an ascending outer loop: the bits of the complex ``einsum`` over
-        ``(..., r, c)``, whose table has an exactly zero imaginary part.
-        The buffer is shared: it is dead once the contraction returns."""
-        r, c = fields[0].shape[-2:]
-        cdt = np.result_type(*fields, np.complex64)
-        a = get_workspace().empty(
-            "spectral.stack", (r, c, len(fields), fields[0].size // (r * c)), cdt)
-        for i, f in enumerate(fields):
-            a[:, :, i] = np.moveaxis(f.reshape(-1, r, c), 0, -1)
-        return a.view(np.finfo(cdt).dtype).reshape(r, c, -1)
+    def _re_im(field: np.ndarray) -> np.ndarray:
+        """Complex ``(..., r, c)`` as the real ``(..., r, c, 2)`` a GEMM reads
+        or writes: a view wherever the last axis is contiguous."""
+        if not np.iscomplexobj(field) or field.strides[-1] != field.itemsize:
+            field = np.ascontiguousarray(
+                field, dtype=np.result_type(field, np.complex64))
+        return field.view(np.finfo(field.dtype).dtype).reshape(field.shape + (2,))
 
-    @staticmethod
-    def _batch_outer(a: np.ndarray, lead: tuple) -> np.ndarray:
-        """The complex ``lead + (r, c)`` view of a real batch-inner result."""
-        cdt = np.result_type(a, np.complex64)
-        return np.moveaxis(a.view(cdt), -1, 0).reshape(lead + a.shape[:2])
+    def _spec_to_fourier(self, specs, tables) -> np.ndarray:
+        """Legendre-sum same-shape ``(..., nm, K)`` fields, each against the
+        ``(nm, nlat, K)`` slice of ``_syn`` its coefficients pair with:
+        ``sum_k table[m, j, k] spec[m, k]``, written into the wavenumber
+        columns of the ``(len(specs), ..., nlat, nlon // 2 + 1)`` pad the
+        inverse FFT reads.
 
-    def _spec_to_fourier(self, specs, table: np.ndarray, tag: str) -> np.ndarray:
-        """Legendre-sum same-shape ``(..., nm, nk)`` fields against one table:
-        the ``(len(specs), ..., nlat, nm)`` Fourier coefficients
-        ``sum_k spec[m, k] table[j, m, k]`` (a view of a batch-inner
-        workspace buffer).  ``tag`` names the output after the table, so
-        the Pbar and H halves of one operator never alias."""
-        a = self._batch_inner(specs)
-        if not self._allones:
-            np.multiply(a, self._mask[:, :, None], out=a)
-        fm = np.einsum("mkb,jmk->jmb", a, table, out=get_workspace().empty(
-            f"spectral.fm.{tag}", (self.nlat, self.trunc.nm, a.shape[2]),
-            np.result_type(a, table)))
-        return self._batch_outer(fm, (len(specs),) + specs[0].shape[:-2])
-
-    def _fourier_to_grid(self, fms) -> np.ndarray:
-        """One inverse FFT over a sequence (or stacked array) of same-shape
-        ``(..., nlat, nm)`` Fourier fields.
-
-        The pad buffer is zeroed once at allocation; each call rewrites
-        only the live ``nm`` columns (folding the ``* nlon``
-        denormalization into the copy), so the truncation tail stays zero
-        without a per-call refill.  The name carries ``nm`` because two
+        The pad is zeroed once at allocation and only its live ``nm``
+        columns are ever rewritten, so the truncation tail stays zero
+        without a per-call refill.  Its name carries ``nm`` because two
         transforms with the same grid but different truncations must not
-        share a pad (their zero tails start at different columns).
+        share one (their zero tails start at different columns).
         """
         nm = self.trunc.nm
-        full = get_workspace().zeros_once(
+        pad = get_workspace().zeros_once(
             f"spectral.pad.m{nm}",
-            (len(fms),) + fms[0].shape[:-1] + (self.nlon // 2 + 1,), fms[0].dtype)
-        for dst, fm in zip(full, fms):
-            np.multiply(fm, self.nlon, out=dst[..., :nm])
-        return np.fft.irfft(full, n=self.nlon, axis=-1)
+            (len(specs),) + specs[0].shape[:-2] + (self.nlat, self.nlon // 2 + 1),
+            np.result_type(specs[0], tables[0], np.complex64))
+        live = self._re_im(pad)[..., :nm, :].swapaxes(-2, -3)
+        for out, spec, table in zip(live, specs, tables):
+            np.matmul(table, self._re_im(spec), out=out)
+        return pad
+
+    def _fourier_to_grid(self, pad: np.ndarray) -> np.ndarray:
+        """Inverse FFT of a pad of Fourier fields.  Both FFTs run unscaled;
+        :meth:`_fourier_to_spec` applies the pair's ``1 / nlon``."""
+        return np.fft.irfft(pad, n=self.nlon, axis=-1, norm="forward")
 
     def _grid_to_fourier(self, grid: np.ndarray) -> np.ndarray:
-        """One forward FFT, truncated to the retained ``nm`` columns and
-        normalized there (only the columns that are kept are divided)."""
-        fm = np.fft.rfft(grid, axis=-1)[..., : self.trunc.nm]
-        return np.divide(fm, self.nlon, out=fm)
+        """Forward FFT, unscaled: the retained ``(..., nlat, nm)`` columns,
+        a view of the fresh transform."""
+        return np.fft.rfft(grid, axis=-1)[..., : self.trunc.nm]
 
-    def _fourier_to_spec(self, fm: np.ndarray, table: np.ndarray, tag: str
-                         ) -> np.ndarray:
-        """Gauss-Legendre quadrature of ``(..., nlat, nm)`` Fourier fields
-        against one weighted table -> ``(..., nm, nk)`` (a view of a
-        batch-inner workspace buffer; pass what escapes through
-        :meth:`_retained`)."""
-        a = self._batch_inner((fm,))
-        sp = np.einsum("jmb,jmk->mkb", a, table, out=get_workspace().empty(
-            f"spectral.spec.{tag}", self.spec_shape + a.shape[2:],
+    def _fourier_to_spec(self, fm: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """Gauss-Legendre quadrature of unscaled ``(..., nlat, nm)`` Fourier
+        fields against an ``(nm, K, nlat)`` slice of ``_ana`` ->
+        ``(..., nm, K)``, ``sum_j table[m, k, j] fm[j, m] / nlon`` (a
+        workspace buffer: copy what escapes).  The normalization lands
+        here, on the smaller side of the sum."""
+        a = self._re_im(fm).swapaxes(-2, -3)
+        sp = np.matmul(table, a, out=get_workspace().empty(
+            "spectral.spec", a.shape[:-2] + (table.shape[-2], 2),
             np.result_type(a, table)))
-        return self._batch_outer(sp, fm.shape[:-2])
-
-    def _retained(self, spec: np.ndarray) -> np.ndarray:
-        """Fresh C-ordered copy of a workspace result, truncated slots zeroed."""
-        return spec.copy() if self._allones \
-            else np.multiply(spec, self._mask, order="C")
+        np.multiply(sp, 1.0 / self.nlon, out=sp)
+        return sp.view(np.result_type(sp, np.complex64))[..., 0]
 
     @profiled("spectral.analyze")
     def analyze(self, grid: np.ndarray) -> np.ndarray:
         """Grid (..., nlat, nlon) -> spectral coefficients (..., nm, nk)."""
-        return self._retained(
-            self._fourier_to_spec(self._grid_to_fourier(grid), self._wp, "p"))
+        return self._fourier_to_spec(self._grid_to_fourier(grid),
+                                     self._ana_p).copy()
 
     @profiled("spectral.synthesize")
     def synthesize(self, spec: np.ndarray) -> np.ndarray:
@@ -381,9 +371,9 @@ class SpectralTransform:
     @profiled("spectral.synthesize_many")
     def synthesize_many(self, *specs: np.ndarray) -> tuple:
         """Synthesize several same-shape spectral fields through a single
-        contraction + inverse FFT; one grid per field, in order."""
+        inverse FFT; one grid per field, in order."""
         return tuple(self._fourier_to_grid(
-            self._spec_to_fourier(specs, self.pbar, "p")))
+            self._spec_to_fourier(specs, (self._syn_p,) * len(specs))))
 
     # ------------------------------------------------------------------
     # differential operators (spectral space)
@@ -410,18 +400,21 @@ class SpectralTransform:
 
         Solves psi = del^-2 zeta, chi = del^-2 D, then (summed over n)
         U = u cos(lat) = (im chi Pbar - psi H)/a, V = (im psi Pbar + chi H)/a:
-        one contraction for the Pbar pair, one for the H pair, one FFT.
+        each wind is one sum over the (Pbar | H) table of its paired
+        (Pbar | H) coefficients, and both share one FFT.
         """
         psi = self.inverse_laplacian(vort_spec)
         chi = self.inverse_laplacian(div_spec)
-        fm = self._spec_to_fourier((self.ddlambda(chi), self.ddlambda(psi)),
-                                   self.pbar, "p")
-        fh = self._spec_to_fourier((psi, chi), self.hbar, "h")
-        np.subtract(fm[0], fh[0], out=fm[0])
-        np.add(fm[1], fh[1], out=fm[1])
-        np.divide(fm, self.radius, out=fm)
-        g = self._fourier_to_grid(fm)
-        np.divide(g, self._cos, out=g)
+        nk = self.trunc.nk
+        ops = get_workspace().empty(
+            "spectral.uv_ops", (2,) + psi.shape[:-1] + (2 * nk,), psi.dtype)
+        np.multiply(chi, self._im, out=ops[0, ..., :nk])
+        np.negative(psi, out=ops[0, ..., nk:])
+        np.multiply(psi, self._im, out=ops[1, ..., :nk])
+        ops[1, ..., nk:] = chi
+        g = self._fourier_to_grid(
+            self._spec_to_fourier(ops, (self._syn, self._syn)))
+        np.divide(g, self._rcos, out=g)
         return g[0], g[1]
 
     @profiled("spectral.vortdiv_from_uv")
@@ -434,17 +427,17 @@ class SpectralTransform:
         which never differentiates on the grid (Bourke 1972).
         """
         uv = get_workspace().empty("spectral.uv", (2,) + u.shape, u.dtype)
-        np.multiply(u, self._cos, out=uv[0])
-        np.multiply(v, self._cos, out=uv[1])
-        fm = self._grid_to_fourier(uv)
-        np.multiply(fm, self._oc2, out=fm)
-        sp = self._fourier_to_spec(fm, self._wp, "p")      # [U, V] . w Pbar
-        sh = self._fourier_to_spec(fm, self._wh, "h")      # [U, V] . w H
+        np.divide(u, self._cos, out=uv[0])              # U / (1 - mu^2)
+        np.divide(v, self._cos, out=uv[1])
+        both = self._fourier_to_spec(                   # . (w Pbar ; w H)
+            self._grid_to_fourier(uv), self._ana)
+        nk = self.trunc.nk
+        sp, sh = both[..., :nk], both[..., nk:]
         np.multiply(self._im, sp, out=sp)
-        vort = np.add(sp[1], sh[0], out=sp[1])
-        div = np.subtract(sp[0], sh[1], out=sp[0])
-        np.divide(sp, self.radius, out=sp)
-        return self._retained(vort), self._retained(div)
+        vort = np.add(sp[1], sh[0])
+        div = np.subtract(sp[0], sh[1])
+        return (np.divide(vort, self.radius, out=vort),
+                np.divide(div, self.radius, out=div))
 
     @profiled("spectral.gradient")
     def gradient(self, spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -453,9 +446,9 @@ class SpectralTransform:
         df/dx = (1/(a cos)) df/dlambda,  df/dy = (cos/a) df/dmu; the
         meridional part uses the H functions so no finite differencing occurs.
         """
-        fx = self._spec_to_fourier((self.ddlambda(spec),), self.pbar, "p")
-        fy = self._spec_to_fourier((spec,), self.hbar, "h")
-        g = self._fourier_to_grid((fx[0], fy[0]))
+        pad = self._spec_to_fourier((self.ddlambda(spec), spec),
+                                    (self._syn_p, self._syn_h))
+        g = self._fourier_to_grid(pad)
         np.divide(g, self._rcos, out=g)
         return g[0], g[1]
 

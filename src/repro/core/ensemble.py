@@ -21,9 +21,10 @@ horizontal kernel (last two axes) shape-generic, and makes the member slice
 Correctness contract (regression-tested in ``tests/test_ensemble.py``): a
 zero-perturbation batch of N members is **bitwise float64-identical** per
 member to N independent serial runs.  Every batched kernel therefore runs
-the identical operation sequence per member — see the per-member loops in
-``SpectralDynamicalCore._dsig_dot`` and the river routing for the two spots
-where naive whole-batch contractions would reorder accumulations.
+the identical operation sequence per member: the member axis is a matmul
+broadcast axis of every spectral contraction, never a GEMM dimension, and
+the river routing loops over members where a whole-batch accumulation
+would reorder its sums.
 """
 
 from __future__ import annotations

@@ -122,9 +122,10 @@ def parallel_spectral_analysis(nranks: int, tr: SpectralTransform,
     3. each rank performs the Legendre quadrature for its own m's;
     4. gather the spectral coefficients.
 
-    Bit-identical to ``tr.analyze`` because every rank uses the same
-    quadrature weights and Legendre tables.  With ``with_stats=True``
-    returns ``(spec, [CommStats, ...])``, the measured traffic of the run.
+    Bit-identical to ``tr.analyze`` because every rank runs the transform's
+    own per-wavenumber GEMM, whose shape does not depend on how many m's a
+    rank owns, on the same tables.  With ``with_stats=True`` returns
+    ``(spec, [CommStats, ...])``, the measured traffic of the run.
     """
     nlat = tr.nlat
     nm = tr.trunc.nm
@@ -133,16 +134,16 @@ def parallel_spectral_analysis(nranks: int, tr: SpectralTransform,
     def worker(comm: CommBase):
         local = decomp.scatter(comm, grid_field if comm.rank == 0 else None)
         # Local FFT of our latitude band.
-        fm = np.fft.rfft(local, axis=1)[:, :nm] / tr.nlon
+        fm = tr._grid_to_fourier(local)
         # Transpose: rows=lats -> columns=wavenumbers.
         cols = transpose_forward(comm, fm, nlat, nm)
         # Legendre quadrature for our block of m's (all latitudes local now).
         mlo, mhi = block_bounds(nm, comm.size, comm.rank)
-        spec_block = np.einsum("jm,jmk->mk", cols, tr._wp[:, mlo:mhi, :])
+        spec_block = tr._fourier_to_spec(cols, tr._ana_p[mlo:mhi])
         gathered = comm.gather(spec_block, root=0)
         spec = None
         if comm.rank == 0:
-            spec = np.concatenate(gathered, axis=0) * tr.trunc.mask()
+            spec = np.concatenate(gathered, axis=0)
         return spec, comm.stats
 
     results = run_ranks(nranks, worker)

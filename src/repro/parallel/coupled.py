@@ -175,8 +175,9 @@ def _atm_worker(comm, pool, layout, model, state, nsteps, waits):
         new_prev, new_next = model.atm_dynamics(state.atm_prev, new_curr)
         state = replace(state, atm_prev=new_prev, atm_curr=new_next,
                         radiation=radiation, time=state.time + dt)
+    # The spectral state is replicated: only the leader's copy goes home.
     return {"atm_prev": state.atm_prev, "atm_curr": state.atm_curr,
-            "radiation": state.radiation, "time": state.time}
+            "radiation": state.radiation, "time": state.time} if leader else {}
 
 
 def _cpl_worker(comm, pool, layout, model, state, nsteps, waits):

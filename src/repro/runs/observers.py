@@ -71,6 +71,10 @@ HISTORY_FIELDS = {
     "evap": lambda model, state: state.coupler.evap,
 }
 
+#: What a history records unless told otherwise: the one default of
+#: :class:`HistoryObserver` and :class:`repro.runs.plan.HistorySpec`.
+DEFAULT_HISTORY_FIELDS = ("sst", "t_sfc", "ice_thickness", "precip")
+
 
 class HistoryObserver(StepObserver):
     """Streams named diagnostics to a rolling :class:`HistoryWriter`.
@@ -81,7 +85,7 @@ class HistoryObserver(StepObserver):
     """
 
     def __init__(self, writer: HistoryWriter, interval_steps: int,
-                 fields: tuple[str, ...] = ("sst", "t_sfc", "ice_thickness")):
+                 fields: tuple[str, ...] = DEFAULT_HISTORY_FIELDS):
         if interval_steps < 1:
             raise ValueError(f"interval_steps must be >= 1, "
                              f"got {interval_steps}")

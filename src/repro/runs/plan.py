@@ -23,6 +23,7 @@ import json
 from dataclasses import dataclass, field
 
 from repro.core.config import FoamConfig, named_config, test_config
+from repro.runs.observers import DEFAULT_HISTORY_FIELDS
 
 RUN_MODES = ("serial", "ensemble", "concurrent")
 
@@ -38,7 +39,7 @@ class HistorySpec:
 
     directory: str
     interval_days: float = 0.25
-    fields: tuple[str, ...] = ("sst", "t_sfc", "ice_thickness", "precip")
+    fields: tuple[str, ...] = DEFAULT_HISTORY_FIELDS
     flush_every: int = 8
     prefix: str = "history"
 

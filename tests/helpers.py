@@ -1,4 +1,5 @@
-"""Shared test helper: leaf-by-leaf comparison of two state/payload trees."""
+"""Shared test helpers: leaf-by-leaf comparison of two state/payload trees,
+and the kernel-vs-oracle tolerance of a numerics epoch."""
 
 import numpy as np
 
@@ -33,3 +34,23 @@ def assert_trees_identical(got, want, context=""):
                 f"of {a.size} values (0: in the bits of a zero or a NaN)")
         else:
             assert type(a) is type(b) and a == b, f"{where}{name}: {a!r} != {b!r}"
+
+
+#: Numerics epoch 2: a spectral kernel sums its Legendre series in BLAS's
+#: order and its oracle in ``einsum``'s, so they agree to rounding — a few
+#: hundred ulp of the field's largest value leaves room for every sum
+#: length in use (measured: 2-5e-16 at float64, 1-3e-7 at float32).
+ORACLE_RTOL = {np.dtype(np.float64): 1e-13, np.dtype(np.float32): 5e-5}
+
+
+def assert_matches_oracle(tr, got, want, context=""):
+    """Same dtype and shape, and ``|got - want| <= rtol * max|want|`` with
+    the epoch's ``rtol`` for the coarser of the data's precision and the
+    tables' of the transform ``tr`` that made them."""
+    assert (got.dtype, got.shape) == (want.dtype, want.shape), (
+        f"{context}: {got.dtype}{got.shape} vs {want.dtype}{want.shape}")
+    rtol = max(ORACLE_RTOL[np.finfo(want.dtype).dtype],
+               ORACLE_RTOL[np.dtype(tr.policy.float_dtype)])
+    err = np.abs(got - want).max()
+    assert err <= rtol * np.abs(want).max(), (
+        f"{context}: off by {err:.3e}, {err / np.abs(want).max():.1e} of max")

@@ -283,3 +283,30 @@ def test_rejects_more_atm_ranks_than_latitudes(cfg):
     with pytest.raises(ValueError):
         run_concurrent_coupled(FoamModel(cfg), None, 1,
                                PoolLayout(n_atm=cfg.atm_nlat + 1))
+
+
+def test_only_the_atmosphere_leader_sends_the_state_home(cfg, monkeypatch):
+    """The spectral state is replicated on every atmosphere rank and the
+    caller reads the leader's: the other ranks return their bookkeeping,
+    no state array — and the assembled state is still the serial one."""
+    from repro.parallel import coupled
+    from repro.util.tree import tree_leaves
+
+    results = []
+
+    def spy(*args, **kwargs):
+        results.extend(run_ranks(*args, **kwargs))
+        return results
+
+    monkeypatch.setattr(coupled, "run_ranks", spy)
+    model = FoamModel(cfg)
+    out = run_concurrent_coupled(model, model.initial_state(), 3, LAYOUT)
+    state = model.initial_state()
+    for _ in range(3):
+        state = model.coupled_step(state)
+    assert_trees_identical(out.state, state)
+
+    leader, other = (results[r] for r in LAYOUT.atm_ranks)
+    assert {"atm_prev", "atm_curr", "radiation", "time"} <= leader.keys()
+    assert other.keys() == {"rank", "role", "wall", "waits", "ws_stats", "stats"}
+    assert not any(isinstance(leaf, np.ndarray) for _, leaf in tree_leaves(other))

@@ -377,6 +377,16 @@ class TestHarnessHistory:
         assert data["sst"].shape[0] == 5
         assert data["sst"].dtype == np.float64
 
+    def test_observer_and_spec_share_one_default_field_list(self, tmp_path):
+        """A bare ``HistoryObserver`` records what a bare ``HistorySpec``
+        asks for (the observer's own default lacked ``precip`` at PR 23)."""
+        from repro.core.history import HistoryWriter
+        from repro.runs.observers import HistoryObserver
+
+        observer = HistoryObserver(HistoryWriter(str(tmp_path)), 1)
+        assert observer.fields == HistorySpec(str(tmp_path)).fields
+        assert "precip" in observer.fields
+
     def test_ensemble_history_carries_member_axis(self, tmp_path):
         nens = 3
         plan = RunPlan(days=0.5, mode="ensemble", nens=nens,

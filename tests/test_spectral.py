@@ -294,14 +294,26 @@ def test_legendre_plan_cache_shares_tables():
 
 
 def test_transforms_share_cached_plan():
-    """Two transforms at one resolution read the same plan arrays."""
-    from repro.atmosphere.spectral import clear_legendre_plans
+    """Two transforms at one resolution run the recurrences once; each lays
+    the plan out m-major for its GEMMs, and the (j, m, k) names are views of
+    those tables holding the plan's values."""
+    from repro.atmosphere.spectral import (
+        clear_legendre_plans,
+        legendre_plan,
+        legendre_plan_stats,
+    )
 
     clear_legendre_plans()
     tr1 = SpectralTransform(nlat=24, nlon=32, trunc=Truncation(8))
     tr2 = SpectralTransform(nlat=24, nlon=32, trunc=Truncation(8))
-    # At float64 the astype(copy=False) keeps the cached arrays themselves:
-    # hbar is the shared table, pbar a view of the shared extended table.
-    assert tr1.hbar is tr2.hbar
-    assert tr1.pbar.base is not None
-    assert tr1.pbar.base is tr2.pbar.base
+    assert legendre_plan_stats() == {"builds": 1, "hits": 1}
+    pbar_ext, hbar = legendre_plan(24, 8, 10)
+    for tr in (tr1, tr2):
+        assert np.array_equal(tr.pbar, pbar_ext[:, :, :9])
+        assert np.array_equal(tr.hbar, hbar)
+        half_w = tr.weights[:, None, None] / 2.0
+        assert np.array_equal(tr._wp, half_w * pbar_ext[:, :, :9])
+        assert np.array_equal(tr._wh, half_w * hbar)
+        for view, table in ((tr.pbar, tr._syn), (tr.hbar, tr._syn),
+                            (tr._wp, tr._ana), (tr._wh, tr._ana)):
+            assert np.shares_memory(view, table) and table.flags.c_contiguous

@@ -149,31 +149,43 @@ def test_one_rank_transport_census():
 
 def test_one_legendre_contraction_census():
     """``atmosphere/spectral.py`` sums over latitude / total wavenumber in
-    exactly two places — one ``einsum`` per direction — and at most three
-    functions consult the truncation mask (the constructor that builds it
-    and one per direction).  Every operator stacks its operands through
-    those two sites, so a change to how the Legendre sum is evaluated
-    (hemispheric folding, a real-GEMM layout) is made once per direction,
-    not once per operator.
+    exactly two places — one ``matmul`` per direction, no ``einsum`` — and
+    only the constructor consults the truncation mask (it zeroes the
+    truncated slots of the tables).  Every operator goes through those two
+    sites, so a change to how the Legendre sum is evaluated is made once
+    per direction, not once per operator.  And the dynamical core has no
+    Python loop over members: the member axis is a matmul broadcast axis
+    (``for e in range(...)`` was how ``_implicit_update`` and ``_dsig_dot``
+    kept batched == serial before epoch 2).
     """
     import ast
 
-    path = (Path(__file__).resolve().parents[1]
-            / "src" / "repro" / "atmosphere" / "spectral.py")
-    einsum_sites, mask_readers = [], set()
-    for fn in ast.walk(ast.parse(path.read_text())):
+    atmosphere = Path(__file__).resolve().parents[1] / "src" / "repro" / "atmosphere"
+    calls = {"matmul": [], "einsum": []}
+    mask_readers = set()
+    for fn in ast.walk(ast.parse((atmosphere / "spectral.py").read_text())):
         if not isinstance(fn, ast.FunctionDef):
             continue
         for node in ast.walk(fn):
             if isinstance(node, ast.Call) and \
-                    getattr(node.func, "attr", None) == "einsum":
-                einsum_sites.append(fn.name)
-            if isinstance(node, ast.Attribute) and \
-                    node.attr in ("_mask", "_allones") and \
+                    getattr(node.func, "attr", None) in calls:
+                calls[node.func.attr].append(fn.name)
+            if isinstance(node, ast.Attribute) and node.attr == "_mask" and \
                     isinstance(node.ctx, ast.Load):
                 mask_readers.add(fn.name)
-    assert sorted(einsum_sites) == ["_fourier_to_spec", "_spec_to_fourier"]
-    assert len(mask_readers) <= 3, sorted(mask_readers)
+    assert sorted(calls["matmul"]) == ["_fourier_to_spec", "_spec_to_fourier"]
+    assert calls["einsum"] == []
+    assert mask_readers <= {"__init__"}, sorted(mask_readers)
+
+    dynamics = ast.parse((atmosphere / "dynamics.py").read_text())
+    member_loops = [
+        getattr(node, "lineno", None) for node in ast.walk(dynamics)
+        if isinstance(node, (ast.For, ast.comprehension))
+        and isinstance(node.target, ast.Name) and node.target.id == "e"]
+    assert member_loops == []
+    assert not any(isinstance(node, ast.Call)
+                   and getattr(node.func, "attr", None) == "einsum"
+                   for node in ast.walk(dynamics))
 
 
 @pytest.fixture(scope="module")
