@@ -272,8 +272,9 @@ class SpectralTransform:
         self._im = (1j * m64).astype(self.policy.complex_dtype, copy=False)
         self._lap = lap64.astype(fdt, copy=False)
         self._invlap = inv64.astype(fdt, copy=False)
-        self._rcos = (radius * np.cos(self.lats)).astype(fdt, copy=False)[:, None]
-        self._cos = self.coslat[:, None]
+        rcos64 = (radius * np.cos(self.lats))[:, None]
+        self._rcos = rcos64.astype(fdt, copy=False)     # the oracles divide by it
+        self._inv_rcos = (1.0 / rcos64).astype(fdt, copy=False)
 
     @property
     def spec_shape(self) -> tuple[int, int]:
@@ -414,7 +415,7 @@ class SpectralTransform:
         ops[1, ..., nk:] = chi
         g = self._fourier_to_grid(
             self._spec_to_fourier(ops, (self._syn, self._syn)))
-        np.divide(g, self._rcos, out=g)
+        np.multiply(g, self._inv_rcos, out=g)
         return g[0], g[1]
 
     @profiled("spectral.vortdiv_from_uv")
@@ -424,20 +425,18 @@ class SpectralTransform:
 
         zeta_n^m = (1/a) sum_j w_j/2 [ im V_m Pbar + U_m H ] / (1-mu^2)
         D_n^m    = (1/a) sum_j w_j/2 [ im U_m Pbar - V_m H ] / (1-mu^2)
-        which never differentiates on the grid (Bourke 1972).
+        which never differentiates on the grid (Bourke 1972); with
+        U = u cos(lat), what is transformed is (u, v) / (a cos(lat)).
         """
         uv = get_workspace().empty("spectral.uv", (2,) + u.shape, u.dtype)
-        np.divide(u, self._cos, out=uv[0])              # U / (1 - mu^2)
-        np.divide(v, self._cos, out=uv[1])
+        np.multiply(u, self._inv_rcos, out=uv[0])
+        np.multiply(v, self._inv_rcos, out=uv[1])
         both = self._fourier_to_spec(                   # . (w Pbar ; w H)
             self._grid_to_fourier(uv), self._ana)
         nk = self.trunc.nk
         sp, sh = both[..., :nk], both[..., nk:]
         np.multiply(self._im, sp, out=sp)
-        vort = np.add(sp[1], sh[0])
-        div = np.subtract(sp[0], sh[1])
-        return (np.divide(vort, self.radius, out=vort),
-                np.divide(div, self.radius, out=div))
+        return np.add(sp[1], sh[0]), np.subtract(sp[0], sh[1])
 
     @profiled("spectral.gradient")
     def gradient(self, spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -449,7 +448,7 @@ class SpectralTransform:
         pad = self._spec_to_fourier((self.ddlambda(spec), spec),
                                     (self._syn_p, self._syn_h))
         g = self._fourier_to_grid(pad)
-        np.divide(g, self._rcos, out=g)
+        np.multiply(g, self._inv_rcos, out=g)
         return g[0], g[1]
 
     def damping_denominator(self, coefficient: float, dt: float,

@@ -43,14 +43,12 @@ def assert_trees_identical(got, want, context=""):
 ORACLE_RTOL = {np.dtype(np.float64): 1e-13, np.dtype(np.float32): 5e-5}
 
 
-def assert_matches_oracle(tr, got, want, context=""):
+def assert_matches_oracle(tr, got, want):
     """Same dtype and shape, and ``|got - want| <= rtol * max|want|`` with
     the epoch's ``rtol`` for the coarser of the data's precision and the
     tables' of the transform ``tr`` that made them."""
-    assert (got.dtype, got.shape) == (want.dtype, want.shape), (
-        f"{context}: {got.dtype}{got.shape} vs {want.dtype}{want.shape}")
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
     rtol = max(ORACLE_RTOL[np.finfo(want.dtype).dtype],
                ORACLE_RTOL[np.dtype(tr.policy.float_dtype)])
-    err = np.abs(got - want).max()
-    assert err <= rtol * np.abs(want).max(), (
-        f"{context}: off by {err:.3e}, {err / np.abs(want).max():.1e} of max")
+    err, scale = np.abs(got - want).max(), np.abs(want).max()
+    assert err <= rtol * scale, f"off by {err:.3e}, {err / scale:.1e} of max"

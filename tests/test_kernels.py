@@ -203,6 +203,7 @@ class TestModeIndependence:
             SpectralDynamicalCore,
         )
         from repro.atmosphere.vertical import VerticalGrid
+        from repro.core.ensemble import member_state
 
         tr = SpectralTransform(NLAT, NLON, Truncation(MMAX, kind), dtype=dtype)
         core = SpectralDynamicalCore(tr, VerticalGrid.ccm_like(nlev=5))
@@ -222,13 +223,8 @@ class TestModeIndependence:
         n_pi = spec((nens,), 1e-7)
         whole = core._implicit_update(prev, n_div, n_temp, n_pi)
         for e in range(nens):
-            def member(a):
-                return a[..., e, :, :].copy()
-
-            alone = core._implicit_update(
-                AtmosphereState(*map(member, (prev.vort, prev.div, prev.temp,
-                                              prev.lnps, prev.q))),
-                member(n_div), member(n_temp), member(n_pi))
+            alone = core._implicit_update(*member_state(
+                (prev, n_div, n_temp, n_pi), e))
             for got, want in zip(whole, alone):
                 assert _bitwise(got[..., e, :, :], want), e
 
