@@ -64,9 +64,11 @@ class HistoryWriter:
         self._template: dict[str, tuple[tuple, np.dtype]] = {}
         self.files_written: list[Path] = []
         # Resume-friendly numbering: never overwrite a previous leg's files
-        # when a resumed run streams into the same directory.
-        self._next_file_index = len(list(self.directory.glob(
-            f"{self.prefix}_[0-9][0-9][0-9][0-9].npz")))
+        # when a resumed run streams into the same directory — numbering
+        # continues after the highest file there, whatever gaps lie below.
+        self._next_file_index = 1 + max(
+            (int(p.stem.rpartition("_")[2]) for p in self.directory.glob(
+                f"{self.prefix}_[0-9][0-9][0-9][0-9].npz")), default=-1)
         self.bytes_written = 0
         self.snapshots_recorded = 0
 
@@ -112,15 +114,20 @@ class HistoryWriter:
         return None
 
     def flush(self) -> Path | None:
-        """Write buffered snapshots to one compressed file; clears the buffer."""
+        """Write buffered snapshots to one compressed file; clears the buffer.
+
+        The file appears whole or not at all (:func:`_write_npz_atomically`);
+        a write that raises keeps the snapshots buffered and the file number
+        unused, so the next flush writes them under that number.
+        """
         if not self._times:
             return None
         payload = {name: np.stack(snaps)
                    for name, snaps in self._buffer.items()}
         payload["time"] = np.asarray(self._times)
         path = self.directory / f"{self.prefix}_{self._next_file_index:04d}.npz"
+        _write_npz_atomically(path, payload)
         self._next_file_index += 1
-        np.savez_compressed(path, **payload)
         self.files_written.append(path)
         self.bytes_written += path.stat().st_size
         self._buffer.clear()
@@ -164,6 +171,21 @@ def load_history(paths) -> dict[str, np.ndarray]:
             for name in sorted(fields)}
 
 
+def _write_npz_atomically(path: Path, payload: dict) -> None:
+    """Write ``payload`` as a compressed npz under a sibling temporary name
+    (no ``.npz`` suffix, so nothing that globs the final files sees it) and
+    rename it onto ``path``: a write killed or failing half way leaves
+    whatever was at ``path`` intact, never a torn file.  There is no
+    ``fsync`` — atomic against a kill, not against a power cut."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as handle:     # a handle: numpy appends no suffix
+            np.savez_compressed(handle, **payload)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 # ----------------------------------------------------------------- restarts
 def _leaf_key(path: tuple) -> str:
     return ".".join(("state",) + tuple(map(str, path)))
@@ -187,11 +209,9 @@ def save_restart(path: str | Path, state: FoamState, *,
     can validate compatibility; ``meta`` attaches arbitrary
     JSON-serializable run metadata (mode, nens, scenario, run key).
 
-    The file is written under a sibling temporary name (no ``.npz``
-    suffix, so nothing that globs checkpoints sees it) and renamed onto
-    ``path``: a run killed mid-write leaves the previous file at ``path``
-    intact, never a torn one.  There is no ``fsync`` — atomic against a
-    kill, not against a power cut.
+    The file is written atomically (:func:`_write_npz_atomically`): a run
+    killed mid-write leaves the previous file at ``path`` intact, never a
+    torn one.
     """
     path = Path(path)
     leaves = {_leaf_key(p): leaf for p, leaf in tree_leaves(state)}
@@ -204,13 +224,7 @@ def save_restart(path: str | Path, state: FoamState, *,
         payload["config_json"] = json.dumps(config.to_dict(), sort_keys=True)
     if meta is not None:
         payload["meta_json"] = json.dumps(meta, sort_keys=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as handle:     # a handle: numpy appends no suffix
-            np.savez_compressed(handle, **payload)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    _write_npz_atomically(path, payload)
     return path
 
 

@@ -3,22 +3,20 @@
 FOAM's third and fourth design strategies (paper section 3) are
 distributed-memory message passing via MPI.  This package provides the
 single-host equivalent: :func:`run_ranks` forks rank processes exchanging
-real NumPy arrays through the :class:`CommBase` interface
-(:mod:`repro.parallel.procmpi` is the one transport: a parent-side router
-plus shared-memory bulk payloads), on which the decompositions and
-distributed transposes of the component models are built.
+real NumPy arrays through one communicator class, :class:`Comm`
+(:mod:`repro.parallel.procmpi`: collectives, a parent-side router and
+shared-memory bulk payloads), on which the decompositions and distributed
+transposes of the component models are built.
 """
 
 from repro.parallel.commbase import (
     ANY_SOURCE,
     ANY_TAG,
     BlockedRank,
-    CommBase,
     CommError,
     CommStats,
     DeadlockError,
     DeadlockReport,
-    RankCrashedError,
 )
 from repro.parallel.coupled import (
     ConcurrentCoupledResult,
@@ -26,8 +24,7 @@ from repro.parallel.coupled import (
     run_concurrent_coupled,
 )
 from repro.parallel.decomp import BlockDecomp1D, BlockDecomp2D, block_bounds
-from repro.parallel.faults import FaultPlan, corrupt_payload
-from repro.parallel.procmpi import ProcComm, run_ranks
+from repro.parallel.procmpi import Comm, run_ranks
 from repro.parallel.trace import ACTIVITIES, RankTrace, Segment, TraceSet
 from repro.parallel.transpose import transpose_backward, transpose_forward
 
@@ -35,18 +32,14 @@ __all__ = [
     "ANY_SOURCE",
     "ANY_TAG",
     "BlockedRank",
-    "CommBase",
+    "Comm",
     "CommError",
     "CommStats",
-    "ProcComm",
     "ConcurrentCoupledResult",
     "PoolLayout",
     "run_concurrent_coupled",
     "DeadlockError",
     "DeadlockReport",
-    "FaultPlan",
-    "RankCrashedError",
-    "corrupt_payload",
     "run_ranks",
     "BlockDecomp1D",
     "BlockDecomp2D",

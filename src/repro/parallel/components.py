@@ -26,9 +26,9 @@ from repro.atmosphere.physics import PhysicsSuite, SurfaceState
 from repro.atmosphere.spectral import SpectralTransform
 from repro.ocean.grid import OceanGrid
 from repro.ocean.operators import laplacian
-from repro.parallel.commbase import CommBase, CommStats
+from repro.parallel.commbase import CommStats
 from repro.parallel.decomp import BlockDecomp1D, BlockDecomp2D, block_bounds
-from repro.parallel.procmpi import run_ranks
+from repro.parallel.procmpi import Comm, run_ranks
 from repro.parallel.transpose import transpose_backward, transpose_forward
 from repro.util.tree import tree_map
 
@@ -46,18 +46,18 @@ def parallel_physics(nranks: int, *, temp, q, u, v, pressure, ps,
     nlon = temp.shape[2]
     decomp = BlockDecomp1D(nlat=nlat, nlon=nlon, nranks=nranks)
 
-    def worker(comm: CommBase):
+    def worker(comm: Comm):
         lo, hi = decomp.bounds(comm.rank)
         sub_surface = tree_map(lambda a: a[lo:hi], surface)
         suite = PhysicsSuite()
-        sent_before = comm.messages_sent
+        sent_before = comm.stats.msgs_sent
         out = suite.compute(
             temp=temp[:, lo:hi], q=q[:, lo:hi], u=u[:, lo:hi], v=v[:, lo:hi],
             pressure=pressure[:, lo:hi], ps=ps[lo:hi],
             geopotential=geopotential[:, lo:hi], dsigma=dsigma,
             surface=sub_surface, dt=dt, time=time,
             lats=lats[lo:hi], lons=lons)
-        physics_messages = comm.messages_sent - sent_before
+        physics_messages = comm.stats.msgs_sent - sent_before
         # Only now gather results (communication belongs to the coupler).
         dtdt = decomp.gather(comm, np.moveaxis(out.dtdt, 0, 1))
         dqdt = decomp.gather(comm, np.moveaxis(out.dqdt, 0, 1))
@@ -87,7 +87,7 @@ def parallel_laplacian(py: int, px: int, field: np.ndarray,
     """
     decomp = BlockDecomp2D(ny=grid.ny, nx=grid.nx, py=py, px=px)
 
-    def worker(comm: CommBase):
+    def worker(comm: Comm):
         local = decomp.scatter(comm, field if comm.rank == 0 else None)
         local_mask = decomp.scatter(comm, mask.astype(float)
                                     if comm.rank == 0 else None) > 0.5
@@ -131,7 +131,7 @@ def parallel_spectral_analysis(nranks: int, tr: SpectralTransform,
     nm = tr.trunc.nm
     decomp = BlockDecomp1D(nlat=nlat, nlon=tr.nlon, nranks=nranks)
 
-    def worker(comm: CommBase):
+    def worker(comm: Comm):
         local = decomp.scatter(comm, grid_field if comm.rank == 0 else None)
         # Local FFT of our latitude band.
         fm = tr._grid_to_fourier(local)
@@ -172,7 +172,7 @@ def measure_transpose_comm(nranks: int, nlat: int, nm: int, nlev: int = 1,
     rng = np.random.default_rng(seed)
     full = rng.normal(size=(nlat, ncols)) + 1j * rng.normal(size=(nlat, ncols))
 
-    def worker(comm: CommBase):
+    def worker(comm: Comm):
         lo, hi = block_bounds(nlat, comm.size, comm.rank)
         cols = transpose_forward(comm, full[lo:hi], nlat, ncols)
         back = transpose_backward(comm, cols, nlat, ncols)

@@ -38,9 +38,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.backend import workspace_totals
-from repro.parallel.commbase import CommBase, CommStats
+from repro.parallel.commbase import CommStats
 from repro.parallel.decomp import block_bounds
-from repro.parallel.procmpi import run_ranks
+from repro.parallel.procmpi import Comm, run_ranks
 from repro.util.tree import tree_map
 
 # Coupler exchange tags (world-communicator context).
@@ -121,7 +121,7 @@ class ConcurrentCoupledResult:
         return self.overlap_seconds / self.ocean_busy_seconds
 
 
-def _timed_recv(comm: CommBase, source: int, tag: int,
+def _timed_recv(comm: Comm, source: int, tag: int,
                 waits: dict, key: str):
     t0 = time.perf_counter()
     payload = comm.recv(source, tag)
@@ -225,7 +225,9 @@ def _cpl_worker(comm, pool, layout, model, state, nsteps, waits):
 
 
 def _ocn_worker(comm, pool, layout, model, state, nsteps, waits):
-    """Ocean-pool rank: the leader integrates; extra ranks idle (ROADMAP)."""
+    """Ocean-pool rank: the leader integrates.  The ocean step is not
+    decomposed, so the other ocean ranks only join the pool split and the
+    barrier, then return the ocean state they were forked with."""
     cfg = model.config
     cpl = layout.cpl_rank
     ocean_state = state.ocean
@@ -270,7 +272,7 @@ def run_concurrent_coupled(model, state, nsteps: int, layout: PoolLayout,
     # a rank waiting out a long ocean call does not false-timeout.
     tmo = timeout if timeout is not None else max(60.0, 2.0 * nsteps)
 
-    def worker(comm: CommBase):
+    def worker(comm: Comm):
         role = layout.role_of(comm.rank)
         pool = comm.split(_POOL_COLORS[role])
         waits: dict[str, float] = {}

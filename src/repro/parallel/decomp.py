@@ -10,7 +10,7 @@ provides:
 * :class:`BlockDecomp2D` — latitude x longitude checkerboard used by the
   ocean model, with 4-point halo exchange;
 * halo-exchange helpers that move real array ghost rows through a
-  :class:`~repro.parallel.commbase.CommBase`.
+  :class:`~repro.parallel.procmpi.Comm`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.parallel.commbase import CommBase
+from repro.parallel.procmpi import Comm
 
 _TAG_HALO_N = 101
 _TAG_HALO_S = 102
@@ -70,7 +70,7 @@ class BlockDecomp1D:
                 return r
         raise ValueError(f"latitude index {j} out of range")
 
-    def scatter(self, comm: CommBase, full: np.ndarray | None) -> np.ndarray:
+    def scatter(self, comm: Comm, full: np.ndarray | None) -> np.ndarray:
         """Distribute a full (nlat, nlon, ...) array from rank 0 to band owners."""
         if comm.rank == 0:
             assert full is not None
@@ -79,14 +79,14 @@ class BlockDecomp1D:
             parts = None
         return comm.scatter(parts, root=0)
 
-    def gather(self, comm: CommBase, local: np.ndarray) -> np.ndarray | None:
+    def gather(self, comm: Comm, local: np.ndarray) -> np.ndarray | None:
         """Reassemble the full array on rank 0 from per-rank bands."""
         parts = comm.gather(local, root=0)
         if comm.rank == 0:
             return np.concatenate(parts, axis=0)
         return None
 
-    def exchange_halo(self, comm: CommBase, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def exchange_halo(self, comm: Comm, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Exchange one ghost latitude row with north/south neighbours.
 
         Returns ``(south_ghost, north_ghost)``; at the physical boundaries the
@@ -144,7 +144,7 @@ class BlockDecomp2D:
         prow, pcol = self.coords(rank)
         return block_bounds(self.ny, self.py, prow), block_bounds(self.nx, self.px, pcol)
 
-    def scatter(self, comm: CommBase, full: np.ndarray | None) -> np.ndarray:
+    def scatter(self, comm: Comm, full: np.ndarray | None) -> np.ndarray:
         if comm.rank == 0:
             assert full is not None
             parts = []
@@ -155,7 +155,7 @@ class BlockDecomp2D:
             parts = None
         return comm.scatter(parts, root=0)
 
-    def gather(self, comm: CommBase, local: np.ndarray) -> np.ndarray | None:
+    def gather(self, comm: Comm, local: np.ndarray) -> np.ndarray | None:
         parts = comm.gather(local, root=0)
         if comm.rank != 0:
             return None
@@ -166,7 +166,7 @@ class BlockDecomp2D:
             full[ylo:yhi, xlo:xhi] = part
         return full
 
-    def exchange_halo(self, comm: CommBase, local: np.ndarray) -> np.ndarray:
+    def exchange_halo(self, comm: Comm, local: np.ndarray) -> np.ndarray:
         """Return ``local`` padded by a one-cell halo filled from neighbours.
 
         East-west is periodic; north-south uses edge replication at the walls

@@ -1,12 +1,11 @@
-"""The rank transport: forked processes behind the simulated-MPI interface.
+"""The rank layer: forked processes exchanging arrays, simulated MPI.
 
 :func:`run_ranks` runs ``fn(comm, *args)`` on ``size`` *forked child
 processes* — the paper's fourth design element, MPI ranks on distributed
 memory — and is the only way a rank world runs.  Ranks exchange *real*
-NumPy arrays through the blocking point-to-point primitives of
-:class:`ProcComm`; every collective is layered on those two primitives in
-:mod:`repro.parallel.commbase`, exactly as a portable MPI implementation
-would layer them.  Typical usage::
+NumPy arrays through :class:`Comm`, whose collectives and ``split`` are
+layered on two blocking point-to-point primitives, exactly as a portable
+MPI implementation would layer them.  Typical usage::
 
     def worker(comm):
         data = comm.bcast(payload if comm.rank == 0 else None, root=0)
@@ -19,13 +18,9 @@ Design
 ------
 * **Fork, not spawn.**  Workers are closures over models and configs; fork
   inherits them, so only results, exceptions and message payloads ever
-  cross a process boundary (all plain data).  This also means a
-  ``FaultPlan`` is inherited by every child: each rank consults its own
-  copy for *crash* rules (the op counters are process-local), while the
-  parent's copy applies the traffic rules (delay/reorder/duplicate/
-  corrupt) at the router, the single point every message passes through.
-  What a child must *not* keep from the fork — the caller's scratch arena
-  and profiler accumulators — is cleared before the worker runs.
+  cross a process boundary (all plain data).  What a child must *not*
+  keep from the fork — the caller's scratch arena and profiler
+  accumulators — is cleared before the worker runs.
 * **A parent-side router.**  Children push envelopes up one shared queue
   (``send`` / ``blocked`` / ``unblocked`` / ``ctx`` / ``done``); the parent
   routes messages to per-rank downlink queues and broadcasts liveness
@@ -42,18 +37,15 @@ Design
 * **Deadlock detection by marshalled wait-for graph.**  A blocked child
   reports (op, peer, tag, ctx) along with how many messages it has seen;
   the world is declared deadlocked when every live rank's report is
-  current (seen == delivered), the uplink is idle and no held/delayed
-  message remains.  The router then builds a
-  :class:`~repro.parallel.commbase.DeadlockReport` (rank/op/peer/tag +
-  wait-for cycle) and broadcasts it, so every rank raises
-  :class:`~repro.parallel.commbase.DeadlockError` within a poll slice —
-  well under a second, not after a two-minute timeout.
-* **Faults are first-class.**  Delays, reordering, duplication, corruption
-  and rank crashes are injected through a
-  :class:`repro.parallel.faults.FaultPlan`; a dead rank — an injected
-  crash, an exception, or a child that exits without reporting — surfaces
-  on every peer as a structured :class:`CommError` naming the rank that
-  really died, never as a hang.
+  current (seen == delivered) and the uplink is idle.  The router then
+  builds a :class:`~repro.parallel.commbase.DeadlockReport`
+  (rank/op/peer/tag + wait-for cycle) and broadcasts it, so every rank
+  raises :class:`~repro.parallel.commbase.DeadlockError` within a poll
+  slice — well under a second, not after a two-minute timeout.
+* **A dead rank is named, never waited on.**  A rank whose worker raises,
+  or whose process exits without reporting, surfaces on every peer as a
+  structured :class:`CommError` naming the rank that really died
+  (``origin_rank``).
 * **Measurements come home.**  Every communicator keeps a
   :class:`CommStats` counter (plain data, returned by the worker), and
   when the caller's profiler is enabled each rank ships the sections it
@@ -71,31 +63,30 @@ import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.backend import get_workspace
 from repro.parallel.commbase import (
     ANY_SOURCE,
+    ANY_TAG,
     _CTX_SHIFT,
-    _POLL_SLICE,
     BlockedRank,
-    CommBase,
     CommError,
     CommStats,
     DeadlockError,
     DeadlockReport,
-    RankCrashedError,
+    _copy_payload,
     _default_timeout,
     _find_cycle,
     _match,
     _payload_nbytes,
 )
-from repro.parallel.faults import FaultPlan, corrupt_array
 from repro.perf.profiler import get_profiler
 from repro.util.tree import tree_map
 
+_POLL_SLICE = 0.05             # receiver wake-up cadence for failure checks
 _ROUTER_SLICE = 0.02           # router poll cadence (uplink idle check)
 _HARD_DEATH_GRACE = 0.25       # seconds between a child dying and the router
                                # declaring it dead without a result
@@ -104,6 +95,12 @@ _HARD_DEATH_GRACE = 0.25       # seconds between a child dying and the router
 # 64 KiB keeps scalars and small collectives inline in one pickled envelope
 # (no block to create and unlink) and bulk fields out of the router's queues.
 _SHM_MIN_BYTES = 1 << 16
+
+_TAG_BCAST = 1 << 30
+_TAG_REDUCE = 2 << 30
+_TAG_GATHER = 3 << 30
+_TAG_SCATTER = 4 << 30
+_TAG_ALLTOALL = 5 << 30
 
 
 @dataclass(frozen=True)
@@ -132,42 +129,27 @@ def _park(arr: np.ndarray) -> "np.ndarray | _ShmRef":
 
 
 @contextmanager
-def _parked(ref: _ShmRef, unlink: bool = False):
-    """The array parked behind ``ref``, as a view valid inside the block."""
+def _parked(ref: _ShmRef):
+    """The array parked behind ``ref``, as a view valid inside the block;
+    the block is freed on exit."""
     shm = shared_memory.SharedMemory(name=ref.name)
     try:
         yield np.ndarray(ref.shape, dtype=np.dtype(ref.dtype), buffer=shm.buf)
     finally:
         shm.close()
-        if unlink:
-            with suppress(FileNotFoundError):      # racing cleanup
-                shm.unlink()
+        with suppress(FileNotFoundError):      # racing cleanup
+            shm.unlink()
 
 
 def _fetch(ref: _ShmRef) -> np.ndarray:
     """Copy a parked array out of its block and free the block."""
-    with _parked(ref, unlink=True) as arr:
+    with _parked(ref) as arr:
         return arr.copy()
 
 
 def _unlink(ref: _ShmRef) -> None:
-    with suppress(FileNotFoundError), _parked(ref, unlink=True):   # or freed
+    with suppress(FileNotFoundError), _parked(ref):   # or freed
         pass
-
-
-def _clone(ref: _ShmRef) -> _ShmRef:
-    with _parked(ref) as arr:
-        return _park(arr)
-
-
-def _corrupt(leaf: "np.ndarray | _ShmRef") -> "np.ndarray | _ShmRef":
-    """Inline arrays corrupt through
-    :func:`repro.parallel.faults.corrupt_array`; parked ones in place."""
-    if not _is_ref(leaf):
-        return corrupt_array(leaf)
-    with _parked(leaf) as arr:
-        arr[...] = corrupt_array(arr)
-    return leaf
 
 
 def _encode_payload(obj: Any) -> Any:
@@ -190,17 +172,6 @@ def _unlink_refs(obj: Any) -> None:
     tree_map(_unlink, obj, is_leaf=_is_ref)
 
 
-def _clone_refs(obj: Any) -> Any:
-    """Deep-duplicate shm blocks (for ``duplicate`` fault deliveries)."""
-    return tree_map(_clone, obj, is_leaf=_is_ref)
-
-
-def _corrupt_encoded(obj: Any) -> Any:
-    """``FaultPlan.corrupt`` transform for encoded payloads."""
-    return tree_map(_corrupt, obj,
-                    is_leaf=lambda x: isinstance(x, (np.ndarray, _ShmRef)))
-
-
 def _picklable_exc(exc: BaseException) -> BaseException:
     """Round-trip-check an exception; fall back to a CommError summary."""
     try:
@@ -217,17 +188,10 @@ def _picklable_exc(exc: BaseException) -> BaseException:
 class _Client:
     """Child-side endpoint: local mailbox + liveness mirrored off the router."""
 
-    def __init__(self, rank: int, size: int, uplink, downlink,
-                 plan: FaultPlan):
-        self.rank = rank
-        self.size = size
+    def __init__(self, uplink, downlink):
         self.uplink = uplink
         self.downlink = downlink
-        self.plan = plan
-        # (src, abs_tag, encoded, visible_at): delayed messages are
-        # delivered eagerly and sit here until their visibility stamp
-        # passes.
-        self.box: list[tuple[int, int, Any, float]] = []
+        self.box: list[tuple[int, int, Any]] = []    # (src, abs_tag, encoded)
         # Envelopes ingested (messages AND liveness events); echoed in
         # blocked reports.  The router counts every downlink put the same
         # way, so a standing blocked report is invalidated by *any* event
@@ -244,8 +208,7 @@ class _Client:
         kind = env[0]
         self.seen += 1
         if kind == "msg":
-            _, src, abs_tag, enc, visible = env
-            self.box.append((src, abs_tag, enc, visible))
+            self.box.append(env[1:])
         elif kind == "finished":
             self.finished.add(env[1])
         elif kind == "dead":
@@ -275,31 +238,130 @@ class _Client:
         return n
 
 
-class ProcComm(CommBase):
+def _combine(a: Any, b: Any, op: str) -> Any:
+    if op == "sum":
+        return a + b
+    if op == "max":
+        return np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b)
+    if op == "min":
+        return np.minimum(a, b) if isinstance(a, np.ndarray) else min(a, b)
+    if op == "prod":
+        return a * b
+    raise CommError(f"unsupported reduction op {op!r}")
+
+
+class Comm:
     """Communicator for one rank of a forked-process simulated MPI world.
 
-    The public API and the collective algorithms live in
-    :class:`~repro.parallel.commbase.CommBase`; this class is the
-    transport: the uplink/downlink queue pair of this rank's
-    :class:`_Client`.
+    Mirrors the mpi4py API subset the model uses.  Lower-case methods move
+    arbitrary Python objects; arrays are passed by reference after a
+    defensive copy at send time (MPI semantics: the send buffer may be
+    reused by the sender immediately after ``send`` returns).  Everything
+    is layered on the two blocking primitives ``_send`` / ``_recv``, which
+    move envelopes through this rank's :class:`_Client` (world ranks,
+    absolute tags).
     """
 
     def __init__(self, rank: int, size: int, client: _Client, *,
-                 timeout: float | None = None, group=None, ctx: int = 0,
+                 timeout: float | None = None,
+                 group: Sequence[int] | None = None, ctx: int = 0,
                  stats: CommStats | None = None):
-        super().__init__(rank, size, timeout=timeout, group=group, ctx=ctx,
-                         stats=stats)
+        if not 0 <= rank < size:
+            raise CommError(f"rank {rank} out of range for world size {size}")
+        self.rank = rank
+        self.size = size
         self._client = client
+        self._timeout = _default_timeout() if timeout is None else timeout
+        # Sub-communicator plumbing: ``group`` maps local -> world ranks
+        # (None = identity, the world communicator fast path); ``ctx`` is
+        # the context id stamped into message tags.  Liveness, deadlock
+        # reports and mailboxes always operate on world ranks.
+        self._group = list(group) if group is not None else None
+        self._ctx = ctx
+        self._wrank = rank if self._group is None else self._group[rank]
+        self.stats = stats if stats is not None else CommStats(rank=rank)
+        # Collective sequence number: every rank calls collectives in the
+        # same order, so stamping the tag with a per-call counter keeps
+        # back-to-back collectives from consuming each other's messages.
+        self._collective_seq = 0
+        self._split_seq = 0
+        self._op_stack: list[str] = []
 
     # ------------------------------------------------------------------
-    # transport hooks
+    # plumbing
     # ------------------------------------------------------------------
-    def _crash_message(self, op: str) -> str | None:
-        # The child's inherited FaultPlan copy: each rank only ever
-        # consults its own op counts.
-        return self._client.plan.crash_message(self._wrank, self._op_count, op)
+    def _to_world(self, rank: int) -> int:
+        return rank if self._group is None else self._group[rank]
+
+    @contextmanager
+    def _op(self, name: str):
+        """Operation scope: labels traffic.
+
+        Only the *outermost* scope counts toward ``op_calls``, so
+        ``allreduce`` is one call even though it layers on ``reduce`` +
+        ``bcast``.
+        """
+        if not self._op_stack:
+            self.stats.note_call(name)
+        self._op_stack.append(name)
+        try:
+            yield
+        finally:
+            self._op_stack.pop()
+
+    def _check_send_args(self, dest: int) -> None:
+        if not isinstance(dest, (int, np.integer)):
+            # Catch swapped send(dest, obj) arguments with a clear error
+            # instead of an unhashable-type failure inside the stats layer.
+            raise TypeError(
+                f"send: dest must be an integer rank, got "
+                f"{type(dest).__name__} — signature is send(obj, dest, tag)")
+        if not 0 <= dest < self.size:
+            raise CommError(f"send: bad destination rank {dest}")
+
+    def _check_recv_args(self, source: int) -> None:
+        if source != ANY_SOURCE and not 0 <= source < self.size:
+            raise CommError(f"recv: bad source rank {source}")
+
+    def _peer_liveness_error(self, source: int, tag: int, op: str,
+                             dead: dict, finished: set) -> None:
+        """Fail fast when the awaited peer(s) can never send.
+
+        ``source`` is communicator-local; liveness is tracked (and
+        reported) in world ranks.  ``dead`` maps world rank ->
+        ``(origin_rank, reason)``; ``finished`` is a set of world ranks.
+        """
+        if source != ANY_SOURCE:
+            src_w = self._to_world(source)
+            if src_w in dead:
+                origin, reason = dead[src_w]
+                err = CommError(
+                    f"rank {self._wrank}: {op}(source={src_w}, tag={tag}) failed "
+                    f"— rank {origin} crashed ({reason})")
+                err.origin_rank = origin
+                raise err
+            if src_w in finished:
+                raise CommError(
+                    f"rank {self._wrank}: {op}(source={src_w}, tag={tag}) can "
+                    f"never complete — rank {src_w} already finished")
+            return
+        others = [self._to_world(r) for r in range(self.size) if r != self.rank]
+        if others and all(r in finished or r in dead for r in others):
+            dead_peers = sorted(r for r in others if r in dead)
+            if dead_peers:
+                origin, reason = dead[dead_peers[0]]
+                err = CommError(
+                    f"rank {self._wrank}: {op}(source=ANY, tag={tag}) failed "
+                    f"— rank {origin} crashed ({reason})")
+                err.origin_rank = origin
+                raise err
+            raise CommError(
+                f"rank {self._wrank}: {op}(source=ANY, tag={tag}) can never "
+                f"complete — all peers already finished")
 
     def _allocate_context(self, key: tuple) -> int:
+        """World-unique context id for a split group: the router hands the
+        same id to every member asking with the same ``key``."""
         cl = self._client
         if key not in cl.ctx_replies:
             cl.uplink.put(("ctx", self._wrank, key))
@@ -312,19 +374,12 @@ class ProcComm(CommBase):
                 cl.drain(_POLL_SLICE)
         return cl.ctx_replies[key]
 
-    def _spawn(self, new_rank: int, group: list[int], ctx: int) -> "ProcComm":
-        return ProcComm(new_rank, len(group), self._client,
-                        timeout=self._timeout, group=group, ctx=ctx,
-                        stats=self.stats)
-
     def _send(self, obj: Any, dest: int, tag: int) -> None:
         self._check_send_args(dest)
         op = self._op_stack[0]
         dest_w = self._to_world(dest)
         abs_tag = (self._ctx << _CTX_SHIFT) + tag
         enc = _encode_payload(obj)
-        # One note_send per send with the logical payload size: duplicate
-        # deliveries added by the router's fault transforms are not counted.
         self.stats.note_send(op, dest_w, _payload_nbytes(obj))
         self._client.uplink.put(("send", self._wrank, dest_w, abs_tag, enc))
 
@@ -341,49 +396,210 @@ class ProcComm(CommBase):
         try:
             while True:
                 cl.drain(0.0)
-                now = time.monotonic()
-                box = cl.box
-                next_visible: float | None = None
-                for i, (src, t, enc, visible) in enumerate(box):
-                    if not _match(src, t, src_w, tag, ctx):
-                        continue
-                    if visible > now:  # delayed message, not yet deliverable
-                        next_visible = (visible if next_visible is None
-                                        else min(next_visible, visible))
-                        continue
-                    del box[i]
-                    payload = _decode_payload(enc)
-                    self.stats.note_recv(_payload_nbytes(payload))
-                    return payload
+                for i, (src, t, enc) in enumerate(cl.box):
+                    if _match(src, t, src_w, tag, ctx):
+                        del cl.box[i]
+                        payload = _decode_payload(enc)
+                        self.stats.note_recv(_payload_nbytes(payload))
+                        return payload
                 if cl.deadlock is not None:
                     raise DeadlockError(cl.deadlock)
-                if next_visible is None:
-                    # No matching (even delayed) traffic pending: check
-                    # whether the awaited peer can still ever send, and
-                    # (re-)report the wait whenever new traffic has been
-                    # ingested since the last report — the router treats a
-                    # report as current only while seen == delivered.
-                    self._peer_liveness_error(source, tag, op, cl.dead,
-                                              cl.finished)
-                    if cl.seen != reported_seen:
-                        cl.uplink.put(("blocked", me, op, src_w, tag, ctx,
-                                       start, cl.seen))
-                        reported_seen = cl.seen
+                # No matching traffic pending: check whether the awaited
+                # peer can still ever send, and (re-)report the wait
+                # whenever new traffic has been ingested since the last
+                # report — the router treats a report as current only
+                # while seen == delivered.
+                self._peer_liveness_error(source, tag, op, cl.dead,
+                                          cl.finished)
+                if cl.seen != reported_seen:
+                    cl.uplink.put(("blocked", me, op, src_w, tag, ctx,
+                                   start, cl.seen))
+                    reported_seen = cl.seen
+                now = time.monotonic()
                 if now >= deadline:
                     raise CommError(
                         f"rank {me}: {op}(source={src_w}, tag={tag}) "
                         f"timed out after {self._timeout}s")
-                wait = min(_POLL_SLICE, deadline - now)
-                if next_visible is not None:
-                    wait = min(wait, max(next_visible - now, 0.0) + 1e-4)
-                cl.drain(wait)
+                cl.drain(min(_POLL_SLICE, deadline - now))
         finally:
             if reported_seen >= 0:
                 cl.uplink.put(("unblocked", me))
 
+    # ------------------------------------------------------------------
+    # point-to-point
+    # ------------------------------------------------------------------
+    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
+        """Blocking standard-mode send (buffered: never deadlocks by itself)."""
+        with self._op("send"):
+            self._send(obj, dest, tag)
+
+    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
+        """Blocking receive matching (source, tag); wildcards allowed."""
+        with self._op("recv"):
+            return self._recv(source, tag)
+
+    def sendrecv(self, obj: Any, dest: int, source: int,
+                 sendtag: int = 0, recvtag: int = ANY_TAG) -> Any:
+        """Combined send+receive; safe for shift patterns (send is buffered)."""
+        with self._op("sendrecv"):
+            self._send(obj, dest, sendtag)
+            return self._recv(source, recvtag)
+
+    # ------------------------------------------------------------------
+    # collectives (layered on point-to-point, as in a portable MPI)
+    # ------------------------------------------------------------------
+    def _collective_tag(self, base: int) -> int:
+        self._collective_seq += 1
+        return base + self._collective_seq
+
+    def barrier(self) -> None:
+        """Synchronize all ranks (gather-to-root then broadcast).
+
+        Layering the barrier on point-to-point means a crashed or wedged
+        peer is diagnosed by the same machinery as any other exchange: the
+        deadlock report names the operation as ``barrier``.
+        """
+        with self._op("barrier"):
+            self.gather(None, root=0)
+            self.bcast(None, root=0)
+
+    def bcast(self, obj: Any, root: int = 0) -> Any:
+        """Binomial-tree broadcast from root; returns the object on all ranks."""
+        with self._op("bcast"):
+            tag = self._collective_tag(_TAG_BCAST)
+            rel = (self.rank - root) % self.size
+            # Receive phase: a non-root rank receives from the parent at its
+            # lowest set bit (standard MPICH binomial tree).
+            mask = 1
+            while mask < self.size:
+                if rel & mask:
+                    obj = self._recv((rel - mask + root) % self.size, tag)
+                    break
+                mask <<= 1
+            # Send phase: forward to children at all lower bits, descending.
+            mask >>= 1
+            while mask > 0:
+                if rel + mask < self.size:
+                    self._send(obj, (rel + mask + root) % self.size, tag)
+                mask >>= 1
+            return obj
+
+    def reduce(self, obj: Any, op: str = "sum", root: int = 0) -> Any:
+        """Binomial-tree reduction to root; returns result on root, None elsewhere."""
+        with self._op("reduce"):
+            tag = self._collective_tag(_TAG_REDUCE)
+            rel = (self.rank - root) % self.size
+            acc = obj
+            mask = 1
+            while mask < self.size:
+                if rel & mask:
+                    self._send(acc, (rel - mask + root) % self.size, tag)
+                    break
+                partner = rel + mask
+                if partner < self.size:
+                    other = self._recv((partner + root) % self.size, tag)
+                    acc = _combine(acc, other, op)
+                mask <<= 1
+            return acc if self.rank == root else None
+
+    def allreduce(self, obj: Any, op: str = "sum") -> Any:
+        """Reduce-then-broadcast allreduce."""
+        with self._op("allreduce"):
+            result = self.reduce(obj, op=op, root=0)
+            return self.bcast(result, root=0)
+
+    def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
+        """Gather one object per rank into a list on root (rank order)."""
+        with self._op("gather"):
+            tag = self._collective_tag(_TAG_GATHER)
+            if self.rank == root:
+                out: list[Any] = [None] * self.size
+                out[root] = _copy_payload(obj)
+                for _ in range(self.size - 1):
+                    src, payload = self._recv(ANY_SOURCE, tag)
+                    out[src] = payload
+                return out
+            self._send((self.rank, obj), root, tag)
+            return None
+
+    def allgather(self, obj: Any) -> list[Any]:
+        """Gather to root then broadcast the full list."""
+        with self._op("allgather"):
+            full = self.gather(obj, root=0)
+            return self.bcast(full, root=0)
+
+    def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
+        """Scatter a sequence of world-size objects from root."""
+        with self._op("scatter"):
+            tag = self._collective_tag(_TAG_SCATTER)
+            if self.rank == root:
+                if objs is None or len(objs) != self.size:
+                    raise CommError(f"scatter: root must supply {self.size} items")
+                for dest in range(self.size):
+                    if dest != root:
+                        self._send(objs[dest], dest, tag)
+                return _copy_payload(objs[root])
+            return self._recv(root, tag)
+
+    def alltoall(self, objs: Sequence[Any], op: str = "alltoall") -> list[Any]:
+        """Personalized all-to-all via pairwise exchange rounds.
+
+        This is the communication kernel of the parallel spectral transform
+        (Foster & Worley 1997): each rank sends a distinct block to every
+        other rank.  ``op`` lets callers label their traffic (e.g.
+        ``"transpose.forward"``) in deadlock reports and :class:`CommStats`.
+        """
+        if len(objs) != self.size:
+            raise CommError(f"alltoall: need {self.size} items, got {len(objs)}")
+        with self._op(op):
+            tag = self._collective_tag(_TAG_ALLTOALL)
+            out: list[Any] = [None] * self.size
+            out[self.rank] = _copy_payload(objs[self.rank])
+            for step in range(1, self.size):
+                dest = (self.rank + step) % self.size
+                src = (self.rank - step) % self.size
+                self._send(objs[dest], dest, tag)
+                out[src] = self._recv(src, tag)
+            return out
+
+    # ------------------------------------------------------------------
+    # sub-communicators
+    # ------------------------------------------------------------------
+    def split(self, color: int | None, key: int | None = None) -> "Comm | None":
+        """Partition the communicator, MPI_Comm_split style (collective).
+
+        Ranks passing the same ``color`` form a new communicator, ordered
+        by ``(key, rank)`` (``key`` defaults to the current rank, so rank
+        order is preserved).  ``color=None`` opts out, as MPI_UNDEFINED
+        does: the rank participates in the collective but gets ``None``.
+
+        The sub-communicator exchanges messages in its own tag context, so
+        its traffic (including collectives) can never match the parent's or
+        a sibling group's even with equal tags.  Deadlock reports, crash
+        diagnostics and :class:`CommStats` keep identifying ranks by their
+        *world* rank; the stats object is shared with the parent so one
+        counter sees a rank's total traffic.
+        """
+        with self._op("split"):
+            entries = self.allgather(
+                (color, self.rank if key is None else key, self.rank))
+        self._split_seq += 1
+        if color is None:
+            return None
+        members = sorted((k, r) for c, k, r in entries if c == color)
+        group = [self._to_world(r) for _, r in members]
+        new_rank = [r for _, r in members].index(self.rank)
+        ctx = self._allocate_context(
+            ("split", self._ctx, self._split_seq, color))
+        return Comm(new_rank, len(group), self._client, timeout=self._timeout,
+                    group=group, ctx=ctx, stats=self.stats)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Comm(rank={self.rank}, size={self.size})"
+
 
 def _child_main(rank: int, size: int, fn: Callable[..., Any], args: tuple,
-                uplink, downlink, plan: FaultPlan, timeout: float) -> None:
+                uplink, downlink, timeout: float) -> None:
     # The fork copied the caller's scratch arena and profiler accumulators;
     # this rank starts with clean ones.  The profiler's enabled flag is
     # kept: a profiling caller gets this rank's sections back.
@@ -391,8 +607,7 @@ def _child_main(rank: int, size: int, fn: Callable[..., Any], args: tuple,
     prof = get_profiler()
     prof.reset()
     profiling = prof.enabled
-    client = _Client(rank, size, uplink, downlink, plan)
-    comm = ProcComm(rank, size, client, timeout=timeout)
+    comm = Comm(rank, size, _Client(uplink, downlink), timeout=timeout)
     result = None
     try:
         result = fn(comm, *args)
@@ -410,14 +625,12 @@ def _child_main(rank: int, size: int, fn: Callable[..., Any], args: tuple,
 
 
 class _Router:
-    """Parent-side message router, fault engine and deadlock detector."""
+    """Parent-side message router and deadlock detector."""
 
-    def __init__(self, size: int, uplink, downlinks, plan: FaultPlan,
-                 procs, timeout: float):
+    def __init__(self, size: int, uplink, downlinks, procs, timeout: float):
         self.size = size
         self.uplink = uplink
         self.downlinks = downlinks
-        self.plan = plan
         self.procs = procs
         self.timeout = timeout
         self.delivered = [0] * size
@@ -455,16 +668,10 @@ class _Router:
         kind = env[0]
         if kind == "send":
             _, src, dest, abs_tag, enc = env
-            deliveries = self.plan.apply_send(src, dest, abs_tag, enc,
-                                              time.monotonic(),
-                                              corrupt=_corrupt_encoded)
-            seen_ids: set[int] = set()
-            for ddest, dtag, denc, visible in deliveries:
-                if id(denc) in seen_ids:   # duplicate fault: same object
-                    denc = _clone_refs(denc)
-                else:
-                    seen_ids.add(id(denc))
-                self._route(ddest, dtag, denc, visible, src)
+            if self.done[dest]:
+                _unlink_refs(enc)   # nobody will ever drain this payload
+            else:
+                self._put(dest, ("msg", src, abs_tag, enc))
         elif kind == "blocked":
             _, rank, op, src_w, tag, ctx, since, seen = env
             if not self.done[rank]:
@@ -485,11 +692,6 @@ class _Router:
             self.blocked.pop(rank, None)
             self.errors[rank] = error
             self.results[rank] = blob
-            # A finished/dead sender releases its reorder holdbacks — ahead
-            # of its liveness event on the same FIFO downlinks, so no peer
-            # learns "rank finished" before that rank's last message.
-            for src, dest, tag, payload, visible in self.plan.flush_held(src=rank):
-                self._route(dest, tag, payload, visible, src)
             if error is None:
                 self.finished.add(rank)
                 self._broadcast(("finished", rank))
@@ -502,16 +704,6 @@ class _Router:
                     reason = f"{type(error).__name__}: {error}"
                 self.dead[rank] = (origin, reason)
                 self._broadcast(("dead", rank, origin, reason))
-
-    def _route(self, dest: int, abs_tag: int, enc: Any, visible: float,
-               src: int) -> None:
-        # Delayed messages are delivered eagerly with their visibility
-        # stamp — the receiver sits on them — so liveness/deadlock logic
-        # on the child can see matching in-flight traffic.
-        if self.done[dest]:
-            _unlink_refs(enc)   # nobody will ever drain this payload
-            return
-        self._put(dest, ("msg", src, abs_tag, enc, visible))
 
     def _put(self, dest: int, env: tuple) -> None:
         # Every downlink envelope counts toward ``delivered``, mirroring
@@ -548,9 +740,9 @@ class _Router:
         """Declare deadlock iff the marshalled wait-for graph is quiescent.
 
         The condition: every live rank blocked with a *current* report (it
-        has ingested everything routed to it and found no match), no
-        reorder holdback and no pending delayed message.  Only called with the uplink idle, so a rank that had
-        just sent before blocking has had that send routed already.
+        has ingested everything routed to it and found no match).  Only
+        called with the uplink idle, so a rank that had just sent before
+        blocking has had that send routed already.
         """
         if self.deadlock is not None:
             return
@@ -561,11 +753,6 @@ class _Router:
             b = self.blocked.get(r)
             if b is None or b[5] != self.delivered[r]:
                 return   # r is running, or hasn't seen all its traffic yet
-        held = self.plan.flush_held()
-        if held:         # reorder holdbacks count as in-flight progress
-            for src, dest, tag, payload, visible in held:
-                self._route(dest, tag, payload, visible, src)
-            return
         now = time.monotonic()
         blocked = tuple(
             BlockedRank(rank=r, op=self.blocked[r][0], peer=self.blocked[r][1],
@@ -580,40 +767,31 @@ class _Router:
                                        dead=tuple(sorted(self.dead)))
         self._broadcast(("deadlock", self.deadlock))
 
-    def scrub(self) -> None:
-        """Free shm blocks of undeliverable (reorder-held) messages."""
-        for _, _, _, payload, _ in self.plan.flush_held():
-            _unlink_refs(payload)
-
 
 def run_ranks(size: int, fn: Callable[..., Any], *,
               timeout: float | None = None, args: tuple = (),
-              faults: FaultPlan | None = None,
               return_exceptions: bool = False) -> list[Any]:
     """Run ``fn(comm, *args)`` on ``size`` forked ranks; return per-rank results.
 
     ``timeout`` bounds every blocking operation; ``None`` resolves via
     :func:`_default_timeout` (low under pytest, ``REPRO_SIMMPI_TIMEOUT``
-    overrides).  ``faults`` is an optional
-    :class:`~repro.parallel.faults.FaultPlan` perturbing all traffic.
-    Results (message-like trees: bulk arrays come home through shm) and
+    overrides).  Results (message-like trees: bulk arrays come home through shm) and
     exceptions must be picklable — they cross a process boundary; an
     unpicklable result is that rank's error, as if the worker had raised.
 
     With ``return_exceptions=False`` (default), exceptions on any rank are
     re-raised in the caller after all ranks have been joined, preferring
-    the root cause: genuine (non-communication) errors first, then injected
-    crashes, then structured deadlock reports, then secondary ``CommError``
-    fallout.  With ``return_exceptions=True``, each rank's slot in the
-    result list holds either its return value or the exception it raised —
-    the mode fault-injection tests use to assert what *every* peer saw.
+    the root cause: genuine (non-communication) errors first, then
+    structured deadlock reports, then secondary ``CommError`` fallout.
+    With ``return_exceptions=True``, each rank's slot in the result list
+    holds either its return value or the exception it raised — the mode
+    the crash tests use to assert what *every* peer saw.
     """
     if size < 1:
         raise CommError(f"world size must be >= 1, got {size}")
     if "fork" not in mp.get_all_start_methods():  # pragma: no cover - POSIX only
         raise CommError("rank processes require the fork start method")
     tmo = _default_timeout() if timeout is None else timeout
-    plan = faults or FaultPlan()
     ctx = mp.get_context("fork")
     # Start the shm resource tracker before forking so parent and children
     # share one tracker: the creator's register and the consumer's
@@ -624,16 +802,13 @@ def run_ranks(size: int, fn: Callable[..., Any], *,
     downlinks = [ctx.Queue() for _ in range(size)]
     procs = [ctx.Process(target=_child_main,
                          args=(r, size, fn, args, uplink, downlinks[r],
-                               plan, tmo),
+                               tmo),
                          daemon=True)
              for r in range(size)]
     for p in procs:
         p.start()
-    router = _Router(size, uplink, downlinks, plan, procs, tmo)
-    try:
-        ok = router.run()
-    finally:
-        router.scrub()
+    router = _Router(size, uplink, downlinks, procs, tmo)
+    ok = router.run()
     for p in procs:
         p.join(timeout=5.0 if ok else 0.2)
     for p in procs:
@@ -660,7 +835,6 @@ def run_ranks(size: int, fn: Callable[..., Any], *,
         return [errors[r] if errors[r] is not None else results[r]
                 for r in range(size)]
     for picker in ((lambda e: not isinstance(e, CommError)),
-                   (lambda e: isinstance(e, RankCrashedError)),
                    (lambda e: isinstance(e, DeadlockError)),
                    (lambda e: True)):
         for err in errors:

@@ -100,14 +100,6 @@ class TraceSet:
     def total_time_in(self, activity: str) -> float:
         return sum(t.time_in(activity) for t in self.traces)
 
-    def utilization(self) -> float:
-        """Fraction of total processor-time spent not idle."""
-        span = self.makespan * self.nranks
-        if span <= 0:
-            return 0.0
-        busy = sum(t.end_time - t.time_in("idle") for t in self.traces)
-        return busy / span
-
     def breakdown(self) -> dict[str, float]:
         """Processor-time fractions by activity (the Figure 2 color budget)."""
         span = self.makespan * self.nranks

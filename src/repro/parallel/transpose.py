@@ -7,8 +7,9 @@ solution is a transpose: re-decompose from latitude-bands to wavenumber-bands
 with a personalized all-to-all, do the (now local) Legendre sums, and
 transpose back.
 
-This module implements that transpose over :class:`CommBase` for 2-D arrays
-``(nlat, nm)`` — rows = latitudes, columns = Fourier coefficients.
+This module implements that transpose over a
+:class:`~repro.parallel.procmpi.Comm` for 2-D arrays ``(nlat, nm)`` — rows =
+latitudes, columns = Fourier coefficients.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend import get_workspace
-from repro.parallel.commbase import CommBase
 from repro.parallel.decomp import block_bounds
+from repro.parallel.procmpi import Comm
 from repro.perf.profiler import profile_section
 
 
-def transpose_forward(comm: CommBase, local_rows: np.ndarray,
+def transpose_forward(comm: Comm, local_rows: np.ndarray,
                       nrows: int, ncols: int) -> np.ndarray:
     """From row-decomposed to column-decomposed layout.
 
@@ -66,7 +67,7 @@ def transpose_forward(comm: CommBase, local_rows: np.ndarray,
         return np.concatenate(recvblocks, axis=0)
 
 
-def transpose_backward(comm: CommBase, local_cols: np.ndarray,
+def transpose_backward(comm: Comm, local_cols: np.ndarray,
                        nrows: int, ncols: int) -> np.ndarray:
     """Inverse of :func:`transpose_forward`: back to row-decomposed layout."""
     clo, chi = block_bounds(ncols, comm.size, comm.rank)

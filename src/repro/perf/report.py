@@ -29,6 +29,7 @@ import sys
 
 from repro.atmosphere.spectral import legendre_plan_stats
 from repro.backend import workspace_totals
+from repro.core.config import NAMED_CONFIGS
 from repro.perf.costmodel import calibrate_from_profile
 from repro.perf.profiler import (
     RunProfile,
@@ -166,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--days", type=float, default=1.0,
                         help="simulated days to integrate (default: 1)")
     parser.add_argument("--config", default="test",
-                        choices=("test", "small", "paper"),
+                        choices=tuple(NAMED_CONFIGS),
                         help="model resolution (default: test)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config's RNG seed")

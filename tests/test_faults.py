@@ -1,30 +1,26 @@
-"""Fault-injection and deadlock-diagnosis regression tests.
+"""Crash and deadlock diagnosis regression tests.
 
-The requirements these encode (ISSUE 2): a crashed rank surfaces as a
-``CommError`` naming the dead rank on *every* peer rather than a hang; a
-recv/recv tag-mismatch cycle is diagnosed as a structured
-:class:`DeadlockReport` within ~2 seconds, not a 120-second timeout; and
-every FaultPlan perturbation (delay, reorder, duplicate, corrupt, crash)
-is observable through the normal API.
+The requirements these encode: a rank that dies — its worker raises, or
+its process exits without reporting — surfaces as a ``CommError`` naming
+the dead rank on *every* peer rather than a hang; a recv/recv tag-mismatch
+cycle is diagnosed as a structured :class:`DeadlockReport` within ~2
+seconds, not a 120-second timeout.
 
 Every world here is a set of forked rank processes, so each diagnosis is
-also a marshalling test; the ``process boundary`` section pins the parts
-that are about the boundary itself: ``origin_rank`` surviving the pickle,
-a :class:`DeadlockReport` broadcast by the router in under a second, a
-corrupt rule reaching a shared-memory-parked payload.
+also a marshalling test: ``origin_rank`` survives the pickle, and a
+:class:`DeadlockReport` is broadcast by the router in under a second.
 """
 
+import os
 import time
 
 import numpy as np
 import pytest
 
 from repro.parallel import (
-    CommBase,
+    Comm,
     CommError,
     DeadlockError,
-    FaultPlan,
-    RankCrashedError,
     block_bounds,
     run_ranks,
     transpose_forward,
@@ -41,53 +37,19 @@ pytestmark = pytest.mark.parallel
 
 
 # ------------------------------------------------------------------ crashes
-def test_crashed_rank_named_on_every_peer():
-    """Rank 2 dies at its first op; every peer gets a CommError naming it."""
-    def worker(comm):
-        if comm.rank == 2:
-            comm.barrier()  # injected crash fires here
-            return "unreachable"
-        try:
-            return comm.recv(source=2, tag=9)
-        except CommError as exc:
-            return str(exc)
-
-    t0 = time.monotonic()
-    out = run_ranks(4, worker, timeout=30.0,
-                    faults=FaultPlan().crash(rank=2, at_op=1),
-                    return_exceptions=True)
-    elapsed = time.monotonic() - t0
-    assert elapsed < 5.0, f"crash diagnosis took {elapsed:.1f}s"
-    assert isinstance(out[2], RankCrashedError)
-    for rank in (0, 1, 3):
-        assert isinstance(out[rank], str), f"rank {rank} did not fail cleanly"
-        assert "rank 2 crashed" in out[rank]
-
-
-def test_crash_at_later_op_counts_operations():
-    """at_op=3 lets the first two collectives finish, then kills the rank."""
-    def worker(comm):
-        a = comm.allreduce(1)          # op 1: completes on all ranks
-        b = comm.allreduce(2)          # op 2: completes on all ranks
-        c = comm.allreduce(3)          # op 3: rank 1 dies entering this
-        return (a, b, c)
-
-    with pytest.raises(RankCrashedError, match=r"rank 1: injected crash at communication op #3"):
-        run_ranks(3, worker, timeout=30.0, faults=FaultPlan().crash(rank=1, at_op=3))
-
-
 def test_crash_during_collective_fails_peers_not_hangs():
-    """A death mid-collective propagates as CommError fallout, not a hang."""
+    """A root that raises before its bcast fails every peer with a CommError
+    (the binomial tree's second level included), not a hang."""
     def worker(comm):
-        return comm.bcast(np.arange(4.0) if comm.rank == 0 else None, root=0)
+        if comm.rank == 0:
+            raise RuntimeError("root died before bcast")
+        return comm.bcast(None, root=0)
 
     t0 = time.monotonic()
-    out = run_ranks(4, worker, timeout=30.0,
-                    faults=FaultPlan().crash(rank=0, at_op=1),
-                    return_exceptions=True)
+    out = run_ranks(4, worker, timeout=30.0, return_exceptions=True)
     assert time.monotonic() - t0 < 5.0
-    assert isinstance(out[0], RankCrashedError)
-    assert all(isinstance(o, CommError) for o in out)
+    assert isinstance(out[0], RuntimeError)
+    assert all(isinstance(o, CommError) for o in out[1:])
 
 
 # ----------------------------------------------------------------- deadlock
@@ -136,7 +98,7 @@ def test_tag_mismatch_in_transpose_forward_is_diagnosed():
     rng = np.random.default_rng(0)
     full = rng.normal(size=(nrows, ncols))
 
-    orig = CommBase._collective_tag
+    orig = Comm._collective_tag
 
     def skewed_tag(self, base):
         # Rank-dependent collective tags: the textbook way transposes wedge.
@@ -147,109 +109,19 @@ def test_tag_mismatch_in_transpose_forward_is_diagnosed():
         return transpose_forward(comm, full[lo:hi], nrows, ncols)
 
     # Forked children inherit the patched class.
-    CommBase._collective_tag = skewed_tag
+    Comm._collective_tag = skewed_tag
     try:
         t0 = time.monotonic()
         with pytest.raises(DeadlockError) as excinfo:
             run_ranks(3, worker, timeout=60.0)
         elapsed = time.monotonic() - t0
     finally:
-        CommBase._collective_tag = orig
+        Comm._collective_tag = orig
 
     assert elapsed < 5.0, f"transpose deadlock diagnosis took {elapsed:.1f}s"
     report = excinfo.value.report
     assert len(report.blocked) >= 2
     assert any(b.op == "transpose.forward" for b in report.blocked)
-
-
-# ------------------------------------------------------- message perturbation
-def test_delayed_message_arrives_late_but_intact():
-    def worker(comm):
-        if comm.rank == 0:
-            comm.send(np.arange(3.0), dest=1, tag=4)
-            return None
-        t0 = time.monotonic()
-        data = comm.recv(source=0, tag=4)
-        return (time.monotonic() - t0, data)
-
-    out = run_ranks(2, worker, timeout=30.0,
-                    faults=FaultPlan().delay(0.3, src=0, dest=1))
-    waited, data = out[1]
-    assert waited >= 0.25
-    np.testing.assert_array_equal(data, np.arange(3.0))
-
-
-def test_duplicate_delivery():
-    def worker(comm):
-        if comm.rank == 0:
-            comm.send("hello", dest=1, tag=2)
-            return None
-        return (comm.recv(source=0, tag=2), comm.recv(source=0, tag=2))
-
-    out = run_ranks(2, worker, timeout=30.0,
-                    faults=FaultPlan().duplicate(src=0, dest=1, times=1))
-    assert out[1] == ("hello", "hello")
-
-
-def test_corruption_is_deterministic_and_detectable():
-    payload = np.arange(5.0)
-
-    def worker(comm):
-        if comm.rank == 0:
-            comm.send(payload, dest=1)
-            return None
-        return comm.recv(source=0)
-
-    out = run_ranks(2, worker, timeout=30.0,
-                    faults=FaultPlan().corrupt(src=0, dest=1))
-    assert not np.array_equal(out[1], payload)
-    np.testing.assert_array_equal(out[1], -payload - 1)
-
-
-def test_reorder_swaps_consecutive_messages():
-    def worker(comm):
-        if comm.rank == 0:
-            comm.send("first", dest=1, tag=3)
-            comm.send("second", dest=1, tag=3)
-            return None
-        return (comm.recv(source=0, tag=3), comm.recv(source=0, tag=3))
-
-    out = run_ranks(2, worker, timeout=30.0,
-                    faults=FaultPlan().reorder(src=0, dest=1))
-    assert out[1] == ("second", "first")
-
-
-def test_reorder_holdback_is_flushed_not_wedged():
-    """A single held message must be released, not turn into a fake deadlock."""
-    def worker(comm):
-        if comm.rank == 0:
-            comm.send("only", dest=1, tag=6)
-            return None
-        return comm.recv(source=0, tag=6)
-
-    out = run_ranks(2, worker, timeout=30.0,
-                    faults=FaultPlan().reorder(src=0, dest=1))
-    assert out[1] == "only"
-
-
-def test_faults_thread_through_collectives():
-    """Corrupting root's outbound traffic perturbs a bcast result."""
-    def worker(comm):
-        return comm.bcast(np.ones(4) if comm.rank == 0 else None, root=0)
-
-    out = run_ranks(2, worker, timeout=30.0,
-                    faults=FaultPlan().corrupt(src=0, dest=1))
-    np.testing.assert_array_equal(out[0], np.ones(4))      # root untouched
-    np.testing.assert_array_equal(out[1], -np.ones(4) - 1)  # peer corrupted
-
-
-def test_delay_under_collective_does_not_break_correctness():
-    """Delays slow a reduction but cannot change its value."""
-    def worker(comm):
-        return comm.allreduce(comm.rank + 1, op="sum")
-
-    out = run_ranks(4, worker, timeout=30.0, faults=FaultPlan().delay(0.05))
-    assert out == [10, 10, 10, 10]
 
 
 # ------------------------------------------------------------------- stats
@@ -271,27 +143,45 @@ def test_comm_stats_label_traffic_by_operation():
 
 # --------------------------------------------------------- process boundary
 def test_process_crash_named_on_every_peer_process():
-    """ISSUE 7: an injected crash in a forked rank process surfaces as a
-    CommError naming the dead rank on every peer process — the diagnosis
-    crosses the process boundary intact (origin_rank included)."""
+    """A rank whose worker raises surfaces as a CommError naming it on every
+    peer process — the diagnosis crosses the process boundary intact
+    (origin_rank included)."""
     def worker(comm):
         if comm.rank == 2:
-            comm.barrier()  # injected crash fires here
-            return "unreachable"
+            raise RuntimeError("rank 2 worker failed")
         return comm.recv(source=2, tag=9)
 
     t0 = time.monotonic()
-    out = run_ranks(4, worker, timeout=30.0,
-                    faults=FaultPlan().crash(rank=2, at_op=1),
-                    return_exceptions=True)
+    out = run_ranks(4, worker, timeout=30.0, return_exceptions=True)
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0, f"crash diagnosis took {elapsed:.1f}s"
-    assert isinstance(out[2], RankCrashedError)
+    assert isinstance(out[2], RuntimeError)
     for rank in (0, 1, 3):
         assert isinstance(out[rank], CommError), \
             f"rank {rank} did not fail cleanly: {out[rank]!r}"
         assert "rank 2 crashed" in str(out[rank])
         assert out[rank].origin_rank == 2
+
+
+def test_process_that_exits_without_reporting_named_on_every_peer():
+    """A rank process that dies without sending its result home (no
+    exception to marshal) is found by the router's liveness check and named
+    on every peer."""
+    def worker(comm):
+        if comm.rank == 1:
+            os._exit(3)
+        return comm.recv(source=1, tag=9)
+
+    t0 = time.monotonic()
+    out = run_ranks(3, worker, timeout=30.0, return_exceptions=True)
+    elapsed = time.monotonic() - t0
+    assert elapsed < 5.0, f"hard-death diagnosis took {elapsed:.1f}s"
+    for rank in (0, 2):
+        assert isinstance(out[rank], CommError), \
+            f"rank {rank} did not fail cleanly: {out[rank]!r}"
+        assert ("rank 1 crashed (process exited with code 3 without "
+                "reporting a result)") in str(out[rank])
+        assert out[rank].origin_rank == 1
 
 
 def test_process_mistagged_coupler_exchange_deadlock_report():
@@ -326,17 +216,3 @@ def test_process_mistagged_coupler_exchange_deadlock_report():
         assert by_rank[r].op == "recv"
     assert by_rank[layout.ocn_leader].peer == layout.cpl_rank
     assert by_rank[layout.ocn_leader].tag == TAG_FORCING
-
-
-def test_process_faults_thread_through_collectives():
-    """The router applies FaultPlan transforms: corruption of root's
-    outbound traffic reaches a bcast payload parked in shared memory."""
-    big = 16384  # float64 payload over the shm threshold (128 KiB)
-
-    def worker(comm):
-        return comm.bcast(np.ones(big) if comm.rank == 0 else None, root=0)
-
-    out = run_ranks(2, worker, timeout=30.0,
-                    faults=FaultPlan().corrupt(src=0, dest=1))
-    np.testing.assert_array_equal(out[0], np.ones(big))       # root untouched
-    np.testing.assert_array_equal(out[1], -np.ones(big) - 1)  # peer corrupted

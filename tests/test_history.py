@@ -105,6 +105,45 @@ class TestHistoryWriter:
         data = load_history([first, second])
         assert np.array_equal(data["time"], [0.0, 1.0])
 
+    def test_numbering_continues_after_the_highest_file(self, tmp_path):
+        # With a gap below it (history_0001 deleted), counting the files
+        # would name the next one history_0002.npz again and lose t = 2.
+        for t in (0.0, 1.0, 2.0):
+            w = HistoryWriter(tmp_path)
+            w.record(t, sst=np.full(2, t))
+            w.close()
+        (tmp_path / "history_0001.npz").unlink()
+        w = HistoryWriter(tmp_path)
+        w.record(10.0, sst=np.full(2, 10.0))
+        assert w.close().name == "history_0003.npz"
+        data = load_history(sorted(tmp_path.glob("history_*.npz")))
+        assert np.array_equal(data["time"], [0.0, 2.0, 10.0])
+
+    def test_failed_flush_keeps_the_snapshots_and_the_number(self, tmp_path,
+                                                             monkeypatch):
+        # A chunk appears whole or not at all: a write that dies half way
+        # leaves no history file and no temporary beside it, and the next
+        # flush writes the still-buffered snapshots under the same number.
+        w = HistoryWriter(tmp_path)
+        w.record(0.0, sst=np.zeros(2))
+        w.record(1.0, sst=np.ones(2))
+
+        def dies_half_way(file, **payload):
+            file.write(b"PK\x03\x04 half a zip member")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez_compressed", dies_half_way)
+        with pytest.raises(OSError, match="disk full"):
+            w.flush()
+        monkeypatch.undo()
+        assert list(tmp_path.iterdir()) == []
+        assert w.buffered_snapshots == 2
+        path = w.flush()
+        assert path.name == "history_0000.npz"
+        data = load_history(path)
+        assert np.array_equal(data["time"], [0.0, 1.0])
+        assert np.array_equal(data["sst"], [np.zeros(2), np.ones(2)])
+
 
 class TestLoadHistory:
     def _write(self, tmp_path, times, **fields):

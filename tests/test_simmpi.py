@@ -1,4 +1,4 @@
-"""Unit tests for the simulated MPI layer (repro.parallel.procmpi on commbase)."""
+"""Unit tests for the simulated MPI layer (repro.parallel.procmpi.Comm)."""
 
 import glob
 
@@ -248,9 +248,9 @@ def test_bytes_accounting():
     def worker(comm):
         if comm.rank == 0:
             comm.send(np.zeros(1000), dest=1)
-            return comm.bytes_sent
+            return comm.stats.bytes_sent
         comm.recv(source=0)
-        return comm.bytes_sent
+        return comm.stats.bytes_sent
 
     out = run_ranks(2, worker)
     assert out[0] == 8000

@@ -125,11 +125,27 @@ def test_one_rank_transport_census():
     lets the profiler, the workspace arena and the Legendre plan cache be
     plain module state — and no function takes a ``substrate`` parameter
     (``RunPlan.substrate`` is a vestigial dataclass field, not a selector).
+    One communicator class moves messages: no abstract transport interface
+    (no ``NotImplementedError`` hook under ``parallel/``), no second class
+    defining ``_send`` / ``_recv``, and no message-fault injector
+    (``parallel/faults.py``, a ``faults`` parameter anywhere).
     """
     import ast
 
     src = Path(__file__).resolve().parents[1] / "src" / "repro"
     assert not (src / "parallel" / "simmpi.py").exists()
+    assert not (src / "parallel" / "faults.py").exists()
+    transports = []
+    for path in (src / "parallel").rglob("*.py"):
+        text = path.read_text()
+        assert "NotImplementedError" not in text, f"{path} has a transport hook"
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ClassDef):
+                methods = {f.name for f in node.body
+                           if isinstance(f, ast.FunctionDef)}
+                if {"_send", "_recv"} <= methods:
+                    transports.append(f"{path.name}:{node.name}")
+    assert len(transports) <= 1, transports
     for path in src.rglob("*.py"):
         tree = ast.parse(path.read_text())
         for node in ast.walk(tree):
@@ -143,8 +159,9 @@ def test_one_rank_transport_census():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 a = node.args
                 params = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
-                assert "substrate" not in params, \
-                    f"{path}:{node.lineno} {node.name}() takes substrate="
+                for banned in ("substrate", "faults"):
+                    assert banned not in params, \
+                        f"{path}:{node.lineno} {node.name}() takes {banned}="
 
 
 def test_one_legendre_contraction_census():
