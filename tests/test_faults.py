@@ -37,6 +37,27 @@ pytestmark = pytest.mark.parallel
 
 
 # ------------------------------------------------------------------ crashes
+def test_crashed_rank_named_on_every_peer():
+    """Rank 2 dies at its first op; every peer gets a CommError naming it,
+    which the peer's own worker can catch and return from."""
+    def worker(comm):
+        if comm.rank == 2:
+            raise RuntimeError("rank 2 died before its barrier")
+        try:
+            return comm.recv(source=2, tag=9)
+        except CommError as exc:
+            return str(exc)
+
+    t0 = time.monotonic()
+    out = run_ranks(4, worker, timeout=30.0, return_exceptions=True)
+    elapsed = time.monotonic() - t0
+    assert elapsed < 5.0, f"crash diagnosis took {elapsed:.1f}s"
+    assert isinstance(out[2], RuntimeError)
+    for rank in (0, 1, 3):
+        assert isinstance(out[rank], str), f"rank {rank} did not fail cleanly"
+        assert "rank 2 crashed" in out[rank]
+
+
 def test_crash_during_collective_fails_peers_not_hangs():
     """A root that raises before its bcast fails every peer with a CommError
     (the binomial tree's second level included), not a hang."""
