@@ -17,9 +17,9 @@ Two of the paper's three ocean speedup techniques live here:
    as a separate two-dimensional system coupled to the internal ocean in a
    way that correctly reproduces the free surface while allowing a much
    longer time step in the internal ocean" (Killworth et al. 1991).  The 2-D
-   system subcycles with its own short step inside each internal step,
-   driven by the depth-averaged forcing ``gx, gy`` handed over by the 3-D
-   model.
+   system runs once per long step, after the baroclinic pass, as one
+   subcycle of its own short steps covering the whole long step, driven by
+   the time-mean depth-averaged forcing ``gx, gy`` that pass handed over.
 
 The scheme is forward-backward (eta first, then velocities using the new
 eta), the standard choice for explicit free-surface stepping.
@@ -62,7 +62,7 @@ class BarotropicSolver:
         self.depth = np.where(mask, np.maximum(depth, 10.0),
                               0.0).astype(grid.policy.float_dtype, copy=False)
         self.mask = mask
-        self.stencil = Stencil.of(mask)
+        self.stencil = Stencil.of(mask, grid.dx, grid.dy)
         self.params = params
         c = np.sqrt(GRAVITY * max(self.depth.max(), 1.0)) * params.slow_factor
         dmin = min(grid.dx.min(), grid.dy.min())
@@ -97,14 +97,13 @@ class BarotropicSolver:
         sinf = np.sin(f * dt_slow)
         for _ in range(n):
             # Forward step of the surface (flux form: globally conservative).
-            div = st.flux_divergence(self.depth * ubar, self.depth * vbar,
-                                     self.grid.dx, self.grid.dy)
+            div = st.flux_divergence(self.depth * ubar, self.depth * vbar)
             eta = np.where(m, eta - dt * div, 0.0)
             # Backward step of velocity with the *new* eta (forward-backward).
             # Every momentum term advances with dt/gamma: steady balances are
             # untouched, the adjustment dynamics run gamma times slower.
-            detax = st.ddx(eta, self.grid.dx)
-            detay = st.ddy(eta, self.grid.dy)
+            detax = st.ddx(eta)
+            detay = st.ddy(eta)
             # Exact Coriolis rotation keeps the (slowed) inertial mode neutral.
             u_rot = ubar * cosf + vbar * sinf
             v_rot = -ubar * sinf + vbar * cosf

@@ -61,7 +61,3 @@ class ConventionalOceanModel(OceanModel):
         finally:
             self.params.dt_long, self.params.n_internal = saved
         return state
-
-    def _ops_per_step(self) -> int:
-        """Ops for one *small* step: all 3-D terms plus the 2-D update."""
-        return 250 * self._n3 + 60 * self._n3 + 30 * self._n2

@@ -29,19 +29,33 @@ def _asfloat(x) -> np.ndarray:
 
 
 def density_anomaly(temp_c: np.ndarray, salt: np.ndarray,
-                    depth_m: np.ndarray | float = 0.0) -> np.ndarray:
+                    depth_m: np.ndarray | float = 0.0,
+                    out: tuple[np.ndarray, np.ndarray] | None = None
+                    ) -> np.ndarray:
     """In-situ density minus RHO_SEAWATER (kg m^-3).
 
     ``temp_c`` in Celsius, ``salt`` in psu, ``depth_m`` positive downward.
+    ``out`` is ``None`` (fresh arrays) or two buffers of the fields' shape
+    and dtype: the anomaly is written into the first, the second is
+    scratch.  Either way the operations and their order are those of
+    ``-ALPHA0 dt - 0.5 ALPHA_T dt dt + BETA (s - S0) + GAMMA_Z depth``,
+    ``dt = t - T0``.
     """
     t = _asfloat(temp_c)
     s = _asfloat(salt)
-    dt = t - T0
+    buf, tmp = (None, None) if out is None else out
     # Scalar depths stay python floats: a 0-d float64 array would promote
     # the whole expression and silently upcast float32 fields.
     depth = depth_m if np.isscalar(depth_m) else _asfloat(depth_m)
-    return (-ALPHA0 * dt - 0.5 * ALPHA_T * dt * dt
-            + BETA * (s - S0) + GAMMA_Z * depth)
+    dt = np.subtract(t, T0, out=buf)
+    quad = np.multiply(0.5 * ALPHA_T, dt, out=tmp)
+    quad = np.multiply(quad, dt, out=tmp)
+    rho = np.multiply(-ALPHA0, dt, out=buf)
+    rho = np.subtract(rho, quad, out=buf)
+    haline = np.subtract(s, S0, out=tmp)
+    haline = np.multiply(BETA, haline, out=tmp)
+    rho = np.add(rho, haline, out=buf)
+    return np.add(rho, GAMMA_Z * depth, out=buf)
 
 
 def density(temp_c, salt, depth_m=0.0) -> np.ndarray:

@@ -106,9 +106,9 @@ class PolarFilter:
                  [np.stack(w, axis=-2) for w in zip(*per_row)]))
 
     def __call__(self, field: np.ndarray) -> np.ndarray:
-        """``field`` (..., ny, nx) filtered; the zonal mean of open rows is
-        preserved exactly (wavenumber zero unfiltered)."""
-        out = field.copy()
+        """``field`` (..., ny, nx) filtered in place and returned; the zonal
+        mean of open rows is preserved exactly (wavenumber zero unfiltered)."""
+        out = field
         if len(self.fft_rows):
             spec = np.fft.rfft(out[..., self.fft_rows, :], axis=-1)
             spec *= self.fft_factors
@@ -125,5 +125,6 @@ class PolarFilter:
 
 def apply_polar_filter(field: np.ndarray, lats: np.ndarray, mask: np.ndarray,
                        lat_crit_deg: float = 60.0) -> np.ndarray:
-    """One-off :class:`PolarFilter` application (anything that steps owns one)."""
-    return PolarFilter(lats, mask, lat_crit_deg)(field)
+    """One-off :class:`PolarFilter` application to a copy of ``field``
+    (anything that steps owns a plan)."""
+    return PolarFilter(lats, mask, lat_crit_deg)(field.copy())

@@ -115,27 +115,34 @@ def convective_adjustment(temp: np.ndarray, salt: np.ndarray,
     means); repeated passes handle deep instabilities.  ``mask`` (L, ...)
     marks active cells; a pair is only adjusted when both levels are active
     (inactive cells hold placeholder values that must never mix in).
+
+    Only the unstable cells of a pair (a percent or two in a running ocean)
+    are mixed, and only their density is evaluated again: the EOS is
+    elementwise, so ``rho`` stays the density of ``(t, s)`` exactly and is
+    computed once per call.
     """
     t = temp.copy()
     s = salt.copy()
-    L = t.shape[0]
-    dzf = dz.reshape((-1,) + (1,) * (t.ndim - 1))
+    rho = density_anomaly(t, s, 0.0)
+    if mask is not None:
+        both = mask[:-1] & mask[1:]
+    # Flat (L, cells) views of the three contiguous arrays.
+    flat_t, flat_s, flat_rho = (a.reshape(len(a), -1) for a in (t, s, rho))
     for _ in range(passes):
-        rho = density_anomaly(t, s, 0.0)
-        for k in range(L - 1):
+        for k in range(len(t) - 1):
             unstable = rho[k] > rho[k + 1] + 1e-12
             if mask is not None:
-                unstable &= mask[k] & mask[k + 1]
-            if not np.any(unstable):
+                unstable &= both[k]
+            cells = np.flatnonzero(unstable)
+            if not cells.size:
                 continue
-            w0 = dzf[k] / (dzf[k] + dzf[k + 1])
+            # (1,)-shaped weights keep dz's dtype and promote against the
+            # fields like the (L, 1, ...) column of dz they stand for.
+            w0 = dz[k:k + 1] / (dz[k:k + 1] + dz[k + 1:k + 2])
             w1 = 1.0 - w0
-            t_mix = w0 * t[k] + w1 * t[k + 1]
-            s_mix = w0 * s[k] + w1 * s[k + 1]
-            t[k] = np.where(unstable, t_mix, t[k])
-            t[k + 1] = np.where(unstable, t_mix, t[k + 1])
-            s[k] = np.where(unstable, s_mix, s[k])
-            s[k + 1] = np.where(unstable, s_mix, s[k + 1])
-            # Only these two levels changed (the EOS is elementwise).
-            rho[k:k + 2] = density_anomaly(t[k:k + 2], s[k:k + 2], 0.0)
+            for f in (flat_t, flat_s):
+                f[k, cells] = f[k + 1, cells] = (w0 * f[k, cells]
+                                                 + w1 * f[k + 1, cells])
+            flat_rho[k, cells] = flat_rho[k + 1, cells] = density_anomaly(
+                flat_t[k, cells], flat_s[k, cells], 0.0)
     return t, s

@@ -7,8 +7,9 @@ represented per unit of computation."*  The three techniques (paper, "The
 FOAM Ocean Model"):
 
 1. artificially slowed explicit free surface (:mod:`repro.ocean.barotropic`);
-2. barotropic/baroclinic mode splitting — the 2-D surface system subcycles
-   inside the internal step;
+2. barotropic/baroclinic mode splitting — the 2-D surface system runs its
+   own short-step subcycle once per long step, on the depth-mean forcing
+   of the internal pass;
 3. multi-rate subcycling of the internal dynamics themselves: the *fast*
    internal terms (Coriolis, baroclinic pressure gradient) run on a shorter
    step than the *slow* advective and diffusive terms.
@@ -46,7 +47,7 @@ from repro.ocean.mixing import (
     pp_viscosity,
     richardson_number,
 )
-from repro.ocean.operators import Stencil
+from repro.ocean.operators import Stencil, row_plane
 from repro.backend import get_workspace, weak_scalar
 from repro.perf.profiler import profile_section, profiled
 from repro.util.constants import (
@@ -119,7 +120,7 @@ class _WetBox:
         self.dry = ~self.mask3d
         # Interfaces that touch an inactive cell (the sea floor).
         self.closed = ~(self.mask3d[:-1] & self.mask3d[1:])
-        stencil = Stencil.of(self.mask3d)
+        stencil = Stencil.of(self.mask3d, self.dx, self.dy)
         self.stencils = [stencil[k] for k in range(kw)]
 
 
@@ -222,16 +223,9 @@ class OceanModel:
         self.a2 = (0.02 * dloc**2 / self.params.dt_long)[:, None].astype(
             fdt, copy=False)
         self.box = _WetBox(self)
-        # Coriolis rotation factors for the internal substep, rebuilt only
-        # when the substep length changes.
-        self._rot_dt: float | None = None
-        self._cosf: np.ndarray | None = None
-        self._sinf: np.ndarray | None = None
         self.op_count = 0   # crude operation counter for the cost model
         self._n3 = int(self.mask3d.sum())
         self._n2 = int(self.mask2d.sum())
-        self._nsub = self.baro.n_substeps(
-            self.params.dt_long / self.params.n_internal)
 
     # ------------------------------------------------------------------
     def initial_state(self, kind: str = "rest_stratified") -> OceanState:
@@ -299,13 +293,15 @@ class OceanModel:
         pass diagnosed.
         """
         out, gxy = self._advance(state, forcing)
-        out.eta, out.ubar, out.vbar, _ = self.baro.step(
+        out.eta, out.ubar, out.vbar, n_baro = self.baro.step(
             state.eta, state.ubar, state.vbar, gxy[0], gxy[1],
             self.params.dt_long)
         with profile_section("ocean.polar_filter"):
+            # In place: the solver's results are fresh arrays.
             for name in ("eta", "ubar", "vbar"):
-                setattr(out, name, self.filter2d(getattr(out, name)))
+                self.filter2d(getattr(out, name))
         out.time = state.time + self.params.dt_long
+        self.op_count += self._ops_per_step(n_baro)
         return out
 
     def _advance(self, state: OceanState, forcing: OceanForcing
@@ -324,6 +320,12 @@ class OceanModel:
         u, v, temp, salt = (getattr(state, name)[b.index].copy()
                             for name in ("u", "v", "temp", "salt"))
         wet, dry = _lift(b.mask3d, u), _lift(b.dry, u)
+        # Per-row factors as (rows, nx) planes.  They depend on the step
+        # lengths, which ConventionalOceanModel rewrites between calls, so
+        # they are built per call.
+        dt_a4, dt_a2 = (row_plane(dt_long * a, g.nx) for a in (b.a4, b.a2))
+        cosf, sinf = (row_plane(rot(b.f * dt_int), g.nx)
+                      for rot in (np.cos, np.sin))
 
         # ---- slow terms, once per long step -----------------------------
         with profile_section("ocean.advection"):
@@ -343,14 +345,21 @@ class OceanModel:
                 # grows with the Celsius offset of T and is violently
                 # unstable in shallow polar channels.)
                 for f3 in (temp, salt, u, v):
-                    f3[k] += dt_long * st.advect_centered(
-                        f3[k], u_tot[k], v_tot[k], b.dx, b.dy)
+                    adv = st.advect_centered(f3[k], u_tot[k], v_tot[k])
+                    adv *= dt_long
+                    f3[k] += adv
                 # del^4 dissipation (A-grid mode control) on all prognostic
-                # fields, plus harmonic eddy viscosity on momentum.
+                # fields, plus harmonic eddy viscosity on momentum.  The
+                # operators return fresh arrays in the fields' dtype, which
+                # the planes share: scaled in place.
                 for f3 in (u, v, temp, salt):
-                    f3[k] -= dt_long * b.a4 * st.biharmonic(f3[k], b.dx, b.dy)
+                    bih = st.biharmonic(f3[k])
+                    bih *= dt_a4
+                    f3[k] -= bih
                 for f3 in (u, v):
-                    f3[k] += dt_long * b.a2 * st.laplacian(f3[k], b.dx, b.dy)
+                    lap = st.laplacian(f3[k])
+                    lap *= dt_a2
+                    f3[k] += lap
 
         # Vertical mixing (PP81 steepened) + surface fluxes, implicit: one
         # elimination for (T, S), which share kappa, one for (u, v) and nu.
@@ -390,11 +399,6 @@ class OceanModel:
         kw, lead, nyb = u.shape[0], u.shape[1:-2], u.shape[-2]
         gx_acc = ws.zeros("ocean.gx_acc", lead + (g.ny, g.nx), fdt)
         gy_acc = ws.zeros("ocean.gy_acc", lead + (g.ny, g.nx), fdt)
-        if self._rot_dt != dt_int:
-            self._rot_dt = dt_int
-            self._cosf = np.cos(b.f * dt_int)[None]
-            self._sinf = np.sin(b.f * dt_int)[None]
-        cosf, sinf = self._cosf, self._sinf
         dzdiv, pres, pgx, pgy = (ws.empty_like("ocean." + name, u)
                                  for name in ("dzdiv", "p", "pgx", "pgy"))
         # Column-local work runs on blocks of latitude rows, all levels and
@@ -414,7 +418,7 @@ class OceanModel:
                 # Continuity uses the same flux-divergence stencil as the
                 # tracer advection, so a constant tracer is exactly preserved.
                 for k, st in enumerate(b.stencils):
-                    np.multiply(st.flux_divergence(u[k], v[k], b.dx, b.dy),
+                    np.multiply(st.flux_divergence(u[k], v[k]),
                                 b.dz[k], out=dzdiv[k])
                 for r, (w, tend, grad) in blocks:
                     # w at layer tops (positive up), w = 0 at the floor:
@@ -427,22 +431,23 @@ class OceanModel:
                     # part that couples velocity back into density.  dC/d(depth)
                     # at interior interfaces, dropped across the sea floor;
                     # each layer takes half of its two interfaces' w dC/dz.
-                    grad = grad[:-1]
+                    half = grad[:-1]
                     for c in (temp[r], salt[r]):
-                        np.subtract(c[1:], c[:-1], out=grad)
-                        grad /= dzi
-                        np.copyto(grad, 0.0, where=closed[r])
-                        grad *= w[1:]
-                        grad *= 0.5
-                        np.add(grad, 0.0, out=tend[:-1])
+                        np.subtract(c[1:], c[:-1], out=half)
+                        half /= dzi
+                        np.copyto(half, 0.0, where=closed[r])
+                        half *= w[1:]
+                        half *= 0.5
+                        np.add(half, 0.0, out=tend[:-1])
                         tend[-1] = 0.0
-                        tend[1:] += grad
+                        tend[1:] += half
                         np.copyto(tend, 0.0, where=dry[r])
                         tend *= dt_int
                         c += tend
                     # Hydrostatic pressure at layer centers from the density
-                    # anomaly: the full layers above plus half of this one.
-                    rho = density_anomaly(temp[r], salt[r], 0.0)
+                    # anomaly (into the spent w and grad buffers): the full
+                    # layers above plus half of this one.
+                    rho = density_anomaly(temp[r], salt[r], 0.0, out=(w, grad))
                     np.copyto(rho, 0.0, where=dry[r])
                     rho *= dz
                     above = tend
@@ -455,8 +460,8 @@ class OceanModel:
                     np.multiply(above, GRAVITY, out=pres[r])
                 # dt (-1/rho0) grad p, centered only: see Stencil.ddx.
                 for k, st in enumerate(b.stencils):
-                    for pg, d in ((pgx, st.ddx(pres[k], b.dx, centered_only=True)),
-                                  (pgy, st.ddy(pres[k], b.dy, centered_only=True))):
+                    for pg, d in ((pgx, st.ddx(pres[k], centered_only=True)),
+                                  (pgy, st.ddy(pres[k], centered_only=True))):
                         np.negative(d, out=d)
                         d /= RHO_SEAWATER
                         np.multiply(d, dt_int, out=pg[k])
@@ -491,28 +496,28 @@ class OceanModel:
             self.mask2d, forcing.tauy / (RHO_SEAWATER * self.coldepth), 0.0)
 
         # ---- polar filter (baroclinic fields, 3-D mask-aware) ---------------
-        # On the whole grid: zero outside the box, as the masked step leaves
-        # it.  The rest of the state (eta, ubar, vbar, which ``step`` then
-        # replaces, and any field a subclass adds) is carried along as a copy.
+        # On the whole grid, planned from the whole mask: zero-filled, the box
+        # copied in, filtered in place.  Every dry cell of the box fields is
+        # +0.0 and the filter leaves dry cells alone, so the result needs no
+        # masking.  The rest of the state (eta, ubar, vbar, which ``step``
+        # then replaces, and any field a subclass adds) is carried along as a
+        # copy.
         out = dataclasses.replace(state, u=None, v=None, temp=None,
                                   salt=None, time=state.time + dt_long).copy()
         with profile_section("ocean.polar_filter"):
-            m3 = _lift(self.mask3d, state.u)
             for name, f3 in zip(("u", "v", "temp", "salt"), (u, v, temp, salt)):
                 full = np.zeros(state.u.shape, f3.dtype)
                 full[b.index] = f3
-                setattr(out, name, np.where(m3, self.filter3d(full), 0.0))
-
-        self.op_count += self._ops_per_step()
+                setattr(out, name, self.filter3d(full))
         return out, (gx, gy)
 
     # ------------------------------------------------------------------
-    def _ops_per_step(self) -> int:
-        """Rough floating-point op count of one long step (for the cost model)."""
-        n_int = self.params.n_internal
+    def _ops_per_step(self, n_baro: int) -> int:
+        """Rough floating-point op count of one long step (for the cost
+        model) whose barotropic subcycle took ``n_baro`` substeps."""
         return (250 * self._n3              # advection + dissipation + mixing
-                + n_int * 60 * self._n3     # fast internal terms
-                + n_int * self._nsub * 30 * self._n2)   # barotropic subcycle
+                + self.params.n_internal * 60 * self._n3   # fast internal terms
+                + n_baro * 30 * self._n2)   # barotropic subcycle
 
     # ------------------------------------------------------------------
     # diagnostics

@@ -38,21 +38,31 @@ def _zonal(ufunc, f: np.ndarray, a: int, b: int) -> np.ndarray:
     return out
 
 
-def _rowwise(ufunc, d: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """``ufunc(d, row[..., :, None])``, in place when that keeps ``d``'s dtype."""
-    row = row[..., :, None]
-    return ufunc(d, row, out=d if np.result_type(d, row) == d.dtype else None)
+def _into(ufunc, d: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """``ufunc(d, other)``, written into ``d`` when that keeps its dtype."""
+    return ufunc(d, other, out=d if np.result_type(d, other) == d.dtype else None)
+
+
+def row_plane(row: np.ndarray, nx: int) -> np.ndarray:
+    """A per-row factor, ``(rows,)`` or ``(rows, 1)``, as a contiguous
+    ``(rows, nx)`` plane in its dtype: a division or product streams through
+    it faster than through the factor broadcast along each row."""
+    return np.ascontiguousarray(np.broadcast_to(np.reshape(row, (-1, 1)),
+                                                (len(row), nx)))
 
 
 @dataclass(frozen=True)
 class Stencil:
-    """The static neighbour masks of one land mask, and the operators on them.
+    """The static neighbour masks and metric planes of one land mask, and
+    the operators on them.
 
     A mask never changes during a run, so whoever owns one (``OceanModel``
     the 3-D mask, ``BarotropicSolver`` the 2-D one) builds its stencil once
-    with :meth:`of` and every operator call reuses the shifted masks.
-    ``stencil[k]`` is the stencil of level ``k`` of a 3-D mask (views); a
-    2-D stencil broadcasts against any leading member axes of the field.
+    with :meth:`of` and every operator call reuses the shifted masks and the
+    metric planes (:func:`row_plane`, viewed with stride 0 over the level
+    axis).  ``stencil[k]`` is the stencil of level ``k`` of a 3-D mask
+    (views); a 2-D stencil broadcasts against any leading member axes of the
+    field.
     """
 
     mask: np.ndarray
@@ -64,24 +74,35 @@ class Stencil:
     y_both: np.ndarray
     open_e: np.ndarray      # east edge open: mask & m_east
     open_n: np.ndarray      # (..., ny-1, nx) north edges between two rows
+    dx: np.ndarray          # metric planes: zonal and meridional spacing,
+    dy: np.ndarray
+    dx2: np.ndarray         # their squares,
+    dy2: np.ndarray
+    area: np.ndarray        # dx * dy,
+    dx_edge: np.ndarray     # (..., ny-1, nx) dx at the north edges
 
     @classmethod
-    def of(cls, mask: np.ndarray) -> "Stencil":
+    def of(cls, mask: np.ndarray, dx_row: np.ndarray,
+           dy_row: np.ndarray) -> "Stencil":
         m_east = np.roll(mask, -1, axis=-1)
         m_west = np.roll(mask, 1, axis=-1)
         m_north = np.zeros_like(mask)
         m_south = np.zeros_like(mask)
         m_north[..., :-1, :] = mask[..., 1:, :]
         m_south[..., 1:, :] = mask[..., :-1, :]
+        nx = mask.shape[-1]
+        rows = (dx_row, dy_row, dx_row ** 2, dy_row ** 2, dx_row * dy_row,
+                0.5 * (dx_row[:-1] + dx_row[1:]))
+        planes = [np.broadcast_to(row_plane(row, nx), mask.shape[:-2] + (len(row), nx))
+                  for row in rows]
         return cls(mask, m_east, m_west, m_north, m_south, m_east & m_west,
                    m_north & m_south, mask & m_east,
-                   mask[..., :-1, :] & mask[..., 1:, :])
+                   mask[..., :-1, :] & mask[..., 1:, :], *planes)
 
     def __getitem__(self, index) -> "Stencil":
         return tree_map(lambda m: m[index], self)
 
-    def ddx(self, field: np.ndarray, dx_row: np.ndarray,
-            centered_only: bool = False) -> np.ndarray:
+    def ddx(self, field: np.ndarray, centered_only: bool = False) -> np.ndarray:
         """Centered d/dx with periodic longitude; one-sided at coastlines.
 
         With ``centered_only`` the one-sided coastal differences are dropped
@@ -100,12 +121,11 @@ class Stencil:
             np.copyto(d, _zonal(np.subtract, f, 0, -1),
                       where=self.m_west & ~self.m_east)
             used = self.m_east | self.m_west
-        d = _rowwise(np.divide, d, dx_row)
+        d = _into(np.divide, d, self.dx)
         np.copyto(d, 0.0, where=~(self.mask & used))
         return d
 
-    def ddy(self, field: np.ndarray, dy_row: np.ndarray,
-            centered_only: bool = False) -> np.ndarray:
+    def ddy(self, field: np.ndarray, centered_only: bool = False) -> np.ndarray:
         """Centered d/dy with wall boundaries at the first/last rows and land."""
         d = np.empty(field.shape, field.dtype)
         d[..., 0, :] = d[..., -1, :] = 0.0
@@ -120,12 +140,11 @@ class Stencil:
             np.copyto(d[..., 1:, :], step,
                       where=(self.m_south & ~self.m_north)[..., 1:, :])
             used = self.m_north | self.m_south
-        d = _rowwise(np.divide, d, dy_row)
+        d = _into(np.divide, d, self.dy)
         np.copyto(d, 0.0, where=~(self.mask & used))
         return d
 
-    def laplacian(self, field: np.ndarray, dx_row: np.ndarray,
-                  dy_row: np.ndarray) -> np.ndarray:
+    def laplacian(self, field: np.ndarray) -> np.ndarray:
         """Masked 5-point Laplacian; land neighbours contribute no flux."""
         f = np.ascontiguousarray(field)
         # x direction (periodic).  west - f is taken as such: -(f - west)
@@ -136,7 +155,7 @@ class Stencil:
         np.copyto(flux, 0.0, where=~self.m_west)
         out += flux
         # 0.0 + fx/dx^2: the sum starts from +0.0, which a -0.0 term needs.
-        np.add(_rowwise(np.divide, out, dx_row ** 2), 0.0, out=out)
+        np.add(_into(np.divide, out, self.dx2), 0.0, out=out)
         # y direction (walls)
         flux = np.empty_like(f)
         np.subtract(f[..., 1:, :], f[..., :-1, :], out=flux[..., :-1, :])
@@ -145,23 +164,22 @@ class Stencil:
         np.subtract(f[..., :-1, :], f[..., 1:, :], out=south[..., 1:, :])
         np.copyto(south, 0.0, where=~self.m_south)
         flux += south
-        out += _rowwise(np.divide, flux, dy_row ** 2)
+        out += _into(np.divide, flux, self.dy2)
         np.copyto(out, 0.0, where=~self.mask)
         return out
 
-    def biharmonic(self, field: np.ndarray, dx_row: np.ndarray,
-                   dy_row: np.ndarray) -> np.ndarray:
+    def biharmonic(self, field: np.ndarray) -> np.ndarray:
         """del^4 as Laplacian applied twice (the paper's A-grid mode control)."""
-        return self.laplacian(self.laplacian(field, dx_row, dy_row),
-                              dx_row, dy_row)
+        return self.laplacian(self.laplacian(field))
 
-    def advect_centered(self, field: np.ndarray, u: np.ndarray, v: np.ndarray,
-                        dx_row: np.ndarray, dy_row: np.ndarray) -> np.ndarray:
+    def advect_centered(self, field: np.ndarray, u: np.ndarray,
+                        v: np.ndarray) -> np.ndarray:
         """-(u df/dx + v df/dy), centered differences (MOM-style interior scheme)."""
-        return -(u * self.ddx(field, dx_row) + v * self.ddy(field, dy_row))
+        adv = _into(np.multiply, self.ddx(field), u)
+        adv = _into(np.add, adv, _into(np.multiply, self.ddy(field), v))
+        return np.negative(adv, out=adv)
 
-    def flux_divergence(self, h_u: np.ndarray, h_v: np.ndarray,
-                        dx_row: np.ndarray, dy_row: np.ndarray) -> np.ndarray:
+    def flux_divergence(self, h_u: np.ndarray, h_v: np.ndarray) -> np.ndarray:
         """div(H u) in conservative (flux) form for the free-surface equation.
 
         Fluxes are evaluated at cell edges by averaging the two adjacent
@@ -169,56 +187,57 @@ class Stencil:
         integral of the divergence is exactly zero — the property the free
         surface (and the paper's closed hydrological cycle) needs.
         """
-        area = dx_row * dy_row
         # x fluxes at east edges, integrated over the edge length dy (constant
         # along a row, so it factors out of the telescoping sum).
         fe = _zonal(np.add, np.ascontiguousarray(h_u), 0, 1)
         fe *= 0.5
         np.copyto(fe, 0.0, where=~self.open_e)
-        fe = _rowwise(np.multiply, fe, dy_row)
-        div = _rowwise(np.divide, _zonal(np.subtract, fe, 0, -1), area)
+        fe = _into(np.multiply, fe, self.dy)
+        div = _into(np.divide, _zonal(np.subtract, fe, 0, -1), self.area)
         # y fluxes at north edges, integrated over the edge length dx_edge
         # (average of the adjacent rows' dx) so the column sum telescopes exactly.
         fn = h_v[..., :-1, :] + h_v[..., 1:, :]
         fn *= 0.5
         np.copyto(fn, 0.0, where=~self.open_n)
-        fn = _rowwise(np.multiply, fn, 0.5 * (dx_row[:-1] + dx_row[1:]))
+        fn = _into(np.multiply, fn, self.dx_edge)
         fy = np.empty(h_v.shape, h_v.dtype)
         fy[..., 0, :] = fn[..., 0, :]
         np.subtract(fn[..., 1:, :], fn[..., :-1, :], out=fy[..., 1:-1, :])
         np.negative(fn[..., -1, :], out=fy[..., -1, :])
-        div += _rowwise(np.divide, fy, area)
+        div += _into(np.divide, fy, self.area)
         np.copyto(div, 0.0, where=~self.mask)
         return div
 
 
 # One-off callers (the rank-decomposed stencils of repro.parallel, tests)
-# pay for a throw-away stencil; anything that steps owns one.
+# pay for a throw-away stencil; anything that steps owns one.  A one-axis
+# derivative is handed one metric row, which fills both axes' planes: it
+# reads only its own.
 def ddx(field: np.ndarray, dx_row: np.ndarray, mask: np.ndarray,
         centered_only: bool = False) -> np.ndarray:
     """:meth:`Stencil.ddx` on a throw-away stencil of ``mask``."""
-    return Stencil.of(mask).ddx(field, dx_row, centered_only)
+    return Stencil.of(mask, dx_row, dx_row).ddx(field, centered_only)
 
 
 def ddy(field: np.ndarray, dy_row: np.ndarray, mask: np.ndarray,
         centered_only: bool = False) -> np.ndarray:
     """:meth:`Stencil.ddy` on a throw-away stencil of ``mask``."""
-    return Stencil.of(mask).ddy(field, dy_row, centered_only)
+    return Stencil.of(mask, dy_row, dy_row).ddy(field, centered_only)
 
 
 def laplacian(field: np.ndarray, dx_row: np.ndarray, dy_row: np.ndarray,
               mask: np.ndarray) -> np.ndarray:
     """:meth:`Stencil.laplacian` on a throw-away stencil of ``mask``."""
-    return Stencil.of(mask).laplacian(field, dx_row, dy_row)
+    return Stencil.of(mask, dx_row, dy_row).laplacian(field)
 
 
 def biharmonic(field: np.ndarray, dx_row: np.ndarray, dy_row: np.ndarray,
                mask: np.ndarray) -> np.ndarray:
     """:meth:`Stencil.biharmonic` on a throw-away stencil of ``mask``."""
-    return Stencil.of(mask).biharmonic(field, dx_row, dy_row)
+    return Stencil.of(mask, dx_row, dy_row).biharmonic(field)
 
 
 def flux_divergence(h_u: np.ndarray, h_v: np.ndarray, dx_row: np.ndarray,
                     dy_row: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """:meth:`Stencil.flux_divergence` on a throw-away stencil of ``mask``."""
-    return Stencil.of(mask).flux_divergence(h_u, h_v, dx_row, dy_row)
+    return Stencil.of(mask, dx_row, dy_row).flux_divergence(h_u, h_v)

@@ -61,9 +61,5 @@ class SlabOceanModel(OceanModel):
         s.salt[0] = np.where(self.mask2d,
                              s.salt[0] + salt_in * dt / self._h_eff, 0.0)
         s.time = state.time + dt
-        self.op_count += self._ops_per_step()
+        self.op_count += 10 * self._n2      # a few 2-D passes over the surface
         return s
-
-    def _ops_per_step(self) -> int:
-        """Slab cost: a few 2-D passes over the surface layer."""
-        return 10 * self._n2

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.ocean import (
+    OceanForcing,
     OceanGrid,
+    OceanModel,
     PPMixingParams,
     apply_polar_filter,
     convective_adjustment,
@@ -14,6 +16,7 @@ from repro.ocean import (
     polar_filter_factors,
     pp_viscosity,
     richardson_number,
+    world_topography,
 )
 from repro.ocean.eos import density_anomaly
 from repro.ocean.filters import PolarFilter, masked_zonal_smooth
@@ -397,7 +400,7 @@ def test_ddx_ddy_match_shift_per_call_oracle(masked, centered_only):
     for (mask, view), kind in itertools.product(_operator_masks(mask, view),
                                                 FIELD_KINDS):
         (f,) = fields(1, kind)
-        stencil = Stencil.of(mask)
+        stencil = Stencil.of(mask, g.dx, g.dy)
         for op, method, d_row, axis in ((ddx, Stencil.ddx, g.dx, -1),
                                         (ddy, Stencil.ddy, g.dy, -2)):
             want = _ref_diff(f, d_row, view, centered_only, axis)
@@ -406,7 +409,7 @@ def test_ddx_ddy_match_shift_per_call_oracle(masked, centered_only):
                 _assert_bitwise(op(a, d_row, view, centered_only), want)
                 for k in range(L):        # the model's use: one level a time
                     _assert_bitwise(
-                        method(stencil[k], a[k], d_row, centered_only), want[k])
+                        method(stencil[k], a[k], centered_only), want[k])
 
 
 def test_laplacian_flux_divergence_match_shift_per_call_oracle(masked):
@@ -414,7 +417,7 @@ def test_laplacian_flux_divergence_match_shift_per_call_oracle(masked):
     for (mask, view), kind in itertools.product(_operator_masks(mask, view),
                                                 FIELD_KINDS):
         f, hv = fields(2, kind)
-        stencil = Stencil.of(mask)
+        stencil = Stencil.of(mask, g.dx, g.dy)
         lap = _ref_laplacian(f, g.dx, g.dy, view)
         div = _ref_flux_divergence(f, hv, g.dx, g.dy, view)
         assert lap.dtype == div.dtype == g.policy.float_dtype
@@ -424,9 +427,9 @@ def test_laplacian_flux_divergence_match_shift_per_call_oracle(masked):
                             _ref_laplacian(lap, g.dx, g.dy, view))
             _assert_bitwise(flux_divergence(a, b, g.dx, g.dy, view), div)
             for k in range(L):
-                _assert_bitwise(stencil[k].laplacian(a[k], g.dx, g.dy), lap[k])
+                _assert_bitwise(stencil[k].laplacian(a[k]), lap[k])
                 _assert_bitwise(
-                    stencil[k].flux_divergence(a[k], b[k], g.dx, g.dy), div[k])
+                    stencil[k].flux_divergence(a[k], b[k]), div[k])
 
 
 def test_stencils_of_two_masks_in_one_buffer_differ():
@@ -440,7 +443,8 @@ def test_stencils_of_two_masks_in_one_buffer_differ():
     got = []
     for m in (mask_a, mask_b):
         buf[...] = m
-        got.append((laplacian(f, g.dx, g.dy, buf), Stencil.of(buf).ddx(f, g.dx)))
+        got.append((laplacian(f, g.dx, g.dy, buf),
+                    Stencil.of(buf, g.dx, g.dy).ddx(f)))
         _assert_bitwise(got[-1][0], _ref_laplacian(f, g.dx, g.dy, m))
         _assert_bitwise(got[-1][1], _ref_diff(f, g.dx, m, False, -1))
     assert not np.array_equal(got[0][0], got[1][0])
@@ -455,7 +459,9 @@ def test_polar_filter_matches_per_row_oracle(masked):
     assert want.dtype == g.policy.float_dtype and not np.array_equal(want, f)
     plan = PolarFilter(g.lats, mask, crit)            # the model's (L, ny, nx) plan
     assert len(plan.smooth_groups) >= 2               # the oracle saw >1 pass count
-    _assert_bitwise(plan(f), want)
+    work = f.copy()
+    assert plan(work) is work                         # in place, as the step uses it
+    _assert_bitwise(work, want)
     _assert_bitwise(apply_polar_filter(f, g.lats, view, crit), want)
     # 2-D mask (eta, ubar, vbar): open rows take the FFT branch; the level
     # axis of ``f`` now plays the member axis.
@@ -463,6 +469,35 @@ def test_polar_filter_matches_per_row_oracle(masked):
     assert len(PolarFilter(g.lats, mask[0], crit).fft_rows) >= 2
     _assert_bitwise(apply_polar_filter(f, g.lats, mask[0], crit), want2d)
     _assert_bitwise(apply_polar_filter(f[0], g.lats, mask[0], crit), want2d[0])
+
+
+def test_step_filters_with_the_whole_mask_plan():
+    """The step's write-back filters with the plan of the whole 3-D mask.
+    Where the bottom level is all dry, as in the paper world, that plan
+    sends no row to the FFT, while one cut from the wet box (which leaves
+    the dry level out) would send the box's fully open polar rows there
+    instead of to the smoother: a different filter, not a cheaper one."""
+    g = OceanGrid(nx=32, ny=32, nlev=16)
+    model = OceanModel(g, *world_topography(g))
+    crit = model.params.polar_filter_lat
+    assert not model.mask3d[-1].any()
+    rows = model.box.rows[-2]
+    cut = PolarFilter(g.lats[rows], model.box.mask3d, crit)
+    assert set(cut.fft_rows + rows.start) - set(model.filter3d.fft_rows)
+    plan, seen = model.filter3d, []
+
+    def recorded(field):
+        seen.append(field.copy())
+        return plan(field)
+    model.filter3d = recorded
+    taux = (0.1 * np.sin(2 * g.lats[:, None]) * model.mask2d).astype(
+        g.policy.float_dtype)
+    forcing = OceanForcing(taux, *(np.zeros_like(taux) for _ in range(3)))
+    out = model.step(model.initial_state(), forcing)
+    assert len(seen) == 4 and np.abs(out.u).max() > 0.0
+    for before, after in zip(seen, (out.u, out.v, out.temp, out.salt)):
+        _assert_bitwise(after, _ref_polar_filter(before, g.lats,
+                                                 model.mask3d, crit))
 
 
 def test_convective_adjustment_matches_recompute_everything_oracle(masked):
@@ -475,6 +510,58 @@ def test_convective_adjustment_matches_recompute_everything_oracle(masked):
     for a, b in zip(got, want):
         assert b.dtype == g.policy.float_dtype
         _assert_bitwise(a, b)
+
+
+def _adjustment_case(case, fields):
+    """(temp, salt, passes) of a named convective-adjustment case."""
+    noise_t, noise_s, pick = fields(3)
+    lev = np.arange(L).reshape((L,) + (1,) * (noise_t.ndim - 1))
+    salt = 35.0 + 0.01 * noise_s
+    if case == "deep":                        # warmer with depth all the way
+        return ((2.0 + 4.0 * lev + noise_t).astype(noise_t.dtype), salt, 12)
+    # Stable (colder with depth by 4 K a level; noise of 0.1 K never flips
+    # a pair) ...
+    temp = 20.0 - 4.0 * lev + 0.1 * noise_t
+    if case != "stable":
+        # ... but for ~1 % of the pairs, whose lower cell is made warmer.
+        flip = pick[:-1] > 2.33
+        temp[1:] = np.where(flip, temp[:-1] + 2.0, temp[1:])
+    temp = temp.astype(noise_t.dtype)
+    if case == "strided":                     # as the stacked solve returns them
+        stacked = np.stack([temp, salt], axis=1)
+        temp, salt = stacked[:, 0], stacked[:, 1]
+        assert not temp.flags.c_contiguous
+    return temp, salt, 3
+
+
+@pytest.mark.parametrize("case", ["sparse", "stable", "deep", "strided"])
+def test_convective_adjustment_on_unstable_cells_only(masked, case):
+    """The adjustment touches only a pair's unstable cells: the same bytes
+    as mixing whole levels, for a percent of unstable pairs, none, a whole
+    column of them, and the strided fields the stacked mixing solve hands
+    over."""
+    g, mask, view, fields = masked
+    temp, salt, passes = _adjustment_case(case, fields)
+    before = temp.copy(), salt.copy()
+    rho = density_anomaly(temp, salt, 0.0)
+    unstable = (rho[:-1] > rho[1:] + 1e-12) & view[:-1] & view[1:]
+    share = unstable.sum() / np.broadcast_to(view[:-1] & view[1:],
+                                             unstable.shape).sum()
+    assert {"stable": share == 0.0, "deep": share > 0.9}.get(
+        case, 0.002 < share < 0.03)
+    want = _ref_convective_adjustment(temp, salt, g.dz, passes, view)
+    got = convective_adjustment(temp, salt, g.z_full, g.dz, passes=passes,
+                                mask=view)
+    for a, b in zip(got, want):
+        assert b.dtype == g.policy.float_dtype
+        _assert_bitwise(a, b)
+    for x, x0 in zip((temp, salt), before):
+        _assert_bitwise(x, x0)                # the inputs are not written
+    if case == "stable":
+        for a, x0 in zip(got, before):
+            _assert_bitwise(a, x0)
+    else:
+        assert not np.array_equal(got[0], before[0])
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

@@ -196,6 +196,19 @@ def test_op_count_increases(world):
     assert world.op_count > c0
 
 
+def test_op_count_counts_the_barotropic_substeps_taken(aqua):
+    """The step runs one barotropic subcycle over the whole long step, not
+    one per internal step: on this grid 4 substeps, not 6 x 1."""
+    p = aqua.params
+    n = aqua.baro.n_substeps(p.dt_long)
+    assert n != p.n_internal * aqua.baro.n_substeps(p.dt_long / p.n_internal)
+    n3, n2 = int(aqua.mask3d.sum()), int(aqua.mask2d.sum())
+    c0 = aqua.op_count
+    aqua.step(aqua.initial_state(), wind(aqua))
+    assert aqua.op_count - c0 == (250 * n3 + p.n_internal * 60 * n3
+                                  + n * 30 * n2)
+
+
 # ------------------------------------------------------------- baseline
 def test_conventional_baseline_needs_many_more_steps():
     """The ablation core: FOAM's techniques cut ops/simulated-time ~10x."""
@@ -368,6 +381,34 @@ def test_conventional_baseline_on_wet_box_equals_whole_grid():
     assert boxed.box.index != whole.box.index and boxed.steps_per_long() > 5
     state, forcing = boxed.initial_state(), _forcing(boxed)
     _assert_states_bitwise(boxed.step(state, forcing), whole.step(state, forcing))
+
+
+@pytest.mark.parametrize("nens", [0, 3], ids=["serial", "members"])
+@pytest.mark.parametrize("cls", [OceanModel, ConventionalOceanModel])
+def test_write_back_dry_cells_are_positive_zero(cls, nens):
+    """The write-back masks nothing after the polar filter: every dry cell
+    of u, v, T and S the step hands the filter must already be +0.0 (sign
+    bit clear), even from a state whose dry cells are all -0.0."""
+    g = OceanGrid(nx=32, ny=32, nlev=8)
+    model = cls(g, *world_topography(g))
+    state, forcing = model.initial_state(), _forcing(model)
+    if nens:
+        state, forcing = _members(state, forcing, nens)
+    dry = np.broadcast_to(~ocean_model._lift(model.mask3d, state.u),
+                          state.u.shape)
+    for name in ("u", "v", "temp", "salt"):
+        np.copyto(getattr(state, name), -0.0, where=dry)
+    plan, seen = model.filter3d, []
+
+    def recorded(field):
+        seen.append(field.copy())
+        return plan(field)
+    model.filter3d = recorded
+    out = model.step(state, forcing)
+    inner_steps = 1 if cls is OceanModel else model.steps_per_long()
+    assert len(seen) == 4 * inner_steps
+    for f3 in seen + [out.u, out.v, out.temp, out.salt]:
+        assert np.all(f3[dry] == 0.0) and not np.signbit(f3[dry]).any()
 
 
 @pytest.mark.parametrize("nens", [0, 3], ids=["serial", "members"])

@@ -398,11 +398,7 @@ def test_no_trajectory_on_model_objects_census():
             "direction", "dest_j", "dest_i"},
         "SeaIceModel": set(),
         "LandModel": set(),
-        "OceanModel": {
-            # Coriolis rotation tables, rebuilt when the step length
-            # (_rot_dt, their key) changes.
-            "_rot_dt", "_cosf", "_sinf",
-            "op_count"},                            # counter
+        "OceanModel": {"op_count"},                 # counter
         "SlabOceanModel": {"op_count"},             # counter
         "BarotropicSolver": set(),
         "SpectralDynamicalCore": {
