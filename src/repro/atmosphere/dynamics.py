@@ -53,20 +53,15 @@ class AtmosphereState:
 
 @dataclass
 class GridDiagnostics:
-    """Grid-space fields diagnosed from a spectral state (one synthesis pass)."""
+    """The grid fields the column physics and the coupler read (one
+    synthesis pass); the dynamics builds its own in ``_dynamics_grid``."""
 
     u: np.ndarray           # (L, nlat, nlon) zonal wind
     v: np.ndarray           # meridional wind
     temp: np.ndarray        # full temperature T = T_ref + T'
-    vort: np.ndarray        # relative vorticity
-    div: np.ndarray         # divergence
-    lnps: np.ndarray        # (nlat, nlon) ln(ps/P0)
-    ps: np.ndarray          # surface pressure, Pa
+    ps: np.ndarray          # (nlat, nlon) surface pressure, Pa
     pressure: np.ndarray    # (L, nlat, nlon) full-level pressure
     geopotential: np.ndarray  # (L, nlat, nlon), above the surface
-    omega_over_p: np.ndarray
-    grad_lnps: tuple[np.ndarray, np.ndarray]  # (nlat, nlon) d(lnps)/dx, /dy
-    vgradp: np.ndarray      # (L, nlat, nlon) v . grad(lnps)
 
 
 def robert_filter(prev: np.ndarray, curr: np.ndarray, new: np.ndarray,
@@ -201,7 +196,7 @@ class SpectralDynamicalCore:
     # diagnostics
     # ------------------------------------------------------------------
     def diagnose(self, state: AtmosphereState) -> GridDiagnostics:
-        """Synthesize all grid fields the physics and coupler need.
+        """Synthesize the grid fields the physics and coupler read.
 
         Accepts serial states ((L, nm, nk) spectral fields) and ensemble
         states with a member axis after the level axis ((L, E, nm, nk));
@@ -214,19 +209,25 @@ class SpectralDynamicalCore:
         # per-call-fresh inverse-FFT outputs, so they escape into
         # GridDiagnostics safely.
         u, v = self.tr.uv_from_vortdiv(state.vort, state.div)
-        tg, zg, dg = self.tr.synthesize_many(state.temp, state.vort, state.div)
-        tg = tg + self.vg.t_ref
-        lnps = self.tr.synthesize(state.lnps)
-        ps = P0 * np.exp(lnps)
+        tg = self.tr.synthesize(state.temp) + self.vg.t_ref
+        ps = P0 * np.exp(self.tr.synthesize(state.lnps))
         pressure = self.vg.sigma.reshape((-1,) + (1,) * ps.ndim) * ps[None]
         phi = self.vg.geopotential(tg).astype(fdt, copy=False)
+        return GridDiagnostics(u=u, v=v, temp=tg, ps=ps, pressure=pressure,
+                               geopotential=phi)
+
+    def _dynamics_grid(self, state: AtmosphereState) -> tuple:
+        """The grid fields the nonlinear terms read: ``(u, v, T, zeta, D,
+        (d/dx, d/dy) ln ps, v . grad ln ps, omega/p)``, in ``diagnose``'s
+        layout and by its expressions."""
+        fdt = self.tr.policy.float_dtype
+        u, v = self.tr.uv_from_vortdiv(state.vort, state.div)
+        tg, zg, dg = self.tr.synthesize_many(state.temp, state.vort, state.div)
+        tg = tg + self.vg.t_ref
         px, py = self.tr.gradient(state.lnps)
         vgradp = u * px[None] + v * py[None]
         wop = self.vg.omega_over_p(dg, vgradp).astype(fdt, copy=False)
-        return GridDiagnostics(u=u, v=v, temp=tg, vort=zg, div=dg, lnps=lnps,
-                               ps=ps, pressure=pressure, geopotential=phi,
-                               omega_over_p=wop, grad_lnps=(px, py),
-                               vgradp=vgradp)
+        return u, v, tg, zg, dg, (px, py), vgradp, wop
 
     # ------------------------------------------------------------------
     # tendency evaluation (the transform-method nonlinear terms)
@@ -234,44 +235,44 @@ class SpectralDynamicalCore:
     def _nonlinear_tendencies(self, state: AtmosphereState):
         """Explicit (nonlinear) spectral tendencies N_zeta, N_D, N_T, N_pi.
 
-        Returns also the grid diagnostics so the caller can reuse them.
+        Returns also the grid winds, which the moisture transport reuses.
         """
         tr, vg = self.tr, self.vg
         with profile_section("atmosphere.rediagnose"):
-            d = self.diagnose(state)
-        tprime = d.temp - vg.t_ref
-        (px, py), vgradp = d.grad_lnps, d.vgradp
+            u, v, temp, vort, div, (px, py), vgradp, wop = \
+                self._dynamics_grid(state)
+        tprime = temp - vg.t_ref
 
         # Continuity: nonlinear part only (the -dsig.D part goes implicit).
         dsig = vg.dsigma.reshape((-1,) + (1,) * (vgradp.ndim - 1))
         npi_grid = -np.sum(dsig * vgradp, axis=0)
         n_pi = tr.analyze(npi_grid)
 
-        sigdot = vg.sigma_dot(d.div, vgradp)
-        du_dsig = vg.vertical_advection(sigdot, d.u)
-        dv_dsig = vg.vertical_advection(sigdot, d.v)
-        dt_dsig = vg.vertical_advection(sigdot, d.temp)
+        sigdot = vg.sigma_dot(div, vgradp)
+        du_dsig = vg.vertical_advection(sigdot, u)
+        dv_dsig = vg.vertical_advection(sigdot, v)
+        dt_dsig = vg.vertical_advection(sigdot, temp)
 
-        absvort = d.vort + self.f_grid[None]
-        fu = absvort * d.v - du_dsig - RD * tprime * px[None]
-        fv = -absvort * d.u - dv_dsig - RD * tprime * py[None]
+        absvort = vort + self.f_grid[None]
+        fu = absvort * v - du_dsig - RD * tprime * px[None]
+        fv = -absvort * u - dv_dsig - RD * tprime * py[None]
 
         ws = get_workspace()
         # Thermodynamic: advective form + full energy conversion, minus the
         # linear part that the implicit tau matrix will handle.
         # Linearized omega/p keeps only the divergence part:
-        wop_lin = vg.omega_over_p(d.div, ws.zeros_like("dyn.wop_zero", vgradp))
-        heating = KAPPA * d.temp * d.omega_over_p - KAPPA * vg.t_ref * wop_lin
+        wop_lin = vg.omega_over_p(div, ws.zeros_like("dyn.wop_zero", vgradp))
+        heating = KAPPA * temp * wop - KAPPA * vg.t_ref * wop_lin
 
         # Whole-(level[, member]) stacks: one transform call per term,
         # bitwise identical per slice to a per-level loop.
         n_vort, dt_all = tr.vortdiv_from_uv(fu, fv)
-        energy = 0.5 * (d.u ** 2 + d.v ** 2)
+        energy = 0.5 * (u ** 2 + v ** 2)
         n_div = dt_all - tr.laplacian(tr.analyze(energy))
         tx, ty = tr.gradient(state.temp)
-        adv_t = -(d.u * tx + d.v * ty)
+        adv_t = -(u * tx + v * ty)
         n_temp = tr.analyze(adv_t - dt_dsig + heating)
-        return n_vort, n_div, n_temp, n_pi, d
+        return n_vort, n_div, n_temp, n_pi, (u, v)
 
     # ------------------------------------------------------------------
     # time stepping
@@ -285,7 +286,8 @@ class SpectralDynamicalCore:
         """
         dt = self.dt
         with profile_section("atmosphere.nonlinear"):
-            n_vort, n_div, n_temp, n_pi, diag = self._nonlinear_tendencies(curr)
+            n_vort, n_div, n_temp, n_pi, (u, v) = \
+                self._nonlinear_tendencies(curr)
 
         new_vort = prev.vort + 2.0 * dt * n_vort
 
@@ -320,7 +322,7 @@ class SpectralDynamicalCore:
 
         # Semi-Lagrangian moisture transport on the grid.
         with profile_section("atmosphere.semilag"):
-            new_q = advect_semilagrangian(self.tr, diag.u, diag.v, prev.q, 2.0 * dt)
+            new_q = advect_semilagrangian(self.tr, u, v, prev.q, 2.0 * dt)
 
         new = AtmosphereState(new_vort, new_div, new_temp, new_lnps, new_q,
                               time=curr.time + dt)

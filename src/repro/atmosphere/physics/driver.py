@@ -45,13 +45,18 @@ from repro.util.constants import GRAVITY, SECONDS_PER_DAY
 
 @dataclass
 class SurfaceState:
-    """What the physics needs to know about the lower boundary."""
+    """What the physics needs to know about the lower boundary.
+
+    A coupled surface carries ``t_sfc`` and ``albedo`` only: the coupler
+    owns the turbulent fluxes.  The last three fields feed the driver's own
+    bulk formulas (``external_fluxes=None``) and nothing else.
+    """
 
     t_sfc: np.ndarray           # surface (skin / SST) temperature, K
     albedo: np.ndarray          # broadband surface albedo
-    wetness: np.ndarray         # D_w latent-heat availability factor
-    z0: np.ndarray              # roughness length (m); ocean overridden internally
-    ocean_mask: np.ndarray      # bool: True where the CCM3 ocean formulas apply
+    wetness: np.ndarray | None = None   # D_w latent-heat availability factor
+    z0: np.ndarray | None = None        # roughness length (m); ocean overridden internally
+    ocean_mask: np.ndarray | None = None  # bool: where the CCM3 ocean formulas apply
 
 
 @dataclass
@@ -152,6 +157,13 @@ class PhysicsSuite:
         with profile_section("atmosphere.surface_fluxes"):
             if external_fluxes is None:
                 from repro.atmosphere.physics.surface_flux import bulk_fluxes, ocean_fluxes
+                missing = [name for name in ("wetness", "z0", "ocean_mask")
+                           if getattr(surface, name) is None]
+                if missing:
+                    raise ValueError(
+                        f"bulk surface fluxes need SurfaceState {missing}; "
+                        f"a coupled surface carries only t_sfc and albedo, "
+                        f"so pass the coupler's external_fluxes")
                 land = bulk_fluxes(temp[-1], q[-1], u[-1], v[-1], ps,
                                    surface.t_sfc, surface.z0, surface.wetness)
                 ocean = ocean_fluxes(temp[-1], q[-1], u[-1], v[-1], ps, surface.t_sfc)

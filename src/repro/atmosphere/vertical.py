@@ -41,6 +41,17 @@ def default_sigma_levels(nlev: int) -> np.ndarray:
     return half
 
 
+def _level_scan(x: np.ndarray) -> np.ndarray:
+    """``np.cumsum(x, axis=0)`` as one whole-level add per level: the same
+    adds in the same order, so the same bits, without cumsum's strided walk
+    down every column.  The result keeps ``x``'s dtype."""
+    out = np.empty_like(x)
+    out[0] = x[0]
+    for k in range(1, x.shape[0]):
+        np.add(out[k - 1], x[k], out=out[k])
+    return out
+
+
 @dataclass
 class VerticalGrid:
     """Sigma-coordinate vertical grid and semi-implicit coupling matrices."""
@@ -157,7 +168,7 @@ class VerticalGrid:
         """
         c = div + vgradp
         wc = self.dsigma.reshape((-1,) + (1,) * (c.ndim - 1)) * c
-        below = np.cumsum(wc, axis=0) - wc  # sum over k < l
+        below = _level_scan(wc) - wc  # sum over k < l
         half_self = 0.5 * wc
         sig = self.sigma.reshape((-1,) + (1,) * (c.ndim - 1))
         return vgradp - (below + half_self) / sig
@@ -171,7 +182,7 @@ class VerticalGrid:
         c = div + vgradp
         wc = self.dsigma.reshape((-1,) + (1,) * (c.ndim - 1)) * c
         total = np.sum(wc, axis=0)
-        partial = np.cumsum(wc, axis=0)[:-1]  # k <= l for l = 0..L-2
+        partial = _level_scan(wc[:-1])  # k <= l for l = 0..L-2
         sh = self.sigma_half[1:-1].reshape((-1,) + (1,) * (c.ndim - 1))
         return sh * total - partial
 

@@ -66,9 +66,12 @@ class HistoryWriter:
         # Resume-friendly numbering: never overwrite a previous leg's files
         # when a resumed run streams into the same directory — numbering
         # continues after the highest file there, whatever gaps lie below.
+        # Numbers of any width count: ``{index:04d}`` has five digits from
+        # 10000 on.
+        numbers = (p.stem[len(self.prefix) + 1:] for p in
+                   self.directory.glob(f"{self.prefix}_*.npz"))
         self._next_file_index = 1 + max(
-            (int(p.stem.rpartition("_")[2]) for p in self.directory.glob(
-                f"{self.prefix}_[0-9][0-9][0-9][0-9].npz")), default=-1)
+            (int(n) for n in numbers if n.isdigit()), default=-1)
         self.bytes_written = 0
         self.snapshots_recorded = 0
 
@@ -147,6 +150,12 @@ def load_history(paths) -> dict[str, np.ndarray]:
     identically however the paths were globbed.  Every file must carry
     the same field set; a mismatch raises instead of returning a dict
     whose arrays silently cover different time ranges.
+
+    Each time is returned once.  A run killed after some flushes and
+    resumed from an older checkpoint records the steps in between again,
+    into new files; a resume is bitwise, so those repeats carry the bytes
+    already on disk and one copy is kept.  Repeats whose bytes differ are
+    two runs mixed in one directory and raise.
     """
     paths = [Path(p) for p in
              (paths if isinstance(paths, (list, tuple)) else [paths])]
@@ -167,8 +176,21 @@ def load_history(paths) -> dict[str, np.ndarray]:
             chunk["time"]) else 0.0
         chunks.append((first, chunk))
     chunks.sort(key=lambda item: item[0])
-    return {name: np.concatenate([chunk[name] for _, chunk in chunks])
+    data = {name: np.concatenate([chunk[name] for _, chunk in chunks])
             for name in sorted(fields)}
+    if "time" not in data:
+        return data
+    times, first, which, counts = np.unique(
+        data["time"], return_index=True, return_inverse=True,
+        return_counts=True)
+    if len(times) == len(data["time"]):
+        return data
+    for name, arr in data.items():
+        if arr.tobytes() != arr[first][which].tobytes():
+            raise ValueError(
+                f"history files disagree on {name!r} at repeated times "
+                f"{times[counts > 1].tolist()}: chunks of two different runs")
+    return {name: arr[first] for name, arr in data.items()}
 
 
 def _write_npz_atomically(path: Path, payload: dict) -> None:

@@ -142,44 +142,37 @@ class FluxCoupler:
             river_volume=np.zeros((self.atm_nlat, self.atm_nlon)))
 
     # ------------------------------------------------------------------
-    def surface_state_for_atm(self, state: CouplerState,
-                              sst_celsius: np.ndarray) -> SurfaceState:
-        """Blend ocean/ice/land surface properties onto the atmosphere grid.
+    def surface_temperature(self, state: CouplerState,
+                            sst_celsius: np.ndarray) -> np.ndarray:
+        """Surface skin temperature (K) on the atmosphere grid: ice skin or
+        SST over water cells, land skin over land, area-averaged.
 
         ``sst_celsius`` on the ocean grid (NaN over land is tolerated).
         """
         ov = self.overlap
         sst_k = np.nan_to_num(sst_celsius, nan=0.0) + 273.15
-        ice_mask_o = state.ice.mask
         # Ocean-grid skin: ice skin where icy, SST elsewhere.
-        skin_o = np.where(ice_mask_o, state.ice.surface_temp, sst_k)
+        skin_o = np.where(state.ice.mask, state.ice.surface_temp, sst_k)
         skin_ov = ov.from_ocn(skin_o, fill=0.0)
         land_skin = self.land_model.skin_temperature(state.land)
         skin_land_ov = ov.from_atm(land_skin)
-        water = self._water_overlap
-        t_sfc_ov = np.where(water, skin_ov, skin_land_ov)
-        t_sfc = ov.to_atm(t_sfc_ov)
+        t_sfc_ov = np.where(self._water_overlap, skin_ov, skin_land_ov)
+        return ov.to_atm(t_sfc_ov)
 
+    def surface_state_for_atm(self, state: CouplerState,
+                              sst_celsius: np.ndarray) -> SurfaceState:
+        """The surface coupled physics reads: skin temperature and albedo,
+        blended from ocean/ice/land onto the atmosphere grid (the coupler
+        supplies the turbulent fluxes itself)."""
+        ov = self.overlap
         # Albedo: ocean/ice over water cells, soil+snow over land.
         alb_land = self.land_model.albedo(state.hydrology.snow_depth)
-        alb_ocean_o = np.where(ice_mask_o, SEAICE_ALBEDO, OCEAN_ALBEDO)
-        alb_ov = np.where(water, ov.from_ocn(alb_ocean_o, fill=OCEAN_ALBEDO),
+        alb_ocean_o = np.where(state.ice.mask, SEAICE_ALBEDO, OCEAN_ALBEDO)
+        alb_ov = np.where(self._water_overlap,
+                          ov.from_ocn(alb_ocean_o, fill=OCEAN_ALBEDO),
                           ov.from_atm(alb_land))
-        albedo = ov.to_atm(alb_ov)
-
-        wet_land = wetness_factor(state.hydrology,
-                                  self.land_model.soil_type == 4)
-        wet_ov = np.where(water, 1.0, ov.from_atm(wet_land))
-        wetness = ov.to_atm(wet_ov)
-
-        z0_ocean_o = np.where(ice_mask_o, SEAICE_ROUGHNESS, 1e-4)
-        z0_ov = np.where(water, ov.from_ocn(z0_ocean_o, fill=1e-4),
-                         ov.from_atm(self.land_model.roughness))
-        z0 = ov.to_atm(z0_ov)
-
-        ocean_mask = np.broadcast_to(~self.atm_land_mask, t_sfc.shape)
-        return SurfaceState(t_sfc=t_sfc, albedo=albedo, wetness=wetness,
-                            z0=z0, ocean_mask=ocean_mask)
+        return SurfaceState(t_sfc=self.surface_temperature(state, sst_celsius),
+                            albedo=ov.to_atm(alb_ov))
 
     # ------------------------------------------------------------------
     def _exchange_plan(self, ice_mask: np.ndarray) -> tuple:

@@ -139,7 +139,6 @@ def _atm_worker(comm, pool, layout, model, state, nsteps, waits):
     lo, hi = block_bounds(cfg.atm_nlat, layout.n_atm, pool.rank)
     leader = pool.rank == 0
     cpl = layout.cpl_rank
-    ocean_mask = ~model.coupler.atm_land_mask
 
     for _ in range(nsteps):
         curr = state.atm_curr
@@ -150,9 +149,7 @@ def _atm_worker(comm, pool, layout, model, state, nsteps, waits):
                        "v_air": diag.v[-1], "ps": diag.ps},
                       cpl, TAG_ATM_STATE)
         sfc = _timed_recv(comm, cpl, TAG_SURFACE, waits, "surface")
-        surface = SurfaceState(t_sfc=sfc["t_sfc"], albedo=sfc["albedo"],
-                               wetness=sfc["wetness"], z0=sfc["z0"],
-                               ocean_mask=ocean_mask)
+        surface = SurfaceState(t_sfc=sfc["t_sfc"], albedo=sfc["albedo"])
         phys = model._physics_kernel(diag, curr.q, surface, sfc["fluxes"],
                                      state.radiation, time=state.time,
                                      rows=(lo, hi))
@@ -203,7 +200,6 @@ def _cpl_worker(comm, pool, layout, model, state, nsteps, waits):
             cpl_state, sst, t_air=st["t_air"], q_air=st["q_air"],
             u_air=st["u_air"], v_air=st["v_air"], ps=st["ps"])
         payload = {"t_sfc": surface.t_sfc, "albedo": surface.albedo,
-                   "wetness": surface.wetness, "z0": surface.z0,
                    "fluxes": turb["atm"]}
         for r in layout.atm_ranks:
             comm.send(payload, r, TAG_SURFACE)

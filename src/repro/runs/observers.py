@@ -61,8 +61,8 @@ class StepObserver:
 #: nx)`` files).
 HISTORY_FIELDS = {
     "sst": lambda model, state: np.nan_to_num(model.ocean.sst(state.ocean)),
-    "t_sfc": lambda model, state: model.coupler.surface_state_for_atm(
-        state.coupler, model.ocean.sst(state.ocean)).t_sfc,
+    "t_sfc": lambda model, state: model.coupler.surface_temperature(
+        state.coupler, model.ocean.sst(state.ocean)),
     "ice_thickness": lambda model, state: state.coupler.ice.thickness,
     "eta": lambda model, state: state.ocean.eta,
     "soil_moisture": lambda model, state: state.coupler.hydrology.soil_moisture,

@@ -62,7 +62,7 @@ def state_metrics(model: FoamModel, state: FoamState) -> dict:
     """
     w = _area_weights(model)
     sst = model.ocean.sst(state.ocean)
-    surface = model.coupler.surface_state_for_atm(state.coupler, sst)
+    t_sfc = model.coupler.surface_temperature(state.coupler, sst)
     oa = _ocean_areas(model)
     oa_total = oa.sum()
     diag = model.dycore.diagnose(state.atm_curr)
@@ -73,7 +73,7 @@ def state_metrics(model: FoamModel, state: FoamState) -> dict:
     dsig = model.dycore.vg.dsigma.reshape((-1,) + (1,) * diag.ps.ndim)
     wdp = dsig * diag.ps[None] * w
     return {
-        "ts_global_k": np.sum(surface.t_sfc * w, axis=hax),
+        "ts_global_k": np.sum(t_sfc * w, axis=hax),
         "t_atm_k": member_sum(diag.temp * wdp) / member_sum(wdp),
         "sst_ocean_c": np.sum(np.nan_to_num(sst) * oa, axis=hax) / oa_total,
         "ice_fraction": np.sum(np.where(state.coupler.ice.mask, oa, 0.0),

@@ -174,21 +174,35 @@ def _random_state(core, rng, members=None):
 
 @pytest.mark.parametrize("members", [None, 3])
 def test_diagnose_bitwise_matches_per_slice_oracle(small_core, members):
-    """The whole-stack transforms in ``diagnose`` equal the unfused
-    per-level (per-member) oracle calls to the epoch's tolerance (bitwise
-    until epoch 2 moved the Legendre sums to BLAS; batched == per-slice
-    stays bitwise, ``test_kernels.py::TestModeIndependence``)."""
+    """The whole-stack transforms of both grid passes — ``diagnose`` (u, v,
+    T) and the dynamics' own (zeta, D) — equal the unfused per-level
+    (per-member) oracle calls to the epoch's tolerance (bitwise until epoch
+    2 moved the Legendre sums to BLAS; batched == per-slice stays bitwise,
+    ``test_kernels.py::TestModeIndependence``)."""
     tr = small_core.tr
     st = _random_state(small_core, np.random.default_rng(21), members)
     d = small_core.diagnose(st)
+    _, _, _, zeta, div, *_ = small_core._dynamics_grid(st)
     for i in np.ndindex(st.vort.shape[:-2]):       # (l,) or (l, member)
         u, v = K.uv_from_vortdiv_ref(tr, st.vort[i], st.div[i])
         assert_matches_oracle(tr, d.u[i], u)
         assert_matches_oracle(tr, d.v[i], v)
         assert_matches_oracle(
             tr, d.temp[i], K.synthesize_ref(tr, st.temp[i]) + small_core.vg.t_ref)
-        assert_matches_oracle(tr, d.vort[i], K.synthesize_ref(tr, st.vort[i]))
-        assert_matches_oracle(tr, d.div[i], K.synthesize_ref(tr, st.div[i]))
+        assert_matches_oracle(tr, zeta[i], K.synthesize_ref(tr, st.vort[i]))
+        assert_matches_oracle(tr, div[i], K.synthesize_ref(tr, st.div[i]))
+
+
+def test_grid_passes_share_their_fields_bitwise(small_core):
+    """u, v and T come out of ``diagnose`` and the dynamics' grid pass with
+    the same bytes, serial and batched: the two passes differ only in
+    which other fields they build."""
+    for members in (None, 3):
+        st = _random_state(small_core, np.random.default_rng(23), members)
+        d = small_core.diagnose(st)
+        u, v, temp, *_ = small_core._dynamics_grid(st)
+        for got, want in ((d.u, u), (d.v, v), (d.temp, temp)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_apply_tendencies_bitwise_matches_per_level_oracle():

@@ -11,7 +11,7 @@ from repro.atmosphere.physics.surface_flux import (
 )
 from repro.atmosphere.spectral import gaussian_latitudes
 from repro.coupler import FluxCoupler
-from repro.coupler.coupler import FLUX_KEYS
+from repro.coupler.coupler import FLUX_KEYS, OCEAN_ALBEDO
 from repro.ocean import OceanGrid, world_topography
 from repro.util.constants import T_FREEZE_SEA
 from repro.util.tree import tree_leaves, tree_map
@@ -64,11 +64,14 @@ def test_surface_state_blends_sanely(setup):
     assert surf.t_sfc.shape == (16, 24)
     assert np.all(np.isfinite(surf.t_sfc))
     assert 200.0 < surf.t_sfc.min() and surf.t_sfc.max() < 320.0
-    # Albedo physically bounded; wetness 1 over pure-ocean columns.
+    # Albedo physically bounded, open ocean's over pure-ocean columns (the
+    # initial state is ice-free).
     assert np.all((surf.albedo > 0.0) & (surf.albedo < 0.95))
     pure_ocean = coupler.atm_ocean_frac > 0.999
     if pure_ocean.any():
-        np.testing.assert_allclose(surf.wetness[pure_ocean], 1.0)
+        np.testing.assert_allclose(surf.albedo[pure_ocean], OCEAN_ALBEDO)
+    # Coupled physics reads two fields; the bulk-flux ones stay unset.
+    assert surf.wetness is None and surf.z0 is None and surf.ocean_mask is None
 
 
 def test_turbulent_fluxes_shapes_and_signs(setup):
@@ -318,6 +321,27 @@ def test_member_batch_with_different_ice_masks(dtype):
     with pytest.raises(ValueError, match="member axes"):
         coupler.turbulent_fluxes(states[0], sst_celsius=inputs[0][1],
                                  **stack(*(f for f, _ in inputs)))
+
+
+def test_surface_temperature_is_the_coupled_surface_t_sfc():
+    """The skin temperature's one owner gives ``surface_state_for_atm``'s
+    ``t_sfc`` byte for byte, serial and for three members — and the batched
+    call gives each member its serial bytes."""
+    coupler, g, land = _coupler("float64")
+    states = [_state(coupler, g, land, ice, seed=e)
+              for e, ice in enumerate(("free", "polar", "snowball"))]
+    ssts = [_inputs(g, land, "float64", seed=e)[1] for e in range(3)]
+    batch = tree_map(lambda *a: np.stack(a, axis=-3), *states)
+    batch_sst = np.stack(ssts)
+    for state, sst in [(states[0], ssts[0]), (batch, batch_sst)]:
+        got = coupler.surface_temperature(state, sst)
+        want = coupler.surface_state_for_atm(state, sst).t_sfc
+        assert got.shape == want.shape and K.bitwise(got, want)
+    batched = coupler.surface_temperature(batch, batch_sst)
+    assert batched.shape == (3, 16, 24)
+    for e in range(3):
+        assert K.bitwise(batched[e],
+                         coupler.surface_temperature(states[e], ssts[e]))
 
 
 @pytest.mark.parametrize("lead", [(), (3,)])

@@ -76,8 +76,9 @@ def test_ocean_called_on_schedule(model):
 
 
 def test_transform_calls_per_coupled_step(monkeypatch):
-    """One coupled step makes 15 outermost transform calls and diagnoses
-    grad(ln ps) once per ``diagnose`` (twice per step: physics and dynamics).
+    """One coupled step makes 13 outermost transform calls and diagnoses
+    grad(ln ps) once: only the dynamics' grid pass reads it (physics'
+    ``diagnose`` builds neither it nor zeta and D).
 
     The methods are wrapped as instance attributes, the way the ledger
     (``benchmarks/e2e/workloads.py``) wraps them for
@@ -107,8 +108,8 @@ def test_transform_calls_per_coupled_step(monkeypatch):
                  "uv_from_vortdiv", "vortdiv_from_uv", "gradient"):
         wrap(name)
     model.coupled_step(state)
-    assert len(outermost) == 15, outermost
-    assert gradient_ndims.count(2) == 2, gradient_ndims
+    assert len(outermost) == 13, outermost
+    assert gradient_ndims.count(2) == 1, gradient_ndims
 
 
 def test_sst_feels_the_atmosphere(model):

@@ -8,7 +8,12 @@ property over dtypes, shapes, and the batched member axis.
 """
 
 import dataclasses
+import os
+import signal
+import subprocess
+import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +124,25 @@ class TestHistoryWriter:
         data = load_history(sorted(tmp_path.glob("history_*.npz")))
         assert np.array_equal(data["time"], [0.0, 2.0, 10.0])
 
+    def test_numbering_continues_past_file_9999(self, tmp_path):
+        # ``{index:04d}`` has five digits from 10000 on: a resumed writer
+        # that only counted four-digit names would pick 10000 again and
+        # overwrite the t = 2 chunk.
+        for index, t in ((9999, 1.0), (10000, 2.0)):
+            np.savez(tmp_path / f"history_{index}.npz", time=np.array([t]),
+                     sst=np.full((1, 2), t))
+        w = HistoryWriter(tmp_path)
+        w.record(3.0, sst=np.full(2, 3.0))
+        assert w.close().name == "history_10001.npz"
+        data = load_history(sorted(tmp_path.glob("history_*.npz")))
+        assert np.array_equal(data["time"], [1.0, 2.0, 3.0])
+        # Other prefixes and non-numbered names are not counted.
+        (tmp_path / "history_final.npz").touch()
+        assert HistoryWriter(tmp_path, prefix="hist").close() is None
+        w = HistoryWriter(tmp_path)
+        w.record(4.0, sst=np.full(2, 4.0))
+        assert w.close().name == "history_10002.npz"
+
     def test_failed_flush_keeps_the_snapshots_and_the_number(self, tmp_path,
                                                              monkeypatch):
         # A chunk appears whole or not at all: a write that dies half way
@@ -175,6 +199,23 @@ class TestLoadHistory:
         p = self._write(tmp_path, [0.0], sst=np.ones((1, 2)))
         data = load_history(p)
         assert data["sst"].shape == (1, 2)
+
+    def test_rerecorded_times_are_kept_once(self, tmp_path):
+        # A leg killed after flushing t = 0..3 and resumed from its t = 1
+        # checkpoint records t = 2, 3 again, with the same bytes.
+        vals = np.arange(6.0).reshape(6, 1)
+        p0 = self._write(tmp_path, [0.0, 1.0, 2.0, 3.0], sst=vals[:4])
+        p1 = self._write(tmp_path, [2.0, 3.0, 4.0, 5.0], sst=vals[2:])
+        for paths in ([p0, p1], [p1, p0]):
+            data = load_history(paths)
+            assert np.array_equal(data["time"], np.arange(6.0))
+            assert np.array_equal(data["sst"], vals)
+
+    def test_repeated_times_with_other_bytes_raise(self, tmp_path):
+        p0 = self._write(tmp_path, [0.0, 1.0], sst=np.zeros((2, 1)))
+        p1 = self._write(tmp_path, [1.0, 2.0], sst=np.full((2, 1), -0.0))
+        with pytest.raises(ValueError, match=r"'sst' at repeated times \[1.0\]"):
+            load_history([p0, p1])
 
 
 # dtype/shape/member-axis round-trip property: whatever goes into the
@@ -324,3 +365,103 @@ def test_cut_and_resumed_history_equals_the_straight_run(tmp_path, dtype):
     assert_trees_identical(
         load_history(first.history_files + second.history_files), want)
     assert want["precip"].dtype == np.dtype(dtype) and len(want["time"]) == 13
+
+
+# ----------------------------------------------------------------------
+# I/O under kill: a run SIGKILLed at random points, resumed each time
+_KILLED_RUN = """
+import sys
+from repro.core.config import test_config
+from repro.runs import CheckpointSpec, HistorySpec, RunHarness, RunPlan
+from repro.runs.observers import StepObserver, step_index
+
+out, days, resume = sys.argv[1], float(sys.argv[2]), sys.argv[3] or None
+step = test_config().atm_dt / 86400.0
+plan = RunPlan(config=test_config(), days=days, history=HistorySpec(
+    out + "/hist", interval_days=step, flush_every=1,
+    fields=("sst", "t_sfc", "precip")),
+    checkpoint=CheckpointSpec(out + "/ck", interval_days=3 * step))
+
+
+class Progress(StepObserver):
+    def on_step(self, model, state):
+        print(step_index(model, state), flush=True)
+
+
+RunHarness(plan).run(resume_from=resume, observers=(Progress(),))
+"""
+
+
+def _leg(out: Path, days: float, resume: Path | None, kill_after=None):
+    """One run of ``_KILLED_RUN`` in a fresh interpreter; SIGKILLed
+    ``delay`` seconds after it reports step ``k`` when ``kill_after`` is
+    ``(k, delay)``.  Returns whether the kill landed."""
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _KILLED_RUN, str(out), str(days),
+         str(resume or "")], stdout=subprocess.PIPE, text=True, env=env)
+    try:
+        if kill_after is not None:
+            k, delay = kill_after
+            for line in proc.stdout:
+                if int(line) >= k:
+                    time.sleep(delay)
+                    proc.send_signal(signal.SIGKILL)
+                    break
+        proc.stdout.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.stdout.close()
+    assert code in (0, -signal.SIGKILL), code
+    return code == -signal.SIGKILL
+
+
+def test_history_and_checkpoints_survive_sigkill(tmp_path):
+    """History every step (one file a step) plus a checkpoint every third
+    step, SIGKILLed at seeded random points — between writes and inside
+    them — and resumed from the newest checkpoint after each kill: every
+    ``history_*.npz`` / ``ckpt_*.npz`` on disk loads, a killed write's
+    ``.tmp`` is matched by neither glob nor counted by a resumed writer, and
+    the resumed legs' history reads back as the straight run's, each time
+    once."""
+    days = 2.0
+    rng = np.random.default_rng(31)
+    hist, ck = tmp_path / "hist", tmp_path / "ck"
+    killed, newest = 0, None
+    for _ in range(3):
+        start = 0 if newest is None else load_restart(newest).time
+        start_step = int(round(start / _test_config().atm_dt))
+        kill_after = (start_step + int(rng.integers(2, 8)),
+                      float(rng.uniform(0.0, 0.03)))
+        killed += _leg(tmp_path, days, newest, kill_after)
+        for path in sorted(hist.glob("history_*.npz")):
+            load_history(path)
+        ckpts = sorted(ck.glob("ckpt_*.npz"))
+        for path in ckpts:
+            load_checkpoint(path)
+        newest = ckpts[-1] if ckpts else None
+    assert killed >= 2
+    # A stale temporary numbered past every file, as a kill inside a write
+    # leaves one: no glob matches it and the resumed writer does not count
+    # it.
+    (hist / "history_99999.npz.tmp").write_bytes(b"PK\x03\x04 torn")
+    for prefix, where in (("history", hist), ("ckpt", ck)):
+        assert not [p for p in where.glob(f"{prefix}_*.npz")
+                    if p.suffix != ".npz"]
+    before = {p.name for p in hist.glob("history_*.npz")}
+    assert not _leg(tmp_path, days, newest)
+    written = {p.name for p in hist.glob("history_*.npz")} - before
+    assert written and max(int(p.removeprefix("history_").removesuffix(
+        ".npz")) for p in written) < 99999
+
+    got = load_history(sorted(hist.glob("history_*.npz")))
+    straight = RunHarness(RunPlan(config=_test_config(), days=days,
+                                  history=HistorySpec(
+                                      str(tmp_path / "straight"),
+                                      interval_days=1 / 24, flush_every=24,
+                                      fields=("sst", "t_sfc", "precip")))
+                          ).run()
+    assert_trees_identical(got, load_history(straight.history_files))

@@ -77,6 +77,27 @@ def test_driver_external_fluxes_respected(setup):
            "taux": zeros, "tauy": zeros, "ustar": np.full((nlat, nlon), 0.1)}
     out = suite.compute(dt=1800.0, time=0.0, external_fluxes=ext, **setup)
     assert out.fluxes["shf"] is zeros
+    # A coupled (two-field) surface is enough with the coupler's fluxes.
+    coupled = SurfaceState(t_sfc=setup["surface"].t_sfc,
+                           albedo=setup["surface"].albedo)
+    two_field = suite.compute(dt=1800.0, time=0.0, external_fluxes=ext,
+                              **{**setup, "surface": coupled})
+    assert np.array_equal(two_field.dtdt, out.dtdt)
+
+
+def test_driver_bulk_fluxes_need_the_bulk_surface_fields(setup):
+    """Without external fluxes the driver's own bulk formulas read wetness,
+    z0 and the ocean mask: a coupled two-field surface is refused, naming
+    every field it lacks."""
+    suite = PhysicsSuite()
+    coupled = SurfaceState(t_sfc=setup["surface"].t_sfc,
+                           albedo=setup["surface"].albedo)
+    with pytest.raises(ValueError, match=r"'wetness', 'z0', 'ocean_mask'"):
+        suite.compute(dt=1800.0, time=0.0, **{**setup, "surface": coupled})
+    partial = SurfaceState(t_sfc=coupled.t_sfc, albedo=coupled.albedo,
+                           wetness=setup["surface"].wetness)
+    with pytest.raises(ValueError, match=r"\['z0', 'ocean_mask'\]"):
+        suite.compute(dt=1800.0, time=0.0, **{**setup, "surface": partial})
 
 
 def test_driver_tendencies_bounded(setup):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.atmosphere.vertical import VerticalGrid, default_sigma_levels
+from repro.atmosphere.vertical import VerticalGrid, _level_scan, default_sigma_levels
 from repro.util.constants import KAPPA, RD
 
 
@@ -130,8 +130,51 @@ def test_vertical_advection_of_linear_profile():
     x = vg.sigma[:, None, None] * np.ones((10, 2, 2))
     sigdot = np.ones((9, 2, 2)) * 2.0e-4
     adv = vg.vertical_advection(sigdot, x)
+    # Round-off of sigma's differences: float64-tight by default, single
+    # precision under the tier1-float32 CI job.
+    rtol = 1e-12 if vg.policy.float_dtype == np.float64 else 1e-5
     # Interior levels: both half-level contributions present -> exactly sigdot.
-    np.testing.assert_allclose(adv[1:-1], 2.0e-4, rtol=1e-12)
+    np.testing.assert_allclose(adv[1:-1], 2.0e-4, rtol=rtol)
     # Boundary levels: one-sided -> half magnitude.
-    np.testing.assert_allclose(adv[0], 1.0e-4, rtol=1e-12)
-    np.testing.assert_allclose(adv[-1], 1.0e-4, rtol=1e-12)
+    np.testing.assert_allclose(adv[0], 1.0e-4, rtol=rtol)
+    np.testing.assert_allclose(adv[-1], 1.0e-4, rtol=rtol)
+
+
+def _signed_zero_field(shape, dtype, seed=0):
+    """Random levels with signed zeros planted: one column ``-0.0`` at every
+    level, one alternating ``+0.0`` / ``-0.0``."""
+    x = np.random.default_rng(seed).normal(size=shape).astype(dtype)
+    x[..., 0] = -0.0
+    x[0::2, ..., 1] = 0.0
+    x[1::2, ..., 1] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", [(18, 40, 48), (18, 16, 8, 12)])
+def test_level_scan_is_cumsum_bytewise(shape, dtype):
+    """The level scan is ``np.cumsum(axis=0)``, byte for byte and in the
+    input's dtype, on (L, nlat, nlon) and (L, E, nlat, nlon) stacks."""
+    x = _signed_zero_field(shape, dtype)
+    got, want = _level_scan(x), np.cumsum(x, axis=0)
+    assert got.dtype == want.dtype == dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.signbit(got[..., 0]).all()
+
+
+@pytest.mark.parametrize("members", [None, 4])
+def test_omega_over_p_and_sigma_dot_match_the_cumsum_forms(members):
+    """Both level scans of the dynamics give the bytes of their cumsum
+    expressions, serial and with a member axis, in the policy's dtype."""
+    vg = VerticalGrid.ccm_like(18)
+    shape = (18,) + (() if members is None else (members,)) + (8, 12)
+    div = _signed_zero_field(shape, vg.dsigma.dtype, seed=1)
+    vgradp = _signed_zero_field(shape, vg.dsigma.dtype, seed=2)
+    bcast = (-1,) + (1,) * (len(shape) - 1)
+    wc = vg.dsigma.reshape(bcast) * (div + vgradp)
+    below = np.cumsum(wc, axis=0) - wc
+    wop = vgradp - (below + 0.5 * wc) / vg.sigma.reshape(bcast)
+    sigdot = (vg.sigma_half[1:-1].reshape(bcast) * np.sum(wc, axis=0)
+              - np.cumsum(wc, axis=0)[:-1])
+    assert vg.omega_over_p(div, vgradp).tobytes() == wop.tobytes()
+    assert vg.sigma_dot(div, vgradp).tobytes() == sigdot.tobytes()
