@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.atmosphere.dynamics import AtmosphereState, SpectralDynamicalCore
+from repro.atmosphere.dynamics import (
+    AtmosphereState,
+    SpectralDynamicalCore,
+    robert_filter,
+)
 from repro.atmosphere.spectral import SpectralTransform, Truncation
 from repro.atmosphere.vertical import VerticalGrid
-from repro.util.constants import P0
+from repro.util.constants import OMEGA, P0
 from tests import oracles as K
 from tests.helpers import assert_matches_oracle
 
@@ -223,3 +227,58 @@ def test_apply_tendencies_bitwise_matches_per_level_oracle():
                               curr.temp[l] + dt * K.analyze_ref(tr, dtdt[l]))
         assert_matches_oracle(tr, got.vort[l], curr.vort[l] + dt * dv)
         assert_matches_oracle(tr, got.div[l], curr.div[l] + dt * dd)
+
+
+def test_rossby_haurwitz_wave_4_on_the_transform():
+    """The non-divergent barotropic vorticity equation, stepped on our own
+    transform as a textbook spectral model does it: leapfrog, Robert filter
+    0.04, implicit del^4 damping.  Haurwitz's wave 4 (Williamson et al.
+    1992, case 6: omega = K = 7.848e-6 / s) is an exact solution that
+    travels east at nu = (R (3 + R) omega - 2 Omega) / ((1 + R)(2 + R))
+    without changing shape, so its kinetic energy and enstrophy stay put.
+
+    R15 on the paper's 40 x 48 grid, dt = 1800 s, 5 days.  Measured, float64
+    (float32): phase speed within 3.4e-5 (2.9e-5) of nu; energy down
+    3.487e-3 (3.491e-3), enstrophy down 7.089e-3 (7.091e-3).  Both losses
+    are the wave's amplitude, down 3.8e-3: 1.5e-3 to the filter's damping
+    of the physical mode, (R nu dt)^2 / 2 * 0.04 a step, and 2.4e-3 to
+    the del^4 damping of n = 5 (K4 = 1e16 m^4/s e-folds n = 30 in 2.2
+    days, n = 5 in 5.8 years).  With the damping off, both fall by what
+    the filter takes of the wave and the rest holds to 3e-16: the
+    transform's tendency moves neither anywhere else.
+    """
+    tr = SpectralTransform(nlat=40, nlon=48, trunc=Truncation(15))
+    R, w, dt, nsteps = 4, 7.848e-6, 1800.0, 240
+    lon, mu = np.meshgrid(tr.lons, tr.mu)
+    f = 2.0 * OMEGA * mu
+    zeta = 2.0 * w * mu - (R + 1) * (R + 2) * w * (
+        1.0 - mu**2) ** (R / 2) * mu * np.cos(R * lon)
+    damping = tr.damping_denominator(1.0e16, 2.0 * dt)
+
+    def winds(z):
+        return tr.uv_from_vortdiv(z, np.zeros_like(z))
+
+    def tendency(z):                    # -div((zeta + f) v)
+        u, v = winds(z)
+        eta = tr.synthesize(z) + f
+        return -tr.vortdiv_from_uv(eta * u, eta * v)[1]
+
+    def energy_and_enstrophy(z):
+        u, v = winds(z)
+        return np.array([tr.global_mean(u * u + v * v),
+                         tr.global_mean(tr.synthesize(z) ** 2)]) / 2.0
+
+    prev = tr.analyze(zeta)
+    curr = prev + dt * tendency(prev)   # forward start
+    turned = np.angle(curr[R, 1] / prev[R, 1])   # slot (m, k = n - m)
+    start = energy_and_enstrophy(prev)
+    for _ in range(nsteps - 1):
+        new = (prev + 2.0 * dt * tendency(curr)) / damping
+        prev, curr = robert_filter(prev, curr, new, 0.04), new
+        turned += np.angle(curr[R, 1] / prev[R, 1])
+
+    nu = (R * (3 + R) * w - 2.0 * OMEGA) / ((1 + R) * (2 + R))
+    assert abs(-turned / (R * nsteps * dt) / nu - 1.0) < 1e-4
+    d_energy, d_enstrophy = energy_and_enstrophy(curr) / start - 1.0
+    assert -4e-3 < d_energy < 0.0
+    assert -8e-3 < d_enstrophy < 0.0

@@ -3,8 +3,9 @@
 Covers the rolling-flush buffer bound, out-of-order multi-file loading,
 field-set/shape/dtype consistency enforcement, the checkpoint stamps
 (config hash, run metadata, ``river_volume=None`` staying ``None``),
-rejection of every other format version, and a hypothesis round-trip
-property over dtypes, shapes, and the batched member axis.
+rejection of every other format version, stored (not deflated) members
+with deflated files still loading, and a hypothesis round-trip property
+over dtypes, shapes, and the batched member axis.
 """
 
 import dataclasses
@@ -14,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -156,7 +158,7 @@ class TestHistoryWriter:
             file.write(b"PK\x03\x04 half a zip member")
             raise OSError("disk full")
 
-        monkeypatch.setattr(np, "savez_compressed", dies_half_way)
+        monkeypatch.setattr(np, "savez", dies_half_way)
         with pytest.raises(OSError, match="disk full"):
             w.flush()
         monkeypatch.undo()
@@ -333,12 +335,70 @@ class TestCheckpointFormat:
             file.write(b"PK\x03\x04 half a zip member")
             raise OSError("disk full")
 
-        monkeypatch.setattr(np, "savez_compressed", dies_half_way)
+        monkeypatch.setattr(np, "savez", dies_half_way)
         with pytest.raises(OSError, match="disk full"):
             save_restart(path, dataclasses.replace(state, time=3600.0))
         monkeypatch.undo()
         assert load_restart(path).time == state.time
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt_00000006.npz"]
+
+
+# ----------------------------------------------------------------------
+def _compress_types(path: Path) -> set[int]:
+    with zipfile.ZipFile(path) as archive:
+        return {info.compress_type for info in archive.infolist()}
+
+
+def _deflate(src: Path, dst: Path) -> Path:
+    """``src`` rewritten with every member deflated, as output was written
+    before it was stored."""
+    with np.load(src) as d:
+        payload = {k: d[k] for k in d.files}
+    np.savez_compressed(dst, **payload)
+    assert _compress_types(dst) == {zipfile.ZIP_DEFLATED}
+    return dst
+
+
+class TestStoredOutput:
+    """Output is stored, not deflated; files written deflated still load."""
+
+    def test_chunks_and_checkpoints_are_stored(self, tmp_path, state):
+        w = HistoryWriter(tmp_path)
+        w.record(0.0, sst=np.zeros((3, 4)), precip=np.ones(5, np.float32))
+        chunk = w.close()
+        ckpt = save_restart(tmp_path / "ckpt_00000000.npz", state,
+                            config=_test_config(), meta={"mode": "serial"})
+        for path in (chunk, ckpt):
+            assert _compress_types(path) == {zipfile.ZIP_STORED}, path
+
+    def test_a_deflated_chunk_loads_beside_stored_ones(self, tmp_path):
+        rng = np.random.default_rng(34)
+        w = HistoryWriter(tmp_path, flush_every=2)
+        for i in range(6):
+            w.record(float(i), sst=rng.standard_normal((2, 5, 4)),
+                     precip=rng.standard_normal((2, 5, 4)).astype(np.float32))
+        w.close()
+        want = load_history(w.files_written)
+        middle = w.files_written[1]
+        _deflate(middle, middle)
+        got = load_history(sorted(tmp_path.glob("history_*.npz")))
+        assert_trees_identical(got, want)
+
+    def test_a_deflated_checkpoint_resumes_as_the_stored_one(self, tmp_path):
+        step = _test_config().atm_dt / 86400.0
+        stored = RunHarness(RunPlan(
+            config=_test_config(), days=3 * step, checkpoint=CheckpointSpec(
+                str(tmp_path / "ck"), interval_days=3 * step))
+        ).run().checkpoints[-1]
+        deflated = _deflate(stored, tmp_path / "deflated.npz")
+        (want, want_meta), (got, got_meta) = map(load_checkpoint,
+                                                 (stored, deflated))
+        assert_trees_identical(got, want)
+        assert got_meta == want_meta
+        plan = RunPlan(config=_test_config(), days=5 * step)
+        assert_trees_identical(
+            RunHarness(plan).run(resume_from=deflated).state,
+            RunHarness(plan).run(resume_from=stored).state)
 
 
 # ----------------------------------------------------------------------
@@ -370,12 +430,20 @@ def test_cut_and_resumed_history_equals_the_straight_run(tmp_path, dtype):
 # ----------------------------------------------------------------------
 # I/O under kill: a run SIGKILLed at random points, resumed each time
 _KILLED_RUN = """
+import io
+import itertools
+import os
+import signal
 import sys
+
+import numpy as np
+
 from repro.core.config import test_config
 from repro.runs import CheckpointSpec, HistorySpec, RunHarness, RunPlan
 from repro.runs.observers import StepObserver, step_index
 
 out, days, resume = sys.argv[1], float(sys.argv[2]), sys.argv[3] or None
+kill_at_write = int(sys.argv[4] or 0)
 step = test_config().atm_dt / 86400.0
 plan = RunPlan(config=test_config(), days=days, history=HistorySpec(
     out + "/hist", interval_days=step, flush_every=1,
@@ -388,20 +456,37 @@ class Progress(StepObserver):
         print(step_index(model, state), flush=True)
 
 
+if kill_at_write:
+    savez, writes = np.savez, itertools.count(1)
+
+    def dies_inside_a_write(file, **payload):
+        if next(writes) < kill_at_write:
+            return savez(file, **payload)
+        whole = io.BytesIO()
+        savez(whole, **payload)
+        file.write(whole.getbuffer()[:whole.tell() // 2])
+        file.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    np.savez = dies_inside_a_write
+
 RunHarness(plan).run(resume_from=resume, observers=(Progress(),))
 """
 
 
-def _leg(out: Path, days: float, resume: Path | None, kill_after=None):
+def _leg(out: Path, days: float, resume: Path | None, kill_after=None,
+         kill_at_write=None):
     """One run of ``_KILLED_RUN`` in a fresh interpreter; SIGKILLed
     ``delay`` seconds after it reports step ``k`` when ``kill_after`` is
-    ``(k, delay)``.  Returns whether the kill landed."""
+    ``(k, delay)``, or by itself half way through its ``kill_at_write``-th
+    file write.  Returns whether the kill landed."""
     src = str(Path(__file__).parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.Popen(
         [sys.executable, "-c", _KILLED_RUN, str(out), str(days),
-         str(resume or "")], stdout=subprocess.PIPE, text=True, env=env)
+         str(resume or ""), str(kill_at_write or "")],
+        stdout=subprocess.PIPE, text=True, env=env)
     try:
         if kill_after is not None:
             k, delay = kill_after
@@ -421,22 +506,32 @@ def _leg(out: Path, days: float, resume: Path | None, kill_after=None):
 
 def test_history_and_checkpoints_survive_sigkill(tmp_path):
     """History every step (one file a step) plus a checkpoint every third
-    step, SIGKILLed at seeded random points — between writes and inside
-    them — and resumed from the newest checkpoint after each kill: every
-    ``history_*.npz`` / ``ckpt_*.npz`` on disk loads, a killed write's
-    ``.tmp`` is matched by neither glob nor counted by a resumed writer, and
-    the resumed legs' history reads back as the straight run's, each time
-    once."""
+    step, SIGKILLed at seeded random points and then once half way
+    through a seeded write, and resumed from the newest checkpoint after
+    each kill: every ``history_*.npz`` / ``ckpt_*.npz`` on disk loads, a
+    killed write's ``.tmp`` is matched by neither glob nor counted by a
+    resumed writer, and the resumed legs' history reads back as the
+    straight run's, each time once."""
     days = 2.0
     rng = np.random.default_rng(31)
     hist, ck = tmp_path / "hist", tmp_path / "ck"
     killed, newest = 0, None
-    for _ in range(3):
+    for leg in range(4):
         start = 0 if newest is None else load_restart(newest).time
         start_step = int(round(start / _test_config().atm_dt))
-        kill_after = (start_step + int(rng.integers(2, 8)),
-                      float(rng.uniform(0.0, 0.03)))
-        killed += _leg(tmp_path, days, newest, kill_after)
+        if leg < 3:
+            kill_after = (start_step + int(rng.integers(2, 8)),
+                          float(rng.uniform(0.0, 0.03)))
+            killed += _leg(tmp_path, days, newest, kill_after)
+        else:
+            # A write takes a few ms, so a random delay seldom lands in
+            # one: this leg dies inside one by construction, and leaves
+            # its half-written temporary behind.
+            torn = set(tmp_path.glob("*/*.npz.tmp"))
+            assert _leg(tmp_path, days, newest,
+                        kill_at_write=int(rng.integers(2, 12)))
+            assert [p for p in tmp_path.glob("*/*.npz.tmp")
+                    if p not in torn and p.stat().st_size > 0]
         for path in sorted(hist.glob("history_*.npz")):
             load_history(path)
         ckpts = sorted(ck.glob("ckpt_*.npz"))
