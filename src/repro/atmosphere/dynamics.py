@@ -30,7 +30,7 @@ import numpy as np
 from repro.atmosphere.semilag import advect_semilagrangian
 from repro.atmosphere.spectral import SpectralTransform
 from repro.atmosphere.vertical import VerticalGrid
-from repro.backend import get_workspace, weak_scalar
+from repro.backend import get_workspace
 from repro.perf.profiler import profile_section
 from repro.util.constants import CP, GRAVITY, KAPPA, OMEGA, P0, RD
 from repro.util.tree import tree_map
@@ -109,9 +109,9 @@ class SpectralDynamicalCore:
         self.tr = transform
         self.vg = vgrid
         self.dt = float(dt)
-        # Scalar, or a per-member array broadcastable against every state
-        # field (e.g. (nens, 1, 1) from the ensemble driver).
-        self.robert = weak_scalar(robert)
+        # A python float never decides a result dtype (a NumPy scalar would
+        # upcast float32/complex64 fields).
+        self.robert = float(robert)
         self.semi_implicit = bool(semi_implicit)
         # CCM2 R15 recommended del^4 coefficient scales with resolution
         # (Williamson et al. 1995); default tuned so the smallest retained

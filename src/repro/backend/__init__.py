@@ -27,7 +27,6 @@ from repro.backend.dtypes import (
     DTypePolicy,
     default_policy,
     policy_from_name,
-    weak_scalar,
 )
 from repro.backend.workspace import (
     Workspace,
@@ -37,6 +36,6 @@ from repro.backend.workspace import (
 
 __all__ = [
     "DTypePolicy", "FLOAT32", "FLOAT64", "default_policy",
-    "policy_from_name", "weak_scalar",
+    "policy_from_name",
     "Workspace", "get_workspace", "workspace_totals",
 ]

@@ -6,8 +6,7 @@ of working precision through every constructor that used to hard-code
 
 1. an explicit ``DTypePolicy`` passed to a constructor
    (``FoamConfig.dtype`` resolves to one),
-2. the ``FOAM_DTYPE`` environment variable (``float32``/``float64``,
-   with ``f32``/``single``/``f64``/``double`` accepted as aliases),
+2. the ``FOAM_DTYPE`` environment variable (``float32`` or ``float64``),
 3. float64 (the seed behaviour — bitwise identical to the pre-backend
    code).
 
@@ -25,7 +24,7 @@ import numpy as np
 
 __all__ = [
     "DTypePolicy", "FLOAT32", "FLOAT64", "policy_from_name",
-    "default_policy", "weak_scalar",
+    "default_policy",
 ]
 
 
@@ -54,25 +53,10 @@ class DTypePolicy:
         return np.asarray(arr).astype(self.complex_dtype, copy=False)
 
 
-def weak_scalar(value):
-    """``value`` as a python float unless it is an array with >= 1 axis.
-
-    A python float never decides a result dtype; a 0-d float64 array (or a
-    NumPy scalar) would silently upcast every float32/complex64 field it
-    meets.  Per-member knob arrays (``(nens, 1, 1)``) pass through.
-    """
-    if isinstance(value, np.ndarray) and value.ndim:
-        return value
-    return float(value)
-
-
 FLOAT64 = DTypePolicy("float64", np.dtype(np.float64), np.dtype(np.complex128))
 FLOAT32 = DTypePolicy("float32", np.dtype(np.float32), np.dtype(np.complex64))
 
-_ALIASES = {
-    "float64": FLOAT64, "f64": FLOAT64, "double": FLOAT64, "fp64": FLOAT64,
-    "float32": FLOAT32, "f32": FLOAT32, "single": FLOAT32, "fp32": FLOAT32,
-}
+_BY_NAME = {"float64": FLOAT64, "float32": FLOAT32}
 
 
 def policy_from_name(name: str | DTypePolicy | None) -> DTypePolicy:
@@ -82,10 +66,10 @@ def policy_from_name(name: str | DTypePolicy | None) -> DTypePolicy:
     if isinstance(name, DTypePolicy):
         return name
     try:
-        return _ALIASES[str(name).strip().lower()]
+        return _BY_NAME[name]
     except KeyError:
         raise ValueError(
-            f"unknown dtype policy {name!r}; expected one of {sorted(_ALIASES)}"
+            f"unknown dtype policy {name!r}; expected one of {sorted(_BY_NAME)}"
         ) from None
 
 

@@ -15,8 +15,6 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.backend import DTypePolicy, policy_from_name
 from repro.ocean.barotropic import BarotropicParams
 from repro.ocean.mixing import PPMixingParams
@@ -114,16 +112,7 @@ class FoamConfig:
     # serialization (scenario specs, result-cache keys, restart metadata)
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """A plain, JSON-serializable dict of every knob (nested included).
-
-        Per-member array knobs (the ensemble driver's ``(nens, 1, 1)``
-        ``sst_clamp``) are not serializable — serialize the member configs
-        (``FoamEnsemble.member_config``) instead.
-        """
-        if isinstance(self.ocean_params.sst_clamp, np.ndarray):
-            raise ValueError(
-                "cannot serialize a per-member array sst_clamp; serialize "
-                "each member's config instead")
+        """A plain, JSON-serializable dict of every knob (nested included)."""
         return dataclasses.asdict(self)
 
     @classmethod

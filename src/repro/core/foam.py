@@ -61,9 +61,7 @@ class FoamState:
 class FoamModel:
     """The coupled FOAM system; one instance owns all three components."""
 
-    def __init__(self, config: FoamConfig | None = None,
-                 land_mask: np.ndarray | None = None,
-                 depth: np.ndarray | None = None):
+    def __init__(self, config: FoamConfig | None = None):
         self.config = config or test_config()
         cfg = self.config
 
@@ -87,9 +85,7 @@ class FoamModel:
         self.ocean_grid = OceanGrid(nx=cfg.ocn_nx, ny=cfg.ocn_ny,
                                     nlev=cfg.ocn_nlev, dtype=policy,
                                     rotation_factor=cfg.rotation_factor)
-        if land_mask is None or depth is None:
-            land_mask, depth = topography_by_name(cfg.topography)(
-                self.ocean_grid)
+        land_mask, depth = topography_by_name(cfg.topography)(self.ocean_grid)
         if cfg.ocean_mode == "slab":
             self.ocean = SlabOceanModel(self.ocean_grid, land_mask, depth,
                                         cfg.ocean_params,

@@ -48,7 +48,7 @@ from repro.ocean.mixing import (
     richardson_number,
 )
 from repro.ocean.operators import Stencil, row_plane
-from repro.backend import get_workspace, weak_scalar
+from repro.backend import get_workspace
 from repro.perf.profiler import profile_section, profiled
 from repro.util.constants import (
     CP_SEAWATER,
@@ -134,13 +134,13 @@ class OceanParams:
     barotropic: BarotropicParams = field(default_factory=BarotropicParams)
     mixing: PPMixingParams = field(default_factory=PPMixingParams)
     polar_filter_lat: float = 60.0
-    # deg C: the paper's -1.92 clamp.  May be a per-member array (e.g.
-    # (nens, 1, 1)) broadcastable against the surface-temperature field.
-    sst_clamp: float | np.ndarray = T_FREEZE_SEA - 273.15
+    sst_clamp: float = T_FREEZE_SEA - 273.15   # deg C: the paper's -1.92 clamp
     reference_salinity: float = 34.7
 
     def __post_init__(self):
-        self.sst_clamp = weak_scalar(self.sst_clamp)
+        # A python float never decides a result dtype (a NumPy scalar would
+        # upcast float32 fields).
+        self.sst_clamp = float(self.sst_clamp)
 
 
 @dataclass
@@ -381,10 +381,7 @@ class OceanModel:
                                                mask=wet)
 
         # The paper's sea-surface clamp at -1.92 C (ice formation handles the rest).
-        clamp = p.sst_clamp
-        if isinstance(clamp, np.ndarray):
-            clamp = np.broadcast_to(clamp, state.temp[0].shape)[b.rows]
-        temp[0] = np.where(b.mask2d, np.maximum(temp[0], clamp), 0.0)
+        temp[0] = np.where(b.mask2d, np.maximum(temp[0], p.sst_clamp), 0.0)
 
         # Mask everything that may have leaked onto land (and make the
         # stacked solves' strided views contiguous again).

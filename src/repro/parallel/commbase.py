@@ -11,8 +11,6 @@ and the communication timeout.
 
 from __future__ import annotations
 
-import os
-import sys
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -26,24 +24,10 @@ _CTX_SHIFT = 36                # communicator-context bits above the tag space:
                                # absolute tag = (ctx << _CTX_SHIFT) + tag, so
                                # sub-communicator traffic can never match the
                                # parent's (collective bases stop at 5 << 30)
-_DEFAULT_TIMEOUT = 120.0       # seconds before declaring a hang outside pytest
-_PYTEST_TIMEOUT = 10.0         # default under pytest: a genuine bug should not
-                               # cost the suite two minutes of sleeping
-
-
-def _default_timeout() -> float:
-    """Resolve the default communication timeout for this process.
-
-    ``REPRO_SIMMPI_TIMEOUT`` overrides; otherwise the default is low when
-    running under pytest.  The timeout is a last-resort backstop — genuine
-    deadlocks are caught by the wait-for-graph detector long before it.
-    """
-    env = os.environ.get("REPRO_SIMMPI_TIMEOUT")
-    if env:
-        return float(env)
-    if os.environ.get("PYTEST_CURRENT_TEST") or "pytest" in sys.modules:
-        return _PYTEST_TIMEOUT
-    return _DEFAULT_TIMEOUT
+_DEFAULT_TIMEOUT = 120.0       # seconds before declaring a hang: a
+                               # last-resort backstop (the wait-for-graph
+                               # detector catches genuine deadlocks long
+                               # before it); pass ``timeout=`` for a shorter one
 
 
 class CommError(RuntimeError):

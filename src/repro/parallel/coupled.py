@@ -264,8 +264,8 @@ def run_concurrent_coupled(model, state, nsteps: int, layout: PoolLayout,
     cfg = model.config
     if layout.n_atm > cfg.atm_nlat:
         raise ValueError(f"n_atm={layout.n_atm} exceeds nlat={cfg.atm_nlat}")
-    # Size the backstop to the run, not to the (pytest-lowered) default, so
-    # a rank waiting out a long ocean call does not false-timeout.
+    # Size the backstop to the run, so a rank waiting out a long ocean call
+    # does not false-timeout.
     tmo = timeout if timeout is not None else max(60.0, 2.0 * nsteps)
 
     def worker(comm: Comm):

@@ -72,13 +72,13 @@ from repro.parallel.commbase import (
     ANY_SOURCE,
     ANY_TAG,
     _CTX_SHIFT,
+    _DEFAULT_TIMEOUT,
     BlockedRank,
     CommError,
     CommStats,
     DeadlockError,
     DeadlockReport,
     _copy_payload,
-    _default_timeout,
     _find_cycle,
     _match,
     _payload_nbytes,
@@ -271,7 +271,7 @@ class Comm:
         self.rank = rank
         self.size = size
         self._client = client
-        self._timeout = _default_timeout() if timeout is None else timeout
+        self._timeout = _DEFAULT_TIMEOUT if timeout is None else timeout
         # Sub-communicator plumbing: ``group`` maps local -> world ranks
         # (None = identity, the world communicator fast path); ``ctx`` is
         # the context id stamped into message tags.  Liveness, deadlock
@@ -773,9 +773,8 @@ def run_ranks(size: int, fn: Callable[..., Any], *,
               return_exceptions: bool = False) -> list[Any]:
     """Run ``fn(comm, *args)`` on ``size`` forked ranks; return per-rank results.
 
-    ``timeout`` bounds every blocking operation; ``None`` resolves via
-    :func:`_default_timeout` (low under pytest, ``REPRO_SIMMPI_TIMEOUT``
-    overrides).  Results (message-like trees: bulk arrays come home through shm) and
+    ``timeout`` bounds every blocking operation (``None``: 120 s, a
+    last-resort backstop behind the deadlock detector).  Results (message-like trees: bulk arrays come home through shm) and
     exceptions must be picklable — they cross a process boundary; an
     unpicklable result is that rank's error, as if the worker had raised.
 
@@ -791,7 +790,7 @@ def run_ranks(size: int, fn: Callable[..., Any], *,
         raise CommError(f"world size must be >= 1, got {size}")
     if "fork" not in mp.get_all_start_methods():  # pragma: no cover - POSIX only
         raise CommError("rank processes require the fork start method")
-    tmo = _default_timeout() if timeout is None else timeout
+    tmo = _DEFAULT_TIMEOUT if timeout is None else timeout
     ctx = mp.get_context("fork")
     # Start the shm resource tracker before forking so parent and children
     # share one tracker: the creator's register and the consumer's

@@ -147,6 +147,16 @@ class RunHarness:
             raise ValueError(
                 f"checkpoint {checkpoint} holds nens={ckpt_nens} members "
                 f"but the plan asks for nens={self.plan.nens}")
+        # ``dtype=None`` hashes alike whichever precision FOAM_DTYPE picks,
+        # so the config hash alone lets a run of the other precision in.
+        policy = self.model.policy
+        got = (state.atm_curr.vort.dtype, state.ocean.temp.dtype)
+        want = (policy.complex_dtype, policy.float_dtype)
+        if got != want:
+            raise ValueError(
+                f"checkpoint {checkpoint} holds {got[0]} / {got[1]} state "
+                f"but the model runs {want[0]} / {want[1]} "
+                f"({policy.name}); resuming would mix precisions")
         return state
 
     # ------------------------------------------------------------------

@@ -115,6 +115,9 @@ class RunPlan:
             raise ValueError(f"nens must be >= 1, got {self.nens}")
         if self.mode != "ensemble" and self.nens != 1:
             raise ValueError(f"nens={self.nens} requires mode='ensemble'")
+        if self.mode != "ensemble" and self.ic_perturbation != 0.0:
+            raise ValueError(f"ic_perturbation={self.ic_perturbation} "
+                             f"requires mode='ensemble'")
         if self.substrate not in (None, "process"):
             raise ValueError(
                 f"substrate={self.substrate!r}: the selector was removed — "

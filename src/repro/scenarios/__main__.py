@@ -60,12 +60,12 @@ def cmd_list(args) -> int:
     if args.json:
         print(json.dumps(
             [{"name": s.name, "description": s.description,
-              "tags": list(s.tags), "knobs": s.knob_summary()}
+              "tags": list(s.tags), "knobs": s.knobs}
              for s in scenarios], indent=2))
         return 0
     width = max(len(s.name) for s in scenarios)
     for s in scenarios:
-        knobs = ", ".join(f"{k}={v}" for k, v in s.knob_summary().items())
+        knobs = ", ".join(f"{k}={v}" for k, v in s.knobs.items())
         print(f"{s.name:<{width}}  {s.description}")
         if knobs:
             print(f"{'':<{width}}  knobs: {knobs}")
@@ -76,7 +76,7 @@ def cmd_describe(args) -> int:
     s = get_scenario(args.name)
     cfg = s.config(args.size)
     info = {"name": s.name, "description": s.description,
-            "tags": list(s.tags), "knobs": s.knob_summary(),
+            "tags": list(s.tags), "knobs": s.knobs,
             "config": cfg.to_dict()}
     if args.json:
         print(json.dumps(info, indent=2, sort_keys=True))
@@ -84,7 +84,7 @@ def cmd_describe(args) -> int:
     print(f"{s.name}: {s.description}")
     if s.tags:
         print(f"  tags: {', '.join(s.tags)}")
-    for k, v in s.knob_summary().items():
+    for k, v in s.knobs.items():
         print(f"  {k} = {v}")
     print(f"  config ({args.size}): atm {cfg.atm_nlon}x{cfg.atm_nlat}"
           f"x{cfg.atm_nlev} R{cfg.atm_mmax}, "

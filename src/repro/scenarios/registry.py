@@ -1,7 +1,7 @@
 """The scenario registry: the worlds this model ships with.
 
 Each entry is a :class:`~repro.scenarios.spec.Scenario` — a declarative
-bundle of physical knobs.  ``register`` accepts user-defined scenarios at
+bundle of physical knobs (``FoamConfig`` fields).  ``register`` accepts user-defined scenarios at
 runtime; the built-ins below cover the idealized-climate canon (aquaplanet,
 snowball, doubled CO2, slab ocean, tidally locked exoplanet, Pangaea-style
 paleo world) plus the paper's Earth as ``control``.
@@ -20,13 +20,12 @@ from repro.util.constants import SOLAR_CONSTANT
 _REGISTRY: dict[str, Scenario] = {}
 
 
-def register(scenario: Scenario, *, replace: bool = False) -> Scenario:
+def register(scenario: Scenario) -> Scenario:
     """Add a scenario to the registry (name-keyed); returns it for chaining."""
     if not scenario.name:
         raise ValueError("scenario needs a non-empty name")
-    if scenario.name in _REGISTRY and not replace:
-        raise ValueError(f"scenario {scenario.name!r} already registered "
-                         "(pass replace=True to override)")
+    if scenario.name in _REGISTRY:
+        raise ValueError(f"scenario {scenario.name!r} already registered")
     _REGISTRY[scenario.name] = scenario
     return scenario
 
@@ -63,7 +62,7 @@ register(Scenario(
     name="aquaplanet",
     description="All-ocean planet at uniform depth; the cleanest "
                 "baseline for perturbation experiments.",
-    topography="aquaplanet",
+    knobs={"topography": "aquaplanet"},
     tags=("idealized",)))
 
 register(Scenario(
@@ -71,18 +70,17 @@ register(Scenario(
     description="Snowball initiation: faint-sun insolation (94%), a cold "
                 "unstratified ocean, and 1 m of sea ice everywhere — the "
                 "high-albedo frozen branch of the hysteresis.",
-    topography="aquaplanet",
-    solar_constant=0.94 * SOLAR_CONSTANT,
-    ocean_init="cold_uniform",
-    initial_ice_thickness=1.0,
+    knobs={"solar_constant": 0.94 * SOLAR_CONSTANT,
+           "topography": "aquaplanet",
+           "ocean_init": "cold_uniform",
+           "initial_ice_thickness": 1.0},
     tags=("idealized", "paleo")))
 
 register(Scenario(
     name="doubled_co2",
     description="The classic sensitivity experiment: the aquaplanet "
                 "baseline under doubled CO2 (710 ppmv).",
-    topography="aquaplanet",
-    co2_ppmv=710.0,
+    knobs={"co2_ppmv": 710.0, "topography": "aquaplanet"},
     tags=("idealized", "forcing")))
 
 register(Scenario(
@@ -90,7 +88,7 @@ register(Scenario(
     description="World topography over a motionless 50 m mixed-layer "
                 "(slab) ocean: the fast lower boundary for "
                 "atmosphere-focused studies.",
-    ocean_mode="slab",
+    knobs={"ocean_mode": "slab"},
     tags=("earth", "fast")))
 
 register(Scenario(
@@ -98,14 +96,14 @@ register(Scenario(
     description="Tidally locked slow rotator: 16x slower spin with the "
                 "sun fixed over longitude 180 on an aquaplanet — "
                 "permanent day and night hemispheres.",
-    topography="aquaplanet",
-    rotation_factor=1.0 / 16.0,
-    subsolar_lon_deg=180.0,
+    knobs={"rotation_factor": 1.0 / 16.0,
+           "subsolar_lon_deg": 180.0,
+           "topography": "aquaplanet"},
     tags=("exoplanet",)))
 
 register(Scenario(
     name="paleo",
     description="Pangaea-style supercontinent with a Tethys embayment in "
                 "a circumglobal Panthalassa ocean.",
-    topography="paleo",
+    knobs={"topography": "paleo"},
     tags=("paleo",)))

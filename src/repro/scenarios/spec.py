@@ -1,14 +1,14 @@
 """Declarative scenario specs: one object describes a whole world.
 
 ExoPlaSim-style world building for the FOAM reproduction: a
-:class:`Scenario` holds the small set of physical knobs that distinguish
+:class:`Scenario` names the small set of physical knobs that distinguish
 one climate from another — solar constant, CO2, rotation rate, land-sea
-mask, ocean representation and initialization — and maps them onto a
+mask, ocean representation and initialization — as a
 :class:`~repro.core.config.FoamConfig` delta.  Everything downstream
 (serial runs, batched ensembles, concurrent rank pools) consumes the
 config, so a scenario built here runs in every execution mode unchanged.
 
-A scenario with all-default knobs builds *exactly* the model a plain
+A scenario with no knobs builds *exactly* the model a plain
 ``FoamModel(config)`` would: the layer adds no silent drift (regression-
 pinned bitwise in ``tests/test_scenarios.py``).
 """
@@ -20,33 +20,32 @@ from dataclasses import dataclass, field
 
 from repro.core.config import FoamConfig, named_config, test_config
 from repro.core.foam import FoamModel, FoamState
-from repro.util.constants import SOLAR_CONSTANT
+
+_CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(FoamConfig))
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named world: physical knobs plus bookkeeping.
+    """A named world: a sparse :class:`FoamConfig` delta plus bookkeeping.
 
-    Every knob defaults to the paper's Earth; a scenario is the sparse set
-    of deviations.  ``config_overrides`` passes any further
-    :class:`FoamConfig` field (resolution, time steps, seeds) verbatim.
+    ``knobs`` maps :class:`FoamConfig` field names to values; every field
+    it leaves out keeps its :class:`FoamConfig` default (the paper's
+    Earth).  Physical knobs (``solar_constant``, ``topography``,
+    ``ocean_mode`` ...) are the usual content, but any field — resolution,
+    time steps, seeds — may be set.
     """
 
     name: str
     description: str
-    # --- physical knobs (mirror the FoamConfig scenario fields) --------
-    solar_constant: float = SOLAR_CONSTANT
-    co2_ppmv: float = 355.0
-    rotation_factor: float = 1.0
-    subsolar_lon_deg: float | None = None
-    topography: str = "world"
-    ocean_mode: str = "full"
-    mixed_layer_depth: float = 50.0
-    ocean_init: str = "rest_stratified"
-    initial_ice_thickness: float = 0.0
-    config_overrides: dict = field(default_factory=dict)
+    knobs: dict = field(default_factory=dict)
     #: Free-form labels ("idealized", "exoplanet", "paleo") for listings.
     tags: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        unknown = set(self.knobs) - _CONFIG_FIELDS
+        if unknown:
+            raise ValueError(f"scenario {self.name!r}: unknown FoamConfig "
+                             f"fields {sorted(unknown)}")
 
     # ------------------------------------------------------------------
     def config(self, base: FoamConfig | str | None = None) -> FoamConfig:
@@ -61,37 +60,10 @@ class Scenario:
             base = test_config()
         elif isinstance(base, str):
             base = named_config(base)
-        knobs = dict(
-            solar_constant=self.solar_constant,
-            co2_ppmv=self.co2_ppmv,
-            rotation_factor=self.rotation_factor,
-            subsolar_lon_deg=self.subsolar_lon_deg,
-            topography=self.topography,
-            ocean_mode=self.ocean_mode,
-            mixed_layer_depth=self.mixed_layer_depth,
-            ocean_init=self.ocean_init,
-            initial_ice_thickness=self.initial_ice_thickness,
-        )
-        knobs.update(self.config_overrides)
-        return dataclasses.replace(base, **knobs)
+        return dataclasses.replace(base, **self.knobs)
 
     def build(self, base: FoamConfig | str | None = None
               ) -> tuple[FoamModel, FoamState]:
         """Construct the fully-initialized world: (model, initial state)."""
         model = FoamModel(self.config(base))
         return model, model.initial_state()
-
-    # ------------------------------------------------------------------
-    def knob_summary(self) -> dict:
-        """The non-default physical knobs, for listings and --json output."""
-        ref = Scenario(name="", description="")
-        out = {}
-        for f in dataclasses.fields(self):
-            if f.name in ("name", "description", "tags", "config_overrides"):
-                continue
-            value = getattr(self, f.name)
-            if value != getattr(ref, f.name):
-                out[f.name] = value
-        if self.config_overrides:
-            out["config_overrides"] = dict(self.config_overrides)
-        return out

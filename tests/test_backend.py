@@ -57,11 +57,14 @@ def _golden_fields() -> dict:
 # DTypePolicy
 # ---------------------------------------------------------------------------
 class TestDTypePolicy:
-    def test_aliases_resolve(self):
-        for alias in ("float64", "f64", "double", "fp64"):
-            assert policy_from_name(alias) is FLOAT64
-        for alias in ("float32", "F32", " single ", "fp32"):
-            assert policy_from_name(alias) is FLOAT32
+    def test_names_resolve(self):
+        """Two names, spelled as the CLIs and ``FOAM_DTYPE`` offer them."""
+        assert policy_from_name("float64") is FLOAT64
+        assert policy_from_name("float32") is FLOAT32
+        for retired in ("f64", "double", "fp64", "f32", "single", "fp32",
+                        "Float32"):
+            with pytest.raises(ValueError, match="unknown dtype policy"):
+                policy_from_name(retired)
 
     def test_passthrough_and_default(self):
         assert policy_from_name(FLOAT32) is FLOAT32
@@ -78,7 +81,7 @@ class TestDTypePolicy:
         assert FLOAT32.complex_bytes == 8
 
     def test_env_selection(self, monkeypatch):
-        monkeypatch.setenv("FOAM_DTYPE", "f32")
+        monkeypatch.setenv("FOAM_DTYPE", "float32")
         assert default_policy() is FLOAT32
         monkeypatch.delenv("FOAM_DTYPE")
         assert default_policy() is FLOAT64

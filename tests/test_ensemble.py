@@ -12,7 +12,6 @@ from repro.backend import workspace_totals
 from repro.core import (EnsembleConfig, FoamEnsemble, FoamModel, member_state,
                         stack_members)
 from repro.core import test_config as _test_config
-from repro.core.ensemble import promote_member_values
 from repro.util.tree import tree_leaves
 from tests.helpers import assert_trees_identical, leaf_name
 
@@ -26,25 +25,6 @@ def _serial_run(cfg, steps, seed=None):
     for _ in range(steps):
         state = model.coupled_step(state)
     return model, state
-
-
-class TestPromotion:
-    def test_scalar_stays_python_float(self):
-        assert promote_member_values(0.04, 4, np.float64) == 0.04
-        v = promote_member_values(np.float64(0.04), 4, np.float32)
-        assert isinstance(v, float)
-        v = promote_member_values(np.array(0.04), 4, np.float32)
-        assert isinstance(v, float)            # 0-d arrays collapse too
-
-    def test_sequence_promotes_to_broadcast_array(self):
-        arr = promote_member_values([1.0, 2.0, 3.0], 3, np.float32)
-        assert arr.shape == (3, 1, 1) and arr.dtype == np.float32
-        field = np.zeros((5, 3, 8, 8), dtype=np.float32)
-        assert (arr * field).dtype == np.float32   # no upcast
-
-    def test_wrong_length_raises(self):
-        with pytest.raises(ValueError):
-            promote_member_values([1.0, 2.0], 4, np.float64)
 
 
 class TestBitwiseEquivalence:
@@ -62,24 +42,6 @@ class TestBitwiseEquivalence:
         scfg.dtype = "float64"
         _, sstate = _serial_run(scfg, STEPS)
         for e in range(NENS):
-            assert_trees_identical(ens.member_state(bstate, e), sstate,
-                                   f"member {e}")
-
-    def test_per_member_knobs_match_serial(self):
-        """Per-member Robert filters / SST clamps reproduce each member's
-        standalone run (built from ``member_config``) bitwise."""
-        cfg = _test_config()
-        cfg.dtype = "float64"
-        ens = FoamEnsemble(EnsembleConfig(
-            nens=NENS, base=cfg,
-            robert_filter=[0.03, 0.04, 0.06],
-            sst_clamp=[-1.92, -1.5, -1.0]))
-        bstate = ens.initial_state()
-        for _ in range(2):
-            bstate = ens.step(bstate)
-
-        for e in range(NENS):
-            _, sstate = _serial_run(ens.member_config(e), 2)
             assert_trees_identical(ens.member_state(bstate, e), sstate,
                                    f"member {e}")
 
@@ -206,30 +168,16 @@ class TestFloat32Ensemble:
                     s32.ocean.salt, s32.ocean.eta):
             assert np.all(np.isfinite(arr))
 
-    def test_float32_per_member_knobs_keep_dtype(self):
-        """Promoted per-member arrays carry the policy dtype: no silent
-        upcast of complex64/float32 state through the Robert filter or the
-        SST clamp."""
-        cfg = _test_config()
-        cfg.dtype = "float32"
-        ens = FoamEnsemble(EnsembleConfig(
-            nens=2, base=cfg, robert_filter=[0.03, 0.05],
-            sst_clamp=[-1.92, -1.5]))
-        assert ens.model.dycore.robert.dtype == np.float32
-        assert ens.model.ocean.params.sst_clamp.dtype == np.float32
-        state = ens.initial_state()
-        state = ens.step(state)
-        assert state.atm_curr.vort.dtype == np.complex64
-        assert state.ocean.temp.dtype == np.float32
-
 
 class TestEnsembleAPI:
     def test_kwargs_construction_and_defaults(self):
-        """EnsembleConfig fields pass through **kwargs; base defaults to
-        the test config."""
-        ens = FoamEnsemble(nens=2, base=_test_config())
-        assert ens.nens == 2
-        default_base = FoamEnsemble(nens=1)
+        """One constructor form: an :class:`EnsembleConfig`, whose fields do
+        not pass through ``**kwargs``; ``base`` defaults to the test
+        config."""
+        with pytest.raises(TypeError):
+            FoamEnsemble(nens=2, base=_test_config())
+        default_base = FoamEnsemble(EnsembleConfig(nens=1))
+        assert default_base.nens == 1
         assert (default_base.model.config.atm_nlat
                 == _test_config().atm_nlat)
 

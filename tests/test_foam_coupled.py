@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    EnsembleConfig,
     FoamConfig,
     FoamEnsemble,
     FoamModel,
@@ -228,8 +229,8 @@ def test_coupled_step_does_not_mutate_its_input(nens):
         model = FoamModel(tiny_config())
         state = model.initial_state()
     else:
-        ens = FoamEnsemble(nens=nens, base=tiny_config(),
-                           ic_perturbation=1e-8)
+        ens = FoamEnsemble(EnsembleConfig(nens=nens, base=tiny_config(),
+                                          ic_perturbation=1e-8))
         model, state = ens.model, ens.initial_state()
     for step in range(1, 14):
         before = copy.deepcopy(state)

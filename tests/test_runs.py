@@ -172,6 +172,13 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             RunPlan(nens=3)
 
+    def test_ic_perturbation_requires_ensemble_mode(self):
+        # Only the ensemble perturbs its members; anywhere else the
+        # amplitude changed the run key and nothing else.
+        for mode in ("serial", "concurrent"):
+            with pytest.raises(ValueError, match="ic_perturbation"):
+                RunPlan(days=STEP_DAYS, mode=mode, ic_perturbation=1e-6)
+
     def test_substrate_requires_concurrent_mode(self):
         # The selector is gone: forked processes are the only transport.
         # The field survives for the frozen ledger workload's "process".
@@ -205,6 +212,21 @@ class TestPlanValidation:
         harness = RunHarness(RunPlan(days=DAYS, mode="ensemble", nens=3,
                                      ic_perturbation=1e-8))
         with pytest.raises(ValueError, match="nens"):
+            harness.run(resume_from=ckpt)
+
+    @pytest.mark.parametrize("written, resumed", [("float32", "float64"),
+                                                  ("float64", "float32")])
+    def test_resume_refuses_the_other_precision(self, tmp_path, monkeypatch,
+                                                written, resumed):
+        # ``dtype=None`` hashes alike whichever precision FOAM_DTYPE
+        # selects, so the config hash lets this checkpoint through.
+        monkeypatch.setenv("FOAM_DTYPE", written)
+        ckpt = RunHarness(RunPlan(
+            days=STEP_DAYS, checkpoint=CheckpointSpec(
+                str(tmp_path), interval_days=STEP_DAYS))).run().checkpoints[0]
+        monkeypatch.setenv("FOAM_DTYPE", resumed)
+        harness = RunHarness(RunPlan(days=2 * STEP_DAYS))
+        with pytest.raises(ValueError, match=f"{written}[\\s\\S]*{resumed}"):
             harness.run(resume_from=ckpt)
 
     def test_resume_beyond_plan_duration_raises(self, serial_checkpointed):

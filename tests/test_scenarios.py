@@ -35,6 +35,7 @@ from repro.scenarios import (
     scenario_names,
 )
 from repro.scenarios.__main__ import main as cli_main
+from repro.util.constants import SOLAR_CONSTANT
 from tests.helpers import assert_trees_identical
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "scenario_climatology.json"
@@ -71,7 +72,6 @@ def test_register_rejects_duplicates_and_blank_names():
     s = get_scenario("aquaplanet")
     with pytest.raises(ValueError, match="already registered"):
         register(s)
-    register(s, replace=True)  # idempotent with replace
     with pytest.raises(ValueError, match="non-empty name"):
         register(Scenario(name="", description="nameless"))
 
@@ -90,17 +90,49 @@ def test_scenario_config_bases():
     assert paper.topography == "aquaplanet"
     with pytest.raises(ValueError, match="unknown config"):
         s.config("enormous")
-    # config_overrides pass through arbitrary FoamConfig fields
-    tweaked = dataclasses.replace(s, config_overrides={"atm_dt": 1200.0})
+    # knobs pass any FoamConfig field through, not only physical ones
+    tweaked = dataclasses.replace(s, knobs={**s.knobs, "atm_dt": 1200.0})
     assert tweaked.config("test").atm_dt == 1200.0
+    assert tweaked.config("test").topography == "aquaplanet"
 
 
 def test_knob_summary_is_sparse():
-    assert get_scenario("control").knob_summary() == {}
-    ks = get_scenario("tidally_locked").knob_summary()
+    """``knobs`` is the summary the CLI prints: the deviations only, every
+    default stated once, on :class:`FoamConfig`."""
+    assert get_scenario("control").knobs == {}
+    ks = get_scenario("tidally_locked").knobs
     assert ks["rotation_factor"] == pytest.approx(1.0 / 16.0)
     assert ks["subsolar_lon_deg"] == 180.0
     assert "co2_ppmv" not in ks
+
+
+def test_builtin_knobs_are_pinned():
+    """The seven worlds' deltas, verbatim and in order: ``list --json``
+    prints each mapping unsorted."""
+    want = {
+        "aquaplanet": {"topography": "aquaplanet"},
+        "control": {},
+        "doubled_co2": {"co2_ppmv": 710.0, "topography": "aquaplanet"},
+        "paleo": {"topography": "paleo"},
+        "slab_ocean": {"ocean_mode": "slab"},
+        "snowball": {"solar_constant": 0.94 * SOLAR_CONSTANT,
+                     "topography": "aquaplanet",
+                     "ocean_init": "cold_uniform",
+                     "initial_ice_thickness": 1.0},
+        "tidally_locked": {"rotation_factor": 1.0 / 16.0,
+                           "subsolar_lon_deg": 180.0,
+                           "topography": "aquaplanet"},
+    }
+    assert scenario_names() == sorted(want)
+    for name, knobs in want.items():
+        got = get_scenario(name).knobs
+        assert list(got.items()) == list(knobs.items()), name
+
+
+def test_unknown_knob_is_refused_at_construction():
+    with pytest.raises(ValueError, match="solar_constnat"):
+        Scenario(name="typo", description="misspelled",
+                 knobs={"solar_constnat": 1300.0})
 
 
 # ----------------------------------------------------------------------
@@ -225,20 +257,22 @@ def test_config_roundtrip_property(solar, co2, rot, sublon, topo, mode,
 def test_batched_climatology_is_each_members_serial_one():
     """One ``ClimatologyObserver`` for serial and batched runs: it reduces
     the state it is handed per member, so member ``e`` of a batch reports
-    what a serial run of ``member_config(e)`` reports.  (The rain and
-    evaporation totals used to be summed over the members, off the model
-    object.)"""
-    from repro.core import EnsembleConfig, FoamEnsemble
+    what a serial run from member ``e``'s initial state reports.  (The rain
+    and evaporation totals used to be summed over the members, off the
+    model object.)"""
+    from repro.core import EnsembleConfig, FoamEnsemble, member_state
     from repro.scenarios.climatology import member_rows
 
     ens = FoamEnsemble(EnsembleConfig(nens=2, base=_test_config(),
-                                      robert_filter=[0.04, 0.08]))
-    _, batched = scenario_climatology(ens.model, ens.initial_state(), days=0.5)
+                                      ic_perturbation=1e-7))
+    initial = ens.initial_state()
+    _, batched = scenario_climatology(ens.model, initial, days=0.5)
     rows = member_rows(batched)
     assert len(rows) == 2 and rows[0] != rows[1]
     for e, got in enumerate(rows):
-        model = FoamModel(ens.member_config(e))
-        _, want = scenario_climatology(model, model.initial_state(), days=0.5)
+        model = FoamModel(_test_config())
+        _, want = scenario_climatology(model, member_state(initial, e),
+                                       days=0.5)
         assert want["evap_mm_day"] > 0.0
         assert got == want, f"member {e}"
 

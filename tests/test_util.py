@@ -110,11 +110,37 @@ def test_foam_env_switch_census():
         r"""\bos\.(?:environ\.get\(|environ\[|getenv\()\s*["'](\w+)["']""", text)
     assert len(keys) == len(uses), "environment read without a literal key"
     assert set(keys) == {
-        "FOAM_DTYPE", "REPRO_SIMMPI_TIMEOUT",
-        "PYTEST_CURRENT_TEST",   # read-only probe: "am I under pytest?"
+        "FOAM_DTYPE",
         # read-only probes: perf.report prints what its table ran under
         "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
     }
+    # The code never asks whether it runs under a test harness.
+    assert "pytest" not in text
+
+
+def test_front_door_fields_census():
+    """The settable fields of the run-level front doors, exactly.
+
+    Like an environment switch, every field is a configuration tests must
+    cover; a new one means editing this census, i.e. arguing in review that
+    something outside ``tests/`` sets it.  (``FoamConfig`` is pinned by
+    ``TestContentHash::test_pinned``.)
+    """
+    import dataclasses
+
+    from repro.core import EnsembleConfig
+    from repro.runs import RunPlan
+    from repro.scenarios import Scenario
+
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert names(EnsembleConfig) == [
+        "nens", "base", "ic_perturbation", "perturb_seed"]
+    assert names(Scenario) == ["name", "description", "knobs", "tags"]
+    assert names(RunPlan) == [
+        "config", "scenario", "days", "mode", "nens", "ic_perturbation",
+        "n_atm", "n_ocn", "substrate", "history", "checkpoint", "tags"]
 
 
 def test_one_rank_transport_census():
