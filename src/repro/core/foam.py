@@ -360,7 +360,12 @@ class FoamModel:
     # budgets
     # ------------------------------------------------------------------
     def global_water_inventory(self, state: FoamState) -> dict:
-        """All water reservoirs (kg): atmosphere, soil, snow, rivers, ice."""
+        """Water (kg) in the atmosphere, soil, snow and rivers.
+
+        Not every reservoir: sea ice and the ocean's virtual freshwater (the
+        salt flux stands in for a volume change) are not counted, so the
+        sum is not a closed budget of the coupled system.
+        """
         diag = self.dycore.diagnose(state.atm_curr)
         col_q = np.tensordot(self.vgrid.dsigma, state.atm_curr.q, axes=(0, 0)) \
             * diag.ps / GRAVITY

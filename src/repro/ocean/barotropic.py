@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ocean.grid import OceanGrid
-from repro.ocean.operators import Stencil
+from repro.ocean.operators import Stencil, row_plane
 from repro.perf.profiler import profiled
 from repro.util.constants import GRAVITY
 
@@ -63,6 +63,7 @@ class BarotropicSolver:
                               0.0).astype(grid.policy.float_dtype, copy=False)
         self.mask = mask
         self.stencil = Stencil.of(mask, grid.dx, grid.dy)
+        self.dry = ~mask
         self.params = params
         c = np.sqrt(GRAVITY * max(self.depth.max(), 1.0)) * params.slow_factor
         dmin = min(grid.dx.min(), grid.dy.min())
@@ -82,38 +83,65 @@ class BarotropicSolver:
         model (wind stress, depth-mean pressure-gradient and Coriolis
         residuals), held constant across the subcycle.
 
-        Returns the new fields and the number of substeps taken.
+        Returns new fields (the inputs are not written) and the number of
+        substeps taken.  The subcycle runs in place on three buffers
+        allocated once per call, in the inputs' common dtype; the
+        operations and their order are those of the expression each
+        comment states.
         """
         n = self.n_substeps(dt_outer)
         dt = dt_outer / n
         gamma = self.params.gamma
         dt_slow = dt / gamma            # the slowed momentum time increment
-        drag = self.params.bottom_drag
-        m = self.mask
+        dt_drag = dt * self.params.bottom_drag
         st = self.stencil
-        f = self.grid.f
-        # The rotation factors are constant across the subcycle; hoist them.
-        cosf = np.cos(f * dt_slow)
-        sinf = np.sin(f * dt_slow)
+        # The rotation factors are constant across the subcycle: hoisted,
+        # as (ny, nx) planes.
+        nx = self.grid.nx
+        cosf, sinf = (row_plane(rot(self.grid.f * dt_slow), nx)
+                      for rot in (np.cos, np.sin))
+        dtype = np.result_type(eta, ubar, vbar, gx, gy, self.depth, cosf)
+        eta, ubar, vbar = (np.array(a, dtype=dtype) for a in (eta, ubar, vbar))
+        # Depth-weighted velocities, then (spent) the rotated ones; scratch.
+        hu, hv, tmp = (np.empty_like(ubar) for _ in range(3))
         for _ in range(n):
-            # Forward step of the surface (flux form: globally conservative).
-            div = st.flux_divergence(self.depth * ubar, self.depth * vbar)
-            eta = np.where(m, eta - dt * div, 0.0)
+            # Forward step of the surface (flux form: globally conservative):
+            # eta = where(mask, eta - dt * div(depth * ubar, depth * vbar), 0).
+            np.multiply(self.depth, ubar, out=hu)
+            np.multiply(self.depth, vbar, out=hv)
+            div = st.flux_divergence(hu, hv)
+            div *= dt
+            np.subtract(eta, div, out=eta)
+            np.copyto(eta, 0.0, where=self.dry)
             # Backward step of velocity with the *new* eta (forward-backward).
             # Every momentum term advances with dt/gamma: steady balances are
             # untouched, the adjustment dynamics run gamma times slower.
             detax = st.ddx(eta)
             detay = st.ddy(eta)
-            # Exact Coriolis rotation keeps the (slowed) inertial mode neutral.
-            u_rot = ubar * cosf + vbar * sinf
-            v_rot = -ubar * sinf + vbar * cosf
+            # Exact Coriolis rotation keeps the (slowed) inertial mode
+            # neutral: u_rot = ubar cosf + vbar sinf,
+            # v_rot = (-ubar) sinf + vbar cosf = vbar cosf - ubar sinf.
+            u_rot, v_rot = hu, hv
+            np.multiply(ubar, cosf, out=u_rot)
+            np.multiply(vbar, sinf, out=tmp)
+            u_rot += tmp
+            np.multiply(vbar, cosf, out=v_rot)
+            np.multiply(ubar, sinf, out=tmp)
+            v_rot -= tmp
             # Wave dynamics and forcing run in slowed time; bottom friction
             # stays at the physical rate so transients spin down on the real
-            # frictional time scale instead of gamma times slower.
-            ubar = u_rot + dt_slow * (-GRAVITY * detax + gx) - dt * drag * u_rot
-            vbar = v_rot + dt_slow * (-GRAVITY * detay + gy) - dt * drag * v_rot
-            ubar = np.where(m, ubar, 0.0)
-            vbar = np.where(m, vbar, 0.0)
+            # frictional time scale instead of gamma times slower:
+            # vel = where(mask, rot + dt_slow * (-g * deta + g_forcing)
+            #                   - (dt * drag) * rot, 0).
+            for vel, rot, deta, g in ((ubar, u_rot, detax, gx),
+                                      (vbar, v_rot, detay, gy)):
+                deta *= -GRAVITY
+                deta += g
+                deta *= dt_slow
+                deta += rot
+                rot *= dt_drag
+                np.subtract(deta, rot, out=vel)
+                np.copyto(vel, 0.0, where=self.dry)
         return eta, ubar, vbar, n
 
     def mean_sea_level(self, eta: np.ndarray) -> float:

@@ -39,7 +39,7 @@ def density_anomaly(temp_c: np.ndarray, salt: np.ndarray,
     and dtype: the anomaly is written into the first, the second is
     scratch.  Either way the operations and their order are those of
     ``-ALPHA0 dt - 0.5 ALPHA_T dt dt + BETA (s - S0) + GAMMA_Z depth``,
-    ``dt = t - T0``.
+    ``dt = t - T0``, the last term left out at a scalar depth of zero.
     """
     t = _asfloat(temp_c)
     s = _asfloat(salt)
@@ -55,6 +55,10 @@ def density_anomaly(temp_c: np.ndarray, salt: np.ndarray,
     haline = np.subtract(s, S0, out=tmp)
     haline = np.multiply(BETA, haline, out=tmp)
     rho = np.add(rho, haline, out=buf)
+    if type(depth) in (int, float) and depth == 0:
+        # + 0.0 changes no bit: a sum is -0.0 only if both terms are, and
+        # BETA (s - S0) never is (s - S0 of equal values is +0.0).
+        return rho
     return np.add(rho, GAMMA_Z * depth, out=buf)
 
 

@@ -345,9 +345,8 @@ class OceanModel:
                 # grows with the Celsius offset of T and is violently
                 # unstable in shallow polar channels.)
                 for f3 in (temp, salt, u, v):
-                    adv = st.advect_centered(f3[k], u_tot[k], v_tot[k])
-                    adv *= dt_long
-                    f3[k] += adv
+                    f3[k] += st.advect_centered(f3[k], u_tot[k], v_tot[k],
+                                                dt_long)
                 # del^4 dissipation (A-grid mode control) on all prognostic
                 # fields, plus harmonic eddy viscosity on momentum.  The
                 # operators return fresh arrays in the fields' dtype, which
@@ -428,24 +427,34 @@ class OceanModel:
                     # part that couples velocity back into density.  dC/d(depth)
                     # at interior interfaces, dropped across the sea floor;
                     # each layer takes half of its two interfaces' w dC/dz.
+                    # The floor mask and the 1/2 go on w, once for both
+                    # tracers: x (w/2) is (x w)/2 (a halving is exact short
+                    # of the subnormal range), and a zero product's sign,
+                    # the one bit that differs from zeroing x, is cleared
+                    # by the + 0.0 below.
+                    w_half = w[1:]
+                    np.copyto(w_half, 0.0, where=closed[r])
+                    w_half *= 0.5
                     half = grad[:-1]
                     for c in (temp[r], salt[r]):
                         np.subtract(c[1:], c[:-1], out=half)
                         half /= dzi
-                        np.copyto(half, 0.0, where=closed[r])
-                        half *= w[1:]
-                        half *= 0.5
+                        half *= w_half
+                        # No dry mask: both interfaces of a dry cell are
+                        # closed, so its tend is +0.0 + (+-0.0) = +0.0.
                         np.add(half, 0.0, out=tend[:-1])
                         tend[-1] = 0.0
                         tend[1:] += half
-                        np.copyto(tend, 0.0, where=dry[r])
                         tend *= dt_int
                         c += tend
                     # Hydrostatic pressure at layer centers from the density
                     # anomaly (into the spent w and grad buffers): the full
                     # layers above plus half of this one.
+                    # The pressure of a dry cell is never read (the
+                    # centered gradient is zero wherever a neighbour is
+                    # dry, and a wet cell has only wet cells above it), so
+                    # the dry cells' density is not zeroed.
                     rho = density_anomaly(temp[r], salt[r], 0.0, out=(w, grad))
-                    np.copyto(rho, 0.0, where=dry[r])
                     rho *= dz
                     above = tend
                     above[0] = rho[0]
@@ -455,22 +464,23 @@ class OceanModel:
                     rho *= 0.5
                     above += rho
                     np.multiply(above, GRAVITY, out=pres[r])
-                # dt (-1/rho0) grad p, centered only: see Stencil.ddx.
+                # dt (-1/rho0) grad p, centered only: see Stencil.ddx.  The
+                # sign rides on dt: negation commutes exactly with a rounded
+                # quotient and product.
                 for k, st in enumerate(b.stencils):
                     for pg, d in ((pgx, st.ddx(pres[k], centered_only=True)),
                                   (pgy, st.ddy(pres[k], centered_only=True))):
-                        np.negative(d, out=d)
                         d /= RHO_SEAWATER
-                        np.multiply(d, dt_int, out=pg[k])
+                        np.multiply(d, -dt_int, out=pg[k])
                 for r, (rot_u, rot_v, tmp) in blocks:
-                    # Exact Coriolis rotation of the baroclinic shear.
+                    # Exact Coriolis rotation of the baroclinic shear:
+                    # (-u) sin + v cos is v cos - u sin, bit for bit.
                     np.multiply(u[r], cosf[r], out=rot_u)
                     np.multiply(v[r], sinf[r], out=tmp)
                     rot_u += tmp
-                    np.negative(u[r], out=rot_v)
-                    rot_v *= sinf[r]
-                    np.multiply(v[r], cosf[r], out=tmp)
-                    rot_v += tmp
+                    np.multiply(v[r], cosf[r], out=rot_v)
+                    np.multiply(u[r], sinf[r], out=tmp)
+                    rot_v -= tmp
                     for vel, new, pg, acc in ((u, rot_u, pgx, gx_acc),
                                               (v, rot_v, pgy, gy_acc)):
                         new += pg[r]
@@ -480,8 +490,8 @@ class OceanModel:
                         mean = np.sum(tmp, axis=0)
                         mean /= b.coldepth[r]
                         new -= mean
-                        np.copyto(new, 0.0, where=dry[r])
-                        vel[r] = new
+                        # The dry cells of u and v are +0.0 and stay so.
+                        np.copyto(vel[r], new, where=wet[r])
                         mean /= dt_int
                         acc[b.rows][r] += mean
 

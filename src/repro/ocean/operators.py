@@ -20,7 +20,8 @@ import numpy as np
 from repro.util.tree import tree_map
 
 
-def _zonal(ufunc, f: np.ndarray, a: int, b: int) -> np.ndarray:
+def _zonal(ufunc, f: np.ndarray, a: int, b: int,
+           out: np.ndarray | None = None, where=True) -> np.ndarray:
     """``ufunc(f[..., i + a], f[..., i + b])`` at every cell, longitude periodic.
 
     ``f`` is C-contiguous and the offsets are -1, 0 or 1.  One pass over the
@@ -28,13 +29,24 @@ def _zonal(ufunc, f: np.ndarray, a: int, b: int) -> np.ndarray:
     neighbour is its zonal neighbour everywhere but at the row ends —
     instead of one short inner loop per row; the two wrap columns are then
     written on their own (DESIGN.md "Ocean step cost structure").
+    With ``out`` (C-contiguous) and a ``where`` mask, only the cells of the
+    mask are written; a mask that broadcasts against ``f`` flattens with
+    each ``(ny, nx)`` plane of it.
     """
-    out = np.empty_like(f)
-    flat, nx = f.reshape(-1), f.shape[-1]
-    lo, hi = -min(a, b, 0), flat.size - max(a, b, 0)
-    ufunc(flat[lo + a:hi + a], flat[lo + b:hi + b], out=out.reshape(-1)[lo:hi])
+    if out is None:
+        out = np.empty_like(f)
+    nx = f.shape[-1]
+    lead = () if where is True or where.shape == f.shape else f.shape[:-2]
+    flat = f.reshape(lead + (-1,))
+    lo, hi = -min(a, b, 0), flat.shape[-1] - max(a, b, 0)
+    cells = where
+    if where is not True:
+        cells = where.reshape(where.shape[:-2] + (-1,) if lead else -1)[..., lo:hi]
+    ufunc(flat[..., lo + a:hi + a], flat[..., lo + b:hi + b],
+          out=out.reshape(lead + (-1,))[..., lo:hi], where=cells)
     for col in (0, nx - 1):
-        ufunc(f[..., (col + a) % nx], f[..., (col + b) % nx], out=out[..., col])
+        ufunc(f[..., (col + a) % nx], f[..., (col + b) % nx], out=out[..., col],
+              where=True if where is True else where[..., col])
     return out
 
 
@@ -58,22 +70,26 @@ class Stencil:
 
     A mask never changes during a run, so whoever owns one (``OceanModel``
     the 3-D mask, ``BarotropicSolver`` the 2-D one) builds its stencil once
-    with :meth:`of` and every operator call reuses the shifted masks and the
-    metric planes (:func:`row_plane`, viewed with stride 0 over the level
-    axis).  ``stencil[k]`` is the stencil of level ``k`` of a 3-D mask
-    (views); a 2-D stencil broadcasts against any leading member axes of the
-    field.
+    with :meth:`of` and every operator call reuses the masks and the metric
+    planes (:func:`row_plane`, viewed with stride 0 over the level axis).
+    Every mask is stored as the operators read it — the cells a masked
+    write zeroes or overwrites — so no call combines or inverts a mask.
+    The dry cells are among them wherever that makes a result's dry cells
+    +0.0 without a pass of their own.
+    ``stencil[k]`` is the stencil of level ``k`` of a 3-D mask (views); a
+    2-D stencil broadcasts against any leading member axes of the field.
     """
 
-    mask: np.ndarray
-    m_east: np.ndarray      # the eastern / western / ... neighbour is ocean
-    m_west: np.ndarray
-    m_north: np.ndarray
-    m_south: np.ndarray
-    x_both: np.ndarray      # m_east & m_west
-    y_both: np.ndarray
-    open_e: np.ndarray      # east edge open: mask & m_east
-    open_n: np.ndarray      # (..., ny-1, nx) north edges between two rows
+    east_only: np.ndarray   # one-sided d/dx: east neighbour ocean, west land
+    west_only: np.ndarray
+    north_only: np.ndarray  # (..., ny-1, nx) of rows 0..ny-2
+    south_only: np.ndarray  # (..., ny-1, nx) of rows 1..ny-1
+    x_off: np.ndarray       # d/dx is zero: ~(mask & east & west),
+    x_off1: np.ndarray      # ~(mask & (east | west)) with one-sided edges
+    y_off: np.ndarray
+    y_off1: np.ndarray
+    shut_e: np.ndarray      # no flux through the east edge: ~(mask & east),
+    shut_n: np.ndarray      # (..., ny-1, nx) the north edges between rows
     dx: np.ndarray          # metric planes: zonal and meridional spacing,
     dy: np.ndarray
     dx2: np.ndarray         # their squares,
@@ -84,20 +100,23 @@ class Stencil:
     @classmethod
     def of(cls, mask: np.ndarray, dx_row: np.ndarray,
            dy_row: np.ndarray) -> "Stencil":
-        m_east = np.roll(mask, -1, axis=-1)
-        m_west = np.roll(mask, 1, axis=-1)
-        m_north = np.zeros_like(mask)
-        m_south = np.zeros_like(mask)
-        m_north[..., :-1, :] = mask[..., 1:, :]
-        m_south[..., 1:, :] = mask[..., :-1, :]
+        east = np.roll(mask, -1, axis=-1)
+        west = np.roll(mask, 1, axis=-1)
+        north = np.zeros_like(mask)
+        south = np.zeros_like(mask)
+        north[..., :-1, :] = mask[..., 1:, :]
+        south[..., 1:, :] = mask[..., :-1, :]
         nx = mask.shape[-1]
         rows = (dx_row, dy_row, dx_row ** 2, dy_row ** 2, dx_row * dy_row,
                 0.5 * (dx_row[:-1] + dx_row[1:]))
         planes = [np.broadcast_to(row_plane(row, nx), mask.shape[:-2] + (len(row), nx))
                   for row in rows]
-        return cls(mask, m_east, m_west, m_north, m_south, m_east & m_west,
-                   m_north & m_south, mask & m_east,
-                   mask[..., :-1, :] & mask[..., 1:, :], *planes)
+        return cls(east & ~west, west & ~east,
+                   (north & ~south)[..., :-1, :], (south & ~north)[..., 1:, :],
+                   ~(mask & east & west), ~(mask & (east | west)),
+                   ~(mask & north & south), ~(mask & (north | south)),
+                   ~(mask & east), ~(mask[..., :-1, :] & mask[..., 1:, :]),
+                   *planes)
 
     def __getitem__(self, index) -> "Stencil":
         return tree_map(lambda m: m[index], self)
@@ -114,15 +133,13 @@ class Stencil:
         f = np.ascontiguousarray(field)
         d = _zonal(np.subtract, f, 1, -1)
         d *= 0.5
-        used = self.x_both
+        off = self.x_off
         if not centered_only:
-            np.copyto(d, _zonal(np.subtract, f, 1, 0),
-                      where=self.m_east & ~self.m_west)
-            np.copyto(d, _zonal(np.subtract, f, 0, -1),
-                      where=self.m_west & ~self.m_east)
-            used = self.m_east | self.m_west
+            _zonal(np.subtract, f, 1, 0, out=d, where=self.east_only)
+            _zonal(np.subtract, f, 0, -1, out=d, where=self.west_only)
+            off = self.x_off1
         d = _into(np.divide, d, self.dx)
-        np.copyto(d, 0.0, where=~(self.mask & used))
+        np.copyto(d, 0.0, where=off)
         return d
 
     def ddy(self, field: np.ndarray, centered_only: bool = False) -> np.ndarray:
@@ -131,41 +148,43 @@ class Stencil:
         d[..., 0, :] = d[..., -1, :] = 0.0
         np.subtract(field[..., 2:, :], field[..., :-2, :], out=d[..., 1:-1, :])
         d *= 0.5
-        used = self.y_both
+        off = self.y_off
         if not centered_only:
             # north - f of one row is f - south of the row above it.
-            step = field[..., 1:, :] - field[..., :-1, :]
-            np.copyto(d[..., :-1, :], step,
-                      where=(self.m_north & ~self.m_south)[..., :-1, :])
-            np.copyto(d[..., 1:, :], step,
-                      where=(self.m_south & ~self.m_north)[..., 1:, :])
-            used = self.m_north | self.m_south
+            step = (field[..., 1:, :], field[..., :-1, :])
+            np.subtract(*step, out=d[..., :-1, :], where=self.north_only)
+            np.subtract(*step, out=d[..., 1:, :], where=self.south_only)
+            off = self.y_off1
         d = _into(np.divide, d, self.dy)
-        np.copyto(d, 0.0, where=~(self.mask & used))
+        np.copyto(d, 0.0, where=off)
         return d
 
     def laplacian(self, field: np.ndarray) -> np.ndarray:
-        """Masked 5-point Laplacian; land neighbours contribute no flux."""
+        """Masked 5-point Laplacian; land neighbours contribute no flux.
+
+        In flux form: the difference across each edge, zeroed where the
+        edge is shut, then each cell's outflow minus its inflow.  A cell's
+        west term ``west - f`` is then ``-(f - west)``, which differs only
+        in the sign of a zero, and a zero's sign leaves no trace: the
+        zonal sum is normalised by ``+ 0.0``, and a +0.0 plus a zero of
+        either sign is +0.0.  A dry cell's edges are all shut: its result
+        is +0.0 without a mask of its own.
+        """
         f = np.ascontiguousarray(field)
-        # x direction (periodic).  west - f is taken as such: -(f - west)
-        # has the same value and the other zero.
-        out = _zonal(np.subtract, f, 1, 0)
-        np.copyto(out, 0.0, where=~self.m_east)
-        flux = _zonal(np.subtract, f, -1, 0)
-        np.copyto(flux, 0.0, where=~self.m_west)
-        out += flux
+        # x direction (periodic).
+        east = _zonal(np.subtract, f, 1, 0)
+        np.copyto(east, 0.0, where=self.shut_e)
+        out = _zonal(np.subtract, east, 0, -1)
         # 0.0 + fx/dx^2: the sum starts from +0.0, which a -0.0 term needs.
         np.add(_into(np.divide, out, self.dx2), 0.0, out=out)
-        # y direction (walls)
-        flux = np.empty_like(f)
-        np.subtract(f[..., 1:, :], f[..., :-1, :], out=flux[..., :-1, :])
-        np.copyto(flux, 0.0, where=~self.m_north)
-        south = np.empty_like(f)
-        np.subtract(f[..., :-1, :], f[..., 1:, :], out=south[..., 1:, :])
-        np.copyto(south, 0.0, where=~self.m_south)
-        flux += south
-        out += _into(np.divide, flux, self.dy2)
-        np.copyto(out, 0.0, where=~self.mask)
+        # y direction (walls: no edge beyond the first and last rows).
+        north = np.subtract(f[..., 1:, :], f[..., :-1, :])
+        np.copyto(north, 0.0, where=self.shut_n)
+        fy = east
+        fy[..., 0, :] = north[..., 0, :]
+        np.subtract(north[..., 1:, :], north[..., :-1, :], out=fy[..., 1:-1, :])
+        np.negative(north[..., -1, :], out=fy[..., -1, :])
+        out += _into(np.divide, fy, self.dy2)
         return out
 
     def biharmonic(self, field: np.ndarray) -> np.ndarray:
@@ -173,11 +192,13 @@ class Stencil:
         return self.laplacian(self.laplacian(field))
 
     def advect_centered(self, field: np.ndarray, u: np.ndarray,
-                        v: np.ndarray) -> np.ndarray:
-        """-(u df/dx + v df/dy), centered differences (MOM-style interior scheme)."""
+                        v: np.ndarray, dt: float) -> np.ndarray:
+        """The increment -(u df/dx + v df/dy) dt over ``dt``, centered
+        differences (MOM-style interior scheme).  One product by ``-dt``:
+        a negation commutes exactly with a rounded product."""
         adv = _into(np.multiply, self.ddx(field), u)
         adv = _into(np.add, adv, _into(np.multiply, self.ddy(field), v))
-        return np.negative(adv, out=adv)
+        return np.multiply(adv, -dt, out=adv)
 
     def flux_divergence(self, h_u: np.ndarray, h_v: np.ndarray) -> np.ndarray:
         """div(H u) in conservative (flux) form for the free-surface equation.
@@ -191,21 +212,22 @@ class Stencil:
         # along a row, so it factors out of the telescoping sum).
         fe = _zonal(np.add, np.ascontiguousarray(h_u), 0, 1)
         fe *= 0.5
-        np.copyto(fe, 0.0, where=~self.open_e)
+        np.copyto(fe, 0.0, where=self.shut_e)
         fe = _into(np.multiply, fe, self.dy)
         div = _into(np.divide, _zonal(np.subtract, fe, 0, -1), self.area)
         # y fluxes at north edges, integrated over the edge length dx_edge
         # (average of the adjacent rows' dx) so the column sum telescopes exactly.
         fn = h_v[..., :-1, :] + h_v[..., 1:, :]
         fn *= 0.5
-        np.copyto(fn, 0.0, where=~self.open_n)
+        np.copyto(fn, 0.0, where=self.shut_n)
         fn = _into(np.multiply, fn, self.dx_edge)
         fy = np.empty(h_v.shape, h_v.dtype)
         fy[..., 0, :] = fn[..., 0, :]
         np.subtract(fn[..., 1:, :], fn[..., :-1, :], out=fy[..., 1:-1, :])
         np.negative(fn[..., -1, :], out=fy[..., -1, :])
+        # Both edges of a dry cell in each direction are shut: its
+        # divergence is +0.0 - +0.0 plus +-0.0, +0.0 without a mask.
         div += _into(np.divide, fy, self.area)
-        np.copyto(div, 0.0, where=~self.mask)
         return div
 
 

@@ -9,6 +9,7 @@ bitwise-resumable checkpoints on every path.
 """
 
 from repro.runs.harness import RunHarness, RunResult, drive_steps
+from repro.runs.health import NonFiniteStateError
 from repro.runs.observers import (
     HISTORY_FIELDS,
     CheckpointObserver,
@@ -25,6 +26,6 @@ from repro.runs.plan import (
 
 __all__ = [
     "RunPlan", "HistorySpec", "CheckpointSpec", "RUN_MODES", "plan_from_flags",
-    "RunHarness", "RunResult", "drive_steps",
+    "RunHarness", "RunResult", "drive_steps", "NonFiniteStateError",
     "StepObserver", "HistoryObserver", "CheckpointObserver", "HISTORY_FIELDS",
 ]

@@ -29,6 +29,7 @@ from pathlib import Path
 from repro.core.config import FoamConfig
 from repro.core.foam import FoamModel, FoamState
 from repro.core.history import HistoryWriter, load_checkpoint
+from repro.runs.health import check_finite
 from repro.runs.observers import (
     CheckpointObserver,
     HistoryObserver,
@@ -49,12 +50,17 @@ def drive_steps(model: FoamModel, state: FoamState, nsteps: int,
     climatology reducer, and the harness's serial/ensemble modes — so
     there is exactly one place where a FOAM trajectory advances.
     Observers only *read* the state; the trajectory is independent of the
-    observer set and of how ``nsteps`` is partitioned into calls.
+    observer set and of how ``nsteps`` is partitioned into calls.  At every
+    coupling boundary (the ocean has just been called) the state is checked
+    before any observer sees it: a non-finite leaf raises
+    :class:`~repro.runs.health.NonFiniteStateError`.
     """
     for ob in observers:
         ob.on_start(model, state)
     for _ in range(nsteps):
         state = model.coupled_step(state)
+        if state.coupler.forcing_steps == 0:
+            check_finite(state, step_index(model, state))
         for ob in observers:
             ob.on_step(model, state)
     for ob in observers:

@@ -22,8 +22,12 @@ member, spread reported), or ``--atm-ranks N`` [``--ocn-ranks N``]
 ``--checkpoint-dir`` streams bitwise-resumable checkpoints,
 ``--history-dir`` streams rolling history files, and ``--resume CKPT``
 continues any prior run's checkpoint up to ``--days`` total — in any
-mode, not just the one that wrote it.  ``golden`` regenerates the
-committed regression climatologies.
+mode, not just the one that wrote it.  An ensemble run reports
+``ic_max_wind_ms``, the step-0 largest grid wind of each member (what
+``--perturb`` amounts to at the run's truncation).  A run whose state goes
+non-finite stops at the next coupling boundary and exits 1 with the
+:class:`~repro.runs.NonFiniteStateError` message.  ``golden`` regenerates
+the committed regression climatologies.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from repro.core.config import NAMED_CONFIGS
 from repro.runs import (
     CheckpointSpec,
     HistorySpec,
+    NonFiniteStateError,
     RunHarness,
     RunPlan,
     plan_from_flags,
@@ -43,6 +48,7 @@ from repro.runs import (
 from repro.scenarios.climatology import (
     GOLDEN_DAYS,
     ClimatologyObserver,
+    max_wind_ms,
     member_rows,
     scenario_climatology,
     state_metrics,
@@ -119,9 +125,17 @@ def cmd_run(args) -> int:
     # only: it reports the end state, not an every-step climatology.
     pooled = plan.mode == "concurrent"
     observers = () if pooled else (ClimatologyObserver(harness.model),)
-    result = harness.run(resume_from=args.resume, observers=observers)
+    body: dict = {"mode": plan.mode}
+    state = None
+    if plan.mode == "ensemble" and not args.resume:
+        # What the perturbation amplitude produced on the grid, per member.
+        state = harness.initial_state()
+        body["ic_max_wind_ms"] = [
+            float(w) for w in max_wind_ms(harness.model, state)]
+    result = harness.run(state=state, resume_from=args.resume,
+                         observers=observers)
 
-    body: dict = {"mode": plan.mode, "run_key": result.run_key}
+    body["run_key"] = result.run_key
     if pooled:
         body.update(world_size=plan.n_atm + 1 + plan.n_ocn,
                     nsteps=result.steps,
@@ -161,6 +175,9 @@ def cmd_run(args) -> int:
         print(f"  {k:<24} {table[k]:.6g}")
     if body["mode"] == "ensemble":
         print(f"  members                  {body['nens']}")
+        if "ic_max_wind_ms" in body:
+            print(f"  ic_max_wind_ms           "
+                  f"{max(body['ic_max_wind_ms']):.3g} (largest member)")
         print(f"  ts_global_k_mean         {body['ts_global_k_mean']:.6g}")
         print(f"  ts_spread_k              {body['ts_spread_k']:.3g}")
     if pooled:
@@ -256,7 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except NonFiniteStateError as err:
+        print(f"NonFiniteStateError: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

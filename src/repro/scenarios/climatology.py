@@ -88,6 +88,19 @@ def state_metrics(model: FoamModel, state: FoamState) -> dict:
     }
 
 
+def max_wind_ms(model: FoamModel, state: FoamState) -> np.ndarray:
+    """Largest grid wind speed (m/s) of the current atmosphere over every
+    level and cell: ``(nens,)`` for a batched state, 0-d for a serial one.
+
+    At step 0 of an ensemble this is what ``ic_perturbation`` means on the
+    grid: the noise is white over the spectral coefficients, so its grid
+    effect depends on the truncation.
+    """
+    diag = model.dycore.diagnose(state.atm_curr)
+    speed = np.moveaxis(np.hypot(diag.u, diag.v), 0, -3)
+    return np.max(speed.reshape(speed.shape[:-3] + (-1,)), axis=-1)
+
+
 def member_rows(metrics: dict) -> list[dict]:
     """Per-member metrics as one dict of floats per member (one row for a
     serial state)."""

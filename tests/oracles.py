@@ -20,7 +20,9 @@ exchange (:meth:`repro.coupler.FluxCoupler.turbulent_fluxes`): the
 whole-grid formulation — both bulk formulas on every overlap cell, merged
 by ``np.where``, the Louis stability function three times per ocean cell,
 every ocean-bound field through a whole-grid ``to_ocn`` — is the oracle
-``test_flux_coupler.py`` holds the planned exchange to.  Nothing in
+``test_flux_coupler.py`` holds the planned exchange to.  So is the
+ocean's barotropic subcycle: the allocate-per-operation loop is the oracle
+``test_ocean_model.py`` holds the in-place subcycle to.  Nothing in
 ``src/`` imports this module.
 """
 
@@ -336,3 +338,31 @@ def water_to_ocn_ref(coupler, atm_field: np.ndarray) -> np.ndarray:
     ov = coupler.overlap
     return ov.to_ocn(np.where(coupler._water_overlap,
                               ov.from_atm(atm_field), 0.0))
+
+
+# ---------------------------------------------------------------------------
+# Barotropic subcycle: a fresh array per operation, np.where masking
+# ---------------------------------------------------------------------------
+def barotropic_step_ref(solver, eta, ubar, vbar, gx, gy, dt_outer):
+    """:meth:`repro.ocean.BarotropicSolver.step` as the seed wrote it: every
+    substep allocates its temporaries, the rotation factors are ``(ny, 1)``
+    columns and the masking is ``np.where``."""
+    n = solver.n_substeps(dt_outer)
+    dt = dt_outer / n
+    dt_slow = dt / solver.params.gamma
+    drag = solver.params.bottom_drag
+    m, st, f = solver.mask, solver.stencil, solver.grid.f
+    cosf = np.cos(f * dt_slow)
+    sinf = np.sin(f * dt_slow)
+    for _ in range(n):
+        div = st.flux_divergence(solver.depth * ubar, solver.depth * vbar)
+        eta = np.where(m, eta - dt * div, 0.0)
+        detax = st.ddx(eta)
+        detay = st.ddy(eta)
+        u_rot = ubar * cosf + vbar * sinf
+        v_rot = -ubar * sinf + vbar * cosf
+        ubar = u_rot + dt_slow * (-GRAVITY * detax + gx) - dt * drag * u_rot
+        vbar = v_rot + dt_slow * (-GRAVITY * detay + gy) - dt * drag * v_rot
+        ubar = np.where(m, ubar, 0.0)
+        vbar = np.where(m, vbar, 0.0)
+    return eta, ubar, vbar, n

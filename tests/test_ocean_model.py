@@ -17,7 +17,7 @@ from repro.ocean import (
     world_topography,
 )
 from repro.util.tree import tree_map
-from tests.oracles import bitwise
+from tests.oracles import barotropic_step_ref, bitwise
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +90,36 @@ def test_barotropic_geostrophic_adjustment_bounded():
         eta, ubar, vbar, _ = solver.step(eta, ubar, vbar, zero, zero, 3600.0)
     assert np.abs(eta).max() <= 1.0 + 1e-9
     assert np.all(np.isfinite(ubar))
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("nens", [0, 3], ids=["serial", "members"])
+@pytest.mark.parametrize("topography", [world_topography, aquaplanet_topography],
+                         ids=["world", "aquaplanet"])
+def test_barotropic_step_matches_allocating_oracle(topography, nens, dtype):
+    """The in-place subcycle is the allocate-per-operation loop, bit for
+    bit, -0.0 included; it leaves its inputs alone."""
+    g = OceanGrid(nx=32, ny=24, nlev=4, dtype=dtype)
+    land, depth = topography(g)
+    solver = BarotropicSolver(g, depth, ~land)
+    rng = np.random.default_rng(2)
+    shape = (nens,) * bool(nens) + (g.ny, g.nx)
+
+    def field(scale):
+        f = np.where(~land, rng.normal(scale=scale, size=shape), 0.0)
+        f[rng.random(shape) < 0.1] = -0.0
+        return f.astype(g.policy.float_dtype)
+    args = [field(s) for s in (0.1, 0.05, 0.05, 1e-6, 1e-6)]
+    before = [a.copy() for a in args]
+    for dt_outer in (6 * 3600.0, 24 * 3600.0):
+        got = solver.step(*args, dt_outer)
+        want = barotropic_step_ref(solver, *args, dt_outer)
+        assert got[3] == want[3] > 1
+        for a, b in zip(got[:3], want[:3]):
+            assert a.dtype == b.dtype == np.dtype(dtype) and a.shape == shape
+            assert bitwise(a, b)
+    for a, b in zip(args, before):
+        assert bitwise(a, b)
 
 
 # ------------------------------------------------------------- ocean model

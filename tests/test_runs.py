@@ -442,3 +442,59 @@ class TestHarnessHistory:
         # is indistinguishable from the straight-through run's
         assert np.array_equal(combined["time"], want["time"])
         assert np.array_equal(combined["sst"], want["sst"])
+
+
+# ----------------------------------------------------------------- health
+class TestNonFiniteState:
+    """A non-finite leaf stops ``drive_steps`` at the next coupling
+    boundary with one error that says where it is."""
+
+    @staticmethod
+    def _poisoned(nens, value):
+        """A state whose ocean temperature holds ``value`` at one wet cell
+        (level 2, lat 5, lon 7) of the last member."""
+        from repro.core.ensemble import EnsembleConfig, FoamEnsemble
+        from repro.core.foam import FoamModel
+        if nens:
+            ens = FoamEnsemble(EnsembleConfig(nens=nens, base=_test_config()))
+            model, state = ens.model, ens.initial_state()
+        else:
+            model = FoamModel(_test_config())
+            state = model.initial_state()
+        assert model.ocean.mask3d[2, 5, 7]
+        state.ocean.temp[(2,) + (nens - 1,) * bool(nens) + (5, 7)] = value
+        return model, state
+
+    @pytest.mark.parametrize("nens", [0, 3], ids=["serial", "members"])
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_check_names_leaf_member_cell_step_and_time(self, nens, value):
+        from repro.runs import NonFiniteStateError
+        from repro.runs.health import check_finite
+        _, state = self._poisoned(nens, value)
+        with pytest.raises(NonFiniteStateError) as info:
+            check_finite(state, 17)
+        err = info.value
+        assert (err.path, err.index, err.step, err.n_bad) == (
+            "ocean.temp", (2, 5, 7), 17, 1)
+        assert err.member == (nens - 1 if nens else None)
+        assert "ocean.temp" in str(err) and "step 17" in str(err)
+
+    def test_finite_state_and_overflowing_sums_pass(self):
+        from repro.runs.health import check_finite
+        _, state = self._poisoned(0, 0.0)
+        check_finite(state, 0)
+        big = np.finfo(state.ocean.salt.dtype).max
+        state.ocean.salt[...] = big            # the sum overflows, no cell does
+        check_finite(state, 0)
+
+    def test_drive_steps_raises_at_the_first_coupling_boundary(self):
+        from repro.runs import NonFiniteStateError, drive_steps
+        model, state = self._poisoned(0, np.nan)
+        every = model.config.atm_steps_per_coupling
+        # The poisoned ocean is not stepped before the first boundary, and
+        # nothing is checked there: the run gets that far.
+        state = drive_steps(model, state, every - 1)
+        with pytest.raises(NonFiniteStateError) as info:
+            drive_steps(model, state, every)
+        assert info.value.step == every
+        assert info.value.time == every * model.config.atm_dt

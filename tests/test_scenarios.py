@@ -324,6 +324,38 @@ def test_cli_run_ensemble(capsys):
         serial["evap_mm_day"], rel=1e-3)   # 1e-8 IC noise apart, not 2x
 
 
+def test_cli_run_that_goes_non_finite_fails_in_its_first_window(capsys):
+    """A 1e-6 perturbation blows the test-size boundary layer up within a
+    few steps (NaN everywhere in the atmosphere by step 5).  The run stops
+    at the first coupling boundary and exits non-zero, naming the first bad
+    leaf: an atmosphere one, before the ocean has read the NaN forcing."""
+    with pytest.warns(RuntimeWarning):
+        code = cli_main(["run", "control", "--size", "test", "--ensemble",
+                         "4", "--perturb", "1e-6", "--days", "0.5"])
+    assert code != 0
+    err = capsys.readouterr().err
+    steps = _test_config().atm_steps_per_coupling
+    assert err.startswith(f"NonFiniteStateError: non-finite state at step "
+                          f"{steps} (day 0.2500): atm_prev.vort holds ")
+    assert "member 0" in err
+
+
+@pytest.mark.parametrize("amplitude, low, high", [
+    (1e-6, 52.0, 60.0), (1e-7, 5.2, 6.0), (1e-8, 0.6, 0.8)])
+def test_cli_ensemble_reports_the_winds_its_perturbation_made(
+        capsys, amplitude, low, high):
+    """``--perturb`` is white noise on every vorticity coefficient, so what
+    it means on the grid depends on the truncation: at the test config's
+    R8, 1e-6 is a 52-59 m/s wind at step 0, 1e-7 ~5.7 and 1e-8 ~0.7 (the
+    model's own 1e-8 IC noise alone is 0.54).  One step is run."""
+    assert cli_main(["run", "control", "--size", "test", "--ensemble", "4",
+                     "--perturb", str(amplitude), "--days", str(1 / 24),
+                     "--json"]) == 0
+    winds = json.loads(capsys.readouterr().out)["ic_max_wind_ms"]
+    assert len(winds) == 4 and len(set(winds)) == 4
+    assert all(low <= w <= high for w in winds), winds
+
+
 def test_cli_run_concurrent(capsys):
     assert cli_main(["run", "aquaplanet", "--days", "0.125",
                      "--atm-ranks", "1", "--json"]) == 0
