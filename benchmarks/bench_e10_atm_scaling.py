@@ -12,7 +12,7 @@ import numpy as np
 
 from conftest import report
 from repro.parallel import block_bounds, run_ranks, transpose_forward
-from repro.perf import simulate_coupled_day
+from repro.perf.eventsim import simulate_coupled_day
 
 
 def test_atm_scaling_curve(benchmark):

@@ -14,7 +14,7 @@ from conftest import report
 from repro.atmosphere.dynamics import SpectralDynamicalCore
 from repro.atmosphere.spectral import SpectralTransform, Truncation
 from repro.atmosphere.vertical import VerticalGrid
-from repro.perf import AtmosphereCost
+from repro.perf.costmodel import AtmosphereCost
 
 
 def test_cube_law_cost_model(benchmark):

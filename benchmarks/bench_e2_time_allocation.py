@@ -9,7 +9,7 @@ qualitative anatomy.
 """
 
 from conftest import report
-from repro.perf import simulate_coupled_day
+from repro.perf.eventsim import simulate_coupled_day
 
 
 def test_figure2_time_allocation(benchmark):

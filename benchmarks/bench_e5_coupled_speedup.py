@@ -8,7 +8,7 @@ calibrated SP2 model and checks the two anchors and the knee.
 """
 
 from conftest import report
-from repro.perf import scaling_curve
+from repro.perf.eventsim import scaling_curve
 
 
 def test_coupled_speedup_curve(benchmark):

@@ -12,7 +12,7 @@ import numpy as np
 
 from conftest import report
 from repro.ocean import OceanForcing, OceanGrid, OceanModel, world_topography
-from repro.perf import simulate_ocean_day
+from repro.perf.eventsim import simulate_ocean_day
 
 
 def test_ocean_throughput_model(benchmark):

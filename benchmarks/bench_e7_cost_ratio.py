@@ -11,7 +11,7 @@ Python implementation's wall-clock times at reduced resolution.
 import time
 
 from conftest import report
-from repro.perf import AtmosphereCost, OceanCost, atmosphere_ocean_cost_ratio
+from repro.perf.costmodel import AtmosphereCost, OceanCost, atmosphere_ocean_cost_ratio
 
 
 def test_cost_ratio_model(benchmark):

@@ -8,12 +8,8 @@ other current models of the same phenomena."
 """
 
 from conftest import report
-from repro.perf import (
-    CSMCostModel,
-    cost_performance_ratio,
-    foam_cost_musd,
-    scaling_curve,
-)
+from repro.perf.csm import CSMCostModel, cost_performance_ratio, foam_cost_musd
+from repro.perf.eventsim import scaling_curve
 
 
 def test_csm_comparison(benchmark):

@@ -21,7 +21,7 @@ from repro.ocean import (
     OceanModel,
     world_topography,
 )
-from repro.perf import OceanCost
+from repro.perf.costmodel import OceanCost
 
 
 def test_ocean_ablation(benchmark):

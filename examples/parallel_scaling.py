@@ -19,10 +19,9 @@ Run:  python examples/parallel_scaling.py
 """
 
 
-from repro.perf import (
-    CSMCostModel,
-    atmosphere_ocean_cost_ratio,
-    cost_performance_ratio,
+from repro.perf.costmodel import atmosphere_ocean_cost_ratio
+from repro.perf.csm import CSMCostModel, cost_performance_ratio
+from repro.perf.eventsim import (
     scaling_curve,
     simulate_coupled_day,
     simulate_ocean_day,

@@ -17,13 +17,9 @@ Run:  PYTHONPATH=src python examples/profile_coupled_day.py
 
 from repro.core.config import test_config
 from repro.core.foam import FoamModel
-from repro.perf import (
-    calibrate_from_profile,
-    disable_profiling,
-    enable_profiling,
-    simulate_coupled_day,
-    take_profile,
-)
+from repro.perf import disable_profiling, enable_profiling, take_profile
+from repro.perf.costmodel import calibrate_from_profile
+from repro.perf.eventsim import simulate_coupled_day
 from repro.perf.report import format_calibration
 
 

@@ -66,6 +66,7 @@ def hack_shallow(temp: np.ndarray, q: np.ndarray, pressure: np.ndarray,
     precip = np.zeros_like(temp[0])
 
     # Pairwise bottom-up sweep (l below, l-1 above), vectorized over columns.
+    copied = False
     for l in range(L - 1, 0, -1):
         below_h = h[l]
         above_hsat = hsat[l - 1]
@@ -107,16 +108,19 @@ def hack_shallow(temp: np.ndarray, q: np.ndarray, pressure: np.ndarray,
         dtdt[l - 1] += dtu / dt
         dqdt[l] += dql / dt
         dqdt[l - 1] += dqu / dt
-        # Keep working arrays current for the next pair up.
-        temp = temp.copy()
-        q = q.copy()
+        # Keep working arrays current for the next pair up, on copies made
+        # at the first active pair (most calls have none).
+        if not copied:
+            temp, q, copied = temp.copy(), q.copy(), True
         temp[l] += dtl
         temp[l - 1] += dtu
         q[l] += dql
         q[l - 1] += dqu
-        h = moist_static_energy_profile(temp, q, geopotential)
-        qsat = saturation_mixing_ratio(temp, pressure)
-        hsat = CP * temp + geopotential + LATENT_HEAT_VAP * qsat
+        # The pairs above read h at l - 1 and higher up, hsat and qsat at
+        # l - 2 and higher up: h[l - 1] is the one value this pair changed
+        # that is read again.
+        h[l - 1] = moist_static_energy_profile(temp[l - 1], q[l - 1],
+                                               geopotential[l - 1])
 
     return dtdt, dqdt, np.maximum(precip, 0.0)
 

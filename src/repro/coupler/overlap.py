@@ -48,8 +48,11 @@ def lon_edges_uniform(nlon: int) -> np.ndarray:
 
 def _merge_edges(edges_a: np.ndarray, edges_b: np.ndarray,
                  tol: float = 1e-12) -> np.ndarray:
-    merged = np.union1d(edges_a, edges_b)
-    # Collapse near-duplicates (same physical edge from both grids).
+    # Sorted, then collapsed: an exact duplicate or a near one (the same
+    # physical edge from both grids) is within ``tol`` of its predecessor.
+    # (``np.union1d`` would do the sort through ``np.unique``, which loads
+    # ``numpy.ma`` into every run's set-up.)
+    merged = np.sort(np.concatenate([edges_a, edges_b]))
     keep = np.concatenate([[True], np.diff(merged) > tol])
     return merged[keep]
 

@@ -27,6 +27,20 @@ from repro.util.constants import RIVER_FLOW_VELOCITY
 NEIGHBORS = [(-1, -1), (-1, 0), (-1, 1),
              (0, -1),           (0, 1),
              (1, -1),  (1, 0),  (1, 1)]
+_DJ = np.array([dj for dj, _ in NEIGHBORS])
+_DI = np.array([di for _, di in NEIGHBORS])
+
+
+def _neighbor_planes(field: np.ndarray, fill) -> np.ndarray:
+    """(8, ny, nx): plane n holds each cell's NEIGHBORS[n] value of
+    ``field``, ``fill`` where that neighbor is off the grid in j."""
+    ny = field.shape[0]
+    planes = np.full((8,) + field.shape, fill, dtype=field.dtype)
+    for n, (dj, di) in enumerate(NEIGHBORS):
+        shifted = np.roll(field, -di, axis=1)
+        lo, hi = max(0, -dj), min(ny, ny - dj)
+        planes[n, lo:hi] = shifted[lo + dj:hi + dj]
+    return planes
 
 
 def distance_to_ocean(land_mask: np.ndarray) -> np.ndarray:
@@ -34,22 +48,18 @@ def distance_to_ocean(land_mask: np.ndarray) -> np.ndarray:
 
     Longitude wraps; latitude does not.  Ocean cells have distance 0.
     Land cells with no path to the ocean (shouldn't exist on a real mask)
-    get a large finite value.
+    get a large finite value.  The breadth-first fronts are 8-neighbor
+    dilations of the cells already reached, restricted to land.
     """
-    ny, nx = land_mask.shape
-    dist = np.where(land_mask, np.iinfo(np.int32).max, 0).astype(np.int64)
-    frontier = [(j, i) for j in range(ny) for i in range(nx) if not land_mask[j, i]]
+    land = np.asarray(land_mask, dtype=bool)
+    dist = np.where(land, np.iinfo(np.int32).max, 0).astype(np.int64)
+    frontier = ~land
     d = 0
-    while frontier:
+    while frontier.any():
         d += 1
-        nxt = []
-        for j, i in frontier:
-            for dj, di in NEIGHBORS:
-                jj, ii = j + dj, (i + di) % nx
-                if 0 <= jj < ny and land_mask[jj, ii] and dist[jj, ii] > d:
-                    dist[jj, ii] = d
-                    nxt.append((jj, ii))
-        frontier = nxt
+        reach = _neighbor_planes(frontier, False).any(axis=0)
+        frontier = reach & land & (dist > d)
+        dist[frontier] = d
     return dist
 
 
@@ -58,31 +68,26 @@ def derive_flow_directions(land_mask: np.ndarray,
     """D8 flow direction index (0-7 into NEIGHBORS) per land cell, -1 elsewhere.
 
     Steepest descent on the distance-to-ocean field, ties broken at random
-    (the stand-in for the paper's hand tuning — see ``set_direction``).
+    (the stand-in for the paper's hand tuning — see ``set_direction``):
+    one ``rng.integers(0, k)`` draw per cell with k tied neighbors, in
+    row-major order.  A land cell with no lower neighbor is an interior
+    pit (-1): its water pools (rare).
     """
-    ny, nx = land_mask.shape
-    dist = distance_to_ocean(land_mask)
-    rng = np.random.default_rng(rng_seed)
-    direction = np.full((ny, nx), -1, dtype=int)
-    for j in range(ny):
-        for i in range(nx):
-            if not land_mask[j, i]:
-                continue
-            best = []
-            best_d = dist[j, i]
-            for n, (dj, di) in enumerate(NEIGHBORS):
-                jj, ii = j + dj, (i + di) % nx
-                if not 0 <= jj < ny:
-                    continue
-                if dist[jj, ii] < best_d:
-                    best_d = dist[jj, ii]
-                    best = [n]
-                elif dist[jj, ii] == best_d and best and dist[jj, ii] < dist[j, i]:
-                    best.append(n)
-            if best:
-                direction[j, i] = best[0] if len(best) == 1 else int(rng.choice(best))
-            else:
-                direction[j, i] = -1    # interior pit: water pools (rare)
+    land = np.asarray(land_mask, dtype=bool)
+    dist = distance_to_ocean(land)
+    planes = _neighbor_planes(dist, np.iinfo(np.int64).max)
+    lowest = planes.min(axis=0)
+    drains = land & (lowest < dist)
+    tied = (planes == lowest) & drains
+    direction = np.where(drains, np.argmax(tied, axis=0), -1)
+    count = tied.sum(axis=0)
+    many = count > 1
+    if many.any():
+        pick = np.random.default_rng(rng_seed).integers(0, count[many])
+        # The pick-th tied neighbor of each cell, in NEIGHBORS order.
+        rank = np.cumsum(tied[:, many], axis=0) - 1
+        chosen = tied[:, many] & (rank == pick)
+        direction[many] = np.argmax(chosen, axis=0)
     return direction
 
 
@@ -116,18 +121,13 @@ class RiverModel:
 
     def _build_routing(self) -> None:
         ny, nx = self.land.shape
-        self.dest_j = np.full((ny, nx), -1, dtype=int)
-        self.dest_i = np.full((ny, nx), -1, dtype=int)
-        for j in range(ny):
-            for i in range(nx):
-                n = self.direction[j, i]
-                if n < 0:
-                    continue
-                dj, di = NEIGHBORS[n]
-                jj, ii = j + dj, (i + di) % nx
-                if 0 <= jj < ny:
-                    self.dest_j[j, i] = jj
-                    self.dest_i[j, i] = ii
+        n = self.direction
+        flows = n >= 0
+        jj = np.arange(ny)[:, None] + np.where(flows, _DJ[n], 0)
+        ii = (np.arange(nx)[None, :] + np.where(flows, _DI[n], 0)) % nx
+        valid = flows & (jj >= 0) & (jj < ny)
+        self.dest_j = np.where(valid, jj, -1)
+        self.dest_i = np.where(valid, ii, -1)
 
     # ------------------------------------------------------------------
     def step(self, volume: np.ndarray, runoff: np.ndarray, dt: float

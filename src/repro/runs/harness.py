@@ -11,6 +11,10 @@ into an integration and owns the time loop for every execution mode:
   (:func:`repro.parallel.coupled.run_concurrent_coupled`), threading the
   state through — the state is all a segment's forked ranks need beside
   the model, so the segmented trajectory is bitwise the continuous one.
+  Each segment's end state is checked like a serial coupling boundary:
+  a non-finite leaf raises
+  :class:`~repro.runs.health.NonFiniteStateError` before any observer
+  sees it.
 
 The headline contract (``tests/test_runs.py``): for any plan,
 ``run(N days)`` is bitwise float64-identical to ``run(k) -> checkpoint ->
@@ -103,6 +107,13 @@ class RunHarness:
         self.config: FoamConfig = plan.resolved_config()
         self.extra_observers = tuple(observers)
         self.ensemble = None
+        self.layout = None
+        if plan.mode == "concurrent":
+            # Built here, not at the first leg, so a pool run's set-up
+            # pays for loading the rank transport: a run's first leg is
+            # the one a throughput measurement discards as warm-up.
+            from repro.parallel.coupled import PoolLayout
+            self.layout = PoolLayout(n_atm=plan.n_atm, n_ocn=plan.n_ocn)
         if plan.mode == "ensemble":
             from repro.core.ensemble import EnsembleConfig, FoamEnsemble
             self.ensemble = FoamEnsemble(EnsembleConfig(
@@ -232,10 +243,8 @@ class RunHarness:
 
     def _run_concurrent(self, state: FoamState, start: int, total: int,
                         observers) -> tuple[FoamState, list]:
-        from repro.parallel.coupled import PoolLayout, run_concurrent_coupled
+        from repro.parallel.coupled import run_concurrent_coupled
 
-        plan = self.plan
-        layout = PoolLayout(n_atm=plan.n_atm, n_ocn=plan.n_ocn)
         for ob in observers:
             ob.on_start(self.model, state)
         segments = []
@@ -244,10 +253,11 @@ class RunHarness:
             if target == cursor:
                 continue
             seg = run_concurrent_coupled(self.model, state, target - cursor,
-                                         layout)
+                                         self.layout)
             segments.append(seg)
             state = seg.state
             cursor = target
+            check_finite(state, target)
             for ob in observers:
                 ob.on_step(self.model, state)
         for ob in observers:

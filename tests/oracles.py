@@ -22,7 +22,14 @@ by ``np.where``, the Louis stability function three times per ocean cell,
 every ocean-bound field through a whole-grid ``to_ocn`` — is the oracle
 ``test_flux_coupler.py`` holds the planned exchange to.  So is the
 ocean's barotropic subcycle: the allocate-per-operation loop is the oracle
-``test_ocean_model.py`` holds the in-place subcycle to.  Nothing in
+``test_ocean_model.py`` holds the in-place subcycle to.  So are the
+coupler's static tables: the per-cell Python loops that built the river
+network (distance to the ocean, D8 directions, routing destinations) and
+the ``np.union1d`` merge of overlap edges are the oracles
+``test_land_hydrology.py`` / ``test_overlap.py`` hold the array-op builds
+to.  So is Hack shallow convection: the loop that copied T and q and
+recomputed every level after each active pair is the oracle
+``test_convection.py`` holds the two-level update to.  Nothing in
 ``src/`` imports this module.
 """
 
@@ -30,6 +37,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.atmosphere.physics.convection import (
+    ConvectionParams,
+    moist_static_energy_profile,
+)
 from repro.atmosphere.physics.surface_flux import (
     CHARNOCK,
     bulk_richardson,
@@ -38,6 +49,7 @@ from repro.atmosphere.physics.surface_flux import (
 )
 from repro.atmosphere.spectral import _epsilon
 from repro.coupler.hydrology import wetness_factor
+from repro.coupler.river import NEIGHBORS
 from repro.coupler.seaice import SEAICE_ROUGHNESS, SeaIceModel
 from repro.util.constants import CP, GRAVITY, LATENT_HEAT_VAP, RD
 from repro.util.thermo import saturation_mixing_ratio
@@ -366,3 +378,139 @@ def barotropic_step_ref(solver, eta, ubar, vbar, gx, gy, dt_outer):
         ubar = np.where(m, ubar, 0.0)
         vbar = np.where(m, vbar, 0.0)
     return eta, ubar, vbar, n
+
+
+# ---------------------------------------------------------------------------
+# Coupler static tables: per-cell Python loops, np.union1d
+# ---------------------------------------------------------------------------
+def distance_to_ocean_ref(land_mask: np.ndarray) -> np.ndarray:
+    """:func:`repro.coupler.river.distance_to_ocean` as a queue-free BFS
+    over a Python list of frontier cells."""
+    ny, nx = land_mask.shape
+    dist = np.where(land_mask, np.iinfo(np.int32).max, 0).astype(np.int64)
+    frontier = [(j, i) for j in range(ny) for i in range(nx)
+                if not land_mask[j, i]]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for j, i in frontier:
+            for dj, di in NEIGHBORS:
+                jj, ii = j + dj, (i + di) % nx
+                if 0 <= jj < ny and land_mask[jj, ii] and dist[jj, ii] > d:
+                    dist[jj, ii] = d
+                    nxt.append((jj, ii))
+        frontier = nxt
+    return dist
+
+
+def derive_flow_directions_ref(land_mask: np.ndarray,
+                               rng_seed: int = 0) -> np.ndarray:
+    """:func:`repro.coupler.river.derive_flow_directions` cell by cell, the
+    ties broken by ``rng.choice`` on the list of tied neighbors."""
+    ny, nx = land_mask.shape
+    dist = distance_to_ocean_ref(land_mask)
+    rng = np.random.default_rng(rng_seed)
+    direction = np.full((ny, nx), -1, dtype=int)
+    for j in range(ny):
+        for i in range(nx):
+            if not land_mask[j, i]:
+                continue
+            best = []
+            best_d = dist[j, i]
+            for n, (dj, di) in enumerate(NEIGHBORS):
+                jj, ii = j + dj, (i + di) % nx
+                if not 0 <= jj < ny:
+                    continue
+                if dist[jj, ii] < best_d:
+                    best_d = dist[jj, ii]
+                    best = [n]
+                elif dist[jj, ii] == best_d and best and dist[jj, ii] < dist[j, i]:
+                    best.append(n)
+            if best:
+                direction[j, i] = best[0] if len(best) == 1 else int(rng.choice(best))
+    return direction
+
+
+def routing_ref(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``RiverModel``'s (dest_j, dest_i) tables, one cell at a time."""
+    ny, nx = direction.shape
+    dest_j = np.full((ny, nx), -1, dtype=int)
+    dest_i = np.full((ny, nx), -1, dtype=int)
+    for j in range(ny):
+        for i in range(nx):
+            n = direction[j, i]
+            if n < 0:
+                continue
+            dj, di = NEIGHBORS[n]
+            jj, ii = j + dj, (i + di) % nx
+            if 0 <= jj < ny:
+                dest_j[j, i] = jj
+                dest_i[j, i] = ii
+    return dest_j, dest_i
+
+
+def merge_edges_ref(edges_a: np.ndarray, edges_b: np.ndarray,
+                    tol: float = 1e-12) -> np.ndarray:
+    """The overlap grid's edge merge through ``np.union1d``."""
+    merged = np.union1d(edges_a, edges_b)
+    keep = np.concatenate([[True], np.diff(merged) > tol])
+    return merged[keep]
+
+
+# ---------------------------------------------------------------------------
+# Hack shallow convection: whole-column copies and recomputes per pair
+# ---------------------------------------------------------------------------
+def hack_shallow_ref(temp, q, pressure, dp, geopotential, dt,
+                     params: ConvectionParams = ConvectionParams()):
+    """:func:`repro.atmosphere.physics.convection.hack_shallow` as the seed
+    wrote it: every active pair copies T and q and recomputes h, qsat and
+    hsat on every level."""
+    L = temp.shape[0]
+    h = moist_static_energy_profile(temp, q, geopotential)
+    qsat = saturation_mixing_ratio(temp, pressure)
+    hsat = CP * temp + geopotential + LATENT_HEAT_VAP * qsat
+
+    dtdt = np.zeros_like(temp)
+    dqdt = np.zeros_like(q)
+    precip = np.zeros_like(temp[0])
+    for l in range(L - 1, 0, -1):
+        below_h = h[l]
+        above_hsat = hsat[l - 1]
+        instab = below_h - above_hsat - params.hack_mse_threshold
+        active = instab > 0.0
+        if not np.any(active):
+            continue
+        rate = np.where(active, instab / params.hack_adjustment_time, 0.0)
+        de = rate * dt
+        de = np.minimum(de, np.maximum(instab, 0.0) * 0.5)
+        latent_avail = LATENT_HEAT_VAP * np.maximum(q[l], 0.0)
+        lat_frac = np.clip(latent_avail / np.maximum(below_h, 1.0), 0.0, 0.5)
+        d_sensible = de * (1.0 - lat_frac)
+        d_latent = de * lat_frac
+        mass_l = dp[l] / GRAVITY
+        mass_u = dp[l - 1] / GRAVITY
+        dtl = -d_sensible / CP
+        dtu = d_sensible / CP * (mass_l / mass_u)
+        dql = -d_latent / LATENT_HEAT_VAP
+        dqu_all = d_latent / LATENT_HEAT_VAP * (mass_l / mass_u)
+        q_up_new = q[l - 1] + dqu_all
+        qsat_u = qsat[l - 1]
+        excess = np.maximum(q_up_new - qsat_u, 0.0)
+        dqu = dqu_all - excess
+        dtu = dtu + LATENT_HEAT_VAP * excess / CP
+        precip += excess * mass_u / np.maximum(dt, 1e-12)
+        dtdt[l] += dtl / dt
+        dtdt[l - 1] += dtu / dt
+        dqdt[l] += dql / dt
+        dqdt[l - 1] += dqu / dt
+        temp = temp.copy()
+        q = q.copy()
+        temp[l] += dtl
+        temp[l - 1] += dtu
+        q[l] += dql
+        q[l - 1] += dqu
+        h = moist_static_energy_profile(temp, q, geopotential)
+        qsat = saturation_mixing_ratio(temp, pressure)
+        hsat = CP * temp + geopotential + LATENT_HEAT_VAP * qsat
+    return dtdt, dqdt, np.maximum(precip, 0.0)

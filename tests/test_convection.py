@@ -1,6 +1,7 @@
 """Tests for the Hack shallow and Zhang-McFarlane deep convection schemes."""
 
 import numpy as np
+import pytest
 
 from repro.atmosphere.physics.convection import (
     compute_cape,
@@ -8,6 +9,8 @@ from repro.atmosphere.physics.convection import (
     zhang_mcfarlane_deep,
 )
 from repro.util.constants import CP, GRAVITY, LATENT_HEAT_VAP
+from repro.util.thermo import saturation_mixing_ratio
+from tests.oracles import bitwise, hack_shallow_ref
 
 
 def make_sounding(L=12, unstable=False, nlat=2, nlon=3):
@@ -122,6 +125,35 @@ def test_hack_energy_budget_closes():
     d_cp = np.sum(CP * dtdt * mass, axis=0)
     d_lq = np.sum(LATENT_HEAT_VAP * dqdt * mass, axis=0)
     np.testing.assert_allclose(d_cp + d_lq, 0.0, atol=1e-6 * CP)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_hack_matches_the_whole_column_loop_bitwise(dtype):
+    """Hack on a superadiabatic, nearly saturated sounding (most of its 17
+    level pairs active, several in a row, raining in every column) equals
+    the loop that recomputed every level after each active pair, bit for
+    bit and in the input's dtype; the caller's T and q are not written
+    to."""
+    L, rng = 18, np.random.default_rng(3)
+    sigma = np.linspace(0.05, 0.995, L)
+    ps = 1.0e5 * (1.0 + 0.01 * rng.standard_normal((4, 6)))
+    p = sigma[:, None, None] * ps[None]
+    dp = np.gradient(sigma)[:, None, None] * ps[None]
+    temp = (200.0 + 105.0 * np.sqrt(sigma)[:, None, None]
+            + rng.standard_normal(p.shape))
+    q = 0.99 * saturation_mixing_ratio(temp, p)
+    geop = np.zeros_like(temp)
+    for l in range(L - 2, -1, -1):
+        geop[l] = geop[l + 1] + 287.0 * temp[l] * np.log(p[l + 1] / p[l])
+    temp, q, p, dp, geop = (a.astype(dtype) for a in (temp, q, p, dp, geop))
+    before = temp.copy(), q.copy()
+
+    got = hack_shallow(temp, q, p, dp, geop, dt=1800.0)
+    want = hack_shallow_ref(temp, q, p, dp, geop, dt=1800.0)
+    assert (want[2] > 0.0).all() and (want[0] != 0.0).any(axis=(1, 2)).sum() > 10
+    for name, g, w in zip(("dtdt", "dqdt", "precip"), got, want):
+        assert g.dtype == dtype and bitwise(g, w), name
+    assert bitwise(temp, before[0]) and bitwise(q, before[1])
 
 
 def test_hack_and_zm_are_independent_of_column_order():

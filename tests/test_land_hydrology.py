@@ -10,6 +10,7 @@ from repro.coupler import (
     RiverModel,
     SeaIceModel,
     SeaIceState,
+    NEIGHBORS,
     derive_flow_directions,
     distance_to_ocean,
     snowfall_partition,
@@ -22,6 +23,11 @@ from repro.util.constants import (
     RHO_WATER,
     SEAICE_STRESS_DIVISOR,
     SOIL_MOISTURE_CAPACITY,
+)
+from tests.oracles import (
+    derive_flow_directions_ref,
+    distance_to_ocean_ref,
+    routing_ref,
 )
 
 
@@ -168,7 +174,6 @@ def test_flow_directions_point_downhill():
     land = make_island()
     d = distance_to_ocean(land)
     dirs = derive_flow_directions(land)
-    from repro.coupler import NEIGHBORS
     ny, nx = land.shape
     for j in range(ny):
         for i in range(nx):
@@ -224,6 +229,62 @@ def test_river_finite_delay():
     for _ in range(60):
         last, volume = rm.step(volume, runoff, dt)
     assert last.sum() > 2 * max(first.sum(), 1e-30)
+
+
+def _assert_network_matches_loops(rm: RiverModel, seed: int) -> None:
+    """``rm``'s distance, directions and destinations equal the per-cell
+    loops' bit for bit (same values, same dtype)."""
+    for got, want in ((distance_to_ocean(rm.land),
+                       distance_to_ocean_ref(rm.land)),
+                      (rm.direction, derive_flow_directions_ref(rm.land, seed)),
+                      (rm.dest_j, routing_ref(rm.direction)[0]),
+                      (rm.dest_i, routing_ref(rm.direction)[1])):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("size", ["test", "small", "paper"])
+@pytest.mark.parametrize("topography", ["world", "aquaplanet", "paleo"])
+def test_river_network_matches_the_cell_loops(topography, size):
+    """The coupler's own river network on every world and resolution."""
+    from repro.atmosphere.spectral import gaussian_latitudes
+    from repro.core.config import named_config
+    from repro.coupler import FluxCoupler
+    from repro.ocean.grid import OceanGrid, topography_by_name
+
+    cfg = named_config(size)
+    grid = OceanGrid(nx=cfg.ocn_nx, ny=cfg.ocn_ny, nlev=cfg.ocn_nlev)
+    land, _ = topography_by_name(topography)(grid)
+    coupler = FluxCoupler(np.arcsin(gaussian_latitudes(cfg.atm_nlat)[0]),
+                          cfg.atm_nlon, grid.lats, cfg.ocn_nx, land,
+                          rng_seed=cfg.seed + 7)
+    _assert_network_matches_loops(coupler.river, cfg.seed + 7)
+
+
+def test_river_network_matches_the_cell_loops_on_random_masks():
+    """120 random masks and seeds: thin and one-column grids, all-land
+    grids (every cell a pit), all-ocean grids, and cells with up to 8 tied
+    downhill neighbors; then hand-tuned directions, some off the grid."""
+    ties = pits = 0
+    for k in range(120):
+        rng = np.random.default_rng(k)
+        ny, nx = int(rng.integers(1, 17)), int(rng.integers(1, 21))
+        land = rng.random((ny, nx)) < rng.uniform(0.0, 1.0)
+        if k % 10 == 0:
+            land[:] = k % 20 == 0
+        rm = RiverModel(land, np.full(land.shape, 1e10),
+                        np.full(ny, 2e5), rng_seed=k)
+        _assert_network_matches_loops(rm, k)
+        pits += int((land & (rm.direction < 0)).sum())
+        d = distance_to_ocean(land)
+        for j, i in np.argwhere(land & (d > 1)):
+            lower = [d[j + dj, (i + di) % nx] for dj, di in NEIGHBORS
+                     if 0 <= j + dj < ny]
+            ties += lower.count(min(lower)) > 1
+        for j, i in np.argwhere(land)[:3]:
+            rm.set_direction(int(j), int(i), int(rng.integers(0, 8)))
+        assert np.array_equal(rm.dest_j, routing_ref(rm.direction)[0])
+        assert np.array_equal(rm.dest_i, routing_ref(rm.direction)[1])
+    assert ties > 100 and pits > 100
 
 
 def test_set_direction_hand_tuning():

@@ -131,3 +131,40 @@ def test_scatter_of_stacked_leads_matches_per_slice(grids, target):
         assert got.shape[:-2] == batch.shape[:-2]
         for lead in np.ndindex(*batch.shape[:-2]):
             assert bitwise(got[lead], op(batch[lead])), lead
+
+
+def test_merge_edges_matches_union1d():
+    """Sort-and-collapse merges edge sets as ``np.union1d`` then collapse
+    did, with exact duplicates and near ones (within tol) in the mix."""
+    from repro.coupler.overlap import _merge_edges
+    from tests.oracles import bitwise, merge_edges_ref
+
+    tol = 1e-12
+    for k in range(200):
+        rng = np.random.default_rng(k)
+        a = np.sort(rng.uniform(-2.0, 2.0, int(rng.integers(1, 40))))
+        picks = rng.choice(a, int(rng.integers(0, a.size + 1)))
+        near = picks + rng.uniform(-tol, tol, picks.size) * (k % 2)
+        b = np.sort(np.concatenate(
+            [near, rng.uniform(-2.0, 2.0, int(rng.integers(0, 40)))]))
+        assert bitwise(_merge_edges(a, b, tol), merge_edges_ref(a, b, tol)), k
+
+
+@pytest.mark.parametrize("size", ["test", "small", "paper"])
+def test_overlap_tables_match_union1d_build(size, monkeypatch):
+    """Every index and area table of the model's overlap grid comes out as
+    it did when the edges were merged through ``np.union1d``."""
+    from repro.core.config import named_config
+    from repro.coupler import overlap
+    from tests.oracles import bitwise, merge_edges_ref
+
+    cfg = named_config(size)
+    args = (np.arcsin(gaussian_latitudes(cfg.atm_nlat)[0]), cfg.atm_nlon,
+            mercator_latitudes(cfg.ocn_ny), cfg.ocn_nx)
+    got = OverlapGrid(*args)
+    monkeypatch.setattr(overlap, "_merge_edges", merge_edges_ref)
+    want = OverlapGrid(*args)
+    for name in ("lat_edges", "lon_edges", "a_lat_of", "o_lat_of",
+                 "a_lon_of", "o_lon_of", "areas", "_a_flat", "_o_flat",
+                 "_atm_area", "_ocn_area"):
+        assert bitwise(getattr(got, name), getattr(want, name)), name

@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from repro.parallel.trace import TraceSet
-from repro.perf import (
+from repro.perf.costmodel import (
     AtmosphereCost,
-    CSMCostModel,
     OceanCost,
     atmosphere_ocean_cost_ratio,
+)
+from repro.perf.csm import CSMCostModel, cost_performance_ratio
+from repro.perf.eventsim import (
     atmosphere_parallel_efficiency,
-    cost_performance_ratio,
-    ibm_sp2,
     scaling_curve,
     simulate_coupled_day,
     simulate_ocean_day,
 )
+from repro.perf.machine import ibm_sp2
 
 
 # ------------------------------------------------------------- machine
@@ -197,7 +198,10 @@ def test_eventsim_accepts_measured_transpose_comm():
     10% of the analytic-formula throughput."""
     pytest.importorskip("repro.parallel.components")
     from repro.parallel.components import measure_transpose_comm
-    from repro.perf import transpose_bytes_from_stats, transpose_messages_from_stats
+    from repro.perf.costmodel import (
+        transpose_bytes_from_stats,
+        transpose_messages_from_stats,
+    )
 
     atm = AtmosphereCost()
     stats = measure_transpose_comm(4, nlat=atm.nlat, nm=atm.mmax + 1,
@@ -227,7 +231,7 @@ def test_eventsim_accepts_measured_transpose_comm():
 def test_measured_transpose_volume_rank_count_invariant():
     """The full-exchange estimate must not depend on the measuring world."""
     from repro.parallel.components import measure_transpose_comm
-    from repro.perf import transpose_bytes_from_stats
+    from repro.perf.costmodel import transpose_bytes_from_stats
 
     volumes = [transpose_bytes_from_stats(
         measure_transpose_comm(k, nlat=16, nm=8, nlev=3)) for k in (2, 4)]
@@ -236,7 +240,7 @@ def test_measured_transpose_volume_rank_count_invariant():
 
 # --------------------------------------- profile-calibrated timing (ISSUE 3)
 def test_measured_costs_validation():
-    from repro.perf import MeasuredCosts
+    from repro.perf.costmodel import MeasuredCosts
 
     mc = MeasuredCosts(step_seconds=0.01, radiation_step_seconds=0.02,
                        coupler_seconds=0.003, ocean_call_seconds=0.013)
@@ -247,7 +251,7 @@ def test_measured_costs_validation():
 
 
 def test_calibrate_from_profile_requires_instrumented_run():
-    from repro.perf import calibrate_from_profile
+    from repro.perf.costmodel import calibrate_from_profile
     from repro.perf.profiler import RunProfile
 
     with pytest.raises(ValueError, match=r"atmosphere\.dynamics"):
@@ -261,7 +265,7 @@ def test_calibrated_eventsim_reproduces_measured_ordering():
     from repro.core.config import test_config
     from repro.core.foam import FoamModel
     from repro.parallel.components import measure_transpose_comm
-    from repro.perf import calibrate_from_profile
+    from repro.perf.costmodel import calibrate_from_profile
     from repro.perf.profiler import (
         disable_profiling,
         enable_profiling,

@@ -10,6 +10,10 @@ execution path.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -498,3 +502,64 @@ class TestNonFiniteState:
             drive_steps(model, state, every)
         assert info.value.step == every
         assert info.value.time == every * model.config.atm_dt
+
+    @pytest.mark.parallel
+    def test_pool_run_raises_at_the_end_of_its_leg(self):
+        """One NaN in the humidity handed to a 1 + 1 + 1 pool: the leg's
+        end state fails the check with the error a serial run reports at
+        the same step."""
+        from repro.runs import NonFiniteStateError, drive_steps
+
+        harness = RunHarness(RunPlan(days=0.25, mode="concurrent",
+                                     n_atm=1, n_ocn=1))
+        state = harness.initial_state()
+        state.atm_curr.q[0, 5, 7] = np.nan
+        with pytest.raises(NonFiniteStateError) as serial:
+            drive_steps(harness.model, state, 6)
+        with pytest.raises(NonFiniteStateError) as pool:
+            harness.run(state=state)
+        got, want = pool.value, serial.value
+        assert (got.path, got.member, got.index, got.step, got.n_bad) == (
+            want.path, want.member, want.index, want.step, want.n_bad)
+        assert got.step == 6 and got.path == "atm_prev.vort"
+
+
+# ----------------------------------------------------------------- set-up
+_SETUP_MODULES = """
+import sys
+from repro.core.config import paper_config, test_config
+from repro.runs import RunHarness, RunPlan
+if sys.argv[1] == "serial":
+    RunHarness(RunPlan(config=paper_config())).initial_state()
+else:
+    RunHarness(RunPlan(config=test_config(), mode="concurrent"))
+print(" ".join(sys.modules))
+"""
+
+
+def _modules_after_setup(mode: str) -> set[str]:
+    """The modules a fresh interpreter holds once a harness is built."""
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", _SETUP_MODULES, mode],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+class TestSetupImports:
+    """A run loads what its mode needs: the machine model and the rank
+    transport stay out of a serial run's set-up, and a pool run loads its
+    transport while it is built, not in its first leg."""
+
+    def test_serial_setup_loads_no_rank_pool(self):
+        loaded = _modules_after_setup("serial")
+        assert "repro.runs.harness" in loaded
+        for name in ("repro.parallel", "repro.perf.eventsim",
+                     "multiprocessing", "numpy.ma"):
+            assert name not in loaded, name
+
+    def test_concurrent_harness_loads_the_pool_when_built(self):
+        assert "repro.parallel.coupled" in _modules_after_setup("concurrent")
