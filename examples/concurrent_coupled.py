@@ -2,12 +2,12 @@
 """Concurrent coupled execution on disjoint rank pools (ISSUE 5 demo).
 
 Runs the same coupled trajectory twice — serially and split across an
-atmosphere pool, a dedicated coupler rank, and an ocean pool of forked
-rank processes — verifies the float64 trajectories are bitwise
+atmosphere pool, a dedicated coupler rank, and an ocean rank, each a forked
+rank process — verifies the float64 trajectories are bitwise
 identical, and prints the overlap/wait accounting plus the calibrated
 event-simulator prediction of the pool-split speedup.
 
-Run:  python examples/concurrent_coupled.py --atm-ranks 2 --ocn-ranks 1 --days 1
+Run:  python examples/concurrent_coupled.py --atm-ranks 2 --days 1
 """
 
 import argparse
@@ -26,23 +26,22 @@ from repro.perf.costmodel import (
 from repro.perf.eventsim import predict_concurrent_speedup
 from repro.perf.profiler import disable_profiling, enable_profiling, take_profile
 from repro.perf.report import format_waits
+from repro.runs.plan import days_to_steps
 
 
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--atm-ranks", type=int, default=2,
                         help="atmosphere-pool ranks (default: 2)")
-    parser.add_argument("--ocn-ranks", type=int, default=1,
-                        help="ocean-pool ranks (default: 1)")
     parser.add_argument("--days", type=float, default=1.0,
                         help="simulated days (default: 1)")
     args = parser.parse_args()
 
     cfg = test_config()
-    layout = PoolLayout(n_atm=args.atm_ranks, n_ocn=args.ocn_ranks)
-    nsteps = max(1, int(round(args.days * 86400.0 / cfg.atm_dt)))
+    layout = PoolLayout(n_atm=args.atm_ranks)
+    nsteps = days_to_steps(args.days, cfg)
     print(f"pool layout: atm ranks {list(layout.atm_ranks)}, coupler rank "
-          f"{layout.cpl_rank}, ocean ranks {list(layout.ocn_ranks)}  "
+          f"{layout.cpl_rank}, ocean rank {layout.ocn_rank}  "
           f"({nsteps} steps)")
 
     # Serial reference, profiled.
@@ -84,8 +83,7 @@ def main() -> None:
                          nlev=cfg.atm_nlev, mmax=cfg.atm_mmax, dt=cfg.atm_dt)
     ocn = OceanCost(nx=cfg.ocn_nx, ny=cfg.ocn_ny, nlev=cfg.ocn_nlev,
                     dt_long=cfg.ocean_coupling_interval)
-    pred = predict_concurrent_speedup(serial_costs, conc_costs,
-                                      layout.n_atm, layout.n_ocn,
+    pred = predict_concurrent_speedup(serial_costs, conc_costs, layout.n_atm,
                                       atm=atm, ocn=ocn)
     print(f"\nevent-simulator prediction: speedup {pred['speedup']:.3f}x "
           f"(functional {serial_wall / res.wall_seconds:.3f}x)")

@@ -26,9 +26,8 @@ from repro.atmosphere.physics import PhysicsSuite, SurfaceState
 from repro.atmosphere.spectral import SpectralTransform
 from repro.ocean.grid import OceanGrid
 from repro.ocean.operators import laplacian
-from repro.parallel.commbase import CommStats
 from repro.parallel.decomp import BlockDecomp1D, BlockDecomp2D, block_bounds
-from repro.parallel.procmpi import Comm, run_ranks
+from repro.parallel.procmpi import Comm, CommStats, run_ranks
 from repro.parallel.transpose import transpose_backward, transpose_forward
 from repro.util.tree import tree_map
 

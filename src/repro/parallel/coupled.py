@@ -4,20 +4,23 @@ FOAM's headline throughput comes from running the atmosphere and ocean
 *simultaneously* on disjoint processor pools, with a lightweight coupler
 overlapping the ocean's 6-hour integration under the next atmosphere
 steps.  This module makes that schedule functional on the simulated-MPI
-layer: :func:`run_concurrent_coupled` splits the world into
+layer: :func:`run_concurrent_coupled` lays one world communicator out as
 
-* an **atmosphere pool** (``layout.n_atm`` ranks) holding a replicated
-  spectral state: each rank runs column physics on its own latitude band
-  (physics is column-local, so bands are bitwise rows of the full-grid
-  run), allgathers the band tendencies inside the pool, and redundantly
-  applies the cheap spectral update + dynamics;
+* an **atmosphere pool** (``layout.n_atm`` ranks, world ranks 0 …
+  n_atm − 1) holding a replicated spectral state: each rank runs column
+  physics on its own latitude band (physics is column-local, so bands are
+  bitwise rows of the full-grid run), swaps the band tendencies with the
+  other atmosphere ranks point to point, and redundantly applies the cheap
+  spectral update + dynamics;
 * a **coupler rank** owning the coupler state (land/hydrology/river/ice
   and the ocean-forcing window), exchanging only overlap-grid payloads
-  with both pools via tagged sends;
-* an **ocean pool** (``layout.n_ocn`` ranks; the leader computes) running
-  the 6-hour ocean call *under* the atmosphere's boundary-step dynamics
-  and the next step's diagnostics — the coupler asks for the fresh SST
-  lazily, right before the first step that needs it.
+  with the atmosphere and ocean ranks via tagged sends;
+* an **ocean rank** running the 6-hour ocean call *under* the
+  atmosphere's boundary-step dynamics and the next step's diagnostics —
+  the coupler asks for the fresh SST lazily, right before the first step
+  that needs it.  The paper's multi-processor ocean lives in the machine
+  model (:mod:`repro.perf.eventsim`); the functional ocean step is not
+  decomposed.
 
 The exchange epochs are exactly the serial :meth:`FoamModel.coupled_step`
 ones, so the float64 trajectory is bitwise comparable to the serial run
@@ -38,37 +41,33 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.backend import workspace_totals
-from repro.parallel.commbase import CommStats
 from repro.parallel.decomp import block_bounds
-from repro.parallel.procmpi import Comm, run_ranks
+from repro.parallel.procmpi import Comm, CommStats, run_ranks
 from repro.util.tree import tree_map
 
-# Coupler exchange tags (world-communicator context).
+# Exchange tags.
 TAG_ATM_STATE = 210    # atm leader -> coupler: bottom-level state fields
 TAG_SURFACE = 211      # coupler -> every atm rank: surface state + fluxes
 TAG_ATM_PHYS = 212     # atm leader -> coupler: precip + surface radiation
-TAG_FORCING = 213      # coupler -> ocean leader: window-mean forcing
-TAG_SST = 214          # ocean leader -> coupler: fresh SST after each call
-
-_POOL_COLORS = {"atm": 0, "cpl": 1, "ocn": 2}
+TAG_FORCING = 213      # coupler -> ocean rank: window-mean forcing
+TAG_SST = 214          # ocean rank -> coupler: fresh SST after each call
+TAG_BANDS = 215        # atm rank -> every other atm rank: band tendencies
 
 
 @dataclass(frozen=True)
 class PoolLayout:
-    """World layout: ranks [0, n_atm) atmosphere, n_atm coupler, rest ocean."""
+    """World layout: ranks [0, n_atm) atmosphere, n_atm coupler, n_atm + 1
+    ocean."""
 
     n_atm: int = 2
-    n_ocn: int = 1
 
     def __post_init__(self):
         if self.n_atm < 1:
             raise ValueError(f"need >= 1 atmosphere rank, got {self.n_atm}")
-        if self.n_ocn < 1:
-            raise ValueError(f"need >= 1 ocean rank, got {self.n_ocn}")
 
     @property
     def world_size(self) -> int:
-        return self.n_atm + 1 + self.n_ocn
+        return self.n_atm + 2
 
     @property
     def atm_ranks(self) -> tuple[int, ...]:
@@ -79,19 +78,15 @@ class PoolLayout:
         return self.n_atm
 
     @property
-    def ocn_ranks(self) -> tuple[int, ...]:
-        return tuple(range(self.n_atm + 1, self.n_atm + 1 + self.n_ocn))
-
-    @property
-    def ocn_leader(self) -> int:
+    def ocn_rank(self) -> int:
         return self.n_atm + 1
 
     def role_of(self, rank: int) -> str:
-        if rank < self.n_atm:
+        if 0 <= rank < self.n_atm:
             return "atm"
         if rank == self.cpl_rank:
             return "cpl"
-        if rank in self.ocn_ranks:
+        if rank == self.ocn_rank:
             return "ocn"
         raise ValueError(f"rank {rank} outside world of size {self.world_size}")
 
@@ -110,7 +105,7 @@ class ConcurrentCoupledResult:
     comm_stats: list[CommStats] = field(default_factory=list)
     sst: np.ndarray | None = None      # SST the coupler last held
     ws_stats: list[dict] = field(default_factory=list)   # per-rank arena counters
-    ocean_busy_seconds: float = 0.0    # time the ocean leader spent computing
+    ocean_busy_seconds: float = 0.0    # time the ocean rank spent computing
     overlap_seconds: float = 0.0       # ocean busy time hidden under atm work
 
     @property
@@ -129,15 +124,29 @@ def _timed_recv(comm: Comm, source: int, tag: int,
     return payload
 
 
-def _atm_worker(comm, pool, layout, model, state, nsteps, waits):
+def _swap_bands(comm: Comm, layout: PoolLayout, band: dict) -> list[dict]:
+    """Every atmosphere rank's band, in band order.
+
+    Each rank sends its band to the others, then receives theirs: sends
+    are buffered, so nobody waits on a send, and per-source FIFO keeps one
+    step's bands from matching another step's."""
+    for r in layout.atm_ranks:
+        if r != comm.rank:
+            comm.send(band, r, TAG_BANDS)
+    return [band if r == comm.rank else comm.recv(r, TAG_BANDS)
+            for r in layout.atm_ranks]
+
+
+def _atm_worker(comm, layout, model, state, nsteps, waits):
     """One atmosphere-pool rank: band physics + replicated spectral state
-    (and, like it, the full-grid radiation state)."""
+    (and, like it, the full-grid radiation state).  Its world rank is its
+    band index."""
     from repro.atmosphere.physics import SurfaceState
 
     cfg = model.config
     dt = cfg.atm_dt
-    lo, hi = block_bounds(cfg.atm_nlat, layout.n_atm, pool.rank)
-    leader = pool.rank == 0
+    lo, hi = block_bounds(cfg.atm_nlat, layout.n_atm, comm.rank)
+    leader = comm.rank == 0
     cpl = layout.cpl_rank
 
     for _ in range(nsteps):
@@ -160,7 +169,7 @@ def _atm_worker(comm, pool, layout, model, state, nsteps, waits):
             band["radiation"] = phys.radiation     # recomputed on this step
         # Latitude is the second-to-last axis of every payload field.
         full = tree_map(lambda *bands: np.concatenate(
-            bands, axis=bands[0].ndim - 2), *pool.allgather(band))
+            bands, axis=bands[0].ndim - 2), *_swap_bands(comm, layout, band))
         radiation = full.get("radiation", state.radiation)
         if leader:
             # Ship the coupler's inputs *before* the spectral update and
@@ -177,16 +186,16 @@ def _atm_worker(comm, pool, layout, model, state, nsteps, waits):
             "radiation": state.radiation, "time": state.time} if leader else {}
 
 
-def _cpl_worker(comm, pool, layout, model, state, nsteps, waits):
+def _cpl_worker(comm, layout, model, state, nsteps, waits):
     """The coupler rank: owns land/river/ice state + the forcing window."""
     cfg = model.config
     dt = cfg.atm_dt
     atm_leader = layout.atm_ranks[0]
-    ocn_leader = layout.ocn_leader
+    ocn = layout.ocn_rank
     cpl_state = state.coupler
 
     # Initial SST (the serial run reads it straight off the initial ocean).
-    sst = _timed_recv(comm, ocn_leader, TAG_SST, waits, "sst")
+    sst = _timed_recv(comm, ocn, TAG_SST, waits, "sst")
     pending_sst = False
     for _ in range(nsteps):
         st = _timed_recv(comm, atm_leader, TAG_ATM_STATE, waits, "atm_state")
@@ -194,7 +203,7 @@ def _cpl_worker(comm, pool, layout, model, state, nsteps, waits):
             # Lazily collect the overlapped ocean call's SST: this is the
             # first step that consumes it, so the recv lands as late as the
             # serial exchange epochs allow.
-            sst = _timed_recv(comm, ocn_leader, TAG_SST, waits, "sst")
+            sst = _timed_recv(comm, ocn, TAG_SST, waits, "sst")
             pending_sst = False
         surface, turb = model.merge_surface(
             cpl_state, sst, t_air=st["t_air"], q_air=st["q_air"],
@@ -213,32 +222,30 @@ def _cpl_worker(comm, pool, layout, model, state, nsteps, waits):
         if model.coupling_due(cpl_state):
             cpl_state, forcing = model.ocean_forcing(cpl_state, sst,
                                                      t_air_bot=st["t_air"])
-            comm.send(forcing, ocn_leader, TAG_FORCING)
+            comm.send(forcing, ocn, TAG_FORCING)
             pending_sst = True
     if pending_sst:  # drain the final overlapped call
-        sst = _timed_recv(comm, ocn_leader, TAG_SST, waits, "sst")
+        sst = _timed_recv(comm, ocn, TAG_SST, waits, "sst")
     return {"coupler": cpl_state, "sst": sst}
 
 
-def _ocn_worker(comm, pool, layout, model, state, nsteps, waits):
-    """Ocean-pool rank: the leader integrates.  The ocean step is not
-    decomposed, so the other ocean ranks only join the pool split and the
-    barrier, then return the ocean state they were forked with."""
+def _ocn_worker(comm, layout, model, state, nsteps, waits):
+    """The ocean rank: one ocean call per forcing window, SST back after
+    each."""
     cfg = model.config
     cpl = layout.cpl_rank
     ocean_state = state.ocean
     busy = 0.0
-    if pool.rank == 0:
+    comm.send(model.ocean.sst(ocean_state), cpl, TAG_SST)
+    # The window may be part-full where this leg starts.
+    n_calls = ((state.coupler.forcing_steps + nsteps)
+               // cfg.atm_steps_per_coupling)
+    for _ in range(n_calls):
+        forcing = _timed_recv(comm, cpl, TAG_FORCING, waits, "forcing")
+        t0 = time.perf_counter()
+        ocean_state = model.ocean.step(ocean_state, forcing)
+        busy += time.perf_counter() - t0
         comm.send(model.ocean.sst(ocean_state), cpl, TAG_SST)
-        # The window may be part-full where this leg starts.
-        n_calls = ((state.coupler.forcing_steps + nsteps)
-                   // cfg.atm_steps_per_coupling)
-        for _ in range(n_calls):
-            forcing = _timed_recv(comm, cpl, TAG_FORCING, waits, "forcing")
-            t0 = time.perf_counter()
-            ocean_state = model.ocean.step(ocean_state, forcing)
-            busy += time.perf_counter() - t0
-            comm.send(model.ocean.sst(ocean_state), cpl, TAG_SST)
     return {"ocean": ocean_state, "ocean_busy": busy}
 
 
@@ -270,11 +277,10 @@ def run_concurrent_coupled(model, state, nsteps: int, layout: PoolLayout,
 
     def worker(comm: Comm):
         role = layout.role_of(comm.rank)
-        pool = comm.split(_POOL_COLORS[role])
         waits: dict[str, float] = {}
-        comm.barrier()                 # exclude the pool split from the walls
+        comm.barrier()                 # the rank walls start together
         t0 = time.perf_counter()
-        out = _WORKERS[role](comm, pool, layout, model, state, nsteps, waits)
+        out = _WORKERS[role](comm, layout, model, state, nsteps, waits)
         wall = time.perf_counter() - t0
         out.update(
             rank=comm.rank, role=role, wall=wall, waits=waits,
@@ -286,7 +292,7 @@ def run_concurrent_coupled(model, state, nsteps: int, layout: PoolLayout,
 
     atm0 = results[layout.atm_ranks[0]]
     cplr = results[layout.cpl_rank]
-    ocn0 = results[layout.ocn_leader]
+    ocn0 = results[layout.ocn_rank]
     state = FoamState(atm_prev=atm0["atm_prev"], atm_curr=atm0["atm_curr"],
                       ocean=ocn0["ocean"], coupler=cplr["coupler"],
                       radiation=atm0["radiation"], time=atm0["time"])

@@ -3,14 +3,14 @@
 :func:`run_ranks` runs ``fn(comm, *args)`` on ``size`` *forked child
 processes* — the paper's fourth design element, MPI ranks on distributed
 memory — and is the only way a rank world runs.  Ranks exchange *real*
-NumPy arrays through :class:`Comm`, whose collectives and ``split`` are
-layered on two blocking point-to-point primitives, exactly as a portable
-MPI implementation would layer them.  Typical usage::
+NumPy arrays through :class:`Comm`, one world communicator whose
+collectives are layered on two blocking point-to-point primitives, exactly
+as a portable MPI implementation would layer them.  Typical usage::
 
     def worker(comm):
         data = comm.bcast(payload if comm.rank == 0 else None, root=0)
         ...
-        return comm.allreduce(local_sum, op="sum")
+        return comm.gather(local_sum, root=0)
 
     results = run_ranks(4, worker)
 
@@ -22,7 +22,7 @@ Design
   keep from the fork — the caller's scratch arena and profiler
   accumulators — is cleared before the worker runs.
 * **A parent-side router.**  Children push envelopes up one shared queue
-  (``send`` / ``blocked`` / ``unblocked`` / ``ctx`` / ``done``); the parent
+  (``send`` / ``blocked`` / ``unblocked`` / ``done``); the parent
   routes messages to per-rank downlink queues and broadcasts liveness
   events (``finished`` / ``dead`` / ``deadlock``).  Because each child's
   uplink traffic is FIFO, a ``send`` is always routed before the same
@@ -35,13 +35,12 @@ Design
   resource tracker is started *before* forking so create/attach/unlink
   bookkeeping balances across processes.
 * **Deadlock detection by marshalled wait-for graph.**  A blocked child
-  reports (op, peer, tag, ctx) along with how many messages it has seen;
+  reports (op, peer, tag) along with how many messages it has seen;
   the world is declared deadlocked when every live rank's report is
   current (seen == delivered) and the uplink is idle.  The router then
-  builds a :class:`~repro.parallel.commbase.DeadlockReport`
-  (rank/op/peer/tag + wait-for cycle) and broadcasts it, so every rank
-  raises :class:`~repro.parallel.commbase.DeadlockError` within a poll
-  slice — well under a second, not after a two-minute timeout.
+  builds a :class:`DeadlockReport` (rank/op/peer/tag + wait-for cycle)
+  and broadcasts it, so every rank raises :class:`DeadlockError` within
+  a poll slice — well under a second, not after a two-minute timeout.
 * **A dead rank is named, never waited on.**  A rank whose worker raises,
   or whose process exits without reporting, surfaces on every peer as a
   structured :class:`CommError` naming the rank that really died
@@ -61,31 +60,22 @@ import pickle
 import queue as queuelib
 import time
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from multiprocessing import shared_memory
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.backend import get_workspace
-from repro.parallel.commbase import (
-    ANY_SOURCE,
-    ANY_TAG,
-    _CTX_SHIFT,
-    _DEFAULT_TIMEOUT,
-    BlockedRank,
-    CommError,
-    CommStats,
-    DeadlockError,
-    DeadlockReport,
-    _copy_payload,
-    _find_cycle,
-    _match,
-    _payload_nbytes,
-)
 from repro.perf.profiler import get_profiler
-from repro.util.tree import tree_map
+from repro.util.tree import tree_leaves, tree_map
 
+ANY_SOURCE = -1
+ANY_TAG = -1
+_DEFAULT_TIMEOUT = 120.0       # seconds before declaring a hang: a
+                               # last-resort backstop (the wait-for-graph
+                               # detector catches genuine deadlocks long
+                               # before it); pass ``timeout=`` for a shorter one
 _POLL_SLICE = 0.05             # receiver wake-up cadence for failure checks
 _ROUTER_SLICE = 0.02           # router poll cadence (uplink idle check)
 _HARD_DEATH_GRACE = 0.25       # seconds between a child dying and the router
@@ -97,10 +87,164 @@ _HARD_DEATH_GRACE = 0.25       # seconds between a child dying and the router
 _SHM_MIN_BYTES = 1 << 16
 
 _TAG_BCAST = 1 << 30
-_TAG_REDUCE = 2 << 30
 _TAG_GATHER = 3 << 30
 _TAG_SCATTER = 4 << 30
 _TAG_ALLTOALL = 5 << 30
+
+
+# ---------------------------------------------------------------------------
+# What the router and the ranks share: the failure vocabulary, the per-rank
+# counters, envelope matching and the payload helpers.
+# ---------------------------------------------------------------------------
+class CommError(RuntimeError):
+    """Raised on misuse of the communicator (bad rank, dead peer, timeout)."""
+
+
+@dataclass(frozen=True)
+class BlockedRank:
+    """One blocked rank in a :class:`DeadlockReport`."""
+
+    rank: int
+    op: str                    # operation label: recv, barrier, alltoall, ...
+    peer: int                  # source rank it waits on; ANY_SOURCE if wildcard
+    tag: int                   # tag it waits on; ANY_TAG if wildcard
+    waited: float              # seconds spent blocked when diagnosed
+
+    def __str__(self) -> str:
+        peer = "ANY" if self.peer == ANY_SOURCE else self.peer
+        tag = "ANY" if self.tag == ANY_TAG else self.tag
+        return (f"rank {self.rank}: blocked in {self.op}(source={peer}, "
+                f"tag={tag}) for {self.waited:.2f}s")
+
+
+@dataclass(frozen=True)
+class DeadlockReport:
+    """Structured diagnosis of a wedged world.
+
+    ``blocked`` lists every live blocked rank with its operation, peer and
+    tag; ``cycle`` is a wait-for cycle if one exists (``r`` waits on the
+    next entry, the last waits on the first); ``dead`` lists crashed ranks
+    implicated in the hang.  The report is a plain frozen dataclass, so the
+    router can marshal it to the parent and to every sibling rank by
+    pickling.
+    """
+
+    blocked: tuple[BlockedRank, ...]
+    cycle: tuple[int, ...] = ()
+    dead: tuple[int, ...] = ()
+
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        return tuple(b.rank for b in self.blocked)
+
+    def __str__(self) -> str:
+        lines = [f"deadlock among {len(self.blocked)} rank(s):"]
+        lines += [f"  {b}" for b in self.blocked]
+        if self.cycle:
+            lines.append("  wait-for cycle: "
+                         + " -> ".join(str(r) for r in self.cycle)
+                         + f" -> {self.cycle[0]}")
+        if self.dead:
+            lines.append("  crashed rank(s): "
+                         + ", ".join(str(r) for r in self.dead))
+        return "\n".join(lines)
+
+
+class DeadlockError(CommError):
+    """A diagnosed deadlock; ``.report`` holds the :class:`DeadlockReport`."""
+
+    def __init__(self, report: DeadlockReport):
+        super().__init__(str(report))
+        self.report = report
+
+    def __reduce__(self):
+        # Default exception pickling would rebuild from the stringified
+        # args, losing the structured report; rebuild from the report.
+        return (DeadlockError, (self.report,))
+
+
+@dataclass
+class CommStats:
+    """Per-rank message/byte/operation counters.
+
+    ``op_*`` dictionaries are keyed by the *outermost* operation label
+    active when traffic moved — a send inside ``bcast`` inside ``barrier``
+    is charged to ``"barrier"`` — so transports like the spectral transpose
+    can label their traffic (``"transpose.forward"``) and the performance
+    model can be calibrated from measured volumes
+    (:func:`repro.perf.costmodel.transpose_bytes_from_stats`).
+    """
+
+    rank: int
+    msgs_sent: int = 0
+    bytes_sent: int = 0
+    op_calls: dict[str, int] = field(default_factory=dict)   # label -> # calls
+    op_msgs: dict[str, int] = field(default_factory=dict)    # label -> msgs sent
+    op_bytes: dict[str, int] = field(default_factory=dict)   # label -> bytes sent
+
+    def note_call(self, op: str) -> None:
+        self.op_calls[op] = self.op_calls.get(op, 0) + 1
+
+    def note_send(self, op: str, nbytes: int) -> None:
+        self.msgs_sent += 1
+        self.bytes_sent += nbytes
+        self.op_msgs[op] = self.op_msgs.get(op, 0) + 1
+        self.op_bytes[op] = self.op_bytes.get(op, 0) + nbytes
+
+    def bytes_for(self, prefix: str) -> int:
+        """Total bytes sent under operation labels starting with ``prefix``."""
+        return sum(v for k, v in self.op_bytes.items() if k.startswith(prefix))
+
+    def msgs_for(self, prefix: str) -> int:
+        """Total messages sent under labels starting with ``prefix``."""
+        return sum(v for k, v in self.op_msgs.items() if k.startswith(prefix))
+
+
+def _find_cycle(edges: dict[int, list[int]]) -> tuple[int, ...]:
+    """Find one cycle in a wait-for graph; () if none."""
+    WHITE, GREY, BLACK = 0, 1, 2
+    color = {r: WHITE for r in edges}
+    for start in edges:
+        if color[start] != WHITE:
+            continue
+        stack = [(start, iter(edges[start]))]
+        color[start] = GREY
+        path = [start]
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                if nxt not in color:
+                    continue
+                if color[nxt] == GREY:
+                    return tuple(path[path.index(nxt):])
+                if color[nxt] == WHITE:
+                    color[nxt] = GREY
+                    stack.append((nxt, iter(edges[nxt])))
+                    path.append(nxt)
+                    advanced = True
+                    break
+            if not advanced:
+                color[node] = BLACK
+                stack.pop()
+                path.pop()
+    return ()
+
+
+def _match(src: int, tag: int, want_src: int, want_tag: int) -> bool:
+    """Envelope match, wildcards allowed on the receiving side."""
+    return want_src in (ANY_SOURCE, src) and want_tag in (ANY_TAG, tag)
+
+
+def _copy_payload(obj: Any) -> Any:
+    """Copy send buffers so the sender may safely reuse them (MPI semantics)."""
+    return tree_map(np.ndarray.copy, obj)
+
+
+def _payload_nbytes(obj: Any) -> int:
+    """Array bytes, plus a rough 64-byte envelope per scalar/object leaf."""
+    return sum(leaf.nbytes if isinstance(leaf, np.ndarray) else 64
+               for _, leaf in tree_leaves(obj))
 
 
 @dataclass(frozen=True)
@@ -191,7 +335,7 @@ class _Client:
     def __init__(self, uplink, downlink):
         self.uplink = uplink
         self.downlink = downlink
-        self.box: list[tuple[int, int, Any]] = []    # (src, abs_tag, encoded)
+        self.box: list[tuple[int, int, Any]] = []    # (src, tag, encoded)
         # Envelopes ingested (messages AND liveness events); echoed in
         # blocked reports.  The router counts every downlink put the same
         # way, so a standing blocked report is invalidated by *any* event
@@ -202,7 +346,6 @@ class _Client:
         self.finished: set[int] = set()              # reports so the router can
         self.dead: dict[int, tuple[int, str]] = {}   # tell stale from current
         self.deadlock: DeadlockReport | None = None
-        self.ctx_replies: dict[tuple, int] = {}
 
     def _handle(self, env: tuple) -> None:
         kind = env[0]
@@ -215,8 +358,6 @@ class _Client:
             self.dead[env[1]] = (env[2], env[3])
         elif kind == "deadlock":
             self.deadlock = env[1]
-        elif kind == "ctx":
-            self.ctx_replies[env[1]] = env[2]
 
     def drain(self, timeout: float = 0.0) -> int:
         """Ingest pending downlink envelopes; block up to ``timeout`` if idle."""
@@ -238,67 +379,42 @@ class _Client:
         return n
 
 
-def _combine(a: Any, b: Any, op: str) -> Any:
-    if op == "sum":
-        return a + b
-    if op == "max":
-        return np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b)
-    if op == "min":
-        return np.minimum(a, b) if isinstance(a, np.ndarray) else min(a, b)
-    if op == "prod":
-        return a * b
-    raise CommError(f"unsupported reduction op {op!r}")
-
-
 class Comm:
     """Communicator for one rank of a forked-process simulated MPI world.
 
-    Mirrors the mpi4py API subset the model uses.  Lower-case methods move
+    Mirrors the mpi4py API subset the model uses, on the world only: ranks
+    are world ranks and tags are plain integers.  Lower-case methods move
     arbitrary Python objects; arrays are passed by reference after a
     defensive copy at send time (MPI semantics: the send buffer may be
     reused by the sender immediately after ``send`` returns).  Everything
     is layered on the two blocking primitives ``_send`` / ``_recv``, which
-    move envelopes through this rank's :class:`_Client` (world ranks,
-    absolute tags).
+    move envelopes through this rank's :class:`_Client`.
     """
 
     def __init__(self, rank: int, size: int, client: _Client, *,
-                 timeout: float | None = None,
-                 group: Sequence[int] | None = None, ctx: int = 0,
-                 stats: CommStats | None = None):
+                 timeout: float | None = None):
         if not 0 <= rank < size:
             raise CommError(f"rank {rank} out of range for world size {size}")
         self.rank = rank
         self.size = size
         self._client = client
         self._timeout = _DEFAULT_TIMEOUT if timeout is None else timeout
-        # Sub-communicator plumbing: ``group`` maps local -> world ranks
-        # (None = identity, the world communicator fast path); ``ctx`` is
-        # the context id stamped into message tags.  Liveness, deadlock
-        # reports and mailboxes always operate on world ranks.
-        self._group = list(group) if group is not None else None
-        self._ctx = ctx
-        self._wrank = rank if self._group is None else self._group[rank]
-        self.stats = stats if stats is not None else CommStats(rank=rank)
+        self.stats = CommStats(rank=rank)
         # Collective sequence number: every rank calls collectives in the
         # same order, so stamping the tag with a per-call counter keeps
         # back-to-back collectives from consuming each other's messages.
         self._collective_seq = 0
-        self._split_seq = 0
         self._op_stack: list[str] = []
 
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
-    def _to_world(self, rank: int) -> int:
-        return rank if self._group is None else self._group[rank]
-
     @contextmanager
     def _op(self, name: str):
         """Operation scope: labels traffic.
 
         Only the *outermost* scope counts toward ``op_calls``, so
-        ``allreduce`` is one call even though it layers on ``reduce`` +
+        ``allgather`` is one call even though it layers on ``gather`` +
         ``bcast``.
         """
         if not self._op_stack:
@@ -312,7 +428,7 @@ class Comm:
     def _check_send_args(self, dest: int) -> None:
         if not isinstance(dest, (int, np.integer)):
             # Catch swapped send(dest, obj) arguments with a clear error
-            # instead of an unhashable-type failure inside the stats layer.
+            # instead of a failure deep inside the router.
             raise TypeError(
                 f"send: dest must be an integer rank, got "
                 f"{type(dest).__name__} — signature is send(obj, dest, tag)")
@@ -327,69 +443,48 @@ class Comm:
                              dead: dict, finished: set) -> None:
         """Fail fast when the awaited peer(s) can never send.
 
-        ``source`` is communicator-local; liveness is tracked (and
-        reported) in world ranks.  ``dead`` maps world rank ->
-        ``(origin_rank, reason)``; ``finished`` is a set of world ranks.
+        ``dead`` maps rank -> ``(origin_rank, reason)``; ``finished`` is a
+        set of ranks.
         """
+        me = self.rank
         if source != ANY_SOURCE:
-            src_w = self._to_world(source)
-            if src_w in dead:
-                origin, reason = dead[src_w]
+            if source in dead:
+                origin, reason = dead[source]
                 err = CommError(
-                    f"rank {self._wrank}: {op}(source={src_w}, tag={tag}) failed "
+                    f"rank {me}: {op}(source={source}, tag={tag}) failed "
                     f"— rank {origin} crashed ({reason})")
                 err.origin_rank = origin
                 raise err
-            if src_w in finished:
+            if source in finished:
                 raise CommError(
-                    f"rank {self._wrank}: {op}(source={src_w}, tag={tag}) can "
-                    f"never complete — rank {src_w} already finished")
+                    f"rank {me}: {op}(source={source}, tag={tag}) can "
+                    f"never complete — rank {source} already finished")
             return
-        others = [self._to_world(r) for r in range(self.size) if r != self.rank]
+        others = [r for r in range(self.size) if r != me]
         if others and all(r in finished or r in dead for r in others):
             dead_peers = sorted(r for r in others if r in dead)
             if dead_peers:
                 origin, reason = dead[dead_peers[0]]
                 err = CommError(
-                    f"rank {self._wrank}: {op}(source=ANY, tag={tag}) failed "
+                    f"rank {me}: {op}(source=ANY, tag={tag}) failed "
                     f"— rank {origin} crashed ({reason})")
                 err.origin_rank = origin
                 raise err
             raise CommError(
-                f"rank {self._wrank}: {op}(source=ANY, tag={tag}) can never "
+                f"rank {me}: {op}(source=ANY, tag={tag}) can never "
                 f"complete — all peers already finished")
-
-    def _allocate_context(self, key: tuple) -> int:
-        """World-unique context id for a split group: the router hands the
-        same id to every member asking with the same ``key``."""
-        cl = self._client
-        if key not in cl.ctx_replies:
-            cl.uplink.put(("ctx", self._wrank, key))
-            deadline = time.monotonic() + self._timeout
-            while key not in cl.ctx_replies:
-                if time.monotonic() >= deadline:
-                    raise CommError(
-                        f"rank {self._wrank}: context allocation for split "
-                        f"timed out after {self._timeout}s")
-                cl.drain(_POLL_SLICE)
-        return cl.ctx_replies[key]
 
     def _send(self, obj: Any, dest: int, tag: int) -> None:
         self._check_send_args(dest)
-        op = self._op_stack[0]
-        dest_w = self._to_world(dest)
-        abs_tag = (self._ctx << _CTX_SHIFT) + tag
         enc = _encode_payload(obj)
-        self.stats.note_send(op, dest_w, _payload_nbytes(obj))
-        self._client.uplink.put(("send", self._wrank, dest_w, abs_tag, enc))
+        self.stats.note_send(self._op_stack[0], _payload_nbytes(obj))
+        self._client.uplink.put(("send", self.rank, dest, tag, enc))
 
     def _recv(self, source: int, tag: int) -> Any:
         self._check_recv_args(source)
         op = self._op_stack[0]
         cl = self._client
-        me = self._wrank
-        src_w = ANY_SOURCE if source == ANY_SOURCE else self._to_world(source)
-        ctx = self._ctx
+        me = self.rank
         start = time.monotonic()
         deadline = start + self._timeout
         reported_seen = -1
@@ -397,11 +492,9 @@ class Comm:
             while True:
                 cl.drain(0.0)
                 for i, (src, t, enc) in enumerate(cl.box):
-                    if _match(src, t, src_w, tag, ctx):
+                    if _match(src, t, source, tag):
                         del cl.box[i]
-                        payload = _decode_payload(enc)
-                        self.stats.note_recv(_payload_nbytes(payload))
-                        return payload
+                        return _decode_payload(enc)
                 if cl.deadlock is not None:
                     raise DeadlockError(cl.deadlock)
                 # No matching traffic pending: check whether the awaited
@@ -412,13 +505,13 @@ class Comm:
                 self._peer_liveness_error(source, tag, op, cl.dead,
                                           cl.finished)
                 if cl.seen != reported_seen:
-                    cl.uplink.put(("blocked", me, op, src_w, tag, ctx,
-                                   start, cl.seen))
+                    cl.uplink.put(("blocked", me, op, source, tag, start,
+                                   cl.seen))
                     reported_seen = cl.seen
                 now = time.monotonic()
                 if now >= deadline:
                     raise CommError(
-                        f"rank {me}: {op}(source={src_w}, tag={tag}) "
+                        f"rank {me}: {op}(source={source}, tag={tag}) "
                         f"timed out after {self._timeout}s")
                 cl.drain(min(_POLL_SLICE, deadline - now))
         finally:
@@ -437,13 +530,6 @@ class Comm:
         """Blocking receive matching (source, tag); wildcards allowed."""
         with self._op("recv"):
             return self._recv(source, tag)
-
-    def sendrecv(self, obj: Any, dest: int, source: int,
-                 sendtag: int = 0, recvtag: int = ANY_TAG) -> Any:
-        """Combined send+receive; safe for shift patterns (send is buffered)."""
-        with self._op("sendrecv"):
-            self._send(obj, dest, sendtag)
-            return self._recv(source, recvtag)
 
     # ------------------------------------------------------------------
     # collectives (layered on point-to-point, as in a portable MPI)
@@ -483,30 +569,6 @@ class Comm:
                     self._send(obj, (rel + mask + root) % self.size, tag)
                 mask >>= 1
             return obj
-
-    def reduce(self, obj: Any, op: str = "sum", root: int = 0) -> Any:
-        """Binomial-tree reduction to root; returns result on root, None elsewhere."""
-        with self._op("reduce"):
-            tag = self._collective_tag(_TAG_REDUCE)
-            rel = (self.rank - root) % self.size
-            acc = obj
-            mask = 1
-            while mask < self.size:
-                if rel & mask:
-                    self._send(acc, (rel - mask + root) % self.size, tag)
-                    break
-                partner = rel + mask
-                if partner < self.size:
-                    other = self._recv((partner + root) % self.size, tag)
-                    acc = _combine(acc, other, op)
-                mask <<= 1
-            return acc if self.rank == root else None
-
-    def allreduce(self, obj: Any, op: str = "sum") -> Any:
-        """Reduce-then-broadcast allreduce."""
-        with self._op("allreduce"):
-            result = self.reduce(obj, op=op, root=0)
-            return self.bcast(result, root=0)
 
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
         """Gather one object per rank into a list on root (rank order)."""
@@ -562,38 +624,6 @@ class Comm:
                 out[src] = self._recv(src, tag)
             return out
 
-    # ------------------------------------------------------------------
-    # sub-communicators
-    # ------------------------------------------------------------------
-    def split(self, color: int | None, key: int | None = None) -> "Comm | None":
-        """Partition the communicator, MPI_Comm_split style (collective).
-
-        Ranks passing the same ``color`` form a new communicator, ordered
-        by ``(key, rank)`` (``key`` defaults to the current rank, so rank
-        order is preserved).  ``color=None`` opts out, as MPI_UNDEFINED
-        does: the rank participates in the collective but gets ``None``.
-
-        The sub-communicator exchanges messages in its own tag context, so
-        its traffic (including collectives) can never match the parent's or
-        a sibling group's even with equal tags.  Deadlock reports, crash
-        diagnostics and :class:`CommStats` keep identifying ranks by their
-        *world* rank; the stats object is shared with the parent so one
-        counter sees a rank's total traffic.
-        """
-        with self._op("split"):
-            entries = self.allgather(
-                (color, self.rank if key is None else key, self.rank))
-        self._split_seq += 1
-        if color is None:
-            return None
-        members = sorted((k, r) for c, k, r in entries if c == color)
-        group = [self._to_world(r) for _, r in members]
-        new_rank = [r for _, r in members].index(self.rank)
-        ctx = self._allocate_context(
-            ("split", self._ctx, self._split_seq, color))
-        return Comm(new_rank, len(group), self._client, timeout=self._timeout,
-                    group=group, ctx=ctx, stats=self.stats)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Comm(rank={self.rank}, size={self.size})"
 
@@ -634,7 +664,7 @@ class _Router:
         self.procs = procs
         self.timeout = timeout
         self.delivered = [0] * size
-        # rank -> (op, src_w, tag, ctx, since, seen) from blocked reports.
+        # rank -> (op, source, tag, since, seen) from blocked reports.
         self.blocked: dict[int, tuple] = {}
         self.finished: set[int] = set()
         self.dead: dict[int, tuple[int, str]] = {}
@@ -642,8 +672,6 @@ class _Router:
         self.results: list[Any] = [None] * size
         self.errors: list[BaseException | None] = [None] * size
         self.deadlock: DeadlockReport | None = None
-        self._ctx_ids: dict[tuple, int] = {}
-        self._next_ctx = 1
         self._death_seen: dict[int, float] = {}
 
     # -------------------------------------------------------------- core
@@ -667,25 +695,17 @@ class _Router:
     def _handle(self, env: tuple) -> None:
         kind = env[0]
         if kind == "send":
-            _, src, dest, abs_tag, enc = env
+            _, src, dest, tag, enc = env
             if self.done[dest]:
                 _unlink_refs(enc)   # nobody will ever drain this payload
             else:
-                self._put(dest, ("msg", src, abs_tag, enc))
+                self._put(dest, ("msg", src, tag, enc))
         elif kind == "blocked":
-            _, rank, op, src_w, tag, ctx, since, seen = env
+            _, rank, *report = env
             if not self.done[rank]:
-                self.blocked[rank] = (op, src_w, tag, ctx, since, seen)
+                self.blocked[rank] = tuple(report)
         elif kind == "unblocked":
             self.blocked.pop(env[1], None)
-        elif kind == "ctx":
-            _, rank, key = env
-            ctx = self._ctx_ids.get(key)
-            if ctx is None:
-                ctx = self._ctx_ids[key] = self._next_ctx
-                self._next_ctx += 1
-            if not self.done[rank]:
-                self._put(rank, ("ctx", key, ctx))
         elif kind == "done":
             _, rank, blob, error = env
             self.done[rank] = True
@@ -751,12 +771,12 @@ class _Router:
             return
         for r in live:
             b = self.blocked.get(r)
-            if b is None or b[5] != self.delivered[r]:
+            if b is None or b[4] != self.delivered[r]:
                 return   # r is running, or hasn't seen all its traffic yet
         now = time.monotonic()
         blocked = tuple(
             BlockedRank(rank=r, op=self.blocked[r][0], peer=self.blocked[r][1],
-                        tag=self.blocked[r][2], waited=now - self.blocked[r][4])
+                        tag=self.blocked[r][2], waited=now - self.blocked[r][3])
             for r in sorted(live))
         edges = {r: ([self.blocked[r][1]]
                      if self.blocked[r][1] != ANY_SOURCE
@@ -774,9 +794,10 @@ def run_ranks(size: int, fn: Callable[..., Any], *,
     """Run ``fn(comm, *args)`` on ``size`` forked ranks; return per-rank results.
 
     ``timeout`` bounds every blocking operation (``None``: 120 s, a
-    last-resort backstop behind the deadlock detector).  Results (message-like trees: bulk arrays come home through shm) and
-    exceptions must be picklable — they cross a process boundary; an
-    unpicklable result is that rank's error, as if the worker had raised.
+    last-resort backstop behind the deadlock detector).  Results
+    (message-like trees: bulk arrays come home through shm) and exceptions
+    must be picklable — they cross a process boundary; an unpicklable
+    result is that rank's error, as if the worker had raised.
 
     With ``return_exceptions=False`` (default), exceptions on any rank are
     re-raised in the caller after all ranks have been joined, preferring
@@ -791,15 +812,15 @@ def run_ranks(size: int, fn: Callable[..., Any], *,
     if "fork" not in mp.get_all_start_methods():  # pragma: no cover - POSIX only
         raise CommError("rank processes require the fork start method")
     tmo = _DEFAULT_TIMEOUT if timeout is None else timeout
-    ctx = mp.get_context("fork")
+    fork = mp.get_context("fork")
     # Start the shm resource tracker before forking so parent and children
     # share one tracker: the creator's register and the consumer's
     # unregister then land in the same ledger and cancel out.
     from multiprocessing import resource_tracker
     resource_tracker.ensure_running()
-    uplink = ctx.Queue()
-    downlinks = [ctx.Queue() for _ in range(size)]
-    procs = [ctx.Process(target=_child_main,
+    uplink = fork.Queue()
+    downlinks = [fork.Queue() for _ in range(size)]
+    procs = [fork.Process(target=_child_main,
                          args=(r, size, fn, args, uplink, downlinks[r],
                                tmo),
                          daemon=True)

@@ -58,7 +58,7 @@ class RankTrace:
 class TraceSet:
     """Traces for every rank of a run, plus Figure-2-style summaries.
 
-    ``comm`` optionally carries the :class:`~repro.parallel.commbase.CommStats`
+    ``comm`` optionally carries the :class:`~repro.parallel.procmpi.CommStats`
     behind the timeline — either the per-rank counters of the traced run
     itself, or the measured calibration stats the performance simulator was
     driven by — so a trace answers both "where did the time go?" (Figure 2)

@@ -39,9 +39,9 @@ def transpose_forward(comm: Comm, local_rows: np.ndarray,
     rank's block of columns.
 
     The underlying all-to-all is labeled ``"transpose.forward"``, so its
-    traffic is attributable in :class:`~repro.parallel.commbase.CommStats`
+    traffic is attributable in :class:`~repro.parallel.procmpi.CommStats`
     and a wedged transpose is named as such in a
-    :class:`~repro.parallel.commbase.DeadlockReport`.
+    :class:`~repro.parallel.procmpi.DeadlockReport`.
     """
     rlo, rhi = block_bounds(nrows, comm.size, comm.rank)
     if local_rows.ndim != 2 or local_rows.shape != (rhi - rlo, ncols):

@@ -94,7 +94,7 @@ def simulate_coupled_day(n_atm_ranks: int, n_ocn_ranks: int = 1,
     """Simulate one coupled simulated day; returns traces + throughput.
 
     ``transpose_comm`` optionally supplies measured per-rank
-    :class:`~repro.parallel.commbase.CommStats` from a real distributed
+    :class:`~repro.parallel.procmpi.CommStats` from a real distributed
     transpose (``repro.parallel.components.measure_transpose_comm``); the
     per-step transpose cost is then charged from the *measured* byte volume
     instead of the analytic ``AtmosphereCost.transpose_bytes()`` formula,

@@ -9,12 +9,12 @@ between the real Python components and the modeled 1997 machine::
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m repro.perf.report --days 0.5
     PYTHONPATH=src python -m repro.perf.report --json profile.json
     PYTHONPATH=src python -m repro.perf.report --load profile.json
-    PYTHONPATH=src python -m repro.perf.report --atm-ranks 2 --ocn-ranks 1
+    PYTHONPATH=src python -m repro.perf.report --atm-ranks 2
 
 The flags mean what they mean to ``python -m repro.scenarios run``
 (:func:`repro.runs.plan_from_flags`): ``--ensemble N`` profiles a batched
-run, ``--atm-ranks``/``--ocn-ranks`` a rank-pool run whose table sums the
-spans of every rank process and is followed by the blocking-wait summary.
+run, ``--atm-ranks`` a rank-pool run whose table sums the spans of every
+rank process and is followed by the blocking-wait summary.
 
 This module imports :mod:`repro.runs` (the whole coupled model), so it is
 *not* re-exported from ``repro.perf`` — the instrumented component modules
@@ -101,7 +101,7 @@ def profile_run(plan: RunPlan) -> tuple[RunProfile, RunResult]:
     exchange = None if result.concurrent else {
         "built": coupler.plans_built, "requests": coupler.plan_requests}
     shape = {"serial": "", "ensemble": f", nens={plan.nens}",
-             "concurrent": f", {plan.n_atm} atm + 1 cpl + {plan.n_ocn} ocn ranks"}
+             "concurrent": f", {plan.n_atm} atm + 1 cpl + 1 ocn ranks"}
     return take_profile(
         label=f"{plan.mode} run{shape[plan.mode]}, {result.steps} steps "
               f"({plan.days:g} days)",
@@ -183,10 +183,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="hide sections below this share of total time")
     parser.add_argument("--atm-ranks", type=int, default=None, metavar="N",
                         help="run concurrently with N atmosphere-pool ranks "
-                             "(adds a dedicated coupler rank)")
-    parser.add_argument("--ocn-ranks", type=int, default=1, metavar="N",
-                        help="ocean-pool ranks of the concurrent run "
-                             "(default: 1)")
+                             "(adds a coupler rank and an ocean rank)")
     parser.add_argument("--ensemble", type=int, default=None, metavar="N",
                         help="profile a batched N-member ensemble run "
                              "(section times are for the whole batch)")
@@ -200,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
             plan = plan_from_flags(
                 size=args.config, days=args.days, seed=args.seed,
                 dtype=args.dtype, ensemble=args.ensemble,
-                atm_ranks=args.atm_ranks, ocn_ranks=args.ocn_ranks)
+                atm_ranks=args.atm_ranks)
         except ValueError as err:
             parser.error(str(err))
         profile, result = profile_run(plan)

@@ -113,7 +113,7 @@ class RunHarness:
             # pays for loading the rank transport: a run's first leg is
             # the one a throughput measurement discards as warm-up.
             from repro.parallel.coupled import PoolLayout
-            self.layout = PoolLayout(n_atm=plan.n_atm, n_ocn=plan.n_ocn)
+            self.layout = PoolLayout(n_atm=plan.n_atm)
         if plan.mode == "ensemble":
             from repro.core.ensemble import EnsembleConfig, FoamEnsemble
             self.ensemble = FoamEnsemble(EnsembleConfig(

@@ -28,6 +28,11 @@ from repro.runs.observers import DEFAULT_HISTORY_FIELDS
 RUN_MODES = ("serial", "ensemble", "concurrent")
 
 
+def days_to_steps(days: float, config: FoamConfig) -> int:
+    """Whole atmosphere steps in ``days`` (at least one)."""
+    return max(1, int(round(days * 86400.0 / config.atm_dt)))
+
+
 @dataclass(frozen=True)
 class HistorySpec:
     """Streaming history output: what to record, how often, where.
@@ -51,8 +56,7 @@ class HistorySpec:
             raise ValueError("history needs at least one field")
 
     def interval_steps(self, config: FoamConfig) -> int:
-        steps = int(round(self.interval_days * 86400.0 / config.atm_dt))
-        return max(1, steps)
+        return days_to_steps(self.interval_days, config)
 
 
 @dataclass(frozen=True)
@@ -73,8 +77,7 @@ class CheckpointSpec:
                              f"got {self.interval_days}")
 
     def interval_steps(self, config: FoamConfig) -> int:
-        steps = int(round(self.interval_days * 86400.0 / config.atm_dt))
-        return max(1, steps)
+        return days_to_steps(self.interval_days, config)
 
 
 @dataclass(frozen=True)
@@ -84,11 +87,14 @@ class RunPlan:
     ``config`` is the base configuration (default: ``test_config()``);
     ``scenario`` optionally names a registered world whose knobs are
     applied on top of it.  ``mode`` selects the execution path; ``nens``
-    and ``ic_perturbation`` shape the ensemble; ``n_atm``/``n_ocn`` shape
-    the concurrent rank pools.  ``history`` and ``checkpoint`` attach the
-    streaming observers.  ``substrate`` is vestigial: rank pools always run
-    on forked processes, and the field survives (``None`` or ``"process"``
-    only) because the frozen ledger workload still passes it.
+    and ``ic_perturbation`` shape the ensemble; ``n_atm`` (≥ 1, at most
+    the atmosphere's latitudes) is the concurrent run's atmosphere rank
+    count, next to one coupler and one ocean rank.  ``history`` and
+    ``checkpoint`` attach the streaming observers.  ``n_ocn`` and
+    ``substrate`` are vestigial: a pool has one ocean rank and runs on
+    forked processes, and the fields survive (``n_ocn`` 1 only,
+    ``substrate`` ``None`` or ``"process"`` only) because the frozen ledger
+    workload still passes them.
     """
 
     config: FoamConfig | None = None
@@ -123,6 +129,10 @@ class RunPlan:
                 f"substrate={self.substrate!r}: the selector was removed — "
                 f"forked rank processes are the only transport (leave it "
                 f"unset)")
+        if self.n_ocn != 1:
+            raise ValueError(
+                f"n_ocn={self.n_ocn}: a rank pool has one ocean rank (the "
+                f"ocean step is not decomposed; leave it unset)")
 
     # ------------------------------------------------------------------
     def resolved_config(self) -> FoamConfig:
@@ -135,7 +145,7 @@ class RunPlan:
 
     def total_steps(self, config: FoamConfig | None = None) -> int:
         cfg = config if config is not None else self.resolved_config()
-        return max(1, int(round(self.days * 86400.0 / cfg.atm_dt)))
+        return days_to_steps(self.days, cfg)
 
     # ------------------------------------------------------------------
     def run_key(self) -> str:
@@ -160,21 +170,20 @@ def plan_from_flags(*, size: str = "test", days: float = 1.0,
                     scenario: str | None = None, seed: int | None = None,
                     dtype: str | None = None, ensemble: int | None = None,
                     perturb: float = 0.0, atm_ranks: int | None = None,
-                    ocn_ranks: int = 1, history: HistorySpec | None = None,
+                    history: HistorySpec | None = None,
                     checkpoint: CheckpointSpec | None = None) -> RunPlan:
     """The command-line flag vocabulary → a :class:`RunPlan`.
 
     Shared by ``python -m repro.scenarios run`` and ``python -m
     repro.perf.report`` so the same flags mean the same run: ``--ensemble
-    N`` is a batched N-member run, ``--atm-ranks N`` given or ``--ocn-ranks``
-    other than 1 is a rank-pool run (``--atm-ranks 1`` is a 1+1+1 pool),
-    ``--size``/``--config`` names the resolution, ``--seed``/``--dtype``
-    override that configuration.
+    N`` is a batched N-member run, ``--atm-ranks N`` a rank-pool run (N
+    atmosphere ranks + 1 coupler + 1 ocean; ``--atm-ranks 1`` is a 1+1+1
+    pool), ``--size``/``--config`` names the resolution, ``--seed``/
+    ``--dtype`` override that configuration.
     """
-    pooled = atm_ranks is not None or ocn_ranks != 1
+    pooled = atm_ranks is not None
     if ensemble and pooled:
-        raise ValueError("--ensemble and --atm-ranks/--ocn-ranks are "
-                         "mutually exclusive")
+        raise ValueError("--ensemble and --atm-ranks are mutually exclusive")
     config = named_config(size)
     if seed is not None:
         config.seed = seed
@@ -184,5 +193,5 @@ def plan_from_flags(*, size: str = "test", days: float = 1.0,
         config=config, scenario=scenario, days=days,
         mode="concurrent" if pooled else "ensemble" if ensemble else "serial",
         nens=ensemble or 1, ic_perturbation=perturb if ensemble else 0.0,
-        n_atm=1 if atm_ranks is None else atm_ranks, n_ocn=ocn_ranks,
+        n_atm=1 if atm_ranks is None else atm_ranks,
         history=history, checkpoint=checkpoint)

@@ -6,7 +6,7 @@ Usage::
     python -m repro.scenarios describe NAME [--json]
     python -m repro.scenarios run NAME [--days D] [--size test|small|paper]
                                        [--ensemble N]
-                                       [--atm-ranks N] [--ocn-ranks N]
+                                       [--atm-ranks N]
                                        [--checkpoint-dir DIR]
                                        [--checkpoint-days D]
                                        [--history-dir DIR] [--history-days D]
@@ -17,8 +17,9 @@ Usage::
 through the :class:`~repro.runs.RunHarness` — the same stepping loop and
 the same climatology report whatever the mode: serial (default),
 ``--ensemble N`` (N perturbed members as one batch: one climatology per
-member, spread reported), or ``--atm-ranks N`` [``--ocn-ranks N``]
-(concurrent pools of forked ranks; reports the end state).
+member, spread reported), or ``--atm-ranks N`` (N atmosphere ranks, a
+coupler rank and an ocean rank, each a forked process; reports the end
+state).
 ``--checkpoint-dir`` streams bitwise-resumable checkpoints,
 ``--history-dir`` streams rolling history files, and ``--resume CKPT``
 continues any prior run's checkpoint up to ``--days`` total — in any
@@ -106,7 +107,7 @@ def _plan_from_args(scenario, args) -> RunPlan:
         return plan_from_flags(
             size=args.size, days=args.days, scenario=scenario.name,
             ensemble=args.ensemble, perturb=args.perturb,
-            atm_ranks=args.atm_ranks, ocn_ranks=args.ocn_ranks,
+            atm_ranks=args.atm_ranks,
             history=(HistorySpec(args.history_dir,
                                  interval_days=args.history_days)
                      if args.history_dir else None),
@@ -137,7 +138,7 @@ def cmd_run(args) -> int:
 
     body["run_key"] = result.run_key
     if pooled:
-        body.update(world_size=plan.n_atm + 1 + plan.n_ocn,
+        body.update(world_size=harness.layout.world_size,
                     nsteps=result.steps,
                     wall_seconds=result.wall_seconds,
                     hidden_fraction=result.hidden_fraction,
@@ -244,10 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "larger values destabilize polar land caps)")
     rp.add_argument("--atm-ranks", type=int, default=None, metavar="N",
                     help="run concurrently on forked rank pools with N "
-                         "atmosphere ranks (adds a dedicated coupler rank)")
-    rp.add_argument("--ocn-ranks", type=int, default=1, metavar="N",
-                    help="ocean-pool ranks of the concurrent run "
-                         "(default: 1)")
+                         "atmosphere ranks (adds a coupler rank and an "
+                         "ocean rank)")
     rp.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                     help="stream bitwise-resumable checkpoints here")
     rp.add_argument("--checkpoint-days", type=float, default=0.5,

@@ -175,8 +175,9 @@ def scenario_climatology(model: FoamModel, state: FoamState,
     metrics)``.
     """
     from repro.runs.harness import drive_steps
+    from repro.runs.plan import days_to_steps
 
-    nsteps = max(1, int(round(days * 86400.0 / model.config.atm_dt)))
+    nsteps = days_to_steps(days, model.config)
     observer = ClimatologyObserver(model)
     state = drive_steps(model, state, nsteps, (observer,))
     return state, observer.metrics(state)

@@ -45,7 +45,7 @@ pytestmark = pytest.mark.parallel
 # window is part-full at the end (forcing_steps == 3): equivalence must
 # hold for partial windows too, not just at coupling boundaries.
 NSTEPS = 51
-LAYOUT = PoolLayout(n_atm=2, n_ocn=1)
+LAYOUT = PoolLayout(n_atm=2)
 
 
 @pytest.fixture(scope="module")
@@ -101,16 +101,16 @@ def _assert_bitwise(a, b, label):
 
 
 def test_layout_roles():
-    lay = PoolLayout(n_atm=3, n_ocn=2)
-    assert lay.world_size == 6
+    lay = PoolLayout(n_atm=3)
+    assert lay.world_size == 5
     assert lay.atm_ranks == (0, 1, 2)
     assert lay.cpl_rank == 3
-    assert lay.ocn_ranks == (4, 5)
-    assert lay.ocn_leader == 4
-    assert [lay.role_of(r) for r in range(6)] == \
-        ["atm", "atm", "atm", "cpl", "ocn", "ocn"]
-    with pytest.raises(ValueError):
-        lay.role_of(6)
+    assert lay.ocn_rank == 4
+    assert [lay.role_of(r) for r in range(5)] == \
+        ["atm", "atm", "atm", "cpl", "ocn"]
+    for outside in (-1, 5):
+        with pytest.raises(ValueError):
+            lay.role_of(outside)
     with pytest.raises(ValueError):
         PoolLayout(n_atm=0)
 
@@ -234,8 +234,7 @@ def test_eventsim_prediction_tracks_functional(serial, concurrent_run, cfg):
     ocn = OceanCost(nx=cfg.ocn_nx, ny=cfg.ocn_ny, nlev=cfg.ocn_nlev,
                     dt_long=cfg.ocean_coupling_interval)
     pred = predict_concurrent_speedup(serial_costs, conc_costs,
-                                      LAYOUT.n_atm, LAYOUT.n_ocn,
-                                      atm=atm, ocn=ocn)
+                                      LAYOUT.n_atm, atm=atm, ocn=ocn)
     assert pred["speedup"] > 0.0
     functional = serial["wall"] / concurrent.wall_seconds
     # The strict 25% acceptance check lives in the benchmark (quiet, timed
@@ -248,7 +247,7 @@ def test_eventsim_prediction_tracks_functional(serial, concurrent_run, cfg):
 
 def test_mistagged_coupler_exchange_deadlocks_both_pools():
     """A wrong-tag FORCING send wedges both pools; the report names them."""
-    layout = PoolLayout(n_atm=2, n_ocn=1)
+    layout = PoolLayout(n_atm=2)
 
     def worker(comm):
         role = layout.role_of(comm.rank)
@@ -258,7 +257,7 @@ def test_mistagged_coupler_exchange_deadlocks_both_pools():
         if role == "cpl":
             # Mis-tagged: the forcing goes out under TAG_SST, so the ocean
             # (waiting on TAG_FORCING) never matches it.
-            comm.send({"taux": np.zeros(3)}, layout.ocn_leader, TAG_SST)
+            comm.send({"taux": np.zeros(3)}, layout.ocn_rank, TAG_SST)
             return comm.recv(layout.atm_ranks[0], TAG_ATM_STATE)
         return comm.recv(layout.cpl_rank, TAG_FORCING)
 
@@ -275,8 +274,25 @@ def test_mistagged_coupler_exchange_deadlocks_both_pools():
     for r in layout.atm_ranks:
         assert by_rank[r].peer == layout.cpl_rank
         assert by_rank[r].tag == TAG_SURFACE
-    assert by_rank[layout.ocn_leader].peer == layout.cpl_rank
-    assert by_rank[layout.ocn_leader].tag == TAG_FORCING
+    assert by_rank[layout.ocn_rank].peer == layout.cpl_rank
+    assert by_rank[layout.ocn_rank].tag == TAG_FORCING
+
+
+def test_one_leg_sends_point_to_point_and_one_barrier(cfg, concurrent):
+    """A 6-step 1 + 1 + 1 leg is 21 exchange sends — per step the state
+    and the physics to the coupler and the surface back, then the initial
+    SST, one forcing window and its SST — plus the 4 of the barrier that
+    starts the rank walls together.  No other collective runs: the pool
+    has no communicator of its own, and atmosphere ranks swap their bands
+    point to point (the 2 + 1 + 1 run sends under the same two labels)."""
+    model = FoamModel(cfg)
+    leg = run_concurrent_coupled(model, model.initial_state(), 6,
+                                 PoolLayout(n_atm=1))
+    assert sum(s.msgs_sent for s in leg.comm_stats) == 25
+    assert sum(s.op_msgs.get("barrier", 0) for s in leg.comm_stats) == 4
+    for result in (leg, concurrent):
+        assert set().union(*(s.op_msgs for s in result.comm_stats)) == {
+            "send", "barrier"}
 
 
 def test_rejects_more_atm_ranks_than_latitudes(cfg):

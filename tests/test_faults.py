@@ -155,9 +155,8 @@ def test_comm_stats_label_traffic_by_operation():
     stats = run_ranks(4, worker, timeout=30.0)
     assert all(s.op_calls.get("bcast") == 1 for s in stats)
     assert all(s.op_calls.get("barrier") == 1 for s in stats)
-    total_sent = sum(s.msgs_sent for s in stats)
-    total_recv = sum(s.msgs_recv for s in stats)
-    assert total_sent == total_recv > 0
+    # bcast: 3 sends; barrier: a gather (3) then a bcast (3) to 4 ranks.
+    assert sum(s.msgs_sent for s in stats) == 9
     # Traffic inside the barrier's gather/bcast is charged to "barrier".
     assert sum(s.op_msgs.get("barrier", 0) for s in stats) > 0
 
@@ -209,7 +208,7 @@ def test_process_mistagged_coupler_exchange_deadlock_report():
     """ISSUE 7: a wrong-tag coupler exchange on forked rank pools yields a
     DeadlockReport — marshalled back from the child processes — naming
     every blocked rank with its op, peer and tag, in under a second."""
-    layout = PoolLayout(n_atm=2, n_ocn=1)
+    layout = PoolLayout(n_atm=2)
 
     def worker(comm):
         role = layout.role_of(comm.rank)
@@ -218,7 +217,7 @@ def test_process_mistagged_coupler_exchange_deadlock_report():
         if role == "cpl":
             # Mis-tagged: the forcing goes out under TAG_SST, so the ocean
             # (waiting on TAG_FORCING) never matches it.
-            comm.send({"taux": np.zeros(3)}, layout.ocn_leader, TAG_SST)
+            comm.send({"taux": np.zeros(3)}, layout.ocn_rank, TAG_SST)
             return comm.recv(layout.atm_ranks[0], TAG_ATM_STATE)
         return comm.recv(layout.cpl_rank, TAG_FORCING)
 
@@ -235,5 +234,5 @@ def test_process_mistagged_coupler_exchange_deadlock_report():
         assert by_rank[r].peer == layout.cpl_rank
         assert by_rank[r].tag == TAG_SURFACE
         assert by_rank[r].op == "recv"
-    assert by_rank[layout.ocn_leader].peer == layout.cpl_rank
-    assert by_rank[layout.ocn_leader].tag == TAG_FORCING
+    assert by_rank[layout.ocn_rank].peer == layout.cpl_rank
+    assert by_rank[layout.ocn_rank].tag == TAG_FORCING

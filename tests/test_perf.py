@@ -207,11 +207,9 @@ def test_eventsim_accepts_measured_transpose_comm():
     stats = measure_transpose_comm(4, nlat=atm.nlat, nm=atm.mmax + 1,
                                    nlev=atm.nlev)
     assert transpose_messages_from_stats(stats) == 2 * 4 * 3  # fwd+back pairwise
-    # The per-rank counters came back from four processes; merged, they
-    # still hold every transpose byte.
-    from repro.parallel import CommStats
-    assert CommStats.merge(stats).bytes_for("transpose") == sum(
-        s.bytes_for("transpose") for s in stats) > 0
+    # The per-rank counters came back from four processes, each with its
+    # rank's share of the transpose bytes.
+    assert all(s.bytes_for("transpose") > 0 for s in stats)
 
     measured = transpose_bytes_from_stats(stats)
     analytic = atm.transpose_bytes()

@@ -153,19 +153,3 @@ def test_cli_pool_run_honours_dtype_and_seed(capsys, tmp_path):
     assert meta["dtype"] == "float32"
     assert meta["seed"] == 5
     assert meta["mode"] == "concurrent"
-
-
-@pytest.mark.parallel
-def test_cli_ocn_ranks_alone_is_a_pool_run(capsys, tmp_path):
-    """``--ocn-ranks 2`` without ``--atm-ranks`` used to profile a *serial*
-    run silently; it is the 1+1+2 pool it is to ``repro.scenarios run``."""
-    out = tmp_path / "pool.json"
-    rc = main(["--days", "0.25", "--ocn-ranks", "2", "--json", str(out)])
-    assert rc == 0
-    text = capsys.readouterr().out
-    assert "1 atm + 1 cpl + 2 ocn ranks" in text
-    waits = text[text.index("blocking waits over"):]
-    assert "4 rank processes" in waits and "forcing" in waits
-    profile = RunProfile.load(out)
-    assert profile.calls("atmosphere.dynamics") == profile.meta["nsteps"] == 6
-    assert profile.calls("runs.coupled_step") == 0   # no rank runs the serial step

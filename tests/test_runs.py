@@ -192,6 +192,14 @@ class TestPlanValidation:
         assert RunPlan(mode="concurrent", substrate="process").substrate \
             == "process"
 
+    def test_one_ocean_rank(self):
+        # A pool has one ocean rank; the field survives for the frozen
+        # ledger workload's n_ocn=1.
+        for n_ocn in (0, 2):
+            with pytest.raises(ValueError, match="one ocean rank"):
+                RunPlan(mode="concurrent", n_ocn=n_ocn)
+        assert RunPlan(mode="concurrent", n_ocn=1).n_ocn == 1
+
     def test_checkpoint_cadence_is_any_whole_step(self, tmp_path):
         cfg = _test_config()
         # 0.25 day = 6 steps at test size (a coupling boundary inside a

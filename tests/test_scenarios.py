@@ -370,8 +370,9 @@ def test_cli_run_rejects_ensemble_plus_substrate():
     with pytest.raises(SystemExit, match="mutually exclusive"):
         cli_main(["run", "aquaplanet", "--ensemble", "2",
                   "--atm-ranks", "2"])
-    with pytest.raises(SystemExit):     # argparse: the flag no longer exists
-        cli_main(["run", "aquaplanet", "--substrate", "process"])
+    for gone in (["--substrate", "process"], ["--ocn-ranks", "2"]):
+        with pytest.raises(SystemExit):     # argparse: the flag no longer exists
+            cli_main(["run", "aquaplanet", *gone])
 
 
 def test_cli_golden_roundtrip(tmp_path, capsys):

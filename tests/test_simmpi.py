@@ -5,7 +5,7 @@ import glob
 import numpy as np
 import pytest
 
-from repro.parallel import ANY_SOURCE, CommError, CommStats, DeadlockError, run_ranks
+from repro.parallel import ANY_SOURCE, CommError, DeadlockError, run_ranks
 from repro.util.tree import tree_leaves
 from tests.oracles import bitwise
 
@@ -69,11 +69,14 @@ def test_recv_tag_selectivity_with_stash():
     assert out[1] == ("first", "second")
 
 
-def test_sendrecv_ring_shift():
+def test_buffered_send_ring_shift():
+    """Every rank sends before it receives: sends are buffered, so a ring
+    shift (the atmosphere pool's band swap) cannot wedge."""
     def worker(comm):
         right = (comm.rank + 1) % comm.size
         left = (comm.rank - 1) % comm.size
-        return comm.sendrecv(comm.rank, dest=right, source=left)
+        comm.send(comm.rank, dest=right)
+        return comm.recv(source=left)
 
     out = run_ranks(5, worker)
     assert out == [(r - 1) % 5 for r in range(5)]
@@ -88,34 +91,6 @@ def test_bcast_all_sizes(size):
     out = run_ranks(size, worker)
     for arr in out:
         np.testing.assert_array_equal(arr, np.arange(10.0))
-
-
-@pytest.mark.parametrize("size", [1, 2, 3, 5, 8])
-def test_reduce_sum(size):
-    def worker(comm):
-        return comm.reduce(comm.rank + 1, op="sum", root=0)
-
-    out = run_ranks(size, worker)
-    assert out[0] == size * (size + 1) // 2
-    assert all(v is None for v in out[1:])
-
-
-@pytest.mark.parametrize("op,expect", [("sum", 10), ("max", 4), ("min", 1), ("prod", 24)])
-def test_allreduce_ops(op, expect):
-    def worker(comm):
-        return comm.allreduce(comm.rank + 1, op=op)
-
-    out = run_ranks(4, worker)
-    assert out == [expect] * 4
-
-
-def test_allreduce_arrays():
-    def worker(comm):
-        return comm.allreduce(np.full(3, float(comm.rank)), op="max")
-
-    out = run_ranks(3, worker)
-    for arr in out:
-        np.testing.assert_array_equal(arr, np.full(3, 2.0))
 
 
 def test_gather_preserves_rank_order():
@@ -257,117 +232,19 @@ def test_bytes_accounting():
     assert out[1] == 0
 
 
-def test_comm_stats_merge_sums_every_counter():
-    """CommStats.merge is the exact column sum of the per-rank counters —
-    callers rely on it to fold per-rank-process stats into a world view
-    without losing a byte."""
-    a = CommStats(rank=0)
-    a.note_send("transpose.forward", dest=1, nbytes=100)
-    a.note_send("transpose.forward", dest=2, nbytes=50)
-    a.note_recv(8)
-    a.note_call("bcast")
-    b = CommStats(rank=1)
-    b.note_send("bcast", dest=0, nbytes=8)
-    b.note_recv(100)
-    b.note_recv(8)
-    b.note_call("bcast")
-
-    m = CommStats.merge([a, b], rank=-1)
-    assert m.rank == -1
-    assert m.msgs_sent == 3 and m.bytes_sent == 158
-    assert m.msgs_recv == 3 and m.bytes_recv == 116
-    assert m.bytes_for("transpose") == 150
-    assert m.op_calls["bcast"] == 2
-    assert m.peer_bytes[1] == 100 and m.peer_bytes[2] == 50
-    assert m.peer_bytes[0] == 8
-    # Merging merges is still a plain sum (associativity).
-    mm = CommStats.merge([CommStats.merge([a]), CommStats.merge([b])])
-    assert mm.op_bytes == m.op_bytes and mm.bytes_sent == m.bytes_sent
-    # Neutral element: merging nothing is all-zero.
-    z = CommStats.merge([])
-    assert z.msgs_sent == 0 and z.op_bytes == {}
-
-
-# -------------------------------------------------------------------- split
-def test_split_groups_and_sizes():
-    """color partitions the world; sub-ranks are dense and ordered by rank."""
+def test_deadlock_among_some_ranks_names_only_them():
+    """Ranks 0 and 1 finish a healthy exchange; ranks 2 and 3 wait on each
+    other.  The report names the wedged pair, each waiting on the other."""
     def worker(comm):
-        sub = comm.split(comm.rank % 2)
-        return (sub.rank, sub.size)
-
-    out = run_ranks(4, worker)
-    # Even world ranks 0,2 -> sub ranks 0,1; odd world ranks 1,3 likewise.
-    assert out == [(0, 2), (0, 2), (1, 2), (1, 2)]
-
-
-def test_split_key_reverses_order():
-    def worker(comm):
-        sub = comm.split(0, key=-comm.rank)
-        return sub.rank
-
-    assert run_ranks(3, worker) == [2, 1, 0]
-
-
-def test_split_color_none_opts_out():
-    def worker(comm):
-        sub = comm.split(None if comm.rank == 2 else 0)
-        if sub is None:
-            return None
-        return sub.allreduce(comm.rank, op="sum")
-
-    assert run_ranks(3, worker) == [1, 1, None]
-
-
-def test_split_collectives_stay_inside_group():
-    def worker(comm):
-        sub = comm.split(comm.rank // 2)
-        return sub.allgather(comm.rank)
-
-    out = run_ranks(4, worker)
-    assert out == [[0, 1], [0, 1], [2, 3], [2, 3]]
-
-
-def test_split_tag_isolation_from_world():
-    """The same (source, tag) on world and sub-communicator never cross."""
-    def worker(comm):
-        sub = comm.split(0)
-        if comm.rank == 0:
-            comm.send("world", dest=1, tag=7)
-            sub.send("sub", dest=1, tag=7)
-            return None
-        got_sub = sub.recv(source=0, tag=7)
-        got_world = comm.recv(source=0, tag=7)
-        return (got_sub, got_world)
-
-    out = run_ranks(2, worker)
-    assert out[1] == ("sub", "world")
-
-
-def test_split_point_to_point_uses_group_ranks():
-    """Sub-communicator rank numbering is local to the group."""
-    def worker(comm):
-        sub = comm.split(comm.rank % 2)   # group of world ranks {1, 3}
-        if comm.rank == 1:
-            sub.send(comm.rank, dest=1)   # sub rank 1 == world rank 3
-            return None
-        if comm.rank == 3:
-            return sub.recv(source=0)     # sub rank 0 == world rank 1
-        return None
-
-    assert run_ranks(4, worker)[3] == 1
-
-
-def test_split_deadlock_reports_world_ranks():
-    """A wedge inside a sub-communicator is named in world ranks."""
-    def worker(comm):
-        sub = comm.split(comm.rank // 2)  # {0,1} and {2,3}
         if comm.rank < 2:
-            return sub.allreduce(1, op="sum")   # healthy group
-        return sub.recv(source=1 - sub.rank, tag=9)   # {2,3} wedge each other
+            comm.send(comm.rank, dest=1 - comm.rank, tag=3)
+            return comm.recv(source=1 - comm.rank, tag=3)
+        return comm.recv(source=5 - comm.rank, tag=9)
 
     with pytest.raises(DeadlockError) as excinfo:
         run_ranks(4, worker, timeout=60.0)
     report = excinfo.value.report
     assert set(report.ranks) == {2, 3}
     for b in report.blocked:
-        assert b.peer == 5 - b.rank       # world rank of the sub peer
+        assert b.peer == 5 - b.rank and b.tag == 9
+    assert set(report.cycle) == {2, 3}

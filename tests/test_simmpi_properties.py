@@ -6,17 +6,13 @@ with the obvious serial NumPy computation over the same per-rank payloads,
 which cross real process boundaries (``run_ranks`` forks the ranks):
 
 * ``bcast``       == identity from the root payload
-* ``reduce``      == ``np.add/maximum/minimum/multiply.reduce`` over ranks
-* ``allreduce``   == the same, on every rank
 * ``gather``      == the list of payloads in rank order
 * ``allgather``   == the same, on every rank
 * ``scatter``     == bitwise hand-out of the root's list
 * ``alltoall``    == the transpose of the payload matrix
-* ``sendrecv``    == a ring shift
+* ``send``/``recv`` == a ring shift
 
-Exactness: integer dtypes and min/max are compared bitwise; floating
-sum/prod use a tolerance because the binomial reduction tree legitimately
-reassociates the arithmetic.
+Every comparison is bitwise: no collective does arithmetic.
 """
 
 import numpy as np
@@ -41,9 +37,8 @@ shapes = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple)
 def world_and_payloads(draw):
     """A world size plus one deterministic array payload per rank.
 
-    Payloads are kept small-magnitude so float32 sum/prod comparisons stay
-    well-conditioned; with probability ~1/2 each payload is a non-contiguous
-    view (reversed leading axis), exercising the copy-on-send path.
+    With probability ~1/2 each payload is a non-contiguous view (reversed
+    leading axis), exercising the copy-on-send path.
     """
     size = draw(world_sizes)
     dtype = np.dtype(draw(dtypes))
@@ -67,15 +62,6 @@ def world_and_payloads(draw):
     return size, payloads
 
 
-def _assert_agrees(actual, expected, op):
-    expected = np.asarray(expected)
-    if expected.dtype.kind in "iub" or op in ("max", "min"):
-        np.testing.assert_array_equal(actual, expected)
-    else:
-        rtol = 1e-5 if expected.dtype in (np.float32, np.complex64) else 1e-12
-        np.testing.assert_allclose(actual, expected, rtol=rtol, atol=1e-12)
-
-
 @settings(**_SETTINGS)
 @given(world_and_payloads(), st.integers(0, 8))
 def test_bcast_equals_root_payload(wp, root_pick):
@@ -88,42 +74,6 @@ def test_bcast_equals_root_payload(wp, root_pick):
 
     for received in run_ranks(size, worker, timeout=30.0):
         np.testing.assert_array_equal(received, payloads[root])
-
-
-@settings(**_SETTINGS)
-@given(world_and_payloads(), st.sampled_from(["sum", "max", "min"]),
-       st.integers(0, 8))
-def test_reduce_equals_numpy_reduce(wp, op, root_pick):
-    size, payloads = wp
-    root = root_pick % size
-    ufunc = {"sum": np.add, "max": np.maximum, "min": np.minimum}[op]
-    if op in ("max", "min") and payloads[0].dtype.kind == "c":
-        payloads = [p.real for p in payloads]  # no complex ordering
-    expected = ufunc.reduce(np.stack(payloads), axis=0)
-
-    def worker(comm):
-        return comm.reduce(payloads[comm.rank], op=op, root=root)
-
-    out = run_ranks(size, worker, timeout=30.0)
-    _assert_agrees(out[root], expected, op)
-    assert all(out[r] is None for r in range(size) if r != root)
-
-
-@settings(**_SETTINGS)
-@given(world_and_payloads(), st.sampled_from(["sum", "prod", "max", "min"]))
-def test_allreduce_equals_numpy_on_every_rank(wp, op):
-    size, payloads = wp
-    ufunc = {"sum": np.add, "prod": np.multiply,
-             "max": np.maximum, "min": np.minimum}[op]
-    if op in ("max", "min") and payloads[0].dtype.kind == "c":
-        payloads = [p.real for p in payloads]
-    expected = ufunc.reduce(np.stack(payloads), axis=0)
-
-    def worker(comm):
-        return comm.allreduce(payloads[comm.rank], op=op)
-
-    for received in run_ranks(size, worker, timeout=30.0):
-        _assert_agrees(received, expected, op)
 
 
 @settings(**_SETTINGS)
@@ -192,13 +142,14 @@ def test_alltoall_is_matrix_transpose(wp, seed):
 
 @settings(**_SETTINGS)
 @given(world_and_payloads())
-def test_sendrecv_ring_shift(wp):
+def test_send_recv_ring_shift(wp):
     size, payloads = wp
 
     def worker(comm):
         right = (comm.rank + 1) % comm.size
         left = (comm.rank - 1) % comm.size
-        return comm.sendrecv(payloads[comm.rank], dest=right, source=left)
+        comm.send(payloads[comm.rank], dest=right)
+        return comm.recv(source=left)
 
     out = run_ranks(size, worker, timeout=30.0)
     for r in range(size):
@@ -230,14 +181,12 @@ def test_size_one_world_runs_every_collective():
         assert comm.size == 1
         comm.barrier()
         a = comm.bcast(x, root=0)
-        b = comm.reduce(x, op="sum", root=0)
-        c = comm.allreduce(x, op="max")
         d = comm.gather(x, root=0)
         e = comm.allgather(x)
         f = comm.scatter([x], root=0)
         g = comm.alltoall([x])
-        return a, b, c, d, e, f, g
+        return a, d, e, f, g
 
-    a, b, c, d, e, f, g = run_ranks(1, worker, timeout=30.0)[0]
-    for got in (a, b, c, d[0], e[0], f, g[0]):
+    a, d, e, f, g = run_ranks(1, worker, timeout=30.0)[0]
+    for got in (a, d[0], e[0], f, g[0]):
         np.testing.assert_array_equal(got, x)

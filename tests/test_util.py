@@ -154,7 +154,8 @@ def test_one_rank_transport_census():
     One communicator class moves messages: no abstract transport interface
     (no ``NotImplementedError`` hook under ``parallel/``), no second class
     defining ``_send`` / ``_recv``, and no message-fault injector
-    (``parallel/faults.py``, a ``faults`` parameter anywhere).
+    (``parallel/faults.py``, a ``faults`` parameter anywhere).  It is the
+    world communicator, with a pinned public method set.
     """
     import ast
 
@@ -172,6 +173,21 @@ def test_one_rank_transport_census():
                 if {"_send", "_recv"} <= methods:
                     transports.append(f"{path.name}:{node.name}")
     assert len(transports) <= 1, transports
+    # One world communicator with the collectives something outside tests
+    # calls: no ``split`` and no sub-communicator context, no ``sendrecv``,
+    # ``reduce`` or ``allreduce``, and the vocabulary lives with the
+    # transport that speaks it (no ``commbase.py``).
+    from repro.parallel import Comm
+
+    assert not (src / "parallel" / "commbase.py").exists()
+    assert {name for name in vars(Comm)
+            if not name.startswith("_") and callable(getattr(Comm, name))} == {
+        "send", "recv", "barrier", "bcast", "gather", "allgather", "scatter",
+        "alltoall"}
+    for path in (src / "parallel").rglob("*.py"):
+        hit = re.search(r"\bctx\b|_ctx|_CTX|\bcontext\b|\bsplit\(",
+                        path.read_text())
+        assert hit is None, f"{path} mentions a communicator context: {hit[0]}"
     for path in src.rglob("*.py"):
         tree = ast.parse(path.read_text())
         for node in ast.walk(tree):
@@ -188,6 +204,23 @@ def test_one_rank_transport_census():
                 for banned in ("substrate", "faults"):
                     assert banned not in params, \
                         f"{path}:{node.lineno} {node.name}() takes {banned}="
+
+
+def test_no_line_over_the_lint_limit():
+    """Every ``.py`` line fits pyproject's ``[tool.ruff] line-length`` (the
+    CI lint job's E501), checked here too so a build without ruff sees it."""
+    import tomllib
+
+    root = Path(__file__).resolve().parents[1]
+    limit = tomllib.loads((root / "pyproject.toml").read_text())[
+        "tool"]["ruff"]["line-length"]
+    long_lines = [
+        f"{path.relative_to(root)}:{n} ({len(line)})"
+        for top in ("src", "tests", "benchmarks", "examples")
+        for path in sorted((root / top).rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line) > limit]
+    assert not long_lines, long_lines
 
 
 def test_one_legendre_contraction_census():
