@@ -101,8 +101,6 @@ class SpectralDynamicalCore:
 
     def __init__(self, transform: SpectralTransform, vgrid: VerticalGrid,
                  dt: float = 1800.0, robert: float = 0.04,
-                 diffusion_coefficient: float | None = None,
-                 semi_implicit: bool = True,
                  rotation_factor: float = 1.0):
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
@@ -112,15 +110,12 @@ class SpectralDynamicalCore:
         # A python float never decides a result dtype (a NumPy scalar would
         # upcast float32/complex64 fields).
         self.robert = float(robert)
-        self.semi_implicit = bool(semi_implicit)
         # CCM2 R15 recommended del^4 coefficient scales with resolution
-        # (Williamson et al. 1995); default tuned so the smallest retained
-        # scale damps with an e-folding of ~3 hours.
-        if diffusion_coefficient is None:
-            nmax = transform.trunc.mmax + transform.trunc.nk - 1
-            k4_scale = (nmax * (nmax + 1) / transform.radius**2) ** 2
-            diffusion_coefficient = 1.0 / (3.0 * 3600.0 * k4_scale)
-        self.k4 = float(diffusion_coefficient)
+        # (Williamson et al. 1995); tuned so the smallest retained scale
+        # damps with an e-folding of ~3 hours.
+        nmax = transform.trunc.mmax + transform.trunc.nk - 1
+        k4_scale = (nmax * (nmax + 1) / transform.radius**2) ** 2
+        self.k4 = float(1.0 / (3.0 * 3600.0 * k4_scale))
 
         # Coriolis parameter as a grid field; f also enters the vorticity
         # equation through the nonlinear terms only (f itself is Y_1^0).
@@ -292,21 +287,8 @@ class SpectralDynamicalCore:
         new_vort = prev.vort + 2.0 * dt * n_vort
 
         with profile_section("atmosphere.implicit"):
-            if self.semi_implicit:
-                new_div, new_temp, new_lnps = self._implicit_update(
-                    prev, n_div, n_temp, n_pi)
-            else:
-                # Fully explicit update: linear terms evaluated at center time.
-                g_mat = self.vg.hydrostatic_matrix()
-                tau = self.vg.energy_conversion_matrix()
-                dsig = self.vg.dsigma
-                lin_d = np.tensordot(g_mat, curr.temp, axes=(1, 0)) \
-                    + RD * self.vg.t_ref * curr.lnps[None]
-                new_div = prev.div + 2.0 * dt * (n_div - self.tr.laplacian(lin_d))
-                new_temp = prev.temp + 2.0 * dt * (
-                    n_temp - np.tensordot(tau, curr.div, axes=(1, 0)))
-                new_lnps = prev.lnps + 2.0 * dt * (
-                    n_pi - self._dsig_dot(dsig, curr.div))
+            new_div, new_temp, new_lnps = self._implicit_update(
+                prev, n_div, n_temp, n_pi)
 
         # Mixed-precision leakage guard: the float64 implicit solver tables
         # upcast the update under a float32 policy; pin state dtype here.

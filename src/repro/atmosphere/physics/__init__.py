@@ -21,7 +21,6 @@ from repro.atmosphere.physics.driver import (
 from repro.atmosphere.physics.radiation import (
     RadiationParams,
     diagnose_cloud_fraction,
-    diurnal_mean_insolation,
     longwave,
     shortwave,
     solar_zenith_cos,
@@ -39,7 +38,7 @@ from repro.atmosphere.physics.surface_flux import (
 )
 
 __all__ = [
-    "RadiationParams", "diagnose_cloud_fraction", "diurnal_mean_insolation",
+    "RadiationParams", "diagnose_cloud_fraction",
     "longwave", "shortwave", "solar_zenith_cos",
     "ConvectionParams", "compute_cape", "hack_shallow", "zhang_mcfarlane_deep",
     "StratiformParams", "saturation_adjustment", "stratiform_tendencies",

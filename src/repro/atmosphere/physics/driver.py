@@ -8,16 +8,17 @@ over whatever horizontal shape the caller supplies.
 Call order per physics step (the CCM sequence):
 
 1. radiation (only on radiation steps — twice per simulated day, per Fig 2);
-2. surface fluxes (unless the coupler supplies them, as in coupled FOAM);
-3. boundary-layer vertical diffusion (consumes the surface fluxes);
-4. Zhang-McFarlane deep convection;
-5. Hack shallow convection;
-6. stratiform condensation + precipitation evaporation.
+2. boundary-layer vertical diffusion, driven by the surface fluxes the
+   coupler hands in (FOAM's "principal modification to PCCM2": the lower
+   boundary's fluxes are computed on the overlap grid, not here);
+3. Zhang-McFarlane deep convection;
+4. Hack shallow convection;
+5. stratiform condensation + precipitation evaporation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,18 +46,11 @@ from repro.util.constants import GRAVITY, SECONDS_PER_DAY
 
 @dataclass
 class SurfaceState:
-    """What the physics needs to know about the lower boundary.
-
-    A coupled surface carries ``t_sfc`` and ``albedo`` only: the coupler
-    owns the turbulent fluxes.  The last three fields feed the driver's own
-    bulk formulas (``external_fluxes=None``) and nothing else.
-    """
+    """What the radiation needs to know about the lower boundary (the
+    coupler owns the turbulent fluxes)."""
 
     t_sfc: np.ndarray           # surface (skin / SST) temperature, K
     albedo: np.ndarray          # broadband surface albedo
-    wetness: np.ndarray | None = None   # D_w latent-heat availability factor
-    z0: np.ndarray | None = None        # roughness length (m); ocean overridden internally
-    ocean_mask: np.ndarray | None = None  # bool: where the CCM3 ocean formulas apply
 
 
 @dataclass
@@ -92,7 +86,6 @@ class PhysicsTendencies:
     #: The radiation this step applied: the state it was handed, or a new
     #: one when that was ``radiation_interval`` old.
     radiation: RadiationState
-    fluxes: dict = field(default_factory=dict)   # turbulent surface fluxes
 
 
 class PhysicsSuite:
@@ -100,14 +93,11 @@ class PhysicsSuite:
 
     def __init__(self,
                  radiation: RadiationParams = RadiationParams(),
-                 convection: ConvectionParams = ConvectionParams(),
-                 stratiform: StratiformParams = StratiformParams(),
-                 boundary_layer: BoundaryLayerParams = BoundaryLayerParams(),
                  radiation_interval: float = SECONDS_PER_DAY / 2.0):
         self.rad = radiation
-        self.conv = convection
-        self.strat = stratiform
-        self.pbl = boundary_layer
+        self.conv = ConvectionParams()
+        self.strat = StratiformParams()
+        self.pbl = BoundaryLayerParams()
         self.radiation_interval = radiation_interval
 
     # ------------------------------------------------------------------
@@ -115,15 +105,14 @@ class PhysicsSuite:
                 v: np.ndarray, pressure: np.ndarray, ps: np.ndarray,
                 geopotential: np.ndarray, dsigma: np.ndarray,
                 surface: SurfaceState, dt: float, time: float,
-                lats: np.ndarray, lons: np.ndarray,
-                external_fluxes: dict | None = None,
+                lats: np.ndarray, lons: np.ndarray, external_fluxes: dict,
                 radiation: RadiationState = RadiationState()
                 ) -> PhysicsTendencies:
         """One physics step over all columns.
 
-        ``external_fluxes`` lets the FOAM coupler own the surface flux
-        computation (its overlap-grid role); otherwise the CCM2/CCM3 bulk
-        formulas run here.  ``radiation`` is applied as handed in while it
+        ``external_fluxes`` are the turbulent surface fluxes (``shf``,
+        ``evap``, ``taux``, ``tauy``, ``ustar``) the FOAM coupler computed on
+        its overlap grid.  ``radiation`` is applied as handed in while it
         is younger than ``radiation_interval`` and recomputed otherwise;
         either way the one applied comes back as ``.radiation``.
         """
@@ -153,31 +142,13 @@ class PhysicsSuite:
                                            lw_heat, olr, lw_down, lw_net_sfc,
                                            time)
 
-        # ---- 2. surface fluxes ------------------------------------------
-        with profile_section("atmosphere.surface_fluxes"):
-            if external_fluxes is None:
-                from repro.atmosphere.physics.surface_flux import bulk_fluxes, ocean_fluxes
-                missing = [name for name in ("wetness", "z0", "ocean_mask")
-                           if getattr(surface, name) is None]
-                if missing:
-                    raise ValueError(
-                        f"bulk surface fluxes need SurfaceState {missing}; "
-                        f"a coupled surface carries only t_sfc and albedo, "
-                        f"so pass the coupler's external_fluxes")
-                land = bulk_fluxes(temp[-1], q[-1], u[-1], v[-1], ps,
-                                   surface.t_sfc, surface.z0, surface.wetness)
-                ocean = ocean_fluxes(temp[-1], q[-1], u[-1], v[-1], ps, surface.t_sfc)
-                mask = surface.ocean_mask
-                fluxes = {k: np.where(mask, ocean[k], land[k]) for k in land}
-            else:
-                fluxes = external_fluxes
-
-        # ---- 3. boundary layer ------------------------------------------
+        # ---- 2. boundary layer ------------------------------------------
         with profile_section("atmosphere.boundary_layer"):
+            fx = external_fluxes
             dtdt_pbl, dqdt_pbl, dudt_pbl, dvdt_pbl = boundary_layer_tendencies(
                 temp, q, u, v, pressure, z_full, dt,
-                ustar=fluxes["ustar"], shf=fluxes["shf"], lhf_evap=fluxes["evap"],
-                taux=-fluxes["taux"], tauy=-fluxes["tauy"], params=self.pbl)
+                ustar=fx["ustar"], shf=fx["shf"], lhf_evap=fx["evap"],
+                taux=-fx["taux"], tauy=-fx["tauy"], params=self.pbl)
 
             # In-place accumulation on workspace buffers; the op order matches
             # the original expressions so default-precision runs are bitwise
@@ -192,7 +163,7 @@ class PhysicsSuite:
             q_work += q
             np.maximum(q_work, 0.0, out=q_work)
 
-        # ---- 4. deep convection ------------------------------------------
+        # ---- 3. deep convection ------------------------------------------
         with profile_section("atmosphere.deep_convection"):
             dtdt_zm, dqdt_zm, prec_zm = zhang_mcfarlane_deep(
                 t_work, q_work, pressure, dp, dt, self.conv)
@@ -202,7 +173,7 @@ class PhysicsSuite:
                                   out=ws.empty_like("phys.incr", q))
             np.maximum(q_work, 0.0, out=q_work)
 
-        # ---- 5. shallow convection ----------------------------------------
+        # ---- 4. shallow convection ----------------------------------------
         with profile_section("atmosphere.shallow_convection"):
             dtdt_hk, dqdt_hk, prec_hk = hack_shallow(
                 t_work, q_work, pressure, dp, geopotential, dt, self.conv)
@@ -212,7 +183,7 @@ class PhysicsSuite:
                                   out=ws.empty_like("phys.incr", q))
             np.maximum(q_work, 0.0, out=q_work)
 
-        # ---- 6. stratiform -------------------------------------------------
+        # ---- 5. stratiform -------------------------------------------------
         with profile_section("atmosphere.stratiform"):
             dtdt_st, dqdt_st, prec_st = stratiform_tendencies(
                 t_work, q_work, pressure, dp, dt, self.strat)
@@ -232,4 +203,4 @@ class PhysicsSuite:
         return PhysicsTendencies(
             dtdt=total_dtdt, dqdt=total_dqdt, dudt=dudt_pbl, dvdt=dvdt_pbl,
             precip_conv=prec_zm + prec_hk, precip_strat=prec_st,
-            fluxes=fluxes, radiation=radiation)
+            radiation=radiation)

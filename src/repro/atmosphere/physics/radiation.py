@@ -69,19 +69,6 @@ def solar_zenith_cos(lats: np.ndarray, day_of_year: float, seconds_utc: float,
     return np.maximum(mu, 0.0)
 
 
-def diurnal_mean_insolation(lats: np.ndarray, day_of_year: float,
-                            solar_constant: float = SOLAR_CONSTANT
-                            ) -> np.ndarray:
-    """Daily-mean TOA insolation (W m^-2) per latitude — the cheap option."""
-    decl = np.deg2rad(23.45) * np.sin(2.0 * np.pi * (284.0 + day_of_year) / 365.0)
-    lat = lats
-    cos_h0 = np.clip(-np.tan(lat) * np.tan(decl), -1.0, 1.0)
-    h0 = np.arccos(cos_h0)
-    q = (solar_constant / np.pi) * (
-        h0 * np.sin(lat) * np.sin(decl) + np.cos(lat) * np.cos(decl) * np.sin(h0))
-    return np.maximum(q, 0.0)
-
-
 def fixed_subsolar_cos(lats: np.ndarray, lons: np.ndarray,
                        subsolar_lon_deg: float) -> np.ndarray:
     """Cosine of solar zenith angle for a sun fixed over one longitude.

@@ -35,21 +35,17 @@ from repro.util.constants import EARTH_RADIUS
 
 @dataclass(frozen=True)
 class Truncation:
-    """Spectral truncation: rhomboidal (CCM/R15 style) or triangular.
+    """Rhomboidal spectral truncation (CCM/R15 style).
 
     ``mmax`` is the highest zonal wavenumber; for each m the retained total
-    wavenumbers are n = m .. m + nextra (rhomboidal, nextra = K) or
-    n = m .. mmax (triangular, nextra decreasing).
+    wavenumbers are n = m .. m + mmax, so every (m, k) slot is retained.
     """
 
     mmax: int
-    kind: str = "rhomboidal"
 
     def __post_init__(self):
         if self.mmax < 1:
             raise ValueError(f"mmax must be >= 1, got {self.mmax}")
-        if self.kind not in ("rhomboidal", "triangular"):
-            raise ValueError(f"unknown truncation kind {self.kind!r}")
 
     @property
     def nm(self) -> int:
@@ -60,12 +56,6 @@ class Truncation:
     def nk(self) -> int:
         """Number of retained n per m (k index 0..nk-1, n = m + k)."""
         return self.mmax + 1
-
-    def mask(self) -> np.ndarray:
-        """Boolean (nm, nk) mask of retained coefficients."""
-        if self.kind == "rhomboidal":
-            return np.ones((self.nm, self.nk), dtype=bool)
-        return self.n_values() <= self.mmax
 
     def n_values(self) -> np.ndarray:
         """Total wavenumber n at each (m, k) slot."""
@@ -201,8 +191,8 @@ class SpectralTransform:
     places latitude or total wavenumber is summed; every operator is a few
     lines on top of them.  Each is an ``np.matmul`` against an m-major
     table stored once in the layout the GEMM reads — ``_syn``,
-    ``(m, j, [Pbar | H] k)``, and ``_ana``, ``(m, [w Pbar ; w H] k, j)``,
-    truncated slots zeroed; ``pbar`` / ``hbar`` / ``_wp`` / ``_wh`` are
+    ``(m, j, [Pbar | H] k)``, and ``_ana``, ``(m, [w Pbar ; w H] k, j)``;
+    ``pbar`` / ``hbar`` / ``_wp`` / ``_wh`` are
     ``(j, m, k)`` views of their halves — under one shape rule: **every
     leading axis of an operand (level, member, stacked field) and the zonal
     wavenumber are matmul broadcast axes; one GEMM multiplies one
@@ -248,11 +238,8 @@ class SpectralTransform:
         # precision the transforms run in.
         pbar_ext, hbar = legendre_plan(nlat, trunc.mmax, trunc.nk + 1)
         nk = trunc.nk
-        self._mask = trunc.mask()
-        # Truncated slots are zeroed in the tables, so no operand or result
-        # is ever masked.  (j, m, 2 nk): Pbar in the first nk, H in the last.
-        both = np.concatenate([pbar_ext[:, :, :nk], hbar], axis=2) \
-            * np.tile(self._mask, 2)
+        # (j, m, 2 nk): Pbar in the first nk, H in the last.
+        both = np.concatenate([pbar_ext[:, :, :nk], hbar], axis=2)
         half_w = self.weights[:, None, None] / 2.0
         self._syn = np.ascontiguousarray(both.transpose(1, 0, 2), dtype=fdt)
         self._ana = np.ascontiguousarray((half_w * both).transpose(1, 2, 0),
@@ -451,18 +438,10 @@ class SpectralTransform:
         np.multiply(g, self._inv_rcos, out=g)
         return g[0], g[1]
 
-    def damping_denominator(self, coefficient: float, dt: float,
-                            order: int = 4) -> np.ndarray:
-        """``1 + dt K (-lap)^(order/2)`` per slot: what one implicit step of
-        ``d a / dt = -K (-lap)^(order/2) a`` divides by (float64, then cast)."""
-        if order % 2 != 0:
-            raise ValueError(f"hyperdiffusion order must be even, got {order}")
+    def damping_denominator(self, coefficient: float, dt: float) -> np.ndarray:
+        """``1 + dt K lap^2`` per slot: what one implicit step of CCM-style
+        del^4 damping, ``d a / dt = -K lap^2 a``, divides by (float64, then
+        cast)."""
         n = self.trunc.n_values().astype(np.float64)
-        damp = coefficient * (n * (n + 1.0) / self.radius**2) ** (order // 2)
+        damp = coefficient * (n * (n + 1.0) / self.radius**2) ** 2
         return (1.0 + dt * damp).astype(self.policy.float_dtype, copy=False)
-
-    def spectral_filter(self, spec: np.ndarray, order: int = 4,
-                        coefficient: float = 1.0e16, dt: float = 1.0) -> np.ndarray:
-        """Implicit del^(2*order/2) hyperdiffusion damping (CCM-style del^4):
-        the coefficients after one step of :meth:`damping_denominator`."""
-        return spec / self.damping_denominator(coefficient, dt, order)

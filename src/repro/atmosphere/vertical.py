@@ -88,12 +88,6 @@ class VerticalGrid:
         self._tau_cache: np.ndarray | None = None
 
     @classmethod
-    def isobaric(cls, nlev: int, t_ref: float = 300.0,
-                 dtype: str | DTypePolicy | None = None) -> "VerticalGrid":
-        """Evenly spaced sigma layers (mostly for tests)."""
-        return cls(np.linspace(0.0, 1.0, nlev + 1), t_ref=t_ref, dtype=dtype)
-
-    @classmethod
     def ccm_like(cls, nlev: int = 18, t_ref: float = 300.0,
                  dtype: str | DTypePolicy | None = None) -> "VerticalGrid":
         """The FOAM/CCM2-style stretched grid (paper: 18 levels)."""
@@ -151,15 +145,13 @@ class VerticalGrid:
         return G @ tau + RD * self.t_ref * np.outer(np.ones(self.nlev),
                                                     self._dsigma64)
 
-    def geopotential(self, t_full: np.ndarray, phi_surface: np.ndarray | float = 0.0
-                     ) -> np.ndarray:
-        """Geopotential at full levels from temperature (level-major arrays).
+    def geopotential(self, t_full: np.ndarray) -> np.ndarray:
+        """Geopotential above the surface at full levels from temperature
+        (level-major arrays).
 
         ``t_full`` has shape (L, ...); broadcasting handles grid dims.
         """
-        G = self.hydrostatic_matrix()
-        phi = np.tensordot(G, t_full, axes=(1, 0))
-        return phi + phi_surface
+        return np.tensordot(self.hydrostatic_matrix(), t_full, axes=(1, 0))
 
     def omega_over_p(self, div: np.ndarray, vgradp: np.ndarray) -> np.ndarray:
         """Full (omega/p)_l = v_l . grad(ln ps) - (1/sig_l)[cumsum-weighted C].

@@ -36,22 +36,6 @@ class DTypePolicy:
     float_dtype: np.dtype
     complex_dtype: np.dtype
 
-    @property
-    def float_bytes(self) -> int:
-        return self.float_dtype.itemsize
-
-    @property
-    def complex_bytes(self) -> int:
-        return self.complex_dtype.itemsize
-
-    def asfloat(self, arr: np.ndarray) -> np.ndarray:
-        """Cast to the policy float dtype; identity (no copy) if already there."""
-        return np.asarray(arr).astype(self.float_dtype, copy=False)
-
-    def ascomplex(self, arr: np.ndarray) -> np.ndarray:
-        """Cast to the policy complex dtype; identity (no copy) if already there."""
-        return np.asarray(arr).astype(self.complex_dtype, copy=False)
-
 
 FLOAT64 = DTypePolicy("float64", np.dtype(np.float64), np.dtype(np.complex128))
 FLOAT32 = DTypePolicy("float32", np.dtype(np.float32), np.dtype(np.complex64))

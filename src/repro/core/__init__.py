@@ -8,7 +8,6 @@ from repro.core.history import (
     HistoryWriter,
     load_checkpoint,
     load_history,
-    load_restart,
     save_restart,
 )
 
@@ -16,6 +15,6 @@ __all__ = [
     "FoamConfig", "paper_config", "small_config", "test_config",
     "FoamModel", "FoamState",
     "EnsembleConfig", "FoamEnsemble", "stack_members", "member_state",
-    "HistoryWriter", "load_history", "save_restart", "load_restart",
+    "HistoryWriter", "load_history", "save_restart",
     "load_checkpoint",
 ]

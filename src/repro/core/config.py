@@ -104,10 +104,6 @@ class FoamConfig:
     def atm_steps_per_coupling(self) -> int:
         return int(round(self.ocean_coupling_interval / self.atm_dt))
 
-    @property
-    def atm_steps_per_radiation(self) -> int:
-        return max(1, int(round(self.radiation_interval / self.atm_dt)))
-
     # ------------------------------------------------------------------
     # serialization (scenario specs, result-cache keys, restart metadata)
     # ------------------------------------------------------------------

@@ -349,11 +349,13 @@ class FoamModel:
         Delegates to the run harness's single stepping loop
         (:func:`repro.runs.drive_steps`); ``observers`` attaches
         :class:`~repro.runs.StepObserver` s (history, checkpoints,
-        climatology), which read the state and nothing else.
+        climatology), which read the state and nothing else.  It takes
+        the steps a ``RunPlan(days=days)`` takes: at least one.
         """
         from repro.runs.harness import drive_steps
+        from repro.runs.plan import days_to_steps
 
-        nsteps = int(round(days * 86400.0 / self.config.atm_dt))
+        nsteps = days_to_steps(days, self.config)
         return drive_steps(self, state, nsteps, tuple(observers))
 
     # ------------------------------------------------------------------

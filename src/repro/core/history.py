@@ -13,8 +13,8 @@ intact, so batched-ensemble fields carry their leading member axis natively
 Restart checkpoints are versioned and stamped with the producing
 configuration's content hash (:meth:`FoamConfig.content_hash`), so the run
 harness can refuse a resume onto a different world instead of silently
-diverging.  ``save_restart``/``load_restart`` remain the compact state-only
-API; :func:`load_checkpoint` additionally returns the stamp metadata.
+diverging.  :func:`save_restart` writes one; :func:`load_checkpoint` reads
+it back as ``(state, meta)``, the stamp metadata beside the state.
 """
 
 from __future__ import annotations
@@ -76,15 +76,6 @@ class HistoryWriter:
         self.snapshots_recorded = 0
 
     # ------------------------------------------------------------------
-    @property
-    def buffered_snapshots(self) -> int:
-        return len(self._times)
-
-    @property
-    def nbytes_buffered(self) -> int:
-        return sum(arr.nbytes for snaps in self._buffer.values()
-                   for arr in snaps)
-
     def record(self, time: float, **fields: np.ndarray) -> Path | None:
         """Append one snapshot; auto-flushes when the buffer is full.
 
@@ -274,12 +265,6 @@ def _state_from_npz(d, path) -> FoamState:
 
     blank = tree_skeleton(FoamState)
     return tree_unflatten(blank, ((p, load(p)) for p, _ in tree_leaves(blank)))
-
-
-def load_restart(path: str | Path) -> FoamState:
-    """Inverse of :func:`save_restart` (state only; stamps ignored)."""
-    with np.load(path) as d:
-        return _state_from_npz(d, path)
 
 
 def load_checkpoint(path: str | Path) -> tuple[FoamState, dict]:

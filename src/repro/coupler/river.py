@@ -11,8 +11,7 @@ point."*
 
 Flow directions: the paper set many by hand so basins match observation; we
 derive them automatically by steepest descent on a distance-to-ocean
-potential (every land cell drains toward its nearest coast), with the same
-override hook (``set_direction``) the hand-tuning implies.  This closes the
+potential (every land cell drains toward its nearest coast).  This closes the
 hydrological cycle: continental runoff returns to the ocean at point
 sources (river mouths) after a finite delay V/F = d/u.
 """
@@ -68,8 +67,8 @@ def derive_flow_directions(land_mask: np.ndarray,
     """D8 flow direction index (0-7 into NEIGHBORS) per land cell, -1 elsewhere.
 
     Steepest descent on the distance-to-ocean field, ties broken at random
-    (the stand-in for the paper's hand tuning — see ``set_direction``):
-    one ``rng.integers(0, k)`` draw per cell with k tied neighbors, in
+    (the stand-in for the paper's hand tuning): one ``rng.integers(0, k)``
+    draw per cell with k tied neighbors, in
     row-major order.  A land cell with no lower neighbor is an interior
     pit (-1): its water pools (rare).
     """
@@ -107,21 +106,9 @@ class RiverModel:
         self.areas = np.asarray(cell_areas, dtype=float)
         self.spacing = np.asarray(cell_spacing, dtype=float)
         self.u = float(flow_velocity)
-        self.direction = derive_flow_directions(self.land, rng_seed)
-        self._build_routing()
-
-    def set_direction(self, j: int, i: int, direction: int) -> None:
-        """Hand-tune one cell's flow direction (the paper's practice)."""
-        if not self.land[j, i]:
-            raise ValueError(f"({j},{i}) is not a land cell")
-        if not 0 <= direction < 8:
-            raise ValueError("direction must be 0..7")
-        self.direction[j, i] = direction
-        self._build_routing()
-
-    def _build_routing(self) -> None:
+        self.direction = n = derive_flow_directions(self.land, rng_seed)
+        # Where each cell's outflow lands (-1: no downstream cell).
         ny, nx = self.land.shape
-        n = self.direction
         flows = n >= 0
         jj = np.arange(ny)[:, None] + np.where(flows, _DJ[n], 0)
         ii = (np.arange(nx)[None, :] + np.where(flows, _DI[n], 0)) % nx

@@ -10,13 +10,8 @@ efficient ocean model in existence".
 
 from repro.ocean.barotropic import BarotropicParams, BarotropicSolver
 from repro.ocean.baseline import ConventionalOceanModel
-from repro.ocean.eos import (
-    buoyancy_frequency_sq,
-    density,
-    density_anomaly,
-    thermal_expansion,
-)
-from repro.ocean.filters import apply_polar_filter, polar_filter_factors
+from repro.ocean.eos import buoyancy_frequency_sq, density_anomaly
+from repro.ocean.filters import polar_filter_factors
 from repro.ocean.grid import (
     OceanGrid,
     aquaplanet_topography,
@@ -36,11 +31,11 @@ from repro.ocean.model import OceanForcing, OceanModel, OceanParams, OceanState
 __all__ = [
     "OceanGrid", "aquaplanet_topography", "mercator_latitudes",
     "stretched_depths", "world_topography",
-    "buoyancy_frequency_sq", "density", "density_anomaly", "thermal_expansion",
+    "buoyancy_frequency_sq", "density_anomaly",
     "PPMixingParams", "convective_adjustment", "mix_column_implicit",
     "pp_viscosity", "richardson_number",
     "BarotropicParams", "BarotropicSolver",
-    "apply_polar_filter", "polar_filter_factors",
+    "polar_filter_factors",
     "OceanForcing", "OceanModel", "OceanParams", "OceanState",
     "ConventionalOceanModel",
 ]

@@ -62,16 +62,6 @@ def density_anomaly(temp_c: np.ndarray, salt: np.ndarray,
     return np.add(rho, GAMMA_Z * depth, out=buf)
 
 
-def density(temp_c, salt, depth_m=0.0) -> np.ndarray:
-    """Full in-situ density (kg m^-3)."""
-    return RHO_SEAWATER + density_anomaly(temp_c, salt, depth_m)
-
-
-def thermal_expansion(temp_c) -> np.ndarray:
-    """-d(rho)/dT (kg m^-3 K^-1), increasing with temperature."""
-    return ALPHA0 + ALPHA_T * (_asfloat(temp_c) - T0)
-
-
 def buoyancy_frequency_sq(temp_c: np.ndarray, salt: np.ndarray,
                           z_full: np.ndarray) -> np.ndarray:
     """N^2 (s^-2) at interior interfaces from the local density gradient.

@@ -34,18 +34,6 @@ def polar_filter_factors(nx: int, coslat_row: float, coslat_crit: float) -> np.n
     return factors
 
 
-def masked_zonal_smooth(row: np.ndarray, row_mask: np.ndarray,
-                        passes: int) -> np.ndarray:
-    """Mask-aware 1-2-1 zonal smoother for rows with coastline.
-
-    Each pass multiplies wavenumber k by (0.5 + 0.5 cos(k dx)) on open water;
-    weights of land neighbours are folded back into the center so land values
-    never leak into the ocean and the masked row sum is preserved per pass
-    up to the no-flux closure.  ``row`` has shape (..., nx).
-    """
-    return _smooth(row, row_mask, _smoothing_weights(row_mask), passes)
-
-
 def _smoothing_weights(row_mask: np.ndarray) -> tuple[np.ndarray, ...]:
     """(w_c, w_e, w_w) of one row's mask, (nx,) or (L, nx): each level's
     row is periodic in itself."""
@@ -122,9 +110,3 @@ class PolarFilter:
                                         [w[lift] for w in weights], passes)
         return out
 
-
-def apply_polar_filter(field: np.ndarray, lats: np.ndarray, mask: np.ndarray,
-                       lat_crit_deg: float = 60.0) -> np.ndarray:
-    """One-off :class:`PolarFilter` application to a copy of ``field``
-    (anything that steps owns a plan)."""
-    return PolarFilter(lats, mask, lat_crit_deg)(field.copy())

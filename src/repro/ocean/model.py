@@ -262,16 +262,6 @@ class OceanModel:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def depth_mean(self, field3d: np.ndarray) -> np.ndarray:
-        """Thickness-weighted column mean over active levels."""
-        return (np.sum(field3d * _lift(self.dz3d, field3d), axis=0)
-                / self.coldepth)
-
-    def remove_depth_mean(self, field3d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mean = self.depth_mean(field3d)
-        out = np.where(_lift(self.mask3d, field3d), field3d - mean[None], 0.0)
-        return out, mean
-
     def total_velocity(self, state: OceanState) -> tuple[np.ndarray, np.ndarray]:
         m3 = _lift(self.mask3d, state.u)
         u = np.where(m3, state.u + state.ubar[None], 0.0)

@@ -35,8 +35,9 @@ from repro.util.tree import tree_map
 # ----------------------------------------------------------------- physics
 def parallel_physics(nranks: int, *, temp, q, u, v, pressure, ps,
                      geopotential, dsigma, surface: SurfaceState, dt, time,
-                     lats, lons) -> dict:
-    """Run the full physics suite decomposed over latitude bands.
+                     lats, lons, external_fluxes: dict) -> dict:
+    """Run the full physics suite decomposed over latitude bands, each band
+    handed its rows of the surface and of the coupler's fluxes.
 
     Returns dict with gathered (dtdt, dqdt, precip) plus per-rank
     communication counters proving the no-communication property.
@@ -47,15 +48,15 @@ def parallel_physics(nranks: int, *, temp, q, u, v, pressure, ps,
 
     def worker(comm: Comm):
         lo, hi = decomp.bounds(comm.rank)
-        sub_surface = tree_map(lambda a: a[lo:hi], surface)
+        band = tree_map(lambda a: a[lo:hi], (surface, external_fluxes))
         suite = PhysicsSuite()
         sent_before = comm.stats.msgs_sent
         out = suite.compute(
             temp=temp[:, lo:hi], q=q[:, lo:hi], u=u[:, lo:hi], v=v[:, lo:hi],
             pressure=pressure[:, lo:hi], ps=ps[lo:hi],
             geopotential=geopotential[:, lo:hi], dsigma=dsigma,
-            surface=sub_surface, dt=dt, time=time,
-            lats=lats[lo:hi], lons=lons)
+            surface=band[0], dt=dt, time=time,
+            lats=lats[lo:hi], lons=lons, external_fluxes=band[1])
         physics_messages = comm.stats.msgs_sent - sent_before
         # Only now gather results (communication belongs to the coupler).
         dtdt = decomp.gather(comm, np.moveaxis(out.dtdt, 0, 1))
@@ -112,8 +113,7 @@ def parallel_biharmonic(py: int, px: int, field: np.ndarray,
 
 # ----------------------------------------------------------------- spectral
 def parallel_spectral_analysis(nranks: int, tr: SpectralTransform,
-                               grid_field: np.ndarray,
-                               with_stats: bool = False):
+                               grid_field: np.ndarray) -> np.ndarray:
     """Distributed grid->spectral transform (the PCCM2 pattern).
 
     1. each rank FFTs its latitude band (local);
@@ -123,8 +123,7 @@ def parallel_spectral_analysis(nranks: int, tr: SpectralTransform,
 
     Bit-identical to ``tr.analyze`` because every rank runs the transform's
     own per-wavenumber GEMM, whose shape does not depend on how many m's a
-    rank owns, on the same tables.  With ``with_stats=True`` returns
-    ``(spec, [CommStats, ...])``, the measured traffic of the run.
+    rank owns, on the same tables.
     """
     nlat = tr.nlat
     nm = tr.trunc.nm
@@ -140,16 +139,9 @@ def parallel_spectral_analysis(nranks: int, tr: SpectralTransform,
         mlo, mhi = block_bounds(nm, comm.size, comm.rank)
         spec_block = tr._fourier_to_spec(cols, tr._ana_p[mlo:mhi])
         gathered = comm.gather(spec_block, root=0)
-        spec = None
-        if comm.rank == 0:
-            spec = np.concatenate(gathered, axis=0)
-        return spec, comm.stats
+        return np.concatenate(gathered, axis=0) if comm.rank == 0 else None
 
-    results = run_ranks(nranks, worker)
-    spec = results[0][0]
-    if with_stats:
-        return spec, [r[1] for r in results]
-    return spec
+    return run_ranks(nranks, worker)[0]
 
 
 def measure_transpose_comm(nranks: int, nlat: int, nm: int, nlev: int = 1,

@@ -133,10 +133,6 @@ class DeadlockReport:
     cycle: tuple[int, ...] = ()
     dead: tuple[int, ...] = ()
 
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        return tuple(b.rank for b in self.blocked)
-
     def __str__(self) -> str:
         lines = [f"deadlock among {len(self.blocked)} rank(s):"]
         lines += [f"  {b}" for b in self.blocked]
@@ -194,10 +190,6 @@ class CommStats:
     def bytes_for(self, prefix: str) -> int:
         """Total bytes sent under operation labels starting with ``prefix``."""
         return sum(v for k, v in self.op_bytes.items() if k.startswith(prefix))
-
-    def msgs_for(self, prefix: str) -> int:
-        """Total messages sent under labels starting with ``prefix``."""
-        return sum(v for k, v in self.op_msgs.items() if k.startswith(prefix))
 
 
 def _find_cycle(edges: dict[int, list[int]]) -> tuple[int, ...]:
@@ -414,7 +406,7 @@ class Comm:
         """Operation scope: labels traffic.
 
         Only the *outermost* scope counts toward ``op_calls``, so
-        ``allgather`` is one call even though it layers on ``gather`` +
+        ``barrier`` is one call even though it layers on ``gather`` +
         ``bcast``.
         """
         if not self._op_stack:
@@ -583,12 +575,6 @@ class Comm:
                 return out
             self._send((self.rank, obj), root, tag)
             return None
-
-    def allgather(self, obj: Any) -> list[Any]:
-        """Gather to root then broadcast the full list."""
-        with self._op("allgather"):
-            full = self.gather(obj, root=0)
-            return self.bcast(full, root=0)
 
     def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
         """Scatter a sequence of world-size objects from root."""

@@ -73,22 +73,6 @@ class TraceSet:
         self.comm = list(stats)
         return self
 
-    def total_messages(self) -> int:
-        """Total messages sent across all attached CommStats."""
-        return sum(s.msgs_sent for s in self.comm or ())
-
-    def total_comm_bytes(self) -> int:
-        """Total bytes sent across all attached CommStats."""
-        return sum(s.bytes_sent for s in self.comm or ())
-
-    def message_breakdown(self) -> dict[str, int]:
-        """Messages sent per operation label, summed over ranks."""
-        out: dict[str, int] = {}
-        for s in self.comm or ():
-            for op, n in s.op_msgs.items():
-                out[op] = out.get(op, 0) + n
-        return out
-
     @property
     def nranks(self) -> int:
         return len(self.traces)

@@ -23,16 +23,13 @@ from repro.perf.profiler import (
     enable_profiling,
     get_profiler,
     layer_of,
-    profile_count,
     profile_section,
     profiled,
-    profiling_enabled,
     take_profile,
 )
 
 __all__ = [
     "Profiler", "RunProfile", "SectionStat",
     "disable_profiling", "enable_profiling", "get_profiler", "layer_of",
-    "profile_count", "profile_section", "profiled", "profiling_enabled",
-    "take_profile",
+    "profile_section", "profiled", "take_profile",
 ]

@@ -141,11 +141,6 @@ class CouplerCost:
         return COUPLER_OPS_PER_OVERLAP_CELL * self.n_overlap
 
 
-def foam_paper_costs() -> tuple[AtmosphereCost, OceanCost, CouplerCost]:
-    """The production-resolution cost triple (R15 atm, 128^2 ocean)."""
-    return AtmosphereCost(), OceanCost(), CouplerCost()
-
-
 def transpose_bytes_from_stats(stats) -> float:
     """Full-exchange transpose volume estimated from measured CommStats.
 
@@ -162,11 +157,6 @@ def transpose_bytes_from_stats(stats) -> float:
     if k <= 1:
         return measured
     return measured * k / (k - 1)
-
-
-def transpose_messages_from_stats(stats) -> int:
-    """Total transpose messages measured across ranks (diagnostic)."""
-    return sum(s.msgs_for("transpose") for s in stats)
 
 
 def atmosphere_ocean_cost_ratio(atm: AtmosphereCost | None = None,

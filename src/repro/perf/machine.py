@@ -65,8 +65,3 @@ def cray_c90() -> MachineModel:
     return MachineModel(name="Cray C90", flop_rate=110.0e6,
                         latency=5.0e-6, bandwidth=300.0e6, max_nodes=16)
 
-
-def commodity_cluster_1999() -> MachineModel:
-    """The paper's outlook: 'PC clusters to improve cost performance'."""
-    return MachineModel(name="commodity PC cluster (100 Mb ethernet)",
-                        flop_rate=40.0e6, latency=120.0e-6, bandwidth=10.0e6)

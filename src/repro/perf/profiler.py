@@ -193,11 +193,6 @@ class RunProfile:
         s = self.get(name)
         return s.calls if s else 0
 
-    def comm_bytes(self, prefix: str = "") -> float:
-        """Total ``comm_bytes`` counters of spans whose name starts with ``prefix``."""
-        return sum(s.counters.get("comm_bytes", 0.0) for s in self.sections
-                   if s.name.startswith(prefix))
-
     def layer_seconds(self) -> dict[str, float]:
         """Self seconds summed per :func:`layer_of` layer (disjoint buckets)."""
         layers: dict[str, float] = {}
@@ -305,28 +300,11 @@ def disable_profiling() -> None:
     _default.enabled = False
 
 
-def profiling_enabled() -> bool:
-    return _default.enabled
-
-
 def profile_section(name: str):
     """Span context manager (the hot-path hook); a shared no-op while disabled."""
     if not _default.enabled:
         return _NULL_SECTION
     return _Section(name)
-
-
-def profile_count(name: str, value: float = 1.0) -> None:
-    """Add to a counter on the innermost open span (no-op while disabled).
-
-    Outside any span the count lands in the profile-level counter table.
-    """
-    if not _default.enabled:
-        return
-    if _default._stack:
-        _default._stack[-1].count(name, value)
-    else:
-        _default._counters[name] = _default._counters.get(name, 0.0) + value
 
 
 def profiled(name: str | None = None):

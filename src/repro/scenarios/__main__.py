@@ -57,10 +57,6 @@ from repro.scenarios.climatology import (
 from repro.scenarios.registry import all_scenarios, get_scenario, scenario_names
 
 
-def _print(obj, as_json: bool, text: str) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True) if as_json else text)
-
-
 # ----------------------------------------------------------------------
 def cmd_list(args) -> int:
     scenarios = all_scenarios()

@@ -183,23 +183,19 @@ def scenario_climatology(model: FoamModel, state: FoamState,
     return state, observer.metrics(state)
 
 
-def compare_climatology(got: dict, want: dict,
-                        tolerances: dict | None = None) -> list[str]:
+def compare_climatology(got: dict, want: dict) -> list[str]:
     """Tolerance-checked comparison; returns human-readable violations.
 
     Metrics present in ``want`` but missing from ``got`` (or vice versa)
     are violations too — a climatology that silently loses a diagnostic
     is as suspect as one that drifts.
     """
-    tol = dict(TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
     problems = []
     for key in sorted(want):
         if key not in got:
             problems.append(f"{key}: missing from run output")
             continue
-        abs_tol, rel_tol = tol.get(key, (0.0, 0.05))
+        abs_tol, rel_tol = TOLERANCES.get(key, (0.0, 0.05))
         limit = abs_tol + rel_tol * abs(want[key])
         err = abs(got[key] - want[key])
         if not np.isfinite(got[key]) or err > limit:

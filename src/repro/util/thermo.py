@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.util.constants import CP, EPSILON, KAPPA, LATENT_HEAT_VAP, P0, T_FREEZE
+from repro.util.constants import EPSILON, KAPPA, P0, T_FREEZE
 
 
 def _asfloat(x) -> np.ndarray:
@@ -47,31 +47,3 @@ def potential_temperature(temperature, pressure):
     """Potential temperature theta = T (p0/p)^kappa."""
     return _asfloat(temperature) * (P0 / _asfloat(pressure)) ** KAPPA
 
-
-def temperature_from_theta(theta, pressure):
-    """Invert potential temperature back to absolute temperature."""
-    return _asfloat(theta) * (_asfloat(pressure) / P0) ** KAPPA
-
-
-def virtual_temperature(temperature, mixing_ratio):
-    """Virtual temperature T_v = T (1 + r/eps) / (1 + r) ~ T (1 + 0.608 q)."""
-    q = _asfloat(mixing_ratio)
-    return _asfloat(temperature) * (1.0 + q / EPSILON) / (1.0 + q)
-
-
-def moist_static_energy(temperature, height, mixing_ratio):
-    """Moist static energy h = cp T + g z + L q (J/kg)."""
-    from repro.util.constants import GRAVITY
-
-    return (
-        CP * _asfloat(temperature)
-        + GRAVITY * _asfloat(height)
-        + LATENT_HEAT_VAP * _asfloat(mixing_ratio)
-    )
-
-
-def dewpoint(vapor_pressure):
-    """Dewpoint temperature (K) from vapor pressure (Pa); inverse of Bolton."""
-    e = np.maximum(_asfloat(vapor_pressure), 1e-12)
-    ln_ratio = np.log(e / 611.2)
-    return (T_FREEZE * 17.67 - 29.65 * ln_ratio) / (17.67 - ln_ratio)

@@ -1,5 +1,6 @@
 """Shared test helpers: leaf-by-leaf comparison of two state/payload trees,
-and the kernel-vs-oracle tolerance of a numerics epoch."""
+the kernel-vs-oracle tolerance of a numerics epoch, and the surface fluxes
+a standalone physics call is handed."""
 
 import numpy as np
 
@@ -52,3 +53,19 @@ def assert_matches_oracle(tr, got, want):
                ORACLE_RTOL[np.dtype(tr.policy.float_dtype)])
     err, scale = np.abs(got - want).max(), np.abs(want).max()
     assert err <= rtol * scale, f"off by {err:.3e}, {err / scale:.1e} of max"
+
+
+def column_surface_fluxes(temp, q, u, v, ps, t_sfc, *, ocean, z0=1e-3,
+                          wetness=1.0) -> dict:
+    """The turbulent fluxes the coupler hands ``PhysicsSuite.compute``
+    (``external_fluxes``) for a standalone column setup: the CCM3 ocean
+    formulas where ``ocean`` (bool, the grid's shape), the land bulk
+    formulas with ``z0`` / ``wetness`` elsewhere, read off the lowest
+    model level."""
+    from repro.atmosphere.physics import bulk_fluxes, ocean_fluxes
+
+    air = (temp[-1], q[-1], u[-1], v[-1], ps, t_sfc)
+    land = bulk_fluxes(*air, np.broadcast_to(z0, ps.shape),
+                       np.broadcast_to(wetness, ps.shape))
+    sea = ocean_fluxes(*air)
+    return {k: np.where(ocean, sea[k], land[k]) for k in land}

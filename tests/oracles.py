@@ -81,13 +81,13 @@ def inverse_fourier_ref(tr, fm: np.ndarray) -> np.ndarray:
 
 def analyze_ref(tr, grid: np.ndarray) -> np.ndarray:
     """Unfused analysis of one (nlat, nlon) grid field."""
-    return np.einsum("jm,jmk->mk", fourier_ref(tr, grid), tr._wp) * tr._mask
+    return np.einsum("jm,jmk->mk", fourier_ref(tr, grid), tr._wp)
 
 
 def synthesize_ref(tr, spec: np.ndarray) -> np.ndarray:
     """Unfused synthesis of one (nm, nk) spectral field."""
     return inverse_fourier_ref(
-        tr, np.einsum("mk,jmk->jm", spec * tr._mask, tr.pbar))
+        tr, np.einsum("mk,jmk->jm", spec, tr.pbar))
 
 
 def uv_from_vortdiv_ref(tr, vort_spec: np.ndarray, div_spec: np.ndarray
@@ -95,14 +95,10 @@ def uv_from_vortdiv_ref(tr, vort_spec: np.ndarray, div_spec: np.ndarray
     """Unfused winds from one (nm, nk) vorticity/divergence pair."""
     psi = vort_spec * tr._invlap
     chi = div_spec * tr._invlap
-    t1 = (tr._im * chi) * tr._mask
-    t2 = psi * tr._mask
-    u_fm = (np.einsum("mk,jmk->jm", t1, tr.pbar)
-            - np.einsum("mk,jmk->jm", t2, tr.hbar)) / tr.radius
-    t1 = (tr._im * psi) * tr._mask
-    t2 = chi * tr._mask
-    v_fm = (np.einsum("mk,jmk->jm", t1, tr.pbar)
-            + np.einsum("mk,jmk->jm", t2, tr.hbar)) / tr.radius
+    u_fm = (np.einsum("mk,jmk->jm", tr._im * chi, tr.pbar)
+            - np.einsum("mk,jmk->jm", psi, tr.hbar)) / tr.radius
+    v_fm = (np.einsum("mk,jmk->jm", tr._im * psi, tr.pbar)
+            + np.einsum("mk,jmk->jm", chi, tr.hbar)) / tr.radius
     cos = tr.coslat[:, None]
     return inverse_fourier_ref(tr, u_fm) / cos, inverse_fourier_ref(tr, v_fm) / cos
 
@@ -118,15 +114,15 @@ def vortdiv_from_uv_ref(tr, u: np.ndarray, v: np.ndarray
             + np.einsum("jm,jmk->mk", u_fm, tr._wh)) / tr.radius
     div = (tr._im * np.einsum("jm,jmk->mk", u_fm, tr._wp)
            - np.einsum("jm,jmk->mk", v_fm, tr._wh)) / tr.radius
-    return vort * tr._mask, div * tr._mask
+    return vort, div
 
 
 def gradient_ref(tr, spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unfused sphere gradient of one (nm, nk) spectral field."""
-    t1 = (spec * tr._im) * tr._mask
-    t2 = spec * tr._mask
-    fx = inverse_fourier_ref(tr, np.einsum("mk,jmk->jm", t1, tr.pbar)) / tr._rcos
-    fy = inverse_fourier_ref(tr, np.einsum("mk,jmk->jm", t2, tr.hbar)) / tr._rcos
+    fx = inverse_fourier_ref(
+        tr, np.einsum("mk,jmk->jm", spec * tr._im, tr.pbar)) / tr._rcos
+    fy = inverse_fourier_ref(
+        tr, np.einsum("mk,jmk->jm", spec, tr.hbar)) / tr._rcos
     return fx, fy
 
 

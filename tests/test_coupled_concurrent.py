@@ -269,7 +269,7 @@ def test_mistagged_coupler_exchange_deadlocks_both_pools():
 
     report = excinfo.value.report
     # Every rank of both pools (and the coupler) is named as blocked.
-    assert set(report.ranks) == {0, 1, 2, 3}
+    assert {b.rank for b in report.blocked} == {0, 1, 2, 3}
     by_rank = {b.rank: b for b in report.blocked}
     for r in layout.atm_ranks:
         assert by_rank[r].peer == layout.cpl_rank

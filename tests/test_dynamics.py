@@ -79,38 +79,19 @@ def test_zonal_jet_runs_stably(small_core):
     assert np.abs(d.temp - 300.0).max() < 60.0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_semi_implicit_allows_long_steps():
-    """Explicit stepping at dt=1800 s diverges where semi-implicit is stable.
-
-    This is the point of the scheme (and of the paper's 30-minute step).
-    """
+    """A gravity wave stays bounded over 60 steps of 1800 s, far past the
+    explicit gravity-wave CFL limit at R8 — the point of the scheme (and of
+    the paper's 30-minute step)."""
     tr = SpectralTransform(nlat=24, nlon=48, trunc=Truncation(8))
     vg = VerticalGrid.ccm_like(nlev=5)
-    st_si = SpectralDynamicalCore(tr, vg, dt=1800.0, semi_implicit=True)
-    st_ex = SpectralDynamicalCore(tr, vg, dt=1800.0, semi_implicit=False)
+    core = SpectralDynamicalCore(tr, vg, dt=1800.0)
     # Excite a gravity wave directly through a pressure anomaly.
-    init = st_si.initial_state(noise_amplitude=0.0)
-    init.lnps[2, 2] = 1e-4
-    out_si = st_si.run(init.copy(), 60)
-    assert np.all(np.isfinite(out_si.div))
-    assert np.abs(out_si.div).max() < 1e-4
-    out_ex = st_ex.run(init.copy(), 60)
-    ex_max = np.abs(out_ex.div).max()
-    si_max = np.abs(out_si.div).max()
-    assert not np.isfinite(ex_max) or ex_max > 100 * si_max
-
-
-def test_explicit_stable_at_short_step():
-    """The explicit branch is sound when dt respects the gravity-wave CFL."""
-    tr = SpectralTransform(nlat=24, nlon=48, trunc=Truncation(8))
-    vg = VerticalGrid.ccm_like(nlev=5)
-    core = SpectralDynamicalCore(tr, vg, dt=120.0, semi_implicit=False)
     init = core.initial_state(noise_amplitude=0.0)
     init.lnps[2, 2] = 1e-4
-    out = core.run(init, 100)
+    out = core.run(init, 60)
     assert np.all(np.isfinite(out.div))
-    assert np.abs(out.div).max() < 1e-5
+    assert np.abs(out.div).max() < 1e-4
 
 
 def test_hyperdiffusion_selectively_damps(small_core):

@@ -1,5 +1,7 @@
 """Direct tests of the FluxCoupler: surface blending, overlap fluxes, rivers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -70,8 +72,8 @@ def test_surface_state_blends_sanely(setup):
     pure_ocean = coupler.atm_ocean_frac > 0.999
     if pure_ocean.any():
         np.testing.assert_allclose(surf.albedo[pure_ocean], OCEAN_ALBEDO)
-    # Coupled physics reads two fields; the bulk-flux ones stay unset.
-    assert surf.wetness is None and surf.z0 is None and surf.ocean_mask is None
+    # The physics reads two surface fields; the fluxes are the coupler's.
+    assert [f.name for f in dataclasses.fields(surf)] == ["t_sfc", "albedo"]
 
 
 def test_turbulent_fluxes_shapes_and_signs(setup):

@@ -11,8 +11,8 @@ from repro.core import (
     FoamEnsemble,
     FoamModel,
     HistoryWriter,
+    load_checkpoint,
     load_history,
-    load_restart,
     paper_config,
     save_restart,
 )
@@ -179,7 +179,7 @@ def test_water_inventory_reads_rivers_from_the_state(model, spun_up):
 def test_restart_roundtrip(tmp_path, model, spun_up):
     """Restart files reproduce the state bit-exactly."""
     p = save_restart(tmp_path / "restart.npz", spun_up)
-    back = load_restart(p)
+    back = load_checkpoint(p)[0]
     np.testing.assert_array_equal(back.atm_curr.vort, spun_up.atm_curr.vort)
     np.testing.assert_array_equal(back.ocean.temp, spun_up.ocean.temp)
     np.testing.assert_array_equal(back.coupler.hydrology.soil_moisture,
@@ -197,10 +197,24 @@ def test_restart_continues_identically(tmp_path):
     model = FoamModel(tiny_config())
     st_a = model.run_days(model.initial_state(), 0.3)
     assert st_a.coupler.forcing_steps == 1 and st_a.radiation.time == 0.0
-    st_b = load_restart(save_restart(tmp_path / "mid.npz", st_a))
+    st_b = load_checkpoint(save_restart(tmp_path / "mid.npz", st_a))[0]
     out_a = model.run_days(st_a, 1.0)
     out_b = FoamModel(tiny_config()).run_days(st_b, 1.0)
     assert_trees_identical(out_b, out_a, "restart at step 7")
+
+
+def test_run_days_steps_as_a_run_plan_does():
+    """``run_days`` counts its steps as ``RunPlan(days=...)`` does: a
+    fraction of a step rounds, but to no fewer than one."""
+    from repro.runs import RunPlan
+
+    model = FoamModel(tiny_config())
+    state = model.initial_state()
+    dt = model.config.atm_dt
+    for days in (0.01, 0.5 * dt / 86400.0, 0.125, 0.3):
+        nsteps = RunPlan(config=model.config, days=days).total_steps()
+        assert nsteps >= 1
+        assert model.run_days(state, days).time == state.time + nsteps * dt, days
 
 
 def test_model_object_carries_no_trajectory():

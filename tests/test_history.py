@@ -31,7 +31,6 @@ from repro.core.history import (
     HistoryWriter,
     load_checkpoint,
     load_history,
-    load_restart,
     save_restart,
 )
 from repro.runs import CheckpointSpec, HistorySpec, RunHarness, RunPlan
@@ -57,9 +56,9 @@ class TestHistoryWriter:
             got = w.record(float(i), sst=np.full((2, 2), float(i)))
             if got is not None:
                 paths.append(got)
-            assert w.buffered_snapshots < 3
+            assert len(w._times) < 3
         assert len(paths) == 2                 # two full buffers rolled out
-        assert w.buffered_snapshots == 1       # the 7th is still pending
+        assert len(w._times) == 1              # the 7th is still pending
         last = w.close()
         assert last is not None
         assert w.close() is None               # idempotent
@@ -67,12 +66,15 @@ class TestHistoryWriter:
         assert np.array_equal(data["time"], np.arange(7.0))
 
     def test_memory_accounting(self, tmp_path):
+        def nbytes_buffered(w):
+            return sum(a.nbytes for snaps in w._buffer.values() for a in snaps)
+
         w = HistoryWriter(tmp_path)
         w.record(0.0, sst=np.zeros((4, 4)))
-        assert w.nbytes_buffered == 4 * 4 * 8
+        assert nbytes_buffered(w) == 4 * 4 * 8
         assert w.snapshots_recorded == 1
         w.close()
-        assert w.nbytes_buffered == 0
+        assert nbytes_buffered(w) == 0
         assert w.bytes_written > 0
 
     def test_rejects_field_set_drift(self, tmp_path):
@@ -163,7 +165,7 @@ class TestHistoryWriter:
             w.flush()
         monkeypatch.undo()
         assert list(tmp_path.iterdir()) == []
-        assert w.buffered_snapshots == 2
+        assert len(w._times) == 2
         path = w.flush()
         assert path.name == "history_0000.npz"
         data = load_history(path)
@@ -263,7 +265,7 @@ class TestCheckpointFormat:
                                    coupler=dataclasses.replace(
                                        state.coupler, river_volume=None))
         path = save_restart(tmp_path / "r.npz", bare)
-        loaded = load_restart(path)
+        loaded = load_checkpoint(path)[0]
         assert loaded.coupler.river_volume is None
 
     def test_config_and_meta_stamps(self, tmp_path, state):
@@ -305,15 +307,13 @@ class TestCheckpointFormat:
             **payload, "format_version": CHECKPOINT_FORMAT_VERSION + 1})
 
         only = rf"reads only {CHECKPOINT_FORMAT_VERSION}"
-        for load in (load_checkpoint, load_restart):
-            with pytest.raises(ValueError, match=r"v1\.npz.*missing"):
-                load(legacy)
-            with pytest.raises(ValueError, match=rf"v4\.npz.* is 4, .*{only}"):
-                load(previous)
-            with pytest.raises(
-                    ValueError,
-                    match=rf"next\.npz.*{CHECKPOINT_FORMAT_VERSION + 1}"):
-                load(future)
+        with pytest.raises(ValueError, match=r"v1\.npz.*missing"):
+            load_checkpoint(legacy)
+        with pytest.raises(ValueError, match=rf"v4\.npz.* is 4, .*{only}"):
+            load_checkpoint(previous)
+        with pytest.raises(
+                ValueError, match=rf"next\.npz.*{CHECKPOINT_FORMAT_VERSION + 1}"):
+            load_checkpoint(future)
 
     def test_missing_state_leaf_is_an_error(self, tmp_path, state):
         # A truncated file must not load a leaf as None.
@@ -322,7 +322,7 @@ class TestCheckpointFormat:
             payload = {k: d[k] for k in d.files if k != "state.ocean.salt"}
         np.savez_compressed(tmp_path / "cut.npz", **payload)
         with pytest.raises(ValueError, match=r"cut\.npz.*state\.ocean\.salt"):
-            load_restart(tmp_path / "cut.npz")
+            load_checkpoint(tmp_path / "cut.npz")
 
     def test_failed_write_leaves_the_previous_file(self, tmp_path, state,
                                                    monkeypatch):
@@ -339,7 +339,7 @@ class TestCheckpointFormat:
         with pytest.raises(OSError, match="disk full"):
             save_restart(path, dataclasses.replace(state, time=3600.0))
         monkeypatch.undo()
-        assert load_restart(path).time == state.time
+        assert load_checkpoint(path)[0].time == state.time
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt_00000006.npz"]
 
 
@@ -517,7 +517,7 @@ def test_history_and_checkpoints_survive_sigkill(tmp_path):
     hist, ck = tmp_path / "hist", tmp_path / "ck"
     killed, newest = 0, None
     for leg in range(4):
-        start = 0 if newest is None else load_restart(newest).time
+        start = 0 if newest is None else load_checkpoint(newest)[0].time
         start_step = int(round(start / _test_config().atm_dt))
         if leg < 3:
             kill_after = (start_step + int(rng.integers(2, 8)),

@@ -263,7 +263,7 @@ def test_river_network_matches_the_cell_loops(topography, size):
 def test_river_network_matches_the_cell_loops_on_random_masks():
     """120 random masks and seeds: thin and one-column grids, all-land
     grids (every cell a pit), all-ocean grids, and cells with up to 8 tied
-    downhill neighbors; then hand-tuned directions, some off the grid."""
+    downhill neighbors."""
     ties = pits = 0
     for k in range(120):
         rng = np.random.default_rng(k)
@@ -280,24 +280,9 @@ def test_river_network_matches_the_cell_loops_on_random_masks():
             lower = [d[j + dj, (i + di) % nx] for dj, di in NEIGHBORS
                      if 0 <= j + dj < ny]
             ties += lower.count(min(lower)) > 1
-        for j, i in np.argwhere(land)[:3]:
-            rm.set_direction(int(j), int(i), int(rng.integers(0, 8)))
         assert np.array_equal(rm.dest_j, routing_ref(rm.direction)[0])
         assert np.array_equal(rm.dest_i, routing_ref(rm.direction)[1])
     assert ties > 100 and pits > 100
-
-
-def test_set_direction_hand_tuning():
-    land = make_island()
-    areas = np.full(land.shape, 1e10)
-    spacing = np.full(land.shape[0], 2e5)
-    rm = RiverModel(land, areas, spacing)
-    rm.set_direction(5, 6, 1)
-    assert rm.direction[5, 6] == 1
-    with pytest.raises(ValueError):
-        rm.set_direction(0, 0, 1)      # ocean cell
-    with pytest.raises(ValueError):
-        rm.set_direction(5, 6, 9)
 
 
 # ------------------------------------------------------------- sea ice

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from repro.ocean import (
     OceanGrid,
     aquaplanet_topography,
-    density,
     density_anomaly,
     mercator_latitudes,
     stretched_depths,
-    thermal_expansion,
     world_topography,
 )
 from repro.ocean.eos import buoyancy_frequency_sq
@@ -111,7 +109,6 @@ def test_aquaplanet_all_ocean():
 # ------------------------------------------------------------- EOS
 def test_density_reference_point():
     assert density_anomaly(10.0, 35.0, 0.0) == pytest.approx(0.0)
-    assert density(10.0, 35.0) == pytest.approx(RHO_SEAWATER)
 
 
 def test_density_decreases_with_temperature():
@@ -127,13 +124,16 @@ def test_density_increases_with_salinity_and_depth():
 
 def test_thermal_expansion_grows_with_temperature():
     """The EOS nonlinearity: warm water expands more per degree."""
-    assert thermal_expansion(25.0) > thermal_expansion(5.0)
+    def expansion(t):               # -d(rho)/dT by a centred difference
+        return density_anomaly(t - 0.5, 35.0) - density_anomaly(t + 0.5, 35.0)
+
+    assert expansion(25.0) > expansion(5.0) > 0.0
 
 
 @settings(max_examples=50, deadline=None)
 @given(t=st.floats(-2.0, 32.0), s=st.floats(30.0, 40.0))
 def test_density_in_oceanographic_range(t, s):
-    rho = density(t, s)
+    rho = RHO_SEAWATER + density_anomaly(t, s)
     assert 1015.0 < rho < 1035.0
 
 

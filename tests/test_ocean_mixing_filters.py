@@ -10,7 +10,6 @@ from repro.ocean import (
     OceanGrid,
     OceanModel,
     PPMixingParams,
-    apply_polar_filter,
     convective_adjustment,
     mix_column_implicit,
     polar_filter_factors,
@@ -19,7 +18,7 @@ from repro.ocean import (
     world_topography,
 )
 from repro.ocean.eos import density_anomaly
-from repro.ocean.filters import PolarFilter, masked_zonal_smooth
+from repro.ocean.filters import PolarFilter, _smooth, _smoothing_weights
 from repro.ocean.operators import (
     Stencil,
     biharmonic,
@@ -29,6 +28,11 @@ from repro.ocean.operators import (
     laplacian,
 )
 from tests.oracles import bitwise
+
+
+def masked_zonal_smooth(row, row_mask, passes):
+    """The mask-aware 1-2-1 smoother a coastal polar row gets, by itself."""
+    return _smooth(row, row_mask, _smoothing_weights(row_mask), passes)
 
 
 # ------------------------------------------------------------- PP mixing
@@ -148,7 +152,7 @@ def test_polar_filter_preserves_zonal_mean():
     mask = np.ones((32, 32), dtype=bool)
     rng = np.random.default_rng(0)
     field = rng.normal(size=(32, 32))
-    out = apply_polar_filter(field, g.lats, mask, lat_crit_deg=50.0)
+    out = PolarFilter(g.lats, mask, 50.0)(field.copy())
     np.testing.assert_allclose(out.mean(axis=1), field.mean(axis=1), atol=1e-12)
     # Polar rows actually changed; tropical rows untouched.
     assert not np.allclose(out[-1], field[-1])
@@ -462,13 +466,13 @@ def test_polar_filter_matches_per_row_oracle(masked):
     work = f.copy()
     assert plan(work) is work                         # in place, as the step uses it
     _assert_bitwise(work, want)
-    _assert_bitwise(apply_polar_filter(f, g.lats, view, crit), want)
+    _assert_bitwise(PolarFilter(g.lats, view, crit)(f.copy()), want)
     # 2-D mask (eta, ubar, vbar): open rows take the FFT branch; the level
     # axis of ``f`` now plays the member axis.
     want2d = _ref_polar_filter(f, g.lats, mask[0], crit)
     assert len(PolarFilter(g.lats, mask[0], crit).fft_rows) >= 2
-    _assert_bitwise(apply_polar_filter(f, g.lats, mask[0], crit), want2d)
-    _assert_bitwise(apply_polar_filter(f[0], g.lats, mask[0], crit), want2d[0])
+    _assert_bitwise(PolarFilter(g.lats, mask[0], crit)(f.copy()), want2d)
+    _assert_bitwise(PolarFilter(g.lats, mask[0], crit)(f[0].copy()), want2d[0])
 
 
 def test_step_filters_with_the_whole_mask_plan():

@@ -14,6 +14,7 @@ from repro.parallel.components import (
     parallel_spectral_analysis,
 )
 from repro.util.thermo import saturation_mixing_ratio
+from tests.helpers import column_surface_fluxes
 
 pytestmark = pytest.mark.parallel
 
@@ -41,13 +42,13 @@ def column_setup():
                                                          / pressure[l])
     surface = SurfaceState(
         t_sfc=290.0 + rng.normal(scale=3.0, size=(nlat, nlon)),
-        albedo=np.full((nlat, nlon), 0.1),
-        wetness=np.ones((nlat, nlon)),
-        z0=np.full((nlat, nlon), 1e-3),
-        ocean_mask=rng.random((nlat, nlon)) > 0.4)
+        albedo=np.full((nlat, nlon), 0.1))
+    fluxes = column_surface_fluxes(temp, q, u, v, ps, surface.t_sfc,
+                                   ocean=rng.random((nlat, nlon)) > 0.4)
     return dict(temp=temp, q=q, u=u, v=v, pressure=pressure, ps=ps,
                 geopotential=geop, dsigma=dsigma, surface=surface,
-                dt=1800.0, time=0.0, lats=lats, lons=lons)
+                dt=1800.0, time=0.0, lats=lats, lons=lons,
+                external_fluxes=fluxes)
 
 
 @pytest.mark.parametrize("nranks", [1, 2, 4])

@@ -198,15 +198,14 @@ def test_eventsim_accepts_measured_transpose_comm():
     10% of the analytic-formula throughput."""
     pytest.importorskip("repro.parallel.components")
     from repro.parallel.components import measure_transpose_comm
-    from repro.perf.costmodel import (
-        transpose_bytes_from_stats,
-        transpose_messages_from_stats,
-    )
+    from repro.perf.costmodel import transpose_bytes_from_stats
 
     atm = AtmosphereCost()
     stats = measure_transpose_comm(4, nlat=atm.nlat, nm=atm.mmax + 1,
                                    nlev=atm.nlev)
-    assert transpose_messages_from_stats(stats) == 2 * 4 * 3  # fwd+back pairwise
+    # fwd+back pairwise
+    assert sum(n for s in stats for op, n in s.op_msgs.items()
+               if op.startswith("transpose")) == 2 * 4 * 3
     # The per-rank counters came back from four processes, each with its
     # rank's share of the transpose bytes.
     assert all(s.bytes_for("transpose") > 0 for s in stats)
@@ -220,10 +219,10 @@ def test_eventsim_accepts_measured_transpose_comm():
     assert calibrated.speedup == pytest.approx(base.speedup, rel=0.10)
     # The measured stats ride along on the trace set.
     assert calibrated.traces.comm is not None
-    assert calibrated.traces.total_messages() > 0
-    assert calibrated.traces.total_comm_bytes() > 0
+    assert sum(s.msgs_sent for s in calibrated.traces.comm) > 0
+    assert sum(s.bytes_sent for s in calibrated.traces.comm) > 0
     assert any(op.startswith("transpose")
-               for op in calibrated.traces.message_breakdown())
+               for s in calibrated.traces.comm for op in s.op_msgs)
 
 
 def test_measured_transpose_volume_rank_count_invariant():

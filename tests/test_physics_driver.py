@@ -7,6 +7,7 @@ from repro.atmosphere.physics import PhysicsSuite, SurfaceState
 from repro.util.constants import SECONDS_PER_DAY
 from repro.util.thermo import saturation_mixing_ratio
 from repro.util.tree import tree_leaves
+from tests.helpers import column_surface_fluxes
 
 
 @pytest.fixture
@@ -27,15 +28,12 @@ def setup():
     geop = np.zeros(shape)
     for l in range(L - 2, -1, -1):
         geop[l] = geop[l + 1] + 287.0 * temp[l] * np.log(pressure[l + 1] / pressure[l])
-    surface = SurfaceState(
-        t_sfc=np.full((nlat, nlon), 290.0),
-        albedo=np.full((nlat, nlon), 0.1),
-        wetness=np.ones((nlat, nlon)),
-        z0=np.full((nlat, nlon), 1e-3),
-        ocean_mask=np.ones((nlat, nlon), dtype=bool))
+    surface = SurfaceState(t_sfc=np.full((nlat, nlon), 290.0),
+                           albedo=np.full((nlat, nlon), 0.1))
+    fluxes = column_surface_fluxes(temp, q, u, v, ps, surface.t_sfc, ocean=True)
     return dict(temp=temp, q=q, u=u, v=v, pressure=pressure, ps=ps,
                 geopotential=geop, dsigma=dsigma, surface=surface,
-                lats=lats, lons=lons)
+                lats=lats, lons=lons, external_fluxes=fluxes)
 
 
 def test_driver_produces_finite_tendencies(setup):
@@ -69,35 +67,26 @@ def test_driver_radiation_cadence(setup):
 
 
 def test_driver_external_fluxes_respected(setup):
-    """When the coupler supplies fluxes, the internal bulk formulas are bypassed."""
+    """The boundary layer is driven by the fluxes handed in, and by nothing
+    else: the surface fluxes are the coupler's, the driver has none."""
     suite = PhysicsSuite()
     nlat, nlon = setup["ps"].shape
     zeros = np.zeros((nlat, nlon))
     ext = {"shf": zeros, "lhf": zeros, "evap": zeros,
            "taux": zeros, "tauy": zeros, "ustar": np.full((nlat, nlon), 0.1)}
-    out = suite.compute(dt=1800.0, time=0.0, external_fluxes=ext, **setup)
-    assert out.fluxes["shf"] is zeros
-    # A coupled (two-field) surface is enough with the coupler's fluxes.
-    coupled = SurfaceState(t_sfc=setup["surface"].t_sfc,
-                           albedo=setup["surface"].albedo)
-    two_field = suite.compute(dt=1800.0, time=0.0, external_fluxes=ext,
-                              **{**setup, "surface": coupled})
-    assert np.array_equal(two_field.dtdt, out.dtdt)
-
-
-def test_driver_bulk_fluxes_need_the_bulk_surface_fields(setup):
-    """Without external fluxes the driver's own bulk formulas read wetness,
-    z0 and the ocean mask: a coupled two-field surface is refused, naming
-    every field it lacks."""
-    suite = PhysicsSuite()
-    coupled = SurfaceState(t_sfc=setup["surface"].t_sfc,
-                           albedo=setup["surface"].albedo)
-    with pytest.raises(ValueError, match=r"'wetness', 'z0', 'ocean_mask'"):
-        suite.compute(dt=1800.0, time=0.0, **{**setup, "surface": coupled})
-    partial = SurfaceState(t_sfc=coupled.t_sfc, albedo=coupled.albedo,
-                           wetness=setup["surface"].wetness)
-    with pytest.raises(ValueError, match=r"\['z0', 'ocean_mask'\]"):
-        suite.compute(dt=1800.0, time=0.0, **{**setup, "surface": partial})
+    calm = suite.compute(dt=1800.0, time=0.0, **{**setup, "external_fluxes": ext})
+    assert np.array_equal(
+        calm.dtdt,
+        suite.compute(dt=1800.0, time=0.0,
+                      **{**setup, "external_fluxes": dict(ext)}).dtdt)
+    # The lowest level feels the fluxes: moister and windier (stress) with
+    # the bulk fluxes than with none.
+    bulk = suite.compute(dt=1800.0, time=0.0, **setup)
+    assert not np.array_equal(bulk.dqdt[-1], calm.dqdt[-1])
+    assert not np.array_equal(bulk.dudt[-1], calm.dudt[-1])
+    with pytest.raises(TypeError, match="external_fluxes"):
+        suite.compute(dt=1800.0, time=0.0,
+                      **{k: v for k, v in setup.items() if k != "external_fluxes"})
 
 
 def test_driver_tendencies_bounded(setup):

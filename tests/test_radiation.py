@@ -5,7 +5,6 @@ import numpy as np
 from repro.atmosphere.physics.radiation import (
     RadiationParams,
     diagnose_cloud_fraction,
-    diurnal_mean_insolation,
     layer_emissivity,
     longwave,
     shortwave,
@@ -39,9 +38,13 @@ def test_zenith_angle_zero_at_night():
 
 
 def test_diurnal_mean_insolation_structure():
+    """The day's mean of the insolation the shortwave sees, hour by hour."""
     lats = np.deg2rad(np.linspace(-89, 89, 37))
+    lons = np.zeros(1)
     # Northern summer solstice: pole gets round-the-clock sun.
-    q_jun = diurnal_mean_insolation(lats, 172.0)
+    q_jun = SOLAR_CONSTANT * np.mean(
+        [solar_zenith_cos(lats, 172.0, secs, lons)[:, 0]
+         for secs in np.arange(0.0, 86400.0, 900.0)], axis=0)
     assert q_jun[-1] > q_jun[18]      # N pole exceeds equator at solstice
     assert q_jun[0] == 0.0            # polar night in the south
     assert np.all(q_jun >= 0.0)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core.config import test_config as tiny_config
-from repro.perf.profiler import RunProfile, profiling_enabled
+from repro.perf.profiler import RunProfile, get_profiler
 from repro.perf.report import format_calibration, main, profile_run
 from repro.runs import RunPlan, plan_from_flags
 
@@ -19,7 +19,7 @@ def quarter_day_profile():
 
 def test_profile_run_covers_all_components(quarter_day_profile):
     profile = quarter_day_profile
-    assert not profiling_enabled()   # profiling must be off afterwards
+    assert not get_profiler().enabled   # profiling must be off afterwards
     assert set(profile.layer_seconds()) == {"runs", "atmosphere", "coupler",
                                             "ocean"}
     # 0.25 days at dt=3600 is 6 steps; dynamics runs once per step.

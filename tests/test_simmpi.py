@@ -102,11 +102,6 @@ def test_gather_preserves_rank_order():
     assert out[0] is None
 
 
-def test_allgather():
-    out = run_ranks(3, lambda c: c.allgather(c.rank * 2))
-    assert out == [[0, 2, 4]] * 3
-
-
 def test_scatter():
     def worker(comm):
         objs = [i * i for i in range(comm.size)] if comm.rank == 0 else None
@@ -244,7 +239,7 @@ def test_deadlock_among_some_ranks_names_only_them():
     with pytest.raises(DeadlockError) as excinfo:
         run_ranks(4, worker, timeout=60.0)
     report = excinfo.value.report
-    assert set(report.ranks) == {2, 3}
+    assert {b.rank for b in report.blocked} == {2, 3}
     for b in report.blocked:
         assert b.peer == 5 - b.rank and b.tag == 9
     assert set(report.cycle) == {2, 3}

@@ -20,11 +20,6 @@ def r15():
     return SpectralTransform(nlat=40, nlon=48, trunc=Truncation(15))
 
 
-@pytest.fixture(scope="module")
-def t10():
-    return SpectralTransform(nlat=32, nlon=64, trunc=Truncation(10, kind="triangular"))
-
-
 # ----------------------------------------------------------- Gaussian grid
 def test_gaussian_latitudes_sorted_and_symmetric():
     mu, w = gaussian_latitudes(40)
@@ -76,15 +71,6 @@ def test_legendre_known_values():
 def test_truncation_validation():
     with pytest.raises(ValueError):
         Truncation(0)
-    with pytest.raises(ValueError):
-        Truncation(5, kind="hexagonal")
-
-
-def test_triangular_mask_shape():
-    t = Truncation(4, kind="triangular")
-    mask = t.mask()
-    assert mask[0, 4] and not mask[1, 4] and not mask[4, 1]
-    assert mask.sum() == 15  # (5+4+3+2+1)
 
 
 def test_transform_rejects_aliasing_grid():
@@ -103,14 +89,6 @@ def test_roundtrip_bandlimited_field(r15):
     grid = r15.synthesize(spec)
     spec2 = r15.analyze(grid)
     np.testing.assert_allclose(spec2, spec, atol=1e-10)
-
-
-def test_roundtrip_triangular(t10):
-    rng = np.random.default_rng(1)
-    spec = (rng.normal(size=t10.spec_shape) + 1j * rng.normal(size=t10.spec_shape))
-    spec[0, :] = spec[0, :].real
-    spec = spec * t10.trunc.mask()
-    np.testing.assert_allclose(t10.analyze(t10.synthesize(spec)), spec, atol=1e-10)
 
 
 def test_constant_field_maps_to_mean_mode(r15):
@@ -236,16 +214,12 @@ def test_purely_divergent_flow_has_no_vorticity(r15):
 
 # ----------------------------------------------------------- hyperdiffusion
 def test_spectral_filter_damps_high_wavenumbers_only(r15):
+    """One implicit del^4 step (what the dynamics divides its new fields by)."""
     spec = np.ones(r15.spec_shape, dtype=complex)
-    out = r15.spectral_filter(spec, order=4, coefficient=1e16, dt=1800.0)
+    out = spec / r15.damping_denominator(1e16, 1800.0)
     assert out[0, 0] == pytest.approx(1.0)           # mean untouched
     assert abs(out[15, 15]) < abs(out[1, 1])          # small scales damped more
     assert np.all(np.abs(out) <= 1.0 + 1e-15)
-
-
-def test_spectral_filter_rejects_odd_order(r15):
-    with pytest.raises(ValueError):
-        r15.spectral_filter(np.zeros(r15.spec_shape), order=3)
 
 
 # ------------------------------------------- batched Legendre kernels (ISSUE 5)

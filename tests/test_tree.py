@@ -19,7 +19,7 @@ from repro.core import (
     EnsembleConfig,
     FoamEnsemble,
     FoamModel,
-    load_restart,
+    load_checkpoint,
     member_state,
     save_restart,
     stack_members,
@@ -184,7 +184,7 @@ def test_checkpoint_roundtrip_is_bitwise(tmp_path, members, kind):
         state = ens.step(ens.initial_state())
     else:
         state = members[0] if kind == "serial" else _without_rivers(members[0])
-    loaded = load_restart(save_restart(tmp_path / f"{kind}.npz", state))
+    loaded = load_checkpoint(save_restart(tmp_path / f"{kind}.npz", state))[0]
     assert_trees_identical(loaded, state, kind)        # dtypes included
     assert isinstance(loaded.time, float)
     # One step in: radiation computed, the forcing window part-full.
@@ -234,8 +234,9 @@ def test_extra_field_is_stacked_copied_and_checkpointed(tmp_path, model,
     assert np.array_equal(stepped.tracer, tagged[2].ocean.tracer)
 
     path = save_restart(tmp_path / "tracer.npz", batched)
-    # load_restart rebuilds the FoamState schema ...
-    assert_trees_identical(load_restart(path).ocean.temp, batched.ocean.temp)
+    # load_checkpoint rebuilds the FoamState schema ...
+    assert_trees_identical(load_checkpoint(path)[0].ocean.temp,
+                           batched.ocean.temp)
     # ... and the file holds every leaf of the extended one, bit for bit.
     with np.load(path) as saved:
         for leaf_path, leaf in tree_leaves(batched):

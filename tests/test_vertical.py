@@ -84,7 +84,7 @@ def test_semi_implicit_matrix_positive_eigenvalues(vg):
 
 def test_sigma_dot_vanishes_for_uniform_divergence_integral():
     """If the column integral of C is zero, sigdot is the pure cumulative sum."""
-    vg = VerticalGrid.isobaric(4)
+    vg = VerticalGrid(np.linspace(0.0, 1.0, 4 + 1))
     div = np.array([1.0, -1.0, 1.0, -1.0])[:, None, None]
     zero = np.zeros_like(div)
     sd = vg.sigma_dot(div, zero)
@@ -114,7 +114,7 @@ def test_omega_over_p_sign_for_convergence():
     is wrong physically for ascent; our convention keeps omega/p = (1/p)dp/dt,
     negative for ascent.  Uniform D < 0 must give omega/p > 0... verify the
     discrete formula directly instead."""
-    vg = VerticalGrid.isobaric(3)
+    vg = VerticalGrid(np.linspace(0.0, 1.0, 3 + 1))
     div = np.full((3, 1, 1), -1.0e-5)
     zero = np.zeros_like(div)
     wop = vg.omega_over_p(div, zero)
@@ -126,7 +126,7 @@ def test_omega_over_p_sign_for_convergence():
 
 def test_vertical_advection_of_linear_profile():
     """sigdot d/dsigma of X = sigma recovers sigdot itself (interior levels)."""
-    vg = VerticalGrid.isobaric(10)
+    vg = VerticalGrid(np.linspace(0.0, 1.0, 10 + 1))
     x = vg.sigma[:, None, None] * np.ones((10, 2, 2))
     sigdot = np.ones((9, 2, 2)) * 2.0e-4
     adv = vg.vertical_advection(sigdot, x)
