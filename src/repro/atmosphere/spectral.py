@@ -211,7 +211,6 @@ class SpectralTransform:
     """
 
     def __init__(self, nlat: int, nlon: int, trunc: Truncation,
-                 radius: float = EARTH_RADIUS,
                  dtype: str | DTypePolicy | None = None):
         if nlon < 2 * trunc.mmax + 1:
             raise ValueError(
@@ -225,7 +224,7 @@ class SpectralTransform:
         self.nlat = nlat
         self.nlon = nlon
         self.trunc = trunc
-        self.radius = radius
+        self.radius = radius = EARTH_RADIUS
         self.policy = policy_from_name(dtype)
         fdt = self.policy.float_dtype
 

@@ -88,10 +88,10 @@ class VerticalGrid:
         self._tau_cache: np.ndarray | None = None
 
     @classmethod
-    def ccm_like(cls, nlev: int = 18, t_ref: float = 300.0,
+    def ccm_like(cls, nlev: int = 18,
                  dtype: str | DTypePolicy | None = None) -> "VerticalGrid":
         """The FOAM/CCM2-style stretched grid (paper: 18 levels)."""
-        return cls(default_sigma_levels(nlev), t_ref=t_ref, dtype=dtype)
+        return cls(default_sigma_levels(nlev), dtype=dtype)
 
     # ------------------------------------------------------------------
     # level-coupling matrices

@@ -98,14 +98,12 @@ class RiverModel:
     """
 
     def __init__(self, land_mask: np.ndarray, cell_areas: np.ndarray,
-                 cell_spacing: np.ndarray,
-                 flow_velocity: float = RIVER_FLOW_VELOCITY,
-                 rng_seed: int = 0):
+                 cell_spacing: np.ndarray, rng_seed: int = 0):
         """``cell_spacing`` (ny,) is the downstream distance d per row (m)."""
         self.land = np.asarray(land_mask, dtype=bool)
         self.areas = np.asarray(cell_areas, dtype=float)
         self.spacing = np.asarray(cell_spacing, dtype=float)
-        self.u = float(flow_velocity)
+        self.u = RIVER_FLOW_VELOCITY
         self.direction = n = derive_flow_directions(self.land, rng_seed)
         # Where each cell's outflow lands (-1: no downstream cell).
         ny, nx = self.land.shape

@@ -70,8 +70,7 @@ class SeaIceState:
 class SeaIceModel:
     """Minimal thermodynamic ice: freeze at the clamp, melt when warm."""
 
-    def __init__(self, freezing_point: float = T_FREEZE_SEA):
-        self.t_freeze = freezing_point
+    t_freeze = T_FREEZE_SEA
 
     def step(self, state: SeaIceState, *, sst: np.ndarray,
              ocean_heat_loss: np.ndarray, air_temp: np.ndarray,

@@ -151,10 +151,9 @@ def measure_transpose_comm(nranks: int, nlat: int, nm: int, nlev: int = 1,
     Runs the distributed transpose on a ``(nlat, nm * nlev)`` complex field
     (the per-step Fourier-coefficient volume of the spectral transform) and
     returns per-rank :class:`CommStats` whose ``transpose.*`` labels hold
-    the measured message counts and bytes.  This is the calibration input
-    for ``repro.perf.eventsim.simulate_coupled_day(transpose_comm=...)`` —
-    simulated timing driven by measured traffic instead of the analytic
-    ``AtmosphereCost.transpose_bytes()`` formula.  With the caller's
+    the measured message counts and bytes: an alltoall on ``k`` ranks
+    moves the off-diagonal ``(k-1)/k`` of the analytic
+    ``AtmosphereCost.transpose_bytes()`` volume.  With the caller's
     profiler enabled, the ranks' ``transpose.*`` sections (seconds and
     ``comm_bytes``) land in it too, which is what
     :func:`repro.perf.costmodel.calibrate_from_profile` reads.

@@ -252,8 +252,7 @@ def _ocn_worker(comm, layout, model, state, nsteps, waits):
 _WORKERS = {"atm": _atm_worker, "cpl": _cpl_worker, "ocn": _ocn_worker}
 
 
-def run_concurrent_coupled(model, state, nsteps: int, layout: PoolLayout,
-                           timeout: float | None = None
+def run_concurrent_coupled(model, state, nsteps: int, layout: PoolLayout
                            ) -> ConcurrentCoupledResult:
     """Advance ``state`` by ``nsteps`` on disjoint rank pools.
 
@@ -273,7 +272,7 @@ def run_concurrent_coupled(model, state, nsteps: int, layout: PoolLayout,
         raise ValueError(f"n_atm={layout.n_atm} exceeds nlat={cfg.atm_nlat}")
     # Size the backstop to the run, so a rank waiting out a long ocean call
     # does not false-timeout.
-    tmo = timeout if timeout is not None else max(60.0, 2.0 * nsteps)
+    tmo = max(60.0, 2.0 * nsteps)
 
     def worker(comm: Comm):
         role = layout.role_of(comm.rank)

@@ -1,6 +1,6 @@
 """The rank layer: forked processes exchanging arrays, simulated MPI.
 
-:func:`run_ranks` runs ``fn(comm, *args)`` on ``size`` *forked child
+:func:`run_ranks` runs ``fn(comm)`` on ``size`` *forked child
 processes* — the paper's fourth design element, MPI ranks on distributed
 memory — and is the only way a rank world runs.  Ranks exchange *real*
 NumPy arrays through :class:`Comm`, one world communicator whose
@@ -166,9 +166,7 @@ class CommStats:
     ``op_*`` dictionaries are keyed by the *outermost* operation label
     active when traffic moved — a send inside ``bcast`` inside ``barrier``
     is charged to ``"barrier"`` — so transports like the spectral transpose
-    can label their traffic (``"transpose.forward"``) and the performance
-    model can be calibrated from measured volumes
-    (:func:`repro.perf.costmodel.transpose_bytes_from_stats`).
+    can label their traffic (``"transpose.forward"``).
     """
 
     rank: int
@@ -186,10 +184,6 @@ class CommStats:
         self.bytes_sent += nbytes
         self.op_msgs[op] = self.op_msgs.get(op, 0) + 1
         self.op_bytes[op] = self.op_bytes.get(op, 0) + nbytes
-
-    def bytes_for(self, prefix: str) -> int:
-        """Total bytes sent under operation labels starting with ``prefix``."""
-        return sum(v for k, v in self.op_bytes.items() if k.startswith(prefix))
 
 
 def _find_cycle(edges: dict[int, list[int]]) -> tuple[int, ...]:
@@ -614,7 +608,7 @@ class Comm:
         return f"Comm(rank={self.rank}, size={self.size})"
 
 
-def _child_main(rank: int, size: int, fn: Callable[..., Any], args: tuple,
+def _child_main(rank: int, size: int, fn: Callable[..., Any],
                 uplink, downlink, timeout: float) -> None:
     # The fork copied the caller's scratch arena and profiler accumulators;
     # this rank starts with clean ones.  The profiler's enabled flag is
@@ -626,7 +620,7 @@ def _child_main(rank: int, size: int, fn: Callable[..., Any], args: tuple,
     comm = Comm(rank, size, _Client(uplink, downlink), timeout=timeout)
     result = None
     try:
-        result = fn(comm, *args)
+        result = fn(comm)
         get_workspace().clear()     # so the copies below stay under the rank's peak RSS
         # Bulk arrays go home in shm blocks, as messages do: in the blob, the queue's
         # feeder thread copies them during teardown — a race for the rank's peak RSS.
@@ -775,9 +769,9 @@ class _Router:
 
 
 def run_ranks(size: int, fn: Callable[..., Any], *,
-              timeout: float | None = None, args: tuple = (),
+              timeout: float | None = None,
               return_exceptions: bool = False) -> list[Any]:
-    """Run ``fn(comm, *args)`` on ``size`` forked ranks; return per-rank results.
+    """Run ``fn(comm)`` on ``size`` forked ranks; return per-rank results.
 
     ``timeout`` bounds every blocking operation (``None``: 120 s, a
     last-resort backstop behind the deadlock detector).  Results
@@ -807,8 +801,7 @@ def run_ranks(size: int, fn: Callable[..., Any], *,
     uplink = fork.Queue()
     downlinks = [fork.Queue() for _ in range(size)]
     procs = [fork.Process(target=_child_main,
-                         args=(r, size, fn, args, uplink, downlinks[r],
-                               tmo),
+                         args=(r, size, fn, uplink, downlinks[r], tmo),
                          daemon=True)
              for r in range(size)]
     for p in procs:

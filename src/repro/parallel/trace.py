@@ -56,22 +56,9 @@ class RankTrace:
 
 @dataclass
 class TraceSet:
-    """Traces for every rank of a run, plus Figure-2-style summaries.
-
-    ``comm`` optionally carries the :class:`~repro.parallel.procmpi.CommStats`
-    behind the timeline — either the per-rank counters of the traced run
-    itself, or the measured calibration stats the performance simulator was
-    driven by — so a trace answers both "where did the time go?" (Figure 2)
-    and "what traffic moved?".
-    """
+    """Traces for every rank of a run, plus Figure-2-style summaries."""
 
     traces: list[RankTrace]
-    comm: list | None = None   # list[CommStats] when attached
-
-    def attach_comm(self, stats) -> "TraceSet":
-        """Attach per-rank CommStats; returns self for chaining."""
-        self.comm = list(stats)
-        return self
 
     @property
     def nranks(self) -> int:

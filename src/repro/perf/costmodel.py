@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.perf.machine import ibm_sp2
+
 # Calibrated per-point constants (flops).
 PHYSICS_OPS_PER_COLUMN_LEVEL = 2900.0     # full CCM-style physics suite
 RADIATION_MULTIPLIER = 10.0               # one radiation pass ~ 10 physics passes
@@ -68,10 +70,9 @@ class AtmosphereCost:
     def steps_per_day(self) -> int:
         return int(round(86400.0 / self.dt))
 
-    def day_ops(self, radiation_steps_per_day: int = 2) -> float:
-        n = self.steps_per_day()
-        return (n - radiation_steps_per_day) * self.step_ops(False) \
-            + radiation_steps_per_day * self.step_ops(True)
+    def day_ops(self) -> float:
+        n = self.steps_per_day()         # radiation runs twice a day
+        return (n - 2) * self.step_ops(False) + 2 * self.step_ops(True)
 
     def transpose_bytes(self) -> float:
         """Data moved by the parallel spectral transpose per step (all ranks)."""
@@ -141,61 +142,40 @@ class CouplerCost:
         return COUPLER_OPS_PER_OVERLAP_CELL * self.n_overlap
 
 
-def transpose_bytes_from_stats(stats) -> float:
-    """Full-exchange transpose volume estimated from measured CommStats.
-
-    ``stats`` is the per-rank list returned by
-    ``repro.parallel.components.measure_transpose_comm`` (or any run whose
-    transpose traffic is labeled ``transpose.*``).  An alltoall on ``k``
-    ranks moves only the off-diagonal ``(k-1)/k`` of the global array, so
-    the measurement is rescaled to the full exchange volume the
-    :meth:`MachineModel.alltoall_time` formula expects — making the
-    estimate independent of the rank count it was measured at.
-    """
-    k = len(stats)
-    measured = float(sum(s.bytes_for("transpose") for s in stats))
-    if k <= 1:
-        return measured
-    return measured * k / (k - 1)
-
-
-def atmosphere_ocean_cost_ratio(atm: AtmosphereCost | None = None,
-                                ocn: OceanCost | None = None) -> float:
+def atmosphere_ocean_cost_ratio() -> float:
     """The paper's ~16x figure: atmosphere vs ocean ops per simulated day."""
-    atm = atm or AtmosphereCost()
-    ocn = ocn or OceanCost()
-    return atm.day_ops() / ocn.day_ops()
+    return AtmosphereCost().day_ops() / OceanCost().day_ops()
 
 
 # ---------------------------------------------------------------------------
-# Measured-cost calibration: profiler wall clock -> event-simulator inputs.
+# The event simulator's one input: the costs of a coupled step, worked out on
+# the modeled machine or read from a profiled run.
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class MeasuredCosts:
-    """Per-section wall-clock costs measured by :mod:`repro.perf.profiler`.
+    """Per-section seconds of one coupled step: what
+    :mod:`repro.perf.eventsim` replays.
 
-    The measured counterpart of the analytic (:class:`AtmosphereCost`,
-    :class:`OceanCost`, :class:`CouplerCost`) op counts: one serial-run
-    second figure per simulator section, which
-    :func:`repro.perf.eventsim.simulate_coupled_day` divides across ranks
-    exactly the way it divides op counts.  This extends the PR-1
-    ``transpose_bytes_from_stats`` pattern (measured traffic replacing an
-    analytic formula) from communication volume to compute cost.
+    Two producers fill it.  :func:`analytic_costs` times the op counts of
+    :class:`AtmosphereCost`, :class:`OceanCost` and :class:`CouplerCost` on
+    the modeled SP2; :func:`calibrate_from_profile` reads the wall clock of
+    a profiled run.  A record describes one rank layout: the atmosphere and
+    coupler figures are the work of all atmosphere ranks, which the
+    simulator divides across them; the transpose and the ocean call are
+    what the layout's ranks spend on them.
     """
 
     step_seconds: float              # ordinary atmosphere step, all ranks' work
     radiation_step_seconds: float    # atmosphere step that recomputes radiation
     coupler_seconds: float           # coupler work per atmosphere step
+    # Coupler work on the atmosphere's critical path even when the coupler
+    # runs on its own rank (surface merge + turbulent fluxes: the atmosphere
+    # cannot start physics without their result).
+    coupler_exposed_seconds: float
     ocean_call_seconds: float        # one long (coupling-interval) ocean call
     transpose_seconds: float = 0.0   # forward+backward spectral transpose/step
     dynamics_seconds: float = 0.0    # dynamics slice of a step (overlap window)
-    # Coupler work on the atmosphere's critical path even when the coupler
-    # runs on its own rank (surface merge + turbulent fluxes: the atmosphere
-    # cannot start physics without their result).  None = not measured
-    # (hand-built costs); the simulator then estimates exposure from
-    # overlap_seconds.
-    coupler_exposed_seconds: float | None = None
-    item_bytes: float = 8.0          # bytes/real of the profiled run's dtype
+    item_bytes: float = 8.0          # bytes/real of the run's dtype
     source: str = "profile"
 
     def __post_init__(self):
@@ -204,6 +184,34 @@ class MeasuredCosts:
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive, got "
                                  f"{getattr(self, name)}")
+
+
+def analytic_costs(n_atm_ranks: int, n_ocn_ranks: int, atm: AtmosphereCost,
+                   ocn: OceanCost) -> MeasuredCosts:
+    """The modeled SP2's :class:`MeasuredCosts` for ``n_atm_ranks``
+    atmosphere and ``n_ocn_ranks`` ocean nodes.
+
+    Compute is ops / sustained rate.  The spectral transpose is the
+    alltoall of :meth:`AtmosphereCost.transpose_bytes` among the atmosphere
+    ranks; an ocean call split over several ranks pays four halo messages.
+    The whole coupler is on the critical path, and there is no overlap
+    window: the 1997 schedule (``"lagged"``) hides the ocean without one.
+    """
+    machine = ibm_sp2()
+    coupler = machine.compute_time(CouplerCost().step_ops())
+    ocean_call = machine.compute_time(ocn.call_ops()) / n_ocn_ranks
+    if n_ocn_ranks > 1:
+        ocean_call += 4 * machine.message_time(ocn.halo_bytes())
+    return MeasuredCosts(
+        step_seconds=machine.compute_time(atm.step_ops(radiation=False)),
+        radiation_step_seconds=machine.compute_time(atm.step_ops(radiation=True)),
+        coupler_seconds=coupler,
+        coupler_exposed_seconds=coupler,
+        ocean_call_seconds=ocean_call,
+        transpose_seconds=machine.alltoall_time(n_atm_ranks,
+                                                atm.transpose_bytes()),
+        item_bytes=atm.item_bytes,
+        source="analytic")
 
 
 def calibrate_from_profile(profile) -> MeasuredCosts:
@@ -231,14 +239,14 @@ def calibrate_from_profile(profile) -> MeasuredCosts:
     * ``coupler_seconds`` is the whole ``coupler`` layer per step and
       ``coupler_exposed_seconds`` its serially-dependent slice
       (``coupler.merge_surface``, fluxes included), which stays on the
-      atmosphere's critical path even with ``coupler_offloaded=True``;
+      atmosphere's critical path under the ``"sync"`` schedule;
     * ``dynamics_seconds`` is the per-rank dynamics slice — the window the
-      concurrent schedule hides coupler/ocean work under (pass it as
-      ``overlap_seconds``);
+      ``"sync"`` schedule hides coupler/ocean work under;
     * transpose cost comes from ``transpose.forward`` / ``transpose.backward``
       when the run exercised the distributed transpose; otherwise it is
-      zero (the pool driver replicates spectral state) and the simulator
-      falls back to charging the byte volume on its machine model.
+      zero (a serial run, or the pool driver, which replicates spectral
+      state).  To replay such a run on more ranks, take the transpose from
+      :func:`analytic_costs`.
     """
     steps = profile.calls("coupler.merge_surface")
     n_atm = profile.calls("atmosphere.dynamics") // steps if steps else 0
@@ -271,7 +279,6 @@ def calibrate_from_profile(profile) -> MeasuredCosts:
         transpose_seconds=sum(t.per_call for t in transposes if t),
         dynamics_seconds=profile["atmosphere.dynamics"].per_call,
         coupler_exposed_seconds=profile["coupler.merge_surface"].inclusive / steps,
-        # The profiled run's precision: the simulator charges communication
-        # volumes in proportion to the element size.
+        # The profiled run's precision, the element size of its traffic.
         item_bytes=float(np.dtype(profile.meta.get("dtype") or "float64").itemsize),
         source=profile.label or "profile")

@@ -61,10 +61,10 @@ def foam_cost_musd(n_nodes: int) -> float:
 
 
 def cost_performance_ratio(foam_speedup: float, foam_nodes: int,
-                           csm: CSMCostModel | None = None,
-                           csm_nodes: int = 16) -> float:
-    """FOAM's (speedup per M$) divided by CSM's — the paper's '>10x better'."""
+                           csm: CSMCostModel | None = None) -> float:
+    """FOAM's (speedup per M$) divided by that of CSM on its 16 C90 nodes —
+    the paper's '>10x better'."""
     csm = csm or CSMCostModel()
     foam_cp = foam_speedup / foam_cost_musd(foam_nodes)
-    csm_cp = csm.throughput(csm_nodes) / csm.machine_cost_musd(csm_nodes)
+    csm_cp = csm.throughput(16) / csm.machine_cost_musd(16)
     return foam_cp / csm_cp

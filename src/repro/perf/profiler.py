@@ -112,12 +112,11 @@ class SectionStat:
 
 
 class Profiler:
-    """The process's span recorder: flat rows by name, plus counters."""
+    """The process's span recorder: flat rows by name."""
 
     def __init__(self):
         self.enabled = False
         self._rows: dict[str, SectionStat] = {}
-        self._counters: dict[str, float] = {}
         self._stack: list[_Section] = []
         self._started = time.perf_counter()
 
@@ -135,7 +134,6 @@ class Profiler:
 
     def reset(self) -> None:
         self._rows.clear()
-        self._counters.clear()
         self._started = time.perf_counter()
 
     def snapshot(self, label: str = "", meta: dict | None = None) -> "RunProfile":
@@ -145,10 +143,10 @@ class Profiler:
             sections=[SectionStat(r.name, r.calls, r.inclusive, r.exclusive,
                                   dict(r.counters))
                       for _, r in sorted(self._rows.items())],
-            counters=dict(self._counters), meta=dict(meta or {}))
+            meta=dict(meta or {}))
 
     def absorb(self, profile: "RunProfile") -> None:
-        """Add a finished profile's rows and counters to the accumulators.
+        """Add a finished profile's rows to the accumulators.
 
         How spans recorded in a forked rank process reach the caller:
         ``run_ranks`` absorbs every rank's snapshot into the caller's
@@ -156,8 +154,6 @@ class Profiler:
         """
         for s in profile.sections:
             self._record(s.name, s.calls, s.inclusive, s.exclusive, s.counters)
-        for k, v in profile.counters.items():
-            self._counters[k] = self._counters.get(k, 0.0) + v
 
 
 @dataclass
@@ -175,7 +171,6 @@ class RunProfile:
     label: str = ""
     wall_seconds: float = 0.0
     sections: list[SectionStat] = field(default_factory=list)
-    counters: dict[str, float] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
     # -- lookup ------------------------------------------------------------
@@ -220,6 +215,9 @@ class RunProfile:
                 f"{PROFILE_FORMAT} (format 1 keyed them by nesting path); "
                 f"capture the profile again")
         fields["sections"] = [SectionStat(**row) for row in d["sections"]]
+        # Saved profiles may carry the profile-level counter table this
+        # format no longer has; it is dropped on load.
+        fields.pop("counters", None)
         return cls(**fields)
 
     def save(self, path) -> None:
@@ -265,8 +263,6 @@ class RunProfile:
                 lines.append(f"{'  ' + s.name:38s} {s.calls:7d} "
                              f"{s.exclusive:10.4f} {s.inclusive:10.4f} "
                              f"{100.0 * share:6.1f}% {comm_str:>10s}")
-        for name, value in sorted(self.counters.items()):
-            lines.append(f"counter {name} = {value:g}")
         return "\n".join(lines)
 
 

@@ -152,9 +152,9 @@ def format_calibration(profile: RunProfile) -> str:
     if mc.transpose_seconds > 0.0:
         lines.append(f"  transpose per step        {mc.transpose_seconds:12.6f}")
     else:
-        lines.append("  transpose: not exercised; simulator falls back to "
-                     "the byte-volume model")
-    lines.append("feed these into simulate_coupled_day(..., measured=...) "
+        lines.append("  transpose: not exercised; replayed on n ranks, take "
+                     "it from analytic_costs(n, ...)")
+    lines.append("replay the record with simulate_coupled_day(n, costs=...) "
                  "or predict_concurrent_speedup(...).")
     return "\n".join(lines)
 

@@ -23,6 +23,7 @@ from repro.util.constants import (
     RHO_WATER,
     SEAICE_STRESS_DIVISOR,
     SOIL_MOISTURE_CAPACITY,
+    STEFAN_BOLTZMANN,
 )
 from tests.oracles import (
     derive_flow_directions_ref,
@@ -77,6 +78,72 @@ def test_soil_diffusion_relaxes_gradient():
 
 
 # ------------------------------------------------------------- hydrology
+# ------------------------------------------- one land cell, bulk-formula driven
+_EXPLICIT_SKIN = (
+    "ROADMAP 1: the net surface flux enters the 5 cm top layer explicitly "
+    "(coupler/land.py:138), so the skin overshoots where the bulk fluxes "
+    "are stiff; epoch 3's implicit skin balance mends it")
+
+
+def _land_cell(dtype, *, soil, t_air, t_skin, wind, sw, lw_down, rh,
+               wetness, dt, nsteps):
+    """Skin temperatures of one land cell stepped ``nsteps`` times by
+    ``LandModel.step`` under fixed air and radiation, the net flux each
+    step being SW + LW down - sigma T^4 - SH - LH of the bulk formula at
+    the current skin (the coupler's energy balance)."""
+    from repro.atmosphere.physics.surface_flux import bulk_fluxes
+    from repro.util.thermo import saturation_mixing_ratio
+
+    def cell(value):
+        return np.full((1, 1), value, dtype=dtype)
+
+    land = LandModel(np.array([[soil]]))
+    state = LandState(np.full((4, 1, 1), t_skin, dtype=dtype))
+    ps = cell(1.0e5)
+    q_air = (rh * saturation_mixing_ratio(cell(t_air), ps)).astype(dtype)
+    skins = [land.skin_temperature(state)[0, 0]]
+    for _ in range(nsteps):
+        skin = land.skin_temperature(state)
+        f = bulk_fluxes(cell(t_air), q_air, cell(wind), cell(0.0), ps, skin,
+                        land.roughness.astype(dtype), cell(wetness))
+        net = (cell(sw) + cell(lw_down) - STEFAN_BOLTZMANN * skin**4
+               - f["shf"] - f["lhf"])
+        state = land.step(state, net, dt)
+        skins.append(land.skin_temperature(state)[0, 0])
+    return np.array(skins, dtype=float)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_EXPLICIT_SKIN)
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_stiff_cell_skin_approaches_the_air_without_overshoot(dtype):
+    """A gale over dry desert with the air 17 K warmer than the skin and
+    the radiation balanced at the start: sensible heat is the only flux
+    the skin feels, so it warms toward the air and stops short of it."""
+    skins = _land_cell(dtype, soil=0, t_air=300.0, t_skin=283.0, wind=50.0,
+                       sw=0.0, lw_down=STEFAN_BOLTZMANN * 283.0**4, rh=0.5,
+                       wetness=0.0, dt=3600.0, nsteps=2)
+    rise = np.diff(skins)
+    assert np.all(rise >= 0.0), np.round(skins, 2)
+    assert np.all(skins <= 300.0), np.round(skins, 2)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_EXPLICIT_SKIN)
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_sunlit_wet_cell_skin_changes_one_way(dtype):
+    """Strong steady sun on wet grassland in a light wind, the skin 0.5 K
+    below the air: the skin warms to its balance above the air and stays
+    there, so over 24 model steps its change keeps one sign.  (The
+    explicit top layer relays instead: below the air the Louis factor is
+    at its floor and the sun lifts the skin past the air; above it the
+    unstable fluxes drop it back.)"""
+    skins = _land_cell(dtype, soil=1, t_air=300.0, t_skin=299.5, wind=2.0,
+                       sw=800.0, lw_down=400.0, rh=0.5, wetness=1.0,
+                       dt=1800.0, nsteps=24)
+    change = np.sign(np.diff(skins))
+    assert np.all(change >= 0.0) or np.all(change <= 0.0), \
+        np.round(skins - 300.0, 1)
+
+
 def test_wetness_ramp_and_saturation():
     st = HydrologyState(
         soil_moisture=np.array([[0.0, 0.05, 0.1125, 0.15]]),

@@ -7,6 +7,7 @@ from repro.parallel.trace import TraceSet
 from repro.perf.costmodel import (
     AtmosphereCost,
     OceanCost,
+    analytic_costs,
     atmosphere_ocean_cost_ratio,
 )
 from repro.perf.csm import CSMCostModel, cost_performance_ratio
@@ -161,7 +162,7 @@ def test_ocean_throughput_anchor():
 
 def test_scaling_curve_validates_nodes():
     with pytest.raises(ValueError):
-        scaling_curve([1], ocean_ranks_for={1: 1})
+        scaling_curve([1])          # the one node is the ocean's
 
 
 # ------------------------------------------------------------- CSM baseline
@@ -191,14 +192,24 @@ def test_trace_ascii_rendering():
     assert "A" in art and "O" in art
 
 
-# ------------------------------------------- CommStats-calibrated timing
-def test_eventsim_accepts_measured_transpose_comm():
-    """ISSUE 2 acceptance: eventsim driven by a CommStats-derived message
-    volume (measured on the real distributed transpose) must land within
-    10% of the analytic-formula throughput."""
-    pytest.importorskip("repro.parallel.components")
+# ------------------------------------------- the transpose the model charges
+def _transpose_bytes(stats) -> int:
+    """Bytes one rank sent under the ``transpose.*`` labels."""
+    return sum(n for op, n in stats.op_bytes.items()
+               if op.startswith("transpose"))
+
+
+def _full_exchange_bytes(stats) -> float:
+    """The transpose bytes ``k`` ranks sent, scaled to the whole array: an
+    alltoall moves only its off-diagonal ``(k-1)/k``."""
+    k = len(stats)
+    return sum(_transpose_bytes(s) for s in stats) * k / (k - 1)
+
+
+def test_measured_transpose_volume_matches_analytic():
+    """The real distributed transpose moves the volume
+    ``AtmosphereCost.transpose_bytes()`` charges, to within 10 %."""
     from repro.parallel.components import measure_transpose_comm
-    from repro.perf.costmodel import transpose_bytes_from_stats
 
     atm = AtmosphereCost()
     stats = measure_transpose_comm(4, nlat=atm.nlat, nm=atm.mmax + 1,
@@ -208,29 +219,16 @@ def test_eventsim_accepts_measured_transpose_comm():
                if op.startswith("transpose")) == 2 * 4 * 3
     # The per-rank counters came back from four processes, each with its
     # rank's share of the transpose bytes.
-    assert all(s.bytes_for("transpose") > 0 for s in stats)
-
-    measured = transpose_bytes_from_stats(stats)
-    analytic = atm.transpose_bytes()
-    assert measured == pytest.approx(analytic, rel=0.10)
-
-    base = simulate_coupled_day(8, 1, seed=0)
-    calibrated = simulate_coupled_day(8, 1, seed=0, transpose_comm=stats)
-    assert calibrated.speedup == pytest.approx(base.speedup, rel=0.10)
-    # The measured stats ride along on the trace set.
-    assert calibrated.traces.comm is not None
-    assert sum(s.msgs_sent for s in calibrated.traces.comm) > 0
-    assert sum(s.bytes_sent for s in calibrated.traces.comm) > 0
-    assert any(op.startswith("transpose")
-               for s in calibrated.traces.comm for op in s.op_msgs)
+    assert all(_transpose_bytes(s) > 0 for s in stats)
+    assert _full_exchange_bytes(stats) == pytest.approx(
+        atm.transpose_bytes(), rel=0.10)
 
 
 def test_measured_transpose_volume_rank_count_invariant():
-    """The full-exchange estimate must not depend on the measuring world."""
+    """The full-exchange volume must not depend on the measuring world."""
     from repro.parallel.components import measure_transpose_comm
-    from repro.perf.costmodel import transpose_bytes_from_stats
 
-    volumes = [transpose_bytes_from_stats(
+    volumes = [_full_exchange_bytes(
         measure_transpose_comm(k, nlat=16, nm=8, nlev=3)) for k in (2, 4)]
     assert volumes[0] == pytest.approx(volumes[1], rel=1e-12)
 
@@ -240,11 +238,13 @@ def test_measured_costs_validation():
     from repro.perf.costmodel import MeasuredCosts
 
     mc = MeasuredCosts(step_seconds=0.01, radiation_step_seconds=0.02,
-                       coupler_seconds=0.003, ocean_call_seconds=0.013)
+                       coupler_seconds=0.003, coupler_exposed_seconds=0.001,
+                       ocean_call_seconds=0.013)
     assert mc.transpose_seconds == 0.0
     with pytest.raises(ValueError):
         MeasuredCosts(step_seconds=0.0, radiation_step_seconds=0.02,
-                      coupler_seconds=0.003, ocean_call_seconds=0.013)
+                      coupler_seconds=0.003, coupler_exposed_seconds=0.001,
+                      ocean_call_seconds=0.013)
 
 
 def test_calibrate_from_profile_requires_instrumented_run():
@@ -293,7 +293,7 @@ def test_calibrated_eventsim_reproduces_measured_ordering():
     assert mc.ocean_call_seconds > 0.0
     assert mc.coupler_seconds > 0.0
 
-    res = simulate_coupled_day(8, 1, seed=0, imbalance=0.0, measured=mc)
+    res = simulate_coupled_day(8, 1, mc, imbalance=0.0, seed=0)
     costs = res.per_step_costs
     assert costs["source"] == "measured coupled interval"
     assert costs["radiation_step_seconds"] > costs["step_seconds"]
@@ -314,3 +314,33 @@ def test_eventsim_reports_per_step_costs_in_analytic_mode():
     assert costs["radiation_step_seconds"] > costs["step_seconds"] > 0
     assert costs["transpose_seconds"] > 0
     assert costs["ocean_call_seconds"] > 0
+    # The default record is the analytic one for this layout, bit for bit.
+    record = analytic_costs(8, 1, AtmosphereCost(), OceanCost())
+    assert simulate_coupled_day(8, 1, record, seed=0).wall_seconds \
+        == res.wall_seconds
+
+
+def test_sync_schedule_reads_its_window_from_the_record():
+    """The concurrent schedule puts only the exposed coupler slice on the
+    atmosphere's clock and hides ``dynamics_seconds`` of each ocean call;
+    the lagged one divides the whole coupler and hides no window."""
+    from repro.perf.costmodel import MeasuredCosts
+
+    record = MeasuredCosts(step_seconds=0.02, radiation_step_seconds=0.03,
+                           coupler_seconds=0.004, coupler_exposed_seconds=0.001,
+                           ocean_call_seconds=0.05, dynamics_seconds=0.01,
+                           source="hand-built")
+    sync = simulate_coupled_day(2, 1, record, imbalance=0.0, schedule="sync")
+    lagged = simulate_coupled_day(2, 1, record, imbalance=0.0)
+    assert sync.per_step_costs["overlap_seconds"] == 0.01
+    assert lagged.per_step_costs["overlap_seconds"] == 0.0
+    coupler = [s.duration for s in sync.traces.traces[0].segments
+               if s.activity == "coupler"]
+    assert coupler == [pytest.approx(0.001)] * 48
+    # Four boundaries, each stalling the atmosphere by 0.05 - 0.01 s of
+    # ocean call; the lagged schedule waits only for the final drain.
+    sync_idle = sync.traces.traces[0].time_in("idle")
+    assert sync_idle == pytest.approx(3 * 0.04 + 0.05)
+    assert lagged.traces.traces[0].time_in("idle") == pytest.approx(0.05)
+    with pytest.raises(ValueError, match="schedule"):
+        simulate_coupled_day(2, 1, record, schedule="offloaded")

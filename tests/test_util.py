@@ -226,6 +226,143 @@ def test_every_public_name_has_a_caller(tmp_path):
         "census entries that gained a caller or are gone: delete the lines"
 
 
+#: Defaulted parameters in ``src/repro`` that no call outside ``tests/``
+#: passes yet, each kept for the reader named beside it.  An entry that
+#: gains a caller, or whose parameter is gone, fails the census too.
+_NO_SETTER_YET = {
+    # The diagnostics ROADMAP 3(c)'s run report will read.
+    "analysis/climatology.py:zonal_mean(mask)": "ROADMAP 3(c)",
+    "analysis/eof.py:EOFResult.reconstruct(n_modes)": "ROADMAP 3(c)",
+    "analysis/filters.py:monthly_means(month_seconds)": "ROADMAP 3(c)",
+    "analysis/varimax.py:varimax(max_iter)": "ROADMAP 3(c)",
+    "analysis/varimax.py:varimax(tol)": "ROADMAP 3(c)",
+    "analysis/varimax.py:varimax(normalize)": "ROADMAP 3(c)",
+    "ocean/diagnostics.py:mixed_layer_depth(delta_t)": "ROADMAP 3(c)",
+    # The dry-dycore climate of ROADMAP 2(d).
+    "atmosphere/heldsuarez.py:HeldSuarezForcing(params)": "ROADMAP 2(d)",
+    # Files no change but epoch 3 (ROADMAP 1) or epoch 4 (ROADMAP 9) edits.
+    "coupler/coupler.py:FluxCoupler(flux_params)": "ROADMAP 1 file lock",
+    "coupler/land.py:LandState.isothermal(t0)": "ROADMAP 1 file lock",
+    "ocean/baseline.py:ConventionalOceanModel(params)": "ROADMAP 9",
+    "ocean/grid.py:stretched_depths(surface_layer)": "ROADMAP 9",
+    "ocean/mixing.py:convective_adjustment(passes)": "ROADMAP 9",
+    # The decomposition proof ROADMAP 5(b) keeps.
+    "parallel/components.py:measure_transpose_comm(nlev)": "ROADMAP 5(b)",
+    "parallel/components.py:measure_transpose_comm(seed)": "ROADMAP 5(b)",
+    # How a crash test sees what every rank raised (tests/test_faults.py).
+    "parallel/procmpi.py:run_ranks(return_exceptions)": "crash tests",
+    # The run telemetry of ROADMAP 10 attaches here.
+    "runs/harness.py:RunHarness(observers)": "ROADMAP 10",
+}
+
+
+def _unset_defaulted_parameters(package: Path, callers: list[Path]) -> set[str]:
+    """``module.py:Name(param)`` of every defaulted parameter of a public
+    top-level function, of a public class's ``__init__`` (``Class(param)``)
+    and of a public method of such a class (``Class.method(param)``) under
+    ``package`` that no call in the ``.py`` files under ``callers`` passes.
+    A call passes a parameter by keyword, by position (``self`` / ``cls``
+    not counted), or by a ``*args`` / ``**kwargs`` that may hold it.  Calls
+    match by name alone, as in :func:`_uncalled_public_names`: any
+    ``.step(...)`` is a call of every ``step``.  A dataclass field is no
+    parameter here; the front-door census pins the run-level ones."""
+    import ast
+
+    calls: dict[str, list[ast.Call]] = {}
+    for root in callers:
+        for path in root.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = (f.id if isinstance(f, ast.Name) else f.attr
+                            if isinstance(f, ast.Attribute) else None)
+                    calls.setdefault(name, []).append(node)
+
+    def defaulted(fn, bound):
+        a = fn.args
+        pos = a.posonlyargs + a.args
+        first = len(pos) - len(a.defaults)
+        out = [(arg.arg, i - bound) for i, arg in enumerate(pos) if i >= first]
+        out += [(arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                if d is not None]
+        return out
+
+    def passes(call, param, index):
+        if any(k.arg in (param, None) for k in call.keywords):
+            return True
+        return index is not None and (
+            len(call.args) > index
+            or any(isinstance(x, ast.Starred) for x in call.args))
+
+    def public(nodes, kinds):
+        return [n for n in nodes
+                if isinstance(n, kinds) and not n.name.startswith("_")]
+
+    unset = set()
+    for path in package.rglob("*.py"):
+        module = path.relative_to(package).as_posix()
+        for d in public(ast.parse(path.read_text()).body,
+                        (ast.FunctionDef, ast.ClassDef)):
+            sigs = []
+            if isinstance(d, ast.FunctionDef):
+                sigs.append((d.name, d.name, defaulted(d, 0)))
+            else:
+                for m in d.body:
+                    if not isinstance(m, ast.FunctionDef):
+                        continue
+                    static = any(getattr(x, "id", None) == "staticmethod"
+                                 for x in m.decorator_list)
+                    if m.name == "__init__":
+                        sigs.append((d.name, d.name, defaulted(m, 1)))
+                    elif not m.name.startswith("_"):
+                        sigs.append((f"{d.name}.{m.name}", m.name,
+                                     defaulted(m, 0 if static else 1)))
+            for qualname, name, params in sigs:
+                for param, index in params:
+                    if not any(passes(c, param, index)
+                               for c in calls.get(name, ())):
+                        unset.add(f"{module}:{qualname}({param})")
+    return unset
+
+
+def test_every_defaulted_parameter_has_a_setter(tmp_path):
+    """A defaulted parameter of a public function, method or class in
+    ``src/`` is passed by some call outside ``tests/`` — in ``src/``,
+    ``benchmarks/`` or ``examples/`` — or a line in ``_NO_SETTER_YET``
+    names the reader it is kept for.  A knob only tests set is deleted
+    with its tests, as a name only tests call is."""
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "mod.py").write_text(
+        "def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+        "def g(x=0): pass\n"
+        "def h(y=0): pass\n"
+        "class Box:\n"
+        "    def __init__(self, size=1, colour=None): pass\n"
+        "    def fill(self, level=0, spill=False): pass\n"
+        "    @staticmethod\n"
+        "    def make(kind=None): pass\n"
+        "    def _private(self, secret=0): pass\n")
+    (pkg / "user.py").write_text(
+        "f(0, 1, d=5)\n"
+        "g(*args)\n"
+        "h(**options)\n"
+        "Box(3).fill(1)\n"
+        "Box.make('k')\n")
+    assert _unset_defaulted_parameters(pkg, [pkg]) == {   # what it must see
+        "mod.py:f(c)", "mod.py:f(e)", "mod.py:Box(colour)",
+        "mod.py:Box.fill(spill)"}
+
+    root = Path(__file__).resolve().parents[1]
+    unset = _unset_defaulted_parameters(
+        root / "src" / "repro",
+        [root / top for top in ("src", "benchmarks", "examples")])
+    assert sorted(unset - set(_NO_SETTER_YET)) == [], \
+        "parameters only tests set: delete them, or give each a reader"
+    assert sorted(set(_NO_SETTER_YET) - unset) == [], \
+        "census entries that gained a setter or are gone: delete the lines"
+
+
 def test_one_rank_transport_census():
     """Forked processes are the only rank transport, and nothing selects it.
 
